@@ -1,30 +1,16 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels in plain numpy.
 
-Set ``PARTYCRED_NO_NUMBA=1`` to force the fallback implementations (useful
-for debugging and for the backend-comparison benchmark).  Everything here is
-exact integer arithmetic; the two backends must agree bit-for-bit.
+Everything here is exact integer arithmetic.  Callers look these names up on
+the module at call time (``_kernels.pairwise_tally(...)``), so the names are
+the boundary to keep when changing an implementation.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_want_numba = os.environ.get("PARTYCRED_NO_NUMBA", "") not in ("1", "true", "yes")
 
-if _want_numba:
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USING_NUMBA = False
-else:
-    USING_NUMBA = False
-
-
-def _pairwise_tally_py(ranks: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def pairwise_tally(ranks: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """counts[c, d] = total weight of ballots ranking c before d."""
     num_ballots, m = ranks.shape
     counts = np.zeros((m, m), dtype=np.int64)
@@ -38,7 +24,7 @@ def _pairwise_tally_py(ranks: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _min_switch_counts_py(
+def min_switch_counts(
     seg_gain: np.ndarray,
     seg_cumw: np.ndarray,
     seg_cumg: np.ndarray,
@@ -48,76 +34,36 @@ def _min_switch_counts_py(
     """Minimal switch counts per destination for the greedy scoring solver.
 
     Sources are pre-sorted by per-voter gain (descending) and compressed into
-    segments of equal gain: ``seg_gain`` (distinct values), ``seg_cumw`` /
-    ``seg_cumg`` (inclusive cumulative weight / total gain).  For destination
-    D the per-voter bonus is ``-party_gain[D]`` and only sources with strictly
-    larger gain than D's own are useful.  Returns -1 where no count reaches
-    ``need``.
+    segments of equal gain: ``seg_gain`` (distinct values, strictly
+    decreasing), ``seg_cumw`` / ``seg_cumg`` (inclusive cumulative weight /
+    total gain).  For destination D the per-voter bonus is ``-party_gain[D]``
+    and only sources with strictly larger gain than D's own are useful: the
+    greedy takes whole segments while their slope ``seg_gain + bonus`` is
+    positive, and stops in the first segment whose cumulative reach
+    ``seg_cumg + seg_cumw * bonus`` meets ``need``.  Returns -1 where no
+    count reaches ``need``.
+
+    The segments and ``need`` are shared by all destinations, and D enters
+    only through its bonus ``-party_gain[D]``.  Destinations with equal gain
+    therefore get equal counts, so the greedy is solved once per distinct
+    gain (a small gains x segments table) and mapped back through
+    ``np.unique``'s inverse index.
     """
-    num_segments = seg_gain.shape[0]
-    out = np.full(party_gain.shape[0], -1, dtype=np.int64)
-    for dest in range(party_gain.shape[0]):
-        bonus = -party_gain[dest]
-        prev_w = np.int64(0)
-        prev_g = np.int64(0)
-        for i in range(num_segments):
-            slope = seg_gain[i] + bonus
-            if slope <= 0:
-                break
-            reach = seg_cumg[i] + seg_cumw[i] * bonus
-            if reach >= need:
-                numer = need - prev_g + prev_w * seg_gain[i]
-                out[dest] = (numer + slope - 1) // slope
-                break
-            prev_w = seg_cumw[i]
-            prev_g = seg_cumg[i]
-    return out
-
-
-if USING_NUMBA:
-
-    @njit(cache=True)
-    def _pairwise_tally_nb(ranks, weights):  # pragma: no cover - compiled
-        num_ballots, m = ranks.shape
-        counts = np.zeros((m, m), dtype=np.int64)
-        for b in range(num_ballots):
-            w = weights[b]
-            for c in range(m):
-                rc = ranks[b, c]
-                for d in range(m):
-                    if rc < ranks[b, d]:
-                        counts[c, d] += w
-        return counts
-
-    @njit(cache=True)
-    def _min_switch_counts_nb(  # pragma: no cover - compiled
-        seg_gain, seg_cumw, seg_cumg, party_gain, need
-    ):
-        num_segments = seg_gain.shape[0]
-        out = np.full(party_gain.shape[0], -1, dtype=np.int64)
-        for dest in range(party_gain.shape[0]):
-            bonus = -party_gain[dest]
-            prev_w = np.int64(0)
-            prev_g = np.int64(0)
-            for i in range(num_segments):
-                slope = seg_gain[i] + bonus
-                if slope <= 0:
-                    break
-                reach = seg_cumg[i] + seg_cumw[i] * bonus
-                if reach >= need:
-                    numer = need - prev_g + prev_w * seg_gain[i]
-                    out[dest] = (numer + slope - 1) // slope
-                    break
-                prev_w = seg_cumw[i]
-                prev_g = seg_cumg[i]
-        return out
-
-    pairwise_tally = _pairwise_tally_nb
-    min_switch_counts = _min_switch_counts_nb
-else:
-    pairwise_tally = _pairwise_tally_py
-    min_switch_counts = _min_switch_counts_py
-
-# Fallbacks are always importable so the benchmark can compare both backends.
-pairwise_tally_fallback = _pairwise_tally_py
-min_switch_counts_fallback = _min_switch_counts_py
+    if seg_gain.size == 0:
+        return np.full(party_gain.shape[0], -1, dtype=np.int64)
+    gains, inverse = np.unique(party_gain, return_inverse=True)
+    bonus = -gains[:, None]
+    slope = seg_gain + bonus
+    reach = seg_cumg + seg_cumw * bonus
+    # seg_gain is strictly decreasing, so slope > 0 holds on a prefix of each
+    # row and the first hit is where the sequential greedy would stop.
+    hit = (slope > 0) & (reach >= need)
+    found = hit.any(axis=1)
+    first = hit.argmax(axis=1)
+    zero = np.zeros(1, dtype=np.int64)
+    prev_w = np.concatenate((zero, seg_cumw))[first]
+    prev_g = np.concatenate((zero, seg_cumg))[first]
+    step = np.where(found, slope[np.arange(gains.size), first], 1)
+    numer = need - prev_g + prev_w * seg_gain[first]
+    per_gain = np.where(found, (numer + step - 1) // step, -1)
+    return per_gain[inverse]

@@ -194,13 +194,14 @@ def parse_instance(text: str) -> ParsedInstance:
 
     parties: list[Party] = []
     party_names: list[str] = []
+    seen_names: set[str] = set()
     for line_no, line in party_lines:
         head, _, order_text = line.partition(":")
         fields = head.split()
         if len(fields) != 3:
             raise ParseError(line_no, "party line must read 'party <name> <size>: ...'")
         _, pname, size_text = fields
-        if pname in party_names:
+        if pname in seen_names:
             raise ParseError(line_no, f"duplicate party name {pname!r}")
         try:
             size = int(size_text)
@@ -220,6 +221,7 @@ def parse_instance(text: str) -> ParsedInstance:
             raise ParseError(line_no, f"bad preference: {problem}")
         parties.append(Party(id=len(parties), preference=Preference(order=order), size=size))
         party_names.append(pname)
+        seen_names.add(pname)
     if not parties:
         raise ParseError(len(text.splitlines()) or 1, "no party lines")
 

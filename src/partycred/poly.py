@@ -155,8 +155,14 @@ def min_condorcet(instance: ProblemInstance) -> SolveResult:
             if remaining == 0:
                 break
         plan = SwitchPlan(moves=tuple(moves))
-        if not check_witness(instance, plan, k=switches).ok:
-            continue
+        # The plan shifts the (p, rival) margin to <= 0, so a rejection is a
+        # solver bug; skipping the rival could report a MIN that is too large.
+        check = check_witness(instance, plan, k=switches)
+        if not check.ok:
+            raise RuntimeError(
+                f"min_condorcet built a rejected plan against rival {rival}: "
+                f"{check.reason}"
+            )
         if best is None or switches < best[0]:
             best = (switches, rival, plan)
     if best is None:
@@ -164,9 +170,7 @@ def min_condorcet(instance: ProblemInstance) -> SolveResult:
     return feasible(best[0], best[2], "min_condorcet")
 
 
-def max_r_approval(
-    instance: ProblemInstance, approving_destinations_only: bool = False
-) -> SolveResult:
+def max_r_approval(instance: ProblemInstance) -> SolveResult:
     """Exact MAX for 0/1 scoring vectors (plurality, veto, r-approval), r <= 4.
 
     Destinations approving p are handled by enumerating a minimum retained
@@ -175,8 +179,7 @@ def max_r_approval(
 
     Destinations not approving p can still host switchers (typically p's
     own surplus supporters) and are sometimes strictly better, so they are
-    solved exactly as well.  ``approving_destinations_only=True`` skips
-    them; that restricted variant can underestimate the optimum.
+    solved exactly as well.
     """
     _require(instance, Scoring, Direction.MAX, "max_r_approval")
     vector = instance.rule.vector
@@ -210,8 +213,6 @@ def max_r_approval(
                 if sizes[q] - retained.get(q, 0) > 0
             )
         else:
-            if approving_destinations_only:
-                continue
             found = _max_into_nonapproving(instance, rows, sizes, dest, sources, unique)
             if found is None:
                 continue

@@ -344,7 +344,9 @@ def test_criterion_5_destination_monotonicity():
             assert pc.oracle_max(multi_inst).value >= pc.oracle_max(inst).value, inst
 
 
-def _performance_instance(num_parties: int, seed: int) -> pc.ProblemInstance:
+def _performance_instance(
+    num_parties: int, seed: int, rule: str = "plurality"
+) -> pc.ProblemInstance:
     rng = random.Random(seed)
     m = 50
     parties = [
@@ -367,7 +369,7 @@ def _performance_instance(num_parties: int, seed: int) -> pc.ProblemInstance:
         election=pc.PartyElection(num_candidates=m, parties=tuple(parties)),
         p=0,
         k=1,
-        rule=pc.Scoring(vector=pc.scoring_vector_for("plurality", m)),
+        rule=pc.Scoring(vector=pc.scoring_vector_for(rule, m)),
         model=pc.WinnerModel.UNIQUE,
         destination_mode=pc.DestinationMode.ONE,
         direction=pc.Direction.MIN,
@@ -386,13 +388,13 @@ def _best_time(inst, repeats=3):
 
 @criterion(6, "min_scoring performance and scaling")
 def test_criterion_6_performance():
-    min_scoring(_performance_instance(100, seed=0))  # warm-up / jit compile
-    t_base = _best_time(_performance_instance(10_000, seed=1))
-    t_double = _best_time(_performance_instance(20_000, seed=2))
-    assert t_base < 10.0, f"10k-party solve took {t_base:.2f}s"
-    assert t_double <= 2.5 * t_base, (
-        f"doubling parties scaled x{t_double / t_base:.2f}"
-    )
+    for rule in ("plurality", "borda"):
+        t_base = _best_time(_performance_instance(10_000, seed=1, rule=rule))
+        t_double = _best_time(_performance_instance(20_000, seed=2, rule=rule))
+        assert t_base < 10.0, f"{rule}: 10k-party solve took {t_base:.2f}s"
+        assert t_double <= 2.5 * t_base, (
+            f"{rule}: doubling parties scaled x{t_double / t_base:.2f}"
+        )
 
 
 @criterion(7, "byte-identical CLI output")

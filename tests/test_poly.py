@@ -73,6 +73,18 @@ def test_min_condorcet_no_destination():
     assert min_condorcet(inst).status is pc.SolveStatus.INFEASIBLE
 
 
+def test_min_condorcet_raises_on_rejected_plan(monkeypatch):
+    inst = build(
+        pc.Condorcet(), [((P, A, B), 3), ((A, P, B), 1)], p=P, k=1, direction="min"
+    )
+    monkeypatch.setattr(
+        "partycred.poly.check_witness",
+        lambda *args, **kwargs: pc.parties.WitnessCheck(False, "forced rejection"),
+    )
+    with pytest.raises(RuntimeError, match="forced rejection"):
+        min_condorcet(inst)
+
+
 def test_max_r_approval_basic():
     inst = build(PLUR3, [((P, A, B), 3), ((A, B, P), 2)], p=P, k=1, direction="max")
     result = max_r_approval(inst)
@@ -119,14 +131,12 @@ def test_max_nonapproving_destination_gap():
     With nine p-first voters and two one-voter rival parties, funneling
     three surplus p voters plus one rival voter into the other rival party
     moves four voters while p still leads 6 to 4.  Restricting destinations
-    to parties that approve p caps the answer at two.
+    to parties that approve p would cap the answer at two.
     """
     inst = build(
         PLUR2, [((0, 1), 9), ((1, 0), 1), ((1, 0), 1)], p=0, k=1, direction="max"
     )
-    restricted = max_r_approval(inst, approving_destinations_only=True)
     full = max_r_approval(inst)
-    assert restricted.value == 2
     assert full.value == 4
     assert pc.oracle_max(inst).value == 4
     assert pc.check_witness(inst, full.witness, k=full.value).ok
