@@ -216,10 +216,15 @@ def parse_instance(text: str) -> ParsedInstance:
             order = tuple(index[x] for x in order_names)
         except KeyError as exc:
             raise ParseError(line_no, f"unknown candidate {exc.args[0]!r} in preference")
-        problem = validate_preference(order, m)
-        if problem is not None:
-            raise ParseError(line_no, f"bad preference: {problem}")
-        parties.append(Party(id=len(parties), preference=Preference(order=order), size=size))
+        # Preference validates a full-length order itself; only a length
+        # mismatch needs the check against m.
+        if len(order) != m:
+            raise ParseError(line_no, f"bad preference: {validate_preference(order, m)}")
+        try:
+            preference = Preference(order=order)
+        except ValueError as exc:
+            raise ParseError(line_no, f"bad preference: {exc}")
+        parties.append(Party(id=len(parties), preference=preference, size=size))
         party_names.append(pname)
         seen_names.add(pname)
     if not parties:

@@ -1,11 +1,14 @@
-"""Polynomial-time exact solvers, one-destination mode only.
+"""Exact solvers for the one-destination mode, polynomial except where noted.
 
 * ``min_scoring`` — greedy over per-voter score-gap closures, any positional
   scoring rule.
 * ``min_condorcet`` — pairwise-margin arithmetic; every useful switch moves a
-  (p, rival) margin by exactly 2.
-* ``max_r_approval`` — 0/1 scoring vectors with small r; picks a destination
-  approving p and retains a minimum blocking set of voters.
+  (p, rival) margin by exactly 2.  O(l * m) after one pairwise tally.
+* ``max_r_approval`` — 0/1 scoring vectors with small r.  For a destination
+  approving p it retains a minimum blocking set of voters, which is
+  polynomial.  For a destination not approving p (``_max_into_nonapproving``)
+  it searches exhaustively over merged count vectors, which is exponential
+  in the worst case; ROADMAP item 4 tracks replacing that branch.
 
 Ties between equally good (rival, destination) choices resolve to the lowest
 candidate index, then the lowest party id, so outputs are reproducible.
@@ -31,7 +34,7 @@ from .parties import (
     materialize,
 )
 from .rules import Condorcet, Scoring, WinnerModel
-from .search import _party_rows
+from .search import _party_ranks, _party_rows
 
 MAX_APPROVAL_R = 4
 
@@ -108,7 +111,10 @@ def _greedy_plan(pe, rows, order, rival, dest, value, p) -> SwitchPlan:
         if take:
             moves.append((q, dest, take))
             remaining -= take
-    assert remaining == 0, "greedy plan reconstruction mismatch"
+    if remaining != 0:
+        raise RuntimeError(
+            f"min_scoring greedy plan reconstruction left {remaining} switches unplaced"
+        )
     return SwitchPlan(moves=tuple(moves))
 
 
@@ -116,58 +122,57 @@ def min_condorcet(instance: ProblemInstance) -> SolveResult:
     """Exact MIN for the Condorcet rule.
 
     To dethrone p via rival c, switch voters who prefer p to c into a party
-    that prefers c to p; each such switch shifts the (p, c) margin by -2.
+    that prefers c to p; each such switch shifts the (p, c) margin by -2, and
+    no switch shifts it by more.  So ceil(margin / 2) switches are both
+    necessary and, given a destination and enough supply, sufficient; the
+    optimum is the smallest such count over all rivals.
+
+    All rivals are scored at once from the one pairwise tally and an (l, m)
+    rank array, O(l * m) work after the tally.  Only the plan for the chosen
+    rival (fewest switches, then lowest index; its lowest-id destination;
+    sources in party-id order) is built, and only that plan is checked.  No
+    guarantee is lost by skipping the other rivals' plans: the returned plan
+    is still verified before it leaves the solver, optimality rests on the
+    margin lower bound, which no witness check can test, and a plan that is
+    never returned cannot make the output wrong.
     """
     _require(instance, Condorcet, Direction.MIN, "min_condorcet")
     pe = instance.election
     counts = pairwise_matrix(materialize(pe)).counts
     p = instance.p
-
-    best: tuple[int, int, SwitchPlan] | None = None  # (value, rival, plan)
-    for rival in range(pe.num_candidates):
-        if rival == p:
-            continue
-        margin = int(counts[p, rival] - counts[rival, p])
-        switches = (margin + 1) // 2 if margin % 2 else margin // 2
-        dest = next(
-            (
-                party.id
-                for party in pe.parties
-                if party.preference.prefers(rival, p)
-            ),
-            None,
-        )
-        if dest is None:
-            continue
-        sources = [
-            party
-            for party in pe.parties
-            if party.id != dest and party.preference.prefers(p, rival) and party.size > 0
-        ]
-        if sum(party.size for party in sources) < switches:
-            continue
-        moves = []
-        remaining = switches
-        for party in sources:
-            take = min(party.size, remaining)
-            moves.append((party.id, dest, take))
-            remaining -= take
-            if remaining == 0:
-                break
-        plan = SwitchPlan(moves=tuple(moves))
-        # The plan shifts the (p, rival) margin to <= 0, so a rejection is a
-        # solver bug; skipping the rival could report a MIN that is too large.
-        check = check_witness(instance, plan, k=switches)
-        if not check.ok:
-            raise RuntimeError(
-                f"min_condorcet built a rejected plan against rival {rival}: "
-                f"{check.reason}"
-            )
-        if best is None or switches < best[0]:
-            best = (switches, rival, plan)
-    if best is None:
+    sizes = np.asarray([party.size for party in pe.parties], dtype=np.int64)
+    ranks = _party_ranks(pe)
+    backs_rival = ranks < ranks[:, [p]]  # party q prefers candidate c to p
+    backs_p = ranks > ranks[:, [p]]  # party q prefers p to candidate c
+    dests = backs_rival.argmax(axis=0)  # first party preferring c to p
+    supply = sizes @ backs_p.astype(np.int64)
+    switches = (counts[p] - counts[:, p] + 1) // 2
+    # Column p has no destination, so p is never its own rival.
+    usable = backs_rival.any(axis=0) & (supply >= switches)
+    if not usable.any():
         return infeasible("min_condorcet")
-    return feasible(best[0], best[2], "min_condorcet")
+    rival = int(np.where(usable, switches, np.iinfo(np.int64).max).argmin())
+    value = int(switches[rival])
+    dest = int(dests[rival])
+
+    moves = []
+    remaining = value
+    for q in np.flatnonzero(backs_p[:, rival] & (sizes > 0)):
+        take = min(int(sizes[q]), remaining)
+        moves.append((int(q), dest, take))
+        remaining -= take
+        if remaining == 0:
+            break
+    plan = SwitchPlan(moves=tuple(moves))
+    # The plan shifts the (p, rival) margin to <= 0, so a rejection is a
+    # solver bug, not a reason to try another rival.
+    check = check_witness(instance, plan, k=value)
+    if not check.ok:
+        raise RuntimeError(
+            f"min_condorcet built a rejected plan against rival {rival}: "
+            f"{check.reason}"
+        )
+    return feasible(value, plan, "min_condorcet")
 
 
 def max_r_approval(instance: ProblemInstance) -> SolveResult:

@@ -22,6 +22,7 @@ import numpy as np
 from .parties import (
     Direction,
     DestinationMode,
+    PartyElection,
     ProblemInstance,
     SolveResult,
     SwitchPlan,
@@ -39,14 +40,18 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _party_rows(instance: ProblemInstance) -> np.ndarray:
-    """(l, m) per-voter positional scores for each party (scoring rules)."""
-    pe = instance.election
-    vector = np.asarray(instance.rule.vector, dtype=np.int64)
+def _party_ranks(pe: PartyElection) -> np.ndarray:
+    """(l, m) array: ranks[q, c] = 0-based position of c on party q's ballot."""
     ranks = np.empty((len(pe.parties), pe.num_candidates), dtype=np.int64)
     for i, party in enumerate(pe.parties):
         ranks[i, np.asarray(party.preference.order)] = np.arange(pe.num_candidates)
-    return vector[ranks]
+    return ranks
+
+
+def _party_rows(instance: ProblemInstance) -> np.ndarray:
+    """(l, m) per-voter positional scores for each party (scoring rules)."""
+    vector = np.asarray(instance.rule.vector, dtype=np.int64)
+    return vector[_party_ranks(instance.election)]
 
 
 def _party_margin_deltas(instance: ProblemInstance) -> np.ndarray:

@@ -85,6 +85,45 @@ def test_min_condorcet_raises_on_rejected_plan(monkeypatch):
         min_condorcet(inst)
 
 
+def test_min_condorcet_checks_only_the_returned_plan(monkeypatch):
+    calls = []
+    real_check = pc.poly.check_witness
+
+    def counting_check(*args, **kwargs):
+        calls.append(args)
+        return real_check(*args, **kwargs)
+
+    monkeypatch.setattr("partycred.poly.check_witness", counting_check)
+    # Rivals A and B both need one switch.  A has the lower index, and of
+    # its destinations (parties 2 and 3) the lower id wins.
+    tie = build(
+        pc.Condorcet(),
+        [((P, A, B), 3), ((B, P, A), 1), ((A, B, P), 1), ((A, P, B), 1)],
+        p=P, k=1, direction="min",
+    )
+    result = min_condorcet(tie)
+    assert result.value == 1 == pc.oracle_min(tie).value
+    assert result.witness.moves == ((0, 2, 1),)
+    assert len(calls) == 1
+
+    problems = [tie] + [
+        inst
+        for model in ("unique", "cowinner")
+        for inst in collect_problems(
+            seed_base=11, count=40, rule_spec="condorcet", direction="min",
+            model=model, max_candidates=5,
+        )
+    ]
+    statuses = set()
+    for inst in problems:
+        calls.clear()
+        result = min_condorcet(inst)
+        statuses.add(result.status)
+        expected = 1 if result.status is pc.SolveStatus.FEASIBLE else 0
+        assert len(calls) == expected, (inst, result)
+    assert statuses == {pc.SolveStatus.FEASIBLE, pc.SolveStatus.INFEASIBLE}
+
+
 def test_max_r_approval_basic():
     inst = build(PLUR3, [((P, A, B), 3), ((A, B, P), 2)], p=P, k=1, direction="max")
     result = max_r_approval(inst)
