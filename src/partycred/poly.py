@@ -1,14 +1,19 @@
-"""Exact solvers for the one-destination mode, polynomial except where noted.
+"""Exact solvers for the one-destination mode.
 
 * ``min_scoring`` — greedy over per-voter score-gap closures, any positional
   scoring rule.
 * ``min_condorcet`` — pairwise-margin arithmetic; every useful switch moves a
   (p, rival) margin by exactly 2.  O(l * m) after one pairwise tally.
-* ``max_r_approval`` — 0/1 scoring vectors with small r.  For a destination
-  approving p it retains a minimum blocking set of voters, which is
-  polynomial.  For a destination not approving p (``_max_into_nonapproving``)
-  it searches exhaustively over merged count vectors, which is exponential
-  in the worst case; ROADMAP item 4 tracks replacing that branch.
+* ``max_r_approval`` — 0/1 scoring vectors with r <= 4, one destination per
+  distinct approval row.  For a destination approving p it retains a minimum
+  blocking set of at most r voters, which is polynomial.  For a destination
+  not approving p (``_max_into_nonapproving``) an exchange lemma shows that
+  some optimum retains only p-approving voters or all of them; for a fixed
+  retained total T either case is a budgeted packing over the merged
+  approval rows.  The scan over T is linear in the number of voters, and
+  each packing search (branch and bound under a linear-relaxation bound) is
+  exponential only in the number of distinct rows, at most C(m, r), so the
+  solver is polynomial for fixed m.
 
 Ties between equally good (rival, destination) choices resolve to the lowest
 candidate index, then the lowest party id, so outputs are reproducible.
@@ -178,13 +183,51 @@ def min_condorcet(instance: ProblemInstance) -> SolveResult:
 def max_r_approval(instance: ProblemInstance) -> SolveResult:
     """Exact MAX for 0/1 scoring vectors (plurality, veto, r-approval), r <= 4.
 
+    All switchers adopt the destination's approval row D, so the final
+    election depends on the destination only through D: the fewest voters
+    that must stay put (be retained) is the same for every party holding D,
+    and the value is N - size(dest) - retained, N being the number of
+    voters.  One destination per distinct row is solved, the smallest party
+    of that row (then the lowest id), which keeps the lowest-id maximiser
+    over all parties.
+
     Destinations approving p are handled by enumerating a minimum retained
     set of at most r voters whose stay keeps every destination-approved
     candidate below p; moving everyone else is then optimal.
 
     Destinations not approving p can still host switchers (typically p's
-    own surplus supporters) and are sometimes strictly better, so they are
-    solved exactly as well.
+    own surplus supporters) and are sometimes strictly better.  Let T be the
+    number of retained source voters; sources whose row is D always move in
+    full, since moving them changes no score and lowers T.
+
+    Exchange lemma.  Take a moved p-approving voter (row S) and a retained
+    voter whose row S' does not approve p.  Retaining the first and moving
+    the second keeps T and changes each (p, c) margin by
+    1 - [c in S] + [c in S'] >= 0, so p still wins.  Repeating the swap,
+    some optimum either retains only p-approving voters (case A) or retains
+    all of them (case B).  Case A retains at most cap_P, the number of
+    p-approving source voters, and case B at least cap_P, so a feasible
+    case A is never worse than case B.
+
+    Budget form.  Fix T, let R_c count the retained voters approving c, and
+    let s = 1 under the unique-winner model and 0 under the co-winner model.
+    In case A p scores T, so p keeps winning exactly when R_c <= 2T - N - s
+    for c in D and R_c <= T - s for every other rival.  In case B p scores
+    cap_P and the retained p-approvers are fixed, so the other retained
+    voters must keep R_c <= cap_P - s - (N - T)[c in D] - P_c, where P_c
+    counts the p-approving source voters approving c.  Either way only the
+    budgets depend on T, and a budgeted packing is downward closed: T is
+    feasible exactly when the largest packing of the merged rows within the
+    budgets and the row caps reaches T.  Scanning T upward, the first
+    feasible T is the optimum.  Retaining every source voter rebuilds the
+    initial election, which p wins, so the scan always ends.
+
+    Complexity: the scan over T is linear in N, and each packing search
+    (``_pack``) is exponential only in the number of distinct approval rows,
+    at most C(m, r), so the solver is polynomial for fixed m.
+
+    The returned plan is checked with ``check_witness`` before it leaves the
+    solver; a rejection is a solver bug and raises ``RuntimeError``.
     """
     _require(instance, Scoring, Direction.MAX, "max_r_approval")
     vector = instance.rule.vector
@@ -200,9 +243,15 @@ def max_r_approval(instance: ProblemInstance) -> SolveResult:
     p = instance.p
     unique = instance.model is WinnerModel.UNIQUE
 
+    dest_of_row: dict[bytes, int] = {}
+    for q, size in enumerate(sizes):
+        key = rows[q].tobytes()
+        if size < sizes[dest_of_row.setdefault(key, q)]:
+            dest_of_row[key] = q
+
     best_value = 0
     best_plan = SwitchPlan(moves=())
-    for dest in range(len(pe.parties)):
+    for dest in sorted(dest_of_row.values()):
         sources = [q for q in range(len(pe.parties)) if q != dest]
         eligible = total_voters - sizes[dest]
         if rows[dest, p] == 1:
@@ -218,74 +267,251 @@ def max_r_approval(instance: ProblemInstance) -> SolveResult:
                 if sizes[q] - retained.get(q, 0) > 0
             )
         else:
-            found = _max_into_nonapproving(instance, rows, sizes, dest, sources, unique)
-            if found is None:
-                continue
-            value, moves = found
+            value, moves = _max_into_nonapproving(instance, rows, sizes, dest, unique)
         if value > best_value:
             best_value = value
             best_plan = SwitchPlan(moves=moves)
+    check = check_witness(instance, best_plan, k=best_value)
+    if not check.ok:
+        raise RuntimeError(
+            f"max_r_approval built a rejected plan of {best_value} switches: "
+            f"{check.reason}"
+        )
     return feasible(best_value, best_plan, "max_r_approval")
 
 
-def _max_into_nonapproving(instance, rows, sizes, dest, sources, unique):
-    """Most switchers into a destination whose ballot does not approve p.
-
-    Sources with identical approval rows are merged; an exhaustive count
-    assignment over the merged groups with a remaining-capacity prune is
-    exact.  Returns (value, moves) or None when not even zero extra
-    switchers beat staying put (value 0 is reported by the caller anyway).
+def _max_into_nonapproving(instance, rows, sizes, dest, unique):
+    """Most switchers into a destination whose row D does not approve p:
+    the case A / case B scan of ``max_r_approval``'s docstring.  Returns
+    (value, moves), moving voters from the lowest party id first inside
+    each merged row.
     """
     p = instance.p
     m = instance.election.num_candidates
-    groups: dict[tuple, list[int]] = {}
-    for q in sources:
-        if sizes[q] > 0:
-            groups.setdefault(tuple(int(x) for x in rows[q]), []).append(q)
-    keys = sorted(groups, key=lambda key: groups[key][0])
-    deltas = [np.asarray(rows[dest], dtype=np.int64) - np.asarray(key, dtype=np.int64)
-              for key in keys]
-    caps = [sum(sizes[q] for q in groups[key]) for key in keys]
-    suffix_cap = [0] * (len(keys) + 1)
-    for i in range(len(keys) - 1, -1, -1):
-        suffix_cap[i] = suffix_cap[i + 1] + caps[i]
+    total = sum(sizes)
+    s = 1 if unique else 0
+    in_dest = [bool(x) for x in rows[dest]]
+    groups: dict[bytes, list[int]] = {}
+    for q, size in enumerate(sizes):
+        if q != dest and size > 0:
+            groups.setdefault(rows[q].tobytes(), []).append(q)
+    groups.pop(rows[dest].tobytes(), None)  # row D: always moves in full
+    rivals = [c for c in range(m) if c != p]
+    approving, others = [], []
+    for ids in groups.values():
+        row = rows[ids[0]]
+        entry = (ids, [c for c in rivals if row[c]], sum(sizes[q] for q in ids))
+        (approving if row[p] else others).append(entry)
+    cap_p = sum(cap for _, _, cap in approving)
 
-    base = np.zeros(m, dtype=np.int64)
-    for q in range(len(sizes)):
-        base += sizes[q] * np.asarray(rows[q], dtype=np.int64)
+    # Case A: retain t p-approving voters only.
+    found = _scan(
+        approving,
+        range((total + s + 1) // 2, cap_p + 1),
+        lambda t: {c: 2 * t - total - s if in_dest[c] else t - s for c in rivals},
+        0,
+    )
+    if found is not None:
+        t, counts = found
+        return total - sizes[dest] - t, _moves_into(dest, sizes, approving, counts)
 
-    best = {"value": -1, "counts": None}
+    # Case B: retain all p-approving voters and t - cap_p others.
+    fixed = {
+        c: cap_p - s - sum(cap for _, members, cap in approving if c in members)
+        for c in rivals
+    }
+    first = max([cap_p] + [total - fixed[c] for c in rivals if in_dest[c]])
+    found = _scan(
+        others,
+        range(first, cap_p + sum(cap for _, _, cap in others) + 1),
+        lambda t: {c: fixed[c] - (total - t if in_dest[c] else 0) for c in rivals},
+        cap_p,
+    )
+    if found is None:
+        raise RuntimeError("max_r_approval: retaining every voter did not keep p winning")
+    t, counts = found
+    retained = [cap for _, _, cap in approving] + counts
+    return total - sizes[dest] - t, _moves_into(
+        dest, sizes, approving + others, retained
+    )
 
-    def success(scores) -> bool:
-        ps = scores[p]
-        other = max(int(scores[c]) for c in range(m) if c != p)
-        return ps > other if unique else ps >= other
 
-    def dfs(i, moved, scores, counts):
-        if moved + suffix_cap[i] <= best["value"]:
-            return
-        if i == len(keys):
-            if success(scores):
-                best["value"] = moved
-                best["counts"] = list(counts)
-            return
-        for x in range(caps[i], -1, -1):
-            counts.append(x)
-            dfs(i + 1, moved + x, scores + x * deltas[i], counts)
-            counts.pop()
+def _scan(rows, t_range, budget_at, offset):
+    """(t, counts) for the first t in ``t_range`` whose packing of ``rows``
+    within ``budget_at(t)`` reaches t - offset; None if there is none.
 
-    dfs(0, 0, base, [])
-    if best["value"] < 0:
-        return None
-    moves = []
-    for key, count in zip(keys, best["counts"]):
-        left = count
-        for q in groups[key]:
-            take = min(sizes[q], left)
-            if take:
-                moves.append((q, dest, take))
-            left -= take
-    return best["value"], tuple(moves)
+    A failed packing leaves the candidate prices of its linear relaxation.
+    They stay dual feasible when only the budgets move, so by weak duality
+    they bound the packings of later t too (``_dual_bound``); a t they rule
+    out is skipped without a search.
+    """
+    members = [row_members for _, row_members, _ in rows]
+    caps = [cap for _, _, cap in rows]
+    price = None
+    for t in t_range:
+        budget = budget_at(t)
+        if min(budget.values()) < 0:
+            continue
+        if price is not None and _dual_bound(members, caps, budget, price) < t - offset:
+            continue
+        counts, price = _pack(rows, budget, t - offset)
+        if counts is not None:
+            return t, counts
+    return None
+
+
+def _moves_into(dest, sizes, entries, retained):
+    """Moves of every source voter into ``dest`` except the ``retained``
+    count of each merged row; the lowest party ids move first."""
+    moved = {q: sizes[q] for q in range(len(sizes)) if q != dest and sizes[q] > 0}
+    for (ids, _, _), stay in zip(entries, retained):
+        for q in reversed(ids):
+            keep = min(sizes[q], stay)
+            moved[q] -= keep
+            stay -= keep
+    return tuple((q, dest, n) for q, n in sorted(moved.items()) if n > 0)
+
+
+def _pack(rows, budget, target):
+    """(counts, prices): counts per row summing to ``target`` such that at
+    most ``budget[c]`` of them approve each candidate c, or None when no such
+    counts exist; prices are the root relaxation's (None if it was not
+    needed).
+
+    ``rows`` holds (party ids, budgeted candidates approved, cap) triples.
+    Packings are downward closed, so this decides whether the largest
+    packing reaches ``target``.  Branch and bound over per-row count
+    intervals: a node first tries a greedy fill, then prunes with the dual
+    bound of its linear relaxation (``_lp_relaxation``, ``_dual_bound``),
+    then rounds the relaxation down and fills greedily, and otherwise splits
+    a fractional count.  Each split shrinks an interval, so the search is
+    exhaustive and exact; it is exponential only in the number of rows.
+    """
+    members = [row_members for _, row_members, _ in rows]
+    root_price = None
+
+    def search(low, high):
+        nonlocal root_price
+        slack = dict(budget)
+        for row_members, x in zip(members, low):
+            for c in row_members:
+                slack[c] -= x
+        if min(slack.values(), default=0) < 0:
+            return None
+        need = target - sum(low)
+        room = [h - lo for h, lo in zip(high, low)]
+        extra = _greedy_fill(members, room, slack, need, [0] * len(room))
+        if extra is None:
+            x, price = _lp_relaxation(members, room, slack)
+            if root_price is None:
+                root_price = price
+            if _dual_bound(members, room, slack, price) < need:
+                return None
+            start = [min(r, int(v + 1e-9)) for r, v in zip(room, x)]
+            extra = _greedy_fill(members, room, slack, need, start)
+        if extra is not None:
+            return [lo + e for lo, e in zip(low, extra)]
+        j = max(range(len(room)), key=lambda i: min(x[i] % 1, 1 - x[i] % 1))
+        if min(x[j] % 1, 1 - x[j] % 1) > 1e-9:
+            split = int(x[j])
+        else:  # integral relaxation that rounding missed: halve the widest interval
+            j = max(range(len(room)), key=room.__getitem__)
+            if room[j] == 0:
+                return None
+            split = room[j] // 2
+        up, down = list(low), list(high)
+        up[j] += split + 1
+        down[j] = low[j] + split
+        found = search(up, high)
+        return found if found is not None else search(low, down)
+
+    counts = search([0] * len(rows), [cap for _, _, cap in rows])
+    if counts is not None:
+        surplus = sum(counts) - target
+        for j in reversed(range(len(counts))):  # drop the surplus from the last rows
+            drop = min(counts[j], surplus)
+            counts[j] -= drop
+            surplus -= drop
+    return counts, root_price
+
+
+def _greedy_fill(members, room, slack, need, start):
+    """Counts within ``room`` that add at least ``need`` without overdrawing
+    ``slack``, extending ``start`` row by row; None if this greedy falls short."""
+    left = dict(slack)
+    counts = list(start)
+    for row_members, x in zip(members, counts):
+        for c in row_members:
+            left[c] -= x
+    if any(v < 0 for v in left.values()):
+        counts = [0] * len(room)
+        left = dict(slack)
+    got = sum(counts)
+    for j, row_members in enumerate(members):
+        if got >= need:
+            break
+        take = min([room[j] - counts[j], need - got] + [left[c] for c in row_members])
+        counts[j] += take
+        got += take
+        for c in row_members:
+            left[c] -= take
+    return counts if got >= need else None
+
+
+def _lp_relaxation(members, room, slack):
+    """Linear relaxation of the packing: (fractional counts, candidate prices).
+
+    A dense simplex with Bland's rule solves max sum(x) subject to
+    A x <= slack and 0 <= x <= room from the all-slack basis.  The prices
+    are its optimal duals, clipped at 0; only ``_dual_bound`` turns them
+    into a bound, so rounding in the simplex cannot make a bound invalid.
+    """
+    cands = sorted(slack)
+    index = {c: i for i, c in enumerate(cands)}  # constraint row of each candidate
+    n_rows, n_cands = len(room), len(cands)
+    width = 2 * n_rows + n_cands
+    tab = np.zeros((n_cands + n_rows + 1, width + 1))
+    for j, row_members in enumerate(members):
+        tab[[index[c] for c in row_members], j] = 1.0
+    tab[:n_cands, n_rows:n_rows + n_cands] = np.eye(n_cands)
+    tab[n_cands:-1, :n_rows] = np.eye(n_rows)
+    tab[n_cands:-1, n_rows + n_cands:width] = np.eye(n_rows)
+    tab[:n_cands, -1] = [slack[c] for c in cands]
+    tab[n_cands:-1, -1] = room
+    tab[-1, :n_rows] = -1.0
+    basis = list(range(n_rows, width))
+    eps = 1e-9
+    while True:
+        entering = np.flatnonzero(tab[-1, :-1] < -eps)
+        if not entering.size:
+            break
+        col = int(entering[0])
+        column = tab[:-1, col]
+        usable = np.flatnonzero(column > eps)
+        ratios = tab[usable, -1] / column[usable]
+        ties = usable[ratios <= ratios.min() + eps]
+        row = int(min(ties, key=basis.__getitem__))
+        tab[row] /= tab[row, col]
+        factors = tab[:, col].copy()
+        factors[row] = 0.0
+        tab -= np.outer(factors, tab[row])
+        basis[row] = col
+    x = [0.0] * n_rows
+    for i, var in enumerate(basis):
+        if var < n_rows:
+            x[var] = float(tab[i, -1])
+    price = {c: max(0.0, float(tab[-1, n_rows + i])) for i, c in enumerate(cands)}
+    return x, price
+
+
+def _dual_bound(members, room, slack, price):
+    """Upper bound on the largest packing from any candidate prices y >= 0
+    (weak LP duality): slack . y + sum_j room_j * max(0, 1 - y(row j))."""
+    value = sum(price[c] * slack[c] for c in slack) + sum(
+        r * max(0.0, 1.0 - sum(price[c] for c in row_members))
+        for r, row_members in zip(room, members)
+    )
+    return int(value + 1e-6)
 
 
 def _min_retained_set(instance, rows, sizes, dest, sources, eligible, r, unique):

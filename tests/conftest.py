@@ -61,6 +61,9 @@ def random_problem(
     total = sum(size for _, size in parties)
     if not (1 <= total <= voter_cap):
         return None
+    head, _, arg = rule_spec.partition(":")
+    if head == "approval" and int(arg) > m:
+        return None  # approval:r does not fit this draw's m
     rule = parse_rule_spec(rule_spec, m)
     election = pc.PartyElection(
         num_candidates=m,

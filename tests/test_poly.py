@@ -1,9 +1,17 @@
+import itertools
 import random
+import time
 
 import pytest
 
 import partycred as pc
-from partycred.poly import max_r_approval, min_condorcet, min_scoring
+from partycred.poly import (
+    _max_into_nonapproving,
+    max_r_approval,
+    min_condorcet,
+    min_scoring,
+)
+from partycred.search import _party_rows
 
 from conftest import build, collect_problems, values_match
 
@@ -179,6 +187,114 @@ def test_max_nonapproving_destination_gap():
     assert full.value == 4
     assert pc.oracle_max(inst).value == 4
     assert pc.check_witness(inst, full.witness, k=full.value).ok
+
+
+def test_max_r_approval_raises_on_rejected_plan(monkeypatch):
+    inst = build(PLUR3, [((P, A, B), 3), ((A, B, P), 2)], p=P, k=1, direction="max")
+    monkeypatch.setattr(
+        "partycred.poly.check_witness",
+        lambda *args, **kwargs: pc.parties.WitnessCheck(False, "forced rejection"),
+    )
+    with pytest.raises(RuntimeError, match="forced rejection"):
+        max_r_approval(inst)
+
+
+def test_nonapproving_destination_case_b():
+    """A destination whose own optimum retains every p voter and more.
+
+    p has 4 of 9 voters, so retaining p voters only (case A) cannot outvote
+    the destination's block.  Into B's party, one A voter may move: p leads
+    4 to 2 to 3, while a second switcher would tie B with p.  The instance's
+    optimum moves everyone else into p's party.
+    """
+    inst = build(
+        PLUR3, [((P, A, B), 4), ((A, B, P), 3), ((B, A, P), 2)], p=P, k=1,
+        direction="max",
+    )
+    sizes = [4, 3, 2]
+    value, moves = _max_into_nonapproving(inst, _party_rows(inst), sizes, 2, True)
+    assert (value, moves) == (1, ((1, 2, 1),))
+    best_into_b = max(
+        sum(counts)
+        for counts in itertools.product(range(5), range(4))
+        if pc.check_witness(
+            inst,
+            pc.SwitchPlan(moves=((0, 2, counts[0]), (1, 2, counts[1]))),
+            k=sum(counts),
+        ).ok
+    )
+    assert best_into_b == 1
+    assert max_r_approval(inst).value == 5 == pc.oracle_max(inst).value
+
+
+def test_max_r_approval_matches_oracle_wide():
+    """approval:3/4 and plurality with m from 4 to 6, veto (r = m - 1 <= 4)
+    with m from 4 to 5, both winner models, at most 12 voters."""
+    checked = 0
+    for rule_spec, max_candidates in (
+        ("approval:3", 6), ("approval:4", 6), ("veto", 5), ("plurality", 6),
+    ):
+        for model in ("unique", "cowinner"):
+            problems = [
+                inst
+                for inst in collect_problems(
+                    seed_base=7_000, count=80, rule_spec=rule_spec,
+                    direction="max", model=model, max_candidates=max_candidates,
+                    max_parties=5, voter_cap=12,
+                )
+                if inst.election.num_candidates >= 4
+            ]
+            for inst in problems:
+                mine = max_r_approval(inst)
+                assert values_match(mine, pc.oracle_max(inst)), inst
+                assert pc.check_witness(inst, mine.witness, k=mine.value).ok
+            checked += len(problems)
+    assert checked >= 300
+
+
+def _approval_max_instance(rule_spec, m, num_parties, seed):
+    """Seeded one-destination MAX instance, party sizes 1..6, p the unique winner."""
+    rng = random.Random(seed)
+    rule = pc.instance_io.parse_rule_spec(rule_spec, m)
+    while True:
+        parties = []
+        for pid in range(num_parties):
+            order = list(range(m))
+            rng.shuffle(order)
+            parties.append(
+                pc.Party(id=pid, preference=pc.Preference(order=tuple(order)),
+                         size=rng.randint(1, 6))
+            )
+        election = pc.PartyElection(num_candidates=m, parties=tuple(parties))
+        won = pc.winners(pc.materialize(election), rule, pc.WinnerModel.UNIQUE)
+        if len(won) == 1:
+            return pc.ProblemInstance(
+                election=election, p=next(iter(won)), k=1, rule=rule,
+                model=pc.WinnerModel.UNIQUE,
+                destination_mode=pc.DestinationMode.ONE,
+                direction=pc.Direction.MAX,
+            )
+
+
+@pytest.mark.parametrize(
+    "rule_spec,m,num_parties",
+    [
+        ("plurality", 6, 10),
+        ("plurality", 6, 12),
+        ("plurality", 6, 16),
+        ("approval:2", 5, 12),
+        ("plurality", 6, 64),
+    ],
+)
+def test_max_r_approval_scaling_gate(rule_spec, m, num_parties):
+    inst = _approval_max_instance(rule_spec, m, num_parties, seed=num_parties)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        result = max_r_approval(inst)
+        best = min(best, time.perf_counter() - start)
+    assert pc.check_witness(inst, result.witness, k=result.value).ok
+    assert best < 1.0, f"{rule_spec} m={m} l={num_parties}: {best:.2f}s"
 
 
 @pytest.mark.parametrize(
