@@ -4,16 +4,14 @@
   scoring rule.
 * ``min_condorcet`` — pairwise-margin arithmetic; every useful switch moves a
   (p, rival) margin by exactly 2.  O(l * m) after one pairwise tally.
-* ``max_r_approval`` — 0/1 scoring vectors with r <= 4, one destination per
-  distinct approval row.  For a destination approving p it retains a minimum
-  blocking set of at most r voters, which is polynomial.  For a destination
-  not approving p (``_max_into_nonapproving``) an exchange lemma shows that
-  some optimum retains only p-approving voters or all of them; for a fixed
-  retained total T either case is a budgeted packing over the merged
-  approval rows.  The scan over T is linear in the number of voters, and
-  each packing search (branch and bound under a linear-relaxation bound) is
-  exponential only in the number of distinct rows, at most C(m, r), so the
-  solver is polynomial for fixed m.
+* ``max_r_approval`` — 0/1 scoring vectors (plurality, veto, any
+  r-approval), one destination per distinct approval row.  An exchange
+  lemma shows that the best plan retains only voters approving p, so each
+  destination is one scan over the retained total T, and each T is a
+  budgeted packing over the merged approval rows.  The scan is linear in the
+  number of voters, and each packing search (branch and bound under a
+  linear-relaxation bound) is exponential only in the number of distinct
+  rows, at most C(m, r), so the solver is polynomial for fixed m.
 
 Ties between equally good (rival, destination) choices resolve to the lowest
 candidate index, then the lowest party id, so outputs are reproducible.
@@ -21,7 +19,7 @@ candidate index, then the lowest party id, so outputs are reproducible.
 
 from __future__ import annotations
 
-import itertools
+import bisect
 
 import numpy as np
 
@@ -40,8 +38,6 @@ from .parties import (
 )
 from .rules import Condorcet, Scoring, WinnerModel
 from .search import _party_ranks, _party_rows
-
-MAX_APPROVAL_R = 4
 
 
 def _require(instance: ProblemInstance, rule_type, direction: Direction, solver: str):
@@ -181,46 +177,49 @@ def min_condorcet(instance: ProblemInstance) -> SolveResult:
 
 
 def max_r_approval(instance: ProblemInstance) -> SolveResult:
-    """Exact MAX for 0/1 scoring vectors (plurality, veto, r-approval), r <= 4.
+    """Exact MAX for 0/1 scoring vectors (plurality, veto, r-approval).
 
     All switchers adopt the destination's approval row D, so the final
     election depends on the destination only through D: the fewest voters
     that must stay put (be retained) is the same for every party holding D,
-    and the value is N - size(dest) - retained, N being the number of
-    voters.  One destination per distinct row is solved, the smallest party
-    of that row (then the lowest id), which keeps the lowest-id maximiser
-    over all parties.
+    and the value is N - size(dest) - T, N being the number of voters and T
+    the number retained.  One destination per distinct row is solved, the
+    smallest party of that row (then the lowest id), which keeps the
+    lowest-id maximiser over all parties.  Sources whose row is D always
+    move in full, since moving them changes no score and lowers T.
 
-    Destinations approving p are handled by enumerating a minimum retained
-    set of at most r voters whose stay keeps every destination-approved
-    candidate below p; moving everyone else is then optimal.
-
-    Destinations not approving p can still host switchers (typically p's
-    own surplus supporters) and are sometimes strictly better.  Let T be the
-    number of retained source voters; sources whose row is D always move in
-    full, since moving them changes no score and lowers T.
-
-    Exchange lemma.  Take a moved p-approving voter (row S) and a retained
-    voter whose row S' does not approve p.  Retaining the first and moving
-    the second keeps T and changes each (p, c) margin by
-    1 - [c in S] + [c in S'] >= 0, so p still wins.  Repeating the swap,
-    some optimum either retains only p-approving voters (case A) or retains
-    all of them (case B).  Case A retains at most cap_P, the number of
-    p-approving source voters, and case B at least cap_P, so a feasible
-    case A is never worse than case B.
+    Lemma.  Some optimal plan retains only voters approving p.  If D
+    approves p, moving a retained voter of row S into D changes each (p, c)
+    margin by 1 - [c in D] + [c in S] when S does not approve p, which is
+    never negative, and lowers T; so some optimum into D retains only
+    p-approvers.  If D does not approve p, swapping a moved p-approver with
+    a retained voter who does not approve p keeps T and changes each margin
+    by 1 - [c in S] + [c in S'] >= 0, so some optimum into D retains only
+    p-approvers or all of them.  The second kind is never the answer: a
+    destination d approving p does strictly better.  Under the co-winner
+    model, moving everyone else into d keeps p a co-winner.  Under the
+    unique-winner model, p's initial win gives, for each rival x in d's
+    row, a voter approving p but not x; retaining those (at most r - 1) and
+    moving everyone else into d keeps p the unique winner.  Either way d is
+    worth at least N - P, P being the number of p-approving voters, while
+    the second kind retains more than P voters.  (Some voter approves p,
+    since p initially wins, unless no voter approves anyone; then T = 0 is
+    feasible into every destination.)
 
     Budget form.  Fix T, let R_c count the retained voters approving c, and
     let s = 1 under the unique-winner model and 0 under the co-winner model.
-    In case A p scores T, so p keeps winning exactly when R_c <= 2T - N - s
-    for c in D and R_c <= T - s for every other rival.  In case B p scores
-    cap_P and the retained p-approvers are fixed, so the other retained
-    voters must keep R_c <= cap_P - s - (N - T)[c in D] - P_c, where P_c
-    counts the p-approving source voters approving c.  Either way only the
-    budgets depend on T, and a budgeted packing is downward closed: T is
-    feasible exactly when the largest packing of the merged rows within the
-    budgets and the row caps reaches T.  Scanning T upward, the first
-    feasible T is the optimum.  Retaining every source voter rebuilds the
-    initial election, which p wins, so the scan always ends.
+    With only p-approvers retained p scores (N - T)[p in D] + T and rival c
+    scores (N - T)[c in D] + R_c, so p keeps winning exactly when
+
+        R_c <= T + (N - T)([p in D] - [c in D]) - s   for every rival c.
+
+    Only the budgets depend on T, they never fall as T grows, and a budgeted
+    packing is downward closed: T is feasible exactly when the largest
+    packing of the merged p-approving rows other than D within the budgets
+    and the row caps reaches T.  Scanning T upward, the first feasible T is
+    the optimum into D; when D approves p, retaining every p-approver
+    rebuilds the initial election up to moves that only help p, so that
+    scan always succeeds.
 
     Complexity: the scan over T is linear in N, and each packing search
     (``_pack``) is exponential only in the number of distinct approval rows,
@@ -230,47 +229,46 @@ def max_r_approval(instance: ProblemInstance) -> SolveResult:
     solver; a rejection is a solver bug and raises ``RuntimeError``.
     """
     _require(instance, Scoring, Direction.MAX, "max_r_approval")
-    vector = instance.rule.vector
-    if set(vector) - {0, 1}:
+    if set(instance.rule.vector) - {0, 1}:
         raise ValueError("max_r_approval needs a 0/1 approval-style scoring vector")
-    r = sum(vector)
-    if r > MAX_APPROVAL_R:
-        raise ValueError(f"max_r_approval supports r <= {MAX_APPROVAL_R}, got {r}")
     pe = instance.election
     rows = _party_rows(instance)
     sizes = [party.size for party in pe.parties]
-    total_voters = sum(sizes)
+    total = sum(sizes)
     p = instance.p
-    unique = instance.model is WinnerModel.UNIQUE
+    s = 1 if instance.model is WinnerModel.UNIQUE else 0
+    rivals = [c for c in range(pe.num_candidates) if c != p]
 
     dest_of_row: dict[bytes, int] = {}
+    groups: dict[bytes, list[int]] = {}  # p-approving rows, merged
     for q, size in enumerate(sizes):
         key = rows[q].tobytes()
         if size < sizes[dest_of_row.setdefault(key, q)]:
             dest_of_row[key] = q
+        if rows[q, p] and size > 0:
+            groups.setdefault(key, []).append(q)
+    merged = {
+        key: (ids, [c for c in rivals if rows[ids[0], c]], sum(sizes[q] for q in ids))
+        for key, ids in groups.items()
+    }
 
     best_value = 0
     best_plan = SwitchPlan(moves=())
     for dest in sorted(dest_of_row.values()):
-        sources = [q for q in range(len(pe.parties)) if q != dest]
-        eligible = total_voters - sizes[dest]
-        if rows[dest, p] == 1:
-            retained = _min_retained_set(
-                instance, rows, sizes, dest, sources, eligible, r, unique
-            )
-            if retained is None:
-                continue
-            value = eligible - sum(retained.values())
-            moves = tuple(
-                (q, dest, sizes[q] - retained.get(q, 0))
-                for q in sources
-                if sizes[q] - retained.get(q, 0) > 0
-            )
-        else:
-            value, moves = _max_into_nonapproving(instance, rows, sizes, dest, unique)
+        key = rows[dest].tobytes()
+        sources = [entry for k, entry in merged.items() if k != key]
+        lift = [int(rows[dest, p] - rows[dest, c]) for c in range(pe.num_candidates)]
+        found = _scan(
+            sources,
+            lambda t, lift=lift: {c: t + (total - t) * lift[c] - s for c in rivals},
+        )
+        if found is None:
+            continue
+        t, counts = found
+        value = total - sizes[dest] - t
         if value > best_value:
             best_value = value
-            best_plan = SwitchPlan(moves=moves)
+            best_plan = SwitchPlan(moves=_moves_into(dest, sizes, sources, counts))
     check = check_witness(instance, best_plan, k=best_value)
     if not check.ok:
         raise RuntimeError(
@@ -280,81 +278,29 @@ def max_r_approval(instance: ProblemInstance) -> SolveResult:
     return feasible(best_value, best_plan, "max_r_approval")
 
 
-def _max_into_nonapproving(instance, rows, sizes, dest, unique):
-    """Most switchers into a destination whose row D does not approve p:
-    the case A / case B scan of ``max_r_approval``'s docstring.  Returns
-    (value, moves), moving voters from the lowest party id first inside
-    each merged row.
-    """
-    p = instance.p
-    m = instance.election.num_candidates
-    total = sum(sizes)
-    s = 1 if unique else 0
-    in_dest = [bool(x) for x in rows[dest]]
-    groups: dict[bytes, list[int]] = {}
-    for q, size in enumerate(sizes):
-        if q != dest and size > 0:
-            groups.setdefault(rows[q].tobytes(), []).append(q)
-    groups.pop(rows[dest].tobytes(), None)  # row D: always moves in full
-    rivals = [c for c in range(m) if c != p]
-    approving, others = [], []
-    for ids in groups.values():
-        row = rows[ids[0]]
-        entry = (ids, [c for c in rivals if row[c]], sum(sizes[q] for q in ids))
-        (approving if row[p] else others).append(entry)
-    cap_p = sum(cap for _, _, cap in approving)
+def _scan(rows, budget_at):
+    """(t, counts) for the least t whose packing of ``rows`` within
+    ``budget_at(t)`` reaches t; None if there is none up to the rows' caps.
 
-    # Case A: retain t p-approving voters only.
-    found = _scan(
-        approving,
-        range((total + s + 1) // 2, cap_p + 1),
-        lambda t: {c: 2 * t - total - s if in_dest[c] else t - s for c in rivals},
-        0,
-    )
-    if found is not None:
-        t, counts = found
-        return total - sizes[dest] - t, _moves_into(dest, sizes, approving, counts)
-
-    # Case B: retain all p-approving voters and t - cap_p others.
-    fixed = {
-        c: cap_p - s - sum(cap for _, members, cap in approving if c in members)
-        for c in rivals
-    }
-    first = max([cap_p] + [total - fixed[c] for c in rivals if in_dest[c]])
-    found = _scan(
-        others,
-        range(first, cap_p + sum(cap for _, _, cap in others) + 1),
-        lambda t: {c: fixed[c] - (total - t if in_dest[c] else 0) for c in rivals},
-        cap_p,
-    )
-    if found is None:
-        raise RuntimeError("max_r_approval: retaining every voter did not keep p winning")
-    t, counts = found
-    retained = [cap for _, _, cap in approving] + counts
-    return total - sizes[dest] - t, _moves_into(
-        dest, sizes, approving + others, retained
-    )
-
-
-def _scan(rows, t_range, budget_at, offset):
-    """(t, counts) for the first t in ``t_range`` whose packing of ``rows``
-    within ``budget_at(t)`` reaches t - offset; None if there is none.
-
-    A failed packing leaves the candidate prices of its linear relaxation.
-    They stay dual feasible when only the budgets move, so by weak duality
-    they bound the packings of later t too (``_dual_bound``); a t they rule
-    out is skipped without a search.
+    The budgets never fall as t grows, so the scan starts by bisection at
+    the first t whose budgets are all non-negative.  A failed packing leaves
+    the candidate prices of its linear relaxation.  They stay dual feasible
+    when only the budgets move, so by weak duality they bound the packings
+    of later t too (``_dual_bound``); a t they rule out is skipped without a
+    search.
     """
     members = [row_members for _, row_members, _ in rows]
     caps = [cap for _, _, cap in rows]
+    t_range = range(sum(caps) + 1)
+    first = bisect.bisect_left(
+        t_range, 0, key=lambda t: min(budget_at(t).values(), default=0)
+    )
     price = None
-    for t in t_range:
+    for t in t_range[first:]:
         budget = budget_at(t)
-        if min(budget.values()) < 0:
+        if price is not None and _dual_bound(members, caps, budget, price) < t:
             continue
-        if price is not None and _dual_bound(members, caps, budget, price) < t - offset:
-            continue
-        counts, price = _pack(rows, budget, t - offset)
+        counts, price = _pack(rows, budget, t)
         if counts is not None:
             return t, counts
     return None
@@ -512,29 +458,3 @@ def _dual_bound(members, room, slack, price):
         for r, row_members in zip(room, members)
     )
     return int(value + 1e-6)
-
-
-def _min_retained_set(instance, rows, sizes, dest, sources, eligible, r, unique):
-    """Smallest multiset of eligible voters whose retention keeps p winning
-    after everyone else switches to ``dest``; None if no small set works."""
-    p = instance.p
-    m = instance.election.num_candidates
-    for k_size in range(0, min(r, eligible) + 1):
-        for retained_ids in itertools.combinations_with_replacement(sources, k_size):
-            counts: dict[int, int] = {}
-            for q in retained_ids:
-                counts[q] = counts.get(q, 0) + 1
-            if any(c > sizes[q] for q, c in counts.items()):
-                continue
-            moved = eligible - k_size
-            scores = [0] * m
-            for c in range(m):
-                scores[c] = (sizes[dest] + moved) * int(rows[dest, c]) + sum(
-                    cnt * int(rows[q, c]) for q, cnt in counts.items()
-                )
-            p_score = scores[p]
-            best_other = max(s for c, s in enumerate(scores) if c != p)
-            ok = p_score > best_other if unique else p_score >= best_other
-            if ok:
-                return counts
-    return None

@@ -56,15 +56,8 @@ def _party_rows(instance: ProblemInstance) -> np.ndarray:
 
 def _party_margin_deltas(instance: ProblemInstance) -> np.ndarray:
     """(l, m, m) per-voter margin contribution B_q - B_q^T for each party."""
-    pe = instance.election
-    m = pe.num_candidates
-    deltas = np.empty((len(pe.parties), m, m), dtype=np.int64)
-    for i, party in enumerate(pe.parties):
-        rank = np.empty(m, dtype=np.int64)
-        rank[np.asarray(party.preference.order)] = np.arange(m)
-        beats = (rank[:, None] < rank[None, :]).astype(np.int64)
-        deltas[i] = beats - beats.T
-    return deltas
+    r = _party_ranks(instance.election)
+    return np.sign(r[:, None, :] - r[:, :, None])
 
 
 def _copeland_scaled(margins: np.ndarray, alpha: Fraction) -> np.ndarray:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .parties import Direction, DestinationMode, ProblemInstance, SolveResult
-from .poly import MAX_APPROVAL_R, max_r_approval, min_condorcet, min_scoring
+from .poly import max_r_approval, min_condorcet, min_scoring
 from .rules import Condorcet, Scoring
 from .search import (
     DEFAULT_NODE_BUDGET,
@@ -26,11 +26,7 @@ def poly_solver(instance: ProblemInstance):
             return min_condorcet
         return None
     rule = instance.rule
-    if (
-        isinstance(rule, Scoring)
-        and not (set(rule.vector) - {0, 1})
-        and sum(rule.vector) <= MAX_APPROVAL_R
-    ):
+    if isinstance(rule, Scoring) and not (set(rule.vector) - {0, 1}):
         return max_r_approval
     return None
 

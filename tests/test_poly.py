@@ -5,13 +5,8 @@ import time
 import pytest
 
 import partycred as pc
-from partycred.poly import (
-    _max_into_nonapproving,
-    max_r_approval,
-    min_condorcet,
-    min_scoring,
-)
-from partycred.search import _party_rows
+from partycred.poly import max_r_approval, min_condorcet, min_scoring
+from partycred.solve import poly_solver
 
 from conftest import build, collect_problems, values_match
 
@@ -154,20 +149,22 @@ def test_max_r_approval_zero_value_instance():
     assert max_r_approval(inst).value == 0
 
 
+def test_max_r_approval_all_zero_vector():
+    # No voter approves anyone, so p stays a co-winner whatever moves and
+    # every voter outside the smallest party can switch into it.
+    rule = pc.Scoring(vector=(0, 0, 0))
+    inst = build(
+        rule, [((P, A, B), 3), ((A, B, P), 2), ((B, P, A), 4)], p=P, k=1,
+        direction="max", model="cowinner",
+    )
+    result = max_r_approval(inst)
+    assert result.value == 7 == pc.oracle_max(inst).value
+    assert pc.check_witness(inst, result.witness, k=result.value).ok
+
+
 def test_max_r_approval_rejects_non_approval_vectors():
     borda = pc.Scoring(vector=(2, 1, 0))
     inst = build(borda, [((P, A, B), 3), ((A, P, B), 1)], p=P, k=1, direction="max")
-    with pytest.raises(ValueError):
-        max_r_approval(inst)
-
-
-def test_max_r_approval_rejects_large_r():
-    rule = pc.Scoring(vector=(1,) * 5 + (0,))
-    # Each party vetoes one rival, so p=0 is approved everywhere and wins.
-    parties = [
-        (tuple(c for c in range(6) if c != i) + (i,), 1) for i in range(1, 6)
-    ]
-    inst = build(rule, parties, p=0, k=1, direction="max")
     with pytest.raises(ValueError):
         max_r_approval(inst)
 
@@ -202,18 +199,16 @@ def test_max_r_approval_raises_on_rejected_plan(monkeypatch):
 def test_nonapproving_destination_case_b():
     """A destination whose own optimum retains every p voter and more.
 
-    p has 4 of 9 voters, so retaining p voters only (case A) cannot outvote
-    the destination's block.  Into B's party, one A voter may move: p leads
-    4 to 2 to 3, while a second switcher would tie B with p.  The instance's
-    optimum moves everyone else into p's party.
+    p has 4 of 9 voters, so retaining p voters only cannot outvote the
+    destination's block.  Into B's party, one A voter may move: p leads 4 to
+    2 to 3, while a second switcher would tie B with p.  The instance's
+    optimum moves everyone else into p's party, which ``max_r_approval``
+    finds without searching plans that retain non-p voters.
     """
     inst = build(
         PLUR3, [((P, A, B), 4), ((A, B, P), 3), ((B, A, P), 2)], p=P, k=1,
         direction="max",
     )
-    sizes = [4, 3, 2]
-    value, moves = _max_into_nonapproving(inst, _party_rows(inst), sizes, 2, True)
-    assert (value, moves) == (1, ((1, 2, 1),))
     best_into_b = max(
         sum(counts)
         for counts in itertools.product(range(5), range(4))
@@ -228,11 +223,13 @@ def test_nonapproving_destination_case_b():
 
 
 def test_max_r_approval_matches_oracle_wide():
-    """approval:3/4 and plurality with m from 4 to 6, veto (r = m - 1 <= 4)
-    with m from 4 to 5, both winner models, at most 12 voters."""
+    """approval:3/4 and plurality with m from 4 to 6, veto (r = m - 1) with
+    m from 4 to 7, approval:5 with m from 5 to 7 (r = m included), both
+    winner models, at most 12 voters."""
     checked = 0
-    for rule_spec, max_candidates in (
-        ("approval:3", 6), ("approval:4", 6), ("veto", 5), ("plurality", 6),
+    for rule_spec, min_candidates, max_candidates in (
+        ("approval:3", 4, 6), ("approval:4", 4, 6), ("veto", 4, 5),
+        ("plurality", 4, 6), ("veto", 6, 7), ("approval:5", 5, 7),
     ):
         for model in ("unique", "cowinner"):
             problems = [
@@ -242,14 +239,14 @@ def test_max_r_approval_matches_oracle_wide():
                     direction="max", model=model, max_candidates=max_candidates,
                     max_parties=5, voter_cap=12,
                 )
-                if inst.election.num_candidates >= 4
+                if inst.election.num_candidates >= min_candidates
             ]
             for inst in problems:
                 mine = max_r_approval(inst)
                 assert values_match(mine, pc.oracle_max(inst)), inst
                 assert pc.check_witness(inst, mine.witness, k=mine.value).ok
             checked += len(problems)
-    assert checked >= 300
+    assert checked >= 500
 
 
 def _approval_max_instance(rule_spec, m, num_parties, seed):
@@ -276,25 +273,37 @@ def _approval_max_instance(rule_spec, m, num_parties, seed):
             )
 
 
-@pytest.mark.parametrize(
-    "rule_spec,m,num_parties",
-    [
-        ("plurality", 6, 10),
-        ("plurality", 6, 12),
-        ("plurality", 6, 16),
-        ("approval:2", 5, 12),
-        ("plurality", 6, 64),
-    ],
-)
-def test_max_r_approval_scaling_gate(rule_spec, m, num_parties):
-    inst = _approval_max_instance(rule_spec, m, num_parties, seed=num_parties)
+def _blocking_rows_instance(num_parties):
+    """approval:3, m = 4: one-voter {p, a, b} parties, then one {p, b, c} and
+    one {p, a, c} voter.  Into a {p, a, b} party p keeps its unique win only
+    by retaining both of the last two voters."""
+    rule = pc.instance_io.parse_rule_spec("approval:3", 4)
+    parties = [((0, 1, 2, 3), 1)] * (num_parties - 2) + [
+        ((0, 2, 3, 1), 1), ((0, 1, 3, 2), 1),
+    ]
+    return build(rule, parties, p=0, k=1, direction="max")
+
+
+SCALING_GATE_INSTANCES = {
+    "plurality-6-10": lambda: _approval_max_instance("plurality", 6, 10, seed=10),
+    "plurality-6-12": lambda: _approval_max_instance("plurality", 6, 12, seed=12),
+    "plurality-6-16": lambda: _approval_max_instance("plurality", 6, 16, seed=16),
+    "approval:2-5-12": lambda: _approval_max_instance("approval:2", 5, 12, seed=12),
+    "plurality-6-64": lambda: _approval_max_instance("plurality", 6, 64, seed=64),
+    "approval:3-4-800": lambda: _blocking_rows_instance(800),
+}
+
+
+@pytest.mark.parametrize("case", list(SCALING_GATE_INSTANCES))
+def test_max_r_approval_scaling_gate(case):
+    inst = SCALING_GATE_INSTANCES[case]()
     best = float("inf")
     for _ in range(3):
         start = time.perf_counter()
         result = max_r_approval(inst)
         best = min(best, time.perf_counter() - start)
     assert pc.check_witness(inst, result.witness, k=result.value).ok
-    assert best < 1.0, f"{rule_spec} m={m} l={num_parties}: {best:.2f}s"
+    assert best < 1.0, f"{case}: {best:.2f}s"
 
 
 @pytest.mark.parametrize(
@@ -324,3 +333,30 @@ def test_poly_matches_oracle_sample(rule_spec, direction, fn):
             assert values_match(mine, ref), (inst, mine, ref)
             if mine.status is pc.SolveStatus.FEASIBLE:
                 assert pc.check_witness(inst, mine.witness, k=mine.value).ok
+
+
+@pytest.mark.parametrize(
+    "rule_spec,m,direction,dest,expected",
+    [
+        ("plurality", 6, "min", "one", min_scoring),
+        ("veto", 6, "min", "one", min_scoring),
+        ("condorcet", 6, "min", "one", min_condorcet),
+        ("copeland:1", 6, "min", "one", None),
+        ("plurality", 6, "max", "one", max_r_approval),
+        ("veto", 6, "max", "one", max_r_approval),
+        ("veto", 7, "max", "one", max_r_approval),
+        ("approval:5", 7, "max", "one", max_r_approval),
+        ("approval:6", 6, "max", "one", max_r_approval),
+        ("borda", 6, "max", "one", None),
+        ("maximin", 6, "max", "one", None),
+        ("veto", 6, "max", "multi", None),
+        ("plurality", 6, "min", "multi", None),
+    ],
+)
+def test_poly_solver_routing(rule_spec, m, direction, dest, expected):
+    rule = pc.instance_io.parse_rule_spec(rule_spec, m)
+    inst = build(
+        rule, [(tuple(range(m)), 2), ((0,) + tuple(range(m - 1, 0, -1)), 1)], p=0,
+        k=1, direction=direction, model="cowinner", dest=dest,
+    )
+    assert poly_solver(inst) is expected

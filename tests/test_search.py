@@ -4,6 +4,7 @@ import random
 import pytest
 
 import partycred as pc
+from partycred.search import _party_margin_deltas
 
 from conftest import build, collect_problems, random_problem, values_match
 
@@ -132,3 +133,28 @@ def test_multi_destination_monotone_quick():
         one_v = one.value if one.status is pc.SolveStatus.FEASIBLE else math.inf
         multi_v = multi.value if multi.status is pc.SolveStatus.FEASIBLE else math.inf
         assert multi_v <= one_v
+
+
+def test_party_margin_deltas_match_pairwise_loop():
+    """+1 where the party prefers a to b, -1 where it prefers b to a."""
+    for seed in range(200):
+        rng = random.Random(seed)
+        m = rng.randint(1, 7)
+        orders = [rng.sample(range(m), m) for _ in range(rng.randint(1, 6))]
+        inst = build(
+            pc.Scoring(vector=(0,) * m), [(o, 1) for o in orders], p=0,
+            model="cowinner",
+        )
+        expected = [
+            [
+                [
+                    0 if a == b else 1 if party.preference.prefers(a, b) else -1
+                    for b in range(m)
+                ]
+                for a in range(m)
+            ]
+            for party in inst.election.parties
+        ]
+        deltas = _party_margin_deltas(inst)
+        assert deltas.dtype == "int64"
+        assert deltas.tolist() == expected, seed
