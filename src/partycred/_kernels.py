@@ -11,16 +11,17 @@ import numpy as np
 
 
 def pairwise_tally(ranks: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """counts[c, d] = total weight of ballots ranking c before d."""
-    num_ballots, m = ranks.shape
-    counts = np.zeros((m, m), dtype=np.int64)
-    # Chunk over ballots to keep the (chunk, m, m) comparison tensor small.
-    chunk = max(1, 4_000_000 // (m * m + 1))
-    for lo in range(0, num_ballots, chunk):
-        r = ranks[lo : lo + chunk]
-        w = weights[lo : lo + chunk]
-        before = r[:, :, None] < r[:, None, :]
-        counts += np.tensordot(w, before.astype(np.int64), axes=1)
+    """counts[c, d] = total weight of ballots ranking c before d.
+
+    One integer product per candidate c, ``(ranks[:, c] < ranks[:, d]) @
+    weights`` for every d at once, so the largest temporary is one
+    (m, ballots) comparison mask.
+    """
+    by_candidate = np.ascontiguousarray(ranks.T)
+    m = by_candidate.shape[0]
+    counts = np.empty((m, m), dtype=np.int64)
+    for c in range(m):
+        counts[c] = np.dot(by_candidate[c] < by_candidate, weights)
     return counts
 
 

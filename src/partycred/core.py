@@ -3,11 +3,18 @@
 Candidates are dense integer indices ``0..m-1``; human-readable names live
 only in the IO layer.  Ballots carry integer weights because voters of one
 party are interchangeable.
+
+An election carries two arrays, built once: ``ranks`` (ballots x m,
+``ranks[b, c]`` the 0-based position of candidate c on ballot b) and
+``sizes`` (the ballot weights).  Winner determination and the pairwise
+tally read only these arrays, so they accept an ``Election`` and a
+``parties.PartyElection`` alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,6 +83,17 @@ class Election:
     def num_voters(self) -> int:
         return sum(w for _, w in self.ballots)
 
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        orders = np.array([pref.order for pref, _ in self.ballots], dtype=np.int64)
+        return ranks_from_orders(orders.reshape(len(self.ballots), self.num_candidates))
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        sizes = np.array([w for _, w in self.ballots], dtype=np.int64)
+        sizes.flags.writeable = False
+        return sizes
+
 
 @dataclass(frozen=True)
 class PairwiseMatrix:
@@ -93,17 +111,22 @@ class PairwiseMatrix:
         return self.n_of(c, d) - self.n_of(d, c)
 
 
-def ranks_array(e: Election) -> np.ndarray:
-    """(num_ballots, m) array: ranks[b, c] = 0-based position of c on ballot b."""
-    m = e.num_candidates
-    ranks = np.empty((len(e.ballots), m), dtype=np.int64)
-    for i, (pref, _) in enumerate(e.ballots):
-        ranks[i, np.asarray(pref.order, dtype=np.int64)] = np.arange(m)
+def ranks_from_orders(orders: np.ndarray) -> np.ndarray:
+    """Read-only (l, m) ranks of an (l, m) int64 array of orders, each row a
+    permutation of 0..m-1 listed most-preferred first:
+    ranks[q, orders[q, i]] = i."""
+    num_rows, m = orders.shape
+    ranks = np.empty_like(orders)
+    ranks[np.arange(num_rows)[:, None], orders] = np.arange(m)
+    ranks.flags.writeable = False
     return ranks
 
 
-def pairwise_matrix(e: Election) -> PairwiseMatrix:
-    """Tally N(c, d) over all weighted ballots."""
-    ranks = ranks_array(e)
-    weights = np.asarray([w for _, w in e.ballots], dtype=np.int64)
-    return PairwiseMatrix(_kernels.pairwise_tally(ranks, weights))
+def pairwise_matrix(e) -> PairwiseMatrix:
+    """Tally N(c, d) over the ``ranks`` and ``sizes`` of an ``Election`` or a
+    ``PartyElection``; ballots of weight 0 are left out of the tally."""
+    ranks, sizes = e.ranks, e.sizes
+    voting = sizes > 0
+    if not voting.all():
+        ranks, sizes = ranks[voting], sizes[voting]
+    return PairwiseMatrix(_kernels.pairwise_tally(ranks, sizes))

@@ -4,6 +4,9 @@ The instance format is line oriented.  ``#`` starts a comment, blank lines
 are skipped, and every other line is either a ``key: value`` header or a
 ``party <name> <size>: a > b > c`` line.  Keys may appear once.  Parse
 errors carry the 1-based line number.
+
+``parse_instance`` reads the party lines straight into the election's rank
+and size arrays (see ``_parse_parties``); no per-party objects are built.
 """
 
 from __future__ import annotations
@@ -12,8 +15,11 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 
-from .core import Preference, validate_preference
+import numpy as np
+
+from .core import Preference, ranks_from_orders, validate_preference
 from .parties import (
     Direction,
     DestinationMode,
@@ -23,7 +29,6 @@ from .parties import (
     SolveResult,
     SolveStatus,
     SwitchPlan,
-    materialize,
 )
 from .rules import (
     Condorcet,
@@ -192,45 +197,11 @@ def parse_instance(text: str) -> ParsedInstance:
         raise ParseError(line_no, f"unknown distinguished candidate {value!r}")
     p = index[value]
 
-    parties: list[Party] = []
-    party_names: list[str] = []
-    seen_names: set[str] = set()
-    for line_no, line in party_lines:
-        head, _, order_text = line.partition(":")
-        fields = head.split()
-        if len(fields) != 3:
-            raise ParseError(line_no, "party line must read 'party <name> <size>: ...'")
-        _, pname, size_text = fields
-        if pname in seen_names:
-            raise ParseError(line_no, f"duplicate party name {pname!r}")
-        try:
-            size = int(size_text)
-        except ValueError:
-            raise ParseError(line_no, f"party size must be an integer, got {size_text!r}")
-        if size < 0:
-            raise ParseError(line_no, f"party size must be non-negative, got {size}")
-        order_names = [x.strip() for x in order_text.split(">")]
-        if order_names == [""]:
-            raise ParseError(line_no, "empty preference order")
-        try:
-            order = tuple(index[x] for x in order_names)
-        except KeyError as exc:
-            raise ParseError(line_no, f"unknown candidate {exc.args[0]!r} in preference")
-        # Preference validates a full-length order itself; only a length
-        # mismatch needs the check against m.
-        if len(order) != m:
-            raise ParseError(line_no, f"bad preference: {validate_preference(order, m)}")
-        try:
-            preference = Preference(order=order)
-        except ValueError as exc:
-            raise ParseError(line_no, f"bad preference: {exc}")
-        parties.append(Party(id=len(parties), preference=preference, size=size))
-        party_names.append(pname)
-        seen_names.add(pname)
-    if not parties:
+    party_names, ranks, sizes = _parse_parties(party_lines, index)
+    if not party_names:
         raise ParseError(len(text.splitlines()) or 1, "no party lines")
 
-    election = PartyElection(num_candidates=m, parties=tuple(parties))
+    election = PartyElection.from_arrays(ranks, sizes)
     try:
         instance = ProblemInstance(
             election=election, p=p, k=k, rule=rule, model=model,
@@ -243,6 +214,93 @@ def parse_instance(text: str) -> ParsedInstance:
         candidate_names=tuple(names),
         party_names=tuple(party_names),
     )
+
+
+_PARTY_CHUNK = 512  # party lines per tokenizing step; bounds the token lists held at once
+
+
+def _parse_parties(party_lines: list[tuple[int, str]], index: dict[str, int]):
+    """(party names, ranks, sizes) of the numbered ``party`` lines.
+
+    Heads are read line by line.  Orders are tokenized ``_PARTY_CHUNK``
+    lines at a time, on the canonical spelling ``a > b > c``, straight into
+    an (l, m) array, and every row is validated at once.  A row that this
+    fast path cannot read, because it is malformed or only spelled
+    differently (``a>b``), is re-read by ``_party_order``, which returns its
+    order or raises its ParseError.  Rows are re-read in line order, and a
+    head error is raised only after the rows above it, so a file yields the
+    same parties, or the same first error, as a line-by-line reading.
+
+    The fast path is exact: once the names are known to contain neither
+    whitespace nor ``>``, a stripped text that splits on ``" > "`` into m
+    names splits on ``">"`` into the same names after stripping.
+    """
+    m = len(index)
+    names: list[str] = []
+    seen: set[str] = set()
+    sizes: list[int] = []
+    texts: list[str] = []
+    head_error = None
+    for line_no, line in party_lines:
+        try:
+            name, size, text = _party_head(line_no, line, seen)
+        except ParseError as exc:
+            head_error = exc
+            break
+        names.append(name)
+        seen.add(name)
+        sizes.append(size)
+        texts.append(text)
+
+    orders = np.empty((len(texts), m), dtype=np.int64)
+    lookup = {name: c for name, c in index.items() if ">" not in name}
+    unread = ("",) * m  # no name is empty, so the row fails validation
+    for lo in range(0, len(texts), _PARTY_CHUNK):
+        rows = [text.strip().split(" > ") for text in texts[lo : lo + _PARTY_CHUNK]]
+        tokens = chain.from_iterable(row if len(row) == m else unread for row in rows)
+        codes = np.fromiter(
+            map(lookup.get, tokens, repeat(-1)), dtype=np.int64, count=len(rows) * m
+        )
+        orders[lo : lo + len(rows)] = codes.reshape(len(rows), m)
+    invalid = (np.sort(orders, axis=1) != np.arange(m)).any(axis=1)
+    for q in np.flatnonzero(invalid).tolist():
+        orders[q] = _party_order(party_lines[q][0], texts[q], index)
+    if head_error is not None:
+        raise head_error
+    return names, ranks_from_orders(orders), np.array(sizes, dtype=np.int64)
+
+
+def _party_head(line_no: int, line: str, seen: set[str]) -> tuple[str, int, str]:
+    """(name, size, order text) of one ``party <name> <size>: ...`` line."""
+    head, _, order_text = line.partition(":")
+    fields = head.split()
+    if len(fields) != 3:
+        raise ParseError(line_no, "party line must read 'party <name> <size>: ...'")
+    _, pname, size_text = fields
+    if pname in seen:
+        raise ParseError(line_no, f"duplicate party name {pname!r}")
+    try:
+        size = int(size_text)
+    except ValueError:
+        raise ParseError(line_no, f"party size must be an integer, got {size_text!r}")
+    if size < 0:
+        raise ParseError(line_no, f"party size must be non-negative, got {size}")
+    return pname, size, order_text
+
+
+def _party_order(line_no: int, order_text: str, index: dict[str, int]) -> tuple[int, ...]:
+    """The order of one party line, read name by name."""
+    order_names = [x.strip() for x in order_text.split(">")]
+    if order_names == [""]:
+        raise ParseError(line_no, "empty preference order")
+    try:
+        order = tuple(index[x] for x in order_names)
+    except KeyError as exc:
+        raise ParseError(line_no, f"unknown candidate {exc.args[0]!r} in preference")
+    problem = validate_preference(order, len(index))
+    if problem is not None:
+        raise ParseError(line_no, f"bad preference: {problem}")
+    return order
 
 
 def serialize_instance(parsed: ParsedInstance, comment: str | None = None) -> str:
@@ -420,7 +478,7 @@ def generate_random(
         election = PartyElection(num_candidates=m, parties=tuple(parties))
         if election.num_voters == 0:
             continue
-        won = winners(materialize(election), rule, model_e)
+        won = winners(election, rule, model_e)
         if model_e is WinnerModel.UNIQUE:
             if len(won) != 1:
                 continue

@@ -4,15 +4,24 @@ A switched voter abandons its party's ballot and casts the destination
 party's ballot instead.  MIN asks for the fewest switches that cost the
 distinguished candidate p its winnership; MAX for the most switches p can
 survive.  Everything is immutable; ``apply_switch`` returns a new election.
+
+A ``PartyElection`` is held as the rank and size arrays of ``core``, built
+once when it is parsed or constructed; winners are computed from them.  A
+switch plan only moves voters between ballots that already exist, so
+``apply_switch`` and ``check_witness`` apply a plan as a size delta: the
+switched election shares the rank array and gets a new size vector.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
-from .core import Election, Preference
+import numpy as np
+
+from .core import Election, Preference, ranks_from_orders
 from .rules import Rule, WinnerModel, winners
 
 
@@ -27,23 +36,72 @@ class Party:
             raise ValueError(f"party {self.id} has negative size {self.size}")
 
 
-@dataclass(frozen=True)
 class PartyElection:
-    num_candidates: int
-    parties: tuple[Party, ...]
+    """Parties 0..l-1 over candidates 0..m-1, held as two read-only arrays:
+    ``ranks[q, c]`` is the 0-based position of candidate c on party q's
+    ballot and ``sizes[q]`` is party q's voter count (zero allowed).
 
-    def __post_init__(self):
-        if not self.parties:
+    The constructor validates ``Party`` objects and builds the arrays;
+    ``from_arrays`` wraps arrays that are already valid, and the ``parties``
+    tuple is then derived from them on first use.
+    """
+
+    def __init__(self, num_candidates: int, parties: tuple[Party, ...]):
+        if not parties:
             raise ValueError("need at least one party")
-        for i, party in enumerate(self.parties):
+        for i, party in enumerate(parties):
             if party.id != i:
                 raise ValueError(f"party ids must be dense, got {party.id} at {i}")
-            if len(party.preference.order) != self.num_candidates:
+            if len(party.preference.order) != num_candidates:
                 raise ValueError(f"party {i} preference has wrong length")
+        orders = np.array([party.preference.order for party in parties], dtype=np.int64)
+        sizes = np.array([party.size for party in parties], dtype=np.int64)
+        self._set_arrays(ranks_from_orders(orders.reshape(len(parties), num_candidates)), sizes)
+        self.parties = tuple(parties)
+
+    @classmethod
+    def from_arrays(cls, ranks: np.ndarray, sizes: np.ndarray) -> PartyElection:
+        """Election over (l >= 1, m) int64 ``ranks`` whose rows are
+        permutations of 0..m-1 and (l,) non-negative int64 ``sizes``.  Nothing
+        is re-validated; the arrays are made read-only, not copied."""
+        pe = object.__new__(cls)
+        pe._set_arrays(ranks, sizes)
+        return pe
+
+    def _set_arrays(self, ranks: np.ndarray, sizes: np.ndarray) -> None:
+        ranks.flags.writeable = False
+        sizes.flags.writeable = False
+        self.ranks = ranks
+        self.sizes = sizes
+
+    @cached_property
+    def parties(self) -> tuple[Party, ...]:
+        orders = np.argsort(self.ranks, axis=1).tolist()
+        return tuple(
+            Party(id=q, preference=Preference(order=tuple(order)), size=size)
+            for q, (order, size) in enumerate(zip(orders, self.sizes.tolist()))
+        )
+
+    @property
+    def num_candidates(self) -> int:
+        return self.ranks.shape[1]
 
     @property
     def num_voters(self) -> int:
-        return sum(p.size for p in self.parties)
+        return int(self.sizes.sum())
+
+    def __eq__(self, other):
+        if not isinstance(other, PartyElection):
+            return NotImplemented
+        return np.array_equal(self.ranks, other.ranks) and np.array_equal(
+            self.sizes, other.sizes
+        )
+
+    def __hash__(self):
+        return hash((self.ranks.shape, self.ranks.tobytes(), self.sizes.tobytes()))
+
+    def __repr__(self):
+        return f"PartyElection(num_candidates={self.num_candidates}, parties={self.parties!r})"
 
 
 class Direction(enum.Enum):
@@ -90,34 +148,37 @@ def materialize(pe: PartyElection) -> Election:
 
 def plan_violation(pe: PartyElection, plan: SwitchPlan) -> str | None:
     """Structural check of a plan against an election; None when valid."""
-    outflow = dict.fromkeys(range(len(pe.parties)), 0)
+    num_parties = len(pe.sizes)
+    outflow: dict[int, int] = {}
     for source, dest, count in plan.moves:
         if count < 0:
             return f"negative move count {count}"
-        if not (0 <= source < len(pe.parties)) or not (0 <= dest < len(pe.parties)):
+        if not (0 <= source < num_parties) or not (0 <= dest < num_parties):
             return f"unknown party in move ({source} -> {dest})"
         if count > 0 and source == dest:
             return f"move sourced at its destination (party {dest})"
-        outflow[source] += count
-    for pid, out in outflow.items():
-        if out > pe.parties[pid].size:
-            return f"overdraw: {out} voters from size-{pe.parties[pid].size} party {pid}"
+        outflow[source] = outflow.get(source, 0) + count
+    for pid, out in sorted(outflow.items()):
+        size = int(pe.sizes[pid])
+        if out > size:
+            return f"overdraw: {out} voters from size-{size} party {pid}"
     return None
+
+
+def _switched(pe: PartyElection, plan: SwitchPlan) -> PartyElection:
+    """``pe`` after a structurally valid plan: the same ranks, new sizes."""
+    sizes = pe.sizes.copy()
+    for source, dest, count in plan.moves:
+        sizes[source] -= count
+        sizes[dest] += count
+    return PartyElection.from_arrays(pe.ranks, sizes)
 
 
 def apply_switch(pe: PartyElection, plan: SwitchPlan) -> PartyElection:
     problem = plan_violation(pe, plan)
     if problem is not None:
         raise ValueError(problem)
-    sizes = [party.size for party in pe.parties]
-    for source, dest, count in plan.moves:
-        sizes[source] -= count
-        sizes[dest] += count
-    parties = tuple(
-        Party(id=party.id, preference=party.preference, size=sizes[party.id])
-        for party in pe.parties
-    )
-    return PartyElection(num_candidates=pe.num_candidates, parties=parties)
+    return _switched(pe, plan)
 
 
 @dataclass(frozen=True)
@@ -135,8 +196,7 @@ class ProblemInstance:
             raise ValueError(f"k must be positive, got {self.k}")
         if not (0 <= self.p < self.election.num_candidates):
             raise ValueError(f"distinguished candidate {self.p} out of range")
-        initial = materialize(self.election)
-        won = winners(initial, self.rule, self.model)
+        won = winners(self.election, self.rule, self.model)
         if self.model is WinnerModel.UNIQUE:
             ok = won == frozenset({self.p})
         else:
@@ -148,7 +208,7 @@ class ProblemInstance:
             )
 
 
-def min_success(instance: ProblemInstance, after: Election) -> bool:
+def min_success(instance: ProblemInstance, after: Election | PartyElection) -> bool:
     """p lost winnership: no longer sole winner (UNIQUE) / left the winner set (COWINNER)."""
     if instance.direction is not Direction.MIN:
         raise ValueError("min_success applies to MIN instances")
@@ -158,7 +218,7 @@ def min_success(instance: ProblemInstance, after: Election) -> bool:
     return instance.p not in won
 
 
-def max_success(instance: ProblemInstance, after: Election) -> bool:
+def max_success(instance: ProblemInstance, after: Election | PartyElection) -> bool:
     """p kept winnership under the instance's winner model."""
     if instance.direction is not Direction.MAX:
         raise ValueError("max_success applies to MAX instances")
@@ -176,7 +236,11 @@ class WitnessCheck(NamedTuple):
 def check_witness(
     instance: ProblemInstance, plan: SwitchPlan, k: int | None = None
 ) -> WitnessCheck:
-    """Full witness validation: structure, destination mode, bound, success."""
+    """Full witness validation: structure, destination mode, bound, success.
+
+    The plan is applied as a size delta on the instance's arrays; no ballot
+    objects are rebuilt.
+    """
     if k is None:
         k = instance.k
     problem = plan_violation(instance.election, plan)
@@ -192,7 +256,7 @@ def check_witness(
         return WitnessCheck(False, f"moved {total} voters, bound is at most {k}")
     if instance.direction is Direction.MAX and total < k:
         return WitnessCheck(False, f"moved {total} voters, bound is at least {k}")
-    after = materialize(apply_switch(instance.election, plan))
+    after = _switched(instance.election, plan)
     if instance.direction is Direction.MIN:
         success = min_success(instance, after)
     else:

@@ -15,6 +15,8 @@
 
 Ties between equally good (rival, destination) choices resolve to the lowest
 candidate index, then the lowest party id, so outputs are reproducible.
+Each solver checks the plan it returns with ``check_witness`` and raises
+``RuntimeError`` on a rejection, which would be a solver bug.
 """
 
 from __future__ import annotations
@@ -34,10 +36,9 @@ from .parties import (
     check_witness,
     feasible,
     infeasible,
-    materialize,
 )
 from .rules import Condorcet, Scoring, WinnerModel
-from .search import _party_ranks, _party_rows
+from .search import _party_rows
 
 
 def _require(instance: ProblemInstance, rule_type, direction: Direction, solver: str):
@@ -54,11 +55,11 @@ def min_scoring(instance: ProblemInstance) -> SolveResult:
     _require(instance, Scoring, Direction.MIN, "min_scoring")
     pe = instance.election
     rows = _party_rows(instance)
-    sizes = np.asarray([party.size for party in pe.parties], dtype=np.int64)
+    sizes = pe.sizes
     totals = sizes @ rows
     p = instance.p
     strict = instance.model is WinnerModel.COWINNER
-    party_ids = np.arange(len(pe.parties), dtype=np.int64)
+    party_ids = np.arange(len(sizes), dtype=np.int64)
 
     best: tuple[int, int, int] | None = None  # (value, rival, destination)
     best_order = None
@@ -83,7 +84,12 @@ def min_scoring(instance: ProblemInstance) -> SolveResult:
     if best is None:
         return infeasible("min_scoring")
     value, rival, dest = best
-    plan = _greedy_plan(pe, rows, best_order, rival, dest, value, instance.p)
+    plan = _greedy_plan(sizes, rows, best_order, rival, dest, value, instance.p)
+    check = check_witness(instance, plan, k=value)
+    if not check.ok:
+        raise RuntimeError(
+            f"min_scoring built a rejected plan against rival {rival}: {check.reason}"
+        )
     return feasible(value, plan, "min_scoring")
 
 
@@ -99,7 +105,7 @@ def _gain_segments(sorted_gain: np.ndarray, sorted_sizes: np.ndarray):
     return sorted_gain[ends], cumw_all[ends], cumg_all[ends]
 
 
-def _greedy_plan(pe, rows, order, rival, dest, value, p) -> SwitchPlan:
+def _greedy_plan(sizes, rows, order, rival, dest, value, p) -> SwitchPlan:
     gain_dest = rows[dest, p] - rows[dest, rival]
     moves = []
     remaining = value
@@ -108,7 +114,7 @@ def _greedy_plan(pe, rows, order, rival, dest, value, p) -> SwitchPlan:
         per_voter = int(rows[q, p] - rows[q, rival])
         if per_voter <= gain_dest or remaining == 0:
             break
-        take = min(pe.parties[q].size, remaining)
+        take = min(int(sizes[q]), remaining)
         if take:
             moves.append((q, dest, take))
             remaining -= take
@@ -139,10 +145,10 @@ def min_condorcet(instance: ProblemInstance) -> SolveResult:
     """
     _require(instance, Condorcet, Direction.MIN, "min_condorcet")
     pe = instance.election
-    counts = pairwise_matrix(materialize(pe)).counts
+    counts = pairwise_matrix(pe).counts
     p = instance.p
-    sizes = np.asarray([party.size for party in pe.parties], dtype=np.int64)
-    ranks = _party_ranks(pe)
+    sizes = pe.sizes
+    ranks = pe.ranks
     backs_rival = ranks < ranks[:, [p]]  # party q prefers candidate c to p
     backs_p = ranks > ranks[:, [p]]  # party q prefers p to candidate c
     dests = backs_rival.argmax(axis=0)  # first party preferring c to p
@@ -233,7 +239,7 @@ def max_r_approval(instance: ProblemInstance) -> SolveResult:
         raise ValueError("max_r_approval needs a 0/1 approval-style scoring vector")
     pe = instance.election
     rows = _party_rows(instance)
-    sizes = [party.size for party in pe.parties]
+    sizes = pe.sizes.tolist()
     total = sum(sizes)
     p = instance.p
     s = 1 if instance.model is WinnerModel.UNIQUE else 0
@@ -287,7 +293,8 @@ def _scan(rows, budget_at):
     the candidate prices of its linear relaxation.  They stay dual feasible
     when only the budgets move, so by weak duality they bound the packings
     of later t too (``_dual_bound``); a t they rule out is skipped without a
-    search.
+    search.  Only the budget part of that bound moves with t, so its row
+    part (``_row_term``) is computed once per price vector.
     """
     members = [row_members for _, row_members, _ in rows]
     caps = [cap for _, _, cap in rows]
@@ -295,14 +302,16 @@ def _scan(rows, budget_at):
     first = bisect.bisect_left(
         t_range, 0, key=lambda t: min(budget_at(t).values(), default=0)
     )
-    price = None
+    price = row_term = None
     for t in t_range[first:]:
         budget = budget_at(t)
-        if price is not None and _dual_bound(members, caps, budget, price) < t:
+        if price is not None and _dual_bound(budget, price, row_term) < t:
             continue
         counts, price = _pack(rows, budget, t)
         if counts is not None:
             return t, counts
+        if price is not None:
+            row_term = _row_term(members, caps, price)
     return None
 
 
@@ -351,7 +360,7 @@ def _pack(rows, budget, target):
             x, price = _lp_relaxation(members, room, slack)
             if root_price is None:
                 root_price = price
-            if _dual_bound(members, room, slack, price) < need:
+            if _dual_bound(slack, price, _row_term(members, room, price)) < need:
                 return None
             start = [min(r, int(v + 1e-9)) for r, v in zip(room, x)]
             extra = _greedy_fill(members, room, slack, need, start)
@@ -450,11 +459,17 @@ def _lp_relaxation(members, room, slack):
     return x, price
 
 
-def _dual_bound(members, room, slack, price):
+def _dual_bound(slack, price, row_term):
     """Upper bound on the largest packing from any candidate prices y >= 0
-    (weak LP duality): slack . y + sum_j room_j * max(0, 1 - y(row j))."""
-    value = sum(price[c] * slack[c] for c in slack) + sum(
+    (weak LP duality): slack . y + sum_j room_j * max(0, 1 - y(row j)), the
+    second sum being ``row_term`` (``_row_term``)."""
+    return int(sum(price[c] * slack[c] for c in slack) + row_term + 1e-6)
+
+
+def _row_term(members, room, price):
+    """sum_j room_j * max(0, 1 - y(row j)) for prices y: each row's reduced
+    cost 1 - y(row j), weighted by its room."""
+    return sum(
         r * max(0.0, 1.0 - sum(price[c] for c in row_members))
         for r, row_members in zip(room, members)
     )
-    return int(value + 1e-6)

@@ -3,6 +3,11 @@
 All arithmetic is exact: integer scores for positional rules and Maximin,
 ``Fraction`` for Copeland so that a rational tie weight alpha never suffers
 rounding.  An empty winner set is legal output for the Condorcet rule.
+
+Every function here takes an election ``e`` with ``num_candidates`` and the
+``ranks`` and ``sizes`` arrays of ``core``, i.e. a ``core.Election`` or a
+``parties.PartyElection``; scores come from those arrays, not from the
+ballot objects.
 """
 
 from __future__ import annotations
@@ -11,7 +16,9 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Election, pairwise_matrix
+import numpy as np
+
+from .core import pairwise_matrix
 
 
 @dataclass(frozen=True)
@@ -73,56 +80,39 @@ def scoring_vector_for(name: str, m: int, r: int | None = None) -> tuple[int, ..
     raise ValueError(f"unknown scoring rule {name!r}")
 
 
-def scoring_scores(e: Election, vector: tuple[int, ...]) -> dict[int, int]:
+def scoring_scores(e, vector: tuple[int, ...]) -> dict[int, int]:
     if len(vector) != e.num_candidates:
         raise ValueError(
             f"scoring vector length {len(vector)} != {e.num_candidates} candidates"
         )
-    scores = dict.fromkeys(range(e.num_candidates), 0)
-    for pref, weight in e.ballots:
-        for pos, c in enumerate(pref.order):
-            scores[c] += weight * vector[pos]
-    return scores
+    points = np.asarray(vector, dtype=np.int64)[e.ranks]
+    return dict(enumerate((e.sizes @ points).tolist()))
 
 
-def copeland_scores(e: Election, alpha: Fraction) -> dict[int, Fraction]:
+def copeland_scores(e, alpha: Fraction) -> dict[int, Fraction]:
     n = pairwise_matrix(e).counts
-    m = e.num_candidates
     alpha = Fraction(alpha)
-    scores = {}
-    for c in range(m):
-        wins = ties = 0
-        for d in range(m):
-            if d == c:
-                continue
-            if n[c, d] > n[d, c]:
-                wins += 1
-            elif n[c, d] == n[d, c]:
-                ties += 1
-        scores[c] = wins + alpha * ties
-    return scores
+    wins = (n > n.T).sum(axis=1)
+    ties = (n == n.T).sum(axis=1) - 1  # the diagonal
+    return {c: w + alpha * t for c, (w, t) in enumerate(zip(wins.tolist(), ties.tolist()))}
 
 
-def maximin_scores(e: Election) -> dict[int, int]:
+def maximin_scores(e) -> dict[int, int]:
     if e.num_candidates < 2:
         raise ValueError("maximin needs at least two candidates")
     n = pairwise_matrix(e).counts
-    m = e.num_candidates
-    return {
-        c: min(int(n[c, d]) for d in range(m) if d != c) for c in range(m)
-    }
+    off_diagonal = np.where(np.eye(e.num_candidates, dtype=bool), np.iinfo(np.int64).max, n)
+    return dict(enumerate(off_diagonal.min(axis=1).tolist()))
 
 
-def condorcet_winner(e: Election) -> int | None:
+def condorcet_winner(e) -> int | None:
     n = pairwise_matrix(e).counts
-    m = e.num_candidates
-    for c in range(m):
-        if all(n[c, d] > n[d, c] for d in range(m) if d != c):
-            return c
-    return None
+    beats = (n > n.T).sum(axis=1)
+    winner = np.flatnonzero(beats == e.num_candidates - 1)
+    return int(winner[0]) if winner.size else None
 
 
-def _score_table(e: Election, rule: Rule) -> dict[int, int | Fraction]:
+def _score_table(e, rule: Rule) -> dict[int, int | Fraction]:
     if isinstance(rule, Scoring):
         return scoring_scores(e, rule.vector)
     if isinstance(rule, Copeland):
@@ -132,7 +122,7 @@ def _score_table(e: Election, rule: Rule) -> dict[int, int | Fraction]:
     raise TypeError(f"no score table for rule {rule!r}")
 
 
-def winners(e: Election, rule: Rule, model: WinnerModel) -> frozenset[int]:
+def winners(e, rule: Rule, model: WinnerModel) -> frozenset[int]:
     """Winner set; under UNIQUE a non-singleton argmax set yields no winner."""
     if isinstance(rule, Condorcet):
         w = condorcet_winner(e)

@@ -22,7 +22,6 @@ import numpy as np
 from .parties import (
     Direction,
     DestinationMode,
-    PartyElection,
     ProblemInstance,
     SolveResult,
     SwitchPlan,
@@ -40,23 +39,15 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _party_ranks(pe: PartyElection) -> np.ndarray:
-    """(l, m) array: ranks[q, c] = 0-based position of c on party q's ballot."""
-    ranks = np.empty((len(pe.parties), pe.num_candidates), dtype=np.int64)
-    for i, party in enumerate(pe.parties):
-        ranks[i, np.asarray(party.preference.order)] = np.arange(pe.num_candidates)
-    return ranks
-
-
 def _party_rows(instance: ProblemInstance) -> np.ndarray:
     """(l, m) per-voter positional scores for each party (scoring rules)."""
     vector = np.asarray(instance.rule.vector, dtype=np.int64)
-    return vector[_party_ranks(instance.election)]
+    return vector[instance.election.ranks]
 
 
 def _party_margin_deltas(instance: ProblemInstance) -> np.ndarray:
     """(l, m, m) per-voter margin contribution B_q - B_q^T for each party."""
-    r = _party_ranks(instance.election)
+    r = instance.election.ranks
     return np.sign(r[:, None, :] - r[:, :, None])
 
 
@@ -134,13 +125,13 @@ def _move_options(
     in deterministic lexicographic order.  ``destination=None`` means the
     multiple-destination mode.
     """
-    pe = instance.election
-    l = len(pe.parties)
+    sizes = instance.election.sizes.tolist()
+    l = len(sizes)
     all_moves: list[list[tuple[tuple[int, int, int], ...]]] = []
     all_deltas: list[np.ndarray] = []
     all_totals: list[np.ndarray] = []
     for q in range(l):
-        size = pe.parties[q].size
+        size = sizes[q]
         if destination is not None:
             if q == destination:
                 options = [()]
@@ -201,9 +192,9 @@ def _oracle(
             f"size cap exceeded: {pe.num_voters} voters > cap {voter_cap}"
         )
     evaluator = _BulkEvaluator(instance)
-    base = np.asarray([party.size for party in pe.parties], dtype=np.int64)
+    base = pe.sizes
     if instance.destination_mode is DestinationMode.ONE:
-        destinations = list(range(len(pe.parties)))
+        destinations = list(range(len(base)))
     else:
         destinations = [None]
 
@@ -286,12 +277,10 @@ class _BranchAndBound:
         self.scoring = isinstance(self.rule, Scoring)
         if self.scoring:
             self.rows = _party_rows(instance)
-            sizes = np.asarray([p.size for p in instance.election.parties], dtype=np.int64)
-            self.base_scores = sizes @ self.rows
+            self.base_scores = instance.election.sizes @ self.rows
         else:
             self.deltas = _party_margin_deltas(instance)
-            sizes = np.asarray([p.size for p in instance.election.parties], dtype=np.int64)
-            self.base_margins = np.tensordot(sizes, self.deltas, axes=1)
+            self.base_margins = np.tensordot(instance.election.sizes, self.deltas, axes=1)
         self.best_value: int | None = None
         self.best_key = None
         self.best_moves = None
@@ -299,8 +288,8 @@ class _BranchAndBound:
     # -- state-space setup ------------------------------------------------
 
     def _variables(self, destination: int | None):
-        pe = self.instance.election
-        l = len(pe.parties)
+        sizes = self.instance.election.sizes.tolist()
+        l = len(sizes)
         if destination is not None:
             pairs = [(q, destination) for q in range(l) if q != destination]
         else:
@@ -309,7 +298,7 @@ class _BranchAndBound:
             unit = [self.rows[d] - self.rows[q] for q, d in pairs]
         else:
             unit = [self.deltas[d] - self.deltas[q] for q, d in pairs]
-        caps = [pe.parties[q].size for q, _ in pairs]
+        caps = [sizes[q] for q, _ in pairs]
         # Suffix bounds: most positive / most negative reachable change from
         # variables i.. onward, per score entry or margin pair.  Shared source
         # capacity in multi-destination mode is counted once per variable,
@@ -408,9 +397,8 @@ class _BranchAndBound:
     # -- search -----------------------------------------------------------
 
     def run(self) -> SolveResult:
-        pe = self.instance.election
         if self.instance.destination_mode is DestinationMode.ONE:
-            destinations: list[int | None] = list(range(len(pe.parties)))
+            destinations: list[int | None] = list(range(len(self.instance.election.sizes)))
         else:
             destinations = [None]
         solver = (
@@ -432,7 +420,7 @@ class _BranchAndBound:
         pairs, unit, caps, pos, neg, maxstep, minstep, remcap = self._variables(destination)
         state = (self.base_scores if self.scoring else self.base_margins).copy()
         assigned: list[int] = []
-        source_left = [party.size for party in self.instance.election.parties]
+        source_left = self.instance.election.sizes.tolist()
 
         def bounds(i: int, total: int):
             up = pos[i].copy()

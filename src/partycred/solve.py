@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
-from .parties import Direction, DestinationMode, ProblemInstance, SolveResult
+from .parties import (
+    Direction,
+    DestinationMode,
+    ProblemInstance,
+    SolveResult,
+    SolveStatus,
+    check_witness,
+)
 from .poly import max_r_approval, min_condorcet, min_scoring
 from .rules import Condorcet, Scoring
 from .search import (
@@ -37,7 +44,12 @@ def solve_instance(
     node_budget: int = DEFAULT_NODE_BUDGET,
     voter_cap: int = DEFAULT_VOTER_CAP,
 ) -> SolveResult:
-    """Solve with the requested strategy; ``auto`` prefers a polynomial solver."""
+    """Solve with the requested strategy; ``auto`` prefers a polynomial solver.
+
+    Every FEASIBLE result has passed ``check_witness``: the polynomial
+    solvers check their own plan, and a search or oracle plan is checked
+    here.  A rejected plan is a solver bug and raises ``RuntimeError``.
+    """
     if solver not in ("auto", "poly", "search", "oracle"):
         raise ValueError(f"unknown solver {solver!r}")
     if solver in ("auto", "poly"):
@@ -48,8 +60,18 @@ def solve_instance(
             raise ValueError("no polynomial solver applies to this instance")
     if solver == "oracle":
         if instance.direction is Direction.MIN:
-            return oracle_min(instance, voter_cap=voter_cap)
-        return oracle_max(instance, voter_cap=voter_cap)
-    if instance.direction is Direction.MIN:
-        return exact_search_min(instance, node_budget=node_budget)
-    return exact_search_max(instance, node_budget=node_budget)
+            result = oracle_min(instance, voter_cap=voter_cap)
+        else:
+            result = oracle_max(instance, voter_cap=voter_cap)
+    elif instance.direction is Direction.MIN:
+        result = exact_search_min(instance, node_budget=node_budget)
+    else:
+        result = exact_search_max(instance, node_budget=node_budget)
+    if result.status is SolveStatus.FEASIBLE:
+        check = check_witness(instance, result.witness, k=result.value)
+        if not check.ok:
+            raise RuntimeError(
+                f"{result.solver} returned a rejected plan of {result.value} switches: "
+                f"{check.reason}"
+            )
+    return result

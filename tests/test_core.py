@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import partycred as pc
-from partycred.core import ranks_array, validate_preference
+from partycred.core import validate_preference
 
 
 def test_validate_preference_identity():
@@ -80,7 +80,8 @@ def test_ranks_array():
         num_candidates=3,
         ballots=((pc.Preference(order=(2, 0, 1)), 1),),
     )
-    assert ranks_array(e).tolist() == [[1, 2, 0]]
+    assert e.ranks.tolist() == [[1, 2, 0]]
+    assert e.sizes.tolist() == [1]
 
 
 @st.composite

@@ -134,6 +134,96 @@ def test_duplicate_party_name():
         pc.parse_instance(text)
 
 
+def _long_file(num_parties: int, bad: dict[int, str] | None = None) -> tuple[str, int]:
+    """A plurality file that p wins, with party i on line ``first + i``;
+    ``bad`` replaces the whole text of some party lines."""
+    lines = [
+        "candidates: p a b", "rule: plurality", "model: unique", "dest: one",
+        "direction: min", "k: 1", "distinguished: p",
+    ]
+    first = len(lines) + 1
+    orders = ("p > a > b", "a > b > p", "b > p > a")
+    for i in range(num_parties):
+        size = num_parties if i == 0 else 1
+        lines.append(f"party P{i} {size}: {orders[i % 3]}")
+    for i, line in (bad or {}).items():
+        lines[first - 1 + i] = line
+    return "\n".join(lines) + "\n", first
+
+
+@pytest.mark.parametrize(
+    "order, message",
+    [
+        ("a > a > b", "bad preference: duplicate 1"),
+        ("a > q > b", "unknown candidate 'q' in preference"),
+        ("a > p", "bad preference: missing 2"),
+        ("a b > p", "unknown candidate 'a b' in preference"),
+        ("", "empty preference order"),
+    ],
+)
+def test_bad_order_late_in_long_file(order, message):
+    bad = 2_700
+    text, first = _long_file(3_000, {bad: f"party X 1: {order}".rstrip()})
+    with pytest.raises(ParseError) as err:
+        pc.parse_instance(text)
+    assert str(err.value) == f"line {first + bad}: {message}"
+    assert _line_of(err.value) == first + bad
+
+
+def test_first_bad_party_line_wins():
+    order_then_head = {2_000: "party X 1: a > a > b", 2_500: "party Y -1: p > a > b"}
+    text, first = _long_file(3_000, order_then_head)
+    with pytest.raises(ParseError, match="duplicate 1") as err:
+        pc.parse_instance(text)
+    assert _line_of(err.value) == first + 2_000
+    head_then_order = {2_000: "party Y x: p > a > b", 2_500: "party X 1: a > a > b"}
+    text, first = _long_file(3_000, head_then_order)
+    with pytest.raises(ParseError, match="party size must be an integer") as err:
+        pc.parse_instance(text)
+    assert _line_of(err.value) == first + 2_000
+    # A bad order on the same line as a bad head: the head is reported.
+    text, first = _long_file(3_000, {2_000: "party P1 1: a > a > b"})
+    with pytest.raises(ParseError, match="duplicate party name 'P1'") as err:
+        pc.parse_instance(text)
+    assert _line_of(err.value) == first + 2_000
+
+
+def test_other_spellings_parse_like_canonical_orders():
+    text, first = _long_file(1_500)
+    respelled = (
+        text.replace("p > a > b", "p>a>b")
+        .replace("a > b > p", "a  >\tb > p")
+        .replace("b > p > a", "  b > p >a")
+    )
+    canonical, spelled = pc.parse_instance(text), pc.parse_instance(respelled)
+    assert spelled.instance == canonical.instance
+    assert spelled.party_names == canonical.party_names
+
+
+def test_candidate_name_with_separator():
+    # '>' always splits an order, so such a candidate can never be ranked.
+    text = MINIMAL.replace("candidates: p a b", "candidates: p a b c>d")
+    with pytest.raises(ParseError, match="unknown candidate 'c'") as err:
+        pc.parse_instance(text.replace("p > a > b\n", "p > a > b > c>d\n"))
+    assert _line_of(err.value) == 8
+    with pytest.raises(ParseError, match="missing 3") as err:
+        pc.parse_instance(text)
+    assert _line_of(err.value) == 8
+
+
+def test_round_trip_3000_parties():
+    parsed = pc.generate_random(
+        seed=4, num_candidates=6, num_parties=3_000, size_range=(0, 4),
+        rule_spec="borda", direction="min",
+    )
+    text = pc.serialize_instance(parsed)
+    again = pc.parse_instance(text)
+    assert again.instance == parsed.instance
+    assert again.party_names == parsed.party_names
+    assert again.instance.election.parties == parsed.instance.election.parties
+    assert pc.serialize_instance(again) == text
+
+
 def test_parse_graph():
     g = pc.parse_graph("n 3\nt 2\ne 0 1\ne 1 2\n# done\n")
     assert g.num_vertices == 3 and g.bound == 2

@@ -13,29 +13,27 @@ def random_ranks(rng, n_ballots, m):
 
 
 def _reference_pairwise_tally(ranks, weights):
-    """Per-ballot, per-pair loop."""
+    """One ballot at a time: add its weight to every pair it orders."""
     m = ranks.shape[1]
     counts = np.zeros((m, m), dtype=np.int64)
-    for b in range(ranks.shape[0]):
-        for c in range(m):
-            for d in range(m):
-                if ranks[b, c] < ranks[b, d]:
-                    counts[c, d] += weights[b]
+    for r, w in zip(ranks, weights):
+        counts += int(w) * np.less.outer(r, r)
     return counts
 
 
 def test_pairwise_tally_matches_reference():
     rng = np.random.default_rng(11)
-    for _ in range(25):
-        n_ballots = int(rng.integers(1, 8))
-        m = int(rng.integers(2, 7))
+    shapes = [(int(rng.integers(1, 8)), int(rng.integers(2, 7))) for _ in range(25)]
+    shapes += [(2_000, 50), (1_500, 50), (700, 13), (300, 2), (1, 50)]
+    for n_ballots, m in shapes:
         ranks = random_ranks(rng, n_ballots, m)
-        weights = rng.integers(1, 6, size=n_ballots).astype(np.int64)
+        weights = rng.integers(0, 6, size=n_ballots).astype(np.int64)
         counts = _kernels.pairwise_tally(ranks, weights)
         assert np.array_equal(counts, _reference_pairwise_tally(ranks, weights))
         total = int(weights.sum())
         off = ~np.eye(m, dtype=bool)
         assert np.array_equal((counts + counts.T)[off], np.full((m * m - m,), total))
+        assert not counts.diagonal().any()
 
 
 def _reference_min_switch(gain, sizes, party_gain, need):

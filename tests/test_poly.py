@@ -196,6 +196,16 @@ def test_max_r_approval_raises_on_rejected_plan(monkeypatch):
         max_r_approval(inst)
 
 
+def test_min_scoring_raises_on_rejected_plan(monkeypatch):
+    inst = build(PLUR3, [((P, A, B), 3), ((A, P, B), 1)], p=P, k=1, direction="min")
+    monkeypatch.setattr(
+        "partycred.poly.check_witness",
+        lambda *args, **kwargs: pc.parties.WitnessCheck(False, "forced rejection"),
+    )
+    with pytest.raises(RuntimeError, match="forced rejection"):
+        min_scoring(inst)
+
+
 def test_nonapproving_destination_case_b():
     """A destination whose own optimum retains every p voter and more.
 

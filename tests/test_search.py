@@ -158,3 +158,44 @@ def test_party_margin_deltas_match_pairwise_loop():
         deltas = _party_margin_deltas(inst)
         assert deltas.dtype == "int64"
         assert deltas.tolist() == expected, seed
+
+
+def _reject_all(*args, **kwargs):
+    return pc.parties.WitnessCheck(False, "forced rejection")
+
+
+@pytest.mark.parametrize("solver", ["search", "oracle", "auto"])
+def test_solve_instance_raises_on_rejected_plan(monkeypatch, solver):
+    # Maximin has no polynomial solver, so "auto" also runs the search.
+    inst = build(
+        pc.Maximin(), [((P, A, B), 3), ((A, P, B), 1), ((B, A, P), 1)], p=P, k=1,
+        direction="min",
+    )
+    assert pc.solve_instance(inst, solver).status is pc.SolveStatus.FEASIBLE
+    monkeypatch.setattr("partycred.solve.check_witness", _reject_all)
+    with pytest.raises(RuntimeError, match="forced rejection"):
+        pc.solve_instance(inst, solver)
+
+
+def test_solve_instance_checks_each_feasible_result_once(monkeypatch):
+    calls = []
+    real_check = pc.parties.check_witness
+
+    def counting_check(*args, **kwargs):
+        calls.append(args)
+        return real_check(*args, **kwargs)
+
+    monkeypatch.setattr("partycred.solve.check_witness", counting_check)
+    monkeypatch.setattr("partycred.poly.check_witness", counting_check)
+    plural = build(
+        PLUR3, [((P, A, B), 3), ((A, P, B), 1), ((B, A, P), 1)], p=P, k=1,
+        direction="min",
+    )
+    for solver in ("poly", "auto", "search", "oracle"):
+        calls.clear()
+        assert pc.solve_instance(plural, solver).value == 1
+        assert len(calls) == 1, solver
+    calls.clear()
+    unsolvable = build(PLUR3, [((P, A, B), 3)], p=P, direction="min")
+    assert pc.solve_instance(unsolvable, "search").status is pc.SolveStatus.INFEASIBLE
+    assert calls == []
