@@ -9,11 +9,20 @@ Two independent routes:
   the NP-hard rule/direction combinations at desk scale.
 
 Plans are canonicalized as counts per (source, destination) pair; voters of
-one party are interchangeable so this loses nothing.
+one party are interchangeable so this loses nothing.  A plan's key is its
+destination's rank in party order (0 in the multi-destination mode)
+followed by its counts over the pairs in source-then-destination order.
+Both routes return the optimal plan with the lexicographically smallest
+key, so they agree on the witness as well as the value.  The branch and
+bound meets keys in a fixed order, so it prunes subtrees that can at best
+tie the incumbent: always for MIN, and for MAX once the incumbent lies in
+an earlier destination.  ``_BranchAndBound``'s docstring has the proof,
+the one stacked bound per node, and why Maximin's bound is exact.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -51,25 +60,38 @@ def _party_margin_deltas(instance: ProblemInstance) -> np.ndarray:
     return np.sign(r[:, None, :] - r[:, :, None])
 
 
+@functools.lru_cache(maxsize=64)
+def _copeland_table(numerator: int, denominator: int) -> np.ndarray:
+    return np.array([0, numerator, denominator], dtype=np.int64)
+
+
 def _copeland_scaled(margins: np.ndarray, alpha: Fraction) -> np.ndarray:
     """Copeland scores scaled by alpha's denominator (exact integers).
 
-    ``margins`` has shape (..., m, m); the diagonal must be zero and is
-    excluded from the tie count.
+    ``margins`` has shape (..., m, m) with a zero diagonal.  Each margin's
+    sign picks 0, alpha's numerator or its denominator (loss, tie, win); the
+    diagonal counts as one tie, which the last term takes back.
     """
-    m = margins.shape[-1]
-    wins = (margins > 0).sum(axis=-1)
-    ties = (margins == 0).sum(axis=-1) - 1  # diagonal
-    return alpha.denominator * wins + alpha.numerator * ties
+    num, den = alpha.numerator, alpha.denominator
+    return _copeland_table(num, den)[np.sign(margins) + 1].sum(axis=-1) - num
+
+
+@functools.lru_cache(maxsize=64)
+def _maximin_pad(m: int, n_voters: int) -> np.ndarray:
+    """n off the diagonal; on it, a value above every reachable support."""
+    pad = np.full((m, m), n_voters, dtype=np.int64)
+    np.fill_diagonal(pad, 1 << 62)
+    return pad
 
 
 def _maximin_from_margins(margins: np.ndarray, n_voters: int) -> np.ndarray:
-    """Maximin scores from a margin tensor; N(c,d) = (margin + n) / 2."""
-    m = margins.shape[-1]
-    support = (margins + n_voters) // 2
-    eye = np.eye(m, dtype=bool)
-    support = np.where(eye, np.iinfo(np.int64).max, support)
-    return support.min(axis=-1)
+    """Maximin scores from a margin tensor of shape (..., m, m).
+
+    N(c, d) = (margin + n) / 2, and margin + n is even (every voter adds +1
+    or -1 to the margin), so the shift halves it exactly.  The diagonal pad
+    keeps N(c, c) out of the minimum.
+    """
+    return ((margins + _maximin_pad(margins.shape[-1], n_voters)) >> 1).min(axis=-1)
 
 
 class _BulkEvaluator:
@@ -258,152 +280,132 @@ def oracle_max(instance: ProblemInstance, voter_cap: int = DEFAULT_VOTER_CAP) ->
 class _BranchAndBound:
     """Exact DFS over per-(source, destination) counts with admissible pruning.
 
-    Pruning is interval based: per candidate score intervals for scoring
-    rules, per-pair margin intervals for Condorcet-consistent rules (each
-    moved voter shifts any single margin by at most 2).  For MIN the future
-    move budget additionally caps the intervals.
+    *State and bound.*  The search keeps the state of the plan so far: the
+    score vector (scoring rules), p's margin row (Condorcet; its own entry
+    is set to 1, so p wins exactly when every entry is positive) or the
+    margin matrix (Copeland, Maximin), stacked twice as a ``(2, ...)``
+    array.  Level i fixes the count of pair i.  ``slack[i]`` stacks
+    [fall, rise]: the sums, over pairs i.., of each pair's full capacity
+    times the negative and the positive part of its unit change.  A node
+    evaluates ``state + slack[i]`` once.  Row 0 holds every entry's lowest
+    reachable value and row 1 its highest, and each score is monotone in
+    each entry (a score, or a margin in the candidate's own row).  So the
+    scores of row 0 bound every candidate's final score from below and
+    those of row 1 from above, and the node is pruned when p cannot
+    succeed even with every rival at its bound.  For MIN with an
+    incumbent, the plan may move at most b more voters, so the slack is
+    first capped at b times the extreme unit step (``steps[i]``).  At
+    level n the slack is zero and both rows are the plan's exact state:
+    the same test is then the plan's success test.
+
+    Maximin's bound is exact integer arithmetic.  A margin plus n is even
+    (every voter adds +1 or -1 to it) and every slack entry is even (one
+    move changes a margin by 0 or 2 in either direction), so
+    (margin + slack + n) / 2 is the support the relaxation promises,
+    without rounding.
+
+    *Witness and ties.*  The witness is the optimal plan of smallest
+    (destination rank, counts) key, the oracle's choice.  Destinations are
+    searched in increasing rank; MIN tries counts in increasing order, so
+    it meets leaves in increasing key order, and MAX in decreasing order,
+    so it meets one destination's leaves in decreasing key order.  Hence:
+
+    * MIN: a later leaf never has a smaller key, so one of equal cost never
+      replaces the incumbent, and every subtree that cannot cost strictly
+      less is pruned (the remaining budget is best - total - 1).
+    * MAX: a later leaf of the same destination has a smaller key and must
+      replace an equal incumbent, so equal-value subtrees are kept there.
+      Once the incumbent lies in an earlier destination, every later key is
+      larger, and subtrees that can at best equal it are pruned.
+
+    So a leaf that passes the test beats the incumbent, or ties it with a
+    smaller key, and replaces it without a key comparison.  The smallest-key
+    optimal plan is never pruned (only an incumbent of the same value and a
+    smaller key could prune it), and no later leaf replaces it.
     """
 
     def __init__(self, instance: ProblemInstance, direction: Direction, node_budget: int):
         self.instance = instance
-        self.direction = direction
+        self.minimize = direction is Direction.MIN
         self.node_budget = node_budget
         self.nodes = 0
-        self.p = instance.p
-        self.m = instance.election.num_candidates
-        self.n_voters = instance.election.num_voters
-        self.unique = instance.model is WinnerModel.UNIQUE
-        self.rule = instance.rule
-        self.scoring = isinstance(self.rule, Scoring)
-        if self.scoring:
-            self.rows = _party_rows(instance)
-            self.base_scores = instance.election.sizes @ self.rows
+        self.sizes = instance.election.sizes.tolist()
+        p = instance.p
+        rule = instance.rule
+        if isinstance(rule, Scoring):
+            self.party_state = _party_rows(instance)
+        elif isinstance(rule, Condorcet):
+            self.party_state = _party_margin_deltas(instance)[:, p, :]
         else:
-            self.deltas = _party_margin_deltas(instance)
-            self.base_margins = np.tensordot(instance.election.sizes, self.deltas, axes=1)
+            self.party_state = _party_margin_deltas(instance)
+        base = np.tensordot(instance.election.sizes, self.party_state, axes=1)
+        if isinstance(rule, Condorcet):
+            base[p] = 1
+        self.base = np.stack([base, base])
+        n_voters = instance.election.num_voters
+        if isinstance(rule, Copeland):
+            self.score_rows = lambda r: _copeland_scaled(r, rule.alpha).tolist()
+        elif isinstance(rule, Maximin):
+            self.score_rows = lambda r: _maximin_from_margins(r, n_voters).tolist()
+        else:
+            self.score_rows = np.ndarray.tolist
+        self.succeeds = self._success_test(rule, p, instance.model is WinnerModel.UNIQUE)
         self.best_value: int | None = None
-        self.best_key = None
+        self.best_dest = -1
         self.best_moves = None
 
-    # -- state-space setup ------------------------------------------------
+    def _success_test(self, rule, p: int, unique: bool):
+        """Test on (lo, hi) score lists: can p still succeed?"""
+        if isinstance(rule, Condorcet):
+            # Unique-winner and co-winner coincide for Condorcet.
+            if self.minimize:
+                return lambda lo, hi: min(lo) <= 0
+            return lambda lo, hi: min(hi) > 0
+        inf = float("inf")
+        if self.minimize:
+            # p loses sole winnership (UNIQUE) / leaves the winner set (COWINNER).
+            need = 0 if unique else 1
+            return lambda lo, hi: max(hi[:p] + hi[p + 1:], default=-inf) - lo[p] >= need
+        need = 1 if unique else 0
+        return lambda lo, hi: hi[p] - max(lo[:p] + lo[p + 1:], default=-inf) >= need
 
     def _variables(self, destination: int | None):
-        sizes = self.instance.election.sizes.tolist()
-        l = len(sizes)
-        if destination is not None:
-            pairs = [(q, destination) for q in range(l) if q != destination]
-        else:
-            pairs = [(q, d) for q in range(l) for d in range(l) if d != q]
-        if self.scoring:
-            unit = [self.rows[d] - self.rows[q] for q, d in pairs]
-        else:
-            unit = [self.deltas[d] - self.deltas[q] for q, d in pairs]
-        caps = [sizes[q] for q, _ in pairs]
-        # Suffix bounds: most positive / most negative reachable change from
-        # variables i.. onward, per score entry or margin pair.  Shared source
-        # capacity in multi-destination mode is counted once per variable,
-        # which only widens the interval (still admissible).
-        shape = unit[0].shape if unit else ((self.m,) if self.scoring else (self.m, self.m))
-        pos = [np.zeros(shape, dtype=np.int64) for _ in range(len(pairs) + 1)]
-        neg = [np.zeros(shape, dtype=np.int64) for _ in range(len(pairs) + 1)]
-        remcap = [0] * (len(pairs) + 1)
-        maxstep = [np.zeros(shape, dtype=np.int64) for _ in range(len(pairs) + 1)]
-        minstep = [np.zeros(shape, dtype=np.int64) for _ in range(len(pairs) + 1)]
-        for i in range(len(pairs) - 1, -1, -1):
-            pos[i] = pos[i + 1] + caps[i] * np.maximum(unit[i], 0)
-            neg[i] = neg[i + 1] + caps[i] * np.minimum(unit[i], 0)
-            maxstep[i] = np.maximum(maxstep[i + 1], unit[i])
-            minstep[i] = np.minimum(minstep[i + 1], unit[i])
-            remcap[i] = remcap[i + 1] + caps[i]
-        return pairs, unit, caps, pos, neg, maxstep, minstep, remcap
+        """Pairs with their stacked unit changes, slack, steps and capacity.
 
-    # -- success tests ----------------------------------------------------
-
-    def _scores_from_margins(self, margins: np.ndarray) -> np.ndarray:
-        if isinstance(self.rule, Copeland):
-            return _copeland_scaled(margins, self.rule.alpha)
-        return _maximin_from_margins(margins, self.n_voters)
-
-    def _leaf_success(self, state: np.ndarray) -> bool:
-        p = self.p
-        if isinstance(self.rule, Condorcet):
-            row = state[p]
-            p_wins = all(row[c] > 0 for c in range(self.m) if c != p)
-            return (not p_wins) if self.direction is Direction.MIN else p_wins
-        scores = state if self.scoring else self._scores_from_margins(state)
-        p_score = scores[p]
-        best_other = max(scores[c] for c in range(self.m) if c != p)
-        if self.direction is Direction.MIN:
-            return best_other >= p_score if self.unique else best_other > p_score
-        return p_score > best_other if self.unique else p_score >= best_other
-
-    def _success_possible(self, state, up, down) -> bool:
-        """Optimistic per-entry relaxation: can any completion still succeed?
-
-        ``up``/``down`` are elementwise non-negative bounds on how much each
-        score entry (scoring) or margin pair (pairwise) can still rise/fall.
+        Sources without voters are left out: their count is always 0, and
+        leaving a constant out of every key keeps the keys' order.  In the
+        multi-destination mode a source's capacity counts once per
+        destination, which only widens the bound (still admissible).
         """
-        p = self.p
-        if isinstance(self.rule, Condorcet):
-            row, rdown, rup = state[p], down[p], up[p]
-            others = [c for c in range(self.m) if c != p]
-            if self.direction is Direction.MIN:
-                return any(row[c] - rdown[c] <= 0 for c in others)
-            return all(row[c] + rup[c] > 0 for c in others)
-        if self.scoring:
-            lo = state - down
-            hi = state + up
-        else:
-            lo = self._pessimistic_pairwise(state, down)
-            hi = self._optimistic_pairwise(state, up)
-        others = [c for c in range(self.m) if c != p]
-        if self.direction is Direction.MIN:
-            if self.unique:
-                return any(hi[c] >= lo[p] for c in others)
-            return any(hi[c] > lo[p] for c in others)
-        if self.unique:
-            return all(hi[p] > lo[c] for c in others)
-        return all(hi[p] >= lo[c] for c in others)
-
-    def _optimistic_pairwise(self, margins, up):
-        """Per-candidate score upper bounds from per-pair margin headroom."""
-        return self._pairwise_bound(margins, up, optimistic=True)
-
-    def _pessimistic_pairwise(self, margins, down):
-        return self._pairwise_bound(margins, down, optimistic=False)
-
-    def _pairwise_bound(self, margins, slack, optimistic: bool):
-        m = self.m
-        if isinstance(self.rule, Maximin):
-            support = (margins + self.n_voters) // 2
-            shift = slack // 2
-            adj = support + shift if optimistic else support - shift
-            adj = np.where(np.eye(m, dtype=bool), np.iinfo(np.int64).max, adj)
-            return adj.min(axis=-1)
-        # Copeland: margins move in even steps and the slack bounds are even,
-        # so the reachable extreme is exactly margin +/- slack.
-        alpha = self.rule.alpha
-        if optimistic:
-            reach = margins + slack
-        else:
-            reach = margins - slack
-        win = reach > 0
-        tie = reach == 0
-        eye = np.eye(m, dtype=bool)
-        win &= ~eye
-        tie &= ~eye
-        return alpha.denominator * win.sum(axis=-1) + alpha.numerator * tie.sum(axis=-1)
+        sizes = self.sizes
+        l = len(sizes)
+        dests = [destination] if destination is not None else range(l)
+        pairs = [(q, d) for q in range(l) for d in dests if d != q and sizes[q]]
+        sources = [q for q, _ in pairs]
+        unit = self.party_state[[d for _, d in pairs]] - self.party_state[sources]
+        shape = unit.shape[1:]
+        k = len(pairs)
+        caps = np.array([sizes[q] for q in sources], dtype=np.int64)
+        full = caps.reshape((k,) + (1,) * len(shape)) * unit
+        slack = np.zeros((k + 1, 2) + shape, dtype=np.int64)
+        steps = np.zeros((k + 1, 2) + shape, dtype=np.int64)
+        for i in range(k - 1, -1, -1):
+            slack[i, 0] = slack[i + 1, 0] + np.minimum(full[i], 0)
+            slack[i, 1] = slack[i + 1, 1] + np.maximum(full[i], 0)
+            steps[i, 0] = np.minimum(steps[i + 1, 0], unit[i])
+            steps[i, 1] = np.maximum(steps[i + 1, 1], unit[i])
+        remcap = np.append(np.cumsum(caps[::-1])[::-1], 0).tolist()
+        units = list(np.stack([unit, unit], axis=1))
+        return pairs, units, list(slack), list(steps), remcap
 
     # -- search -----------------------------------------------------------
 
     def run(self) -> SolveResult:
         if self.instance.destination_mode is DestinationMode.ONE:
-            destinations: list[int | None] = list(range(len(self.instance.election.sizes)))
+            destinations: list[int | None] = list(range(len(self.sizes)))
         else:
             destinations = [None]
-        solver = (
-            "exact_search_min" if self.direction is Direction.MIN else "exact_search_max"
-        )
+        solver = "exact_search_min" if self.minimize else "exact_search_max"
         try:
             for dest_rank, destination in enumerate(destinations):
                 self._search_destination(dest_rank, destination)
@@ -411,78 +413,70 @@ class _BranchAndBound:
             return budget_exhausted(solver, self.nodes)
         if self.best_value is None:
             return infeasible(solver, self.nodes)
-        moves = tuple(
-            (q, d, c) for (q, d), c in self.best_moves if c > 0
-        )
-        return feasible(self.best_value, SwitchPlan(moves=moves), solver, self.nodes)
+        return feasible(self.best_value, SwitchPlan(moves=self.best_moves), solver, self.nodes)
 
     def _search_destination(self, dest_rank: int, destination: int | None):
-        pairs, unit, caps, pos, neg, maxstep, minstep, remcap = self._variables(destination)
-        state = (self.base_scores if self.scoring else self.base_margins).copy()
-        assigned: list[int] = []
-        source_left = self.instance.election.sizes.tolist()
-
-        def bounds(i: int, total: int):
-            up = pos[i].copy()
-            down = -neg[i]
-            if self.direction is Direction.MIN:
-                # Plans costlier than the incumbent can be discarded; equal
-                # cost stays admissible for the deterministic witness choice.
-                if self.best_value is not None:
-                    budget = min(self.best_value - total, remcap[i])
-                else:
-                    budget = remcap[i]
-                if budget < 0:
-                    return None
-                np.minimum(up, budget * np.maximum(maxstep[i], 0), out=up)
-                np.minimum(down, budget * np.maximum(-minstep[i], 0), out=down)
-            return up, down
+        pairs, units, slack, steps, remcap = self._variables(destination)
+        n = len(pairs)
+        state = self.base.copy()
+        counts = [0] * n
+        left = list(self.sizes)
+        score_rows, succeeds, minimize = self.score_rows, self.succeeds, self.minimize
 
         def dfs(i: int, total: int):
             nonlocal state
             self.nodes += 1
             if self.nodes > self.node_budget:
                 raise _BudgetExceeded
-            if i == len(pairs):
-                if self._leaf_success(state):
-                    self._offer(total, dest_rank, pairs, assigned)
-                return
-            if self.direction is Direction.MAX and self.best_value is not None:
-                if total + remcap[i] < self.best_value:
+            reach = slack[i]
+            best = self.best_value
+            if best is not None:
+                if minimize:
+                    budget = best - total - 1
+                    if budget < 0:
+                        return
+                    if budget < remcap[i]:
+                        most = budget * steps[i]
+                        reach = np.minimum(np.maximum(reach, most[0]), most[1])
+                elif total + remcap[i] < best or (
+                    total + remcap[i] == best and self.best_dest < dest_rank
+                ):
                     return
-            b = bounds(i, total)
-            if b is None or not self._success_possible(state, b[0], b[1]):
+            if not succeeds(*score_rows(state + reach)):
                 return
-            q, _ = pairs[i]
-            cap = source_left[q]
-            if self.direction is Direction.MIN and self.best_value is not None:
-                cap = min(cap, self.best_value - total)
-            order = range(cap + 1) if self.direction is Direction.MIN else range(cap, -1, -1)
-            for count in order:
-                assigned.append(count)
-                source_left[q] -= count
-                if count:
-                    state += count * unit[i]
-                dfs(i + 1, total + count)
-                if count:
-                    state -= count * unit[i]
-                source_left[q] += count
-                assigned.pop()
+            if i == n:
+                self.best_value, self.best_dest = total, dest_rank
+                self.best_moves = tuple(
+                    (q, d, c) for (q, d), c in zip(pairs, counts) if c
+                )
+                return
+            q = pairs[i][0]
+            unit = units[i]
+            cap = left[q]
+            if minimize:
+                if best is not None:
+                    cap = min(cap, budget)
+                for count in range(cap + 1):
+                    if count:
+                        state += unit
+                    counts[i] = count
+                    left[q] -= count
+                    dfs(i + 1, total + count)
+                    left[q] += count
+                if cap:
+                    state -= cap * unit
+            else:
+                if cap:
+                    state += cap * unit
+                for count in range(cap, -1, -1):
+                    counts[i] = count
+                    left[q] -= count
+                    dfs(i + 1, total + count)
+                    left[q] += count
+                    if count:
+                        state -= unit
 
         dfs(0, 0)
-
-    def _offer(self, total: int, dest_rank: int, pairs, assigned):
-        key = (dest_rank, tuple(assigned))
-        better = (
-            self.best_value is None
-            or (self.direction is Direction.MIN and total < self.best_value)
-            or (self.direction is Direction.MAX and total > self.best_value)
-            or (total == self.best_value and key < self.best_key)
-        )
-        if better:
-            self.best_value = total
-            self.best_key = key
-            self.best_moves = tuple(zip(pairs, assigned))
 
 
 def exact_search_min(

@@ -1,10 +1,18 @@
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import partycred as pc
-from partycred.search import _party_margin_deltas
+from partycred.core import pairwise_matrix
+from partycred.rules import copeland_scores, maximin_scores
+from partycred.search import (
+    _copeland_scaled,
+    _maximin_from_margins,
+    _party_margin_deltas,
+)
 
 from conftest import build, collect_problems, random_problem, values_match
 
@@ -86,6 +94,111 @@ def test_search_matches_oracle_quick():
         for res in (mine, ref):
             if res.status is pc.SolveStatus.FEASIBLE:
                 assert pc.check_witness(inst, res.witness, k=res.value).ok
+
+
+def _exact_search(inst, **kwargs):
+    if inst.direction is pc.Direction.MIN:
+        return pc.exact_search_min(inst, **kwargs)
+    return pc.exact_search_max(inst, **kwargs)
+
+
+def _oracle(inst):
+    if inst.direction is pc.Direction.MIN:
+        return pc.oracle_min(inst)
+    return pc.oracle_max(inst)
+
+
+def _seeded_problems(count, seed, rules):
+    """``count`` seeded instances cycling through rules, directions, models
+    and destination modes (<= 4 candidates, <= 4 parties, <= 10 voters)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        i = len(out)
+        inst = random_problem(
+            random.Random(rng.randint(0, 10**9)),
+            rule_spec=rules[i % len(rules)],
+            direction=("min", "max")[i % 2],
+            model=("unique", "cowinner")[i // 2 % 2],
+            dest=("one", "multi")[i // 4 % 2],
+        )
+        if inst is not None:
+            out.append(inst)
+    return out
+
+
+def test_search_witness_equals_oracle():
+    """Same status, value and witness: the optimal plan of smallest
+    (destination rank, counts) key, which tie-aware pruning must keep."""
+    rules = ALL_RULES + ("copeland:0", "copeland:1")
+    for inst in _seeded_problems(300, 7, rules):
+        mine, ref = _exact_search(inst), _oracle(inst)
+        assert (mine.status, mine.value, mine.witness) == (
+            ref.status, ref.value, ref.witness
+        ), (inst, mine, ref)
+
+
+def test_single_candidate_search_matches_oracle():
+    """With no rival, p can never lose and always wins (MAX used to raise)."""
+    for direction in ("min", "max"):
+        inst = build(
+            pc.Scoring(vector=(1,)), [((P,), 3), ((P,), 2)], p=P, direction=direction
+        )
+        for mine, ref in ((pc.exact_search_min(inst), pc.oracle_min(inst)),
+                          (pc.exact_search_max(inst), pc.oracle_max(inst))):
+            assert (mine.status, mine.value, mine.witness) == (
+                ref.status, ref.value, ref.witness
+            )
+
+
+def test_node_budget_contract():
+    """A FEASIBLE search reruns identically on exactly its node count and
+    runs out one node earlier."""
+    checked = 0
+    for inst in _seeded_problems(120, 11, ALL_RULES):
+        result = _exact_search(inst)
+        if result.status is not pc.SolveStatus.FEASIBLE:
+            continue
+        checked += 1
+        assert _exact_search(inst, node_budget=result.nodes) == result
+        short = _exact_search(inst, node_budget=result.nodes - 1)
+        assert short.status is pc.SolveStatus.BUDGET_EXHAUSTED
+        assert short.nodes == result.nodes
+    assert checked >= 60
+
+
+def _margins(election):
+    counts = pairwise_matrix(election).counts
+    return counts - counts.T
+
+
+def test_pairwise_score_helpers_match_rules():
+    """Copeland (scaled by alpha's denominator) and Maximin scores of one
+    (m, m) margin matrix and of a (k, m, m) stack equal the rules module's.
+    The k elections share their parties and n, as one instance's plans do,
+    and some of their parties are empty."""
+    alphas = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+    for seed in range(100):
+        rng = random.Random(seed)
+        m, l, n = rng.randint(2, 6), rng.randint(1, 6), rng.randint(1, 12)
+        ranks = np.array([rng.sample(range(m), m) for _ in range(l)], dtype=np.int64)
+        elections = [
+            pc.PartyElection.from_arrays(
+                ranks, np.bincount(rng.choices(range(l), k=n), minlength=l)
+            )
+            for _ in range(4)
+        ]
+        stack = np.array([_margins(e) for e in elections])
+        expected = [[maximin_scores(e)[c] for c in range(m)] for e in elections]
+        assert _maximin_from_margins(stack, n).tolist() == expected, seed
+        assert _maximin_from_margins(stack[0], n).tolist() == expected[0], seed
+        for alpha in alphas:
+            expected = [
+                [copeland_scores(e, alpha)[c] * alpha.denominator for c in range(m)]
+                for e in elections
+            ]
+            assert _copeland_scaled(stack, alpha).tolist() == expected, (seed, alpha)
+            assert _copeland_scaled(stack[0], alpha).tolist() == expected[0]
 
 
 def _permuted(inst: pc.ProblemInstance, perm: list[int]) -> pc.ProblemInstance:
