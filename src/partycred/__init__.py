@@ -1,6 +1,6 @@
 """Exact MIN/MAX credibility solvers for party-based elections."""
 
-from .core import Election, PairwiseMatrix, Preference, pairwise_matrix
+from .core import pairwise_matrix
 from .instance_io import (
     ParsedInstance,
     ParseError,
@@ -14,7 +14,6 @@ from .instance_io import (
 from .parties import (
     Direction,
     DestinationMode,
-    Party,
     PartyElection,
     ProblemInstance,
     SolveResult,
@@ -22,7 +21,6 @@ from .parties import (
     SwitchPlan,
     apply_switch,
     check_witness,
-    materialize,
 )
 from .poly import max_r_approval, min_condorcet, min_scoring
 from .reductions import (
@@ -50,9 +48,6 @@ from .solve import poly_solver, solve_instance
 __version__ = "0.1.0"
 
 __all__ = [
-    "Election",
-    "PairwiseMatrix",
-    "Preference",
     "pairwise_matrix",
     "ParsedInstance",
     "ParseError",
@@ -64,7 +59,6 @@ __all__ = [
     "serialize_instance",
     "Direction",
     "DestinationMode",
-    "Party",
     "PartyElection",
     "ProblemInstance",
     "SolveResult",
@@ -72,7 +66,6 @@ __all__ = [
     "SwitchPlan",
     "apply_switch",
     "check_witness",
-    "materialize",
     "max_r_approval",
     "min_condorcet",
     "min_scoring",

@@ -24,10 +24,10 @@ from .instance_io import (
     result_to_json,
     serialize_instance,
 )
-from .parties import Direction, SolveStatus
+from .parties import SolveStatus
 from .reductions import REDUCTIONS
-from .search import DEFAULT_NODE_BUDGET, oracle_max, oracle_min
-from .solve import poly_solver, solve_instance
+from .search import DEFAULT_NODE_BUDGET
+from .solve import solve_instance
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -77,15 +77,8 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     parsed = _load_instance(args.file)
     instance = parsed.instance
-    fn = poly_solver(instance)
-    if fn is not None:
-        candidate = fn(instance)
-    else:
-        candidate = solve_instance(instance, solver="search", node_budget=args.budget)
-    reference = (
-        oracle_min(instance) if instance.direction is Direction.MIN
-        else oracle_max(instance)
-    )
+    candidate = solve_instance(instance, node_budget=args.budget)
+    reference = solve_instance(instance, solver="oracle")
     if candidate.status is SolveStatus.BUDGET_EXHAUSTED:
         _say("budget exhausted before verification finished")
         return EXIT_BUDGET

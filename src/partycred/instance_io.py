@@ -19,11 +19,10 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .core import Preference, ranks_from_orders, validate_preference
+from .core import invalid_orders, ranks_from_orders, validate_preference
 from .parties import (
     Direction,
     DestinationMode,
-    Party,
     PartyElection,
     ProblemInstance,
     SolveResult,
@@ -262,8 +261,7 @@ def _parse_parties(party_lines: list[tuple[int, str]], index: dict[str, int]):
             map(lookup.get, tokens, repeat(-1)), dtype=np.int64, count=len(rows) * m
         )
         orders[lo : lo + len(rows)] = codes.reshape(len(rows), m)
-    invalid = (np.sort(orders, axis=1) != np.arange(m)).any(axis=1)
-    for q in np.flatnonzero(invalid).tolist():
+    for q in np.flatnonzero(invalid_orders(orders)).tolist():
         orders[q] = _party_order(party_lines[q][0], texts[q], index)
     if head_error is not None:
         raise head_error
@@ -316,9 +314,11 @@ def serialize_instance(parsed: ParsedInstance, comment: str | None = None) -> st
     lines.append(f"direction: {inst.direction.value}")
     lines.append(f"k: {inst.k}")
     lines.append(f"distinguished: {names[inst.p]}")
-    for party, pname in zip(inst.election.parties, parsed.party_names):
-        order = " > ".join(names[c] for c in party.preference.order)
-        lines.append(f"party {pname} {party.size}: {order}")
+    election = inst.election
+    for pname, size, order in zip(
+        parsed.party_names, election.sizes.tolist(), election.orders.tolist()
+    ):
+        lines.append(f"party {pname} {size}: {' > '.join(names[c] for c in order)}")
     return "\n".join(lines) + "\n"
 
 
@@ -467,15 +467,13 @@ def generate_random(
     if not (0 <= lo <= hi):
         raise ValueError(f"bad size range {lo}..{hi}")
     for _ in range(max_tries):
-        parties = []
-        for pid in range(num_parties):
+        orders, sizes = [], []
+        for _ in range(num_parties):
             order = list(range(m))
             rng.shuffle(order)
-            parties.append(
-                Party(id=pid, preference=Preference(order=tuple(order)),
-                      size=rng.randint(lo, hi))
-            )
-        election = PartyElection(num_candidates=m, parties=tuple(parties))
+            orders.append(order)
+            sizes.append(rng.randint(lo, hi))
+        election = PartyElection(orders, sizes)
         if election.num_voters == 0:
             continue
         won = winners(election, rule, model_e)

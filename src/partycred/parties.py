@@ -5,35 +5,24 @@ party's ballot instead.  MIN asks for the fewest switches that cost the
 distinguished candidate p its winnership; MAX for the most switches p can
 survive.  Everything is immutable; ``apply_switch`` returns a new election.
 
-A ``PartyElection`` is held as the rank and size arrays of ``core``, built
-once when it is parsed or constructed; winners are computed from them.  A
-switch plan only moves voters between ballots that already exist, so
-``apply_switch`` and ``check_witness`` apply a plan as a size delta: the
-switched election shares the rank array and gets a new size vector.
+``PartyElection`` is the one election type: a rank array and a size vector
+(see ``core``), built once when it is parsed or constructed; winners are
+computed from them.  A switch plan only moves voters between ballots that
+already exist, so ``apply_switch`` and ``check_witness`` apply a plan as a
+size delta: the switched election shares the rank array and gets a new size
+vector.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import Election, Preference, ranks_from_orders
+from .core import invalid_orders, ranks_from_orders, validate_preference
 from .rules import Rule, WinnerModel, winners
-
-
-@dataclass(frozen=True)
-class Party:
-    id: int
-    preference: Preference
-    size: int
-
-    def __post_init__(self):
-        if self.size < 0:
-            raise ValueError(f"party {self.id} has negative size {self.size}")
 
 
 class PartyElection:
@@ -41,23 +30,35 @@ class PartyElection:
     ``ranks[q, c]`` is the 0-based position of candidate c on party q's
     ballot and ``sizes[q]`` is party q's voter count (zero allowed).
 
-    The constructor validates ``Party`` objects and builds the arrays;
-    ``from_arrays`` wraps arrays that are already valid, and the ``parties``
-    tuple is then derived from them on first use.
+    ``PartyElection(orders, sizes)`` validates outside input: an (l, m)
+    sequence of party orders, each most-preferred first, and l sizes.
+    ``from_arrays`` wraps arrays that are already valid.
     """
 
-    def __init__(self, num_candidates: int, parties: tuple[Party, ...]):
-        if not parties:
+    def __init__(self, orders, sizes):
+        if not len(orders):
             raise ValueError("need at least one party")
-        for i, party in enumerate(parties):
-            if party.id != i:
-                raise ValueError(f"party ids must be dense, got {party.id} at {i}")
-            if len(party.preference.order) != num_candidates:
-                raise ValueError(f"party {i} preference has wrong length")
-        orders = np.array([party.preference.order for party in parties], dtype=np.int64)
-        sizes = np.array([party.size for party in parties], dtype=np.int64)
-        self._set_arrays(ranks_from_orders(orders.reshape(len(parties), num_candidates)), sizes)
-        self.parties = tuple(parties)
+        m = len(orders[0])
+        for q, order in enumerate(orders):
+            if len(order) != m:
+                raise ValueError(f"party {q} orders {len(order)} candidates, party 0 orders {m}")
+        if m < 1:
+            raise ValueError("need at least one candidate")
+        if len(sizes) != len(orders):
+            raise ValueError(f"{len(sizes)} sizes for {len(orders)} parties")
+        orders_in, sizes_in = _integer_rows(orders, "order"), _integer_rows(sizes, "size")
+        invalid = invalid_orders(orders_in)
+        if invalid.any():
+            q = int(invalid.argmax())
+            problem = validate_preference(orders_in[q].tolist(), m)
+            raise ValueError(f"party {q} has a bad order: {problem}")
+        negative = sizes_in < 0
+        if negative.any():
+            q = int(negative.argmax())
+            raise ValueError(f"party {q} has negative size {sizes_in[q]}")
+        self._set_arrays(
+            ranks_from_orders(orders_in.astype(np.int64)), sizes_in.astype(np.int64)
+        )
 
     @classmethod
     def from_arrays(cls, ranks: np.ndarray, sizes: np.ndarray) -> PartyElection:
@@ -74,13 +75,10 @@ class PartyElection:
         self.ranks = ranks
         self.sizes = sizes
 
-    @cached_property
-    def parties(self) -> tuple[Party, ...]:
-        orders = np.argsort(self.ranks, axis=1).tolist()
-        return tuple(
-            Party(id=q, preference=Preference(order=tuple(order)), size=size)
-            for q, (order, size) in enumerate(zip(orders, self.sizes.tolist()))
-        )
+    @property
+    def orders(self) -> np.ndarray:
+        """(l, m) party orders, most-preferred first (``argsort`` of ``ranks``)."""
+        return np.argsort(self.ranks, axis=1)
 
     @property
     def num_candidates(self) -> int:
@@ -101,7 +99,18 @@ class PartyElection:
         return hash((self.ranks.shape, self.ranks.tobytes(), self.sizes.tobytes()))
 
     def __repr__(self):
-        return f"PartyElection(num_candidates={self.num_candidates}, parties={self.parties!r})"
+        return f"PartyElection({self.orders.tolist()}, {self.sizes.tolist()})"
+
+
+def _integer_rows(values, what: str) -> np.ndarray:
+    """``values`` as an integer array, or ValueError naming the first party
+    whose ``what`` (order or size) is not integer."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iu":
+        kinds = (np.asarray(row).dtype.kind for row in values)
+        q = next((q for q, kind in enumerate(kinds) if kind not in "iu"), 0)
+        raise ValueError(f"party {q} has a non-integer {what}: {values[q]!r}")
+    return array
 
 
 class Direction(enum.Enum):
@@ -127,23 +136,8 @@ class SwitchPlan:
     def destinations(self) -> set[int]:
         return {dest for _, dest, count in self.moves if count > 0}
 
-    def counts_by_pair(self) -> dict[tuple[int, int], int]:
-        counts: dict[tuple[int, int], int] = {}
-        for source, dest, count in self.moves:
-            if count:
-                counts[source, dest] = counts.get((source, dest), 0) + count
-        return counts
-
 
 EMPTY_PLAN = SwitchPlan(moves=())
-
-
-def materialize(pe: PartyElection) -> Election:
-    """One weighted ballot per nonempty party."""
-    ballots = tuple(
-        (party.preference, party.size) for party in pe.parties if party.size > 0
-    )
-    return Election(num_candidates=pe.num_candidates, ballots=ballots)
 
 
 def plan_violation(pe: PartyElection, plan: SwitchPlan) -> str | None:
@@ -197,34 +191,18 @@ class ProblemInstance:
         if not (0 <= self.p < self.election.num_candidates):
             raise ValueError(f"distinguished candidate {self.p} out of range")
         won = winners(self.election, self.rule, self.model)
-        if self.model is WinnerModel.UNIQUE:
-            ok = won == frozenset({self.p})
-        else:
-            ok = self.p in won
-        if not ok:
+        if not _p_wins(self, won):
             raise ValueError(
                 f"candidate {self.p} is not the initial winner "
                 f"(winner set: {sorted(won)})"
             )
 
 
-def min_success(instance: ProblemInstance, after: Election | PartyElection) -> bool:
-    """p lost winnership: no longer sole winner (UNIQUE) / left the winner set (COWINNER)."""
-    if instance.direction is not Direction.MIN:
-        raise ValueError("min_success applies to MIN instances")
-    won = winners(after, instance.rule, instance.model)
-    if instance.model is WinnerModel.UNIQUE:
-        return won != frozenset({instance.p})
-    return instance.p not in won
-
-
-def max_success(instance: ProblemInstance, after: Election | PartyElection) -> bool:
-    """p kept winnership under the instance's winner model."""
-    if instance.direction is not Direction.MAX:
-        raise ValueError("max_success applies to MAX instances")
-    won = winners(after, instance.rule, instance.model)
-    if instance.model is WinnerModel.UNIQUE:
-        return won == frozenset({instance.p})
+def _p_wins(instance: ProblemInstance, won: frozenset[int]) -> bool:
+    """p wins with winner set ``won``: as the sole winner (UNIQUE) or as one
+    of the winners (COWINNER).  ``winners`` already returns no winner for a
+    UNIQUE tie, so membership decides both models.  MIN succeeds when this
+    fails, MAX when it holds."""
     return instance.p in won
 
 
@@ -238,8 +216,7 @@ def check_witness(
 ) -> WitnessCheck:
     """Full witness validation: structure, destination mode, bound, success.
 
-    The plan is applied as a size delta on the instance's arrays; no ballot
-    objects are rebuilt.
+    The plan is applied as a size delta on the instance's arrays.
     """
     if k is None:
         k = instance.k
@@ -256,12 +233,8 @@ def check_witness(
         return WitnessCheck(False, f"moved {total} voters, bound is at most {k}")
     if instance.direction is Direction.MAX and total < k:
         return WitnessCheck(False, f"moved {total} voters, bound is at least {k}")
-    after = _switched(instance.election, plan)
-    if instance.direction is Direction.MIN:
-        success = min_success(instance, after)
-    else:
-        success = max_success(instance, after)
-    if not success:
+    won = winners(_switched(instance.election, plan), instance.rule, instance.model)
+    if _p_wins(instance, won) == (instance.direction is Direction.MIN):
         return WitnessCheck(False, "success predicate fails on the switched election")
     return WitnessCheck(True, None)
 

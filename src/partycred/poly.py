@@ -145,7 +145,7 @@ def min_condorcet(instance: ProblemInstance) -> SolveResult:
     """
     _require(instance, Condorcet, Direction.MIN, "min_condorcet")
     pe = instance.election
-    counts = pairwise_matrix(pe).counts
+    counts = pairwise_matrix(pe)
     p = instance.p
     sizes = pe.sizes
     ranks = pe.ranks

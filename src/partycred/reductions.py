@@ -12,11 +12,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Preference
 from .parties import (
     Direction,
     DestinationMode,
-    Party,
     PartyElection,
     ProblemInstance,
     SwitchPlan,
@@ -192,13 +190,10 @@ def _build(reduction, names, parties, p_name, k, rule, direction, source,
            destination_party, source_parties, model=WinnerModel.UNIQUE,
            complement_selection=False):
     index = {name: i for i, name in enumerate(names)}
-    party_objs = []
-    party_names = []
-    for pid, (pname, order, size) in enumerate(parties):
-        pref = Preference(order=tuple(index[x] for x in order))
-        party_objs.append(Party(id=pid, preference=pref, size=size))
-        party_names.append(pname)
-    election = PartyElection(num_candidates=len(names), parties=tuple(party_objs))
+    election = PartyElection(
+        [[index[x] for x in order] for _, order, _ in parties],
+        [size for _, _, size in parties],
+    )
     instance = ProblemInstance(
         election=election,
         p=index[p_name],
@@ -212,7 +207,7 @@ def _build(reduction, names, parties, p_name, k, rule, direction, source,
         instance=instance,
         reduction=reduction,
         candidate_names=tuple(names),
-        party_names=tuple(party_names),
+        party_names=tuple(pname for pname, _, _ in parties),
         source=source,
         destination_party=destination_party,
         source_parties=source_parties,

@@ -4,10 +4,8 @@ All arithmetic is exact: integer scores for positional rules and Maximin,
 ``Fraction`` for Copeland so that a rational tie weight alpha never suffers
 rounding.  An empty winner set is legal output for the Condorcet rule.
 
-Every function here takes an election ``e`` with ``num_candidates`` and the
-``ranks`` and ``sizes`` arrays of ``core``, i.e. a ``core.Election`` or a
-``parties.PartyElection``; scores come from those arrays, not from the
-ballot objects.
+Every function here takes a ``parties.PartyElection`` ``e`` and reads only
+its ``num_candidates`` and its ``ranks`` and ``sizes`` arrays (see ``core``).
 """
 
 from __future__ import annotations
@@ -90,7 +88,7 @@ def scoring_scores(e, vector: tuple[int, ...]) -> dict[int, int]:
 
 
 def copeland_scores(e, alpha: Fraction) -> dict[int, Fraction]:
-    n = pairwise_matrix(e).counts
+    n = pairwise_matrix(e)
     alpha = Fraction(alpha)
     wins = (n > n.T).sum(axis=1)
     ties = (n == n.T).sum(axis=1) - 1  # the diagonal
@@ -100,13 +98,13 @@ def copeland_scores(e, alpha: Fraction) -> dict[int, Fraction]:
 def maximin_scores(e) -> dict[int, int]:
     if e.num_candidates < 2:
         raise ValueError("maximin needs at least two candidates")
-    n = pairwise_matrix(e).counts
+    n = pairwise_matrix(e)
     off_diagonal = np.where(np.eye(e.num_candidates, dtype=bool), np.iinfo(np.int64).max, n)
     return dict(enumerate(off_diagonal.min(axis=1).tolist()))
 
 
 def condorcet_winner(e) -> int | None:
-    n = pairwise_matrix(e).counts
+    n = pairwise_matrix(e)
     beats = (n > n.T).sum(axis=1)
     winner = np.flatnonzero(beats == e.num_candidates - 1)
     return int(winner[0]) if winner.size else None

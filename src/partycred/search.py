@@ -40,7 +40,8 @@ from .parties import (
 )
 from .rules import Condorcet, Copeland, Maximin, Scoring, WinnerModel
 
-DEFAULT_VOTER_CAP = 16
+ORACLE_VOTER_CAP = 16  # the oracle refuses larger elections
+ORACLE_PLAN_CAP = 5_000_000  # and destinations with more plans
 DEFAULT_NODE_BUDGET = 20_000_000
 
 
@@ -202,16 +203,11 @@ def _enumerate_blocks(option_counts: list[int], block_rows: int):
         yield start, digits
 
 
-def _oracle(
-    instance: ProblemInstance,
-    direction: Direction,
-    voter_cap: int,
-    plan_cap: int = 5_000_000,
-) -> SolveResult:
+def _oracle(instance: ProblemInstance, direction: Direction) -> SolveResult:
     pe = instance.election
-    if pe.num_voters > voter_cap:
+    if pe.num_voters > ORACLE_VOTER_CAP:
         raise ValueError(
-            f"size cap exceeded: {pe.num_voters} voters > cap {voter_cap}"
+            f"size cap exceeded: {pe.num_voters} voters > cap {ORACLE_VOTER_CAP}"
         )
     evaluator = _BulkEvaluator(instance)
     base = pe.sizes
@@ -230,8 +226,8 @@ def _oracle(
         n_plans = 1
         for c in counts:
             n_plans *= c
-        if n_plans > plan_cap:
-            raise ValueError(f"size cap exceeded: {n_plans} plans > cap {plan_cap}")
+        if n_plans > ORACLE_PLAN_CAP:
+            raise ValueError(f"size cap exceeded: {n_plans} plans > cap {ORACLE_PLAN_CAP}")
         for start, digits in _enumerate_blocks(counts, 65536):
             weights = np.broadcast_to(base, digits.shape[:1] + base.shape).copy()
             moved = np.zeros(digits.shape[0], dtype=np.int64)
@@ -267,14 +263,14 @@ def _oracle(
     return feasible(best_value, SwitchPlan(moves=best_moves), solver)
 
 
-def oracle_min(instance: ProblemInstance, voter_cap: int = DEFAULT_VOTER_CAP) -> SolveResult:
+def oracle_min(instance: ProblemInstance) -> SolveResult:
     """Exact MIN by full plan enumeration (desk-scale ground truth)."""
-    return _oracle(instance, Direction.MIN, voter_cap)
+    return _oracle(instance, Direction.MIN)
 
 
-def oracle_max(instance: ProblemInstance, voter_cap: int = DEFAULT_VOTER_CAP) -> SolveResult:
+def oracle_max(instance: ProblemInstance) -> SolveResult:
     """Exact MAX by full plan enumeration (desk-scale ground truth)."""
-    return _oracle(instance, Direction.MAX, voter_cap)
+    return _oracle(instance, Direction.MAX)
 
 
 class _BranchAndBound:

@@ -14,7 +14,6 @@ from .poly import max_r_approval, min_condorcet, min_scoring
 from .rules import Condorcet, Scoring
 from .search import (
     DEFAULT_NODE_BUDGET,
-    DEFAULT_VOTER_CAP,
     exact_search_max,
     exact_search_min,
     oracle_max,
@@ -42,7 +41,6 @@ def solve_instance(
     instance: ProblemInstance,
     solver: str = "auto",
     node_budget: int = DEFAULT_NODE_BUDGET,
-    voter_cap: int = DEFAULT_VOTER_CAP,
 ) -> SolveResult:
     """Solve with the requested strategy; ``auto`` prefers a polynomial solver.
 
@@ -60,9 +58,9 @@ def solve_instance(
             raise ValueError("no polynomial solver applies to this instance")
     if solver == "oracle":
         if instance.direction is Direction.MIN:
-            result = oracle_min(instance, voter_cap=voter_cap)
+            result = oracle_min(instance)
         else:
-            result = oracle_max(instance, voter_cap=voter_cap)
+            result = oracle_max(instance)
     elif instance.direction is Direction.MIN:
         result = exact_search_min(instance, node_budget=node_budget)
     else:

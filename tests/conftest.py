@@ -21,15 +21,8 @@ def pytest_terminal_summary(terminalreporter):
 
 def build(rule, parties, p, k=1, direction="min", model="unique", dest="one"):
     """ProblemInstance from [(order, size), ...] party descriptions."""
-    party_objs = tuple(
-        pc.Party(id=i, preference=pc.Preference(order=tuple(order)), size=size)
-        for i, (order, size) in enumerate(parties)
-    )
-    election = pc.PartyElection(
-        num_candidates=len(parties[0][0]), parties=party_objs
-    )
     return pc.ProblemInstance(
-        election=election,
+        election=pc.PartyElection([order for order, _ in parties], [s for _, s in parties]),
         p=p,
         k=k,
         rule=rule,
@@ -47,33 +40,28 @@ def random_problem(
     dest: str = "one",
     max_candidates: int = 4,
     max_parties: int = 4,
-    voter_cap: int = 10,
+    max_voters: int = 10,
 ):
     """One seeded random instance whose distinguished candidate starts as
     winner, or None when this draw does not produce one."""
     m = rng.randint(2, max_candidates)
     l = rng.randint(1, max_parties)
-    parties = []
+    orders, sizes = [], []
     for _ in range(l):
         order = list(range(m))
         rng.shuffle(order)
-        parties.append((tuple(order), rng.randint(0, 3)))
-    total = sum(size for _, size in parties)
-    if not (1 <= total <= voter_cap):
+        orders.append(order)
+        sizes.append(rng.randint(0, 3))
+    total = sum(sizes)
+    if not (1 <= total <= max_voters):
         return None
     head, _, arg = rule_spec.partition(":")
     if head == "approval" and int(arg) > m:
         return None  # approval:r does not fit this draw's m
     rule = parse_rule_spec(rule_spec, m)
-    election = pc.PartyElection(
-        num_candidates=m,
-        parties=tuple(
-            pc.Party(id=i, preference=pc.Preference(order=order), size=size)
-            for i, (order, size) in enumerate(parties)
-        ),
-    )
+    election = pc.PartyElection(orders, sizes)
     model_e = pc.WinnerModel(model)
-    won = pc.winners(pc.materialize(election), rule, model_e)
+    won = pc.winners(election, rule, model_e)
     if model_e is pc.WinnerModel.UNIQUE:
         if len(won) != 1:
             return None

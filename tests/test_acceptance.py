@@ -17,7 +17,6 @@ import partycred as pc
 from partycred import cli
 from partycred import reductions as rd
 from partycred.core import pairwise_matrix
-from partycred.parties import materialize
 from partycred.poly import max_r_approval, min_condorcet, min_scoring
 from partycred.rules import (
     condorcet_winner,
@@ -99,7 +98,7 @@ def test_criterion_1_poly_vs_oracle():
                 model=model,
                 max_candidates=4,
                 max_parties=4,
-                voter_cap=10,
+                max_voters=10,
             )
             seed += 1
             if inst is None:
@@ -184,7 +183,7 @@ def test_criterion_3_construction_identities():
     # Copeland MIN from vertex cover.
     for g in (VC_YES, VC_NO):
         reduced = rd.reduce_vc_to_copeland_min(g, HALF)
-        e = materialize(reduced.instance.election)
+        e = reduced.instance.election
         idx = {name: i for i, name in enumerate(reduced.candidate_names)}
         n_edges = len(g.edges)
         scores = copeland_scores(e, HALF)
@@ -199,7 +198,7 @@ def test_criterion_3_construction_identities():
     # Maximin MIN from exact 3-set cover.
     for x3c in (X3C_YES6, X3C_NO6, X3C_YES12, X3C_NO12):
         reduced = rd.reduce_x3c_to_maximin_min(x3c)
-        e = materialize(reduced.instance.election)
+        e = reduced.instance.election
         idx = {name: i for i, name in enumerate(reduced.candidate_names)}
         m, n = x3c.universe_size, x3c.num_sets
         assert e.num_candidates == m + 4
@@ -211,7 +210,7 @@ def test_criterion_3_construction_identities():
     # Borda MAX from exact 3-set cover.
     for x3c in (X3C_YES3, X3C_YES6, X3C_NO6, X3C_YES12, X3C_NO12):
         reduced = rd.reduce_x3c_to_borda_max(x3c)
-        e = materialize(reduced.instance.election)
+        e = reduced.instance.election
         idx = {name: i for i, name in enumerate(reduced.candidate_names)}
         m, n = x3c.universe_size, x3c.num_sets
         assert e.num_candidates == m + 6
@@ -222,7 +221,7 @@ def test_criterion_3_construction_identities():
     # Condorcet MAX from exact 3-set cover.
     for x3c in (X3C_YES3, X3C_YES6, X3C_NO6, X3C_YES12, X3C_NO12):
         reduced = rd.reduce_x3c_to_condorcet_max(x3c)
-        e = materialize(reduced.instance.election)
+        e = reduced.instance.election
         m, n = x3c.universe_size, x3c.num_sets
         assert e.num_candidates == 2 * n + m + 9
         assert e.num_voters == 2 * n + 5
@@ -233,32 +232,32 @@ def test_criterion_3_construction_identities():
         reduced = rd.reduce_is_to_maximin_max(g)
         idx = {name: i for i, name in enumerate(reduced.candidate_names)}
         n, m = g.num_vertices, len(g.edges)
-        counts = pairwise_matrix(materialize(reduced.instance.election))
+        counts = pairwise_matrix(reduced.instance.election)
         p, a, b = idx["p"], idx["a"], idx["b"]
         edges = [idx[f"e{i + 1}"] for i in range(m)]
-        assert counts.n_of(p, a) == n + 1
-        assert counts.n_of(p, b) == n + 1
-        assert counts.n_of(b, a) == n + 1
-        assert counts.n_of(a, b) == n
+        assert counts[p, a] == n + 1
+        assert counts[p, b] == n + 1
+        assert counts[b, a] == n + 1
+        assert counts[a, b] == n
         for e_c in edges:
-            assert counts.n_of(p, e_c) == n + 2
-            assert counts.n_of(b, e_c) == n
-            assert counts.n_of(a, e_c) == n
-            assert counts.n_of(e_c, b) == n + 1
-            assert counts.n_of(e_c, a) == n + 1
-            assert counts.n_of(e_c, p) == n - 1
+            assert counts[p, e_c] == n + 2
+            assert counts[b, e_c] == n
+            assert counts[a, e_c] == n
+            assert counts[e_c, b] == n + 1
+            assert counts[e_c, a] == n + 1
+            assert counts[e_c, p] == n - 1
         for i, e_i in enumerate(edges):
             for j, e_j in enumerate(edges):
                 if i != j:
-                    assert counts.n_of(e_i, e_j) >= (n if i > j else n - 1)
+                    assert counts[e_i, e_j] >= (n if i > j else n - 1)
 
     # Copeland MAX from independent set.
     for g in (IS_NO, IS_YES):
         reduced = rd.reduce_is_to_copeland_max(g, HALF)
-        e = materialize(reduced.instance.election)
+        e = reduced.instance.election
         n, m = g.num_vertices, len(g.edges)
         assert e.num_voters == 2 * n + 1
-        counts = pairwise_matrix(e).counts
+        counts = pairwise_matrix(e)
         for c in range(e.num_candidates):
             for d in range(c + 1, e.num_candidates):
                 assert counts[c, d] != counts[d, c]
@@ -290,7 +289,7 @@ def test_criterion_4_search_vs_oracle():
             dest=dest,
             max_candidates=4,
             max_parties=4,
-            voter_cap=12,
+            max_voters=12,
         )
         seed += 1
         if inst is None:
@@ -321,7 +320,7 @@ def test_criterion_5_destination_monotonicity():
             dest="one",
             max_candidates=4,
             max_parties=3,
-            voter_cap=8,
+            max_voters=8,
         )
         seed += 1
         if inst is None:
@@ -349,24 +348,14 @@ def _performance_instance(
 ) -> pc.ProblemInstance:
     rng = random.Random(seed)
     m = 50
-    parties = [
-        pc.Party(
-            id=0,
-            preference=pc.Preference(order=tuple(range(m))),
-            size=3 * num_parties,
-        )
-    ]
-    for pid in range(1, num_parties):
+    orders, sizes = [list(range(m))], [3 * num_parties]
+    for _ in range(1, num_parties):
         order = list(range(m))
         rng.shuffle(order)
-        parties.append(
-            pc.Party(
-                id=pid, preference=pc.Preference(order=tuple(order)),
-                size=rng.randint(1, 3),
-            )
-        )
+        orders.append(order)
+        sizes.append(rng.randint(1, 3))
     return pc.ProblemInstance(
-        election=pc.PartyElection(num_candidates=m, parties=tuple(parties)),
+        election=pc.PartyElection(orders, sizes),
         p=0,
         k=1,
         rule=pc.Scoring(vector=pc.scoring_vector_for(rule, m)),

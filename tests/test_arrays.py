@@ -1,14 +1,12 @@
 """The array form of an election against plain per-ballot Python.
 
 Winners and witness checks read an election's rank and size arrays; these
-tests recompute both from the ballots' candidate orders, one ballot at a
+tests recompute both from its ``orders`` and ``sizes``, one ballot at a
 time, on seeded random elections that include parties of size 0.
 """
 
 import random
 from fractions import Fraction
-
-import numpy as np
 
 import partycred as pc
 from partycred.instance_io import RULE_CHOICES, parse_rule_spec
@@ -42,20 +40,27 @@ def reference_winners(ballots, m, rule, model):
     return top
 
 
-def random_election(rng, m, num_parties):
-    parties = []
-    for pid in range(num_parties):
+def random_orders_and_sizes(rng, m, num_parties):
+    orders, sizes = [], []
+    for _ in range(num_parties):
         order = list(range(m))
         rng.shuffle(order)
-        size = 0 if rng.random() < 0.25 else rng.randint(1, 5)
-        parties.append(pc.Party(id=pid, preference=pc.Preference(order=tuple(order)), size=size))
-    if not any(party.size for party in parties):
-        parties[0] = pc.Party(id=0, preference=parties[0].preference, size=1)
-    return pc.PartyElection(num_candidates=m, parties=tuple(parties))
+        orders.append(order)
+        sizes.append(0 if rng.random() < 0.25 else rng.randint(1, 5))
+    if not any(sizes):
+        sizes[0] = 1
+    return orders, sizes
+
+
+def random_election(rng, m, num_parties):
+    return pc.PartyElection(*random_orders_and_sizes(rng, m, num_parties))
 
 
 def ballots_of(pe):
-    return [(party.preference.order, party.size) for party in pe.parties if party.size]
+    """(order, weight) of every nonempty party, read from ``orders`` and ``sizes``."""
+    return [
+        (order, size) for order, size in zip(pe.orders.tolist(), pe.sizes.tolist()) if size
+    ]
 
 
 def random_plan(rng, sizes, kind):
@@ -81,10 +86,10 @@ def random_plan(rng, sizes, kind):
 
 
 def expected_check(instance, plan, rule, m):
-    """check_witness recomputed through apply_switch + materialize and the
-    per-ballot reference."""
+    """check_witness recomputed through apply_switch and the per-ballot
+    reference."""
     try:
-        after = pc.materialize(pc.apply_switch(instance.election, plan))
+        after = pc.apply_switch(instance.election, plan)
     except ValueError:
         return False
     if instance.destination_mode is pc.DestinationMode.ONE and len(plan.destinations()) > 1:
@@ -94,9 +99,7 @@ def expected_check(instance, plan, rule, m):
         return False
     if instance.direction is pc.Direction.MAX and total < instance.k:
         return False
-    won = reference_winners(
-        [(pref.order, w) for pref, w in after.ballots], m, rule, instance.model
-    )
+    won = reference_winners(ballots_of(after), m, rule, instance.model)
     if instance.model is pc.WinnerModel.UNIQUE:
         keeps = won == frozenset({instance.p})
     else:
@@ -115,7 +118,6 @@ def test_winners_and_witness_checks_match_per_ballot_reference():
         pe = random_election(rng, m, rng.randint(1, 7))
         won = pc.winners(pe, rule, model)
         assert won == reference_winners(ballots_of(pe), m, rule, model), (spec, pe)
-        assert pc.winners(pc.materialize(pe), rule, model) == won
         checked["winners"] += 1
         if not won or (model is pc.WinnerModel.UNIQUE and len(won) != 1):
             continue
@@ -141,15 +143,14 @@ def test_parsed_and_constructed_elections_agree():
     rng = random.Random(7)
     for _ in range(40):
         m = rng.randint(2, 7)
-        pe = random_election(rng, m, rng.randint(1, 9))
+        orders, sizes = random_orders_and_sizes(rng, m, rng.randint(1, 9))
+        pe = pc.PartyElection(orders, sizes)
         arrays = pc.PartyElection.from_arrays(pe.ranks.copy(), pe.sizes.copy())
         assert arrays == pe and hash(arrays) == hash(pe)
-        assert arrays.parties == pe.parties
+        assert arrays.orders.tolist() == orders and arrays.sizes.tolist() == sizes
         assert repr(arrays) == repr(pe)
-        for party in pe.parties:
-            order = np.asarray(party.preference.order)
-            assert pe.ranks[party.id, order].tolist() == list(range(m))
-            assert pe.sizes[party.id] == party.size
+        for q, order in enumerate(orders):
+            assert pe.ranks[q, order].tolist() == list(range(m))
 
 
 def test_switched_election_shares_ranks():

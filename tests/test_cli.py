@@ -90,13 +90,13 @@ def test_verify_agreement(tmp_path, capsys):
 def test_verify_mismatch_exit(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "inst.txt", MINIMAL)
 
-    def lying_oracle(instance, voter_cap=16):
+    def lying_oracle(instance):
         return pc.SolveResult(
             pc.SolveStatus.FEASIBLE, 99,
             pc.SwitchPlan(moves=((0, 1, 1),)), "oracle_min",
         )
 
-    monkeypatch.setattr(cli, "oracle_min", lying_oracle)
+    monkeypatch.setattr("partycred.solve.oracle_min", lying_oracle)
     assert cli.main(["verify", path]) == cli.EXIT_MISMATCH
     assert "MISMATCH" in capsys.readouterr().err
 

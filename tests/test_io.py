@@ -220,7 +220,7 @@ def test_round_trip_3000_parties():
     again = pc.parse_instance(text)
     assert again.instance == parsed.instance
     assert again.party_names == parsed.party_names
-    assert again.instance.election.parties == parsed.instance.election.parties
+    assert again.instance.election.orders.tolist() == parsed.instance.election.orders.tolist()
     assert pc.serialize_instance(again) == text
 
 
@@ -300,8 +300,7 @@ def test_generate_random_condorcet_postcondition():
     )
     from partycred.rules import condorcet_winner
 
-    e = pc.materialize(parsed.instance.election)
-    assert condorcet_winner(e) == parsed.instance.p
+    assert condorcet_winner(parsed.instance.election) == parsed.instance.p
 
 
 def test_generate_random_retry_limit():

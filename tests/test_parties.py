@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 import partycred as pc
@@ -6,8 +9,6 @@ from partycred.parties import (
     budget_exhausted,
     feasible,
     infeasible,
-    max_success,
-    min_success,
     plan_violation,
 )
 from partycred.rules import scoring_scores
@@ -20,42 +21,57 @@ PLUR3 = pc.Scoring(vector=(1, 0, 0))
 
 
 def pe(*parties):
-    return pc.PartyElection(
-        num_candidates=len(parties[0][0]),
-        parties=tuple(
-            pc.Party(id=i, preference=pc.Preference(order=tuple(order)), size=size)
-            for i, (order, size) in enumerate(parties)
-        ),
-    )
+    return pc.PartyElection([order for order, _ in parties], [size for _, size in parties])
 
 
 def test_party_validation():
-    with pytest.raises(ValueError):
-        pc.Party(id=0, preference=pc.Preference(order=(0, 1)), size=-1)
-    with pytest.raises(ValueError):
-        pc.PartyElection(num_candidates=2, parties=())
-    with pytest.raises(ValueError):  # non-dense ids
-        pc.PartyElection(
-            num_candidates=2,
-            parties=(pc.Party(id=1, preference=pc.Preference(order=(0, 1)), size=1),),
-        )
+    election = pe(((0, 1), 0), ((1, 0), 2))  # empty parties are allowed
+    assert election.sizes.tolist() == [0, 2] and election.num_voters == 2
+    with pytest.raises(ValueError, match="party 0 has negative size -1"):
+        pe(((0, 1), -1))
 
 
-def test_materialize_single_party():
-    e = pc.materialize(pe(((0, 1), 5)))
-    assert e.ballots == ((pc.Preference(order=(0, 1)), 5),)
-    assert e.num_voters == 5
+@pytest.mark.parametrize("orders, sizes, message", [
+    ([(0, 1, 2), (1, 1, 0)], [1, 1], "party 1 has a bad order: duplicate 1"),
+    ([(0, 1, 2), (2, 1, 0), (0, 3, 1)], [1, 1, 1],
+     r"party 2 has a bad order: candidate 3 out of range \[0, 3\)"),
+    ([(0, 1, 2), (0, -1, 2)], [1, 1], r"party 1 has a bad order: candidate -1 out of range"),
+    ([(0, 1, 2), (2, 0.5, 1)], [1, 1], r"party 1 has a non-integer order: \(2, 0.5, 1\)"),
+    ([(0, 1, 2), ("a", "b", "c")], [1, 1], "party 1 has a non-integer order"),
+    ([(0, 1, 2), (2, 1)], [1, 1], "party 1 orders 2 candidates, party 0 orders 3"),
+    ([(0, 1), (1, 0)], [1], "1 sizes for 2 parties"),
+    ([(0, 1), (1, 0)], [1, 1, 1], "3 sizes for 2 parties"),
+    ([], [], "need at least one party"),
+    ([(0, 1), (1, 0), (0, 1)], [2, 0, -3], "party 2 has negative size -3"),
+    ([(0, 1), (1, 0)], [2, 1.5], "party 1 has a non-integer size: 1.5"),
+])
+def test_constructor_rejections(orders, sizes, message):
+    with pytest.raises(ValueError, match=message):
+        pc.PartyElection(orders, sizes)
 
 
-def test_materialize_weight_additivity():
-    split = pc.materialize(pe(((0, 1), 2), ((0, 1), 3)))
-    merged = pc.materialize(pe(((0, 1), 5)))
+def test_constructor_round_trip():
+    """``PartyElection(pe.orders, pe.sizes) == pe`` on seeded elections, some
+    of whose parties are empty; the input arrays are copied, not frozen."""
+    empty = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        m, l = rng.randint(1, 7), rng.randint(1, 8)
+        orders = np.array([rng.sample(range(m), m) for _ in range(l)])
+        sizes = np.array([rng.choice((0, 0, 1, 2, 5)) for _ in range(l)])
+        election = pc.PartyElection(orders, sizes)
+        assert election.orders.tolist() == orders.tolist()
+        assert election.sizes.tolist() == sizes.tolist()
+        assert pc.PartyElection(election.orders, election.sizes) == election
+        assert orders.flags.writeable and sizes.flags.writeable
+        empty += int((sizes == 0).sum())
+    assert empty >= 30
+
+
+def test_split_party_weight_additivity():
+    split = pe(((0, 1), 2), ((0, 1), 3))
+    merged = pe(((0, 1), 5))
     assert scoring_scores(split, (1, 0)) == scoring_scores(merged, (1, 0))
-
-
-def test_materialize_skips_empty_parties():
-    e = pc.materialize(pe(((0, 1), 2), ((1, 0), 0)))
-    assert len(e.ballots) == 1
 
 
 def test_apply_switch_empty_plan():
@@ -66,7 +82,7 @@ def test_apply_switch_empty_plan():
 def test_apply_switch_moves_voters():
     election = pe(((0, 1), 3), ((1, 0), 1))
     after = pc.apply_switch(election, pc.SwitchPlan(moves=((0, 1, 2),)))
-    assert [party.size for party in after.parties] == [1, 3]
+    assert after.sizes.tolist() == [1, 3]
     assert after.num_voters == election.num_voters  # conservation
 
 
@@ -85,7 +101,6 @@ def test_plan_accessors():
     plan = pc.SwitchPlan(moves=((0, 2, 1), (1, 2, 2), (0, 2, 1)))
     assert plan.total == 4
     assert plan.destinations() == {2}
-    assert plan.counts_by_pair() == {(0, 2): 2, (1, 2): 2}
 
 
 def test_problem_instance_validation():
@@ -98,37 +113,29 @@ def test_problem_instance_validation():
         build(PLUR2, parties, p=A)
 
 
-def test_min_success_tie_semantics():
+def test_check_witness_min_tie_semantics():
     # One switch out of the first party produces the exact tie p = a = 2.
+    to_tie = pc.SwitchPlan(moves=((0, 1, 1),))
     inst = build(PLUR3, [((P, A, B), 3), ((A, P, B), 1)], p=P, direction="min")
-    tied = pc.materialize(
-        pc.apply_switch(inst.election, pc.SwitchPlan(moves=((0, 1, 1),)))
-    )
-    assert min_success(inst, tied)  # a tie destroys unique winnership
+    assert pc.check_witness(inst, to_tie).ok  # a tie destroys unique winnership
     co = build(
         PLUR3, [((P, A, B), 3), ((A, P, B), 1)], p=P, direction="min", model="cowinner"
     )
-    assert not min_success(co, tied)  # p is still a co-winner
-    unchanged = pc.materialize(inst.election)
-    assert not min_success(inst, unchanged)
-    with pytest.raises(ValueError):
-        max_success(inst, unchanged)
+    check = pc.check_witness(co, to_tie)  # p is still a co-winner
+    assert not check.ok and "success predicate" in check.reason
+    assert not pc.check_witness(inst, EMPTY_PLAN).ok
 
 
-def test_max_success_semantics():
+def test_check_witness_max_tie_semantics():
+    to_tie = pc.SwitchPlan(moves=((0, 1, 1),))
     inst = build(PLUR3, [((P, A, B), 3), ((A, P, B), 1)], p=P, direction="max")
-    unchanged = pc.materialize(inst.election)
-    assert max_success(inst, unchanged)
-    tied = pc.materialize(
-        pc.apply_switch(inst.election, pc.SwitchPlan(moves=((0, 1, 1),)))
-    )
-    assert not max_success(inst, tied)
+    assert pc.check_witness(inst, EMPTY_PLAN, k=0).ok
+    check = pc.check_witness(inst, to_tie)
+    assert not check.ok and "success predicate" in check.reason
     co = build(
         PLUR3, [((P, A, B), 3), ((A, P, B), 1)], p=P, direction="max", model="cowinner"
     )
-    assert max_success(co, tied)
-    with pytest.raises(ValueError):
-        min_success(inst, unchanged)
+    assert pc.check_witness(co, to_tie).ok
 
 
 def test_check_witness_empty_plan_min_fails():

@@ -247,7 +247,7 @@ def test_max_r_approval_matches_oracle_wide():
                 for inst in collect_problems(
                     seed_base=7_000, count=80, rule_spec=rule_spec,
                     direction="max", model=model, max_candidates=max_candidates,
-                    max_parties=5, voter_cap=12,
+                    max_parties=5, max_voters=12,
                 )
                 if inst.election.num_candidates >= min_candidates
             ]
@@ -264,16 +264,14 @@ def _approval_max_instance(rule_spec, m, num_parties, seed):
     rng = random.Random(seed)
     rule = pc.instance_io.parse_rule_spec(rule_spec, m)
     while True:
-        parties = []
-        for pid in range(num_parties):
+        orders, sizes = [], []
+        for _ in range(num_parties):
             order = list(range(m))
             rng.shuffle(order)
-            parties.append(
-                pc.Party(id=pid, preference=pc.Preference(order=tuple(order)),
-                         size=rng.randint(1, 6))
-            )
-        election = pc.PartyElection(num_candidates=m, parties=tuple(parties))
-        won = pc.winners(pc.materialize(election), rule, pc.WinnerModel.UNIQUE)
+            orders.append(order)
+            sizes.append(rng.randint(1, 6))
+        election = pc.PartyElection(orders, sizes)
+        won = pc.winners(election, rule, pc.WinnerModel.UNIQUE)
         if len(won) == 1:
             return pc.ProblemInstance(
                 election=election, p=next(iter(won)), k=1, rule=rule,

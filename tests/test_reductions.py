@@ -5,7 +5,6 @@ import pytest
 import partycred as pc
 from partycred import reductions as rd
 from partycred.core import pairwise_matrix
-from partycred.parties import materialize
 from partycred.rules import (
     condorcet_winner,
     copeland_scores,
@@ -124,7 +123,7 @@ def _names_index(reduced):
 @pytest.mark.parametrize("graph", [VC_YES, VC_NO], ids=["star", "sparse"])
 def test_vc_copeland_identities(graph):
     reduced = rd.reduce_vc_to_copeland_min(graph, HALF)
-    e = materialize(reduced.instance.election)
+    e = reduced.instance.election
     idx = _names_index(reduced)
     n_edges = len(graph.edges)
     assert e.num_candidates == n_edges + 6
@@ -142,7 +141,7 @@ def test_vc_copeland_identities(graph):
 @pytest.mark.parametrize("x3c", [X3C_YES6, X3C_NO6], ids=["yes6", "no6"])
 def test_x3c_maximin_identities(x3c):
     reduced = rd.reduce_x3c_to_maximin_min(x3c)
-    e = materialize(reduced.instance.election)
+    e = reduced.instance.election
     idx = _names_index(reduced)
     m, n = x3c.universe_size, x3c.num_sets
     assert e.num_candidates == m + 4
@@ -156,7 +155,7 @@ def test_x3c_maximin_identities(x3c):
 @pytest.mark.parametrize("x3c", [X3C_YES6, X3C_NO6], ids=["yes6", "no6"])
 def test_x3c_borda_identities(x3c):
     reduced = rd.reduce_x3c_to_borda_max(x3c)
-    e = materialize(reduced.instance.election)
+    e = reduced.instance.election
     idx = _names_index(reduced)
     m, n = x3c.universe_size, x3c.num_sets
     assert e.num_candidates == m + 6
@@ -169,7 +168,7 @@ def test_x3c_borda_identities(x3c):
 @pytest.mark.parametrize("x3c", [X3C_YES6, X3C_NO6], ids=["yes6", "no6"])
 def test_x3c_condorcet_identities(x3c):
     reduced = rd.reduce_x3c_to_condorcet_max(x3c)
-    e = materialize(reduced.instance.election)
+    e = reduced.instance.election
     m, n = x3c.universe_size, x3c.num_sets
     assert e.num_candidates == 2 * n + m + 9
     assert e.num_voters == 2 * n + 5
@@ -182,37 +181,37 @@ def test_is_maximin_pairwise_table(graph):
     reduced = rd.reduce_is_to_maximin_max(graph)
     idx = _names_index(reduced)
     n, m = graph.num_vertices, len(graph.edges)
-    e = materialize(reduced.instance.election)
+    e = reduced.instance.election
     assert e.num_candidates == m + 3
     counts = pairwise_matrix(e)
     p, a, b = idx["p"], idx["a"], idx["b"]
     edges = [idx[f"e{i + 1}"] for i in range(m)]
-    assert counts.n_of(p, a) == n + 1
-    assert counts.n_of(p, b) == n + 1
-    assert counts.n_of(b, a) == n + 1
-    assert counts.n_of(a, b) == n
+    assert counts[p, a] == n + 1
+    assert counts[p, b] == n + 1
+    assert counts[b, a] == n + 1
+    assert counts[a, b] == n
     for e_c in edges:
-        assert counts.n_of(p, e_c) == n + 2
-        assert counts.n_of(b, e_c) == n
-        assert counts.n_of(a, e_c) == n
-        assert counts.n_of(e_c, b) == n + 1
-        assert counts.n_of(e_c, a) == n + 1
+        assert counts[p, e_c] == n + 2
+        assert counts[b, e_c] == n
+        assert counts[a, e_c] == n
+        assert counts[e_c, b] == n + 1
+        assert counts[e_c, a] == n + 1
     for i, e_i in enumerate(edges):
         for j, e_j in enumerate(edges):
             if i == j:
                 continue
             floor = n if i > j else n - 1
-            assert counts.n_of(e_i, e_j) >= floor
+            assert counts[e_i, e_j] >= floor
     assert reduced.instance.k == graph.bound
 
 
 @pytest.mark.parametrize("graph", [IS_NO, IS_YES], ids=["triangle", "path4"])
 def test_is_copeland_identities(graph):
     reduced = rd.reduce_is_to_copeland_max(graph, HALF)
-    e = materialize(reduced.instance.election)
+    e = reduced.instance.election
     n, m = graph.num_vertices, len(graph.edges)
     assert e.num_voters == 2 * n + 1
-    counts = pairwise_matrix(e).counts
+    counts = pairwise_matrix(e)
     for c in range(e.num_candidates):
         for d in range(c + 1, e.num_candidates):
             assert counts[c, d] != counts[d, c], "no pairwise tie may exist"

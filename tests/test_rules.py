@@ -15,8 +15,9 @@ from partycred.rules import (
 P, A, B = 0, 1, 2
 
 
-def ballot(order, weight):
-    return (pc.Preference(order=tuple(order)), weight)
+def election(*ballots):
+    """PartyElection from (order, weight) ballots."""
+    return pc.PartyElection([order for order, _ in ballots], [w for _, w in ballots])
 
 
 def test_scoring_vector_named():
@@ -38,28 +39,23 @@ def test_scoring_vector_validation():
 
 
 def test_scoring_scores_plurality():
-    e = pc.Election(
-        num_candidates=3,
-        ballots=(ballot((P, A, B), 3), ballot((A, P, B), 1)),
-    )
+    e = election(((P, A, B), 3), ((A, P, B), 1))
     assert scoring_scores(e, (1, 0, 0)) == {P: 3, A: 1, B: 0}
 
 
 def test_scoring_vector_length_mismatch():
-    e = pc.Election(num_candidates=2, ballots=(ballot((0, 1), 1),))
+    e = election(((0, 1), 1))
     with pytest.raises(ValueError):
         scoring_scores(e, (1, 0, 0))
 
 
 def test_copeland_single_ballot():
-    e = pc.Election(num_candidates=2, ballots=(ballot((P, A), 1),))
+    e = election(((P, A), 1))
     assert copeland_scores(e, Fraction(1, 2)) == {P: 1, A: 0}
 
 
 def test_copeland_tie_scores_alpha():
-    e = pc.Election(
-        num_candidates=2, ballots=(ballot((P, A), 1), ballot((A, P), 1))
-    )
+    e = election(((P, A), 1), ((A, P), 1))
     scores = copeland_scores(e, Fraction(1, 2))
     assert scores == {P: Fraction(1, 2), A: Fraction(1, 2)}
     assert all(isinstance(s, Fraction) for s in scores.values())
@@ -73,24 +69,19 @@ def test_copeland_alpha_range():
 
 
 def test_maximin_unanimous():
-    e = pc.Election(num_candidates=2, ballots=(ballot((P, A), 3),))
+    e = election(((P, A), 3))
     assert maximin_scores(e) == {P: 3, A: 0}
 
 
 def test_condorcet_cycle_has_no_winner():
-    e = pc.Election(
-        num_candidates=3,
-        ballots=(ballot((0, 1, 2), 1), ballot((1, 2, 0), 1), ballot((2, 0, 1), 1)),
-    )
+    e = election(((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1))
     assert condorcet_winner(e) is None
     for model in pc.WinnerModel:
         assert pc.winners(e, pc.Condorcet(), model) == frozenset()
 
 
 def test_winners_unique_vs_cowinner():
-    e = pc.Election(
-        num_candidates=2, ballots=(ballot((P, A), 1), ballot((A, P), 1))
-    )
+    e = election(((P, A), 1), ((A, P), 1))
     rule = pc.Scoring(vector=(1, 0))
     assert pc.winners(e, rule, pc.WinnerModel.UNIQUE) == frozenset()
     assert pc.winners(e, rule, pc.WinnerModel.COWINNER) == frozenset({P, A})
@@ -100,14 +91,10 @@ def test_winners_unique_vs_cowinner():
 def elections(draw, max_candidates=4, max_ballots=4, max_weight=3):
     m = draw(st.integers(2, max_candidates))
     n_ballots = draw(st.integers(1, max_ballots))
-    ballots = tuple(
-        (
-            pc.Preference(order=tuple(draw(st.permutations(range(m))))),
-            draw(st.integers(1, max_weight)),
-        )
+    return election(*(
+        (draw(st.permutations(range(m))), draw(st.integers(1, max_weight)))
         for _ in range(n_ballots)
-    )
-    return pc.Election(num_candidates=m, ballots=ballots)
+    ))
 
 
 @settings(max_examples=80, deadline=None)
@@ -130,10 +117,7 @@ def test_scoring_monotone_consistency(e, data):
     best = max(scores.values())
     c = data.draw(st.sampled_from(sorted(k for k, v in scores.items() if v == best)))
     extra_order = (c,) + tuple(x for x in range(m) if x != c)
-    bigger = pc.Election(
-        num_candidates=m,
-        ballots=e.ballots + ((pc.Preference(order=extra_order), 1),),
-    )
+    bigger = pc.PartyElection(e.orders.tolist() + [extra_order], e.sizes.tolist() + [1])
     new_scores = scoring_scores(bigger, vector)
     assert new_scores[c] == max(new_scores.values())
 

@@ -55,7 +55,7 @@ def test_oracle_max_all_p_top():
 def test_oracle_voter_cap():
     inst = build(PLUR3, [((P, A, B), 16), ((A, P, B), 1)], p=P, direction="min")
     with pytest.raises(ValueError, match="size cap"):
-        pc.oracle_min(inst, voter_cap=16)
+        pc.oracle_min(inst)
 
 
 def test_budget_exhaustion_is_distinct():
@@ -84,7 +84,7 @@ def test_search_matches_oracle_quick():
                 model=model,
                 dest=dest,
                 max_parties=3,
-                voter_cap=8,
+                max_voters=8,
             )
         if direction == "min":
             mine, ref = pc.exact_search_min(inst), pc.oracle_min(inst)
@@ -168,7 +168,7 @@ def test_node_budget_contract():
 
 
 def _margins(election):
-    counts = pairwise_matrix(election).counts
+    counts = pairwise_matrix(election)
     return counts - counts.T
 
 
@@ -202,15 +202,8 @@ def test_pairwise_score_helpers_match_rules():
 
 
 def _permuted(inst: pc.ProblemInstance, perm: list[int]) -> pc.ProblemInstance:
-    parties = tuple(
-        pc.Party(id=i, preference=inst.election.parties[q].preference,
-                 size=inst.election.parties[q].size)
-        for i, q in enumerate(perm)
-    )
     return pc.ProblemInstance(
-        election=pc.PartyElection(
-            num_candidates=inst.election.num_candidates, parties=parties
-        ),
+        election=pc.PartyElection(inst.election.orders[perm], inst.election.sizes[perm]),
         p=inst.p, k=inst.k, rule=inst.rule, model=inst.model,
         destination_mode=inst.destination_mode, direction=inst.direction,
     )
@@ -220,10 +213,10 @@ def test_party_permutation_invariance():
     rng = random.Random(5)
     problems = collect_problems(
         seed_base=100, count=25, rule_spec="maximin", direction="min",
-        model="unique", max_parties=3, voter_cap=8,
+        model="unique", max_parties=3, max_voters=8,
     )
     for inst in problems:
-        perm = list(range(len(inst.election.parties)))
+        perm = list(range(len(inst.election.sizes)))
         rng.shuffle(perm)
         base = pc.exact_search_min(inst)
         shuffled = pc.exact_search_min(_permuted(inst, perm))
@@ -233,7 +226,7 @@ def test_party_permutation_invariance():
 def test_multi_destination_monotone_quick():
     problems = collect_problems(
         seed_base=900, count=20, rule_spec="borda", direction="min",
-        model="unique", max_parties=3, voter_cap=7,
+        model="unique", max_parties=3, max_voters=7,
     )
     for inst in problems:
         one = pc.oracle_min(inst)
@@ -260,13 +253,10 @@ def test_party_margin_deltas_match_pairwise_loop():
         )
         expected = [
             [
-                [
-                    0 if a == b else 1 if party.preference.prefers(a, b) else -1
-                    for b in range(m)
-                ]
+                [0 if a == b else 1 if order.index(a) < order.index(b) else -1 for b in range(m)]
                 for a in range(m)
             ]
-            for party in inst.election.parties
+            for order in orders
         ]
         deltas = _party_margin_deltas(inst)
         assert deltas.dtype == "int64"
