@@ -1,9 +1,10 @@
 """Exact solvers for the one-destination mode.
 
-* ``min_scoring`` — greedy over per-voter score-gap closures, any positional
-  scoring rule.
-* ``min_condorcet`` — pairwise-margin arithmetic; every useful switch moves a
-  (p, rival) margin by exactly 2.  O(l * m) after one pairwise tally.
+* ``min_scoring`` and ``min_condorcet`` — two MIN entry points over one
+  greedy (``_min_greedy``).  Both rules are linear in the party sizes: one
+  voter of party q puts p ahead of rival c by ``leads[q, c]``
+  (``search._party_leads``), the score gap for a scoring rule and +-1 for
+  Condorcet, and the greedy closes p's lead over each rival in turn.
 * ``max_r_approval`` — 0/1 scoring vectors (plurality, veto, any
   r-approval), one destination per distinct approval row.  An exchange
   lemma shows that the best plan retains only voters approving p, so each
@@ -26,7 +27,8 @@ import bisect
 import numpy as np
 
 from . import _kernels
-from .core import pairwise_matrix
+# Unused here, but perfbench/tracing.py patches poly.pairwise_matrix.
+from .core import pairwise_matrix  # noqa: F401
 from .parties import (
     Direction,
     DestinationMode,
@@ -38,7 +40,7 @@ from .parties import (
     infeasible,
 )
 from .rules import Condorcet, Scoring, WinnerModel
-from .search import _party_rows
+from .search import _party_leads, _party_rows
 
 
 def _require(instance: ProblemInstance, rule_type, direction: Direction, solver: str):
@@ -51,26 +53,45 @@ def _require(instance: ProblemInstance, rule_type, direction: Direction, solver:
 
 
 def min_scoring(instance: ProblemInstance) -> SolveResult:
-    """Exact MIN for positional scoring rules (greedy per rival/destination)."""
+    """Exact MIN for positional scoring rules (``_min_greedy``)."""
     _require(instance, Scoring, Direction.MIN, "min_scoring")
+    return _min_greedy(instance, int(instance.model is WinnerModel.COWINNER), "min_scoring")
+
+
+def min_condorcet(instance: ProblemInstance) -> SolveResult:
+    """Exact MIN for the Condorcet rule: ``_min_greedy`` over +-1 leads.
+
+    A switch from a +1 party into a -1 party closes the (p, rival) margin by
+    2, the most any switch can, so the count is ceil(margin / 2).
+    """
+    _require(instance, Condorcet, Direction.MIN, "min_condorcet")
+    return _min_greedy(instance, 0, "min_condorcet")
+
+
+def _min_greedy(instance: ProblemInstance, strict: int, solver: str) -> SolveResult:
+    """Fewest switches that close p's lead over some rival c to -strict.
+
+    A voter leaving party q for d closes it by ``leads[q, c] - leads[d, c]``,
+    so into each destination the greedy takes the largest leads first
+    (``_kernels.min_switch_counts`` solves every destination at once).  Ties
+    go to the lowest rival, then the lowest-id destination.  Only the
+    returned plan is built and checked; a rejection raises ``RuntimeError``.
+    """
     pe = instance.election
-    rows = _party_rows(instance)
+    leads = _party_leads(instance)
     sizes = pe.sizes
-    totals = sizes @ rows
-    p = instance.p
-    strict = instance.model is WinnerModel.COWINNER
+    margins = sizes @ leads + strict
     party_ids = np.arange(len(sizes), dtype=np.int64)
 
     best: tuple[int, int, int] | None = None  # (value, rival, destination)
     best_order = None
     for rival in range(pe.num_candidates):
-        if rival == p:
+        if rival == instance.p:
             continue
-        # Gap the rival has to close; a tie suffices under UNIQUE.
-        need = int(totals[p] - totals[rival]) + (1 if strict else 0)
-        gain = rows[:, p] - rows[:, rival]  # per-voter gain of leaving each party
+        gain = leads[:, rival]  # per-voter gain of leaving each party
         order = np.lexsort((party_ids, -gain))
         seg_gain, seg_cumw, seg_cumg = _gain_segments(gain[order], sizes[order])
+        need = int(margins[rival])  # a tie suffices unless strict
         counts = _kernels.min_switch_counts(seg_gain, seg_cumw, seg_cumg, gain, need)
         usable = counts >= 0
         if not usable.any():
@@ -82,15 +103,15 @@ def min_scoring(instance: ProblemInstance) -> SolveResult:
             best = (value, rival, dest)
             best_order = order
     if best is None:
-        return infeasible("min_scoring")
+        return infeasible(solver)
     value, rival, dest = best
-    plan = _greedy_plan(sizes, rows, best_order, rival, dest, value, instance.p)
+    plan = _greedy_plan(sizes, leads[:, rival], best_order, dest, value)
     check = check_witness(instance, plan, k=value)
     if not check.ok:
         raise RuntimeError(
-            f"min_scoring built a rejected plan against rival {rival}: {check.reason}"
+            f"{solver} built a rejected plan against rival {rival}: {check.reason}"
         )
-    return feasible(value, plan, "min_scoring")
+    return feasible(value, plan, solver)
 
 
 def _gain_segments(sorted_gain: np.ndarray, sorted_sizes: np.ndarray):
@@ -105,14 +126,14 @@ def _gain_segments(sorted_gain: np.ndarray, sorted_sizes: np.ndarray):
     return sorted_gain[ends], cumw_all[ends], cumg_all[ends]
 
 
-def _greedy_plan(sizes, rows, order, rival, dest, value, p) -> SwitchPlan:
-    gain_dest = rows[dest, p] - rows[dest, rival]
+def _greedy_plan(sizes, lead, order, dest, value) -> SwitchPlan:
+    """The greedy's moves into ``dest``: sources in ``order`` whose ``lead``
+    exceeds the destination's, ``value`` voters in all."""
     moves = []
     remaining = value
     for q in order:
         q = int(q)
-        per_voter = int(rows[q, p] - rows[q, rival])
-        if per_voter <= gain_dest or remaining == 0:
+        if lead[q] <= lead[dest] or remaining == 0:
             break
         take = min(int(sizes[q]), remaining)
         if take:
@@ -120,66 +141,9 @@ def _greedy_plan(sizes, rows, order, rival, dest, value, p) -> SwitchPlan:
             remaining -= take
     if remaining != 0:
         raise RuntimeError(
-            f"min_scoring greedy plan reconstruction left {remaining} switches unplaced"
+            f"greedy plan reconstruction left {remaining} switches unplaced"
         )
     return SwitchPlan(moves=tuple(moves))
-
-
-def min_condorcet(instance: ProblemInstance) -> SolveResult:
-    """Exact MIN for the Condorcet rule.
-
-    To dethrone p via rival c, switch voters who prefer p to c into a party
-    that prefers c to p; each such switch shifts the (p, c) margin by -2, and
-    no switch shifts it by more.  So ceil(margin / 2) switches are both
-    necessary and, given a destination and enough supply, sufficient; the
-    optimum is the smallest such count over all rivals.
-
-    All rivals are scored at once from the one pairwise tally and an (l, m)
-    rank array, O(l * m) work after the tally.  Only the plan for the chosen
-    rival (fewest switches, then lowest index; its lowest-id destination;
-    sources in party-id order) is built, and only that plan is checked.  No
-    guarantee is lost by skipping the other rivals' plans: the returned plan
-    is still verified before it leaves the solver, optimality rests on the
-    margin lower bound, which no witness check can test, and a plan that is
-    never returned cannot make the output wrong.
-    """
-    _require(instance, Condorcet, Direction.MIN, "min_condorcet")
-    pe = instance.election
-    counts = pairwise_matrix(pe)
-    p = instance.p
-    sizes = pe.sizes
-    ranks = pe.ranks
-    backs_rival = ranks < ranks[:, [p]]  # party q prefers candidate c to p
-    backs_p = ranks > ranks[:, [p]]  # party q prefers p to candidate c
-    dests = backs_rival.argmax(axis=0)  # first party preferring c to p
-    supply = sizes @ backs_p.astype(np.int64)
-    switches = (counts[p] - counts[:, p] + 1) // 2
-    # Column p has no destination, so p is never its own rival.
-    usable = backs_rival.any(axis=0) & (supply >= switches)
-    if not usable.any():
-        return infeasible("min_condorcet")
-    rival = int(np.where(usable, switches, np.iinfo(np.int64).max).argmin())
-    value = int(switches[rival])
-    dest = int(dests[rival])
-
-    moves = []
-    remaining = value
-    for q in np.flatnonzero(backs_p[:, rival] & (sizes > 0)):
-        take = min(int(sizes[q]), remaining)
-        moves.append((int(q), dest, take))
-        remaining -= take
-        if remaining == 0:
-            break
-    plan = SwitchPlan(moves=tuple(moves))
-    # The plan shifts the (p, rival) margin to <= 0, so a rejection is a
-    # solver bug, not a reason to try another rival.
-    check = check_witness(instance, plan, k=value)
-    if not check.ok:
-        raise RuntimeError(
-            f"min_condorcet built a rejected plan against rival {rival}: "
-            f"{check.reason}"
-        )
-    return feasible(value, plan, "min_condorcet")
 
 
 def max_r_approval(instance: ProblemInstance) -> SolveResult:
@@ -239,6 +203,7 @@ def max_r_approval(instance: ProblemInstance) -> SolveResult:
         raise ValueError("max_r_approval needs a 0/1 approval-style scoring vector")
     pe = instance.election
     rows = _party_rows(instance)
+    leads = _party_leads(instance)
     sizes = pe.sizes.tolist()
     total = sum(sizes)
     p = instance.p
@@ -263,7 +228,7 @@ def max_r_approval(instance: ProblemInstance) -> SolveResult:
     for dest in sorted(dest_of_row.values()):
         key = rows[dest].tobytes()
         sources = [entry for k, entry in merged.items() if k != key]
-        lift = [int(rows[dest, p] - rows[dest, c]) for c in range(pe.num_candidates)]
+        lift = leads[dest].tolist()
         found = _scan(
             sources,
             lambda t, lift=lift: {c: t + (total - t) * lift[c] - s for c in rivals},

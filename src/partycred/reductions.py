@@ -187,8 +187,7 @@ class ReducedInstance:
 
 
 def _build(reduction, names, parties, p_name, k, rule, direction, source,
-           destination_party, source_parties, model=WinnerModel.UNIQUE,
-           complement_selection=False):
+           destination_party, source_parties, complement_selection=False):
     index = {name: i for i, name in enumerate(names)}
     election = PartyElection(
         [[index[x] for x in order] for _, order, _ in parties],
@@ -199,7 +198,7 @@ def _build(reduction, names, parties, p_name, k, rule, direction, source,
         p=index[p_name],
         k=k,
         rule=rule,
-        model=model,
+        model=WinnerModel.UNIQUE,
         destination_mode=DestinationMode.ONE,
         direction=direction,
     )

