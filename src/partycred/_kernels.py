@@ -2,7 +2,9 @@
 
 Everything here is exact integer arithmetic.  Callers look these names up on
 the module at call time (``_kernels.pairwise_tally(...)``), so the names are
-the boundary to keep when changing an implementation.
+the boundary to keep when changing an implementation.  They also pass every
+argument positionally: ``perfbench/tracing.py`` counts each call's cells from
+them (ballots x m^2 for the tally, l x m for ``min_switch_counts``).
 """
 
 from __future__ import annotations
@@ -25,46 +27,40 @@ def pairwise_tally(ranks: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return counts
 
 
+_BLOCK_CELLS = 1 << 15  # cells per block of columns: its temporaries stay in cache
+
+
 def min_switch_counts(
-    seg_gain: np.ndarray,
-    seg_cumw: np.ndarray,
-    seg_cumg: np.ndarray,
-    party_gain: np.ndarray,
-    need: int,
+    leads: np.ndarray, sizes: np.ndarray, order: np.ndarray, need: np.ndarray
 ) -> np.ndarray:
-    """Minimal switch counts per destination for the greedy scoring solver.
+    """Per column c of the (l, m) ``leads``: the fewest voters whose moves
+    into c's lowest-lead party close ``need[c]``, or -1 where none can.
 
-    Sources are pre-sorted by per-voter gain (descending) and compressed into
-    segments of equal gain: ``seg_gain`` (distinct values, strictly
-    decreasing), ``seg_cumw`` / ``seg_cumg`` (inclusive cumulative weight /
-    total gain).  For destination D the per-voter bonus is ``-party_gain[D]``
-    and only sources with strictly larger gain than D's own are useful: the
-    greedy takes whole segments while their slope ``seg_gain + bonus`` is
-    positive, and stops in the first segment whose cumulative reach
-    ``seg_cumg + seg_cumw * bonus`` meets ``need``.  Returns -1 where no
-    count reaches ``need``.
-
-    The segments and ``need`` are shared by all destinations, and D enters
-    only through its bonus ``-party_gain[D]``.  Destinations with equal gain
-    therefore get equal counts, so the greedy is solved once per distinct
-    gain (a small gains x segments table) and mapped back through
-    ``np.unique``'s inverse index.
+    A voter of party q moved there gains ``leads[q, c] - min(leads[:, c])``.
+    ``order`` is a stable ``np.argsort(-leads, axis=0)``, so down each sorted
+    column the gains fall and the greedy takes the largest first.  One
+    cumulative sum of voters and of gain down every column, and the first
+    row whose gain reaches ``need[c]`` fixes the count: the voters above that
+    row plus the fewest of its own.  A count is never negative: where
+    ``need[c] <= 0`` it is 0.  Columns are solved in blocks of about
+    ``_BLOCK_CELLS`` cells; column-major ``leads`` are read without a copy.
     """
-    if seg_gain.size == 0:
-        return np.full(party_gain.shape[0], -1, dtype=np.int64)
-    gains, inverse = np.unique(party_gain, return_inverse=True)
-    bonus = -gains[:, None]
-    slope = seg_gain + bonus
-    reach = seg_cumg + seg_cumw * bonus
-    # seg_gain is strictly decreasing, so slope > 0 holds on a prefix of each
-    # row and the first hit is where the sequential greedy would stop.
-    hit = (slope > 0) & (reach >= need)
-    found = hit.any(axis=1)
-    first = hit.argmax(axis=1)
-    zero = np.zeros(1, dtype=np.int64)
-    prev_w = np.concatenate((zero, seg_cumw))[first]
-    prev_g = np.concatenate((zero, seg_cumg))[first]
-    step = np.where(found, slope[np.arange(gains.size), first], 1)
-    numer = need - prev_g + prev_w * seg_gain[first]
-    per_gain = np.where(found, (numer + step - 1) // step, -1)
-    return per_gain[inverse]
+    l, m = leads.shape
+    width = max(1, _BLOCK_CELLS // l)
+    blocks = [slice(lo, lo + width) for lo in range(0, m, width)]
+    return np.concatenate([_block_counts(leads[:, b], sizes, order[:, b], need[b]) for b in blocks])
+
+
+def _block_counts(leads, sizes, order, need):
+    l, m = leads.shape
+    by_column = order.T  # row c: column c's parties by falling lead
+    gain = leads.T.take(by_column + l * np.arange(m)[:, None])  # leads[order[:, c], c]
+    gain -= gain[:, -1:]  # each sorted column ends at its minimum
+    weight = sizes.take(by_column)
+    cum_g = np.cumsum(weight * gain, axis=1)
+    reached = cum_g >= need[:, None]
+    at = np.arange(m), reached.argmax(axis=1)  # first row reaching need
+    short = need - cum_g[at] + weight[at] * gain[at]  # gain still due on entering it
+    step = np.maximum(gain[at], 1)  # already >= 1 where need > 0 and a row reaches it
+    above = np.cumsum(weight, axis=1)[at] - weight[at]
+    return np.where(reached.any(axis=1), above + np.maximum(short + step - 1, 0) // step, -1)

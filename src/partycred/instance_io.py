@@ -190,6 +190,8 @@ def parse_instance(text: str) -> ParsedInstance:
         k = int(value)
     except ValueError:
         raise ParseError(line_no, f"k must be an integer, got {value!r}")
+    if k < 1:
+        raise ParseError(line_no, f"k must be positive, got {k}")
 
     line_no, value = headers["distinguished"]
     if value not in index:
@@ -459,6 +461,8 @@ def generate_random(
     max_tries: int = 10_000,
 ) -> ParsedInstance:
     """Seeded random instance whose distinguished candidate starts as winner."""
+    if num_candidates < 2:
+        raise ValueError(f"need at least two candidates, got {num_candidates}")
     rng = random.Random(seed)
     m = num_candidates
     rule = parse_rule_spec(rule_spec, m)

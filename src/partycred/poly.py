@@ -1,21 +1,23 @@
-"""Exact solvers for the one-destination mode.
+"""Exact polynomial solvers.
 
 * ``min_scoring`` and ``min_condorcet`` — two MIN entry points over one
-  greedy (``_min_greedy``).  Both rules are linear in the party sizes: one
-  voter of party q puts p ahead of rival c by ``leads[q, c]``
-  (``search._party_leads``), the score gap for a scoring rule and +-1 for
-  Condorcet, and the greedy closes p's lead over each rival in turn.
-* ``max_r_approval`` — 0/1 scoring vectors (plurality, veto, any
-  r-approval), one destination per distinct approval row.  An exchange
-  lemma shows that the best plan retains only voters approving p, so each
-  destination is one scan over the retained total T, and each T is a
+  greedy (``_min_greedy``), in either destination mode.  Both rules are
+  linear in the party sizes: one voter of party q puts p ahead of rival c by
+  ``leads[q, c]`` (``search._party_leads``), the score gap for a scoring
+  rule and +-1 for Condorcet.  Each rival's best destination is its
+  lowest-lead party, so one pass over all rivals finds the fewest switches.
+* ``max_r_approval`` — one-destination MAX for 0/1 scoring vectors
+  (plurality, veto, any r-approval), one destination per approval row.  An
+  exchange lemma shows that the best plan retains only voters approving p,
+  so each destination is one scan over the retained total T, and each T is a
   budgeted packing over the merged approval rows.  The scan is linear in the
   number of voters, and each packing search (branch and bound under a
   linear-relaxation bound) is exponential only in the number of distinct
   rows, at most C(m, r), so the solver is polynomial for fixed m.
 
-Ties between equally good (rival, destination) choices resolve to the lowest
-candidate index, then the lowest party id, so outputs are reproducible.
+Ties resolve reproducibly.  MIN takes the lowest rival among those that need
+the fewest switches, then that rival's lowest-id party of lowest lead;
+``max_r_approval`` takes the lowest-id destination among the best.
 Each solver checks the plan it returns with ``check_witness`` and raises
 ``RuntimeError`` on a rejection, which would be a solver bug.
 """
@@ -48,8 +50,6 @@ def _require(instance: ProblemInstance, rule_type, direction: Direction, solver:
         raise ValueError(f"{solver} needs a {rule_type.__name__} rule")
     if instance.direction is not direction:
         raise ValueError(f"{solver} solves {direction.value} instances only")
-    if instance.destination_mode is not DestinationMode.ONE:
-        raise ValueError(f"{solver} handles the one-destination mode only")
 
 
 def min_scoring(instance: ProblemInstance) -> SolveResult:
@@ -71,41 +71,36 @@ def min_condorcet(instance: ProblemInstance) -> SolveResult:
 def _min_greedy(instance: ProblemInstance, strict: int, solver: str) -> SolveResult:
     """Fewest switches that close p's lead over some rival c to -strict.
 
-    A voter leaving party q for d closes it by ``leads[q, c] - leads[d, c]``,
-    so into each destination the greedy takes the largest leads first
-    (``_kernels.min_switch_counts`` solves every destination at once).  Ties
-    go to the lowest rival, then the lowest-id destination.  Only the
+    Lemma.  Moving a voter from party q into party d closes p's lead over c,
+    ``sizes @ leads[:, c]``, by ``leads[q, c] - leads[d, c]``.  So for each
+    rival c some plan of fewest switches moves every switcher into one party
+    d_c of lowest ``leads[d_c, c]``, in either destination mode.  Proof: send
+    each switcher of any plan into d_c instead, and drop those leaving d_c.
+    A kept switcher from q now closes ``leads[q, c] - leads[d_c, c]``, at
+    least as much as before; a dropped one closed at most 0.  No party sends
+    more voters, so the new plan is valid, no larger, and closes the lead.
+
+    The count for c is then the fewest voters whose gains into d_c reach the
+    lead plus strict, largest gains first; ``_kernels.min_switch_counts``
+    finds it for every rival from one stable column-wise sort.  Only the
     returned plan is built and checked; a rejection raises ``RuntimeError``.
     """
-    pe = instance.election
-    leads = _party_leads(instance)
-    sizes = pe.sizes
-    margins = sizes @ leads + strict
-    party_ids = np.arange(len(sizes), dtype=np.int64)
-
-    best: tuple[int, int, int] | None = None  # (value, rival, destination)
-    best_order = None
-    for rival in range(pe.num_candidates):
-        if rival == instance.p:
-            continue
-        gain = leads[:, rival]  # per-voter gain of leaving each party
-        order = np.lexsort((party_ids, -gain))
-        seg_gain, seg_cumw, seg_cumg = _gain_segments(gain[order], sizes[order])
-        need = int(margins[rival])  # a tie suffices unless strict
-        counts = _kernels.min_switch_counts(seg_gain, seg_cumw, seg_cumg, gain, need)
-        usable = counts >= 0
-        if not usable.any():
-            continue
-        masked = np.where(usable, counts, np.iinfo(np.int64).max)
-        dest = int(masked.argmin())
-        value = int(masked[dest])
-        if best is None or value < best[0]:
-            best = (value, rival, dest)
-            best_order = order
-    if best is None:
+    leads = np.asfortranarray(_party_leads(instance))  # each column contiguous
+    sizes = instance.election.sizes
+    need = sizes @ leads + strict  # a tie suffices unless strict
+    # Keys in the narrowest type: numpy sorts int8 and int16 stably by radix.
+    span = max(-int(leads.min()), int(leads.max()))
+    keys = np.negative(leads.T, dtype=np.min_scalar_type(-1 - span))
+    order = np.argsort(keys, axis=1, kind="stable").T
+    counts = _kernels.min_switch_counts(leads, sizes, order, need)
+    counts[instance.p] = -1  # p's own column is 0: nothing to close
+    usable = counts >= 0
+    if not usable.any():
         return infeasible(solver)
-    value, rival, dest = best
-    plan = _greedy_plan(sizes, leads[:, rival], best_order, dest, value)
+    rival = int(np.where(usable, counts, np.iinfo(np.int64).max).argmin())
+    value = int(counts[rival])
+    dest = int(leads[:, rival].argmin())
+    plan = _greedy_plan(sizes, order[:, rival], dest, value)
     check = check_witness(instance, plan, k=value)
     if not check.ok:
         raise RuntimeError(
@@ -114,40 +109,21 @@ def _min_greedy(instance: ProblemInstance, strict: int, solver: str) -> SolveRes
     return feasible(value, plan, solver)
 
 
-def _gain_segments(sorted_gain: np.ndarray, sorted_sizes: np.ndarray):
-    """Compress equal-gain runs into (gain, cum weight, cum total gain) arrays."""
-    if sorted_gain.size == 0:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z.copy(), z.copy()
-    boundaries = np.nonzero(np.diff(sorted_gain))[0]
-    ends = np.append(boundaries, sorted_gain.size - 1)
-    cumw_all = np.cumsum(sorted_sizes)
-    cumg_all = np.cumsum(sorted_sizes * sorted_gain)
-    return sorted_gain[ends], cumw_all[ends], cumg_all[ends]
-
-
-def _greedy_plan(sizes, lead, order, dest, value) -> SwitchPlan:
-    """The greedy's moves into ``dest``: sources in ``order`` whose ``lead``
-    exceeds the destination's, ``value`` voters in all."""
-    moves = []
-    remaining = value
-    for q in order:
-        q = int(q)
-        if lead[q] <= lead[dest] or remaining == 0:
-            break
-        take = min(int(sizes[q]), remaining)
-        if take:
-            moves.append((q, dest, take))
-            remaining -= take
-    if remaining != 0:
-        raise RuntimeError(
-            f"greedy plan reconstruction left {remaining} switches unplaced"
-        )
+def _greedy_plan(sizes, order, dest, value) -> SwitchPlan:
+    """The greedy's moves into ``dest``: parties in ``order``, each in full
+    until ``value`` voters move.  The count is reached while the gains are
+    still positive, so every source has a higher lead than ``dest``."""
+    taken = np.diff(np.minimum(np.cumsum(sizes[order]), value), prepend=0)
+    if taken.sum() != value:
+        raise RuntimeError(f"greedy plan reconstruction placed {taken.sum()} of {value}")
+    used = np.flatnonzero(taken)
+    moves = zip(order[used].tolist(), [dest] * used.size, taken[used].tolist())
     return SwitchPlan(moves=tuple(moves))
 
 
 def max_r_approval(instance: ProblemInstance) -> SolveResult:
-    """Exact MAX for 0/1 scoring vectors (plurality, veto, r-approval).
+    """Exact one-destination MAX for 0/1 scoring vectors (plurality, veto,
+    r-approval).
 
     All switchers adopt the destination's approval row D, so the final
     election depends on the destination only through D: the fewest voters
@@ -199,6 +175,8 @@ def max_r_approval(instance: ProblemInstance) -> SolveResult:
     solver; a rejection is a solver bug and raises ``RuntimeError``.
     """
     _require(instance, Scoring, Direction.MAX, "max_r_approval")
+    if instance.destination_mode is not DestinationMode.ONE:
+        raise ValueError("max_r_approval handles the one-destination mode only")
     if set(instance.rule.vector) - {0, 1}:
         raise ValueError("max_r_approval needs a 0/1 approval-style scoring vector")
     pe = instance.election

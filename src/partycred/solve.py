@@ -22,9 +22,8 @@ from .search import (
 
 
 def poly_solver(instance: ProblemInstance):
-    """The polynomial solver this instance admits, or None."""
-    if instance.destination_mode is not DestinationMode.ONE:
-        return None
+    """The polynomial solver this instance admits, or None.  Linear-rule MIN
+    takes either destination mode (``poly._min_greedy``), MAX only one."""
     if instance.direction is Direction.MIN:
         if isinstance(instance.rule, Scoring):
             return min_scoring
@@ -32,7 +31,8 @@ def poly_solver(instance: ProblemInstance):
             return min_condorcet
         return None
     rule = instance.rule
-    if isinstance(rule, Scoring) and not (set(rule.vector) - {0, 1}):
+    one = instance.destination_mode is DestinationMode.ONE
+    if one and isinstance(rule, Scoring) and not (set(rule.vector) - {0, 1}):
         return max_r_approval
     return None
 

@@ -147,3 +147,15 @@ def test_gen_bad_sizes(tmp_path, capsys):
         "-o", str(tmp_path / "x.txt"),
     ]
     assert cli.main(args) == cli.EXIT_INPUT
+
+
+def test_gen_one_candidate_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "x.txt"
+    args = [
+        "gen", "--seed", "7", "--candidates", "1", "--parties", "3",
+        "--sizes", "1..3", "--rule", "plurality", "--direction", "min",
+        "-o", str(out),
+    ]
+    assert cli.main(args) == cli.EXIT_INPUT
+    assert "at least two candidates" in capsys.readouterr().err
+    assert not out.exists()

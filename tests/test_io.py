@@ -100,6 +100,13 @@ def test_duplicate_key_reports_line():
     assert _line_of(err.value) == 10
 
 
+def test_nonpositive_k_reports_its_own_line():
+    text = MINIMAL.replace("k: 1\n", "k: 0\n")
+    with pytest.raises(ParseError, match="k must be positive") as err:
+        pc.parse_instance(text)
+    assert _line_of(err.value) == 6
+
+
 def test_missing_key():
     text = MINIMAL.replace("direction: min\n", "")
     with pytest.raises(ParseError, match="missing required key 'direction'"):
@@ -310,4 +317,12 @@ def test_generate_random_retry_limit():
         pc.generate_random(
             seed=1, num_candidates=2, num_parties=1, size_range=(1, 1),
             rule_spec="condorcet", direction="min", max_tries=0,
+        )
+
+
+def test_generate_random_needs_two_candidates():
+    with pytest.raises(ValueError, match="at least two candidates"):
+        pc.generate_random(
+            seed=1, num_candidates=1, num_parties=2, size_range=(1, 3),
+            rule_spec="plurality", direction="min",
         )

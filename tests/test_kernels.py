@@ -1,7 +1,6 @@
 import numpy as np
 
 from partycred import _kernels
-from partycred.poly import _gain_segments
 
 
 def random_ranks(rng, n_ballots, m):
@@ -65,28 +64,48 @@ def _reference_min_switch(gain, sizes, party_gain, need):
 
 
 def test_min_switch_counts_matches_reference():
-    # Small gain ranges make many destinations share a gain, which is what
-    # the kernel deduplicates on; +-49 is Borda's range at m = 50.
+    # Per column, the kernel's count (into the column's lowest-lead party)
+    # is the best count over every destination: the lemma in
+    # poly._min_greedy.  Small lead ranges make many parties share a lead;
+    # +-49 is Borda's range at m = 50.  Some columns are all zero, like p's.
     rng = np.random.default_rng(23)
-    for span in (2, 4, 49):
+    for span in (1, 2, 4, 49):
         for _ in range(40):
-            l = int(rng.integers(1, 41))
-            gain = rng.integers(-span, span + 1, size=l).astype(np.int64)
+            l, m = int(rng.integers(1, 41)), int(rng.integers(1, 7))
+            leads = rng.integers(-span, span + 1, size=(l, m)).astype(np.int64)
+            leads[:, rng.random(m) < 0.2] = 0
             sizes = rng.integers(0, 5, size=l).astype(np.int64)
-            need = int(rng.integers(1, 4 * span + 10))
-            order = np.lexsort((np.arange(l), -gain))
-            seg_gain, seg_cumw, seg_cumg = _gain_segments(gain[order], sizes[order])
-            counts = _kernels.min_switch_counts(
-                seg_gain, seg_cumw, seg_cumg, gain, need
-            )
-            reference = _reference_min_switch(gain[order], sizes[order], gain, need)
-            assert np.array_equal(counts, reference)
+            need = rng.integers(-2, 4 * span + 10, size=m).astype(np.int64)
+            order = np.argsort(-leads, axis=0, kind="stable")
+            counts = _kernels.min_switch_counts(leads, sizes, order, need)
+            for c in range(m):
+                per_dest = _reference_min_switch(leads[:, c], sizes, leads[:, c], need[c])
+                usable = per_dest[per_dest >= 0]
+                assert counts[c] == (usable.min() if usable.size else -1), (leads, c)
 
 
 def test_min_switch_counts_infeasible():
-    gain = np.array([1, 0], dtype=np.int64)
+    leads = np.array([[1, 0], [0, 0]], dtype=np.int64)
     sizes = np.array([2, 2], dtype=np.int64)
-    order = np.lexsort((np.arange(2), -gain))
-    seg = _gain_segments(gain[order], sizes[order])
-    counts = _kernels.min_switch_counts(*seg, gain, 100)
+    order = np.argsort(-leads, axis=0, kind="stable")
+    need = np.array([100, 1], dtype=np.int64)
+    counts = _kernels.min_switch_counts(leads, sizes, order, need)
     assert (counts == -1).all()
+
+
+def test_min_switch_counts_same_in_any_column_blocks_and_layout(monkeypatch):
+    # Blocks of one to a few columns, and column-major arrays (which the
+    # kernel reads without a copy), give the counts of one whole block.
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        l, m = int(rng.integers(1, 30)), int(rng.integers(1, 9))
+        leads = rng.integers(-6, 7, size=(l, m)).astype(np.int64)
+        sizes = rng.integers(0, 4, size=l).astype(np.int64)
+        need = rng.integers(-1, 30, size=m).astype(np.int64)
+        order = np.argsort(-leads, axis=0, kind="stable")
+        whole = _kernels.min_switch_counts(leads, sizes, order, need)
+        for cells in (1, 2 * l, 3 * l + 1):
+            monkeypatch.setattr(_kernels, "_BLOCK_CELLS", cells)
+            for a, o in ((leads, order), (np.asfortranarray(leads), np.asfortranarray(order))):
+                assert np.array_equal(_kernels.min_switch_counts(a, sizes, o, need), whole)
+        monkeypatch.undo()

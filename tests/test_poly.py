@@ -50,8 +50,7 @@ def test_min_scoring_rejects_wrong_shape():
         PLUR3, [((P, A, B), 3), ((A, P, B), 1)], p=P, k=1, direction="min",
         dest="multi",
     )
-    with pytest.raises(ValueError):
-        min_scoring(multi)
+    assert values_match(min_scoring(multi), pc.oracle_min(multi))
 
 
 def test_min_condorcet_basic():
@@ -166,6 +165,15 @@ def test_max_r_approval_rejects_non_approval_vectors():
     borda = pc.Scoring(vector=(2, 1, 0))
     inst = build(borda, [((P, A, B), 3), ((A, P, B), 1)], p=P, k=1, direction="max")
     with pytest.raises(ValueError):
+        max_r_approval(inst)
+
+
+def test_max_r_approval_rejects_multi_destination():
+    inst = build(
+        PLUR3, [((P, A, B), 3), ((A, B, P), 2)], p=P, k=1, direction="max",
+        dest="multi",
+    )
+    with pytest.raises(ValueError, match="one-destination"):
         max_r_approval(inst)
 
 
@@ -325,14 +333,21 @@ def test_max_r_approval_scaling_gate(case):
 )
 def test_poly_matches_oracle_sample(rule_spec, direction, fn):
     rng = random.Random(0)
+    dests = ("one", "multi") if direction == "min" else ("one",)
     for model in ("unique", "cowinner"):
-        problems = collect_problems(
-            seed_base=rng.randint(0, 10**6),
-            count=40,
-            rule_spec=rule_spec,
-            direction=direction,
-            model=model,
-        )
+        seed_base = rng.randint(0, 10**6)
+        problems = [
+            inst
+            for dest in dests
+            for inst in collect_problems(
+                seed_base=seed_base,
+                count=40,
+                rule_spec=rule_spec,
+                direction=direction,
+                model=model,
+                dest=dest,
+            )
+        ]
         for inst in problems:
             mine = fn(inst)
             ref = (
@@ -358,7 +373,7 @@ def test_poly_matches_oracle_sample(rule_spec, direction, fn):
         ("borda", 6, "max", "one", None),
         ("maximin", 6, "max", "one", None),
         ("veto", 6, "max", "multi", None),
-        ("plurality", 6, "min", "multi", None),
+        ("plurality", 6, "min", "multi", min_scoring),
     ],
 )
 def test_poly_solver_routing(rule_spec, m, direction, dest, expected):

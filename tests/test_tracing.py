@@ -28,3 +28,19 @@ def test_tracer_install_finds_and_uninstall_restores_every_boundary():
         tracer.uninstall()
     for module, attr, original in patches:
         assert getattr(module, attr) is original, f"{module.__name__}.{attr}"
+
+
+def test_tracer_counts_one_min_switch_call_of_l_by_m_cells():
+    inst = partycred.generate_random(
+        seed=5, num_candidates=5, num_parties=7, size_range=(1, 4),
+        rule_spec="plurality", direction="min",
+    ).instance
+    tracer = _tracing_module().Tracer()
+    tracer.install(partycred)
+    try:
+        result = partycred.solve_instance(inst)
+    finally:
+        tracer.uninstall()
+    assert result.solver == "min_scoring"
+    assert tracer.calls["kernels.min_switch_counts"] >= 1
+    assert tracer.counts["kernels.min_switch_counts.cells"] == 7 * 5
