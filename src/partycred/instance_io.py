@@ -158,6 +158,9 @@ def parse_instance(text: str) -> ParsedInstance:
         raise ParseError(line_no, "duplicate candidate name")
     if len(names) < 2:
         raise ParseError(line_no, "need at least two candidates")
+    for name in names:
+        if ">" in name:
+            raise ParseError(line_no, f"candidate name {name!r} contains '>', the order separator")
     index = {name: i for i, name in enumerate(names)}
     m = len(names)
 
@@ -232,8 +235,9 @@ def _parse_parties(party_lines: list[tuple[int, str]], index: dict[str, int]):
     head error is raised only after the rows above it, so a file yields the
     same parties, or the same first error, as a line-by-line reading.
 
-    The fast path is exact: once the names are known to contain neither
-    whitespace nor ``>``, a stripped text that splits on ``" > "`` into m
+    The fast path is exact: candidate names contain neither whitespace
+    (they come from splitting the ``candidates:`` line) nor ``>`` (that
+    line rejects it), so a stripped text that splits on ``" > "`` into m
     names splits on ``">"`` into the same names after stripping.
     """
     m = len(index)
@@ -254,13 +258,12 @@ def _parse_parties(party_lines: list[tuple[int, str]], index: dict[str, int]):
         texts.append(text)
 
     orders = np.empty((len(texts), m), dtype=np.int64)
-    lookup = {name: c for name, c in index.items() if ">" not in name}
     unread = ("",) * m  # no name is empty, so the row fails validation
     for lo in range(0, len(texts), _PARTY_CHUNK):
         rows = [text.strip().split(" > ") for text in texts[lo : lo + _PARTY_CHUNK]]
         tokens = chain.from_iterable(row if len(row) == m else unread for row in rows)
         codes = np.fromiter(
-            map(lookup.get, tokens, repeat(-1)), dtype=np.int64, count=len(rows) * m
+            map(index.get, tokens, repeat(-1)), dtype=np.int64, count=len(rows) * m
         )
         orders[lo : lo + len(rows)] = codes.reshape(len(rows), m)
     for q in np.flatnonzero(invalid_orders(orders)).tolist():

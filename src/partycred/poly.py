@@ -9,11 +9,17 @@
 * ``max_r_approval`` — one-destination MAX for 0/1 scoring vectors
   (plurality, veto, any r-approval), one destination per approval row.  An
   exchange lemma shows that the best plan retains only voters approving p,
-  so each destination is one scan over the retained total T, and each T is a
-  budgeted packing over the merged approval rows.  The scan is linear in the
-  number of voters, and each packing search (branch and bound under a
-  linear-relaxation bound) is exponential only in the number of distinct
-  rows, at most C(m, r), so the solver is polynomial for fixed m.
+  so each destination row is one maximum packing (``_max_pack``): as many
+  p-approving voters as possible move into it while p's lead over each
+  rival, from the same lead matrix, stays a win.  The packing is a branch
+  and bound whose linear relaxation (``_lp_relaxation``) is a
+  bounded-variable simplex with one row per rival that can bind and one
+  column per merged source row and per slack.  On those rivals moving a
+  voter never raises p's lead, so a search node whose own counts fit has
+  non-negative budgets left, the all-slack basis is feasible, and no
+  phase 1 is needed.  The search is exponential only in
+  the number of distinct rows, at most C(m, r), so the solver is
+  polynomial for fixed m.
 
 Ties resolve reproducibly.  MIN takes the lowest rival among those that need
 the fewest switches, then that rival's lowest-id party of lowest lead;
@@ -23,8 +29,6 @@ Each solver checks the plan it returns with ``check_witness`` and raises
 """
 
 from __future__ import annotations
-
-import bisect
 
 import numpy as np
 
@@ -131,7 +135,8 @@ def max_r_approval(instance: ProblemInstance) -> SolveResult:
     and the value is N - size(dest) - T, N being the number of voters and T
     the number retained.  One destination per distinct row is solved, the
     smallest party of that row (then the lowest id), which keeps the
-    lowest-id maximiser over all parties.  Sources whose row is D always
+    lowest-id maximiser over all parties; a row whose N - size(dest) cannot
+    beat the best value so far is skipped.  Sources whose row is D always
     move in full, since moving them changes no score and lowers T.
 
     Lemma.  Some optimal plan retains only voters approving p.  If D
@@ -152,24 +157,37 @@ def max_r_approval(instance: ProblemInstance) -> SolveResult:
     since p initially wins, unless no voter approves anyone; then T = 0 is
     feasible into every destination.)
 
-    Budget form.  Fix T, let R_c count the retained voters approving c, and
-    let s = 1 under the unique-winner model and 0 under the co-winner model.
-    With only p-approvers retained p scores (N - T)[p in D] + T and rival c
-    scores (N - T)[c in D] + R_c, so p keeps winning exactly when
+    Packing form.  Let s = 1 under the unique-winner model and 0 under the
+    co-winner model.  By the lemma, move every voter who does not approve p
+    and every voter of row D, and merge the other p-approving parties by
+    row: merged source row j holds caps[j] voters.  With all of them
+    retained, p's lead over each candidate is (``_party_leads``)
 
-        R_c <= T + (N - T)([p in D] - [c in D]) - s   for every rival c.
+        lead = caps @ leads[src] + (N - caps.sum()) * leads[dest],
 
-    Only the budgets depend on T, they never fall as T grows, and a budgeted
-    packing is downward closed: T is feasible exactly when the largest
-    packing of the merged p-approving rows other than D within the budgets
-    and the row caps reaches T.  Scanning T upward, the first feasible T is
-    the optimum into D; when D approves p, retaining every p-approver
-    rebuilds the initial election up to moves that only help p, so that
-    scan always succeeds.
+    and moving x[j] more voters of row j into D lowers it by cost.T @ x,
+    where cost[j] = leads[j] - leads[dest].  Row j approves p, so cost[j, c]
+    is 1 - [c in j] - leads[dest, c]: 0, 1 or 2 where leads[dest, c] <= 0,
+    and -[c in j] <= 0 where leads[dest, c] = 1.  Those other rivals never
+    bind.  Their lead is smallest with every source voter retained, where it
+    is N minus the source voters approving c, and that is at least s: under
+    the unique-winner model, p's initial win needs some voter who approves p
+    but not c.  So, over the binding rivals B (c != p with
+    leads[dest, c] <= 0), the optimum into D is
 
-    Complexity: the scan over T is linear in N, and each packing search
-    (``_pack``) is exponential only in the number of distinct approval rows,
-    at most C(m, r), so the solver is polynomial for fixed m.
+        max sum(x)  subject to  cost[:, B].T @ x <= lead[B] - s,  0 <= x <= caps,
+
+    worth N - size(dest) - caps.sum() + sum(x).  A negative budget means no
+    plan into D of the kind the lemma keeps.  Costs >= 0 make the packing
+    downward closed, so rounding a solution down keeps it feasible.
+
+    Complexity: at most one ``_max_pack`` call per distinct row, over K
+    merged rows (K <= C(m - 1, r - 1)) and at most m - 1 constraints.  The
+    call's floor is what the row must pack to beat the best value so far,
+    so a row that cannot is pruned at its root.  The branch and bound splits
+    count intervals into non-empty halves, so it visits fewer than
+    2 * prod(caps + 1) <= 2 * (N + 1)^K nodes of polynomial work each: the
+    solver is polynomial for fixed m.
 
     The returned plan is checked with ``check_witness`` before it leaves the
     solver; a rejection is a solver bug and raises ``RuntimeError``.
@@ -179,14 +197,12 @@ def max_r_approval(instance: ProblemInstance) -> SolveResult:
         raise ValueError("max_r_approval handles the one-destination mode only")
     if set(instance.rule.vector) - {0, 1}:
         raise ValueError("max_r_approval needs a 0/1 approval-style scoring vector")
-    pe = instance.election
     rows = _party_rows(instance)
     leads = _party_leads(instance)
-    sizes = pe.sizes.tolist()
+    sizes = instance.election.sizes.tolist()
     total = sum(sizes)
     p = instance.p
     s = 1 if instance.model is WinnerModel.UNIQUE else 0
-    rivals = [c for c in range(pe.num_candidates) if c != p]
 
     dest_of_row: dict[bytes, int] = {}
     groups: dict[bytes, list[int]] = {}  # p-approving rows, merged
@@ -196,28 +212,32 @@ def max_r_approval(instance: ProblemInstance) -> SolveResult:
             dest_of_row[key] = q
         if rows[q, p] and size > 0:
             groups.setdefault(key, []).append(q)
-    merged = {
-        key: (ids, [c for c in rivals if rows[ids[0], c]], sum(sizes[q] for q in ids))
-        for key, ids in groups.items()
-    }
+    members = list(groups.values())
+    group_leads = leads[[ids[0] for ids in members]]
+    group_caps = np.array([sum(sizes[q] for q in ids) for ids in members], dtype=np.int64)
 
     best_value = 0
     best_plan = SwitchPlan(moves=())
     for dest in sorted(dest_of_row.values()):
-        key = rows[dest].tobytes()
-        sources = [entry for k, entry in merged.items() if k != key]
-        lift = leads[dest].tolist()
-        found = _scan(
-            sources,
-            lambda t, lift=lift: {c: t + (total - t) * lift[c] - s for c in rivals},
-        )
-        if found is None:
+        if total - sizes[dest] <= best_value:
             continue
-        t, counts = found
-        value = total - sizes[dest] - t
+        src = np.array([key != rows[dest].tobytes() for key in groups], dtype=bool)
+        caps = group_caps[src]
+        lead = caps @ group_leads[src] + (total - caps.sum()) * leads[dest]
+        binding = leads[dest] <= 0
+        binding[p] = False
+        cost = group_leads[src] - leads[dest]
+        base = total - sizes[dest] - int(caps.sum())  # the value of moving no source voter
+        moved = _max_pack(cost[:, binding], lead[binding] - s, caps, best_value - base)
+        if moved is None:
+            continue
+        value = base + int(moved.sum())
         if value > best_value:
             best_value = value
-            best_plan = SwitchPlan(moves=_moves_into(dest, sizes, sources, counts))
+            sources = [ids for ids, keep in zip(members, src) if keep]
+            best_plan = SwitchPlan(
+                moves=_moves_into(dest, sizes, sources, (caps - moved).tolist())
+            )
     check = check_witness(instance, best_plan, k=best_value)
     if not check.ok:
         raise RuntimeError(
@@ -227,42 +247,12 @@ def max_r_approval(instance: ProblemInstance) -> SolveResult:
     return feasible(best_value, best_plan, "max_r_approval")
 
 
-def _scan(rows, budget_at):
-    """(t, counts) for the least t whose packing of ``rows`` within
-    ``budget_at(t)`` reaches t; None if there is none up to the rows' caps.
-
-    The budgets never fall as t grows, so the scan starts by bisection at
-    the first t whose budgets are all non-negative.  A failed packing leaves
-    the candidate prices of its linear relaxation.  They stay dual feasible
-    when only the budgets move, so by weak duality they bound the packings
-    of later t too (``_dual_bound``); a t they rule out is skipped without a
-    search.  Only the budget part of that bound moves with t, so its row
-    part (``_row_term``) is computed once per price vector.
-    """
-    members = [row_members for _, row_members, _ in rows]
-    caps = [cap for _, _, cap in rows]
-    t_range = range(sum(caps) + 1)
-    first = bisect.bisect_left(
-        t_range, 0, key=lambda t: min(budget_at(t).values(), default=0)
-    )
-    price = row_term = None
-    for t in t_range[first:]:
-        budget = budget_at(t)
-        if price is not None and _dual_bound(budget, price, row_term) < t:
-            continue
-        counts, price = _pack(rows, budget, t)
-        if counts is not None:
-            return t, counts
-        if price is not None:
-            row_term = _row_term(members, caps, price)
-    return None
-
-
-def _moves_into(dest, sizes, entries, retained):
-    """Moves of every source voter into ``dest`` except the ``retained``
-    count of each merged row; the lowest party ids move first."""
+def _moves_into(dest, sizes, members, retained):
+    """Moves of every voter into ``dest`` except the ``retained`` count of
+    each merged row, whose party ids ``members`` lists; the lowest party ids
+    move first."""
     moved = {q: sizes[q] for q in range(len(sizes)) if q != dest and sizes[q] > 0}
-    for (ids, _, _), stay in zip(entries, retained):
+    for ids, stay in zip(members, retained):
         for q in reversed(ids):
             keep = min(sizes[q], stay)
             moved[q] -= keep
@@ -270,149 +260,147 @@ def _moves_into(dest, sizes, entries, retained):
     return tuple((q, dest, n) for q, n in sorted(moved.items()) if n > 0)
 
 
-def _pack(rows, budget, target):
-    """(counts, prices): counts per row summing to ``target`` such that at
-    most ``budget[c]`` of them approve each candidate c, or None when no such
-    counts exist; prices are the root relaxation's (None if it was not
-    needed).
+def _max_pack(a, budget, caps, floor=-1):
+    """Counts 0 <= x <= caps of largest sum with a.T @ x <= budget, for
+    costs a >= 0 (one row per count); None when some budget is negative,
+    since then not even x = 0 fits.  Only a sum above ``floor`` counts as
+    found: when none exists, the counts returned fit but sum to at most
+    ``floor``.
 
-    ``rows`` holds (party ids, budgeted candidates approved, cap) triples.
-    Packings are downward closed, so this decides whether the largest
-    packing reaches ``target``.  Branch and bound over per-row count
-    intervals: a node first tries a greedy fill, then prunes with the dual
-    bound of its linear relaxation (``_lp_relaxation``, ``_dual_bound``),
-    then rounds the relaxation down and fills greedily, and otherwise splits
-    a fractional count.  Each split shrinks an interval, so the search is
-    exhaustive and exact; it is exponential only in the number of rows.
+    Branch and bound over per-row count intervals against an incumbent.  A
+    node fills greedily, cheapest rows first (``_greedy_fill``).  Unless that
+    fills every interval, it prunes when a single-constraint (fractional
+    knapsack) bound, then the dual bound of its linear relaxation
+    (``_lp_relaxation``, ``_dual_bound``), shows it cannot beat the
+    incumbent; then it rounds the relaxation down, refills greedily, and
+    splits a fractional count, or halves the widest interval when the
+    relaxation is integral.  Both halves are non-empty, so the search is
+    exhaustive and exact.
     """
-    members = [row_members for _, row_members, _ in rows]
-    root_price = None
-
-    def search(low, high):
-        nonlocal root_price
-        slack = dict(budget)
-        for row_members, x in zip(members, low):
-            for c in row_members:
-                slack[c] -= x
-        if min(slack.values(), default=0) < 0:
-            return None
-        need = target - sum(low)
-        room = [h - lo for h, lo in zip(high, low)]
-        extra = _greedy_fill(members, room, slack, need, [0] * len(room))
-        if extra is None:
-            x, price = _lp_relaxation(members, room, slack)
-            if root_price is None:
-                root_price = price
-            if _dual_bound(slack, price, _row_term(members, room, price)) < need:
-                return None
-            start = [min(r, int(v + 1e-9)) for r, v in zip(room, x)]
-            extra = _greedy_fill(members, room, slack, need, start)
-        if extra is not None:
-            return [lo + e for lo, e in zip(low, extra)]
-        j = max(range(len(room)), key=lambda i: min(x[i] % 1, 1 - x[i] % 1))
-        if min(x[j] % 1, 1 - x[j] % 1) > 1e-9:
+    if (budget < 0).any():
+        return None
+    if (caps @ a <= budget).all():  # every voter fits
+        return caps
+    order = np.argsort(a.sum(axis=1), kind="stable")
+    weights = np.arange(1.0, a.max() + 1)
+    knapsack = (np.eye(a.shape[1]) / weights[:, None, None]).reshape(-1, a.shape[1])  # e_c / w
+    best, best_sum = np.zeros_like(caps), floor
+    stack = [(np.zeros_like(caps), caps)]
+    while stack:
+        low, high = stack.pop()
+        slack = budget - low @ a
+        if (slack < 0).any():
+            continue
+        room = high - low
+        fill = low + _greedy_fill(a, room, slack, order, np.zeros_like(room))
+        if fill.sum() > best_sum:
+            best, best_sum = fill, fill.sum()
+        if (fill == high).all():  # every interval filled: this node's optimum
+            continue
+        need = best_sum - low.sum()  # a subtree must pack more than this
+        bound = _dual_bound(a, room, slack, knapsack)
+        if bound > need:
+            x, price = _lp_relaxation(a, room, slack)
+            bound = min(bound, _dual_bound(a, room, slack, price[None]))
+        if bound <= need:
+            continue
+        start = np.minimum(room, (x + 1e-9).astype(np.int64))
+        fill = low + _greedy_fill(a, room, slack, order, start)
+        if fill.sum() > best_sum:
+            best, best_sum = fill, fill.sum()
+        if best_sum - low.sum() >= bound:
+            continue
+        frac = np.minimum(x % 1, 1 - x % 1)
+        j = int(frac.argmax())
+        if frac[j] > 1e-9:
             split = int(x[j])
         else:  # integral relaxation that rounding missed: halve the widest interval
-            j = max(range(len(room)), key=room.__getitem__)
-            if room[j] == 0:
-                return None
-            split = room[j] // 2
-        up, down = list(low), list(high)
+            j = int(room.argmax())
+            split = int(room[j]) // 2
+        up, down = low.copy(), high.copy()
         up[j] += split + 1
         down[j] = low[j] + split
-        found = search(up, high)
-        return found if found is not None else search(low, down)
-
-    counts = search([0] * len(rows), [cap for _, _, cap in rows])
-    if counts is not None:
-        surplus = sum(counts) - target
-        for j in reversed(range(len(counts))):  # drop the surplus from the last rows
-            drop = min(counts[j], surplus)
-            counts[j] -= drop
-            surplus -= drop
-    return counts, root_price
+        stack += [(low, down), (up, high)]  # the upper half first
+    return best
 
 
-def _greedy_fill(members, room, slack, need, start):
-    """Counts within ``room`` that add at least ``need`` without overdrawing
-    ``slack``, extending ``start`` row by row; None if this greedy falls short."""
-    left = dict(slack)
-    counts = list(start)
-    for row_members, x in zip(members, counts):
-        for c in row_members:
-            left[c] -= x
-    if any(v < 0 for v in left.values()):
-        counts = [0] * len(room)
-        left = dict(slack)
-    got = sum(counts)
-    for j, row_members in enumerate(members):
-        if got >= need:
-            break
-        take = min([room[j] - counts[j], need - got] + [left[c] for c in row_members])
-        counts[j] += take
-        got += take
-        for c in row_members:
-            left[c] -= take
-    return counts if got >= need else None
+def _greedy_fill(a, room, slack, order, start):
+    """Counts within ``room`` that extend ``start`` (zero counts, if
+    ``start`` overdraws ``slack``) row by row in ``order``, each as far as
+    the slack left allows."""
+    left = slack - start @ a
+    counts = start.copy()
+    if (left < 0).any():
+        counts[:] = 0
+        left = slack
+    counts, room, left = counts.tolist(), room.tolist(), left.tolist()
+    for j, row in zip(order.tolist(), a[order].tolist()):
+        take = min([room[j] - counts[j]] + [v // w for v, w in zip(left, row) if w])
+        if take:
+            counts[j] += take
+            left = [v - take * w for v, w in zip(left, row)]
+    return np.array(counts, dtype=np.int64)
 
 
-def _lp_relaxation(members, room, slack):
-    """Linear relaxation of the packing: (fractional counts, candidate prices).
+def _lp_relaxation(a, room, slack):
+    """Linear relaxation of the packing: (fractional counts, prices).
 
-    A dense simplex with Bland's rule solves max sum(x) subject to
-    A x <= slack and 0 <= x <= room from the all-slack basis.  The prices
-    are its optimal duals, clipped at 0; only ``_dual_bound`` turns them
-    into a bound, so rounding in the simplex cannot make a bound invalid.
+    A bounded-variable primal simplex solves max sum(x) subject to
+    a.T @ x <= slack and 0 <= x <= room.  Its tableau has one row per
+    constraint and one column per count and per slack variable; a count at
+    its room stays nonbasic at that bound.  slack >= 0 makes the all-slack
+    basis feasible, so there is no phase 1.  Bland's rule picks both the
+    entering and the leaving variable.  The prices are the optimal duals,
+    clipped at 0; only ``_dual_bound`` turns them into a bound, so rounding
+    in the simplex cannot make a bound invalid.
     """
-    cands = sorted(slack)
-    index = {c: i for i, c in enumerate(cands)}  # constraint row of each candidate
-    n_rows, n_cands = len(room), len(cands)
-    width = 2 * n_rows + n_cands
-    tab = np.zeros((n_cands + n_rows + 1, width + 1))
-    for j, row_members in enumerate(members):
-        tab[[index[c] for c in row_members], j] = 1.0
-    tab[:n_cands, n_rows:n_rows + n_cands] = np.eye(n_cands)
-    tab[n_cands:-1, :n_rows] = np.eye(n_rows)
-    tab[n_cands:-1, n_rows + n_cands:width] = np.eye(n_rows)
-    tab[:n_cands, -1] = [slack[c] for c in cands]
-    tab[n_cands:-1, -1] = room
-    tab[-1, :n_rows] = -1.0
-    basis = list(range(n_rows, width))
+    n_counts, n_rows = a.shape
+    tab = np.hstack([a.T, np.eye(n_rows)])
+    cost = np.concatenate([np.ones(n_counts), np.zeros(n_rows)])  # reduced costs
+    upper = np.concatenate([room, np.full(n_rows, np.inf)])
+    at_upper = np.zeros(n_counts + n_rows, dtype=bool)
+    basis = np.arange(n_counts, n_counts + n_rows)
+    value = slack.astype(float)  # of the basic variables
     eps = 1e-9
     while True:
-        entering = np.flatnonzero(tab[-1, :-1] < -eps)
+        entering = np.flatnonzero(np.where(at_upper, cost < -eps, cost > eps))
         if not entering.size:
             break
         col = int(entering[0])
-        column = tab[:-1, col]
-        usable = np.flatnonzero(column > eps)
-        ratios = tab[usable, -1] / column[usable]
-        ties = usable[ratios <= ratios.min() + eps]
-        row = int(min(ties, key=basis.__getitem__))
+        step = -tab[:, col] if at_upper[col] else tab[:, col]  # basics fall by theta * step
+        ratio = np.full(n_rows, np.inf)
+        falls, rises = step > eps, step < -eps
+        ratio[falls] = value[falls] / step[falls]
+        ratio[rises] = (upper[basis[rises]] - value[rises]) / -step[rises]
+        theta = min(ratio.min(), upper[col])
+        if theta == np.inf:  # only rounding can leave an edge unbounded
+            break
+        ties = basis[ratio <= theta + eps].tolist()
+        leaving = min(ties + [col] if upper[col] <= theta + eps else ties)
+        value -= theta * step
+        if leaving == col:  # the count moves to its other bound
+            at_upper[col] = not at_upper[col]
+            continue
+        row = int(np.flatnonzero(basis == leaving)[0])
+        at_upper[leaving] = step[row] < 0  # a count that rose to its room
+        value[row] = upper[col] - theta if at_upper[col] else theta
+        at_upper[col] = False
         tab[row] /= tab[row, col]
         factors = tab[:, col].copy()
         factors[row] = 0.0
         tab -= np.outer(factors, tab[row])
+        cost -= cost[col] * tab[row]
         basis[row] = col
-    x = [0.0] * n_rows
-    for i, var in enumerate(basis):
-        if var < n_rows:
-            x[var] = float(tab[i, -1])
-    price = {c: max(0.0, float(tab[-1, n_rows + i])) for i, c in enumerate(cands)}
-    return x, price
+    x = np.where(at_upper[:n_counts], room, 0.0)
+    counted = basis < n_counts
+    x[basis[counted]] = value[counted]
+    return x, np.maximum(0.0, -cost[n_counts:])
 
 
-def _dual_bound(slack, price, row_term):
-    """Upper bound on the largest packing from any candidate prices y >= 0
-    (weak LP duality): slack . y + sum_j room_j * max(0, 1 - y(row j)), the
-    second sum being ``row_term`` (``_row_term``)."""
-    return int(sum(price[c] * slack[c] for c in slack) + row_term + 1e-6)
-
-
-def _row_term(members, room, price):
-    """sum_j room_j * max(0, 1 - y(row j)) for prices y: each row's reduced
-    cost 1 - y(row j), weighted by its room."""
-    return sum(
-        r * max(0.0, 1.0 - sum(price[c] for c in row_members))
-        for r, row_members in zip(room, members)
-    )
+def _dual_bound(a, room, slack, prices):
+    """Upper bound on the largest packing within ``slack`` and ``room``.
+    For any prices y >= 0, weak LP duality gives slack . y + sum_j room_j *
+    max(0, 1 - (a y)_j); this is the least over the rows of ``prices``,
+    rounded down, so floating-point error can only weaken it."""
+    bounds = prices @ slack + np.maximum(0.0, 1.0 - a @ prices.T).T @ room
+    return int(bounds.min() + 1e-6)

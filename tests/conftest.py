@@ -93,6 +93,20 @@ def collect_problems(seed_base: int, count: int, **kwargs):
     return out
 
 
+def exact_search(inst: pc.ProblemInstance, **kwargs) -> pc.SolveResult:
+    """The branch and bound of the instance's own direction."""
+    if inst.direction is pc.Direction.MIN:
+        return pc.exact_search_min(inst, **kwargs)
+    return pc.exact_search_max(inst, **kwargs)
+
+
+def oracle(inst: pc.ProblemInstance) -> pc.SolveResult:
+    """The plan-enumerating oracle of the instance's own direction."""
+    if inst.direction is pc.Direction.MIN:
+        return pc.oracle_min(inst)
+    return pc.oracle_max(inst)
+
+
 def values_match(a: pc.SolveResult, b: pc.SolveResult) -> bool:
     """Same optimum, treating infeasible as a value of its own."""
     assert a.status is not pc.SolveStatus.BUDGET_EXHAUSTED

@@ -36,6 +36,8 @@ from conftest import (
     X3C_YES3,
     X3C_YES6,
     X3C_YES12,
+    exact_search,
+    oracle,
     random_problem,
     values_match,
 )
@@ -61,17 +63,6 @@ def criterion(number: int, title: str):
         return wrapper
 
     return deco
-
-
-def _gather(seed_base, count, **kwargs):
-    problems = []
-    seed = seed_base
-    while len(problems) < count:
-        inst = random_problem(random.Random(seed), **kwargs)
-        seed += 1
-        if inst is not None:
-            problems.append(inst)
-    return problems
 
 
 @criterion(1, "polynomial solvers match the oracle")
@@ -113,12 +104,7 @@ def test_criterion_1_poly_vs_oracle():
 
 def _reduced_answer(reduced: rd.ReducedInstance, use_oracle=False) -> bool:
     inst = reduced.instance
-    if use_oracle:
-        result = pc.oracle_max(inst) if inst.direction is pc.Direction.MAX else pc.oracle_min(inst)
-    elif inst.direction is pc.Direction.MAX:
-        result = pc.exact_search_max(inst)
-    else:
-        result = pc.exact_search_min(inst)
+    result = oracle(inst) if use_oracle else exact_search(inst)
     assert result.status is not pc.SolveStatus.BUDGET_EXHAUSTED
     if result.status is pc.SolveStatus.FEASIBLE:
         assert pc.check_witness(inst, result.witness, k=result.value).ok

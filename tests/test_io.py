@@ -208,14 +208,12 @@ def test_other_spellings_parse_like_canonical_orders():
 
 
 def test_candidate_name_with_separator():
-    # '>' always splits an order, so such a candidate can never be ranked.
+    # '>' always splits an order, so such a name is refused where it is declared.
     text = MINIMAL.replace("candidates: p a b", "candidates: p a b c>d")
-    with pytest.raises(ParseError, match="unknown candidate 'c'") as err:
-        pc.parse_instance(text.replace("p > a > b\n", "p > a > b > c>d\n"))
-    assert _line_of(err.value) == 8
-    with pytest.raises(ParseError, match="missing 3") as err:
-        pc.parse_instance(text)
-    assert _line_of(err.value) == 8
+    for body in (text, text.replace("p > a > b\n", "p > a > b > c>d\n")):
+        with pytest.raises(ParseError, match="candidate name 'c>d' contains '>'") as err:
+            pc.parse_instance(body)
+        assert _line_of(err.value) == 1
 
 
 def test_round_trip_3000_parties():

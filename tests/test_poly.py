@@ -2,13 +2,14 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 
 import partycred as pc
-from partycred.poly import max_r_approval, min_condorcet, min_scoring
+from partycred.poly import _max_pack, max_r_approval, min_condorcet, min_scoring
 from partycred.solve import poly_solver
 
-from conftest import build, collect_problems, values_match
+from conftest import build, collect_problems, oracle, values_match
 
 P, A, B = 0, 1, 2
 PLUR2 = pc.Scoring(vector=(1, 0))
@@ -349,10 +350,7 @@ def test_poly_matches_oracle_sample(rule_spec, direction, fn):
             )
         ]
         for inst in problems:
-            mine = fn(inst)
-            ref = (
-                pc.oracle_min(inst) if direction == "min" else pc.oracle_max(inst)
-            )
+            mine, ref = fn(inst), oracle(inst)
             assert values_match(mine, ref), (inst, mine, ref)
             if mine.status is pc.SolveStatus.FEASIBLE:
                 assert pc.check_witness(inst, mine.witness, k=mine.value).ok
@@ -383,3 +381,53 @@ def test_poly_solver_routing(rule_spec, m, direction, dest, expected):
         k=1, direction=direction, model="cowinner", dest=dest,
     )
     assert poly_solver(inst) is expected
+
+
+# Packings whose root node cannot settle the optimum, so the search must split.
+SPLIT_PACKINGS = [
+    ([[1, 1], [0, 2], [1, 2], [2, 0]], [1, 2, 3, 1], [2, 2]),
+    ([[1, 1], [1, 0], [0, 2], [2, 0]], [1, 1, 1, 3], [3, 2]),
+    ([[0, 0, 2], [1, 2, 1], [2, 0, 0]], [1, 3, 2], [4, 6, 4]),
+    ([[1, 1], [0, 2], [2, 0], [1, 2]], [1, 2, 1, 2], [2, 4]),
+    ([[1, 1, 1], [2, 1, 0], [0, 1, 2]], [1, 2, 1], [2, 4, 2]),
+]
+
+
+def _small_packings(count, seed):
+    """The split packings, then ``count`` seeded ones: <= 4 rows, <= 3
+    constraints, costs 0-2, caps <= 3, budgets from -1."""
+    for a, caps, budget in SPLIT_PACKINGS:
+        yield np.array(a), np.array(caps), np.array(budget)
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        yield (
+            rng.integers(0, 3, size=(rows, cols)),
+            rng.integers(0, 4, size=rows),
+            rng.integers(-1, 7, size=cols),
+        )
+
+
+def test_max_pack_matches_enumeration():
+    """The optimum is the enumerated one, the counts fit every constraint
+    and cap, and None comes exactly with a negative budget.  A ``floor`` at
+    the optimum still returns counts that fit."""
+    found = none = 0
+    for a, caps, budget in _small_packings(400, seed=11):
+        x = _max_pack(a, budget, caps)
+        if (budget < 0).any():
+            assert x is None
+            none += 1
+            continue
+        best = max(
+            sum(counts)
+            for counts in itertools.product(*(range(int(c) + 1) for c in caps))
+            if (np.array(counts) @ a <= budget).all()
+        )
+        for counts, target in ((x, best), (_max_pack(a, budget, caps, floor=best), None)):
+            assert (counts >= 0).all() and (counts <= caps).all()
+            assert (counts @ a <= budget).all()
+            if target is not None:
+                assert counts.sum() == target, (a, caps, budget, counts)
+        found += 1
+    assert found >= 200 and none >= 50

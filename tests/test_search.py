@@ -15,7 +15,14 @@ from partycred.search import (
     _party_margin_deltas,
 )
 
-from conftest import build, collect_problems, random_problem, values_match
+from conftest import (
+    build,
+    collect_problems,
+    exact_search,
+    oracle,
+    random_problem,
+    values_match,
+)
 
 P, A, B = 0, 1, 2
 PLUR3 = pc.Scoring(vector=(1, 0, 0))
@@ -87,26 +94,11 @@ def test_search_matches_oracle_quick():
                 max_parties=3,
                 max_voters=8,
             )
-        if direction == "min":
-            mine, ref = pc.exact_search_min(inst), pc.oracle_min(inst)
-        else:
-            mine, ref = pc.exact_search_max(inst), pc.oracle_max(inst)
+        mine, ref = exact_search(inst), oracle(inst)
         assert values_match(mine, ref), (inst, mine, ref)
         for res in (mine, ref):
             if res.status is pc.SolveStatus.FEASIBLE:
                 assert pc.check_witness(inst, res.witness, k=res.value).ok
-
-
-def _exact_search(inst, **kwargs):
-    if inst.direction is pc.Direction.MIN:
-        return pc.exact_search_min(inst, **kwargs)
-    return pc.exact_search_max(inst, **kwargs)
-
-
-def _oracle(inst):
-    if inst.direction is pc.Direction.MIN:
-        return pc.oracle_min(inst)
-    return pc.oracle_max(inst)
 
 
 def _seeded_problems(count, seed, rules):
@@ -133,7 +125,7 @@ def test_search_witness_equals_oracle():
     (destination rank, counts) key, which tie-aware pruning must keep."""
     rules = ALL_RULES + ("copeland:0", "copeland:1")
     for inst in _seeded_problems(300, 7, rules):
-        mine, ref = _exact_search(inst), _oracle(inst)
+        mine, ref = exact_search(inst), oracle(inst)
         assert (mine.status, mine.value, mine.witness) == (
             ref.status, ref.value, ref.witness
         ), (inst, mine, ref)
@@ -145,7 +137,7 @@ def test_single_candidate_search_matches_oracle():
         inst = build(
             pc.Scoring(vector=(1,)), [((P,), 3), ((P,), 2)], p=P, direction=direction
         )
-        mine, ref = _exact_search(inst), _oracle(inst)
+        mine, ref = exact_search(inst), oracle(inst)
         assert (mine.status, mine.value, mine.witness) == (
             ref.status, ref.value, ref.witness
         )
@@ -197,12 +189,12 @@ def test_node_budget_contract():
     runs out one node earlier."""
     checked = 0
     for inst in _seeded_problems(120, 11, ALL_RULES):
-        result = _exact_search(inst)
+        result = exact_search(inst)
         if result.status is not pc.SolveStatus.FEASIBLE:
             continue
         checked += 1
-        assert _exact_search(inst, node_budget=result.nodes) == result
-        short = _exact_search(inst, node_budget=result.nodes - 1)
+        assert exact_search(inst, node_budget=result.nodes) == result
+        short = exact_search(inst, node_budget=result.nodes - 1)
         assert short.status is pc.SolveStatus.BUDGET_EXHAUSTED
         assert short.nodes == result.nodes
     assert checked >= 60

@@ -44,3 +44,19 @@ def test_tracer_counts_one_min_switch_call_of_l_by_m_cells():
     assert result.solver == "min_scoring"
     assert tracer.calls["kernels.min_switch_counts"] >= 1
     assert tracer.counts["kernels.min_switch_counts.cells"] == 7 * 5
+
+
+def test_tracer_counts_one_max_r_approval_call_on_the_poly_route():
+    inst = partycred.generate_random(
+        seed=5, num_candidates=5, num_parties=7, size_range=(1, 4),
+        rule_spec="plurality", direction="max",
+    ).instance
+    tracer = _tracing_module().Tracer()
+    tracer.install(partycred)
+    try:
+        result = partycred.solve_instance(inst)
+    finally:
+        tracer.uninstall()
+    assert result.solver == "max_r_approval"
+    assert tracer.calls["poly.max_r_approval"] == 1
+    assert tracer.counts["solve.route.poly"] == 1
