@@ -22,7 +22,7 @@ from .parties import (
     apply_switch,
     check_witness,
 )
-from .poly import max_r_approval, min_condorcet, min_scoring
+from .poly import max_linear, max_r_approval, min_condorcet, min_scoring
 from .reductions import (
     REDUCTIONS,
     GraphInstance,
@@ -66,6 +66,7 @@ __all__ = [
     "SwitchPlan",
     "apply_switch",
     "check_witness",
+    "max_linear",
     "max_r_approval",
     "min_condorcet",
     "min_scoring",

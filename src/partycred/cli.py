@@ -78,10 +78,10 @@ def _cmd_verify(args) -> int:
     parsed = _load_instance(args.file)
     instance = parsed.instance
     candidate = solve_instance(instance, node_budget=args.budget)
-    reference = solve_instance(instance, solver="oracle")
     if candidate.status is SolveStatus.BUDGET_EXHAUSTED:
         _say("budget exhausted before verification finished")
         return EXIT_BUDGET
+    reference = solve_instance(instance, solver="oracle")
     cand_value = candidate.value if candidate.status is SolveStatus.FEASIBLE else None
     ref_value = reference.value if reference.status is SolveStatus.FEASIBLE else None
     if cand_value != ref_value:

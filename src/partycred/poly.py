@@ -6,29 +6,38 @@
   ``leads[q, c]`` (``search._party_leads``), the score gap for a scoring
   rule and +-1 for Condorcet.  Each rival's best destination is its
   lowest-lead party, so one pass over all rivals finds the fewest switches.
-* ``max_r_approval`` — one-destination MAX for 0/1 scoring vectors
-  (plurality, veto, any r-approval), one destination per approval row.  An
-  exchange lemma shows that the best plan retains only voters approving p,
-  so each destination row is one maximum packing (``_max_pack``): as many
-  p-approving voters as possible move into it while p's lead over each
-  rival, from the same lead matrix, stays a win.  The packing is a branch
-  and bound whose linear relaxation (``_lp_relaxation``) is a
-  bounded-variable simplex with one row per rival that can bind and one
-  column per merged source row and per slack.  On those rivals moving a
-  voter never raises p's lead, so a search node whose own counts fit has
-  non-negative budgets left, the all-slack basis is feasible, and no
-  phase 1 is needed.  The search is exponential only in
-  the number of distinct rows, at most C(m, r), so the solver is
-  polynomial for fixed m.
+* ``max_linear`` — one-destination MAX for any scoring vector and for
+  Condorcet, one destination per distinct lead row.  Into a fixed
+  destination the leads fall linearly in the numbers of voters moved, so
+  each destination row is one maximum packing (``_max_pack``): as many
+  voters as possible move into it while p's lead over each rival stays a
+  win.  Costs may be negative (a Borda or Condorcet switcher can raise p's
+  lead over some rival), so the packing is an integer program that is
+  NP-hard in general: the search is exponential only in the number of
+  distinct rows, at most min(l, m!), and so polynomial for fixed m.
+* ``max_r_approval`` — the same packings for 0/1 scoring vectors
+  (plurality, veto, any r-approval), restricted by an exchange lemma:
+  the best plan retains only voters approving p.  Then every cost on a
+  binding rival is >= 0, and there are at most C(m, r) distinct rows.
+
+``_max_pack`` is a branch and bound over count intervals.  Its linear
+relaxation (``_lp_relaxation``) is a two-phase bounded-variable simplex
+with one row per rival that can bind and one column per merged source row
+and per slack.  Phase 1 runs only at a node whose slack is negative, which
+raising a count of positive cost can cause; the root's slack is never
+negative for ``max_linear``, as p wins before anyone moves.
 
 Ties resolve reproducibly.  MIN takes the lowest rival among those that need
 the fewest switches, then that rival's lowest-id party of lowest lead;
-``max_r_approval`` takes the lowest-id destination among the best.
+``max_linear`` and ``max_r_approval`` take the lowest-id destination among
+the best.
 Each solver checks the plan it returns with ``check_witness`` and raises
 ``RuntimeError`` on a rejection, which would be a solver bug.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -36,6 +45,7 @@ from . import _kernels
 # Unused here, but perfbench/tracing.py patches poly.pairwise_matrix.
 from .core import pairwise_matrix  # noqa: F401
 from .parties import (
+    EMPTY_PLAN,
     Direction,
     DestinationMode,
     ProblemInstance,
@@ -125,19 +135,63 @@ def _greedy_plan(sizes, order, dest, value) -> SwitchPlan:
     return SwitchPlan(moves=tuple(moves))
 
 
+def max_linear(instance: ProblemInstance) -> SolveResult:
+    """Exact one-destination MAX for any scoring vector and for Condorcet.
+
+    Both rules are linear in the party sizes: one voter of party q adds
+    ``leads[q, c]`` to p's lead over c (``search._party_leads``).  p still
+    wins while every lead is at least s: s = 0 for a scoring rule under the
+    co-winner model and 1 otherwise (a Condorcet winner beats every rival).
+    Parties with the same lead row are interchangeable, so they are merged
+    into one row j of caps[j] voters, and only one destination per row is
+    solved: its smallest party, then the lowest id, which keeps the lowest-id
+    maximiser over all parties.
+
+    Fix a destination d.  Moving x[j] voters of row j into d lowers the
+    leads by cost.T @ x, where cost[j] = leads[j] - leads[d] may take either
+    sign.  So the most switches into d are the other voters of d's row plus
+    the largest sum(x) with
+
+        cost.T @ x <= sizes @ leads - s,  0 <= x <= caps,
+
+    a maximum packing with signed costs (``_max_pack``).  A row whose costs
+    are all <= 0 moves in full: moving it never lowers a lead.  A rival binds
+    only if some cost on it is positive.  Otherwise every count fits it, as
+    p wins initially and so every budget is >= 0 once those rows have moved.
+    ``_max_into_rows`` builds these packings.
+
+    Complexity: at most one ``_max_pack`` call per distinct row, over K <=
+    min(l, m!) merged rows and at most m - 1 constraints.  Destinations are
+    tried smallest first.  A row whose N - size(d) cannot beat the best value
+    so far (or tie it from a lower id) is skipped, and the call's floor is
+    what the row must pack to do so, so a row that cannot is pruned at its
+    root.  The branch and bound
+    splits count intervals into non-empty halves, so each call visits fewer
+    than 2 * prod(caps + 1) nodes of polynomial work each.  That is
+    polynomial for a fixed number of candidates and exponential in K in the
+    worst case, as the NP-hardness of Borda MAX requires.
+
+    The returned plan is checked with ``check_witness`` before it leaves the
+    solver; a rejection is a solver bug and raises ``RuntimeError``.
+    """
+    if not isinstance(instance.rule, (Scoring, Condorcet)):
+        raise ValueError("max_linear needs a Scoring or Condorcet rule")
+    if instance.direction is not Direction.MAX:
+        raise ValueError("max_linear solves max instances only")
+    if instance.destination_mode is not DestinationMode.ONE:
+        raise ValueError("max_linear handles the one-destination mode only")
+    return _max_into_rows(instance, "max_linear")
+
+
 def max_r_approval(instance: ProblemInstance) -> SolveResult:
     """Exact one-destination MAX for 0/1 scoring vectors (plurality, veto,
-    r-approval).
+    r-approval): ``max_linear``'s packings, restricted by an exchange lemma.
 
     All switchers adopt the destination's approval row D, so the final
     election depends on the destination only through D: the fewest voters
     that must stay put (be retained) is the same for every party holding D,
     and the value is N - size(dest) - T, N being the number of voters and T
-    the number retained.  One destination per distinct row is solved, the
-    smallest party of that row (then the lowest id), which keeps the
-    lowest-id maximiser over all parties; a row whose N - size(dest) cannot
-    beat the best value so far is skipped.  Sources whose row is D always
-    move in full, since moving them changes no score and lowers T.
+    the number retained.
 
     Lemma.  Some optimal plan retains only voters approving p.  If D
     approves p, moving a retained voter of row S into D changes each (p, c)
@@ -157,37 +211,21 @@ def max_r_approval(instance: ProblemInstance) -> SolveResult:
     since p initially wins, unless no voter approves anyone; then T = 0 is
     feasible into every destination.)
 
-    Packing form.  Let s = 1 under the unique-winner model and 0 under the
-    co-winner model.  By the lemma, move every voter who does not approve p
-    and every voter of row D, and merge the other p-approving parties by
-    row: merged source row j holds caps[j] voters.  With all of them
-    retained, p's lead over each candidate is (``_party_leads``)
+    Packing form.  By the lemma, every voter who does not approve p moves,
+    and ``_max_into_rows`` packs the p-approving rows.  A p-approving row j
+    has cost[j, c] = 1 - [c in j] - leads[dest, c]: 0, 1 or 2 where
+    leads[dest, c] <= 0, and -[c in j] <= 0 where leads[dest, c] = 1.  So
+    every cost on a binding rival is >= 0, the packing is downward closed,
+    and a negative budget means no plan into D of the kind the lemma keeps.
+    The other rivals never bind, as their budgets are >= 0: their lead is
+    smallest with every source voter retained, where it is N minus the
+    source voters approving c, and that is at least ``max_linear``'s s
+    (under the unique-winner model, p's initial win needs some voter who
+    approves p but not c).
 
-        lead = caps @ leads[src] + (N - caps.sum()) * leads[dest],
-
-    and moving x[j] more voters of row j into D lowers it by cost.T @ x,
-    where cost[j] = leads[j] - leads[dest].  Row j approves p, so cost[j, c]
-    is 1 - [c in j] - leads[dest, c]: 0, 1 or 2 where leads[dest, c] <= 0,
-    and -[c in j] <= 0 where leads[dest, c] = 1.  Those other rivals never
-    bind.  Their lead is smallest with every source voter retained, where it
-    is N minus the source voters approving c, and that is at least s: under
-    the unique-winner model, p's initial win needs some voter who approves p
-    but not c.  So, over the binding rivals B (c != p with
-    leads[dest, c] <= 0), the optimum into D is
-
-        max sum(x)  subject to  cost[:, B].T @ x <= lead[B] - s,  0 <= x <= caps,
-
-    worth N - size(dest) - caps.sum() + sum(x).  A negative budget means no
-    plan into D of the kind the lemma keeps.  Costs >= 0 make the packing
-    downward closed, so rounding a solution down keeps it feasible.
-
-    Complexity: at most one ``_max_pack`` call per distinct row, over K
-    merged rows (K <= C(m - 1, r - 1)) and at most m - 1 constraints.  The
-    call's floor is what the row must pack to beat the best value so far,
-    so a row that cannot is pruned at its root.  The branch and bound splits
-    count intervals into non-empty halves, so it visits fewer than
-    2 * prod(caps + 1) <= 2 * (N + 1)^K nodes of polynomial work each: the
-    solver is polynomial for fixed m.
+    Complexity: at most one ``_max_pack`` call per distinct row, over K <=
+    C(m - 1, r - 1) merged rows and at most m - 1 constraints, so the solver
+    is polynomial for fixed m (``max_linear`` has the node count).
 
     The returned plan is checked with ``check_witness`` before it leaves the
     solver; a rejection is a solver bug and raises ``RuntimeError``.
@@ -197,61 +235,71 @@ def max_r_approval(instance: ProblemInstance) -> SolveResult:
         raise ValueError("max_r_approval handles the one-destination mode only")
     if set(instance.rule.vector) - {0, 1}:
         raise ValueError("max_r_approval needs a 0/1 approval-style scoring vector")
-    rows = _party_rows(instance)
+    return _max_into_rows(instance, "max_r_approval", _party_rows(instance)[:, instance.p] == 1)
+
+
+def _max_into_rows(instance: ProblemInstance, solver: str, retainable=None) -> SolveResult:
+    """One-destination MAX for a linear rule, one packing per distinct lead
+    row (``max_linear``).  ``retainable`` marks the parties whose voters may
+    stay put, one value per lead row; the others move in full.  By default
+    every party may."""
     leads = _party_leads(instance)
-    sizes = instance.election.sizes.tolist()
-    total = sum(sizes)
+    sizes = instance.election.sizes
+    total = int(sizes.sum())
     p = instance.p
-    s = 1 if instance.model is WinnerModel.UNIQUE else 0
+    s = int(isinstance(instance.rule, Condorcet) or instance.model is WinnerModel.UNIQUE)
+    budget = sizes @ leads - s  # with nobody moved; >= 0 off column p
 
-    dest_of_row: dict[bytes, int] = {}
-    groups: dict[bytes, list[int]] = {}  # p-approving rows, merged
-    for q, size in enumerate(sizes):
-        key = rows[q].tobytes()
-        if size < sizes[dest_of_row.setdefault(key, q)]:
-            dest_of_row[key] = q
-        if rows[q, p] and size > 0:
-            groups.setdefault(key, []).append(q)
-    members = list(groups.values())
-    group_leads = leads[[ids[0] for ids in members]]
-    group_caps = np.array([sum(sizes[q] for q in ids) for ids in members], dtype=np.int64)
+    merged: dict[bytes, list[int]] = {}
+    for q, row in enumerate(leads):
+        merged.setdefault(row.tobytes(), []).append(q)
+    members = list(merged.values())  # party ids per merged row
+    sizes_l = sizes.tolist()
+    dest_of = [min(ids, key=sizes_l.__getitem__) for ids in members]  # smallest, then lowest id
+    firsts = [ids[0] for ids in members]
+    row_leads = leads[firsts]
+    caps = np.array([sum(sizes_l[q] for q in ids) for ids in members], dtype=np.int64)
+    pinned = np.zeros(len(members), dtype=bool) if retainable is None else ~retainable[firsts]
 
-    best_value = 0
-    best_plan = SwitchPlan(moves=())
-    for dest in sorted(dest_of_row.values()):
-        if total - sizes[dest] <= best_value:
+    best_value, best_dest, best = 0, -1, None  # best: (packed rows, moved counts) into best_dest
+    for j in sorted(range(len(members)), key=lambda j: (sizes_l[dest_of[j]], dest_of[j])):
+        dest = dest_of[j]
+        tie = int(dest < best_dest)  # a tie with a later id must not replace the incumbent
+        if total - sizes_l[dest] + tie <= best_value:
             continue
-        src = np.array([key != rows[dest].tobytes() for key in groups], dtype=bool)
-        caps = group_caps[src]
-        lead = caps @ group_leads[src] + (total - caps.sum()) * leads[dest]
-        binding = leads[dest] <= 0
-        binding[p] = False
-        cost = group_leads[src] - leads[dest]
-        base = total - sizes[dest] - int(caps.sum())  # the value of moving no source voter
-        moved = _max_pack(cost[:, binding], lead[binding] - s, caps, best_value - base)
+        cost = row_leads - row_leads[j]
+        packed = ~(pinned | (cost <= 0).all(axis=1)) & (caps > 0)
+        packed[j] = False
+        rest = budget - caps[~packed] @ cost[~packed]  # every other row moved
+        binding = (cost[packed] > 0).any(axis=0) | (rest < 0)
+        binding[p] = False  # column p is 0
+        base = total - sizes_l[dest] - int(caps[packed].sum())  # moving no packed voter
+        floor = best_value - base - tie
+        moved = _max_pack(cost[packed][:, binding], rest[binding], caps[packed], floor)
         if moved is None:
             continue
         value = base + int(moved.sum())
-        if value > best_value:
-            best_value = value
-            sources = [ids for ids, keep in zip(members, src) if keep]
-            best_plan = SwitchPlan(
-                moves=_moves_into(dest, sizes, sources, (caps - moved).tolist())
-            )
+        if value + tie > best_value:
+            best_value, best_dest, best = value, dest, (packed, moved)
+    best_plan = EMPTY_PLAN
+    if best is not None:
+        packed, moved = best
+        sources = [ids for ids, keep in zip(members, packed) if keep]
+        retained = (caps[packed] - moved).tolist()
+        best_plan = SwitchPlan(moves=_moves_into(best_dest, sizes_l, sources, retained))
     check = check_witness(instance, best_plan, k=best_value)
     if not check.ok:
         raise RuntimeError(
-            f"max_r_approval built a rejected plan of {best_value} switches: "
-            f"{check.reason}"
+            f"{solver} built a rejected plan of {best_value} switches: {check.reason}"
         )
-    return feasible(best_value, best_plan, "max_r_approval")
+    return feasible(best_value, best_plan, solver)
 
 
 def _moves_into(dest, sizes, members, retained):
     """Moves of every voter into ``dest`` except the ``retained`` count of
     each merged row, whose party ids ``members`` lists; the lowest party ids
     move first."""
-    moved = {q: sizes[q] for q in range(len(sizes)) if q != dest and sizes[q] > 0}
+    moved = {q: sizes[q] for q in range(len(sizes)) if q != dest}
     for ids, stay in zip(members, retained):
         for q in reversed(ids):
             keep = min(sizes[q], stay)
@@ -262,52 +310,66 @@ def _moves_into(dest, sizes, members, retained):
 
 def _max_pack(a, budget, caps, floor=-1):
     """Counts 0 <= x <= caps of largest sum with a.T @ x <= budget, for
-    costs a >= 0 (one row per count); None when some budget is negative,
-    since then not even x = 0 fits.  Only a sum above ``floor`` counts as
-    found: when none exists, the counts returned fit but sum to at most
-    ``floor``.
+    signed costs a (one row per count); None exactly when no counts fit.
+    Only a sum above ``floor`` counts as found.  When none exists, the
+    result is counts that fit with a sum of at most ``floor``, or None: zero
+    counts whenever every budget is >= 0.
 
     Branch and bound over per-row count intervals against an incumbent.  A
-    node fills greedily, cheapest rows first (``_greedy_fill``).  Unless that
-    fills every interval, it prunes when a single-constraint (fractional
-    knapsack) bound, then the dual bound of its linear relaxation
-    (``_lp_relaxation``, ``_dual_bound``), shows it cannot beat the
-    incumbent; then it rounds the relaxation down, refills greedily, and
-    splits a fractional count, or halves the widest interval when the
-    relaxation is integral.  Both halves are non-empty, so the search is
-    exhaustive and exact.
+    node's slack is the budget left with every count at its interval's low
+    end.  A node whose slack cannot be restored even by every negative cost
+    taken in full is pruned.  With non-negative slack the node fills
+    greedily, cheapest rows first (``_greedy_fill``), and stops if that
+    fills every interval.  Next it prunes when a single-constraint
+    (fractional knapsack) bound, then the dual bound of its linear
+    relaxation (``_lp_relaxation``, ``_dual_bound``), shows it cannot beat
+    the incumbent, or when the relaxation is infeasible.  Then it rounds the
+    relaxation down, refills greedily from there if that fits, and splits a
+    fractional count, or halves the widest interval when the relaxation is
+    integral.  Both halves are non-empty, so the search is exhaustive and
+    exact: a one-point interval whose slack is >= 0 is filled, and any other
+    is pruned.
     """
-    if (budget < 0).any():
+    negative = np.minimum(a, 0)
+    if (budget < caps @ negative).any():  # no counts fit
         return None
     if (caps @ a <= budget).all():  # every voter fits
         return caps
-    order = np.argsort(a.sum(axis=1), kind="stable")
-    weights = np.arange(1.0, a.max() + 1)
+    order = np.argsort(a.sum(axis=1), kind="stable").tolist()
+    rows = a.tolist()
+    weights = np.arange(1.0, max(a.max(), 1) + 1)
     knapsack = (np.eye(a.shape[1]) / weights[:, None, None]).reshape(-1, a.shape[1])  # e_c / w
-    best, best_sum = np.zeros_like(caps), floor
+    best = np.zeros_like(caps) if (budget >= 0).all() else None
+    best_sum = floor
     stack = [(np.zeros_like(caps), caps)]
     while stack:
         low, high = stack.pop()
         slack = budget - low @ a
-        if (slack < 0).any():
-            continue
         room = high - low
-        fill = low + _greedy_fill(a, room, slack, order, np.zeros_like(room))
-        if fill.sum() > best_sum:
-            best, best_sum = fill, fill.sum()
-        if (fill == high).all():  # every interval filled: this node's optimum
+        if (slack < room @ negative).any():
             continue
+        if (slack >= 0).all():
+            fill = low + _greedy_fill(rows, order, room, slack, np.zeros_like(room))
+            if fill.sum() > best_sum:
+                best, best_sum = fill, fill.sum()
+            if (fill == high).all():  # every interval filled: this node's optimum
+                continue
         need = best_sum - low.sum()  # a subtree must pack more than this
         bound = _dual_bound(a, room, slack, knapsack)
         if bound > need:
-            x, price = _lp_relaxation(a, room, slack)
+            relaxed = _lp_relaxation(a, room, slack)
+            if relaxed is None:
+                continue
+            x, price = relaxed
             bound = min(bound, _dual_bound(a, room, slack, price[None]))
         if bound <= need:
             continue
         start = np.minimum(room, (x + 1e-9).astype(np.int64))
-        fill = low + _greedy_fill(a, room, slack, order, start)
-        if fill.sum() > best_sum:
-            best, best_sum = fill, fill.sum()
+        left = slack - start @ a
+        if (left >= 0).all():  # the rounded relaxation fits
+            fill = low + _greedy_fill(rows, order, room, left, start)
+            if fill.sum() > best_sum:
+                best, best_sum = fill, fill.sum()
         if best_sum - low.sum() >= bound:
             continue
         frac = np.minimum(x % 1, 1 - x % 1)
@@ -324,18 +386,14 @@ def _max_pack(a, budget, caps, floor=-1):
     return best
 
 
-def _greedy_fill(a, room, slack, order, start):
-    """Counts within ``room`` that extend ``start`` (zero counts, if
-    ``start`` overdraws ``slack``) row by row in ``order``, each as far as
-    the slack left allows."""
-    left = slack - start @ a
-    counts = start.copy()
-    if (left < 0).any():
-        counts[:] = 0
-        left = slack
-    counts, room, left = counts.tolist(), room.tolist(), left.tolist()
-    for j, row in zip(order.tolist(), a[order].tolist()):
-        take = min([room[j] - counts[j]] + [v // w for v, w in zip(left, row) if w])
+def _greedy_fill(rows, order, room, left, start):
+    """Counts within ``room`` that extend ``start``, which leaves slack
+    ``left`` >= 0, row by row in ``order``, each as far as the slack left
+    allows.  Only positive costs limit a row; a negative one adds slack."""
+    counts, room, left = start.tolist(), room.tolist(), left.tolist()
+    for j in order:
+        row = rows[j]
+        take = min([room[j] - counts[j]] + [v // w for v, w in zip(left, row) if w > 0])
         if take:
             counts[j] += take
             left = [v - take * w for v, w in zip(left, row)]
@@ -343,29 +401,57 @@ def _greedy_fill(a, room, slack, order, start):
 
 
 def _lp_relaxation(a, room, slack):
-    """Linear relaxation of the packing: (fractional counts, prices).
+    """Linear relaxation of the packing: (fractional counts, prices), or
+    None when it is infeasible.
 
-    A bounded-variable primal simplex solves max sum(x) subject to
-    a.T @ x <= slack and 0 <= x <= room.  Its tableau has one row per
+    A two-phase bounded-variable primal simplex solves max sum(x) subject
+    to a.T @ x <= slack and 0 <= x <= room.  Its tableau has one row per
     constraint and one column per count and per slack variable; a count at
-    its room stays nonbasic at that bound.  slack >= 0 makes the all-slack
-    basis feasible, so there is no phase 1.  Bland's rule picks both the
-    entering and the leaving variable.  The prices are the optimal duals,
-    clipped at 0; only ``_dual_bound`` turns them into a bound, so rounding
-    in the simplex cannot make a bound invalid.
+    its room stays nonbasic at that bound.  Where slack >= 0 the slack
+    variable starts basic.  A row with slack < 0 is negated and gets an
+    artificial variable instead, and phase 1 drives the artificials to 0
+    (or finds the relaxation infeasible); phase 2 holds them at 0 with an
+    upper bound of 0.  Bland's
+    rule picks both the entering and the leaving variable.  The prices are
+    the optimal duals, clipped at 0; only ``_dual_bound`` turns them into a
+    bound, so rounding in the simplex cannot make a bound invalid.
     """
     n_counts, n_rows = a.shape
-    tab = np.hstack([a.T, np.eye(n_rows)])
-    cost = np.concatenate([np.ones(n_counts), np.zeros(n_rows)])  # reduced costs
-    upper = np.concatenate([room, np.full(n_rows, np.inf)])
-    at_upper = np.zeros(n_counts + n_rows, dtype=bool)
-    basis = np.arange(n_counts, n_counts + n_rows)
-    value = slack.astype(float)  # of the basic variables
+    n_real = n_counts + n_rows
+    short = slack < 0
+    tab = np.hstack([a.T, np.eye(n_rows), np.eye(n_rows)[:, short]])
+    width = tab.shape[1]
+    upper = np.concatenate([room, np.full(width - n_counts, np.inf)])
+    at_upper = np.zeros(width, dtype=bool)
+    basis = np.arange(n_counts, n_real)
+    value = np.abs(slack).astype(float)  # of the basic variables
+    cost = np.concatenate([np.ones(n_counts), np.zeros(width - n_counts)])  # reduced costs
+    if width > n_real:  # phase 1: maximise minus the sum of the artificials
+        tab[short, :n_real] *= -1.0
+        basis[short] = np.arange(n_real, width)
+        first = np.zeros(width)
+        first[n_real:] = -1.0
+        _simplex(tab, first - first[basis] @ tab, upper, at_upper, basis, value)
+        if value[basis >= n_real].sum() > 1e-7:
+            return None
+        upper[n_real:] = 0.0  # pins the artificials at 0 from here on
+        cost -= cost[basis] @ tab
+    _simplex(tab, cost, upper, at_upper, basis, value)
+    x = np.where(at_upper[:n_counts], room, 0.0)
+    counted = basis < n_counts
+    x[basis[counted]] = value[counted]
+    return x, np.maximum(0.0, -cost[n_counts:n_real])
+
+
+def _simplex(tab, cost, upper, at_upper, basis, value):
+    """Bounded-variable primal simplex iterations, in place, until no column
+    improves the reduced ``cost``."""
+    n_rows = tab.shape[0]
     eps = 1e-9
     while True:
         entering = np.flatnonzero(np.where(at_upper, cost < -eps, cost > eps))
         if not entering.size:
-            break
+            return
         col = int(entering[0])
         step = -tab[:, col] if at_upper[col] else tab[:, col]  # basics fall by theta * step
         ratio = np.full(n_rows, np.inf)
@@ -374,7 +460,7 @@ def _lp_relaxation(a, room, slack):
         ratio[rises] = (upper[basis[rises]] - value[rises]) / -step[rises]
         theta = min(ratio.min(), upper[col])
         if theta == np.inf:  # only rounding can leave an edge unbounded
-            break
+            return
         ties = basis[ratio <= theta + eps].tolist()
         leaving = min(ties + [col] if upper[col] <= theta + eps else ties)
         value -= theta * step
@@ -382,7 +468,7 @@ def _lp_relaxation(a, room, slack):
             at_upper[col] = not at_upper[col]
             continue
         row = int(np.flatnonzero(basis == leaving)[0])
-        at_upper[leaving] = step[row] < 0  # a count that rose to its room
+        at_upper[leaving] = step[row] < 0  # a variable that rose to its upper bound
         value[row] = upper[col] - theta if at_upper[col] else theta
         at_upper[col] = False
         tab[row] /= tab[row, col]
@@ -391,16 +477,13 @@ def _lp_relaxation(a, room, slack):
         tab -= np.outer(factors, tab[row])
         cost -= cost[col] * tab[row]
         basis[row] = col
-    x = np.where(at_upper[:n_counts], room, 0.0)
-    counted = basis < n_counts
-    x[basis[counted]] = value[counted]
-    return x, np.maximum(0.0, -cost[n_counts:])
 
 
 def _dual_bound(a, room, slack, prices):
     """Upper bound on the largest packing within ``slack`` and ``room``.
     For any prices y >= 0, weak LP duality gives slack . y + sum_j room_j *
-    max(0, 1 - (a y)_j); this is the least over the rows of ``prices``,
-    rounded down, so floating-point error can only weaken it."""
+    max(0, 1 - (a y)_j), whatever the signs of a and slack; this is the
+    least over the rows of ``prices``, rounded down, so floating-point error
+    can only weaken it."""
     bounds = prices @ slack + np.maximum(0.0, 1.0 - a @ prices.T).T @ room
-    return int(bounds.min() + 1e-6)
+    return math.floor(bounds.min() + 1e-6)

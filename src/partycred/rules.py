@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _kernels
 from .core import pairwise_matrix
 
 
@@ -83,8 +84,13 @@ def scoring_scores(e, vector: tuple[int, ...]) -> dict[int, int]:
         raise ValueError(
             f"scoring vector length {len(vector)} != {e.num_candidates} candidates"
         )
-    points = np.asarray(vector, dtype=np.int64)[e.ranks]
-    return dict(enumerate((e.sizes @ points).tolist()))
+    points = np.asarray(vector, dtype=np.int64)
+    ranks, sizes = e.ranks, e.sizes
+    rows = max(1, _kernels._BLOCK_CELLS // e.num_candidates)  # one cache-sized block at a time
+    scores = np.zeros(e.num_candidates, dtype=np.int64)
+    for lo in range(0, len(sizes), rows):
+        scores += sizes[lo:lo + rows] @ points[ranks[lo:lo + rows]]
+    return dict(enumerate(scores.tolist()))
 
 
 def copeland_scores(e, alpha: Fraction) -> dict[int, Fraction]:

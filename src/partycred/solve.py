@@ -10,7 +10,7 @@ from .parties import (
     SolveStatus,
     check_witness,
 )
-from .poly import max_r_approval, min_condorcet, min_scoring
+from .poly import max_linear, max_r_approval, min_condorcet, min_scoring
 from .rules import Condorcet, Scoring
 from .search import (
     DEFAULT_NODE_BUDGET,
@@ -22,8 +22,16 @@ from .search import (
 
 
 def poly_solver(instance: ProblemInstance):
-    """The polynomial solver this instance admits, or None.  Linear-rule MIN
-    takes either destination mode (``poly._min_greedy``), MAX only one."""
+    """The polynomial solver this instance admits, or None.
+
+    Linear-rule MIN takes either destination mode (``poly._min_greedy``).
+    Linear-rule MAX takes the one-destination mode only: ``max_r_approval``
+    for 0/1 scoring vectors, ``max_linear`` for any other scoring vector and
+    for Condorcet.  Both are polynomial for a fixed number of candidates m;
+    ``max_linear`` is exponential in the number of distinct ballots in the
+    worst case, as Borda MAX is NP-hard.  Copeland, Maximin and
+    multi-destination MAX go to the search.
+    """
     if instance.direction is Direction.MIN:
         if isinstance(instance.rule, Scoring):
             return min_scoring
@@ -31,9 +39,12 @@ def poly_solver(instance: ProblemInstance):
             return min_condorcet
         return None
     rule = instance.rule
-    one = instance.destination_mode is DestinationMode.ONE
-    if one and isinstance(rule, Scoring) and not (set(rule.vector) - {0, 1}):
+    if instance.destination_mode is not DestinationMode.ONE:
+        return None
+    if isinstance(rule, Scoring) and not (set(rule.vector) - {0, 1}):
         return max_r_approval
+    if isinstance(rule, (Scoring, Condorcet)):
+        return max_linear
     return None
 
 

@@ -17,7 +17,7 @@ import partycred as pc
 from partycred import cli
 from partycred import reductions as rd
 from partycred.core import pairwise_matrix
-from partycred.poly import max_r_approval, min_condorcet, min_scoring
+from partycred.poly import max_linear, max_r_approval, min_condorcet, min_scoring
 from partycred.rules import (
     condorcet_winner,
     copeland_scores,
@@ -76,6 +76,8 @@ def test_criterion_1_poly_vs_oracle():
         ("plurality", "max", max_r_approval),
         ("approval:2", "max", max_r_approval),
         ("veto", "max", max_r_approval),
+        ("borda", "max", max_linear),
+        ("condorcet", "max", max_linear),
     ]
     for cfg_index, (rule_spec, direction, solver) in enumerate(configs):
         count = 0
@@ -102,9 +104,12 @@ def test_criterion_1_poly_vs_oracle():
                 assert pc.check_witness(inst, mine.witness, k=mine.value).ok
 
 
-def _reduced_answer(reduced: rd.ReducedInstance, use_oracle=False) -> bool:
+def _reduced_answer(reduced: rd.ReducedInstance, use_oracle=False, solver=None) -> bool:
     inst = reduced.instance
-    result = oracle(inst) if use_oracle else exact_search(inst)
+    if solver is not None:
+        result = solver(inst)
+    else:
+        result = oracle(inst) if use_oracle else exact_search(inst)
     assert result.status is not pc.SolveStatus.BUDGET_EXHAUSTED
     if result.status is pc.SolveStatus.FEASIBLE:
         assert pc.check_witness(inst, result.witness, k=result.value).ok
@@ -131,6 +136,7 @@ def test_criterion_2_reduction_soundness():
     for x3c in (X3C_YES12, X3C_NO12):
         reduced = rd.reduce_x3c_to_borda_max(x3c)
         assert _reduced_answer(reduced) == rd.solve_x3c_naive(x3c)
+        assert _reduced_answer(reduced, solver=max_linear) == rd.solve_x3c_naive(x3c)
 
     # Exact 3-set cover into Condorcet MAX.
     small = rd.reduce_x3c_to_condorcet_max(X3C_YES3)
@@ -138,6 +144,7 @@ def test_criterion_2_reduction_soundness():
     for x3c in (X3C_YES12, X3C_NO12):
         reduced = rd.reduce_x3c_to_condorcet_max(x3c)
         assert _reduced_answer(reduced) == rd.solve_x3c_naive(x3c)
+        assert _reduced_answer(reduced, solver=max_linear) == rd.solve_x3c_naive(x3c)
 
     # Independent set into Maximin MAX and Copeland MAX.
     for g in (IS_NO, IS_YES):

@@ -101,6 +101,21 @@ def test_verify_mismatch_exit(tmp_path, capsys, monkeypatch):
     assert "MISMATCH" in capsys.readouterr().err
 
 
+def test_verify_budget_exhausted_exits_before_the_oracle(tmp_path, capsys, monkeypatch):
+    # 26 voters: over the oracle's cap, which would be an input error (exit 1).
+    path = tmp_path / "copeland.txt"
+    gen_args = [
+        "gen", "--seed", "3", "--candidates", "5", "--parties", "8", "--sizes", "2..4",
+        "--rule", "copeland:1/2", "--direction", "max", "-o", str(path),
+    ]
+    assert cli.main(gen_args) == cli.EXIT_OK
+    oracle_calls = []
+    monkeypatch.setattr("partycred.solve.oracle_max", oracle_calls.append)
+    assert cli.main(["verify", str(path), "--budget", "1"]) == cli.EXIT_BUDGET
+    assert "budget exhausted" in capsys.readouterr().err
+    assert oracle_calls == []
+
+
 def test_reduce_writes_instance_and_provenance(tmp_path, capsys):
     source = write(tmp_path, "graph.txt", GRAPH)
     out = tmp_path / "reduced.txt"

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import partycred as pc
-from partycred.poly import _max_pack, max_r_approval, min_condorcet, min_scoring
+from partycred import poly
+from partycred import reductions as rd
+from partycred.poly import _max_pack, max_linear, max_r_approval, min_condorcet, min_scoring
 from partycred.solve import poly_solver
 
-from conftest import build, collect_problems, oracle, values_match
+from conftest import X3C_NO6, X3C_NO12, build, collect_problems, oracle, values_match
 
 P, A, B = 0, 1, 2
 PLUR2 = pc.Scoring(vector=(1, 0))
@@ -368,7 +370,9 @@ def test_poly_matches_oracle_sample(rule_spec, direction, fn):
         ("veto", 7, "max", "one", max_r_approval),
         ("approval:5", 7, "max", "one", max_r_approval),
         ("approval:6", 6, "max", "one", max_r_approval),
-        ("borda", 6, "max", "one", None),
+        ("borda", 6, "max", "one", max_linear),
+        ("condorcet", 6, "max", "one", max_linear),
+        ("borda", 6, "max", "multi", None),
         ("maximin", 6, "max", "one", None),
         ("veto", 6, "max", "multi", None),
         ("plurality", 6, "min", "multi", min_scoring),
@@ -431,3 +435,169 @@ def test_max_pack_matches_enumeration():
                 assert counts.sum() == target, (a, caps, budget, counts)
         found += 1
     assert found >= 200 and none >= 50
+
+
+# Signed packings whose optimum lies only below a node with negative slack.
+SIGNED_PACKINGS = [
+    ([[2, -1], [2, -2], [-2, 2], [2, 2]], [3, 1, 3, 2], [5, 2]),
+    ([[0, 2, 0], [0, -2, 1], [-1, 0, 2], [2, 2, -1]], [1, 2, 2, 2], [1, 6, 1]),
+    ([[1, 2, -1], [-1, 2, -1], [2, -2, 2]], [2, 1, 3], [4, 3, 2]),
+    ([[-2, 0, 1], [2, -1, 1], [-2, 2, -2], [-1, 1, -1]], [1, 3, 3, 2], [1, 0, 4]),
+    ([[-1, 0], [1, 0], [-1, 2], [2, -2]], [0, 3, 1, 1], [1, 1]),
+    ([[2, 0], [2, -1], [0, 1], [-1, 2]], [2, 2, 2, 2], [2, 3]),
+]
+
+
+def test_max_pack_signed_costs_match_enumeration(monkeypatch):
+    """Costs -2..2 and caps <= 3: the fixed packings, 400 seeded ones with
+    budgets >= 0 and 300 with budgets from -3.  The optimum is the
+    enumerated one, the counts fit every constraint and cap, and None comes
+    exactly when no counts fit.  Raising a count of positive cost can leave
+    a node's slack negative; the relaxation then runs its phase 1, and the
+    fixed packings need that path."""
+    short_slack = []
+
+    def watched(a, room, slack):
+        short_slack.append(bool((slack < 0).any()))
+        return relaxation(a, room, slack)
+
+    relaxation = poly._lp_relaxation
+    monkeypatch.setattr("partycred.poly._lp_relaxation", watched)
+    rng = np.random.default_rng(12)
+    packings = [tuple(map(np.array, packing)) for packing in SIGNED_PACKINGS]
+    for count, lowest in ((400, 0), (300, -3)):
+        for _ in range(count):
+            rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            packings.append((
+                rng.integers(-2, 3, size=(rows, cols)),
+                rng.integers(0, 4, size=rows),
+                rng.integers(lowest, 7, size=cols),
+            ))
+    none = 0
+    for a, caps, budget in packings:
+        sums = [
+            sum(counts)
+            for counts in itertools.product(*(range(int(c) + 1) for c in caps))
+            if (np.array(counts) @ a <= budget).all()
+        ]
+        x = _max_pack(a, budget, caps)
+        if not sums:
+            assert x is None, (a, caps, budget, x)
+            none += 1
+            continue
+        assert (x >= 0).all() and (x <= caps).all()
+        assert (x @ a <= budget).all()
+        assert x.sum() == max(sums), (a, caps, budget, x)
+    assert none >= 30
+    assert any(short_slack)
+
+
+@pytest.mark.parametrize("rule_spec", ["borda", "condorcet"])
+def test_max_into_rows_moves_pinned_parties_in_full(rule_spec):
+    """With no party retainable, each destination takes everybody or is
+    infeasible.  A rival then binds through its negative budget alone, as no
+    packed row is left to carry a cost."""
+    for inst in collect_problems(
+        seed_base=900, count=60, rule_spec=rule_spec, direction="max", model="unique",
+        max_parties=5,
+    ):
+        sizes = inst.election.sizes.tolist()
+        moves_all = [
+            pc.SwitchPlan(moves=tuple((q, d, n) for q, n in enumerate(sizes) if q != d and n))
+            for d in range(len(sizes))
+        ]
+        best = max(
+            [0] + [plan.total for plan in moves_all if pc.check_witness(inst, plan, k=plan.total).ok]
+        )
+        pinned = poly._max_into_rows(inst, "pinned", np.zeros(len(sizes), dtype=bool))
+        assert pinned.value == best, inst
+
+
+def test_max_linear_rejects_other_shapes():
+    orders = [((P, A, B), 3), ((A, P, B), 1)]
+    for rule, direction, dest in (
+        (pc.Copeland(alpha=1), "max", "one"),
+        (pc.Scoring(vector=(2, 1, 0)), "min", "one"),
+        (pc.Scoring(vector=(2, 1, 0)), "max", "multi"),
+        (pc.Condorcet(), "max", "multi"),
+    ):
+        inst = build(rule, orders, p=P, k=1, direction=direction, dest=dest)
+        with pytest.raises(ValueError):
+            max_linear(inst)
+
+
+def test_max_linear_raises_on_rejected_plan(monkeypatch):
+    inst = build(
+        pc.Scoring(vector=(2, 1, 0)), [((P, A, B), 3), ((A, B, P), 1)], p=P, k=1,
+        direction="max",
+    )
+    monkeypatch.setattr(
+        "partycred.poly.check_witness",
+        lambda *args, **kwargs: pc.parties.WitnessCheck(False, "forced rejection"),
+    )
+    with pytest.raises(RuntimeError, match="forced rejection"):
+        max_linear(inst)
+
+
+def _partition_x3c(universe, seed):
+    """Three seeded partitions of the universe into triples: every element
+    lies in exactly three sets, and each partition is an exact cover."""
+    rng = random.Random(seed)
+    sets = []
+    for _ in range(3):
+        elements = list(range(universe))
+        rng.shuffle(elements)
+        sets += [tuple(elements[i:i + 3]) for i in range(0, universe, 3)]
+    return rd.X3CInstance(universe, tuple(sets))
+
+
+def _copies(x3c, count):
+    """``count`` disjoint copies of an X3C instance: a no-instance stays one."""
+    u = x3c.universe_size
+    return rd.X3CInstance(
+        u * count, tuple(tuple(x + u * i for x in s) for i in range(count) for s in x3c.sets)
+    )
+
+
+X3C_SCALING_GATE = {
+    "borda-partition-15": (rd.reduce_x3c_to_borda_max, lambda: _partition_x3c(15, 15), True),
+    "borda-partition-18": (rd.reduce_x3c_to_borda_max, lambda: _partition_x3c(18, 18), True),
+    "condorcet-partition-15": (
+        rd.reduce_x3c_to_condorcet_max, lambda: _partition_x3c(15, 15), True,
+    ),
+    "condorcet-partition-18": (
+        rd.reduce_x3c_to_condorcet_max, lambda: _partition_x3c(18, 18), True,
+    ),
+    "borda-no-12": (rd.reduce_x3c_to_borda_max, lambda: X3C_NO12, False),
+    "condorcet-no-6x3": (rd.reduce_x3c_to_condorcet_max, lambda: _copies(X3C_NO6, 3), False),
+}
+
+
+@pytest.mark.parametrize("case", list(X3C_SCALING_GATE))
+def test_max_linear_x3c_scaling_gate(case):
+    reduce, source, expected = X3C_SCALING_GATE[case]
+    inst = reduce(source()).instance
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        result = max_linear(inst)
+        best = min(best, time.perf_counter() - start)
+    assert result.answer(inst) is expected
+    assert pc.check_witness(inst, result.witness, k=result.value).ok
+    assert best < 1.0, f"{case}: {best:.2f}s"
+
+
+@pytest.mark.parametrize("rule_spec", ["borda", "condorcet", "plurality", "approval:2"])
+def test_max_solvers_pick_the_oracles_destination(rule_spec):
+    """Among the optimal destinations, the lowest id: the oracle's choice.
+    Each merged row's smallest party is its only candidate destination, so a
+    larger party of the same lead row never wins a tie."""
+    solvers = [max_linear] if rule_spec in ("borda", "condorcet") else [max_linear, max_r_approval]
+    for model in ("unique", "cowinner"):
+        for inst in collect_problems(
+            seed_base=300, count=40, rule_spec=rule_spec, direction="max", model=model,
+            max_parties=5,
+        ):
+            expected = pc.oracle_max(inst).witness.destinations()
+            for solver in solvers:
+                assert solver(inst).witness.destinations() == expected, (solver, inst)

@@ -60,3 +60,19 @@ def test_tracer_counts_one_max_r_approval_call_on_the_poly_route():
     assert result.solver == "max_r_approval"
     assert tracer.calls["poly.max_r_approval"] == 1
     assert tracer.counts["solve.route.poly"] == 1
+
+
+def test_tracer_counts_one_borda_max_solve_on_the_poly_route():
+    inst = partycred.generate_random(
+        seed=5, num_candidates=5, num_parties=7, size_range=(1, 4),
+        rule_spec="borda", direction="max",
+    ).instance
+    tracer = _tracing_module().Tracer()
+    tracer.install(partycred)
+    try:
+        result = partycred.solve_instance(inst)
+    finally:
+        tracer.uninstall()
+    assert result.solver == "max_linear"
+    assert tracer.counts["solve.route.poly"] == 1
+    assert tracer.calls["search.exact_search"] == 0
