@@ -14,7 +14,6 @@ import time
 from pathlib import Path
 
 from .instance_io import (
-    ParseError,
     ParsedInstance,
     generate_random,
     parse_alpha,
@@ -43,7 +42,13 @@ def _load_instance(path: str) -> ParsedInstance:
     return parse_instance(Path(path).read_text())
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise ValueError(f"--budget must be at least 1, got {budget}")
+
+
 def _cmd_solve(args) -> int:
+    _check_budget(args.budget)
     parsed = _load_instance(args.file)
     start = time.monotonic()
     result = solve_instance(
@@ -75,6 +80,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_budget(args.budget)
     parsed = _load_instance(args.file)
     instance = parsed.instance
     candidate = solve_instance(instance, node_budget=args.budget)
@@ -131,7 +137,7 @@ def _cmd_gen(args) -> int:
     try:
         size_range = (int(lo), int(hi if hi else lo))
     except ValueError:
-        raise ParseError(1, f"bad --sizes value {args.sizes!r}, expected A..B")
+        raise ValueError(f"bad --sizes value {args.sizes!r}, expected A..B")
     parsed = generate_random(
         seed=args.seed,
         num_candidates=args.candidates,
@@ -200,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a ParseError is a ValueError
         _say(f"error: {exc}")
         return EXIT_INPUT
 

@@ -359,16 +359,18 @@ def parse_graph(text: str):
         raise ParseError(len(text.splitlines()) or 1, "missing 'n' line")
     if t is None:
         raise ParseError(len(text.splitlines()) or 1, "missing 't' line")
-    from .reductions import GraphInstance
+    from .reductions import GraphInstance, ItemError
 
     try:
         return GraphInstance(num_vertices=n, edges=tuple((u, v) for _, u, v in edges), bound=t)
-    except ValueError as exc:
-        raise ParseError(edges[0][0] if edges else 1, str(exc))
+    except ItemError as exc:
+        raise ParseError(edges[exc.index][0], str(exc))
 
 
 def parse_x3c(text: str):
-    """``m <universe size>`` plus ``s a b c`` lines; 0-based elements."""
+    """``m <universe size>`` plus ``s a b c`` lines; 0-based elements.  An
+    error in one set names its line; one of the whole system (the universe
+    size, or an element not in exactly three sets) names the ``m`` line."""
     m = None
     sets = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -379,19 +381,21 @@ def parse_x3c(text: str):
         if fields[0] == "m" and len(fields) == 2:
             if m is not None:
                 raise ParseError(line_no, "duplicate m line")
-            m = _int_field(line_no, fields[1])
+            m, m_line = _int_field(line_no, fields[1]), line_no
         elif fields[0] == "s" and len(fields) == 4:
-            sets.append(tuple(_int_field(line_no, x) for x in fields[1:]))
+            sets.append((line_no, tuple(_int_field(line_no, x) for x in fields[1:])))
         else:
             raise ParseError(line_no, f"expected 'm' or 's' line, got {raw.strip()!r}")
     if m is None:
         raise ParseError(len(text.splitlines()) or 1, "missing 'm' line")
-    from .reductions import X3CInstance
+    from .reductions import ItemError, X3CInstance
 
     try:
-        return X3CInstance(universe_size=m, sets=tuple(sets))
+        return X3CInstance(universe_size=m, sets=tuple(s for _, s in sets))
+    except ItemError as exc:
+        raise ParseError(sets[exc.index][0], str(exc))
     except ValueError as exc:
-        raise ParseError(1, str(exc))
+        raise ParseError(m_line, str(exc))
 
 
 def _int_field(line_no: int, text: str) -> int:

@@ -1,36 +1,38 @@
-"""Exact polynomial solvers.
+"""Exact polynomial solvers for the linear rules: every scoring rule and
+Condorcet, MIN and MAX, in either destination mode.
+
+Both rules are linear in the party sizes: one voter of party q puts p ahead
+of rival c by ``leads[q, c]`` (``_party_leads``), the score gap for a
+scoring rule and +-1 for Condorcet.
 
 * ``min_scoring`` and ``min_condorcet`` — two MIN entry points over one
-  greedy (``_min_greedy``), in either destination mode.  Both rules are
-  linear in the party sizes: one voter of party q puts p ahead of rival c by
-  ``leads[q, c]`` (``search._party_leads``), the score gap for a scoring
-  rule and +-1 for Condorcet.  Each rival's best destination is its
+  greedy (``_min_greedy``).  Each rival's best destination is its
   lowest-lead party, so one pass over all rivals finds the fewest switches.
-* ``max_linear`` — one-destination MAX for any scoring vector and for
-  Condorcet, one destination per distinct lead row.  Into a fixed
-  destination the leads fall linearly in the numbers of voters moved, so
-  each destination row is one maximum packing (``_max_pack``): as many
-  voters as possible move into it while p's lead over each rival stays a
-  win.  Costs may be negative (a Borda or Condorcet switcher can raise p's
-  lead over some rival), so the packing is an integer program that is
-  NP-hard in general: the search is exponential only in the number of
-  distinct rows, at most min(l, m!), and so polynomial for fixed m.
-* ``max_r_approval`` — the same packings for 0/1 scoring vectors
-  (plurality, veto, any r-approval), restricted by an exchange lemma:
-  the best plan retains only voters approving p.  Then every cost on a
-  binding rival is >= 0, and there are at most C(m, r) distinct rows.
+* ``max_linear`` — MAX for any scoring vector and for Condorcet.  The leads
+  fall linearly in the numbers of voters moved, so MAX is a maximum packing
+  (``_max_pack``): as many voters as possible move while p's lead over each
+  rival stays a win.  One-destination MAX solves one packing per distinct
+  lead row (``_max_into_rows``); multi-destination MAX one packing over the
+  counts of every (source, destination) pair (``_max_into_pairs``).  Costs
+  may be negative (a Borda or Condorcet switcher can raise p's lead over
+  some rival), so the packing is an integer program that is NP-hard in
+  general: the search is exponential only in the number of its counts, at
+  most min(l, m!) merged rows into one destination, or l(l - 1) pairs.
+* ``max_r_approval`` — the one-destination packings for 0/1 scoring vectors
+  (plurality, veto, any r-approval), restricted by an exchange lemma: the
+  best plan retains only voters approving p.  Then every cost on a binding
+  rival is >= 0, and there are at most C(m, r) distinct rows.
 
 ``_max_pack`` is a branch and bound over count intervals.  Its linear
 relaxation (``_lp_relaxation``) is a two-phase bounded-variable simplex
-with one row per rival that can bind and one column per merged source row
-and per slack.  Phase 1 runs only at a node whose slack is negative, which
+with one row per constraint that can bind and one column per count and
+per slack.  Phase 1 runs only at a node whose slack is negative, which
 raising a count of positive cost can cause; the root's slack is never
 negative for ``max_linear``, as p wins before anyone moves.
 
 Ties resolve reproducibly.  MIN takes the lowest rival among those that need
 the fewest switches, then that rival's lowest-id party of lowest lead;
-``max_linear`` and ``max_r_approval`` take the lowest-id destination among
-the best.
+one-destination MAX takes the lowest-id destination among the best.
 Each solver checks the plan it returns with ``check_witness`` and raises
 ``RuntimeError`` on a rejection, which would be a solver bug.
 """
@@ -56,7 +58,7 @@ from .parties import (
     infeasible,
 )
 from .rules import Condorcet, Scoring, WinnerModel
-from .search import _party_leads, _party_rows
+from .search import _party_rows
 
 
 def _require(instance: ProblemInstance, rule_type, direction: Direction, solver: str):
@@ -64,6 +66,37 @@ def _require(instance: ProblemInstance, rule_type, direction: Direction, solver:
         raise ValueError(f"{solver} needs a {rule_type.__name__} rule")
     if instance.direction is not direction:
         raise ValueError(f"{solver} solves {direction.value} instances only")
+
+
+def _party_leads(instance: ProblemInstance) -> np.ndarray:
+    """(l, m) array: what one voter of party q adds to p's score minus c's
+    (scoring rules) or to the (p, c) margin (Condorcet).  ``sizes @ leads``
+    is p's lead over each candidate; column p is 0."""
+    p = instance.p
+    if isinstance(instance.rule, Condorcet):
+        ranks = instance.election.ranks
+        return np.sign(ranks - ranks[:, [p]])
+    rows = _party_rows(instance)
+    return rows[:, [p]] - rows
+
+
+def _win_budgets(instance: ProblemInstance):
+    """(leads, budget): ``_party_leads`` and how far each of p's leads may
+    fall while p still wins, ``sizes @ leads - s``.  s = 0 for a scoring
+    rule under the co-winner model and 1 otherwise (a Condorcet winner beats
+    every rival).  p wins initially, so every budget is >= 0."""
+    leads = _party_leads(instance)
+    s = int(isinstance(instance.rule, Condorcet) or instance.model is WinnerModel.UNIQUE)
+    return leads, instance.election.sizes @ leads - s
+
+
+def _checked(instance: ProblemInstance, plan: SwitchPlan, value: int, solver: str) -> SolveResult:
+    """The FEASIBLE result of ``plan``; a plan that ``check_witness``
+    rejects is a solver bug and raises ``RuntimeError``."""
+    check = check_witness(instance, plan, k=value)
+    if not check.ok:
+        raise RuntimeError(f"{solver} built a rejected plan of {value} switches: {check.reason}")
+    return feasible(value, plan, solver)
 
 
 def min_scoring(instance: ProblemInstance) -> SolveResult:
@@ -114,13 +147,7 @@ def _min_greedy(instance: ProblemInstance, strict: int, solver: str) -> SolveRes
     rival = int(np.where(usable, counts, np.iinfo(np.int64).max).argmin())
     value = int(counts[rival])
     dest = int(leads[:, rival].argmin())
-    plan = _greedy_plan(sizes, order[:, rival], dest, value)
-    check = check_witness(instance, plan, k=value)
-    if not check.ok:
-        raise RuntimeError(
-            f"{solver} built a rejected plan against rival {rival}: {check.reason}"
-        )
-    return feasible(value, plan, solver)
+    return _checked(instance, _greedy_plan(sizes, order[:, rival], dest, value), value, solver)
 
 
 def _greedy_plan(sizes, order, dest, value) -> SwitchPlan:
@@ -136,51 +163,62 @@ def _greedy_plan(sizes, order, dest, value) -> SwitchPlan:
 
 
 def max_linear(instance: ProblemInstance) -> SolveResult:
-    """Exact one-destination MAX for any scoring vector and for Condorcet.
+    """Exact MAX for any scoring vector and for Condorcet, in either
+    destination mode.
 
     Both rules are linear in the party sizes: one voter of party q adds
-    ``leads[q, c]`` to p's lead over c (``search._party_leads``).  p still
-    wins while every lead is at least s: s = 0 for a scoring rule under the
-    co-winner model and 1 otherwise (a Condorcet winner beats every rival).
-    Parties with the same lead row are interchangeable, so they are merged
-    into one row j of caps[j] voters, and only one destination per row is
-    solved: its smallest party, then the lowest id, which keeps the lowest-id
-    maximiser over all parties.
+    ``leads[q, c]`` to p's lead over c (``_party_leads``).  p still wins
+    while every lead is at least s (``_win_budgets``).  Moving one voter
+    from q into d lowers the leads by cost = leads[q] - leads[d], which may
+    take either sign.  So MAX is the largest number of moves whose summed
+    costs stay within the budgets ``sizes @ leads - s``: a maximum packing
+    with signed costs (``_max_pack``).  A rival binds only if some cost on
+    it is positive; the others' leads never fall, and their budgets are
+    >= 0 as p wins initially.
 
-    Fix a destination d.  Moving x[j] voters of row j into d lowers the
-    leads by cost.T @ x, where cost[j] = leads[j] - leads[d] may take either
-    sign.  So the most switches into d are the other voters of d's row plus
-    the largest sum(x) with
+    * One destination (``_max_into_rows``): one packing per distinct lead
+      row, over the counts moved from each other row into it.
+    * Multiple destinations (``_max_into_pairs``): one packing over the
+      counts x[q, d] of every source q with voters and every other party d,
+      plus one constraint per source, sum_d x[q, d] <= sizes[q].
 
-        cost.T @ x <= sizes @ leads - s,  0 <= x <= caps,
-
-    a maximum packing with signed costs (``_max_pack``).  A row whose costs
-    are all <= 0 moves in full: moving it never lowers a lead.  A rival binds
-    only if some cost on it is positive.  Otherwise every count fits it, as
-    p wins initially and so every budget is >= 0 once those rows have moved.
-    ``_max_into_rows`` builds these packings.
-
-    Complexity: at most one ``_max_pack`` call per distinct row, over K <=
-    min(l, m!) merged rows and at most m - 1 constraints.  Destinations are
-    tried smallest first.  A row whose N - size(d) cannot beat the best value
-    so far (or tie it from a lower id) is skipped, and the call's floor is
-    what the row must pack to do so, so a row that cannot is pruned at its
-    root.  The branch and bound
-    splits count intervals into non-empty halves, so each call visits fewer
-    than 2 * prod(caps + 1) nodes of polynomial work each.  That is
-    polynomial for a fixed number of candidates and exponential in K in the
-    worst case, as the NP-hardness of Borda MAX requires.
-
-    The returned plan is checked with ``check_witness`` before it leaves the
-    solver; a rejection is a solver bug and raises ``RuntimeError``.
+    Each packing visits fewer than 2 * prod(caps + 1) nodes
+    (``_max_into_rows``): polynomial for a fixed number of candidates in
+    the one-destination mode and for a fixed number of parties in the
+    multi-destination mode, and exponential in the number of counts in the
+    worst case, as the NP-hardness of Borda MAX requires.  The returned plan
+    is checked with ``check_witness`` before it leaves the solver; a
+    rejection is a solver bug and raises ``RuntimeError``.
     """
     if not isinstance(instance.rule, (Scoring, Condorcet)):
         raise ValueError("max_linear needs a Scoring or Condorcet rule")
     if instance.direction is not Direction.MAX:
         raise ValueError("max_linear solves max instances only")
-    if instance.destination_mode is not DestinationMode.ONE:
-        raise ValueError("max_linear handles the one-destination mode only")
-    return _max_into_rows(instance, "max_linear")
+    if instance.destination_mode is DestinationMode.ONE:
+        return _max_into_rows(instance, "max_linear")
+    return _max_into_pairs(instance, "max_linear")
+
+
+def _max_into_pairs(instance: ProblemInstance, solver: str) -> SolveResult:
+    """Multi-destination MAX for a linear rule: one packing over the counts
+    of every (source, destination) pair (``max_linear``).  A pair's count
+    may reach its source's size, and each source's counts share that size
+    through one more constraint column.  p wins before anyone moves, so
+    zero counts fit and the packing always returns counts."""
+    leads, budget = _win_budgets(instance)
+    sizes = instance.election.sizes
+    src, dst = np.nonzero((sizes > 0)[:, None] & ~np.eye(len(sizes), dtype=bool))  # (q, d) order
+    cost = leads[src] - leads[dst]
+    binding = (cost > 0).any(axis=0)  # column p is 0
+    sources = np.flatnonzero(sizes)
+    moved = _max_pack(
+        np.hstack([cost[:, binding], src[:, None] == sources]),
+        np.concatenate([budget[binding], sizes[sources]]),
+        sizes[src],
+    )
+    used = np.flatnonzero(moved)
+    moves = zip(src[used].tolist(), dst[used].tolist(), moved[used].tolist())
+    return _checked(instance, SwitchPlan(moves=tuple(moves)), int(moved.sum()), solver)
 
 
 def max_r_approval(instance: ProblemInstance) -> SolveResult:
@@ -242,13 +280,29 @@ def _max_into_rows(instance: ProblemInstance, solver: str, retainable=None) -> S
     """One-destination MAX for a linear rule, one packing per distinct lead
     row (``max_linear``).  ``retainable`` marks the parties whose voters may
     stay put, one value per lead row; the others move in full.  By default
-    every party may."""
-    leads = _party_leads(instance)
+    every party may.
+
+    Parties with the same lead row are interchangeable, so they are merged
+    into one row j of caps[j] voters, and only one destination per row is
+    solved: its smallest party, then the lowest id, which keeps the lowest-id
+    maximiser over all parties.  Into destination d, row j's cost is
+    leads[j] - leads[d], and the most switches are the other voters of d's
+    row plus the largest packing.  A row whose costs are all <= 0 moves in
+    full: moving it never lowers a lead.
+
+    Complexity: at most one ``_max_pack`` call per distinct row, over K <=
+    min(l, m!) merged rows and at most m - 1 constraints.  Destinations are
+    tried smallest first.  A row whose N - size(d) cannot beat the best value
+    so far (or tie it from a lower id) is skipped, and the call's floor is
+    what the row must pack to do so, so a row that cannot is pruned at its
+    root.  The branch and bound splits count intervals into non-empty
+    halves, so each call visits fewer than 2 * prod(caps + 1) nodes of
+    polynomial work each: polynomial for a fixed number of candidates.
+    """
+    leads, budget = _win_budgets(instance)
     sizes = instance.election.sizes
     total = int(sizes.sum())
     p = instance.p
-    s = int(isinstance(instance.rule, Condorcet) or instance.model is WinnerModel.UNIQUE)
-    budget = sizes @ leads - s  # with nobody moved; >= 0 off column p
 
     merged: dict[bytes, list[int]] = {}
     for q, row in enumerate(leads):
@@ -287,12 +341,7 @@ def _max_into_rows(instance: ProblemInstance, solver: str, retainable=None) -> S
         sources = [ids for ids, keep in zip(members, packed) if keep]
         retained = (caps[packed] - moved).tolist()
         best_plan = SwitchPlan(moves=_moves_into(best_dest, sizes_l, sources, retained))
-    check = check_witness(instance, best_plan, k=best_value)
-    if not check.ok:
-        raise RuntimeError(
-            f"{solver} built a rejected plan of {best_value} switches: {check.reason}"
-        )
-    return feasible(best_value, best_plan, solver)
+    return _checked(instance, best_plan, best_value, solver)
 
 
 def _moves_into(dest, sizes, members, retained):

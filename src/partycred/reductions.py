@@ -28,6 +28,14 @@ NAIVE_SIZE_CAP = 12
 # Source problems
 
 
+class ItemError(ValueError):
+    """A source instance error in one set or edge, ``index`` in its order."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 @dataclass(frozen=True)
 class X3CInstance:
     """Exact cover by 3-sets; every element occurs in exactly three sets."""
@@ -41,12 +49,12 @@ class X3CInstance:
             raise ValueError(f"universe size must be a positive multiple of 3, got {m}")
         occurrences = [0] * m
         normalized = []
-        for s in self.sets:
+        for i, s in enumerate(self.sets):
             if len(set(s)) != 3:
-                raise ValueError(f"set {s} must have exactly 3 distinct elements")
+                raise ItemError(i, f"set {s} must have exactly 3 distinct elements")
             for x in s:
                 if not (0 <= x < m):
-                    raise ValueError(f"element {x} out of universe range")
+                    raise ItemError(i, f"element {x} out of universe range")
                 occurrences[x] += 1
             normalized.append(tuple(sorted(s)))
         bad = [x for x, c in enumerate(occurrences) if c != 3]
@@ -72,14 +80,14 @@ class GraphInstance:
     def __post_init__(self):
         seen = set()
         normalized = []
-        for u, v in self.edges:
+        for i, (u, v) in enumerate(self.edges):
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+                raise ItemError(i, f"self-loop at vertex {u}")
             if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
-                raise ValueError(f"edge ({u}, {v}) out of range")
+                raise ItemError(i, f"edge ({u}, {v}) out of range")
             key = (min(u, v), max(u, v))
             if key in seen:
-                raise ValueError(f"duplicate edge {key}")
+                raise ItemError(i, f"duplicate edge {key}")
             seen.add(key)
             normalized.append(key)
         object.__setattr__(self, "edges", tuple(normalized))

@@ -5,8 +5,10 @@ Two independent routes:
 * ``oracle_min`` / ``oracle_max`` enumerate every plan outright (bulk numpy
   evaluation, no pruning) and are the ground truth for everything else.
 * ``exact_search_min`` / ``exact_search_max`` run a branch-and-bound over
-  per-(source, destination) move counts with admissible pruning, suitable for
-  the NP-hard rule/direction combinations at desk scale.
+  per-(source, destination) move counts with admissible pruning, for the
+  NP-hard Copeland and Maximin rules at desk scale.  Every scoring rule and
+  Condorcet has an exact polynomial route (``solve.poly_solver``), so the
+  search raises ``ValueError`` on them.
 
 Plans are canonicalized as counts per (source, destination) pair; voters of
 one party are interchangeable so this loses nothing.  A plan's key is its
@@ -53,18 +55,6 @@ def _party_rows(instance: ProblemInstance) -> np.ndarray:
     """(l, m) per-voter positional scores for each party (scoring rules)."""
     vector = np.asarray(instance.rule.vector, dtype=np.int64)
     return vector[instance.election.ranks]
-
-
-def _party_leads(instance: ProblemInstance) -> np.ndarray:
-    """(l, m) array: what one voter of party q adds to p's score minus c's
-    (scoring rules) or to the (p, c) margin (Condorcet).  ``sizes @ leads``
-    is p's lead over each candidate; column p is 0."""
-    p = instance.p
-    if isinstance(instance.rule, Condorcet):
-        ranks = instance.election.ranks
-        return np.sign(ranks - ranks[:, [p]])
-    rows = _party_rows(instance)
-    return rows[:, [p]] - rows
 
 
 def _party_margin_deltas(instance: ProblemInstance) -> np.ndarray:
@@ -286,33 +276,23 @@ def oracle_max(instance: ProblemInstance) -> SolveResult:
 
 
 class _BranchAndBound:
-    """Exact DFS over per-(source, destination) counts with admissible pruning.
+    """Exact DFS over per-(source, destination) counts with admissible pruning,
+    for Copeland and Maximin.
 
-    *State and bound.*  The search keeps the state of the plan so far: p's
-    leads over every candidate (scoring rules and Condorcet; ``_party_leads``)
-    or the margin matrix (Copeland, Maximin), stacked twice as a ``(2, ...)``
-    array.  p's own lead is pinned above every threshold; its column is 0,
-    so it never moves.  Level i fixes the count of pair i.  ``slack[i]``
-    stacks [fall, rise]: the sums, over pairs i.., of each pair's full
-    capacity times the negative and the positive part of its unit change.  A
-    node evaluates ``state + slack[i]`` once.  Row 0 holds every entry's
-    lowest reachable value and row 1 its highest.  p succeeds at MIN when
-    some lead is at most -strict, and at MAX when none is, so the node is
-    pruned when row 0's least lead (MIN) or row 1's (MAX) fails that test.
-    A Copeland or Maximin score is monotone in each margin of the
-    candidate's own row, so the scores of row 0 bound every final score
-    from below and those of row 1 from above, and the node is pruned when p
-    cannot succeed even with every rival at its bound.  For MIN with an
-    incumbent, the plan may move at most b more voters, so the slack is
-    first capped at b times the extreme unit step (``steps[i]``).  At level
-    n the slack is zero and both rows are the plan's exact state: the same
-    test is then the plan's success test.
-
-    Bounding p's lead over a rival is never looser than bounding p's and the
-    rival's scores apart, since each pair's extreme change of the difference
-    is at most the difference of its extremes.  Only MIN's budget cap clips
-    the two differently: of 8,800 seeded random searches (m <= 6), 4 MIN
-    searches expanded 1 to 11 more nodes than with score bounds, 339 fewer.
+    *State and bound.*  The search keeps the margin matrix of the plan so
+    far, stacked twice as a ``(2, m, m)`` array.  Level i fixes the count of
+    pair i.  ``slack[i]`` stacks [fall, rise]: the sums, over pairs i.., of
+    each pair's full capacity times the negative and the positive part of
+    its unit change.  A node evaluates ``state + slack[i]`` once.  Row 0
+    holds every margin's lowest reachable value and row 1 its highest.  A
+    Copeland or Maximin score is monotone in each margin of the candidate's
+    own row, so the scores of row 0 bound every final score from below and
+    those of row 1 from above, and the node is pruned when p cannot succeed
+    even with every rival at its bound.  For MIN with an incumbent, the plan
+    may move at most b more voters, so the slack is first capped at b times
+    the extreme unit step (``steps[i]``).  At level n the slack is zero and
+    both rows are the plan's exact state: the same test is then the plan's
+    success test.
 
     Maximin's bound is exact integer arithmetic.  A margin plus n is even
     (every voter adds +1 or -1 to it) and every slack entry is even (one
@@ -342,6 +322,12 @@ class _BranchAndBound:
 
     def __init__(self, instance: ProblemInstance, direction: Direction, node_budget: int):
         self.solver = f"exact_search_{direction.value}"
+        rule = instance.rule
+        if not isinstance(rule, (Copeland, Maximin)):
+            raise ValueError(
+                f"{self.solver} searches Copeland and Maximin only; "
+                f"solve.poly_solver has the exact route for {type(rule).__name__}"
+            )
         if instance.direction is not direction:
             raise ValueError(f"{self.solver} solves {direction.value} instances only")
         self.instance = instance
@@ -349,34 +335,21 @@ class _BranchAndBound:
         self.node_budget = node_budget
         self.nodes = 0
         self.sizes = instance.election.sizes.tolist()
-        p = instance.p
-        rule = instance.rule
-        linear = isinstance(rule, (Scoring, Condorcet))
-        self.party_state = _party_leads(instance) if linear else _party_margin_deltas(instance)
+        self.party_state = _party_margin_deltas(instance)
         base = np.tensordot(instance.election.sizes, self.party_state, axes=1)
-        if linear:
-            base[p] = 1  # above both thresholds, 0 and -1; column p is 0
         self.base = np.stack([base, base])  # the slack's shape: a broadcast add costs ~2.7x as much
         n_voters = instance.election.num_voters
         if isinstance(rule, Copeland):
             self.score_rows = lambda r: _copeland_scaled(r, rule.alpha).tolist()
-        elif isinstance(rule, Maximin):
-            self.score_rows = lambda r: _maximin_from_margins(r, n_voters).tolist()
         else:
-            self.score_rows = np.ndarray.tolist
-        self.succeeds = self._success_test(rule, p, instance.model is WinnerModel.UNIQUE)
+            self.score_rows = lambda r: _maximin_from_margins(r, n_voters).tolist()
+        self.succeeds = self._success_test(instance.p, instance.model is WinnerModel.UNIQUE)
         self.best_value: int | None = None
         self.best_dest = -1
         self.best_moves = None
 
-    def _success_test(self, rule, p: int, unique: bool):
-        """Test on (lo, hi) lead or score lists: can p still succeed?"""
-        if isinstance(rule, (Scoring, Condorcet)):
-            # p loses once some lead is at most -strict (Condorcet's models coincide).
-            strict = int(not unique and isinstance(rule, Scoring))
-            if self.minimize:
-                return lambda lo, hi: min(lo) <= -strict
-            return lambda lo, hi: min(hi) > -strict
+    def _success_test(self, p: int, unique: bool):
+        """Test on (lo, hi) score lists: can p still succeed?"""
         inf = float("inf")
         if self.minimize:
             # p loses sole winnership (UNIQUE) / leaves the winner set (COWINNER).
@@ -497,12 +470,14 @@ class _BranchAndBound:
 def exact_search_min(
     instance: ProblemInstance, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> SolveResult:
-    """Exact MIN via branch-and-bound; BUDGET_EXHAUSTED when the node budget runs out."""
+    """Exact Copeland or Maximin MIN via branch-and-bound; BUDGET_EXHAUSTED
+    when the node budget runs out.  Raises ``ValueError`` on any other rule."""
     return _BranchAndBound(instance, Direction.MIN, node_budget).run()
 
 
 def exact_search_max(
     instance: ProblemInstance, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> SolveResult:
-    """Exact MAX via branch-and-bound; BUDGET_EXHAUSTED when the node budget runs out."""
+    """Exact Copeland or Maximin MAX via branch-and-bound; BUDGET_EXHAUSTED
+    when the node budget runs out.  Raises ``ValueError`` on any other rule."""
     return _BranchAndBound(instance, Direction.MAX, node_budget).run()

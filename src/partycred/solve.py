@@ -22,30 +22,29 @@ from .search import (
 
 
 def poly_solver(instance: ProblemInstance):
-    """The polynomial solver this instance admits, or None.
+    """The polynomial solver this instance admits, or None exactly for
+    Copeland and Maximin, which are NP-hard in both directions.
 
-    Linear-rule MIN takes either destination mode (``poly._min_greedy``).
-    Linear-rule MAX takes the one-destination mode only: ``max_r_approval``
-    for 0/1 scoring vectors, ``max_linear`` for any other scoring vector and
-    for Condorcet.  Both are polynomial for a fixed number of candidates m;
-    ``max_linear`` is exponential in the number of distinct ballots in the
-    worst case, as Borda MAX is NP-hard.  Copeland, Maximin and
-    multi-destination MAX go to the search.
+    Scoring and Condorcet MIN take ``min_scoring`` and ``min_condorcet``
+    (``poly._min_greedy``), in either destination mode.  Their MAX takes
+    ``max_linear``, in either destination mode, except one-destination MAX
+    for a 0/1 scoring vector, which takes ``max_r_approval``.  Both MAX
+    solvers are polynomial for a fixed number of candidates in the
+    one-destination mode; ``max_linear`` is exponential in the number of
+    its packing's counts in the worst case, as Borda MAX is NP-hard.
     """
-    if instance.direction is Direction.MIN:
-        if isinstance(instance.rule, Scoring):
-            return min_scoring
-        if isinstance(instance.rule, Condorcet):
-            return min_condorcet
-        return None
     rule = instance.rule
-    if instance.destination_mode is not DestinationMode.ONE:
+    if not isinstance(rule, (Scoring, Condorcet)):
         return None
-    if isinstance(rule, Scoring) and not (set(rule.vector) - {0, 1}):
+    if instance.direction is Direction.MIN:
+        return min_scoring if isinstance(rule, Scoring) else min_condorcet
+    if (
+        instance.destination_mode is DestinationMode.ONE
+        and isinstance(rule, Scoring)
+        and not (set(rule.vector) - {0, 1})
+    ):
         return max_r_approval
-    if isinstance(rule, (Scoring, Condorcet)):
-        return max_linear
-    return None
+    return max_linear
 
 
 def solve_instance(
@@ -53,7 +52,13 @@ def solve_instance(
     solver: str = "auto",
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SolveResult:
-    """Solve with the requested strategy; ``auto`` prefers a polynomial solver.
+    """Solve with the requested strategy.
+
+    ``auto`` takes ``poly_solver``'s solver, and the branch and bound where
+    there is none.  Exactly one of ``poly`` and ``search`` applies to an
+    instance: ``poly`` raises ``ValueError`` on Copeland and Maximin, and
+    ``search`` (``exact_search_*``) on every rule ``poly_solver`` serves.
+    ``oracle`` enumerates every plan of any instance within its size caps.
 
     Every FEASIBLE result has passed ``check_witness``: the polynomial
     solvers check their own plan, and a search or oracle plan is checked

@@ -36,7 +36,7 @@ from conftest import (
     X3C_YES3,
     X3C_YES6,
     X3C_YES12,
-    exact_search,
+    exact_route,
     oracle,
     random_problem,
     values_match,
@@ -68,27 +68,33 @@ def criterion(number: int, title: str):
 @criterion(1, "polynomial solvers match the oracle")
 def test_criterion_1_poly_vs_oracle():
     configs = [
-        ("plurality", "min", min_scoring),
-        ("veto", "min", min_scoring),
-        ("approval:2", "min", min_scoring),
-        ("borda", "min", min_scoring),
-        ("condorcet", "min", min_condorcet),
-        ("plurality", "max", max_r_approval),
-        ("approval:2", "max", max_r_approval),
-        ("veto", "max", max_r_approval),
-        ("borda", "max", max_linear),
-        ("condorcet", "max", max_linear),
+        ("plurality", "min", min_scoring, "one", 500),
+        ("veto", "min", min_scoring, "one", 500),
+        ("approval:2", "min", min_scoring, "one", 500),
+        ("borda", "min", min_scoring, "one", 500),
+        ("condorcet", "min", min_condorcet, "one", 500),
+        ("plurality", "max", max_r_approval, "one", 500),
+        ("approval:2", "max", max_r_approval, "one", 500),
+        ("veto", "max", max_r_approval, "one", 500),
+        ("borda", "max", max_linear, "one", 500),
+        ("condorcet", "max", max_linear, "one", 500),
+        ("plurality", "max", max_linear, "multi", 300),
+        ("veto", "max", max_linear, "multi", 300),
+        ("approval:2", "max", max_linear, "multi", 300),
+        ("borda", "max", max_linear, "multi", 300),
+        ("condorcet", "max", max_linear, "multi", 300),
     ]
-    for cfg_index, (rule_spec, direction, solver) in enumerate(configs):
+    for cfg_index, (rule_spec, direction, solver, dest, draws) in enumerate(configs):
         count = 0
         seed = 1_000_000 * (cfg_index + 1)
-        while count < 500:
+        while count < draws:
             model = "unique" if count % 2 else "cowinner"
             inst = random_problem(
                 random.Random(seed),
                 rule_spec=rule_spec,
                 direction=direction,
                 model=model,
+                dest=dest,
                 max_candidates=4,
                 max_parties=4,
                 max_voters=10,
@@ -104,12 +110,9 @@ def test_criterion_1_poly_vs_oracle():
                 assert pc.check_witness(inst, mine.witness, k=mine.value).ok
 
 
-def _reduced_answer(reduced: rd.ReducedInstance, use_oracle=False, solver=None) -> bool:
+def _reduced_answer(reduced: rd.ReducedInstance, use_oracle=False) -> bool:
     inst = reduced.instance
-    if solver is not None:
-        result = solver(inst)
-    else:
-        result = oracle(inst) if use_oracle else exact_search(inst)
+    result = oracle(inst) if use_oracle else exact_route(inst)
     assert result.status is not pc.SolveStatus.BUDGET_EXHAUSTED
     if result.status is pc.SolveStatus.FEASIBLE:
         assert pc.check_witness(inst, result.witness, k=result.value).ok
@@ -136,7 +139,6 @@ def test_criterion_2_reduction_soundness():
     for x3c in (X3C_YES12, X3C_NO12):
         reduced = rd.reduce_x3c_to_borda_max(x3c)
         assert _reduced_answer(reduced) == rd.solve_x3c_naive(x3c)
-        assert _reduced_answer(reduced, solver=max_linear) == rd.solve_x3c_naive(x3c)
 
     # Exact 3-set cover into Condorcet MAX.
     small = rd.reduce_x3c_to_condorcet_max(X3C_YES3)
@@ -144,7 +146,6 @@ def test_criterion_2_reduction_soundness():
     for x3c in (X3C_YES12, X3C_NO12):
         reduced = rd.reduce_x3c_to_condorcet_max(x3c)
         assert _reduced_answer(reduced) == rd.solve_x3c_naive(x3c)
-        assert _reduced_answer(reduced, solver=max_linear) == rd.solve_x3c_naive(x3c)
 
     # Independent set into Maximin MAX and Copeland MAX.
     for g in (IS_NO, IS_YES):
@@ -265,8 +266,10 @@ RULES7 = (
 )
 
 
-@criterion(4, "branch-and-bound matches the oracle")
+@criterion(4, "exact routes match the oracle")
 def test_criterion_4_search_vs_oracle():
+    """Each draw's exact route against the oracle: the branch and bound for
+    Copeland and Maximin, ``poly`` for every other rule."""
     produced = 0
     seed = 4_000_000
     while produced < 300:
@@ -288,10 +291,7 @@ def test_criterion_4_search_vs_oracle():
         if inst is None:
             continue
         produced += 1
-        if direction == "min":
-            mine, ref = pc.exact_search_min(inst), pc.oracle_min(inst)
-        else:
-            mine, ref = pc.exact_search_max(inst), pc.oracle_max(inst)
+        mine, ref = exact_route(inst), oracle(inst)
         assert values_match(mine, ref), (rule_spec, direction, dest, inst)
         for result in (mine, ref):
             if result.status is pc.SolveStatus.FEASIBLE:

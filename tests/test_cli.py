@@ -52,15 +52,26 @@ def test_solve_json_deterministic(tmp_path, capsys):
 
 
 def test_solve_solver_choices(tmp_path, capsys):
-    path = write(tmp_path, "inst.txt", MINIMAL)
-    for solver, name in (
-        ("poly", "min_scoring"),
-        ("search", "exact_search_min"),
-        ("oracle", "oracle_min"),
+    """Plurality takes ``poly`` and Maximin ``search``; the other of the two
+    is an input error, and the oracle solves both."""
+    plurality = write(tmp_path, "plurality.txt", MINIMAL)
+    maximin = write(tmp_path, "maximin.txt", MINIMAL.replace("rule: plurality", "rule: maximin"))
+    for path, solver, name in (
+        (plurality, "poly", "min_scoring"),
+        (plurality, "oracle", "oracle_min"),
+        (maximin, "search", "exact_search_min"),
+        (maximin, "oracle", "oracle_min"),
     ):
         assert cli.main(["solve", path, "--solver", solver, "--json"]) == cli.EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["solver"] == name and doc["value"] == 1
+    for path, solver, message in (
+        (plurality, "search", "poly_solver"),
+        (maximin, "poly", "no polynomial solver"),
+    ):
+        assert cli.main(["solve", path, "--solver", solver]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
 
 def test_solve_budget_exhausted_exit(tmp_path, capsys):
@@ -69,6 +80,15 @@ def test_solve_budget_exhausted_exit(tmp_path, capsys):
     code = cli.main(["solve", path, "--solver", "search", "--budget", "1"])
     assert code == cli.EXIT_BUDGET
     assert "budget exhausted" in capsys.readouterr().err
+
+
+def test_budget_below_one_is_an_input_error(tmp_path, capsys):
+    path = write(tmp_path, "inst.txt", MINIMAL.replace("rule: plurality", "rule: maximin"))
+    for command in ("solve", "verify"):
+        for budget in ("0", "-3"):
+            assert cli.main([command, path, "--budget", budget]) == cli.EXIT_INPUT
+            assert f"error: --budget must be at least 1, got {budget}" in capsys.readouterr().err
+    assert cli.main(["solve", path, "--budget", "1"]) == cli.EXIT_BUDGET
 
 
 def test_parse_error_exit(tmp_path, capsys):
@@ -162,6 +182,18 @@ def test_gen_bad_sizes(tmp_path, capsys):
         "-o", str(tmp_path / "x.txt"),
     ]
     assert cli.main(args) == cli.EXIT_INPUT
+
+
+def test_gen_bad_sizes_names_the_flag_not_a_line(tmp_path, capsys):
+    args = [
+        "gen", "--seed", "7", "--candidates", "3", "--parties", "3",
+        "--sizes", "x..3", "--rule", "borda", "--direction", "min",
+        "-o", str(tmp_path / "x.txt"),
+    ]
+    assert cli.main(args) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad --sizes value 'x..3'"), err
+    assert "line" not in err
 
 
 def test_gen_one_candidate_is_an_input_error(tmp_path, capsys):

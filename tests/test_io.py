@@ -243,6 +243,26 @@ def test_parse_graph():
         pc.parse_graph("n 3\nn 3\nt 1\n")
 
 
+def test_parse_graph_reports_the_offending_edge_line():
+    text = "n 4\nt 2\ne 0 1\ne 1 2\ne 3 3\n"
+    with pytest.raises(ParseError, match=r"^line 5: self-loop at vertex 3$"):
+        pc.parse_graph(text)
+    with pytest.raises(ParseError, match=r"^line 5: duplicate edge \(0, 1\)$"):
+        pc.parse_graph("n 4\nt 2\ne 0 1\n# again\ne 1 0\n")
+    with pytest.raises(ParseError, match=r"^line 3: edge \(0, 9\) out of range$"):
+        pc.parse_graph("t 2\nn 4\ne 0 9\n")
+
+
+def test_parse_x3c_reports_the_offending_set_line():
+    good = "s 0 1 2\n" * 3
+    with pytest.raises(ParseError, match=r"^line 4: set \(0, 0, 1\) must have exactly 3"):
+        pc.parse_x3c("m 3\ns 0 1 2\ns 0 1 2\ns 0 0 1\n")
+    with pytest.raises(ParseError, match=r"^line 3: element 5 out of universe range$"):
+        pc.parse_x3c("# header\nm 3\ns 0 1 5\n" + good)
+    with pytest.raises(ParseError, match=r"^line 2: every element must occur"):
+        pc.parse_x3c("\nm 3\ns 0 1 2\n")
+
+
 def test_parse_x3c():
     x = pc.parse_x3c("m 3\ns 0 1 2\ns 0 1 2\ns 0 1 2\n")
     assert x.universe_size == 3 and x.num_sets == 3

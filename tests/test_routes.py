@@ -18,6 +18,10 @@ RULES = (
 
 
 def test_every_route_gives_the_same_answer():
+    """``auto`` and the oracle solve every instance.  Exactly one of ``poly``
+    and ``search`` applies, ``poly`` to scoring rules and Condorcet and
+    ``search`` to Copeland and Maximin; the other raises ValueError, and
+    ``search``'s refusal names ``poly_solver``."""
     rng = random.Random(2026)
     solved = 0
     for rule, direction, dest, model in itertools.product(
@@ -28,14 +32,17 @@ def test_every_route_gives_the_same_answer():
             model=model, dest=dest, max_voters=10,
         ):
             results = {
-                route: pc.solve_instance(inst, solver=route)
-                for route in ("auto", "search", "oracle")
+                route: pc.solve_instance(inst, solver=route) for route in ("auto", "oracle")
             }
-            if poly_solver(inst) is None:
-                with pytest.raises(ValueError, match="no polynomial solver"):
-                    pc.solve_instance(inst, solver="poly")
+            if rule in ("copeland:1/2", "maximin"):
+                exact, other, refusal = "search", "poly", "no polynomial solver"
             else:
-                results["poly"] = pc.solve_instance(inst, solver="poly")
+                exact, other, refusal = "poly", "search", "poly_solver"
+            assert (poly_solver(inst) is None) == (exact == "search")
+            with pytest.raises(ValueError, match=refusal):
+                pc.solve_instance(inst, solver=other)
+            results[exact] = pc.solve_instance(inst, solver=exact)
+            assert results["auto"] == results[exact]
             for result in results.values():
                 assert values_match(result, results["oracle"]), (inst, results)
                 if result.status is pc.SolveStatus.FEASIBLE:

@@ -7,17 +7,18 @@ import pytest
 
 import partycred as pc
 from partycred.core import pairwise_matrix
+from partycred.poly import _party_leads
 from partycred.rules import copeland_scores, maximin_scores, scoring_scores
 from partycred.search import (
     _copeland_scaled,
     _maximin_from_margins,
-    _party_leads,
     _party_margin_deltas,
 )
 
 from conftest import (
     build,
     collect_problems,
+    exact_route,
     exact_search,
     oracle,
     random_problem,
@@ -31,6 +32,8 @@ ALL_RULES = (
     "plurality", "veto", "approval:2", "borda", "condorcet", "maximin",
     "copeland:1/2",
 )
+# The rules the branch and bound serves: every other rule takes ``poly``.
+SEARCH_RULES = ("maximin", "copeland:1/2", "copeland:0", "copeland:1")
 
 
 def test_oracle_min_basic():
@@ -77,6 +80,7 @@ def test_budget_exhaustion_is_distinct():
 
 
 def test_search_matches_oracle_quick():
+    """The exact route of each draw, ``search`` or ``poly``, against the oracle."""
     rng = random.Random(42)
     for i in range(60):
         rule_spec = ALL_RULES[i % len(ALL_RULES)]
@@ -94,7 +98,7 @@ def test_search_matches_oracle_quick():
                 max_parties=3,
                 max_voters=8,
             )
-        mine, ref = exact_search(inst), oracle(inst)
+        mine, ref = exact_route(inst), oracle(inst)
         assert values_match(mine, ref), (inst, mine, ref)
         for res in (mine, ref):
             if res.status is pc.SolveStatus.FEASIBLE:
@@ -123,8 +127,7 @@ def _seeded_problems(count, seed, rules):
 def test_search_witness_equals_oracle():
     """Same status, value and witness: the optimal plan of smallest
     (destination rank, counts) key, which tie-aware pruning must keep."""
-    rules = ALL_RULES + ("copeland:0", "copeland:1")
-    for inst in _seeded_problems(300, 7, rules):
+    for inst in _seeded_problems(300, 7, SEARCH_RULES):
         mine, ref = exact_search(inst), oracle(inst)
         assert (mine.status, mine.value, mine.witness) == (
             ref.status, ref.value, ref.witness
@@ -132,15 +135,20 @@ def test_search_witness_equals_oracle():
 
 
 def test_single_candidate_search_matches_oracle():
-    """With no rival, p can never lose and always wins (MAX used to raise)."""
+    """With no rival, p can never lose and always wins (MAX used to raise):
+    the same result from the search (Copeland; Maximin needs a rival) and
+    the same value from ``poly`` (a scoring rule, Condorcet) as from the
+    oracle."""
     for direction in ("min", "max"):
-        inst = build(
-            pc.Scoring(vector=(1,)), [((P,), 3), ((P,), 2)], p=P, direction=direction
-        )
-        mine, ref = exact_search(inst), oracle(inst)
-        assert (mine.status, mine.value, mine.witness) == (
-            ref.status, ref.value, ref.witness
-        )
+        for rule in (pc.Copeland(alpha=Fraction(0)), pc.Copeland(alpha=Fraction(1, 2))):
+            inst = build(rule, [((P,), 3), ((P,), 2)], p=P, direction=direction)
+            mine, ref = exact_search(inst), oracle(inst)
+            assert (mine.status, mine.value, mine.witness) == (
+                ref.status, ref.value, ref.witness
+            )
+        for rule in (pc.Scoring(vector=(1,)), pc.Condorcet()):
+            inst = build(rule, [((P,), 3), ((P,), 2)], p=P, direction=direction)
+            assert values_match(pc.solve_instance(inst, "poly"), oracle(inst))
 
 
 @pytest.mark.parametrize(
@@ -153,10 +161,11 @@ def test_search_and_oracle_reject_the_other_direction(solver, direction):
     """A MAX instance used to come back FEASIBLE from exact_search_min and
     oracle_min with a witness that check_witness rejects."""
     other = "max" if direction == "min" else "min"
-    inst = build(PLUR3, [((P, A, B), 3), ((A, P, B), 1)], p=P, direction=other)
+    parties = [((P, A, B), 3), ((A, P, B), 1)]  # p is the Maximin winner
+    inst = build(pc.Maximin(), parties, p=P, direction=other)
     with pytest.raises(ValueError, match=f"{solver.__name__} solves {direction} instances only"):
         solver(inst)
-    own = build(PLUR3, [((P, A, B), 3), ((A, P, B), 1)], p=P, direction=direction)
+    own = build(pc.Maximin(), parties, p=P, direction=direction)
     assert solver(own).status is pc.SolveStatus.FEASIBLE
 
 
@@ -188,7 +197,7 @@ def test_node_budget_contract():
     """A FEASIBLE search reruns identically on exactly its node count and
     runs out one node earlier."""
     checked = 0
-    for inst in _seeded_problems(120, 11, ALL_RULES):
+    for inst in _seeded_problems(120, 11, SEARCH_RULES):
         result = exact_search(inst)
         if result.status is not pc.SolveStatus.FEASIBLE:
             continue
@@ -323,15 +332,17 @@ def test_solve_instance_checks_each_feasible_result_once(monkeypatch):
 
     monkeypatch.setattr("partycred.solve.check_witness", counting_check)
     monkeypatch.setattr("partycred.poly.check_witness", counting_check)
-    plural = build(
-        PLUR3, [((P, A, B), 3), ((A, P, B), 1), ((B, A, P), 1)], p=P, k=1,
-        direction="min",
-    )
-    for solver in ("poly", "auto", "search", "oracle"):
+    parties = [((P, A, B), 3), ((A, P, B), 1), ((B, A, P), 1)]
+    for rule, solvers in (
+        (PLUR3, ("poly", "auto", "oracle")), (pc.Maximin(), ("search", "auto", "oracle")),
+    ):
+        inst = build(rule, parties, p=P, k=1, direction="min")
+        for solver in solvers:
+            calls.clear()
+            assert pc.solve_instance(inst, solver).value == 1
+            assert len(calls) == 1, (rule, solver)
+    for rule, solver in ((PLUR3, "poly"), (pc.Maximin(), "search")):
         calls.clear()
-        assert pc.solve_instance(plural, solver).value == 1
-        assert len(calls) == 1, solver
-    calls.clear()
-    unsolvable = build(PLUR3, [((P, A, B), 3)], p=P, direction="min")
-    assert pc.solve_instance(unsolvable, "search").status is pc.SolveStatus.INFEASIBLE
-    assert calls == []
+        unsolvable = build(rule, [((P, A, B), 3)], p=P, direction="min")
+        assert pc.solve_instance(unsolvable, solver).status is pc.SolveStatus.INFEASIBLE
+        assert calls == []
