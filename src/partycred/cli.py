@@ -1,6 +1,6 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 parse or validation error, 2 solver budget
+Exit codes: 0 success, 1 usage, parse or validation error, 2 solver budget
 exhausted, 3 verification mismatch.  JSON goes to stdout only when --json
 is given; human-readable output goes to stderr.
 """
@@ -26,7 +26,7 @@ from .instance_io import (
 from .parties import SolveStatus
 from .reductions import REDUCTIONS
 from .search import DEFAULT_NODE_BUDGET
-from .solve import solve_instance
+from .solve import SOLVERS, solve_instance
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -163,8 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve a problem instance file")
     p_solve.add_argument("file")
-    p_solve.add_argument("--solver", default="auto",
-                         choices=["auto", "poly", "search", "oracle"])
+    p_solve.add_argument("--solver", default="auto", choices=SOLVERS)
     p_solve.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                          help="node budget for the branch-and-bound search")
     p_solve.add_argument("--json", action="store_true",
@@ -203,7 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:  # a ParseError is a ValueError

@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import invalid_orders, ranks_from_orders, validate_preference
 from .parties import (
+    VOTER_CELL_BOUND,
     Direction,
     DestinationMode,
     PartyElection,
@@ -226,12 +227,13 @@ _PARTY_CHUNK = 512  # party lines per tokenizing step; bounds the token lists he
 def _parse_parties(party_lines: list[tuple[int, str]], index: dict[str, int]):
     """(party names, ranks, sizes) of the numbered ``party`` lines.
 
-    Heads are read line by line.  Orders are tokenized ``_PARTY_CHUNK``
-    lines at a time, on the canonical spelling ``a > b > c``, straight into
-    an (l, m) array, and every row is validated at once.  A row that this
-    fast path cannot read, because it is malformed or only spelled
-    differently (``a>b``), is re-read by ``_party_order``, which returns its
-    order or raises its ParseError.  Rows are re-read in line order, and a
+    Heads are read line by line, summing the sizes: a size that brings
+    the voter count n to n * m >= ``VOTER_CELL_BOUND`` is a head error.
+    Orders are tokenized ``_PARTY_CHUNK`` lines at a time, on the canonical
+    spelling ``a > b > c``, straight into an (l, m) array, and every row is
+    validated at once.  A row that this fast path cannot read, because it
+    is malformed or only spelled differently (``a>b``), is re-read by
+    ``_party_order``, which returns its order or raises its ParseError.  Rows are re-read in line order, and a
     head error is raised only after the rows above it, so a file yields the
     same parties, or the same first error, as a line-by-line reading.
 
@@ -245,10 +247,17 @@ def _parse_parties(party_lines: list[tuple[int, str]], index: dict[str, int]):
     seen: set[str] = set()
     sizes: list[int] = []
     texts: list[str] = []
+    total = 0
     head_error = None
     for line_no, line in party_lines:
         try:
             name, size, text = _party_head(line_no, line, seen)
+            total += size
+            if total * m >= VOTER_CELL_BOUND:
+                raise ParseError(
+                    line_no, f"party {name} brings the voter count to {total}: "
+                    "voters times candidates must stay below 2**62",
+                )
         except ParseError as exc:
             head_error = exc
             break

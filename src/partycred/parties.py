@@ -24,6 +24,10 @@ import numpy as np
 from .core import invalid_orders, ranks_from_orders, validate_preference
 from .rules import Rule, WinnerModel, winners
 
+# n * m stays below this for n voters over m candidates, so every score,
+# margin, lead sum and cumulative gain the solvers form fits in int64.
+VOTER_CELL_BOUND = 2**62
+
 
 class PartyElection:
     """Parties 0..l-1 over candidates 0..m-1, held as two read-only arrays:
@@ -31,7 +35,8 @@ class PartyElection:
     ballot and ``sizes[q]`` is party q's voter count (zero allowed).
 
     ``PartyElection(orders, sizes)`` validates outside input: an (l, m)
-    sequence of party orders, each most-preferred first, and l sizes.
+    sequence of party orders, each most-preferred first, and l sizes whose
+    total n keeps n * m below ``VOTER_CELL_BOUND``.
     ``from_arrays`` wraps arrays that are already valid.
     """
 
@@ -56,6 +61,14 @@ class PartyElection:
         if negative.any():
             q = int(negative.argmax())
             raise ValueError(f"party {q} has negative size {sizes_in[q]}")
+        cells = np.cumsum(sizes_in.astype(object)) * m  # Python ints: exact
+        over = cells >= VOTER_CELL_BOUND
+        if over.any():
+            q = int(over.argmax())
+            raise ValueError(
+                f"party {q} brings the voter count to {cells[q] // m}: "
+                f"voters times candidates must stay below 2**62"
+            )
         self._set_arrays(
             ranks_from_orders(orders_in.astype(np.int64)), sizes_in.astype(np.int64)
         )
@@ -104,13 +117,16 @@ class PartyElection:
 
 def _integer_rows(values, what: str) -> np.ndarray:
     """``values`` as an integer array, or ValueError naming the first party
-    whose ``what`` (order or size) is not integer."""
+    whose ``what`` (order or size) is not integer.  Sizes beyond 64 bits
+    stay Python ints, in an object array."""
     array = np.asarray(values)
-    if array.dtype.kind not in "iu":
-        kinds = (np.asarray(row).dtype.kind for row in values)
-        q = next((q for q, kind in enumerate(kinds) if kind not in "iu"), 0)
-        raise ValueError(f"party {q} has a non-integer {what}: {values[q]!r}")
-    return array
+    if array.dtype.kind in "iu":
+        return array
+    if array.ndim == 1 and all(type(v) is int for v in values):
+        return np.array(values, dtype=object)
+    kinds = (np.asarray(row).dtype.kind for row in values)
+    q = next((q for q, kind in enumerate(kinds) if kind not in "iu"), 0)
+    raise ValueError(f"party {q} has a non-integer {what}: {values[q]!r}")
 
 
 class Direction(enum.Enum):

@@ -18,17 +18,16 @@ scoring rule and +-1 for Condorcet.
   some rival), so the packing is an integer program that is NP-hard in
   general: the search is exponential only in the number of its counts, at
   most min(l, m!) merged rows into one destination, or l(l - 1) pairs.
-* ``max_r_approval`` — the one-destination packings for 0/1 scoring vectors
-  (plurality, veto, any r-approval), restricted by an exchange lemma: the
-  best plan retains only voters approving p.  Then every cost on a binding
-  rival is >= 0, and there are at most C(m, r) distinct rows.
+* ``max_r_approval`` — the same one-destination packings, under the name
+  that routes 0/1 scoring vectors (plurality, veto, any r-approval).  Their
+  lead rows are approval rows, so there are at most C(m, r) distinct rows.
 
 ``_max_pack`` is a branch and bound over count intervals.  Its linear
 relaxation (``_lp_relaxation``) is a two-phase bounded-variable simplex
 with one row per constraint that can bind and one column per count and
 per slack.  Phase 1 runs only at a node whose slack is negative, which
 raising a count of positive cost can cause; the root's slack is never
-negative for ``max_linear``, as p wins before anyone moves.
+negative for the MAX solvers, as p wins before anyone moves.
 
 Ties resolve reproducibly.  MIN takes the lowest rival among those that need
 the fewest switches, then that rival's lowest-id party of lowest lead;
@@ -61,9 +60,10 @@ from .rules import Condorcet, Scoring, WinnerModel
 from .search import _party_rows
 
 
-def _require(instance: ProblemInstance, rule_type, direction: Direction, solver: str):
-    if not isinstance(instance.rule, rule_type):
-        raise ValueError(f"{solver} needs a {rule_type.__name__} rule")
+def _require(instance: ProblemInstance, rule_types: tuple, direction: Direction, solver: str):
+    if not isinstance(instance.rule, rule_types):
+        names = " or ".join(t.__name__ for t in rule_types)
+        raise ValueError(f"{solver} needs a {names} rule")
     if instance.direction is not direction:
         raise ValueError(f"{solver} solves {direction.value} instances only")
 
@@ -101,8 +101,8 @@ def _checked(instance: ProblemInstance, plan: SwitchPlan, value: int, solver: st
 
 def min_scoring(instance: ProblemInstance) -> SolveResult:
     """Exact MIN for positional scoring rules (``_min_greedy``)."""
-    _require(instance, Scoring, Direction.MIN, "min_scoring")
-    return _min_greedy(instance, int(instance.model is WinnerModel.COWINNER), "min_scoring")
+    _require(instance, (Scoring,), Direction.MIN, "min_scoring")
+    return _min_greedy(instance, "min_scoring")
 
 
 def min_condorcet(instance: ProblemInstance) -> SolveResult:
@@ -111,12 +111,13 @@ def min_condorcet(instance: ProblemInstance) -> SolveResult:
     A switch from a +1 party into a -1 party closes the (p, rival) margin by
     2, the most any switch can, so the count is ceil(margin / 2).
     """
-    _require(instance, Condorcet, Direction.MIN, "min_condorcet")
-    return _min_greedy(instance, 0, "min_condorcet")
+    _require(instance, (Condorcet,), Direction.MIN, "min_condorcet")
+    return _min_greedy(instance, "min_condorcet")
 
 
-def _min_greedy(instance: ProblemInstance, strict: int, solver: str) -> SolveResult:
-    """Fewest switches that close p's lead over some rival c to -strict.
+def _min_greedy(instance: ProblemInstance, solver: str) -> SolveResult:
+    """Fewest switches that end p's win: p's lead over some rival c falls
+    below s, by at least ``need = budget + 1`` (``_win_budgets``).
 
     Lemma.  Moving a voter from party q into party d closes p's lead over c,
     ``sizes @ leads[:, c]``, by ``leads[q, c] - leads[d, c]``.  So for each
@@ -127,14 +128,15 @@ def _min_greedy(instance: ProblemInstance, strict: int, solver: str) -> SolveRes
     least as much as before; a dropped one closed at most 0.  No party sends
     more voters, so the new plan is valid, no larger, and closes the lead.
 
-    The count for c is then the fewest voters whose gains into d_c reach the
-    lead plus strict, largest gains first; ``_kernels.min_switch_counts``
+    The count for c is then the fewest voters whose gains into d_c reach
+    need[c], largest gains first; ``_kernels.min_switch_counts``
     finds it for every rival from one stable column-wise sort.  Only the
     returned plan is built and checked; a rejection raises ``RuntimeError``.
     """
-    leads = np.asfortranarray(_party_leads(instance))  # each column contiguous
+    leads, budget = _win_budgets(instance)
+    leads = np.asfortranarray(leads)  # each column contiguous
     sizes = instance.election.sizes
-    need = sizes @ leads + strict  # a tie suffices unless strict
+    need = budget + 1
     # Keys in the narrowest type: numpy sorts int8 and int16 stably by radix.
     span = max(-int(leads.min()), int(leads.max()))
     keys = np.negative(leads.T, dtype=np.min_scalar_type(-1 - span))
@@ -190,10 +192,7 @@ def max_linear(instance: ProblemInstance) -> SolveResult:
     is checked with ``check_witness`` before it leaves the solver; a
     rejection is a solver bug and raises ``RuntimeError``.
     """
-    if not isinstance(instance.rule, (Scoring, Condorcet)):
-        raise ValueError("max_linear needs a Scoring or Condorcet rule")
-    if instance.direction is not Direction.MAX:
-        raise ValueError("max_linear solves max instances only")
+    _require(instance, (Scoring, Condorcet), Direction.MAX, "max_linear")
     if instance.destination_mode is DestinationMode.ONE:
         return _max_into_rows(instance, "max_linear")
     return _max_into_pairs(instance, "max_linear")
@@ -223,64 +222,25 @@ def _max_into_pairs(instance: ProblemInstance, solver: str) -> SolveResult:
 
 def max_r_approval(instance: ProblemInstance) -> SolveResult:
     """Exact one-destination MAX for 0/1 scoring vectors (plurality, veto,
-    r-approval): ``max_linear``'s packings, restricted by an exchange lemma.
-
-    All switchers adopt the destination's approval row D, so the final
-    election depends on the destination only through D: the fewest voters
-    that must stay put (be retained) is the same for every party holding D,
-    and the value is N - size(dest) - T, N being the number of voters and T
-    the number retained.
-
-    Lemma.  Some optimal plan retains only voters approving p.  If D
-    approves p, moving a retained voter of row S into D changes each (p, c)
-    margin by 1 - [c in D] + [c in S] when S does not approve p, which is
-    never negative, and lowers T; so some optimum into D retains only
-    p-approvers.  If D does not approve p, swapping a moved p-approver with
-    a retained voter who does not approve p keeps T and changes each margin
-    by 1 - [c in S] + [c in S'] >= 0, so some optimum into D retains only
-    p-approvers or all of them.  The second kind is never the answer: a
-    destination d approving p does strictly better.  Under the co-winner
-    model, moving everyone else into d keeps p a co-winner.  Under the
-    unique-winner model, p's initial win gives, for each rival x in d's
-    row, a voter approving p but not x; retaining those (at most r - 1) and
-    moving everyone else into d keeps p the unique winner.  Either way d is
-    worth at least N - P, P being the number of p-approving voters, while
-    the second kind retains more than P voters.  (Some voter approves p,
-    since p initially wins, unless no voter approves anyone; then T = 0 is
-    feasible into every destination.)
-
-    Packing form.  By the lemma, every voter who does not approve p moves,
-    and ``_max_into_rows`` packs the p-approving rows.  A p-approving row j
-    has cost[j, c] = 1 - [c in j] - leads[dest, c]: 0, 1 or 2 where
-    leads[dest, c] <= 0, and -[c in j] <= 0 where leads[dest, c] = 1.  So
-    every cost on a binding rival is >= 0, the packing is downward closed,
-    and a negative budget means no plan into D of the kind the lemma keeps.
-    The other rivals never bind, as their budgets are >= 0: their lead is
-    smallest with every source voter retained, where it is N minus the
-    source voters approving c, and that is at least ``max_linear``'s s
-    (under the unique-winner model, p's initial win needs some voter who
-    approves p but not c).
-
-    Complexity: at most one ``_max_pack`` call per distinct row, over K <=
-    C(m - 1, r - 1) merged rows and at most m - 1 constraints, so the solver
-    is polynomial for fixed m (``max_linear`` has the node count).
+    r-approval): ``max_linear``'s packings into each lead row
+    (``_max_into_rows``).  A voter's lead row is fixed by the r candidates
+    its party approves, so there are K <= min(l, C(m, r)) merged rows and at
+    most one ``_max_pack`` call per row: polynomial for fixed m.
 
     The returned plan is checked with ``check_witness`` before it leaves the
     solver; a rejection is a solver bug and raises ``RuntimeError``.
     """
-    _require(instance, Scoring, Direction.MAX, "max_r_approval")
+    _require(instance, (Scoring,), Direction.MAX, "max_r_approval")
     if instance.destination_mode is not DestinationMode.ONE:
         raise ValueError("max_r_approval handles the one-destination mode only")
     if set(instance.rule.vector) - {0, 1}:
         raise ValueError("max_r_approval needs a 0/1 approval-style scoring vector")
-    return _max_into_rows(instance, "max_r_approval", _party_rows(instance)[:, instance.p] == 1)
+    return _max_into_rows(instance, "max_r_approval")
 
 
-def _max_into_rows(instance: ProblemInstance, solver: str, retainable=None) -> SolveResult:
+def _max_into_rows(instance: ProblemInstance, solver: str) -> SolveResult:
     """One-destination MAX for a linear rule, one packing per distinct lead
-    row (``max_linear``).  ``retainable`` marks the parties whose voters may
-    stay put, one value per lead row; the others move in full.  By default
-    every party may.
+    row (``max_linear``, ``max_r_approval``).
 
     Parties with the same lead row are interchangeable, so they are merged
     into one row j of caps[j] voters, and only one destination per row is
@@ -288,7 +248,9 @@ def _max_into_rows(instance: ProblemInstance, solver: str, retainable=None) -> S
     maximiser over all parties.  Into destination d, row j's cost is
     leads[j] - leads[d], and the most switches are the other voters of d's
     row plus the largest packing.  A row whose costs are all <= 0 moves in
-    full: moving it never lowers a lead.
+    full: moving it never lowers a lead.  So the budgets left after those
+    rows move are at least ``_win_budgets``'s, which are >= 0, and zero
+    counts always fit the packing.
 
     Complexity: at most one ``_max_pack`` call per distinct row, over K <=
     min(l, m!) merged rows and at most m - 1 constraints.  Destinations are
@@ -302,7 +264,6 @@ def _max_into_rows(instance: ProblemInstance, solver: str, retainable=None) -> S
     leads, budget = _win_budgets(instance)
     sizes = instance.election.sizes
     total = int(sizes.sum())
-    p = instance.p
 
     merged: dict[bytes, list[int]] = {}
     for q, row in enumerate(leads):
@@ -310,10 +271,8 @@ def _max_into_rows(instance: ProblemInstance, solver: str, retainable=None) -> S
     members = list(merged.values())  # party ids per merged row
     sizes_l = sizes.tolist()
     dest_of = [min(ids, key=sizes_l.__getitem__) for ids in members]  # smallest, then lowest id
-    firsts = [ids[0] for ids in members]
-    row_leads = leads[firsts]
+    row_leads = leads[[ids[0] for ids in members]]
     caps = np.array([sum(sizes_l[q] for q in ids) for ids in members], dtype=np.int64)
-    pinned = np.zeros(len(members), dtype=bool) if retainable is None else ~retainable[firsts]
 
     best_value, best_dest, best = 0, -1, None  # best: (packed rows, moved counts) into best_dest
     for j in sorted(range(len(members)), key=lambda j: (sizes_l[dest_of[j]], dest_of[j])):
@@ -322,16 +281,12 @@ def _max_into_rows(instance: ProblemInstance, solver: str, retainable=None) -> S
         if total - sizes_l[dest] + tie <= best_value:
             continue
         cost = row_leads - row_leads[j]
-        packed = ~(pinned | (cost <= 0).all(axis=1)) & (caps > 0)
-        packed[j] = False
+        packed = (cost > 0).any(axis=1) & (caps > 0)  # row j's costs are 0
         rest = budget - caps[~packed] @ cost[~packed]  # every other row moved
-        binding = (cost[packed] > 0).any(axis=0) | (rest < 0)
-        binding[p] = False  # column p is 0
+        binding = (cost[packed] > 0).any(axis=0)
         base = total - sizes_l[dest] - int(caps[packed].sum())  # moving no packed voter
         floor = best_value - base - tie
         moved = _max_pack(cost[packed][:, binding], rest[binding], caps[packed], floor)
-        if moved is None:
-            continue
         value = base + int(moved.sum())
         if value + tie > best_value:
             best_value, best_dest, best = value, dest, (packed, moved)

@@ -20,6 +20,8 @@ from .search import (
     oracle_min,
 )
 
+SOLVERS = ("auto", "oracle")  # the names solve_instance and --solver accept
+
 
 def poly_solver(instance: ProblemInstance):
     """The polynomial solver this instance admits, or None exactly for
@@ -28,10 +30,11 @@ def poly_solver(instance: ProblemInstance):
     Scoring and Condorcet MIN take ``min_scoring`` and ``min_condorcet``
     (``poly._min_greedy``), in either destination mode.  Their MAX takes
     ``max_linear``, in either destination mode, except one-destination MAX
-    for a 0/1 scoring vector, which takes ``max_r_approval``.  Both MAX
-    solvers are polynomial for a fixed number of candidates in the
-    one-destination mode; ``max_linear`` is exponential in the number of
-    its packing's counts in the worst case, as Borda MAX is NP-hard.
+    for a 0/1 scoring vector, which takes ``max_r_approval``: the same
+    packings into each lead row (``poly._max_into_rows``) under their own
+    solver label.  One-destination MAX is polynomial for a fixed number of
+    candidates; ``max_linear`` is exponential in the number of its
+    packing's counts in the worst case, as Borda MAX is NP-hard.
     """
     rule = instance.rule
     if not isinstance(rule, (Scoring, Condorcet)):
@@ -52,35 +55,30 @@ def solve_instance(
     solver: str = "auto",
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SolveResult:
-    """Solve with the requested strategy.
+    """Solve with one of ``SOLVERS``.
 
-    ``auto`` takes ``poly_solver``'s solver, and the branch and bound where
-    there is none.  Exactly one of ``poly`` and ``search`` applies to an
-    instance: ``poly`` raises ``ValueError`` on Copeland and Maximin, and
-    ``search`` (``exact_search_*``) on every rule ``poly_solver`` serves.
-    ``oracle`` enumerates every plan of any instance within its size caps.
+    ``auto`` takes the instance's one exact route: ``poly_solver``'s solver,
+    and the branch and bound (``exact_search_*``) for Copeland and Maximin,
+    where there is none.  ``oracle`` enumerates every plan of any instance
+    within its size caps.  Any other name raises ``ValueError``.
 
     Every FEASIBLE result has passed ``check_witness``: the polynomial
     solvers check their own plan, and a search or oracle plan is checked
     here.  A rejected plan is a solver bug and raises ``RuntimeError``.
     """
-    if solver not in ("auto", "poly", "search", "oracle"):
+    if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
-    if solver in ("auto", "poly"):
+    minimise = instance.direction is Direction.MIN
+    if solver == "oracle":
+        result = oracle_min(instance) if minimise else oracle_max(instance)
+    else:
         fn = poly_solver(instance)
         if fn is not None:
             return fn(instance)
-        if solver == "poly":
-            raise ValueError("no polynomial solver applies to this instance")
-    if solver == "oracle":
-        if instance.direction is Direction.MIN:
-            result = oracle_min(instance)
+        if minimise:
+            result = exact_search_min(instance, node_budget=node_budget)
         else:
-            result = oracle_max(instance)
-    elif instance.direction is Direction.MIN:
-        result = exact_search_min(instance, node_budget=node_budget)
-    else:
-        result = exact_search_max(instance, node_budget=node_budget)
+            result = exact_search_max(instance, node_budget=node_budget)
     if result.status is SolveStatus.FEASIBLE:
         check = check_witness(instance, result.witness, k=result.value)
         if not check.ok:

@@ -7,7 +7,6 @@ import random
 import partycred as pc
 from partycred import reductions as rd
 from partycred.instance_io import parse_rule_spec
-from partycred.solve import poly_solver
 
 
 ACCEPTANCE_REPORT: list[str] = []
@@ -99,14 +98,6 @@ def exact_search(inst: pc.ProblemInstance, **kwargs) -> pc.SolveResult:
     if inst.direction is pc.Direction.MIN:
         return pc.exact_search_min(inst, **kwargs)
     return pc.exact_search_max(inst, **kwargs)
-
-
-def exact_route(inst: pc.ProblemInstance, **kwargs) -> pc.SolveResult:
-    """The instance's one exact route besides the oracle: ``poly`` where
-    ``poly_solver`` applies (every scoring rule and Condorcet), ``search``
-    for Copeland and Maximin."""
-    route = "search" if poly_solver(inst) is None else "poly"
-    return pc.solve_instance(inst, route, **kwargs)
 
 
 def oracle(inst: pc.ProblemInstance) -> pc.SolveResult:

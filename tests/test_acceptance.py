@@ -36,7 +36,6 @@ from conftest import (
     X3C_YES3,
     X3C_YES6,
     X3C_YES12,
-    exact_route,
     oracle,
     random_problem,
     values_match,
@@ -112,7 +111,7 @@ def test_criterion_1_poly_vs_oracle():
 
 def _reduced_answer(reduced: rd.ReducedInstance, use_oracle=False) -> bool:
     inst = reduced.instance
-    result = oracle(inst) if use_oracle else exact_route(inst)
+    result = oracle(inst) if use_oracle else pc.solve_instance(inst)
     assert result.status is not pc.SolveStatus.BUDGET_EXHAUSTED
     if result.status is pc.SolveStatus.FEASIBLE:
         assert pc.check_witness(inst, result.witness, k=result.value).ok
@@ -268,8 +267,9 @@ RULES7 = (
 
 @criterion(4, "exact routes match the oracle")
 def test_criterion_4_search_vs_oracle():
-    """Each draw's exact route against the oracle: the branch and bound for
-    Copeland and Maximin, ``poly`` for every other rule."""
+    """Each draw's one exact route (``solve_instance``) against the oracle:
+    the branch and bound for Copeland and Maximin, ``poly`` for every other
+    rule."""
     produced = 0
     seed = 4_000_000
     while produced < 300:
@@ -291,7 +291,7 @@ def test_criterion_4_search_vs_oracle():
         if inst is None:
             continue
         produced += 1
-        mine, ref = exact_route(inst), oracle(inst)
+        mine, ref = pc.solve_instance(inst), oracle(inst)
         assert values_match(mine, ref), (rule_spec, direction, dest, inst)
         for result in (mine, ref):
             if result.status is pc.SolveStatus.FEASIBLE:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import partycred as pc
 from partycred import cli
 
@@ -52,34 +54,50 @@ def test_solve_json_deterministic(tmp_path, capsys):
 
 
 def test_solve_solver_choices(tmp_path, capsys):
-    """Plurality takes ``poly`` and Maximin ``search``; the other of the two
-    is an input error, and the oracle solves both."""
+    """``auto`` takes each instance's one exact route and the oracle solves
+    every instance; the removed ``poly`` and ``search`` modes are usage
+    errors."""
     plurality = write(tmp_path, "plurality.txt", MINIMAL)
     maximin = write(tmp_path, "maximin.txt", MINIMAL.replace("rule: plurality", "rule: maximin"))
     for path, solver, name in (
-        (plurality, "poly", "min_scoring"),
+        (plurality, "auto", "min_scoring"),
         (plurality, "oracle", "oracle_min"),
-        (maximin, "search", "exact_search_min"),
+        (maximin, "auto", "exact_search_min"),
         (maximin, "oracle", "oracle_min"),
     ):
         assert cli.main(["solve", path, "--solver", solver, "--json"]) == cli.EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["solver"] == name and doc["value"] == 1
-    for path, solver, message in (
-        (plurality, "search", "poly_solver"),
-        (maximin, "poly", "no polynomial solver"),
-    ):
-        assert cli.main(["solve", path, "--solver", solver]) == cli.EXIT_INPUT
-        captured = capsys.readouterr()
-        assert captured.out == "" and message in captured.err
+    for path in (plurality, maximin):
+        for solver in ("poly", "search"):
+            assert cli.main(["solve", path, "--solver", solver]) == cli.EXIT_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == "" and "invalid choice" in captured.err
 
 
 def test_solve_budget_exhausted_exit(tmp_path, capsys):
     text = MINIMAL.replace("rule: plurality", "rule: maximin")
     path = write(tmp_path, "inst.txt", text)
-    code = cli.main(["solve", path, "--solver", "search", "--budget", "1"])
+    code = cli.main(["solve", path, "--budget", "1"])
     assert code == cli.EXIT_BUDGET
     assert "budget exhausted" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{path}", "--solver", "bogus"],
+    ["frob"],
+    ["solve", "{path}", "--solver", "poly"],
+], ids=["unknown-solver", "unknown-command", "removed-poly-mode"])
+def test_usage_error_exits_as_an_input_error(tmp_path, capsys, argv):
+    """argparse's own exit code 2 would read as "budget exhausted"."""
+    path = write(tmp_path, "inst.txt", MINIMAL)
+    assert cli.main([arg.format(path=path) for arg in argv]) == cli.EXIT_INPUT
+    assert f"invalid choice: {argv[-1]!r}" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert cli.main(["--help"]) == cli.EXIT_OK
+    assert "usage: partycred" in capsys.readouterr().out
 
 
 def test_budget_below_one_is_an_input_error(tmp_path, capsys):

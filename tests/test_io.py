@@ -141,6 +141,22 @@ def test_duplicate_party_name():
         pc.parse_instance(text)
 
 
+@pytest.mark.parametrize("size", ["100000000000000000000", "9223372036854775807"])
+def test_party_size_beyond_int64_reports_its_line(size):
+    """The voter count n must keep n * m below 2**62: larger sizes used to
+    raise OverflowError or wrap around silently."""
+    text = MINIMAL.replace("party P1 2", f"party P1 {size}")
+    with pytest.raises(ParseError, match=f"line 8: party P1 brings the voter count to {size}"):
+        pc.parse_instance(text)
+
+
+def test_voter_count_bound_counts_every_party():
+    big = MINIMAL.replace("party P1 2", f"party P1 {2**62 // 3 - 1}")
+    assert pc.parse_instance(big).instance.election.num_voters == 2**62 // 3  # n * 3 < 2**62
+    with pytest.raises(ParseError, match="line 9: party P2 brings"):
+        pc.parse_instance(big.replace("party P2 1", "party P2 2"))
+
+
 def _long_file(num_parties: int, bad: dict[int, str] | None = None) -> tuple[str, int]:
     """A plurality file that p wins, with party i on line ``first + i``;
     ``bad`` replaces the whole text of some party lines."""

@@ -44,6 +44,9 @@ def test_party_validation():
     ([], [], "need at least one party"),
     ([(0, 1), (1, 0), (0, 1)], [2, 0, -3], "party 2 has negative size -3"),
     ([(0, 1), (1, 0)], [2, 1.5], "party 1 has a non-integer size: 1.5"),
+    ([(0, 1), (1, 0)], [1, 10**20], "party 1 brings the voter count to 100000000000000000001"),
+    ([(0, 1), (1, 0)], [2**63 - 1, 1], "party 0 brings the voter count to 9223372036854775807"),
+    ([(0, 1), (1, 0)], [2**60, 2**60], r"party 1 brings .* below 2\*\*62"),
 ])
 def test_constructor_rejections(orders, sizes, message):
     with pytest.raises(ValueError, match=message):

@@ -495,27 +495,6 @@ def test_max_pack_signed_costs_match_enumeration(monkeypatch):
     assert any(short_slack)
 
 
-@pytest.mark.parametrize("rule_spec", ["borda", "condorcet"])
-def test_max_into_rows_moves_pinned_parties_in_full(rule_spec):
-    """With no party retainable, each destination takes everybody or is
-    infeasible.  A rival then binds through its negative budget alone, as no
-    packed row is left to carry a cost."""
-    for inst in collect_problems(
-        seed_base=900, count=60, rule_spec=rule_spec, direction="max", model="unique",
-        max_parties=5,
-    ):
-        sizes = inst.election.sizes.tolist()
-        moves_all = [
-            pc.SwitchPlan(moves=tuple((q, d, n) for q, n in enumerate(sizes) if q != d and n))
-            for d in range(len(sizes))
-        ]
-        best = max(
-            [0] + [plan.total for plan in moves_all if pc.check_witness(inst, plan, k=plan.total).ok]
-        )
-        pinned = poly._max_into_rows(inst, "pinned", np.zeros(len(sizes), dtype=bool))
-        assert pinned.value == best, inst
-
-
 def test_max_linear_rejects_other_shapes():
     orders = [((P, A, B), 3), ((A, P, B), 1)]
     for rule, direction, dest in (

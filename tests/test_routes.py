@@ -7,21 +7,24 @@ import random
 import pytest
 
 import partycred as pc
-from partycred.solve import poly_solver
+from partycred.poly import max_linear, max_r_approval, min_condorcet, min_scoring
+from partycred.solve import SOLVERS, poly_solver
 
-from conftest import collect_problems, values_match
+from conftest import collect_problems, exact_search, values_match
 
 RULES = (
     "plurality", "veto", "approval:2", "borda", "condorcet", "copeland:1/2",
     "maximin",
 )
+SEARCH_RULES = ("copeland:1/2", "maximin")
 
 
 def test_every_route_gives_the_same_answer():
-    """``auto`` and the oracle solve every instance.  Exactly one of ``poly``
-    and ``search`` applies, ``poly`` to scoring rules and Condorcet and
-    ``search`` to Copeland and Maximin; the other raises ValueError, and
-    ``search``'s refusal names ``poly_solver``."""
+    """``auto`` (the instance's one exact route) and the oracle agree on
+    every instance, and ``poly_solver`` is None exactly for Copeland and
+    Maximin.  Each route refuses the other's rules: ``exact_search_*``
+    raise a ValueError naming ``poly_solver`` on the linear rules, and every
+    polynomial solver raises on Copeland and Maximin."""
     rng = random.Random(2026)
     solved = 0
     for rule, direction, dest, model in itertools.product(
@@ -31,18 +34,15 @@ def test_every_route_gives_the_same_answer():
             rng.randint(0, 10**6), 3, rule_spec=rule, direction=direction,
             model=model, dest=dest, max_voters=10,
         ):
-            results = {
-                route: pc.solve_instance(inst, solver=route) for route in ("auto", "oracle")
-            }
-            if rule in ("copeland:1/2", "maximin"):
-                exact, other, refusal = "search", "poly", "no polynomial solver"
+            results = {route: pc.solve_instance(inst, solver=route) for route in SOLVERS}
+            assert (poly_solver(inst) is None) == (rule in SEARCH_RULES)
+            if rule in SEARCH_RULES:
+                for solver in (min_scoring, min_condorcet, max_linear, max_r_approval):
+                    with pytest.raises(ValueError):
+                        solver(inst)
             else:
-                exact, other, refusal = "poly", "search", "poly_solver"
-            assert (poly_solver(inst) is None) == (exact == "search")
-            with pytest.raises(ValueError, match=refusal):
-                pc.solve_instance(inst, solver=other)
-            results[exact] = pc.solve_instance(inst, solver=exact)
-            assert results["auto"] == results[exact]
+                with pytest.raises(ValueError, match="poly_solver"):
+                    exact_search(inst)
             for result in results.values():
                 assert values_match(result, results["oracle"]), (inst, results)
                 if result.status is pc.SolveStatus.FEASIBLE:

@@ -18,7 +18,6 @@ from partycred.search import (
 from conftest import (
     build,
     collect_problems,
-    exact_route,
     exact_search,
     oracle,
     random_problem,
@@ -80,7 +79,8 @@ def test_budget_exhaustion_is_distinct():
 
 
 def test_search_matches_oracle_quick():
-    """The exact route of each draw, ``search`` or ``poly``, against the oracle."""
+    """Each draw's one exact route (``solve_instance``'s ``auto``: ``poly``
+    or the branch and bound) against the oracle."""
     rng = random.Random(42)
     for i in range(60):
         rule_spec = ALL_RULES[i % len(ALL_RULES)]
@@ -98,7 +98,7 @@ def test_search_matches_oracle_quick():
                 max_parties=3,
                 max_voters=8,
             )
-        mine, ref = exact_route(inst), oracle(inst)
+        mine, ref = pc.solve_instance(inst), oracle(inst)
         assert values_match(mine, ref), (inst, mine, ref)
         for res in (mine, ref):
             if res.status is pc.SolveStatus.FEASIBLE:
@@ -137,7 +137,7 @@ def test_search_witness_equals_oracle():
 def test_single_candidate_search_matches_oracle():
     """With no rival, p can never lose and always wins (MAX used to raise):
     the same result from the search (Copeland; Maximin needs a rival) and
-    the same value from ``poly`` (a scoring rule, Condorcet) as from the
+    the same value from ``auto`` (a scoring rule, Condorcet) as from the
     oracle."""
     for direction in ("min", "max"):
         for rule in (pc.Copeland(alpha=Fraction(0)), pc.Copeland(alpha=Fraction(1, 2))):
@@ -148,7 +148,7 @@ def test_single_candidate_search_matches_oracle():
             )
         for rule in (pc.Scoring(vector=(1,)), pc.Condorcet()):
             inst = build(rule, [((P,), 3), ((P,), 2)], p=P, direction=direction)
-            assert values_match(pc.solve_instance(inst, "poly"), oracle(inst))
+            assert values_match(pc.solve_instance(inst, "auto"), oracle(inst))
 
 
 @pytest.mark.parametrize(
@@ -309,9 +309,9 @@ def _reject_all(*args, **kwargs):
     return pc.parties.WitnessCheck(False, "forced rejection")
 
 
-@pytest.mark.parametrize("solver", ["search", "oracle", "auto"])
+@pytest.mark.parametrize("solver", ["oracle", "auto"])
 def test_solve_instance_raises_on_rejected_plan(monkeypatch, solver):
-    # Maximin has no polynomial solver, so "auto" also runs the search.
+    # Maximin has no polynomial solver, so "auto" runs the search.
     inst = build(
         pc.Maximin(), [((P, A, B), 3), ((A, P, B), 1), ((B, A, P), 1)], p=P, k=1,
         direction="min",
@@ -333,16 +333,13 @@ def test_solve_instance_checks_each_feasible_result_once(monkeypatch):
     monkeypatch.setattr("partycred.solve.check_witness", counting_check)
     monkeypatch.setattr("partycred.poly.check_witness", counting_check)
     parties = [((P, A, B), 3), ((A, P, B), 1), ((B, A, P), 1)]
-    for rule, solvers in (
-        (PLUR3, ("poly", "auto", "oracle")), (pc.Maximin(), ("search", "auto", "oracle")),
-    ):
+    for rule in (PLUR3, pc.Maximin()):  # auto: min_scoring, then the search
         inst = build(rule, parties, p=P, k=1, direction="min")
-        for solver in solvers:
+        for solver in ("auto", "oracle"):
             calls.clear()
             assert pc.solve_instance(inst, solver).value == 1
             assert len(calls) == 1, (rule, solver)
-    for rule, solver in ((PLUR3, "poly"), (pc.Maximin(), "search")):
         calls.clear()
         unsolvable = build(rule, [((P, A, B), 3)], p=P, direction="min")
-        assert pc.solve_instance(unsolvable, solver).status is pc.SolveStatus.INFEASIBLE
+        assert pc.solve_instance(unsolvable).status is pc.SolveStatus.INFEASIBLE
         assert calls == []
