@@ -221,7 +221,17 @@ def parse_instance(text: str) -> ParsedInstance:
     )
 
 
-_PARTY_CHUNK = 512  # party lines per tokenizing step; bounds the token lists held at once
+# Party lines per tokenizing step.  It bounds the temporaries held at once:
+# the token lists of the str step, the byte buffer and per-token arrays of
+# the byte step.
+_PARTY_CHUNK = 512
+# Names (lines times candidates) from which a chunk is read from its bytes
+# (``_NameTable.codes``) instead of by ``str.split``.  The byte step costs
+# about 65 us per chunk plus 15-30 us per file for the name table (m <= 50),
+# against about 0.1-0.2 us per name for the str step; timed against it on
+# one chunk, it was faster from 900-1,200 names at m = 3-12 and from
+# 1,200-1,500 at m = 25-50.
+_BYTE_STEP_TOKENS = 1_500
 
 
 def _parse_parties(party_lines: list[tuple[int, str]], index: dict[str, int]):
@@ -231,13 +241,18 @@ def _parse_parties(party_lines: list[tuple[int, str]], index: dict[str, int]):
     the voter count n to n * m >= ``VOTER_CELL_BOUND`` is a head error.
     Orders are tokenized ``_PARTY_CHUNK`` lines at a time, on the canonical
     spelling ``a > b > c``, straight into an (l, m) array, and every row is
-    validated at once.  A row that this fast path cannot read, because it
-    is malformed or only spelled differently (``a>b``), is re-read by
-    ``_party_order``, which returns its order or raises its ParseError.  Rows are re-read in line order, and a
-    head error is raised only after the rows above it, so a file yields the
-    same parties, or the same first error, as a line-by-line reading.
+    validated at once.  A chunk of at least ``_BYTE_STEP_TOKENS`` names is
+    read from its bytes through a table of the candidate names built once
+    per file (``_NameTable``), with no Python object per name; a smaller
+    chunk, or a file whose names get no table, is split with ``str.split``
+    and looked up in ``index``.  A row that either step cannot read,
+    because it is malformed or only spelled differently (``a>b``), is
+    re-read by ``_party_order``, which returns its order or raises its
+    ParseError.  Rows are re-read in line order, and a head error is raised
+    only after the rows above it, so a file yields the same parties, or the
+    same first error, as a line-by-line reading.
 
-    The fast path is exact: candidate names contain neither whitespace
+    Both steps are exact: candidate names contain neither whitespace
     (they come from splitting the ``candidates:`` line) nor ``>`` (that
     line rejects it), so a stripped text that splits on ``" > "`` into m
     names splits on ``">"`` into the same names after stripping.
@@ -268,8 +283,15 @@ def _parse_parties(party_lines: list[tuple[int, str]], index: dict[str, int]):
 
     orders = np.empty((len(texts), m), dtype=np.int64)
     unread = ("",) * m  # no name is empty, so the row fails validation
+    table = None  # the first chunk is the largest
+    if min(len(texts), _PARTY_CHUNK) * m >= _BYTE_STEP_TOKENS:
+        table = _NameTable.build(index)
     for lo in range(0, len(texts), _PARTY_CHUNK):
-        rows = [text.strip().split(" > ") for text in texts[lo : lo + _PARTY_CHUNK]]
+        chunk = texts[lo : lo + _PARTY_CHUNK]
+        if table is not None and len(chunk) * m >= _BYTE_STEP_TOKENS:
+            orders[lo : lo + len(chunk)] = table.codes(chunk)
+            continue
+        rows = [text.strip().split(" > ") for text in chunk]
         tokens = chain.from_iterable(row if len(row) == m else unread for row in rows)
         codes = np.fromiter(
             map(index.get, tokens, repeat(-1)), dtype=np.int64, count=len(rows) * m
@@ -280,6 +302,111 @@ def _parse_parties(party_lines: list[tuple[int, str]], index: dict[str, int]):
     if head_error is not None:
         raise head_error
     return names, ranks_from_orders(orders), np.array(sizes, dtype=np.int64)
+
+
+_U64 = np.dtype("<u8")
+_LOW_BYTES = np.array([(1 << 8 * b) - 1 for b in range(9)], dtype=_U64)  # [b]: the low b bytes
+_KEY_MIX = np.uint64(0x100000001B3)  # folds a name's length and words into one key
+# Odd multipliers drawn independently (a fixed draw, so every run parses
+# alike): two keys collide under a random one with probability <= 2 / slots.
+_MULTIPLIERS = np.frombuffer(random.Random(0).randbytes(8 * 16), dtype=_U64) | np.uint64(1)
+_MAX_SLOT_BITS = 19  # 2**19 slots: a table for up to 512 names
+
+
+@dataclass(frozen=True)
+class _NameTable:
+    """Candidate codes of order texts read from their bytes, with no Python
+    object per name.
+
+    Each of the K names is read as W little-endian uint64 words, enough for
+    the longest name's bytes, zero past its own end.  Its words and its
+    byte length fold into one 64-bit key (``_token_keys``), and the slot of
+    a key is the top bits of key * multiplier (multiply-shift hashing).
+    ``build`` tries up to 16 odd multipliers on a table of at least
+    2 * K**2 slots and keeps the first that gives every name its own slot;
+    a random multiplier fails with probability below 1/2.  When none
+    succeeds, or the table would exceed 2**``_MAX_SLOT_BITS`` slots, there
+    is no table and the caller keeps the str step.
+
+    A token gets the code of the name in its slot only when its length and
+    its words equal that name's, so the lookup is exact: a token that is
+    not a name gets -1, even when it shares a name's first bytes or differs
+    from it only by trailing NULs.  An empty slot holds code 0, which that
+    test refuses as well.  Names and texts are encoded alike (UTF-8 with
+    ``surrogatepass``), so a lone surrogate reads the same here as it does
+    as a ``str``.
+    """
+
+    words: np.ndarray  # (K, W) the names' words
+    lengths: np.ndarray  # (K,) the names' byte lengths
+    multiplier: np.uint64
+    shift: np.uint64  # 64 minus the slot bits
+    slots: np.ndarray  # the name code in each slot
+
+    @classmethod
+    def build(cls, index: dict[str, int]) -> _NameTable | None:
+        encoded = [name.encode("utf-8", "surrogatepass") for name in index]
+        k = len(encoded)
+        bits = (2 * k * k - 1).bit_length()
+        if bits > _MAX_SLOT_BITS:
+            return None
+        width = 8 * -(-max(map(len, encoded)) // 8)
+        padded = b"".join(name.ljust(width, b"\0") for name in encoded)
+        words = np.frombuffer(padded, dtype=_U64).reshape(k, -1)
+        lengths = np.array([len(name) for name in encoded], dtype=np.int64)
+        keys = _token_keys(words, lengths)
+        shift = np.uint64(64 - bits)
+        for multiplier in _MULTIPLIERS:
+            hashed = (keys * multiplier) >> shift
+            if np.unique(hashed).size == k:
+                slots = np.zeros(1 << bits, dtype=np.intp)
+                slots[hashed] = np.arange(k)
+                return cls(words, lengths, multiplier, shift, slots)
+        return None
+
+    def codes(self, texts: list[str]) -> np.ndarray:
+        """(len(texts), m) int codes of order texts, m = K, each text one
+        line (no newline in it).  A row holds the codes of a text that reads
+        exactly ``n1 > n2 > ... > nm`` after stripping, with a name's code
+        where ``ni`` is a name and -1 where it is not; every other row is
+        all -1."""
+        num_rows = len(texts)
+        m, width = self.words.shape
+        data = ("\n".join(text.strip() for text in texts) + "\n").encode(
+            "utf-8", "surrogatepass"
+        )
+        raw = np.frombuffer(data + bytes(8 * width), dtype=np.uint8)  # padded for word reads
+        text = raw[: len(data)]
+        ends = np.flatnonzero((text == 62) | (text == 10))  # a '>' or newline ends each token
+        after_gt = text.take(ends) == 62
+        row_ends = np.flatnonzero(~after_gt)  # each row's last token
+        starts = np.zeros_like(ends)
+        starts[1:] = ends[:-1] + 1 + after_gt[:-1]  # past " > " or the newline
+        lengths = ends - after_gt - starts  # up to " > " or the newline
+        spaced = (raw.take(ends - 1) == 32) & (raw.take(ends + 1) == 32)  # raw[-1] is padding
+        lengths[after_gt & ~spaced] = 0  # no name ends at a '>' not spelled " > "
+        # A token starts at most at len(data), after a '>' that ends a row.
+        view = np.ndarray((len(data) + 1, width), dtype=_U64, buffer=raw, strides=(1, 8))
+        words = view.take(starts, axis=0)  # unaligned reads of each token's first 8 * W bytes
+        words &= _LOW_BYTES.take(np.clip(lengths[:, None] - 8 * np.arange(width), 0, 8))
+        found = self.slots.take((_token_keys(words, lengths) * self.multiplier) >> self.shift)
+        differs = self.words.take(found, axis=0) != words
+        found[(self.lengths.take(found) != lengths) | differs.any(axis=1)] = -1
+        counts = np.diff(row_ends, prepend=-1)  # tokens per row
+        whole = counts == m
+        if whole.all():
+            return found.reshape(num_rows, m)
+        out = np.full((num_rows, m), -1, dtype=np.int64)
+        out[whole] = found[np.repeat(whole, counts)].reshape(-1, m)
+        return out
+
+
+def _token_keys(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """One uint64 key per row of (n, W) words and its byte length."""
+    keys = lengths.astype(_U64)
+    for column in words.T:
+        keys = keys * _KEY_MIX + column
+    return keys
 
 
 def _party_head(line_no: int, line: str, seen: set[str]) -> tuple[str, int, str]:

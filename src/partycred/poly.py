@@ -203,7 +203,9 @@ def _max_into_pairs(instance: ProblemInstance, solver: str) -> SolveResult:
     of every (source, destination) pair (``max_linear``).  A pair's count
     may reach its source's size, and each source's counts share that size
     through one more constraint column.  p wins before anyone moves, so
-    zero counts fit and the packing always returns counts."""
+    zero counts fit and the packing always returns counts.  No plan moves
+    more than the n voters, a bound that neither the knapsack prices nor the
+    greedy fill prove, so the packing stops once a fill reaches it."""
     leads, budget = _win_budgets(instance)
     sizes = instance.election.sizes
     src, dst = np.nonzero((sizes > 0)[:, None] & ~np.eye(len(sizes), dtype=bool))  # (q, d) order
@@ -214,6 +216,7 @@ def _max_into_pairs(instance: ProblemInstance, solver: str) -> SolveResult:
         np.hstack([cost[:, binding], src[:, None] == sources]),
         np.concatenate([budget[binding], sizes[sources]]),
         sizes[src],
+        limit=int(sizes.sum()),
     )
     used = np.flatnonzero(moved)
     moves = zip(src[used].tolist(), dst[used].tolist(), moved[used].tolist())
@@ -312,12 +315,14 @@ def _moves_into(dest, sizes, members, retained):
     return tuple((q, dest, n) for q, n in sorted(moved.items()) if n > 0)
 
 
-def _max_pack(a, budget, caps, floor=-1):
+def _max_pack(a, budget, caps, floor=-1, limit=None):
     """Counts 0 <= x <= caps of largest sum with a.T @ x <= budget, for
     signed costs a (one row per count); None exactly when no counts fit.
     Only a sum above ``floor`` counts as found.  When none exists, the
     result is counts that fit with a sum of at most ``floor``, or None: zero
-    counts whenever every budget is >= 0.
+    counts whenever every budget is >= 0.  ``limit``, if given, is a sum no
+    counts can exceed: the first counts found that reach it are returned,
+    as no later node could replace them.
 
     Branch and bound over per-row count intervals against an incumbent.  A
     node's slack is the budget left with every count at its interval's low
@@ -345,8 +350,9 @@ def _max_pack(a, budget, caps, floor=-1):
     knapsack = (np.eye(a.shape[1]) / weights[:, None, None]).reshape(-1, a.shape[1])  # e_c / w
     best = np.zeros_like(caps) if (budget >= 0).all() else None
     best_sum = floor
+    limit = caps.sum() if limit is None else limit
     stack = [(np.zeros_like(caps), caps)]
-    while stack:
+    while stack and best_sum < limit:
         low, high = stack.pop()
         slack = budget - low @ a
         room = high - low
@@ -356,7 +362,7 @@ def _max_pack(a, budget, caps, floor=-1):
             fill = low + _greedy_fill(rows, order, room, slack, np.zeros_like(room))
             if fill.sum() > best_sum:
                 best, best_sum = fill, fill.sum()
-            if (fill == high).all():  # every interval filled: this node's optimum
+            if (fill == high).all() or best_sum >= limit:  # this node's optimum, or all of them
                 continue
         need = best_sum - low.sum()  # a subtree must pack more than this
         bound = _dual_bound(a, room, slack, knapsack)

@@ -1,9 +1,15 @@
+import dataclasses
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import partycred as pc
+from partycred import instance_io
+from partycred.core import invalid_orders
 from partycred.instance_io import (
     ParseError,
     parse_alpha,
@@ -182,15 +188,23 @@ def _long_file(num_parties: int, bad: dict[int, str] | None = None) -> tuple[str
         ("a > p", "bad preference: missing 2"),
         ("a b > p", "unknown candidate 'a b' in preference"),
         ("", "empty preference order"),
+        ("a > p > b >", "unknown candidate '' in preference"),
+        ("a > p > b > a", "bad preference: duplicate 1"),
+        ("a > p\x00 > b", "unknown candidate 'p\\x00' in preference"),
+        ("pz> a > b", "unknown candidate 'pz' in preference"),
+        ("p >za > b", "unknown candidate 'za' in preference"),
     ],
 )
 def test_bad_order_late_in_long_file(order, message):
-    bad = 2_700
-    text, first = _long_file(3_000, {bad: f"party X 1: {order}".rstrip()})
-    with pytest.raises(ParseError) as err:
-        pc.parse_instance(text)
-    assert str(err.value) == f"line {first + bad}: {message}"
-    assert _line_of(err.value) == first + bad
+    # Row 2,700 lies in the last chunk of 440 rows, read by the str step;
+    # rows 511-513 lie on both sides of a chunk boundary, in chunks read from
+    # their bytes; a 12-party file is read by the str step only.
+    for num_parties, bad in ((3_000, 2_700), (3_000, 511), (3_000, 512), (3_000, 513), (12, 7)):
+        text, first = _long_file(num_parties, {bad: f"party X 1: {order}".rstrip()})
+        with pytest.raises(ParseError) as err:
+            pc.parse_instance(text)
+        assert str(err.value) == f"line {first + bad}: {message}"
+        assert _line_of(err.value) == first + bad
 
 
 def test_first_bad_party_line_wins():
@@ -204,6 +218,12 @@ def test_first_bad_party_line_wins():
     with pytest.raises(ParseError, match="party size must be an integer") as err:
         pc.parse_instance(text)
     assert _line_of(err.value) == first + 2_000
+    # Bad orders on both sides of a chunk boundary: the first is reported.
+    across = {511: "party X 1: a > p\x00 > b", 513: "party Y 1: a > a > b"}
+    text, first = _long_file(3_000, across)
+    with pytest.raises(ParseError, match="unknown candidate 'p\\\\x00'") as err:
+        pc.parse_instance(text)
+    assert _line_of(err.value) == first + 511
     # A bad order on the same line as a bad head: the head is reported.
     text, first = _long_file(3_000, {2_000: "party P1 1: a > a > b"})
     with pytest.raises(ParseError, match="duplicate party name 'P1'") as err:
@@ -211,16 +231,127 @@ def test_first_bad_party_line_wins():
     assert _line_of(err.value) == first + 2_000
 
 
-def test_other_spellings_parse_like_canonical_orders():
-    text, first = _long_file(1_500)
-    respelled = (
-        text.replace("p > a > b", "p>a>b")
-        .replace("a > b > p", "a  >\tb > p")
-        .replace("b > p > a", "  b > p >a")
+def test_other_spellings_parse_like_canonical_orders(monkeypatch):
+    """Both tokenizing steps, and the re-read of the rows they cannot read,
+    give the same arrays.  1,500 parties are two chunks read from their
+    bytes and one of 476 rows (1,428 names) read by the str step; 12 parties
+    are read by the str step alone, and with no name table all are."""
+    byte_chunks = []
+    read_bytes = instance_io._NameTable.codes
+    monkeypatch.setattr(
+        instance_io._NameTable, "codes",
+        lambda table, texts: byte_chunks.append(len(texts)) or read_bytes(table, texts),
     )
-    canonical, spelled = pc.parse_instance(text), pc.parse_instance(respelled)
-    assert spelled.instance == canonical.instance
-    assert spelled.party_names == canonical.party_names
+    parsed = {}
+    for num_parties in (1_500, 12):
+        text, _ = _long_file(num_parties)
+        respelled = (
+            text.replace("p > a > b", "p>a>b")
+            .replace("a > b > p", "a  >\tb > p")
+            .replace("b > p > a", "  b > p >a\u2003")
+        )
+        mixed = text.replace("party P7 1: b > p > a", "party P7 1: b>p >  a")
+        canonical = pc.parse_instance(text)
+        for body in (respelled, mixed):
+            again = pc.parse_instance(body)
+            assert again.instance == canonical.instance
+            assert again.party_names == canonical.party_names
+        parsed[num_parties] = canonical.instance.election.orders
+    assert byte_chunks == [512, 512] * 3
+    assert np.array_equal(parsed[12][1:], parsed[1_500][1:12])
+    monkeypatch.setattr(instance_io, "_MULTIPLIERS", instance_io._MULTIPLIERS[:0])  # no table
+    text, _ = _long_file(1_500)
+    assert np.array_equal(pc.parse_instance(text).instance.election.orders, parsed[1_500])
+    assert byte_chunks == [512, 512] * 3
+
+
+_SPECIAL_NAMES = ("a", "a\x00", "abcdefgh1", "abcdefgh2", "\ud800", "é", "名前", "x" * 20)
+_NAMES = st.lists(
+    st.one_of(
+        st.sampled_from(_SPECIAL_NAMES),
+        st.text(st.characters(exclude_characters=">"), min_size=1, max_size=20),
+    ).filter(lambda x: x.split() == [x] and len(x.encode("utf-8", "surrogatepass")) <= 20),
+    min_size=3, max_size=6, unique=True,
+)
+
+
+@st.composite
+def _order_texts(draw):
+    """(names, order texts): canonical rows, other spellings of orders and
+    malformed rows."""
+    names = draw(_NAMES)
+    unknown = [x for x in ("?", "a\x00\x00", "abcdefgh", "abcdefgh3", "\udfff", names[0] + "\x00")
+               if x not in names]
+    texts = []
+    for _ in range(draw(st.integers(1, 8))):
+        order = draw(st.permutations(names))
+        kind = draw(st.sampled_from(
+            ("canonical", "canonical", "spelled", "glued", "missing", "extra", "unknown",
+             "duplicate", "empty", "trailing")
+        ))
+        if kind == "spelled":
+            gaps = [draw(st.sampled_from((">", " >", "> ", "  >\t", " > "))) for _ in order[1:]]
+            text = order[0] + "".join(g + x for g, x in zip(gaps, order[1:]))
+        elif kind == "glued":  # one more byte on a side of a '>'
+            text = " > ".join(order).replace(" > ", draw(st.sampled_from(("Z> ", " >Z"))), 1)
+        elif kind == "missing":
+            text = " > ".join(order[:-1])
+        elif kind == "extra":
+            text = " > ".join(order + [order[0]])
+        elif kind == "unknown":
+            order[draw(st.integers(0, len(order) - 1))] = draw(st.sampled_from(unknown))
+            text = " > ".join(order)
+        elif kind == "duplicate":
+            text = " > ".join([order[1]] + order[1:])
+        elif kind == "empty":
+            text = ""
+        elif kind == "trailing":
+            text = " > ".join(order) + " >"
+        else:
+            text = " > ".join(order)
+        texts.append(draw(st.sampled_from(("", " ", "\t"))) + text)
+    return names, texts
+
+
+@settings(max_examples=80, deadline=None)
+@given(_order_texts())
+def test_party_orders_match_a_row_by_row_reading(drawn):
+    """``_parse_parties`` against ``_party_order`` on every row, on a file
+    of one chunk (at most 504 rows) that is read from its bytes and ends
+    with the last drawn text.  The byte step reads the same rows as the str
+    step, and its match test alone gives a name's code to exactly that
+    name's tokens, whatever slot the hash picks."""
+    names, texts = drawn
+    m = len(names)
+    index = {x: i for i, x in enumerate(names)}
+    table = instance_io._NameTable.build(index)
+    assert table is not None
+    rows = -(-instance_io._BYTE_STEP_TOKENS // m)
+    rows = -(-rows // len(texts)) * len(texts)
+    lines = [(i + 1, f"party P{i} 1: {texts[i % len(texts)]}") for i in range(rows)]
+
+    read = table.codes(texts)
+    split = [text.strip().split(" > ") for text in texts]
+    split = np.array([[index.get(x, -1) for x in row] if len(row) == m else [-1] * m
+                      for row in split])
+    valid = ~invalid_orders(read)
+    assert np.array_equal(valid, ~invalid_orders(split))
+    assert np.array_equal(read[valid], split[valid])
+    for c in range(m):
+        forced = dataclasses.replace(table, slots=np.full_like(table.slots, c)).codes(texts)
+        assert np.array_equal(forced, np.where(read == c, c, -1))
+
+    try:
+        expected = [
+            instance_io._party_order(n, line.partition(":")[2], index) for n, line in lines
+        ]
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            instance_io._parse_parties(lines, index)
+        assert (str(err.value), err.value.line_no) == (str(exc), exc.line_no)
+    else:
+        _, ranks, _ = instance_io._parse_parties(lines, index)
+        assert np.argsort(ranks, axis=1).tolist() == [list(order) for order in expected]
 
 
 def test_candidate_name_with_separator():
