@@ -4,7 +4,9 @@ Everything here is exact integer arithmetic.  Callers look these names up on
 the module at call time (``_kernels.pairwise_tally(...)``), so the names are
 the boundary to keep when changing an implementation.  They also pass every
 argument positionally: ``perfbench/tracing.py`` counts each call's cells from
-them (ballots x m^2 for the tally, l x m for ``min_switch_counts``).
+them.  A tally call reads len(rows) x ballots x m cells: m rows for the whole
+tally, one for the Condorcet winner's check.  ``min_switch_counts`` reads
+l x m.
 """
 
 from __future__ import annotations
@@ -12,18 +14,21 @@ from __future__ import annotations
 import numpy as np
 
 
-def pairwise_tally(ranks: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """counts[c, d] = total weight of ballots ranking c before d.
+def pairwise_tally(ranks: np.ndarray, weights: np.ndarray, rows=None) -> np.ndarray:
+    """counts[i, d] = total weight of ballots ranking ``rows[i]`` before d,
+    one row per candidate in ``rows`` (default: every candidate, so
+    counts[c, d] is the whole tally).
 
-    One integer product per candidate c, ``(ranks[:, c] < ranks[:, d]) @
-    weights`` for every d at once, so the largest temporary is one
+    One integer product per row candidate c, ``(ranks[:, c] < ranks[:, d])
+    @ weights`` for every d at once, so the largest temporary is one
     (m, ballots) comparison mask.
     """
     by_candidate = np.ascontiguousarray(ranks.T)
     m = by_candidate.shape[0]
-    counts = np.empty((m, m), dtype=np.int64)
-    for c in range(m):
-        counts[c] = np.dot(by_candidate[c] < by_candidate, weights)
+    rows = range(m) if rows is None else rows
+    counts = np.empty((len(rows), m), dtype=np.int64)
+    for i, c in enumerate(rows):
+        counts[i] = np.dot(by_candidate[c] < by_candidate, weights)
     return counts
 
 

@@ -46,12 +46,14 @@ def ranks_from_orders(orders: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def pairwise_matrix(e) -> np.ndarray:
+def pairwise_matrix(e, rows=None) -> np.ndarray:
     """(m, m) int64 tally: entry [c, d] is the number of voters preferring c
     to d, over the ``ranks`` and ``sizes`` of a ``PartyElection``.  The
-    diagonal is zero; parties of size 0 are left out of the tally."""
+    diagonal is zero; parties of size 0 are left out of the tally.  Given a
+    sequence of candidates ``rows``, only their rows: entry [i, d] is the
+    number preferring ``rows[i]`` to d."""
     ranks, sizes = e.ranks, e.sizes
     voting = sizes > 0
     if not voting.all():
         ranks, sizes = ranks[voting], sizes[voting]
-    return _kernels.pairwise_tally(ranks, sizes)
+    return _kernels.pairwise_tally(ranks, sizes, rows)

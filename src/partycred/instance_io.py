@@ -131,9 +131,9 @@ _HEADER_KEYS = ("candidates", "rule", "model", "dest", "direction", "k", "distin
 
 def parse_instance(text: str) -> ParsedInstance:
     headers: dict[str, tuple[int, str]] = {}
-    party_lines: list[tuple[int, str]] = []
+    party_lines: list[tuple[int, str, str]] = []  # (line number, head, order text)
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         key, colon, value = line.partition(":")
@@ -141,7 +141,7 @@ def parse_instance(text: str) -> ParsedInstance:
             raise ParseError(line_no, f"expected 'key: value', got {raw.strip()!r}")
         key = key.strip()
         if key.startswith("party ") or key == "party":
-            party_lines.append((line_no, line))
+            party_lines.append((line_no, key, value))
             continue
         if key not in _HEADER_KEYS:
             raise ParseError(line_no, f"unknown key {key!r}")
@@ -234,14 +234,16 @@ _PARTY_CHUNK = 512
 _BYTE_STEP_TOKENS = 1_500
 
 
-def _parse_parties(party_lines: list[tuple[int, str]], index: dict[str, int]):
-    """(party names, ranks, sizes) of the numbered ``party`` lines.
+def _parse_parties(party_lines: list[tuple[int, str, str]], index: dict[str, int]):
+    """(party names, ranks, sizes) of the ``party`` lines, each given as
+    (line number, head, order text): the text before the line's first
+    ``:``, stripped, and the text after it.
 
-    Heads are read line by line, summing the sizes: a size that brings
-    the voter count n to n * m >= ``VOTER_CELL_BOUND`` is a head error.
-    Orders are tokenized ``_PARTY_CHUNK`` lines at a time, on the canonical
-    spelling ``a > b > c``, straight into an (l, m) array, and every row is
-    validated at once.  A chunk of at least ``_BYTE_STEP_TOKENS`` names is
+    Heads are read line by line by ``_party_heads``, which also refuses a
+    size that brings the voter count n to n * m >= ``VOTER_CELL_BOUND``.  Orders are
+    tokenized ``_PARTY_CHUNK`` lines at a time, on the canonical spelling
+    ``a > b > c``, straight into an (l, m) array, and every row is validated
+    at once.  A chunk of at least ``_BYTE_STEP_TOKENS`` names is
     read from its bytes through a table of the candidate names built once
     per file (``_NameTable``), with no Python object per name; a smaller
     chunk, or a file whose names get no table, is split with ``str.split``
@@ -258,28 +260,8 @@ def _parse_parties(party_lines: list[tuple[int, str]], index: dict[str, int]):
     names splits on ``">"`` into the same names after stripping.
     """
     m = len(index)
-    names: list[str] = []
-    seen: set[str] = set()
-    sizes: list[int] = []
-    texts: list[str] = []
-    total = 0
-    head_error = None
-    for line_no, line in party_lines:
-        try:
-            name, size, text = _party_head(line_no, line, seen)
-            total += size
-            if total * m >= VOTER_CELL_BOUND:
-                raise ParseError(
-                    line_no, f"party {name} brings the voter count to {total}: "
-                    "voters times candidates must stay below 2**62",
-                )
-        except ParseError as exc:
-            head_error = exc
-            break
-        names.append(name)
-        seen.add(name)
-        sizes.append(size)
-        texts.append(text)
+    names, sizes, head_error = _party_heads(party_lines, m)
+    texts = [text for _, _, text in party_lines[: len(names)]]
 
     orders = np.empty((len(texts), m), dtype=np.int64)
     unread = ("",) * m  # no name is empty, so the row fails validation
@@ -409,22 +391,41 @@ def _token_keys(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _party_head(line_no: int, line: str, seen: set[str]) -> tuple[str, int, str]:
-    """(name, size, order text) of one ``party <name> <size>: ...`` line."""
-    head, _, order_text = line.partition(":")
-    fields = head.split()
-    if len(fields) != 3:
-        raise ParseError(line_no, "party line must read 'party <name> <size>: ...'")
-    _, pname, size_text = fields
-    if pname in seen:
-        raise ParseError(line_no, f"duplicate party name {pname!r}")
+def _party_heads(party_lines: list[tuple[int, str, str]], m: int):
+    """(names, sizes, error) of the party heads ``party <name> <size>``:
+    the names and sizes of the lines above the first bad head, and that
+    head's ParseError, or None when every head is good.  The running
+    voter count n must keep n * m < ``VOTER_CELL_BOUND``."""
+    names: list[str] = []
+    sizes: list[int] = []
+    seen: set[str] = set()
+    total = 0
     try:
-        size = int(size_text)
-    except ValueError:
-        raise ParseError(line_no, f"party size must be an integer, got {size_text!r}")
-    if size < 0:
-        raise ParseError(line_no, f"party size must be non-negative, got {size}")
-    return pname, size, order_text
+        for line_no, head, _ in party_lines:
+            fields = head.split()
+            if len(fields) != 3:
+                raise ParseError(line_no, "party line must read 'party <name> <size>: ...'")
+            _, name, size_text = fields
+            if name in seen:
+                raise ParseError(line_no, f"duplicate party name {name!r}")
+            try:
+                size = int(size_text)
+            except ValueError:
+                raise ParseError(line_no, f"party size must be an integer, got {size_text!r}")
+            if size < 0:
+                raise ParseError(line_no, f"party size must be non-negative, got {size}")
+            total += size
+            if total * m >= VOTER_CELL_BOUND:
+                raise ParseError(
+                    line_no, f"party {name} brings the voter count to {total}: "
+                    "voters times candidates must stay below 2**62",
+                )
+            names.append(name)
+            seen.add(name)
+            sizes.append(size)
+    except ParseError as exc:
+        return names, sizes, exc
+    return names, sizes, None
 
 
 def _party_order(line_no: int, order_text: str, index: dict[str, int]) -> tuple[int, ...]:

@@ -6,6 +6,10 @@ rounding.  An empty winner set is legal output for the Condorcet rule.
 
 Every function here takes a ``parties.PartyElection`` ``e`` and reads only
 its ``num_candidates`` and its ``ranks`` and ``sizes`` arrays (see ``core``).
+Copeland and Maximin read every entry of the (m, m) pairwise tally.  The
+Condorcet winner needs one row of it: a knockout over the candidates finds
+the only one who can win, in O(l·m), and that candidate's row decides
+(``condorcet_winner``).
 """
 
 from __future__ import annotations
@@ -110,10 +114,28 @@ def maximin_scores(e) -> dict[int, int]:
 
 
 def condorcet_winner(e) -> int | None:
-    n = pairwise_matrix(e)
-    beats = (n > n.T).sum(axis=1)
-    winner = np.flatnonzero(beats == e.num_candidates - 1)
-    return int(winner[0]) if winner.size else None
+    """The candidate who beats every other in a strict majority of the n
+    voters, or None; in O(l·m), without the (m, m) tally.
+
+    A knockout walks the candidates once: c replaces the champion whenever
+    2·N(c, champion) >= n, that is, whenever the champion does not strictly
+    beat c.  The champion's own tally row then decides: it wins iff
+    2·N(champion, d) > n for every d != champion.  This is exact.  A
+    Condorcet winner w replaces any champion it meets (or starts as the
+    champion), and no later c replaces w, since w strictly beats it; so the
+    final champion is the only candidate who can win, and its row tells
+    whether it does.  With one candidate, the masked row is empty and that
+    candidate wins, whatever n.
+    """
+    ranks, sizes = e.ranks, e.sizes
+    n = int(sizes.sum())
+    champion = 0
+    for c in range(1, e.num_candidates):
+        if 2 * int((ranks[:, c] < ranks[:, champion]) @ sizes) >= n:
+            champion = c
+    row = pairwise_matrix(e, [champion])[0]
+    others = np.arange(e.num_candidates) != champion
+    return champion if (2 * row[others] > n).all() else None
 
 
 def _score_table(e, rule: Rule) -> dict[int, int | Fraction]:

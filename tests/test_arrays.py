@@ -8,8 +8,12 @@ time, on seeded random elections that include parties of size 0.
 import random
 from fractions import Fraction
 
+import numpy as np
+
 import partycred as pc
+from partycred.core import ranks_from_orders
 from partycred.instance_io import RULE_CHOICES, parse_rule_spec
+from partycred.rules import condorcet_winner
 
 
 def reference_winners(ballots, m, rule, model):
@@ -163,3 +167,71 @@ def test_switched_election_shares_ranks():
     assert after.num_voters == pe.num_voters
     assert pe.sizes.tolist() == sizes
     assert not after.sizes.flags.writeable and not after.ranks.flags.writeable
+
+
+def _full_tally_winner(pe):
+    """The Condorcet winner by the whole (m, m) tally: the candidate with
+    m - 1 strict pairwise wins."""
+    n = pc.pairwise_matrix(pe)
+    winner = np.flatnonzero((n > n.T).sum(axis=1) == pe.num_candidates - 1)
+    return int(winner[0]) if winner.size else None
+
+
+def test_condorcet_knockout_matches_full_tally_and_per_ballot_reference():
+    # Seeded draws over m = 1..7 with parties of size 0, all-zero elections
+    # and even voter counts (pairwise ties, so often no winner), then the
+    # fixed corner cases.
+    rng = random.Random(16)
+    seen = {"winner": 0, "none": 0, "m1": 0, "no voters": 0, "even n, none": 0}
+    for _ in range(3_000):
+        m = rng.randint(1, 7)
+        orders, sizes = random_orders_and_sizes(rng, m, rng.randint(1, 7))
+        if rng.random() < 0.1:
+            sizes = [0] * len(sizes)
+        pe = pc.PartyElection(orders, sizes)
+        got = condorcet_winner(pe)
+        expected = reference_winners(ballots_of(pe), m, pc.Condorcet(), pc.WinnerModel.UNIQUE)
+        assert got == _full_tally_winner(pe), (orders, sizes)
+        assert ({got} if got is not None else set()) == expected, (orders, sizes)
+        seen["winner" if got is not None else "none"] += 1
+        seen["m1"] += m == 1
+        seen["no voters"] += not any(sizes)
+        seen["even n, none"] += got is None and sum(sizes) % 2 == 0 and any(sizes)
+    assert min(seen.values()) >= 50, seen
+
+    cycle = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+    for orders, sizes, winner in [
+        ([(0,)], [0], 0),  # one candidate wins, with voters or without
+        ([(0,)], [3], 0),
+        ([(0, 1)], [0], None),  # no voters: every pair ties
+        ([(0, 1), (1, 0)], [2, 2], None),  # an even tie
+        ([(0, 1), (1, 0)], [2, 0], 0),  # a party of size 0 counts for nothing
+        (cycle, [1, 1, 1], None),
+        (cycle, [2, 1, 1], None),  # 0 beats 1 but ties 2
+        (cycle, [3, 1, 1], 0),
+        (cycle + [(2, 1, 0)], [1, 1, 1, 1], None),  # 2 beats 0 but ties 1
+    ]:
+        pe = pc.PartyElection(orders, sizes)
+        assert condorcet_winner(pe) == _full_tally_winner(pe) == winner, (orders, sizes)
+
+
+def test_condorcet_knockout_matches_full_tally_at_m_50():
+    # poly-large's shape: m = 50 and 1,200-1,500 parties, orders spread
+    # around one reference order (a winner) or uniform (usually none).
+    rng = np.random.default_rng(50)
+    found = set()
+    for trial in range(8):
+        l = int(rng.integers(1_200, 1_501))
+        noise = (5.0, 12.0, 40.0, None)[trial % 4]
+        if noise is None:
+            orders = np.argsort(rng.random((l, 50)), axis=1)
+        else:
+            orders = np.argsort(np.arange(50) + rng.normal(0, noise, (l, 50)), axis=1)
+        sizes = rng.integers(0 if trial % 2 else 1, 10, size=l)
+        pe = pc.PartyElection.from_arrays(
+            ranks_from_orders(orders.astype(np.int64)), sizes.astype(np.int64)
+        )
+        got = condorcet_winner(pe)
+        assert got == _full_tally_winner(pe)
+        found.add(got is None)
+    assert found == {True, False}

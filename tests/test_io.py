@@ -147,6 +147,20 @@ def test_duplicate_party_name():
         pc.parse_instance(text)
 
 
+@pytest.mark.parametrize("head, message", [
+    ("party P2", "party line must read 'party <name> <size>: ...'"),
+    ("party P2 1 x", "party line must read 'party <name> <size>: ...'"),
+    ("party P2 one", "party size must be an integer, got 'one'"),
+    ("party P2 -1", "party size must be non-negative, got -1"),
+    ("party P1 1", "duplicate party name 'P1'"),
+])
+def test_bad_party_head_reports_its_line(head, message):
+    text = MINIMAL.replace("party P2 1", head)
+    with pytest.raises(ParseError) as err:
+        pc.parse_instance(text)
+    assert str(err.value) == f"line 9: {message}"
+
+
 @pytest.mark.parametrize("size", ["100000000000000000000", "9223372036854775807"])
 def test_party_size_beyond_int64_reports_its_line(size):
     """The voter count n must keep n * m below 2**62: larger sizes used to
@@ -328,7 +342,7 @@ def test_party_orders_match_a_row_by_row_reading(drawn):
     assert table is not None
     rows = -(-instance_io._BYTE_STEP_TOKENS // m)
     rows = -(-rows // len(texts)) * len(texts)
-    lines = [(i + 1, f"party P{i} 1: {texts[i % len(texts)]}") for i in range(rows)]
+    lines = [(i + 1, f"party P{i} 1", texts[i % len(texts)]) for i in range(rows)]
 
     read = table.codes(texts)
     split = [text.strip().split(" > ") for text in texts]
@@ -343,7 +357,7 @@ def test_party_orders_match_a_row_by_row_reading(drawn):
 
     try:
         expected = [
-            instance_io._party_order(n, line.partition(":")[2], index) for n, line in lines
+            instance_io._party_order(n, text, index) for n, _, text in lines
         ]
     except ParseError as exc:
         with pytest.raises(ParseError) as err:

@@ -35,6 +35,18 @@ def test_pairwise_tally_matches_reference():
         assert not counts.diagonal().any()
 
 
+def test_pairwise_tally_rows_are_rows_of_the_whole_tally():
+    rng = np.random.default_rng(12)
+    for n_ballots, m in [(1, 1), (3, 2), (5, 4), (40, 7), (1_300, 50)]:
+        ranks = random_ranks(rng, n_ballots, m)
+        weights = rng.integers(0, 6, size=n_ballots).astype(np.int64)
+        whole = _reference_pairwise_tally(ranks, weights)
+        for rows in ([0], [m - 1], list(rng.permutation(m)[: (m + 1) // 2]), [], range(m)):
+            counts = _kernels.pairwise_tally(ranks, weights, rows)
+            assert counts.shape == (len(rows), m)
+            assert np.array_equal(counts, whole[list(rows)])
+
+
 def _reference_min_switch(gain, sizes, party_gain, need):
     """Per-destination greedy recomputed the slow way."""
     out = np.empty(len(party_gain), dtype=np.int64)

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import partycred as pc
+from partycred import _kernels
 from partycred.rules import (
     condorcet_winner,
     copeland_scores,
@@ -133,3 +135,25 @@ def test_condorcet_consistency(e, alpha):
     assert cope[w] == max(cope.values())
     mm = maximin_scores(e)
     assert mm[w] == max(mm.values())
+
+
+def test_condorcet_winner_reads_one_tally_row(monkeypatch):
+    """The winner check stays O(l·m): at m = 50 every tally it asks for is
+    one row, the knockout champion's, and never the (m, m) tally."""
+    rng = np.random.default_rng(3)
+    calls = []
+    kernel = _kernels.pairwise_tally
+
+    def spy(ranks, weights, rows=None):
+        calls.append(ranks.shape[1] if rows is None else len(rows))
+        return kernel(ranks, weights, rows)
+
+    monkeypatch.setattr(_kernels, "pairwise_tally", spy)
+    l = 1_300
+    won = []
+    for keys in (np.arange(50) + rng.normal(0, 4.0, (l, 50)), rng.random((l, 50))):
+        e = pc.PartyElection(np.argsort(keys, axis=1).tolist(), rng.integers(1, 9, size=l).tolist())
+        for model in pc.WinnerModel:
+            won.append(pc.winners(e, pc.Condorcet(), model))
+    assert won[0] == {0} and won[2] == frozenset()  # around one order; uniform
+    assert calls and max(calls) <= 1, calls

@@ -2,6 +2,7 @@
 boundary it patches, and puts each one back."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import partycred
@@ -76,3 +77,40 @@ def test_tracer_counts_one_borda_max_solve_on_the_poly_route():
     assert result.solver == "max_linear"
     assert tracer.counts["solve.route.poly"] == 1
     assert tracer.calls["search.exact_search"] == 0
+
+
+def test_poly_large_classes_record_every_required_boundary():
+    """One small instance of each poly-large class, run as the traced
+    benchmark runs a pool entry, records a call or count at every boundary
+    that ``perfbench/spec.json`` requires of poly-large, so that
+    ``--trace 1`` cannot lose one unnoticed."""
+    spec = json.loads((TRACING.parent / "spec.json").read_text())
+    required = spec["workloads"]["poly-large"]["required_boundaries"]
+    classes = [
+        ("plurality", "min", 50, 30), ("borda", "min", 50, 30), ("condorcet", "min", 50, 5),
+        ("plurality", "max", 6, 8), ("approval:2", "max", 5, 8),
+    ]
+    texts = [
+        partycred.serialize_instance(partycred.generate_random(
+            seed=0, num_candidates=m, num_parties=l, size_range=(1, 4),
+            rule_spec=rule, direction=direction,
+        ))
+        for rule, direction, m, l in classes
+    ]
+    tracer = _tracing_module().Tracer()
+    tracer.install(partycred)
+    try:
+        for text in texts:
+            parsed = partycred.instance_io.parse_instance(text)
+            result = partycred.solve.solve_instance(parsed.instance, "auto")
+            assert partycred.parties.check_witness(parsed.instance, result.witness,
+                                                   k=result.value).ok
+            partycred.instance_io.result_to_json(parsed, result, 0)
+    finally:
+        tracer.uninstall()
+    recorded = {
+        name: tracer.calls[name.removesuffix(".calls")] if name.endswith(".calls")
+        else tracer.counts[name]
+        for name in required
+    }
+    assert all(recorded.values()), recorded
