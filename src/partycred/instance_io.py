@@ -591,6 +591,7 @@ def result_to_json(
 RULE_CHOICES = (
     "plurality", "veto", "approval:2", "borda", "condorcet", "maximin", "copeland:1/2",
 )
+GENERATE_MAX_TRIES = 10_000  # draws before generate_random gives up
 
 
 def generate_random(
@@ -602,7 +603,6 @@ def generate_random(
     direction: str,
     model: str = "unique",
     dest: str = "one",
-    max_tries: int = 10_000,
 ) -> ParsedInstance:
     """Seeded random instance whose distinguished candidate starts as winner."""
     if num_candidates < 2:
@@ -614,7 +614,7 @@ def generate_random(
     lo, hi = size_range
     if not (0 <= lo <= hi):
         raise ValueError(f"bad size range {lo}..{hi}")
-    for _ in range(max_tries):
+    for _ in range(GENERATE_MAX_TRIES):
         orders, sizes = [], []
         for _ in range(num_parties):
             order = list(range(m))
@@ -644,5 +644,6 @@ def generate_random(
             party_names=tuple(f"P{i + 1}" for i in range(num_parties)),
         )
     raise ValueError(
-        f"no instance with an initial winner found in {max_tries} tries (seed {seed})"
+        f"no instance with an initial winner found in {GENERATE_MAX_TRIES} tries "
+        f"(seed {seed})"
     )

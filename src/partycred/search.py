@@ -2,8 +2,10 @@
 
 Two independent routes:
 
-* ``oracle_min`` / ``oracle_max`` enumerate every plan outright (bulk numpy
-  evaluation, no pruning) and are the ground truth for everything else.
+* ``oracle_min`` / ``oracle_max`` enumerate every plan outright, in numpy
+  blocks with no pruning, and are the ground truth for everything else.
+  Each source party has one table of the counts it can send to each party;
+  a plan picks one row per source.
 * ``exact_search_min`` / ``exact_search_max`` run a branch-and-bound over
   per-(source, destination) move counts with admissible pruning, for the
   NP-hard Copeland and Maximin rules at desk scale.  Every scoring rule and
@@ -19,13 +21,13 @@ key, so they agree on the witness as well as the value.  The branch and
 bound meets keys in a fixed order, so it prunes subtrees that can at best
 tie the incumbent: always for MIN, and for MAX once the incumbent lies in
 an earlier destination.  ``_BranchAndBound``'s docstring has the proof,
-the one stacked bound per node, and why Maximin's bound is exact.
+the one bound matrix per node, and why Maximin's bound is exact.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +47,7 @@ from .rules import Condorcet, Copeland, Maximin, Scoring, WinnerModel
 ORACLE_VOTER_CAP = 16  # the oracle refuses larger elections
 ORACLE_PLAN_CAP = 5_000_000  # and destinations with more plans
 DEFAULT_NODE_BUDGET = 20_000_000
+_BLOCK_ROWS = 65_536  # plans the oracle scores per numpy block
 
 
 class _BudgetExceeded(Exception):
@@ -97,93 +100,33 @@ def _maximin_from_margins(margins: np.ndarray, n_voters: int) -> np.ndarray:
     return ((margins + _maximin_pad(margins.shape[-1], n_voters)) >> 1).min(axis=-1)
 
 
-class _BulkEvaluator:
-    """Vectorized success evaluation over a (K, l) block of weight vectors."""
-
-    def __init__(self, instance: ProblemInstance):
-        self.instance = instance
-        self.p = instance.p
-        self.n_voters = instance.election.num_voters
-        self.unique = instance.model is WinnerModel.UNIQUE
-        rule = instance.rule
-        if isinstance(rule, Scoring):
-            self.rows = _party_rows(instance)
-        else:
-            self.deltas = _party_margin_deltas(instance)
-
-    def _score_blocks(self, weights: np.ndarray) -> np.ndarray:
-        rule = self.instance.rule
-        if isinstance(rule, Scoring):
-            return weights @ self.rows
-        margins = np.tensordot(weights, self.deltas, axes=1)
+def _p_wins_mask(instance: ProblemInstance, weights: np.ndarray) -> np.ndarray:
+    """``parties._p_wins`` for each row of a (K, l) block of party sizes."""
+    rule, p = instance.rule, instance.p
+    if isinstance(rule, Condorcet):
+        # p's margin row decides, and both winner models coincide.
+        p_margins = weights @ _party_margin_deltas(instance)[:, p, :]
+        p_margins[:, p] = 1
+        return (p_margins > 0).all(axis=1)
+    if isinstance(rule, Scoring):
+        scores = weights @ _party_rows(instance)
+    else:
+        margins = np.tensordot(weights, _party_margin_deltas(instance), axes=1)
         if isinstance(rule, Copeland):
-            return _copeland_scaled(margins, rule.alpha)
-        if isinstance(rule, Maximin):
-            return _maximin_from_margins(margins, self.n_voters)
-        raise TypeError(f"no scores for {rule!r}")
-
-    def success(self, weights: np.ndarray, direction: Direction) -> np.ndarray:
-        """Boolean mask over the block's rows."""
-        if isinstance(self.instance.rule, Condorcet):
-            p_margins = np.tensordot(weights, self.deltas[:, self.p, :], axes=1)
-            p_margins[:, self.p] = 1
-            p_wins = (p_margins > 0).all(axis=1)
-            # Unique-winner and co-winner coincide for Condorcet.
-            return ~p_wins if direction is Direction.MIN else p_wins
-        scores = self._score_blocks(weights)
-        p_score = scores[:, self.p].copy()
-        scores[:, self.p] = np.iinfo(np.int64).min
-        best_other = scores.max(axis=1)
-        if direction is Direction.MIN:
-            # p loses sole winnership (UNIQUE) / leaves the winner set (COWINNER).
-            return best_other >= p_score if self.unique else best_other > p_score
-        return p_score > best_other if self.unique else p_score >= best_other
-
-
-def _move_options(
-    instance: ProblemInstance, destination: int | None
-) -> tuple[list[list[tuple[tuple[int, int, int], ...]]], list[np.ndarray], list[np.ndarray]]:
-    """Per-source enumeration of move combinations.
-
-    Returns, per source party: the list of move tuples, the (n_options, l)
-    weight-delta array, and the (n_options,) total-moved array.  Options are
-    in deterministic lexicographic order.  ``destination=None`` means the
-    multiple-destination mode.
-    """
-    sizes = instance.election.sizes.tolist()
-    l = len(sizes)
-    all_moves: list[list[tuple[tuple[int, int, int], ...]]] = []
-    all_deltas: list[np.ndarray] = []
-    all_totals: list[np.ndarray] = []
-    for q in range(l):
-        size = sizes[q]
-        if destination is not None:
-            if q == destination:
-                options = [()]
-            else:
-                options = [((q, destination, c),) if c else () for c in range(size + 1)]
+            scores = _copeland_scaled(margins, rule.alpha)
         else:
-            dests = [d for d in range(l) if d != q]
-            options = []
-            for counts in _compositions_upto(size, len(dests)):
-                options.append(
-                    tuple((q, d, c) for d, c in zip(dests, counts) if c)
-                )
-        deltas = np.zeros((len(options), l), dtype=np.int64)
-        totals = np.zeros(len(options), dtype=np.int64)
-        for i, moves in enumerate(options):
-            for src, dest, count in moves:
-                deltas[i, src] -= count
-                deltas[i, dest] += count
-                totals[i] += count
-        all_moves.append(options)
-        all_deltas.append(deltas)
-        all_totals.append(totals)
-    return all_moves, all_deltas, all_totals
+            scores = _maximin_from_margins(margins, instance.election.num_voters)
+    p_score = scores[:, p].copy()
+    scores[:, p] = np.iinfo(np.int64).min
+    best_other = scores.max(axis=1)
+    if instance.model is WinnerModel.UNIQUE:
+        return p_score > best_other
+    return p_score >= best_other
 
 
 def _compositions_upto(total: int, slots: int):
-    """All vectors of ``slots`` non-negative ints summing to at most ``total``."""
+    """All vectors of ``slots`` non-negative ints summing to at most ``total``,
+    in lexicographic order."""
     if slots == 0:
         yield ()
         return
@@ -192,17 +135,18 @@ def _compositions_upto(total: int, slots: int):
             yield (first,) + rest
 
 
-def _enumerate_blocks(option_counts: list[int], block_rows: int):
-    """Yield (start, digit_matrix) blocks covering the mixed-radix product."""
-    radices = np.asarray(option_counts, dtype=np.int64)
-    total = int(np.prod(radices))
-    place = np.ones(len(radices), dtype=np.int64)
-    for i in range(len(radices) - 2, -1, -1):
-        place[i] = place[i + 1] * radices[i + 1]
-    for start in range(0, total, block_rows):
-        idx = np.arange(start, min(start + block_rows, total), dtype=np.int64)
-        digits = (idx[:, None] // place[None, :]) % radices[None, :]
-        yield start, digits
+def _send_tables(sizes: list[int], destination: int | None) -> list[np.ndarray]:
+    """Per source party, the (options, l) table of the counts it sends to
+    each party, rows in key order.  ``destination=None`` means the
+    multiple-destination mode."""
+    tables = []
+    for q, size in enumerate(sizes):
+        dests = [d for d in range(len(sizes)) if d != q and destination in (None, d)]
+        options = list(_compositions_upto(size, len(dests)))
+        table = np.zeros((len(options), len(sizes)), dtype=np.int64)
+        table[:, dests] = options
+        tables.append(table)
+    return tables
 
 
 def _oracle(instance: ProblemInstance, direction: Direction) -> SolveResult:
@@ -214,51 +158,43 @@ def _oracle(instance: ProblemInstance, direction: Direction) -> SolveResult:
         raise ValueError(
             f"size cap exceeded: {pe.num_voters} voters > cap {ORACLE_VOTER_CAP}"
         )
-    evaluator = _BulkEvaluator(instance)
-    base = pe.sizes
+    sizes = pe.sizes.tolist()
     if instance.destination_mode is DestinationMode.ONE:
-        destinations = list(range(len(base)))
+        destinations: list[int | None] = list(range(len(sizes)))
     else:
         destinations = [None]
+    minimize = direction is Direction.MIN
+    sign = 1 if minimize else -1  # the argmin of sign * moved is the best plan
 
     best_value: int | None = None
     best_moves = None
     for destination in destinations:
-        moves, deltas, totals = _move_options(instance, destination)
-        counts = [len(options) for options in moves]
-        n_plans = 1
-        for c in counts:
-            n_plans *= c
+        tables = _send_tables(sizes, destination)
+        sent = [table.sum(axis=1) for table in tables]
+        shape = tuple(len(table) for table in tables)
+        n_plans = math.prod(shape)
         if n_plans > ORACLE_PLAN_CAP:
             raise ValueError(f"size cap exceeded: {n_plans} plans > cap {ORACLE_PLAN_CAP}")
-        for start, digits in _enumerate_blocks(counts, 65536):
-            weights = np.broadcast_to(base, digits.shape[:1] + base.shape).copy()
-            moved = np.zeros(digits.shape[0], dtype=np.int64)
-            for s in range(len(counts)):
-                weights += deltas[s][digits[:, s]]
-                moved += totals[s][digits[:, s]]
-            ok = evaluator.success(weights, direction)
+        for start in range(0, n_plans, _BLOCK_ROWS):
+            # Plan indices in C order: source 0 is the key's leading digit.
+            stop = min(start + _BLOCK_ROWS, n_plans)
+            plans = np.unravel_index(np.arange(start, stop), shape)
+            into = sum(table[i] for table, i in zip(tables, plans))
+            out = np.stack([s[i] for s, i in zip(sent, plans)], axis=1)
+            ok = _p_wins_mask(instance, pe.sizes + into - out) != minimize
             if not ok.any():
                 continue
-            cand_totals = np.where(ok, moved, -1 if direction is Direction.MAX else np.iinfo(np.int64).max)
-            if direction is Direction.MIN:
-                row = int(cand_totals.argmin())
-                value = int(cand_totals[row])
-            else:
-                row = int(cand_totals.argmax())
-                value = int(cand_totals[row])
+            moved = out.sum(axis=1)
+            row = int(np.where(ok, sign * moved, np.iinfo(np.int64).max).argmin())
+            value = int(moved[row])
             # Blocks come in key order: a strict improvement keeps the smallest key.
-            better = (
-                best_value is None
-                or (direction is Direction.MIN and value < best_value)
-                or (direction is Direction.MAX and value > best_value)
-            )
-            if better:
+            if best_value is None or sign * value < sign * best_value:
                 best_value = value
                 best_moves = tuple(
-                    itertools.chain.from_iterable(
-                        moves[s][int(digits[row, s])] for s in range(len(counts))
-                    )
+                    (q, d, c)
+                    for q, (table, i) in enumerate(zip(tables, plans))
+                    for d, c in enumerate(table[i[row]].tolist())
+                    if c
                 )
     if best_value is None:
         return infeasible(solver)
@@ -280,25 +216,26 @@ class _BranchAndBound:
     for Copeland and Maximin.
 
     *State and bound.*  The search keeps the margin matrix of the plan so
-    far, stacked twice as a ``(2, m, m)`` array.  Level i fixes the count of
-    pair i.  ``slack[i]`` stacks [fall, rise]: the sums, over pairs i.., of
-    each pair's full capacity times the negative and the positive part of
-    its unit change.  A node evaluates ``state + slack[i]`` once.  Row 0
-    holds every margin's lowest reachable value and row 1 its highest.  A
-    Copeland or Maximin score is monotone in each margin of the candidate's
-    own row, so the scores of row 0 bound every final score from below and
-    those of row 1 from above, and the node is pruned when p cannot succeed
-    even with every rival at its bound.  For MIN with an incumbent, the plan
-    may move at most b more voters, so the slack is first capped at b times
-    the extreme unit step (``steps[i]``).  At level n the slack is zero and
-    both rows are the plan's exact state: the same test is then the plan's
-    success test.
+    far, and level i fixes the count of pair i.  A Copeland or Maximin score
+    is monotone in each margin of the candidate's own row, and the success
+    test reads one bound per candidate: the rivals' highest scores and p's
+    lowest for MIN, p's highest and the rivals' lowest for MAX.  So each
+    row has one helpful direction, up where the test reads the highest
+    score and down where it reads the lowest (``sign``).  ``slack[i]`` sums,
+    over pairs i.., each pair's full capacity times the part of its unit
+    change that moves each row in that direction.  A node scores the one
+    bound matrix ``state + slack[i]`` and is pruned when p cannot succeed
+    even with every score at its bound.  For MIN with an incumbent, the
+    plan may move at most b more voters, so each row's slack is first
+    capped at b times its extreme unit step in its direction
+    (``steps[i]``).  At level n the slack is zero and the bound is the
+    plan's exact state: the same test is then the plan's success test.
 
     Maximin's bound is exact integer arithmetic.  A margin plus n is even
     (every voter adds +1 or -1 to it) and every slack entry is even (one
-    move changes a margin by 0 or 2 in either direction), so
-    (margin + slack + n) / 2 is the support the relaxation promises,
-    without rounding.
+    move changes a margin by 0 or 2 in either direction, so a capped entry
+    is even too), so (margin + slack + n) / 2 is the support the
+    relaxation promises, without rounding.
 
     *Witness and ties.*  The witness is the optimal plan of smallest
     (destination rank, counts) key, the oracle's choice.  Destinations are
@@ -336,30 +273,33 @@ class _BranchAndBound:
         self.nodes = 0
         self.sizes = instance.election.sizes.tolist()
         self.party_state = _party_margin_deltas(instance)
-        base = np.tensordot(instance.election.sizes, self.party_state, axes=1)
-        self.base = np.stack([base, base])  # the slack's shape: a broadcast add costs ~2.7x as much
+        self.base = np.tensordot(instance.election.sizes, self.party_state, axes=1)
+        # Each row's helpful direction: +1 up, -1 down.
+        p = instance.p
+        self.sign = np.full((len(self.base), 1), 1 if self.minimize else -1, dtype=np.int64)
+        self.sign[p] *= -1
         n_voters = instance.election.num_voters
         if isinstance(rule, Copeland):
-            self.score_rows = lambda r: _copeland_scaled(r, rule.alpha).tolist()
+            self.scores = lambda r: _copeland_scaled(r, rule.alpha).tolist()
         else:
-            self.score_rows = lambda r: _maximin_from_margins(r, n_voters).tolist()
-        self.succeeds = self._success_test(instance.p, instance.model is WinnerModel.UNIQUE)
+            self.scores = lambda r: _maximin_from_margins(r, n_voters).tolist()
+        self.succeeds = self._success_test(p, instance.model is WinnerModel.UNIQUE)
         self.best_value: int | None = None
         self.best_dest = -1
         self.best_moves = None
 
     def _success_test(self, p: int, unique: bool):
-        """Test on (lo, hi) score lists: can p still succeed?"""
+        """Test on the bound's score list: can p still succeed?"""
         inf = float("inf")
         if self.minimize:
             # p loses sole winnership (UNIQUE) / leaves the winner set (COWINNER).
             need = 0 if unique else 1
-            return lambda lo, hi: max(hi[:p] + hi[p + 1:], default=-inf) - lo[p] >= need
+            return lambda s: max(s[:p] + s[p + 1:], default=-inf) - s[p] >= need
         need = 1 if unique else 0
-        return lambda lo, hi: hi[p] - max(lo[:p] + lo[p + 1:], default=-inf) >= need
+        return lambda s: s[p] - max(s[:p] + s[p + 1:], default=-inf) >= need
 
     def _variables(self, destination: int | None):
-        """Pairs with their stacked unit changes, slack, steps and capacity.
+        """Pairs with their unit changes, slack, steps and capacity.
 
         Sources without voters are left out: their count is always 0, and
         leaving a constant out of every key keeps the keys' order.  In the
@@ -372,20 +312,14 @@ class _BranchAndBound:
         pairs = [(q, d) for q in range(l) for d in dests if d != q and sizes[q]]
         sources = [q for q, _ in pairs]
         unit = self.party_state[[d for _, d in pairs]] - self.party_state[sources]
-        shape = unit.shape[1:]
-        k = len(pairs)
+        push = np.maximum(self.sign * unit, 0)  # each unit change's helpful part
         caps = np.array([sizes[q] for q in sources], dtype=np.int64)
-        full = caps.reshape((k,) + (1,) * len(shape)) * unit
-        slack = np.zeros((k + 1, 2) + shape, dtype=np.int64)
-        steps = np.zeros((k + 1, 2) + shape, dtype=np.int64)
-        for i in range(k - 1, -1, -1):
-            slack[i, 0] = slack[i + 1, 0] + np.minimum(full[i], 0)
-            slack[i, 1] = slack[i + 1, 1] + np.maximum(full[i], 0)
-            steps[i, 0] = np.minimum(steps[i + 1, 0], unit[i])
-            steps[i, 1] = np.maximum(steps[i + 1, 1], unit[i])
+        slack = np.zeros((len(pairs) + 1,) + unit.shape[1:], dtype=np.int64)
+        steps = np.zeros_like(slack)
+        slack[:-1] = self.sign * np.cumsum((caps[:, None, None] * push)[::-1], axis=0)[::-1]
+        steps[:-1] = self.sign * np.maximum.accumulate(push[::-1], axis=0)[::-1]
         remcap = np.append(np.cumsum(caps[::-1])[::-1], 0).tolist()
-        units = list(np.stack([unit, unit], axis=1))
-        return pairs, units, list(slack), list(steps), remcap
+        return pairs, list(unit), list(slack), list(steps), remcap
 
     # -- search -----------------------------------------------------------
 
@@ -409,7 +343,8 @@ class _BranchAndBound:
         state = self.base.copy()
         counts = [0] * n
         left = list(self.sizes)
-        score_rows, succeeds, minimize = self.score_rows, self.succeeds, self.minimize
+        scores, succeeds, minimize = self.scores, self.succeeds, self.minimize
+        rises = self.sign > 0
 
         def dfs(i: int, total: int):
             nonlocal state
@@ -424,13 +359,16 @@ class _BranchAndBound:
                     if budget < 0:
                         return
                     if budget < remcap[i]:
+                        # Cap each row's slack on its own side.
                         most = budget * steps[i]
-                        reach = np.minimum(np.maximum(reach, most[0]), most[1])
+                        reach = np.where(
+                            rises, np.minimum(reach, most), np.maximum(reach, most)
+                        )
                 elif total + remcap[i] < best or (
                     total + remcap[i] == best and self.best_dest < dest_rank
                 ):
                     return
-            if not succeeds(*score_rows(state + reach)):
+            if not succeeds(scores(state + reach)):
                 return
             if i == n:
                 self.best_value, self.best_dest = total, dest_rank

@@ -1,4 +1,6 @@
-"""Solver routing: pick the cheapest exact method an instance admits."""
+"""Solver routing: each instance has one exact route, a polynomial solver or
+(for Copeland and Maximin) the branch and bound; the oracle enumerates the
+plans of any instance within its caps."""
 
 from __future__ import annotations
 

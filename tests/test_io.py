@@ -491,11 +491,10 @@ def test_generate_random_condorcet_postcondition():
 
 def test_generate_random_retry_limit():
     with pytest.raises(ValueError, match="no instance"):
-        # A two-candidate Condorcet winner never exists with an even split
-        # of two size-limited identical draws; force failure via max_tries=0.
+        # With no voter in any draw no candidate wins, so every try fails.
         pc.generate_random(
-            seed=1, num_candidates=2, num_parties=1, size_range=(1, 1),
-            rule_spec="condorcet", direction="min", max_tries=0,
+            seed=1, num_candidates=2, num_parties=1, size_range=(0, 0),
+            rule_spec="condorcet", direction="min",
         )
 
 

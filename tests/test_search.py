@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from partycred.core import pairwise_matrix
 from partycred.poly import _party_leads
 from partycred.rules import copeland_scores, maximin_scores, scoring_scores
 from partycred.search import (
+    _BranchAndBound,
     _copeland_scaled,
     _maximin_from_margins,
     _party_margin_deltas,
@@ -134,6 +136,64 @@ def test_search_witness_equals_oracle():
         ), (inst, mine, ref)
 
 
+def _smallest_key_plan(inst):
+    """Reference MIN/MAX by plain enumeration: every count of every
+    (source, destination) pair in key order (destination rank, then counts
+    in source-then-destination order); the first optimal plan wins."""
+    pe, l = inst.election, len(inst.election.sizes)
+    sizes = pe.sizes.tolist()
+    minimize = inst.direction is pc.Direction.MIN
+    if inst.destination_mode is pc.DestinationMode.ONE:
+        destinations = [[d] for d in range(l)]
+    else:
+        destinations = [range(l)]
+    best = None
+    for dests in destinations:
+        pairs = [(q, d) for q in range(l) for d in dests if d != q]
+        for counts in itertools.product(*(range(sizes[q] + 1) for q, _ in pairs)):
+            sent = [0] * l
+            for (q, _), c in zip(pairs, counts):
+                sent[q] += c
+            if any(s > size for s, size in zip(sent, sizes)):
+                continue
+            plan = pc.SwitchPlan(
+                moves=tuple((q, d, c) for (q, d), c in zip(pairs, counts) if c)
+            )
+            won = pc.winners(pc.apply_switch(pe, plan), inst.rule, inst.model)
+            if (inst.p in won) == minimize:
+                continue
+            value = sum(counts)
+            if best is None or (value < best[0] if minimize else value > best[0]):
+                best = (value, plan.moves)
+    return best
+
+
+def test_oracle_witness_is_the_smallest_key_plan():
+    """Status, value and moves of the oracle equal a plain enumeration's
+    over every rule, destination mode, winner model and direction."""
+    rng = random.Random(17)
+    combos = list(itertools.product(
+        ALL_RULES, ("one", "multi"), ("unique", "cowinner"), ("min", "max")
+    ))
+    checked = 0
+    while checked < 6 * len(combos):
+        rule_spec, dest, model, direction = combos[checked % len(combos)]
+        inst = random_problem(
+            random.Random(rng.randint(0, 10**9)), rule_spec=rule_spec,
+            direction=direction, model=model, dest=dest, max_parties=3,
+            max_voters=4,
+        )
+        if inst is None:
+            continue
+        checked += 1
+        ref, mine = _smallest_key_plan(inst), oracle(inst)
+        if ref is None:
+            assert mine.status is pc.SolveStatus.INFEASIBLE, (inst, mine)
+        else:
+            assert mine.status is pc.SolveStatus.FEASIBLE, (inst, mine)
+            assert (mine.value, mine.witness.moves) == ref, (inst, mine, ref)
+
+
 def test_single_candidate_search_matches_oracle():
     """With no rival, p can never lose and always wins (MAX used to raise):
     the same result from the search (Copeland; Maximin needs a rival) and
@@ -191,6 +251,36 @@ def test_party_leads_match_score_and_margin_gaps():
             assert (pe.sizes @ leads).tolist() == expected, inst
             empty += int((pe.sizes == 0).sum())
     assert empty >= 30
+
+
+def test_bound_slack_and_steps_match_a_per_pair_loop():
+    """Each level's slack and steps against a loop over the remaining pairs.
+    The rivals' rows move only up and p's row only down for MIN, and the
+    reverse for MAX; steps hold the extreme unit step in that direction."""
+    for inst in _seeded_problems(80, 13, SEARCH_RULES):
+        bb = _BranchAndBound(inst, inst.direction, node_budget=1)
+        deltas, sizes = _party_margin_deltas(inst), bb.sizes
+        m = len(deltas[0])
+        minimize = inst.direction is pc.Direction.MIN
+        up = ((np.arange(m) != inst.p) == minimize)[:, None]
+        if inst.destination_mode is pc.DestinationMode.ONE:
+            destinations = list(range(len(sizes)))
+        else:
+            destinations = [None]
+        for destination in destinations:
+            pairs, _, slack, steps, _ = bb._variables(destination)
+            for i in range(len(pairs) + 1):
+                want_slack = np.zeros((m, m), dtype=np.int64)
+                want_steps = np.zeros((m, m), dtype=np.int64)
+                for q, d in pairs[i:]:
+                    unit = deltas[d] - deltas[q]
+                    rise, fall = np.maximum(unit, 0), np.minimum(unit, 0)
+                    want_slack += sizes[q] * np.where(up, rise, fall)
+                    want_steps = np.where(
+                        up, np.maximum(want_steps, rise), np.minimum(want_steps, fall)
+                    )
+                assert slack[i].tolist() == want_slack.tolist(), (inst, destination, i)
+                assert steps[i].tolist() == want_steps.tolist(), (inst, destination, i)
 
 
 def test_node_budget_contract():
