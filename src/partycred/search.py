@@ -5,12 +5,18 @@ Two independent routes:
 * ``oracle_min`` / ``oracle_max`` enumerate every plan outright, in numpy
   blocks with no pruning, and are the ground truth for everything else.
   Each source party has one table of the counts it can send to each party;
-  a plan picks one row per source.
+  a plan picks one row per source.  The plan count is checked against the
+  cap before any table is built, and each block holds a fixed number of
+  array cells, so its rows shrink as m grows.
 * ``exact_search_min`` / ``exact_search_max`` run a branch-and-bound over
   per-(source, destination) move counts with admissible pruning, for the
   NP-hard Copeland and Maximin rules at desk scale.  Every scoring rule and
   Condorcet has an exact polynomial route (``solve.poly_solver``), so the
   search raises ``ValueError`` on them.
+
+Each route builds its win test once per instance: the oracle's per-block
+mask (``_p_wins_mask``) and the search's node test both score margins with
+one ``_margin_scorer``, built for the instance's rule, m and n.
 
 Plans are canonicalized as counts per (source, destination) pair; voters of
 one party are interchangeable so this loses nothing.  A plan's key is its
@@ -26,9 +32,7 @@ the one bound matrix per node, and why Maximin's bound is exact.
 
 from __future__ import annotations
 
-import functools
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -47,7 +51,7 @@ from .rules import Condorcet, Copeland, Maximin, Scoring, WinnerModel
 ORACLE_VOTER_CAP = 16  # the oracle refuses larger elections
 ORACLE_PLAN_CAP = 5_000_000  # and destinations with more plans
 DEFAULT_NODE_BUDGET = 20_000_000
-_BLOCK_ROWS = 65_536  # plans the oracle scores per numpy block
+_BLOCK_CELLS = 1 << 20  # array cells the oracle fills per numpy block
 
 
 class _BudgetExceeded(Exception):
@@ -66,62 +70,51 @@ def _party_margin_deltas(instance: ProblemInstance) -> np.ndarray:
     return np.sign(r[:, None, :] - r[:, :, None])
 
 
-@functools.lru_cache(maxsize=64)
-def _copeland_table(numerator: int, denominator: int) -> np.ndarray:
-    return np.array([0, numerator, denominator], dtype=np.int64)
+def _margin_scorer(rule: Copeland | Maximin, m: int, n_voters: int):
+    """Exact integer Copeland or Maximin scores of a (..., m, m) margin
+    tensor with a zero diagonal, as a function built once per instance.
 
-
-def _copeland_scaled(margins: np.ndarray, alpha: Fraction) -> np.ndarray:
-    """Copeland scores scaled by alpha's denominator (exact integers).
-
-    ``margins`` has shape (..., m, m) with a zero diagonal.  Each margin's
-    sign picks 0, alpha's numerator or its denominator (loss, tie, win); the
-    diagonal counts as one tie, which the last term takes back.
+    Copeland scores are scaled by alpha's denominator: each margin's sign
+    picks 0, alpha's numerator or its denominator (loss, tie, win), and the
+    diagonal counts as one tie, which the last term takes back.  Maximin
+    reads N(c, d) = (margin + n) / 2, and margin + n is even (every voter
+    adds +1 or -1 to the margin), so the shift halves it exactly; the
+    diagonal pad, above every reachable support, keeps N(c, c) out of the
+    minimum.
     """
-    num, den = alpha.numerator, alpha.denominator
-    return _copeland_table(num, den)[np.sign(margins) + 1].sum(axis=-1) - num
-
-
-@functools.lru_cache(maxsize=64)
-def _maximin_pad(m: int, n_voters: int) -> np.ndarray:
-    """n off the diagonal; on it, a value above every reachable support."""
+    if isinstance(rule, Copeland):
+        num, den = rule.alpha.numerator, rule.alpha.denominator
+        table = np.array([0, num, den], dtype=np.int64)
+        return lambda margins: table[np.sign(margins) + 1].sum(axis=-1) - num
     pad = np.full((m, m), n_voters, dtype=np.int64)
     np.fill_diagonal(pad, 1 << 62)
-    return pad
+    return lambda margins: ((margins + pad) >> 1).min(axis=-1)
 
 
-def _maximin_from_margins(margins: np.ndarray, n_voters: int) -> np.ndarray:
-    """Maximin scores from a margin tensor of shape (..., m, m).
-
-    N(c, d) = (margin + n) / 2, and margin + n is even (every voter adds +1
-    or -1 to the margin), so the shift halves it exactly.  The diagonal pad
-    keeps N(c, c) out of the minimum.
-    """
-    return ((margins + _maximin_pad(margins.shape[-1], n_voters)) >> 1).min(axis=-1)
-
-
-def _p_wins_mask(instance: ProblemInstance, weights: np.ndarray) -> np.ndarray:
-    """``parties._p_wins`` for each row of a (K, l) block of party sizes."""
-    rule, p = instance.rule, instance.p
+def _p_wins_mask(instance: ProblemInstance):
+    """``parties._p_wins`` for each row of a (K, l) block of party sizes, as
+    a function built once per instance."""
+    rule, p, pe = instance.rule, instance.p, instance.election
     if isinstance(rule, Condorcet):
-        # p's margin row decides, and both winner models coincide.
-        p_margins = weights @ _party_margin_deltas(instance)[:, p, :]
-        p_margins[:, p] = 1
-        return (p_margins > 0).all(axis=1)
+        # p's margins over its rivals decide, and both winner models coincide.
+        rivals = np.delete(_party_margin_deltas(instance)[:, p, :], p, axis=1)
+        return lambda weights: (weights @ rivals > 0).all(axis=1)
     if isinstance(rule, Scoring):
-        scores = weights @ _party_rows(instance)
+        rows = _party_rows(instance)
+        scores_of = lambda weights: weights @ rows
     else:
-        margins = np.tensordot(weights, _party_margin_deltas(instance), axes=1)
-        if isinstance(rule, Copeland):
-            scores = _copeland_scaled(margins, rule.alpha)
-        else:
-            scores = _maximin_from_margins(margins, instance.election.num_voters)
-    p_score = scores[:, p].copy()
-    scores[:, p] = np.iinfo(np.int64).min
-    best_other = scores.max(axis=1)
-    if instance.model is WinnerModel.UNIQUE:
-        return p_score > best_other
-    return p_score >= best_other
+        deltas = _party_margin_deltas(instance)
+        score = _margin_scorer(rule, pe.num_candidates, pe.num_voters)
+        scores_of = lambda weights: score(np.tensordot(weights, deltas, axes=1))
+    unique = int(instance.model is WinnerModel.UNIQUE)
+
+    def wins(weights: np.ndarray) -> np.ndarray:
+        scores = scores_of(weights)
+        p_score = scores[:, p].copy()
+        scores[:, p] = np.iinfo(np.int64).min
+        return p_score - unique >= scores.max(axis=1)  # p_score > best rival if unique
+
+    return wins
 
 
 def _compositions_upto(total: int, slots: int):
@@ -138,13 +131,22 @@ def _compositions_upto(total: int, slots: int):
 def _send_tables(sizes: list[int], destination: int | None) -> list[np.ndarray]:
     """Per source party, the (options, l) table of the counts it sends to
     each party, rows in key order.  ``destination=None`` means the
-    multiple-destination mode."""
+    multiple-destination mode.
+
+    A source of s voters with d destinations has C(s + d, d) rows, so the
+    plan count is checked against ``ORACLE_PLAN_CAP`` before any table is
+    built.
+    """
+    l = len(sizes)
+    dests = [[d for d in range(l) if d != q and destination in (None, d)] for q in range(l)]
+    n_plans = math.prod(math.comb(size + len(ds), len(ds)) for size, ds in zip(sizes, dests))
+    if n_plans > ORACLE_PLAN_CAP:
+        raise ValueError(f"size cap exceeded: {n_plans} plans > cap {ORACLE_PLAN_CAP}")
     tables = []
-    for q, size in enumerate(sizes):
-        dests = [d for d in range(len(sizes)) if d != q and destination in (None, d)]
-        options = list(_compositions_upto(size, len(dests)))
-        table = np.zeros((len(options), len(sizes)), dtype=np.int64)
-        table[:, dests] = options
+    for size, ds in zip(sizes, dests):
+        options = list(_compositions_upto(size, len(ds)))
+        table = np.zeros((len(options), l), dtype=np.int64)
+        table[:, ds] = options
         tables.append(table)
     return tables
 
@@ -165,6 +167,12 @@ def _oracle(instance: ProblemInstance, direction: Direction) -> SolveResult:
         destinations = [None]
     minimize = direction is Direction.MIN
     sign = 1 if minimize else -1  # the argmin of sign * moved is the best plan
+    wins = _p_wins_mask(instance)
+    m = pe.num_candidates
+    # Each plan's block row holds its l sizes and its (m,) scores, or its
+    # (m, m) margins under Copeland and Maximin.
+    cells = len(sizes) + (m * m if isinstance(instance.rule, (Copeland, Maximin)) else m)
+    block = max(1, _BLOCK_CELLS // cells)
 
     best_value: int | None = None
     best_moves = None
@@ -173,15 +181,13 @@ def _oracle(instance: ProblemInstance, direction: Direction) -> SolveResult:
         sent = [table.sum(axis=1) for table in tables]
         shape = tuple(len(table) for table in tables)
         n_plans = math.prod(shape)
-        if n_plans > ORACLE_PLAN_CAP:
-            raise ValueError(f"size cap exceeded: {n_plans} plans > cap {ORACLE_PLAN_CAP}")
-        for start in range(0, n_plans, _BLOCK_ROWS):
+        for start in range(0, n_plans, block):
             # Plan indices in C order: source 0 is the key's leading digit.
-            stop = min(start + _BLOCK_ROWS, n_plans)
+            stop = min(start + block, n_plans)
             plans = np.unravel_index(np.arange(start, stop), shape)
             into = sum(table[i] for table, i in zip(tables, plans))
             out = np.stack([s[i] for s, i in zip(sent, plans)], axis=1)
-            ok = _p_wins_mask(instance, pe.sizes + into - out) != minimize
+            ok = wins(pe.sizes + into - out) != minimize
             if not ok.any():
                 continue
             moved = out.sum(axis=1)
@@ -230,6 +236,10 @@ class _BranchAndBound:
     capped at b times its extreme unit step in its direction
     (``steps[i]``).  At level n the slack is zero and the bound is the
     plan's exact state: the same test is then the plan's success test.
+    ``__init__`` builds that test once, as ``passes``: it scores the bound
+    with the instance's ``_margin_scorer`` and reads p's score off the list.
+    For MIN the best rival must lead p by 1 - unique, for MAX p must lead
+    the best rival by unique (1 under the unique model, 0 for co-winners).
 
     Maximin's bound is exact integer arithmetic.  A margin plus n is even
     (every voter adds +1 or -1 to it) and every slack entry is even (one
@@ -278,25 +288,20 @@ class _BranchAndBound:
         p = instance.p
         self.sign = np.full((len(self.base), 1), 1 if self.minimize else -1, dtype=np.int64)
         self.sign[p] *= -1
-        n_voters = instance.election.num_voters
-        if isinstance(rule, Copeland):
-            self.scores = lambda r: _copeland_scaled(r, rule.alpha).tolist()
-        else:
-            self.scores = lambda r: _maximin_from_margins(r, n_voters).tolist()
-        self.succeeds = self._success_test(p, instance.model is WinnerModel.UNIQUE)
+        score = _margin_scorer(rule, len(self.base), instance.election.num_voters)
+        # MIN: the best rival must lead p by 1 - unique; MAX: p must lead it by unique.
+        unique = int(instance.model is WinnerModel.UNIQUE)
+        lead, need = (1, 1 - unique) if self.minimize else (-1, unique)
+
+        def passes(bound: np.ndarray) -> bool:
+            scores = score(bound).tolist()
+            mine = scores.pop(p)
+            return lead * (max(scores, default=-math.inf) - mine) >= need
+
+        self.passes = passes
         self.best_value: int | None = None
         self.best_dest = -1
         self.best_moves = None
-
-    def _success_test(self, p: int, unique: bool):
-        """Test on the bound's score list: can p still succeed?"""
-        inf = float("inf")
-        if self.minimize:
-            # p loses sole winnership (UNIQUE) / leaves the winner set (COWINNER).
-            need = 0 if unique else 1
-            return lambda s: max(s[:p] + s[p + 1:], default=-inf) - s[p] >= need
-        need = 1 if unique else 0
-        return lambda s: s[p] - max(s[:p] + s[p + 1:], default=-inf) >= need
 
     def _variables(self, destination: int | None):
         """Pairs with their unit changes, slack, steps and capacity.
@@ -343,7 +348,7 @@ class _BranchAndBound:
         state = self.base.copy()
         counts = [0] * n
         left = list(self.sizes)
-        scores, succeeds, minimize = self.scores, self.succeeds, self.minimize
+        passes, minimize = self.passes, self.minimize
         rises = self.sign > 0
 
         def dfs(i: int, total: int):
@@ -368,7 +373,7 @@ class _BranchAndBound:
                     total + remcap[i] == best and self.best_dest < dest_rank
                 ):
                     return
-            if not succeeds(scores(state + reach)):
+            if not passes(state + reach):
                 return
             if i == n:
                 self.best_value, self.best_dest = total, dest_rank

@@ -1,7 +1,11 @@
+import importlib.util
 import itertools
+import json
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +15,10 @@ from partycred.core import pairwise_matrix
 from partycred.poly import _party_leads
 from partycred.rules import copeland_scores, maximin_scores, scoring_scores
 from partycred.search import (
+    _BLOCK_CELLS,
     _BranchAndBound,
-    _copeland_scaled,
-    _maximin_from_margins,
+    _margin_scorer,
+    _p_wins_mask,
     _party_margin_deltas,
 )
 
@@ -68,6 +73,48 @@ def test_oracle_voter_cap():
     inst = build(PLUR3, [((P, A, B), 16), ((A, P, B), 1)], p=P, direction="min")
     with pytest.raises(ValueError, match="size cap"):
         pc.oracle_min(inst)
+
+
+def test_oracle_counts_plans_before_building_tables(monkeypatch):
+    """Multi-destination plurality MIN, one 16-voter party and 12 empty ones:
+    C(28, 12) = 30,421,755 plans exceed the cap before any table is built."""
+    def no_tables(total, slots):
+        raise AssertionError("a send table was built")
+
+    monkeypatch.setattr("partycred.search._compositions_upto", no_tables)
+    parties = [((P, A, B), 16)] + [((A, B, P), 0)] * 12
+    inst = build(PLUR3, parties, p=P, direction="min", dest="multi")
+    with pytest.raises(ValueError, match="size cap exceeded: 30421755 plans"):
+        pc.oracle_min(inst)
+
+
+def test_oracle_blocks_stay_within_the_cell_budget(monkeypatch):
+    """At m = 20 a Maximin block's (rows, m, m) margins stay within
+    ``_BLOCK_CELLS``, counting l + m² cells per plan, over several blocks;
+    the answer is the search's."""
+    blocks = []
+
+    def recording_mask(instance):
+        wins = _p_wins_mask(instance)
+
+        def recorded(weights):
+            blocks.append(len(weights))
+            return wins(weights)
+
+        return recorded
+
+    monkeypatch.setattr("partycred.search._p_wins_mask", recording_mask)
+    rng, m, sizes = random.Random(3), 20, [3, 3, 2, 2]
+    won = ()
+    while len(won) != 1:
+        orders = [rng.sample(range(m), m) for _ in sizes]
+        won = pc.winners(pc.PartyElection(orders, sizes), pc.Maximin(), pc.WinnerModel.UNIQUE)
+    inst = build(pc.Maximin(), list(zip(orders, sizes)), p=min(won), direction="max",
+                 dest="multi")
+    result, ref = pc.oracle_max(inst), pc.exact_search_max(inst)
+    assert len(blocks) > 1, blocks
+    assert max(blocks) * (len(sizes) + m * m) <= _BLOCK_CELLS, blocks
+    assert (result.status, result.value, result.witness) == (ref.status, ref.value, ref.witness)
 
 
 def test_budget_exhaustion_is_distinct():
@@ -305,10 +352,10 @@ def _margins(election):
 
 
 def test_pairwise_score_helpers_match_rules():
-    """Copeland (scaled by alpha's denominator) and Maximin scores of one
-    (m, m) margin matrix and of a (k, m, m) stack equal the rules module's.
-    The k elections share their parties and n, as one instance's plans do,
-    and some of their parties are empty."""
+    """``_margin_scorer``'s Copeland (scaled by alpha's denominator) and
+    Maximin scores of one (m, m) margin matrix and of a (k, m, m) stack equal
+    the rules module's.  The k elections share their parties and n, as one
+    instance's plans do, and some of their parties are empty."""
     alphas = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
     for seed in range(100):
         rng = random.Random(seed)
@@ -322,15 +369,17 @@ def test_pairwise_score_helpers_match_rules():
         ]
         stack = np.array([_margins(e) for e in elections])
         expected = [[maximin_scores(e)[c] for c in range(m)] for e in elections]
-        assert _maximin_from_margins(stack, n).tolist() == expected, seed
-        assert _maximin_from_margins(stack[0], n).tolist() == expected[0], seed
+        maximin = _margin_scorer(pc.Maximin(), m, n)
+        assert maximin(stack).tolist() == expected, seed
+        assert maximin(stack[0]).tolist() == expected[0], seed
         for alpha in alphas:
             expected = [
                 [copeland_scores(e, alpha)[c] * alpha.denominator for c in range(m)]
                 for e in elections
             ]
-            assert _copeland_scaled(stack, alpha).tolist() == expected, (seed, alpha)
-            assert _copeland_scaled(stack[0], alpha).tolist() == expected[0]
+            copeland = _margin_scorer(pc.Copeland(alpha=alpha), m, n)
+            assert copeland(stack).tolist() == expected, (seed, alpha)
+            assert copeland(stack[0]).tolist() == expected[0]
 
 
 def _permuted(inst: pc.ProblemInstance, perm: list[int]) -> pc.ProblemInstance:
@@ -433,3 +482,33 @@ def test_solve_instance_checks_each_feasible_result_once(monkeypatch):
         unsolvable = build(rule, [((P, A, B), 3)], p=P, direction="min")
         assert pc.solve_instance(unsolvable).status is pc.SolveStatus.INFEASIBLE
         assert calls == []
+
+
+def test_benchmark_pools_keep_their_search_node_counts(monkeypatch):
+    """The search-one and search-multi pools expand exactly the benchmark's
+    ``search.nodes`` (and budget-exhausted entries) at its node budget.
+
+    Every prune depends on how tight the bound is, so a looser bound that
+    stays admissible keeps every answer and shows only here.  A change that
+    tightens the bound updates these numbers and says why they fell."""
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    loader = importlib.util.spec_from_file_location("perfbench_instances",
+                                                    perfbench / "instances.py")
+    pools = importlib.util.module_from_spec(loader)
+    monkeypatch.setitem(sys.modules, loader.name, pools)  # its dataclasses look it up
+    loader.loader.exec_module(pools)
+    spec = json.loads((perfbench / "spec.json").read_text())
+    budget = spec["node_budget"]
+    counted = {}
+    for workload in ("search-one", "search-multi"):
+        nodes = exhausted = 0
+        for index in range(pools.pool_size(workload)):
+            text = pools.instance_text(workload, index)
+            inst = pc.instance_io.parse_instance(text).instance
+            if pc.solve.poly_solver(inst) is not None:
+                continue
+            result = pc.solve_instance(inst, node_budget=budget)
+            nodes += result.nodes
+            exhausted += result.status is pc.SolveStatus.BUDGET_EXHAUSTED
+        counted[workload] = (nodes, exhausted)
+    assert counted == {"search-one": (81_172, 0), "search-multi": (137_195, 2)}
