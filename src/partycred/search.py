@@ -20,14 +20,15 @@ one ``_margin_scorer``, built for the instance's rule, m and n.
 
 Plans are canonicalized as counts per (source, destination) pair; voters of
 one party are interchangeable so this loses nothing.  A plan's key is its
-destination's rank in party order (0 in the multi-destination mode)
-followed by its counts over the pairs in source-then-destination order.
-Both routes return the optimal plan with the lexicographically smallest
-key, so they agree on the witness as well as the value.  The branch and
-bound meets keys in a fixed order, so it prunes subtrees that can at best
-tie the incumbent: always for MIN, and for MAX once the incumbent lies in
-an earlier destination.  ``_BranchAndBound``'s docstring has the proof,
-the one bound matrix per node, and why Maximin's bound is exact.
+counts over the pairs in source-then-destination order.  Both routes visit
+plans in one order, destinations by rank and, within a destination, keys
+in increasing order for MIN and decreasing order for MAX, and both return
+the first optimal plan they meet: only a strictly better plan replaces the
+incumbent.  So they agree on the witness as well as the value (the lowest
+destination, then the smallest key for MIN and the largest for MAX), and
+the branch and bound prunes every subtree that can at best tie the
+incumbent.  ``_BranchAndBound``'s docstring has the proof, the one bound
+matrix per node, and why Maximin's bound is exact.
 """
 
 from __future__ import annotations
@@ -183,8 +184,9 @@ def _oracle(instance: ProblemInstance, direction: Direction) -> SolveResult:
         n_plans = math.prod(shape)
         for start in range(0, n_plans, block):
             # Plan indices in C order: source 0 is the key's leading digit.
-            stop = min(start + block, n_plans)
-            plans = np.unravel_index(np.arange(start, stop), shape)
+            # MAX visits them in reverse, so keys come in decreasing order.
+            index = np.arange(start, min(start + block, n_plans))
+            plans = np.unravel_index(index if minimize else n_plans - 1 - index, shape)
             into = sum(table[i] for table, i in zip(tables, plans))
             out = np.stack([s[i] for s, i in zip(sent, plans)], axis=1)
             ok = wins(pe.sizes + into - out) != minimize
@@ -193,7 +195,7 @@ def _oracle(instance: ProblemInstance, direction: Direction) -> SolveResult:
             moved = out.sum(axis=1)
             row = int(np.where(ok, sign * moved, np.iinfo(np.int64).max).argmin())
             value = int(moved[row])
-            # Blocks come in key order: a strict improvement keeps the smallest key.
+            # Blocks come in visit order: a strict improvement keeps the first plan.
             if best_value is None or sign * value < sign * best_value:
                 best_value = value
                 best_moves = tuple(
@@ -247,24 +249,17 @@ class _BranchAndBound:
     is even too), so (margin + slack + n) / 2 is the support the
     relaxation promises, without rounding.
 
-    *Witness and ties.*  The witness is the optimal plan of smallest
-    (destination rank, counts) key, the oracle's choice.  Destinations are
-    searched in increasing rank; MIN tries counts in increasing order, so
-    it meets leaves in increasing key order, and MAX in decreasing order,
-    so it meets one destination's leaves in decreasing key order.  Hence:
-
-    * MIN: a later leaf never has a smaller key, so one of equal cost never
-      replaces the incumbent, and every subtree that cannot cost strictly
-      less is pruned (the remaining budget is best - total - 1).
-    * MAX: a later leaf of the same destination has a smaller key and must
-      replace an equal incumbent, so equal-value subtrees are kept there.
-      Once the incumbent lies in an earlier destination, every later key is
-      larger, and subtrees that can at best equal it are pruned.
-
-    So a leaf that passes the test beats the incumbent, or ties it with a
-    smaller key, and replaces it without a key comparison.  The smallest-key
-    optimal plan is never pruned (only an incumbent of the same value and a
-    smaller key could prune it), and no later leaf replaces it.
+    *Witness and ties.*  The witness is the first optimal plan in the
+    oracle's visit order: destinations in increasing rank, and within one,
+    counts in increasing order for MIN and decreasing order for MAX, which
+    is the order this DFS meets its leaves.  A leaf replaces the incumbent
+    only when it is strictly better, so every subtree that can at best tie
+    is pruned: MIN's remaining budget is best - total - 1, and MAX drops a
+    subtree unless it can move more than best voters (at most n, since no
+    plan moves more; in the multi-destination mode ``remcap`` counts a
+    source once per destination).  The first optimal plan is never pruned,
+    since every incumbent before it is strictly worse, and no later leaf
+    replaces it.
     """
 
     def __init__(self, instance: ProblemInstance, direction: Direction, node_budget: int):
@@ -300,7 +295,6 @@ class _BranchAndBound:
 
         self.passes = passes
         self.best_value: int | None = None
-        self.best_dest = -1
         self.best_moves = None
 
     def _variables(self, destination: int | None):
@@ -334,17 +328,18 @@ class _BranchAndBound:
         else:
             destinations = [None]
         try:
-            for dest_rank, destination in enumerate(destinations):
-                self._search_destination(dest_rank, destination)
+            for destination in destinations:
+                self._search_destination(destination)
         except _BudgetExceeded:
             return budget_exhausted(self.solver, self.nodes)
         if self.best_value is None:
             return infeasible(self.solver, self.nodes)
         return feasible(self.best_value, SwitchPlan(moves=self.best_moves), self.solver, self.nodes)
 
-    def _search_destination(self, dest_rank: int, destination: int | None):
+    def _search_destination(self, destination: int | None):
         pairs, units, slack, steps, remcap = self._variables(destination)
         n = len(pairs)
+        voters = sum(self.sizes)
         state = self.base.copy()
         counts = [0] * n
         left = list(self.sizes)
@@ -369,14 +364,12 @@ class _BranchAndBound:
                         reach = np.where(
                             rises, np.minimum(reach, most), np.maximum(reach, most)
                         )
-                elif total + remcap[i] < best or (
-                    total + remcap[i] == best and self.best_dest < dest_rank
-                ):
+                elif min(total + remcap[i], voters) <= best:
                     return
             if not passes(state + reach):
                 return
             if i == n:
-                self.best_value, self.best_dest = total, dest_rank
+                self.best_value = total
                 self.best_moves = tuple(
                     (q, d, c) for (q, d), c in zip(pairs, counts) if c
                 )

@@ -358,10 +358,12 @@ def _performance_instance(
     )
 
 
-def _best_times(instances, repeats=3):
-    """Best-of-``repeats`` ``min_scoring`` time of each instance.  Every
-    repeat times the instances in turn, so that all of them run under the
-    same machine speed states."""
+def _best_times(instances, repeats=9):
+    """Best-of-``repeats`` ``min_scoring`` time of each instance, after one
+    untimed warm-up call each.  Every repeat times the instances in turn, so
+    that all of them run under the same machine speed states."""
+    for inst in instances:
+        min_scoring(inst)
     best = [math.inf] * len(instances)
     for _ in range(repeats):
         for i, inst in enumerate(instances):

@@ -35,6 +35,22 @@ def test_solve_human_output_only_on_stderr(tmp_path, capsys):
     assert "answer: yes" in captured.err
 
 
+@pytest.mark.parametrize("direction, value, witness, lines", [
+    ("min", "infeasible", None, ["value:  infeasible (no switch plan succeeds)"]),
+    ("max", 0, {"destination": None, "moves": []},
+     ["value:  0", "answer: no (k = 1, max)", "witness: no voter moves"]),
+])
+def test_solve_one_party_reports_its_answer(tmp_path, capsys, direction, value, witness, lines):
+    """With one party no voter can switch: MIN has no plan, MAX moves nobody."""
+    text = MINIMAL.replace("direction: min", f"direction: {direction}")
+    path = write(tmp_path, "inst.txt", text.replace("party P2 1: a > p > b\n", ""))
+    assert cli.main(["solve", path, "--json"]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert (doc["value"], doc["answer"], doc["witness"]) == (value, False, witness)
+    assert captured.err.splitlines()[:len(lines)] == lines
+
+
 def test_solve_json_schema(tmp_path, capsys):
     path = write(tmp_path, "inst.txt", MINIMAL)
     assert cli.main(["solve", path, "--json"]) == cli.EXIT_OK
@@ -167,6 +183,18 @@ def test_reduce_writes_instance_and_provenance(tmp_path, capsys):
     assert prov["reduction"] == "is-maximin-max"
     assert prov["destination_party"] == "P"
     assert prov["source"]["problem"] == "independent-set"
+
+
+def test_reduce_reads_an_x3c_file(tmp_path, capsys):
+    source = write(tmp_path, "x3c.txt", "m 3\ns 0 1 2\ns 0 1 2\ns 0 1 2\n")
+    out = tmp_path / "reduced.txt"
+    assert cli.main(["reduce", "x3c-borda-max", source, "-o", str(out)]) == cli.EXIT_OK
+    parsed = pc.parse_instance(out.read_text())
+    assert parsed.instance.rule == pc.Scoring(vector=tuple(range(8, -1, -1)))
+    assert parsed.instance.direction is pc.Direction.MAX
+    prov = json.loads((tmp_path / "reduced.txt.provenance.json").read_text())
+    assert prov["reduction"] == "x3c-borda-max"
+    assert prov["source"] == {"problem": "x3c", "universe_size": 3, "sets": [[0, 1, 2]] * 3}
 
 
 def test_reduce_alpha_flag(tmp_path, capsys):

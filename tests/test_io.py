@@ -93,6 +93,8 @@ def test_rule_to_spec_round_trip():
         ("condorcet", 4), ("maximin", 4), ("copeland:1/3", 4),
     ):
         assert rule_to_spec(parse_rule_spec(spec, m)) == spec
+    with pytest.raises(ValueError, match=r"scoring vector \(3, 1, 0\) has no named spelling"):
+        rule_to_spec(pc.Scoring(vector=(3, 1, 0)))
 
 
 def _line_of(error: ParseError) -> int:
@@ -145,6 +147,27 @@ def test_duplicate_party_name():
     text = MINIMAL.replace("party P2 1", "party P1 1")
     with pytest.raises(ParseError, match="duplicate party name"):
         pc.parse_instance(text)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("k: 1\n", "k: 1\ncolour: red\n", "line 7: unknown key 'colour'"),
+    ("candidates: p a b", "candidates: p a a", "line 1: duplicate candidate name"),
+    ("candidates: p a b", "candidates: p", "line 1: need at least two candidates"),
+    ("rule: plurality", "rule: condorcet:x", "line 2: rule condorcet takes no parameter"),
+    ("rule: plurality", "rule: maximin:x", "line 2: rule maximin takes no parameter"),
+    ("rule: plurality", "rule: copeland:x", "line 2: bad alpha 'x'"),
+    ("model: unique", "model: sole", "line 3: model must be unique or cowinner, got 'sole'"),
+    ("dest: one", "dest: two", "line 4: dest must be one or multi, got 'two'"),
+    ("direction: min", "direction: mid", "line 5: direction must be min or max, got 'mid'"),
+    ("k: 1", "k: one", "line 6: k must be an integer, got 'one'"),
+    ("distinguished: p", "distinguished: q", "line 7: unknown distinguished candidate 'q'"),
+    ("party P1 2: p > a > b\nparty P2 1: a > p > b\n", "", "line 7: no party lines"),
+])
+def test_bad_header_reports_its_line(old, new, message):
+    with pytest.raises(ParseError) as err:
+        pc.parse_instance(MINIMAL.replace(old, new))
+    assert str(err.value) == message
+    assert _line_of(err.value) == int(message.split(":")[0].removeprefix("line "))
 
 
 @pytest.mark.parametrize("head, message", [
@@ -424,6 +447,20 @@ def test_parse_x3c_reports_the_offending_set_line():
         pc.parse_x3c("\nm 3\ns 0 1 2\n")
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (pc.parse_graph, "n 3\nt 1\nt 2\n", "line 3: duplicate t line"),
+    (pc.parse_graph, "n 3\nt x\n", "line 2: expected an integer, got 'x'"),
+    (pc.parse_x3c, "m 3\nm 3\n", "line 2: duplicate m line"),
+    (pc.parse_x3c, "m 3\nt 1\n", "line 2: expected 'm' or 's' line, got 't 1'"),
+    (pc.parse_x3c, "m 3\ns 0 1 two\n", "line 2: expected an integer, got 'two'"),
+])
+def test_graph_and_x3c_line_errors(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+    assert _line_of(err.value) == int(message.split(":")[0].removeprefix("line "))
+
+
 def test_parse_x3c():
     x = pc.parse_x3c("m 3\ns 0 1 2\ns 0 1 2\ns 0 1 2\n")
     assert x.universe_size == 3 and x.num_sets == 3
@@ -504,3 +541,24 @@ def test_generate_random_needs_two_candidates():
             seed=1, num_candidates=1, num_parties=2, size_range=(1, 3),
             rule_spec="plurality", direction="min",
         )
+
+
+@pytest.mark.parametrize("size_range", [(3, 1), (-1, 2)])
+def test_generate_random_rejects_a_bad_size_range(size_range):
+    lo, hi = size_range
+    with pytest.raises(ValueError, match=f"bad size range {lo}..{hi}"):
+        pc.generate_random(
+            seed=1, num_candidates=3, num_parties=2, size_range=size_range,
+            rule_spec="plurality", direction="min",
+        )
+
+
+def test_generate_random_cowinner_takes_the_lowest_winner():
+    parsed = pc.generate_random(
+        seed=32, num_candidates=3, num_parties=3, size_range=(1, 3),
+        rule_spec="copeland:1", direction="min", model="cowinner",
+    )
+    inst = parsed.instance
+    assert inst.model is pc.WinnerModel.COWINNER
+    assert pc.winners(inst.election, inst.rule, inst.model) == {1, 2}
+    assert inst.p == 1

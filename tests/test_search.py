@@ -174,8 +174,8 @@ def _seeded_problems(count, seed, rules):
 
 
 def test_search_witness_equals_oracle():
-    """Same status, value and witness: the optimal plan of smallest
-    (destination rank, counts) key, which tie-aware pruning must keep."""
+    """Same status, value and witness: the first optimal plan in the
+    shared visit order, which tie-pruning must keep."""
     for inst in _seeded_problems(300, 7, SEARCH_RULES):
         mine, ref = exact_search(inst), oracle(inst)
         assert (mine.status, mine.value, mine.witness) == (
@@ -183,10 +183,11 @@ def test_search_witness_equals_oracle():
         ), (inst, mine, ref)
 
 
-def _smallest_key_plan(inst):
-    """Reference MIN/MAX by plain enumeration: every count of every
-    (source, destination) pair in key order (destination rank, then counts
-    in source-then-destination order); the first optimal plan wins."""
+def _first_optimal_plan(inst):
+    """Reference MIN/MAX by plain enumeration: destinations by rank, then
+    every count of every (source, destination) pair in source-then-
+    destination order, increasing for MIN and decreasing for MAX; the first
+    optimal plan wins."""
     pe, l = inst.election, len(inst.election.sizes)
     sizes = pe.sizes.tolist()
     minimize = inst.direction is pc.Direction.MIN
@@ -197,7 +198,10 @@ def _smallest_key_plan(inst):
     best = None
     for dests in destinations:
         pairs = [(q, d) for q in range(l) for d in dests if d != q]
-        for counts in itertools.product(*(range(sizes[q] + 1) for q, _ in pairs)):
+        counts_of = [range(sizes[q] + 1) for q, _ in pairs]
+        if not minimize:
+            counts_of = [reversed(counts) for counts in counts_of]
+        for counts in itertools.product(*counts_of):
             sent = [0] * l
             for (q, _), c in zip(pairs, counts):
                 sent[q] += c
@@ -215,7 +219,7 @@ def _smallest_key_plan(inst):
     return best
 
 
-def test_oracle_witness_is_the_smallest_key_plan():
+def test_oracle_witness_is_the_first_optimal_plan():
     """Status, value and moves of the oracle equal a plain enumeration's
     over every rule, destination mode, winner model and direction."""
     rng = random.Random(17)
@@ -233,7 +237,7 @@ def test_oracle_witness_is_the_smallest_key_plan():
         if inst is None:
             continue
         checked += 1
-        ref, mine = _smallest_key_plan(inst), oracle(inst)
+        ref, mine = _first_optimal_plan(inst), oracle(inst)
         if ref is None:
             assert mine.status is pc.SolveStatus.INFEASIBLE, (inst, mine)
         else:
@@ -328,6 +332,22 @@ def test_bound_slack_and_steps_match_a_per_pair_loop():
                     )
                 assert slack[i].tolist() == want_slack.tolist(), (inst, destination, i)
                 assert steps[i].tolist() == want_steps.tolist(), (inst, destination, i)
+
+
+def test_multi_destination_max_bound_stops_at_n():
+    """No plan moves more than n voters, although the multi-destination
+    capacity counts each source once per destination: once a plan moves
+    everyone, every other subtree can at best tie it."""
+    inst = pc.instance_io.generate_random(
+        seed=1, num_candidates=4, num_parties=5, size_range=(1, 3),
+        rule_spec="maximin", direction="max", dest="multi",
+    ).instance
+    n = inst.election.num_voters
+    assert inst.election.sizes.tolist() == [2, 2, 2, 3, 2]
+    result = pc.exact_search_max(inst, node_budget=1_000)
+    assert (result.status, result.value) == (pc.SolveStatus.FEASIBLE, n)
+    ref = pc.oracle_max(inst)
+    assert (ref.value, ref.witness) == (result.value, result.witness)
 
 
 def test_node_budget_contract():
@@ -511,4 +531,4 @@ def test_benchmark_pools_keep_their_search_node_counts(monkeypatch):
             nodes += result.nodes
             exhausted += result.status is pc.SolveStatus.BUDGET_EXHAUSTED
         counted[workload] = (nodes, exhausted)
-    assert counted == {"search-one": (81_172, 0), "search-multi": (137_195, 2)}
+    assert counted == {"search-one": (67_440, 0), "search-multi": (421, 0)}
