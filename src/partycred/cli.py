@@ -39,7 +39,7 @@ def _say(message: str):
 
 
 def _load_instance(path: str) -> ParsedInstance:
-    return parse_instance(Path(path).read_text())
+    return parse_instance(Path(path).read_text(encoding="utf-8"))
 
 
 def _check_budget(budget: int) -> None:
@@ -101,7 +101,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_reduce(args) -> int:
     build = REDUCTIONS[args.reduction]
-    text = Path(args.source).read_text()
+    text = Path(args.source).read_text(encoding="utf-8")
     if args.reduction.startswith("x3c-"):
         source = parse_x3c(text)
     else:
@@ -116,7 +116,9 @@ def _cmd_reduce(args) -> int:
         party_names=reduced.party_names,
     )
     out = Path(args.output)
-    out.write_text(serialize_instance(parsed, comment=f"reduction: {reduced.reduction}"))
+    out.write_text(
+        serialize_instance(parsed, comment=f"reduction: {reduced.reduction}"), encoding="utf-8"
+    )
     provenance = {
         "reduction": reduced.reduction,
         "source": reduced.source,
@@ -127,7 +129,7 @@ def _cmd_reduce(args) -> int:
         },
     }
     sidecar = out.with_name(out.name + ".provenance.json")
-    sidecar.write_text(json.dumps(provenance, indent=2) + "\n")
+    sidecar.write_text(json.dumps(provenance, indent=2) + "\n", encoding="utf-8")
     _say(f"wrote {out} and {sidecar}")
     return EXIT_OK
 
@@ -149,7 +151,7 @@ def _cmd_gen(args) -> int:
         dest=args.dest,
     )
     text = serialize_instance(parsed, comment=f"seed: {args.seed}")
-    Path(args.output).write_text(text)
+    Path(args.output).write_text(text, encoding="utf-8")
     _say(f"wrote {args.output}")
     return EXIT_OK
 

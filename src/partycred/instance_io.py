@@ -6,7 +6,13 @@ are skipped, and every other line is either a ``key: value`` header or a
 errors carry the 1-based line number.
 
 ``parse_instance`` reads the party lines straight into the election's rank
-and size arrays (see ``_parse_parties``); no per-party objects are built.
+and size arrays; no per-party objects are built.  Party lines that end the
+file as a regular block of at least ``_BYTE_STEP_TOKENS`` order names are
+read in bulk (``_party_block``): every head in one split, every order from
+the block's bytes.  Any other file goes through the line loop
+(``_read_lines``, then ``_parse_parties``).  The block path declines a file
+on any line the line loop would read otherwise or reject, so every parse
+error keeps its message and line.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,22 +139,16 @@ _HEADER_KEYS = ("candidates", "rule", "model", "dest", "direction", "k", "distin
 def parse_instance(text: str) -> ParsedInstance:
     headers: dict[str, tuple[int, str]] = {}
     party_lines: list[tuple[int, str, str]] = []  # (line number, head, order text)
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.partition("#")[0].strip()
-        if not line:
-            continue
-        key, colon, value = line.partition(":")
-        if not colon:
-            raise ParseError(line_no, f"expected 'key: value', got {raw.strip()!r}")
-        key = key.strip()
-        if key.startswith("party ") or key == "party":
-            party_lines.append((line_no, key, value))
-            continue
-        if key not in _HEADER_KEYS:
-            raise ParseError(line_no, f"unknown key {key!r}")
-        if key in headers:
-            raise ParseError(line_no, f"duplicate key {key!r} (first on line {headers[key][0]})")
-        headers[key] = (line_no, value.strip())
+    # The header lines end where the first line that starts with "party " does.
+    at = 0 if text.startswith("party ") else text.find("\nparty ") + 1 or len(text)
+    lines = text[:at].splitlines()
+    _read_lines(lines, 1, headers, party_lines)
+    rest = text[at:]
+    block = None
+    if not party_lines:
+        block = _party_block(rest, len(lines) + 1, headers.get("candidates"))
+    if block is None:
+        _read_lines(rest.splitlines(), len(lines) + 1, headers, party_lines)
 
     for key in _HEADER_KEYS:
         if key not in headers:
@@ -202,7 +203,10 @@ def parse_instance(text: str) -> ParsedInstance:
         raise ParseError(line_no, f"unknown distinguished candidate {value!r}")
     p = index[value]
 
-    party_names, ranks, sizes = _parse_parties(party_lines, index)
+    if block is not None:
+        party_names, ranks, sizes = block.parties(index)
+    else:
+        party_names, ranks, sizes = _parse_parties(party_lines, index)
     if not party_names:
         raise ParseError(len(text.splitlines()) or 1, "no party lines")
 
@@ -221,12 +225,39 @@ def parse_instance(text: str) -> ParsedInstance:
     )
 
 
+def _read_lines(
+    lines: list[str],
+    first_line_no: int,
+    headers: dict[str, tuple[int, str]],
+    party_lines: list[tuple[int, str, str]],
+) -> None:
+    """Add the ``key: value`` headers of ``lines``, the first of them line
+    ``first_line_no``, to ``headers`` and their party lines to
+    ``party_lines``; skip comments and blank lines."""
+    for line_no, raw in enumerate(lines, start=first_line_no):
+        line = raw.partition("#")[0].strip()
+        if not line:
+            continue
+        key, colon, value = line.partition(":")
+        if not colon:
+            raise ParseError(line_no, f"expected 'key: value', got {raw.strip()!r}")
+        key = key.strip()
+        if key.startswith("party ") or key == "party":
+            party_lines.append((line_no, key, value))
+            continue
+        if key not in _HEADER_KEYS:
+            raise ParseError(line_no, f"unknown key {key!r}")
+        if key in headers:
+            raise ParseError(line_no, f"duplicate key {key!r} (first on line {headers[key][0]})")
+        headers[key] = (line_no, value.strip())
+
+
 # Party lines per tokenizing step.  It bounds the temporaries held at once:
-# the token lists of the str step, the byte buffer and per-token arrays of
-# the byte step.
+# the token lists of the str step and the per-token arrays of the byte step.
 _PARTY_CHUNK = 512
 # Names (lines times candidates) from which a chunk is read from its bytes
-# (``_NameTable.codes``) instead of by ``str.split``.  The byte step costs
+# (``_NameTable.codes``) instead of by ``str.split``, and from which a party
+# block is read in bulk (``_party_block``).  The byte step costs
 # about 65 us per chunk plus 15-30 us per file for the name table (m <= 50),
 # against about 0.1-0.2 us per name for the str step; timed against it on
 # one chunk, it was faster from 900-1,200 names at m = 3-12 and from
@@ -235,20 +266,20 @@ _BYTE_STEP_TOKENS = 1_500
 
 
 def _parse_parties(party_lines: list[tuple[int, str, str]], index: dict[str, int]):
-    """(party names, ranks, sizes) of the ``party`` lines, each given as
-    (line number, head, order text): the text before the line's first
-    ``:``, stripped, and the text after it.
+    """(party names, ranks, sizes) of the ``party`` lines that the line loop
+    collected, each given as (line number, head, order text): the text
+    before the line's first ``:``, stripped, and the text after it.
 
     Heads are read line by line by ``_party_heads``, which also refuses a
     size that brings the voter count n to n * m >= ``VOTER_CELL_BOUND``.  Orders are
     tokenized ``_PARTY_CHUNK`` lines at a time, on the canonical spelling
     ``a > b > c``, straight into an (l, m) array, and every row is validated
-    at once.  A chunk of at least ``_BYTE_STEP_TOKENS`` names is
-    read from its bytes through a table of the candidate names built once
-    per file (``_NameTable``), with no Python object per name; a smaller
-    chunk, or a file whose names get no table, is split with ``str.split``
-    and looked up in ``index``.  A row that either step cannot read,
-    because it is malformed or only spelled differently (``a>b``), is
+    at once.  A chunk of at least ``_BYTE_STEP_TOKENS`` names is joined by
+    newlines and read from its bytes through a table of the candidate names
+    built once per file (``_NameTable``), with no Python object per name; a
+    smaller chunk, or a file whose names get no table, is split with
+    ``str.split`` and looked up in ``index``.  A row that either step cannot
+    read, because it is malformed or only spelled differently (``a>b``), is
     re-read by ``_party_order``, which returns its order or raises its
     ParseError.  Rows are re-read in line order, and a head error is raised
     only after the rows above it, so a file yields the same parties, or the
@@ -256,8 +287,9 @@ def _parse_parties(party_lines: list[tuple[int, str, str]], index: dict[str, int
 
     Both steps are exact: candidate names contain neither whitespace
     (they come from splitting the ``candidates:`` line) nor ``>`` (that
-    line rejects it), so a stripped text that splits on ``" > "`` into m
-    names splits on ``">"`` into the same names after stripping.
+    line rejects it), so a text that splits on ``" > "`` into m names, after
+    stripping (the str step) or past one leading space (the byte step),
+    splits on ``">"`` into the same names after stripping.
     """
     m = len(index)
     names, sizes, head_error = _party_heads(party_lines, m)
@@ -271,7 +303,7 @@ def _parse_parties(party_lines: list[tuple[int, str, str]], index: dict[str, int
     for lo in range(0, len(texts), _PARTY_CHUNK):
         chunk = texts[lo : lo + _PARTY_CHUNK]
         if table is not None and len(chunk) * m >= _BYTE_STEP_TOKENS:
-            orders[lo : lo + len(chunk)] = table.codes(chunk)
+            orders[lo : lo + len(chunk)] = table.codes(*_joined_rows(table, chunk))
             continue
         rows = [text.strip().split(" > ") for text in chunk]
         tokens = chain.from_iterable(row if len(row) == m else unread for row in rows)
@@ -284,6 +316,104 @@ def _parse_parties(party_lines: list[tuple[int, str, str]], index: dict[str, int
     if head_error is not None:
         raise head_error
     return names, ranks_from_orders(orders), np.array(sizes, dtype=np.int64)
+
+
+# Characters that make a block irregular: a comment, and the ASCII
+# whitespace on which ``str.split``, ``bytes.split`` and ``splitlines``
+# disagree, so that only spaces and newlines separate a block's tokens.
+_IRREGULAR = "#\t\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+class _PartyBlock(NamedTuple):  # a frozen dataclass would add about 1 ms to every import
+    """The party lines that end a file, with every head read and checked:
+    line ``first_line_no + q`` ends at data[ends[q]] and reads
+    ``party <names[q]> <sizes[q]>:`` up to its first ':', data[colons[q]]."""
+
+    data: bytes  # ASCII, each line ending with a newline
+    buf: np.ndarray  # ``data`` as the name table's buffer
+    colons: np.ndarray
+    ends: np.ndarray
+    names: list[str]
+    sizes: list[int]
+    first_line_no: int
+    table: _NameTable
+
+    def parties(self, index: dict[str, int]):
+        """(party names, ranks, sizes), as ``_parse_parties`` gives them."""
+        starts = self.colons + 1
+        starts += self.buf.take(starts) == 32  # past the space after ':'
+        orders = np.empty((len(self.names), len(index)), dtype=np.int64)
+        for lo in range(0, len(orders), _PARTY_CHUNK):
+            hi = lo + _PARTY_CHUNK
+            orders[lo:hi] = self.table.codes(self.buf, starts[lo:hi], self.ends[lo:hi])
+        for q in np.flatnonzero(invalid_orders(orders)).tolist():
+            text = self.data[self.colons[q] + 1 : self.ends[q]].decode("ascii")
+            orders[q] = _party_order(self.first_line_no + q, text, index)
+        return self.names, ranks_from_orders(orders), np.array(self.sizes, dtype=np.int64)
+
+
+def _party_block(
+    rest: str, first_line_no: int, candidates: tuple[int, str] | None
+) -> _PartyBlock | None:
+    """The lines of ``rest``, the text from line ``first_line_no`` on, as a
+    block read in bulk, or None when the line loop must read them.
+
+    Each line must read ``party NAME SIZE: ORDER``, with a unique NAME, a
+    SIZE that ``int`` reads as non-negative and voters times candidates
+    below ``VOTER_CELL_BOUND``.  The text must be ASCII, hold no
+    ``_IRREGULAR`` character and at least ``_BYTE_STEP_TOKENS`` order names,
+    and its candidates must get a ``_NameTable``.  The line loop would then
+    read the same heads without an error, so only the orders can fail, and
+    ``_PartyBlock.parties`` raises their first error as ``_parse_parties``
+    does."""
+    if candidates is None or len(rest) < _BYTE_STEP_TOKENS:  # a name takes a character
+        return None
+    names = candidates[1].split()
+    m = len(names)
+    if m < 2:  # refused by the header checks
+        return None
+    if not rest.isascii() or any(char in rest for char in _IRREGULAR):
+        return None
+    table = _NameTable.build(dict.fromkeys(names))
+    if table is None:
+        return None
+    data = rest.encode("ascii")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    buf = table.buffer(data)
+    text = buf[: len(data)]
+    marks = np.flatnonzero((text == 10) | (text == 58))  # newlines and colons
+    newline = np.flatnonzero(text.take(marks) == 10)
+    if len(newline) * m < _BYTE_STEP_TOKENS:
+        return None
+    first = np.zeros_like(newline)  # each line's first mark
+    first[1:] = newline[:-1] + 1
+    if (text.take(marks.take(first)) == 10).any():  # a line with no ':', a blank line among them
+        return None
+    ends = marks.take(newline)
+    colons = marks.take(first)
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    # Every head with its ':' in one array, the ':' read as a space.
+    lengths = colons - starts + 1
+    bounds = np.cumsum(lengths)
+    heads = text.take(np.arange(bounds[-1]) + np.repeat(starts - bounds + lengths, lengths))
+    heads[bounds - 1] = 32
+    word_starts = heads != 32
+    word_starts[1:] &= heads[:-1] == 32
+    if (np.add.reduceat(word_starts, bounds - lengths, dtype=np.intp) != 3).any():
+        return None
+    tokens = heads.tobytes().decode("ascii").split()
+    party_names = tokens[1::3]
+    if tokens[::3].count("party") != len(ends) or len(set(party_names)) != len(ends):
+        return None
+    try:
+        sizes = list(map(int, tokens[2::3]))
+    except ValueError:
+        return None
+    if min(sizes) < 0 or sum(sizes) * m >= VOTER_CELL_BOUND:
+        return None
+    return _PartyBlock(data, buf, colons, ends, party_names, sizes, first_line_no, table)
 
 
 _U64 = np.dtype("<u8")
@@ -346,30 +476,35 @@ class _NameTable:
                 return cls(words, lengths, multiplier, shift, slots)
         return None
 
-    def codes(self, texts: list[str]) -> np.ndarray:
-        """(len(texts), m) int codes of order texts, m = K, each text one
-        line (no newline in it).  A row holds the codes of a text that reads
-        exactly ``n1 > n2 > ... > nm`` after stripping, with a name's code
+    def buffer(self, data: bytes) -> np.ndarray:
+        """``data`` as a uint8 array, padded for the word reads of ``codes``."""
+        return np.frombuffer(data + bytes(8 * self.words.shape[1]), dtype=np.uint8)
+
+    def codes(self, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """(len(starts), m) int codes of order rows, m = K.  Row r is
+        buf[starts[r] : ends[r]] of a ``buffer``; buf[ends[r]] is a newline,
+        and no newline lies between one row's end and the next row's start
+        (a '>' there leaves the next row all -1).  A row holds the codes of
+        a text that reads exactly ``n1 > n2 > ... > nm``, with a name's code
         where ``ni`` is a name and -1 where it is not; every other row is
         all -1."""
-        num_rows = len(texts)
+        num_rows = len(starts)
         m, width = self.words.shape
-        data = ("\n".join(text.strip() for text in texts) + "\n").encode(
-            "utf-8", "surrogatepass"
-        )
-        raw = np.frombuffer(data + bytes(8 * width), dtype=np.uint8)  # padded for word reads
-        text = raw[: len(data)]
-        ends = np.flatnonzero((text == 62) | (text == 10))  # a '>' or newline ends each token
-        after_gt = text.take(ends) == 62
+        lo, hi = starts[0], ends[-1] + 1
+        span = buf[lo:hi]
+        stops = np.flatnonzero((span == 62) | (span == 10)) + lo  # a '>' or newline ends a token
+        after_gt = buf.take(stops) == 62
         row_ends = np.flatnonzero(~after_gt)  # each row's last token
-        starts = np.zeros_like(ends)
-        starts[1:] = ends[:-1] + 1 + after_gt[:-1]  # past " > " or the newline
-        lengths = ends - after_gt - starts  # up to " > " or the newline
-        spaced = (raw.take(ends - 1) == 32) & (raw.take(ends + 1) == 32)  # raw[-1] is padding
+        token_starts = np.empty_like(stops)
+        token_starts[0] = lo
+        token_starts[1:] = stops[:-1] + 2  # past " > "
+        token_starts[row_ends[:-1] + 1] = starts[1:]  # each later row's first token
+        lengths = stops - after_gt - token_starts  # up to " > " or the newline
+        spaced = (buf.take(stops - 1) == 32) & (buf.take(stops + 1) == 32)  # buf[-1] is padding
         lengths[after_gt & ~spaced] = 0  # no name ends at a '>' not spelled " > "
-        # A token starts at most at len(data), after a '>' that ends a row.
-        view = np.ndarray((len(data) + 1, width), dtype=_U64, buffer=raw, strides=(1, 8))
-        words = view.take(starts, axis=0)  # unaligned reads of each token's first 8 * W bytes
+        # A token starts at most at hi, after a '>' that ends the last row.
+        view = np.ndarray((hi - lo + 1, width), dtype=_U64, buffer=buf[lo:], strides=(1, 8))
+        words = view.take(token_starts - lo, axis=0)  # each token's first 8 * W bytes
         words &= _LOW_BYTES.take(np.clip(lengths[:, None] - 8 * np.arange(width), 0, 8))
         found = self.slots.take((_token_keys(words, lengths) * self.multiplier) >> self.shift)
         differs = self.words.take(found, axis=0) != words
@@ -381,6 +516,18 @@ class _NameTable:
         out = np.full((num_rows, m), -1, dtype=np.int64)
         out[whole] = found[np.repeat(whole, counts)].reshape(-1, m)
         return out
+
+
+def _joined_rows(table: _NameTable, texts: list[str]):
+    """(buffer, starts, ends) for ``_NameTable.codes`` of order texts, each
+    one line: the texts joined by newlines, each row's first token one byte
+    past its start when the text starts with a space."""
+    buf = table.buffer(("\n".join(texts) + "\n").encode("utf-8", "surrogatepass"))
+    ends = np.flatnonzero(buf == 10)
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    starts += buf.take(starts) == 32
+    return buf, starts, ends
 
 
 def _token_keys(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:

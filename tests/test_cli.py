@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +26,7 @@ GRAPH = "n 4\nt 2\ne 0 1\ne 1 2\ne 2 3\n"
 
 def write(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -252,3 +256,41 @@ def test_gen_one_candidate_is_an_input_error(tmp_path, capsys):
     assert cli.main(args) == cli.EXIT_INPUT
     assert "at least two candidates" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_files_are_utf8_under_the_c_locale(tmp_path):
+    """Every file the CLI reads or writes is UTF-8, whatever the locale.
+    Under the C locale with UTF-8 mode and locale coercion off, the locale's
+    encoding is ASCII, and a file opened without an encoding warns."""
+    env = {
+        **os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+        "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+    }
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "partycred.cli", *args],
+            env=env, capture_output=True, text=True, encoding="utf-8", timeout=120,
+        )
+
+    text = (MINIMAL.replace("p a b", "p é b").replace("a > p", "é > p").replace("p > a", "p > é")
+            .replace("party P1", "party Ä1").replace("party P2", "party Ö2"))
+    path = write(tmp_path, "inst.txt", text)
+    done = run("solve", path, "--json")
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    assert json.loads(done.stdout)["witness"]["moves"] == [{"from": "Ä1", "to": "Ö2", "count": 1}]
+
+    out = tmp_path / "gen.txt"
+    done = run("gen", "--seed", "1", "--candidates", "3", "--parties", "3", "--sizes", "1..3",
+               "--rule", "plurality", "--direction", "min", "-o", str(out))
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    assert len(pc.parse_instance(out.read_text(encoding="utf-8")).party_names) == 3
+
+    source = write(tmp_path, "graph.txt", "# un graphe à quatre sommets\n" + GRAPH)
+    out = tmp_path / "reduced.txt"
+    done = run("reduce", "is-maximin-max", source, "-o", str(out))
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    pc.parse_instance(out.read_text(encoding="utf-8"))
+    sidecar = tmp_path / "reduced.txt.provenance.json"
+    assert json.loads(sidecar.read_text(encoding="utf-8"))["reduction"] == "is-maximin-max"

@@ -1,6 +1,11 @@
 import dataclasses
+import importlib.util
 import json
+import re
+import sys
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -233,9 +238,9 @@ def _long_file(num_parties: int, bad: dict[int, str] | None = None) -> tuple[str
     ],
 )
 def test_bad_order_late_in_long_file(order, message):
-    # Row 2,700 lies in the last chunk of 440 rows, read by the str step;
-    # rows 511-513 lie on both sides of a chunk boundary, in chunks read from
-    # their bytes; a 12-party file is read by the str step only.
+    # 3,000 parties are a block, read from its bytes 512 rows at a time:
+    # row 2,700 lies in the last chunk of 440 rows, and rows 511-513 on both
+    # sides of a chunk boundary.  A 12-party file is read by the str step only.
     for num_parties, bad in ((3_000, 2_700), (3_000, 511), (3_000, 512), (3_000, 513), (12, 7)):
         text, first = _long_file(num_parties, {bad: f"party X 1: {order}".rstrip()})
         with pytest.raises(ParseError) as err:
@@ -270,14 +275,18 @@ def test_first_bad_party_line_wins():
 
 def test_other_spellings_parse_like_canonical_orders(monkeypatch):
     """Both tokenizing steps, and the re-read of the rows they cannot read,
-    give the same arrays.  1,500 parties are two chunks read from their
-    bytes and one of 476 rows (1,428 names) read by the str step; 12 parties
-    are read by the str step alone, and with no name table all are."""
+    give the same arrays.  1,500 parties without a tab are a block, read
+    from its bytes in chunks of 512, 512 and 476 rows.  With a tab they go
+    through the line loop: two chunks read from their bytes and one of 476
+    rows (1,428 names) read by the str step.  12 parties are read by the
+    str step alone, and with no name table all are."""
     byte_chunks = []
     read_bytes = instance_io._NameTable.codes
     monkeypatch.setattr(
         instance_io._NameTable, "codes",
-        lambda table, texts: byte_chunks.append(len(texts)) or read_bytes(table, texts),
+        lambda table, buf, starts, ends: (
+            byte_chunks.append(len(starts)) or read_bytes(table, buf, starts, ends)
+        ),
     )
     parsed = {}
     for num_parties in (1_500, 12):
@@ -294,12 +303,13 @@ def test_other_spellings_parse_like_canonical_orders(monkeypatch):
             assert again.instance == canonical.instance
             assert again.party_names == canonical.party_names
         parsed[num_parties] = canonical.instance.election.orders
-    assert byte_chunks == [512, 512] * 3
+    block, tabbed = [512, 512, 476], [512, 512]
+    assert byte_chunks == block + tabbed + block  # canonical, respelled, mixed
     assert np.array_equal(parsed[12][1:], parsed[1_500][1:12])
     monkeypatch.setattr(instance_io, "_MULTIPLIERS", instance_io._MULTIPLIERS[:0])  # no table
     text, _ = _long_file(1_500)
     assert np.array_equal(pc.parse_instance(text).instance.election.orders, parsed[1_500])
-    assert byte_chunks == [512, 512] * 3
+    assert byte_chunks == block + tabbed + block
 
 
 _SPECIAL_NAMES = ("a", "a\x00", "abcdefgh1", "abcdefgh2", "\ud800", "é", "名前", "x" * 20)
@@ -355,9 +365,10 @@ def _order_texts(draw):
 def test_party_orders_match_a_row_by_row_reading(drawn):
     """``_parse_parties`` against ``_party_order`` on every row, on a file
     of one chunk (at most 504 rows) that is read from its bytes and ends
-    with the last drawn text.  The byte step reads the same rows as the str
-    step, and its match test alone gives a name's code to exactly that
-    name's tokens, whatever slot the hash picks."""
+    with the last drawn text.  The byte step reads exactly the rows that,
+    past one leading space, split on " > " into m names, and its match test
+    alone gives a name's code to exactly that name's tokens, whatever slot
+    the hash picks."""
     names, texts = drawn
     m = len(names)
     index = {x: i for i, x in enumerate(names)}
@@ -367,15 +378,16 @@ def test_party_orders_match_a_row_by_row_reading(drawn):
     rows = -(-rows // len(texts)) * len(texts)
     lines = [(i + 1, f"party P{i} 1", texts[i % len(texts)]) for i in range(rows)]
 
-    read = table.codes(texts)
-    split = [text.strip().split(" > ") for text in texts]
+    joined = instance_io._joined_rows(table, texts)
+    read = table.codes(*joined)
+    split = [text.removeprefix(" ").split(" > ") for text in texts]
     split = np.array([[index.get(x, -1) for x in row] if len(row) == m else [-1] * m
                       for row in split])
     valid = ~invalid_orders(read)
     assert np.array_equal(valid, ~invalid_orders(split))
     assert np.array_equal(read[valid], split[valid])
     for c in range(m):
-        forced = dataclasses.replace(table, slots=np.full_like(table.slots, c)).codes(texts)
+        forced = dataclasses.replace(table, slots=np.full_like(table.slots, c)).codes(*joined)
         assert np.array_equal(forced, np.where(read == c, c, -1))
 
     try:
@@ -389,6 +401,139 @@ def test_party_orders_match_a_row_by_row_reading(drawn):
     else:
         _, ranks, _ = instance_io._parse_parties(lines, index)
         assert np.argsort(ranks, axis=1).tolist() == [list(order) for order in expected]
+
+
+def _outcome(text: str):
+    """The parse of ``text``, or its error's message and line."""
+    try:
+        return pc.parse_instance(text)
+    except ParseError as err:
+        return str(err), err.line_no
+
+
+def _set_size(size):
+    return lambda line: re.sub(r"^party (\S+) \S+:", rf"party \1 {size}:", line)
+
+
+def _in_order(old, new):
+    return lambda line: line.replace(":", "\0", 1).replace(old, new, 1).replace("\0", ":", 1)
+
+
+# Mutations of one party line, by whether the file stays a block.
+_REGULAR = {
+    "double space in head": lambda line: line.replace(" ", "  ", 1),
+    "trailing space": lambda line: line + " ",
+    "size +3": _set_size("+3"),
+    "size 1_000": _set_size("1_000"),
+    "'>' in a party name": lambda line: line.replace("party P", "party P>", 1),
+    "no space after ':'": lambda line: line.replace(": ", ":", 1),
+    "no space after ':', unknown name": lambda line: line.replace(": ", ":", 1) + " > q",
+    "empty order": lambda line: line.partition(":")[0] + ":",
+    "order a>b": _in_order(" > ", ">"),
+    "unknown candidate": _in_order(" > ", " > q"),
+    "repeated candidate": _in_order(" > p", " > p > p"),
+}
+_IRREGULAR = {
+    "tab in head": lambda line: line.replace(" ", "\t", 1),
+    "CRLF": lambda line: line + "\r",
+    "comment": lambda line: line + " # note",
+    "blank line": lambda line: "\n" + line,
+    "non-ASCII name": lambda line: line.replace("party P", "party Pé", 1),
+    "duplicate name": lambda line: re.sub(r"^party \S+ ", "party P0 ", line),
+    "size -1": _set_size(-1),
+    "size x": _set_size("x"),
+    "size past the voter bound": _set_size(2**62 // 3),
+    "missing colon": lambda line: line.replace(":", "", 1),
+    "head alone": lambda line: line.partition(":")[0],
+    "other key": lambda line: line.replace("party ", "parties ", 1),
+}
+_KINDS = sorted(_REGULAR) + sorted(_IRREGULAR) + [
+    "size moved to the next head", "size moved past a tab", "header after the parties",
+    "no final newline",
+]
+
+
+def _mutate(lines: list[str], kind: str, at: int) -> None:
+    if kind in _REGULAR or kind in _IRREGULAR:
+        lines[at] = {**_REGULAR, **_IRREGULAR}[kind](lines[at])
+    elif kind.startswith("size moved"):  # the two heads still hold six tokens
+        head, colon, order = lines[at].partition(":")
+        *words, size = head.split()
+        tab = kind.endswith("tab")
+        lines[at] = " ".join(words) + " \t" * tab + colon + order
+        lines[at + 1] = size + "\t" * tab + " " * (not tab) + lines[at + 1]
+    elif kind == "header after the parties":
+        lines.insert(at, lines.pop(0))
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_party_block_parses_like_the_line_loop(kind, data):
+    """A file of at least 1,500 order names (600 parties) with one party line
+    mutated, and perhaps a second, parses to the same instance, or the same
+    error and line, with its party lines read as a block or line by line.
+    Regular mutations keep it a block."""
+    text, first = _long_file(600)
+    lines = text.splitlines()
+    kinds = [kind] + data.draw(st.lists(st.sampled_from(_KINDS), max_size=1))
+    for each in kinds:
+        _mutate(lines, each, data.draw(st.integers(first - 1, len(lines) - 2)))
+    text = "\n".join(lines) + "\n" * ("no final newline" not in kinds)
+    took = []
+    block = instance_io._party_block
+    spy = lambda *args: took.append(block(*args)) or took[-1]  # noqa: E731
+    with mock.patch.object(instance_io, "_party_block", spy):
+        got = _outcome(text)
+    with mock.patch.object(instance_io, "_party_block", lambda *args: None):
+        assert got == _outcome(text)
+    if set(kinds) <= set(_REGULAR) | {"no final newline"}:
+        assert took[0] is not None
+
+
+@pytest.mark.parametrize("candidates, message", [
+    ("candidates:", "line 1: need at least two candidates"),
+    ("candidates: p", "line 1: need at least two candidates"),
+    ("candidates: p a a", "line 1: duplicate candidate name"),
+    ("candidates: p a b c>d", "line 1: candidate name 'c>d' contains '>', the order separator"),
+])
+def test_bad_candidates_line_before_a_party_block(candidates, message):
+    text, _ = _long_file(600)
+    with pytest.raises(ParseError) as err:
+        pc.parse_instance(text.replace("candidates: p a b", candidates))
+    assert str(err.value) == message
+
+
+def _perfbench_module(name: str):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {spec.name: module}):  # its dataclasses look it up
+        spec.loader.exec_module(module)
+    return module
+
+
+def test_only_large_benchmark_files_take_the_block_path(monkeypatch):
+    """Every poly-large file of at least 1,500 order names is read as a
+    block; no search-pool file and no set-up warm-up text is."""
+    pools = _perfbench_module("instances")
+    warm_up = _perfbench_module("setup_probe").WARMUP_TEXTS
+    took = []
+    block = instance_io._party_block
+    monkeypatch.setattr(
+        instance_io, "_party_block", lambda *args: took.append(block(*args)) or took[-1]
+    )
+    texts = [(w, pools.instance_text(w, i)) for w in ("poly-large", "search-one", "search-multi")
+             for i in range(pools.pool_size(w))]
+    large = 0
+    for workload, text in texts + [("warm-up", text) for text in warm_up]:
+        took.clear()
+        parsed = pc.parse_instance(text)
+        names = len(parsed.party_names) * len(parsed.candidate_names)
+        large += names >= instance_io._BYTE_STEP_TOKENS
+        assert [b is not None for b in took] == [names >= instance_io._BYTE_STEP_TOKENS]
+        assert names < instance_io._BYTE_STEP_TOKENS or workload == "poly-large"
+    assert large == 6
 
 
 def test_candidate_name_with_separator():
