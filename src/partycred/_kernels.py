@@ -3,10 +3,13 @@
 Everything here is exact integer arithmetic.  Callers look these names up on
 the module at call time (``_kernels.pairwise_tally(...)``), so the names are
 the boundary to keep when changing an implementation.  They also pass every
-argument positionally: ``perfbench/tracing.py`` counts each call's cells from
-them.  A tally call reads len(rows) x ballots x m cells: m rows for the whole
-tally, one for the Condorcet winner's check.  ``min_switch_counts`` reads
-l x m.
+argument positionally: ``perfbench/tracing.py`` counts each call's cells
+from arguments at fixed positions, ``pairwise_tally``'s (ballots, m) ranks
+at position 0, and ``min_switch_counts``' (l, m) leads at position 0 and
+(m,) need at position 3.  A tally call reads len(rows) x ballots x m cells:
+m rows for the whole tally, one for the Condorcet winner's check.  A
+``min_switch_counts`` call reads l x m: each cell of its leads and of its
+lead bins once.
 """
 
 from __future__ import annotations
@@ -32,40 +35,34 @@ def pairwise_tally(ranks: np.ndarray, weights: np.ndarray, rows=None) -> np.ndar
     return counts
 
 
-_BLOCK_CELLS = 1 << 15  # cells per block of columns: its temporaries stay in cache
-
-
 def min_switch_counts(
-    leads: np.ndarray, sizes: np.ndarray, order: np.ndarray, need: np.ndarray
+    leads: np.ndarray, sizes: np.ndarray, bins: np.ndarray, need: np.ndarray, levels: np.ndarray
 ) -> np.ndarray:
     """Per column c of the (l, m) ``leads``: the fewest voters whose moves
     into c's lowest-lead party close ``need[c]``, or -1 where none can.
 
-    A voter of party q moved there gains ``leads[q, c] - min(leads[:, c])``.
-    ``order`` is a stable ``np.argsort(-leads, axis=0)``, so down each sorted
-    column the gains fall and the greedy takes the largest first.  One
-    cumulative sum of voters and of gain down every column, and the first
-    row whose gain reaches ``need[c]`` fixes the count: the voters above that
-    row plus the fewest of its own.  A count is never negative: where
-    ``need[c] <= 0`` it is 0.  Columns are solved in blocks of about
-    ``_BLOCK_CELLS`` cells; column-major ``leads`` are read without a copy.
+    ``levels`` holds the distinct values a lead may take, rising, and
+    ``bins[q, c]`` is the index of ``leads[q, c]`` in it.  A voter of party q
+    moved there gains ``leads[q, c] - min(leads[:, c])``.  One exact int64
+    histogram counts the voters per (column, level), so it has m x
+    len(levels) cells whatever the leads' magnitudes.  Down each column's
+    levels from the highest the gains fall, and the greedy takes the largest
+    first: one cumulative sum of voters and of gain per column, and the first
+    level whose gain reaches ``need[c]`` fixes the count: the voters above it
+    plus the fewest of its own.  A count is never negative: where
+    ``need[c] <= 0`` it is 0.
     """
-    l, m = leads.shape
-    width = max(1, _BLOCK_CELLS // l)
-    blocks = [slice(lo, lo + width) for lo in range(0, m, width)]
-    return np.concatenate([_block_counts(leads[:, b], sizes, order[:, b], need[b]) for b in blocks])
-
-
-def _block_counts(leads, sizes, order, need):
-    l, m = leads.shape
-    by_column = order.T  # row c: column c's parties by falling lead
-    gain = leads.T.take(by_column + l * np.arange(m)[:, None])  # leads[order[:, c], c]
-    gain -= gain[:, -1:]  # each sorted column ends at its minimum
-    weight = sizes.take(by_column)
-    cum_g = np.cumsum(weight * gain, axis=1)
+    m = leads.shape[1]
+    k = len(levels)
+    voters = np.zeros(m * k, dtype=np.int64)
+    np.add.at(voters, (bins + k * np.arange(m)).ravel(), np.repeat(sizes, m))
+    voters = voters.reshape(m, k)[:, ::-1]  # row c: column c's voters by falling lead
+    gain = levels[::-1] - leads.min(axis=0)[:, None]  # < 0 only below the minimum, with no voter
+    cum_g = np.cumsum(voters * gain, axis=1)  # never falls: no voter has a gain < 0
     reached = cum_g >= need[:, None]
-    at = np.arange(m), reached.argmax(axis=1)  # first row reaching need
-    short = need - cum_g[at] + weight[at] * gain[at]  # gain still due on entering it
-    step = np.maximum(gain[at], 1)  # already >= 1 where need > 0 and a row reaches it
-    above = np.cumsum(weight, axis=1)[at] - weight[at]
-    return np.where(reached.any(axis=1), above + np.maximum(short + step - 1, 0) // step, -1)
+    at = np.arange(0, m * k, k) + reached.argmax(axis=1)  # flat: first level reaching need
+    v, g = voters.take(at), gain.take(at)
+    short = need - cum_g.take(at) + v * g  # gain still due on entering it
+    step = np.maximum(g, 1)  # already >= 1 where need > 0 and a level reaches it
+    above = np.cumsum(voters, axis=1).take(at) - v
+    return np.where(reached[:, -1], above + np.maximum(short + step - 1, 0) // step, -1)

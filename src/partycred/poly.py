@@ -7,7 +7,10 @@ scoring rule and +-1 for Condorcet.
 
 * ``min_scoring`` and ``min_condorcet`` — two MIN entry points over one
   greedy (``_min_greedy``).  Each rival's best destination is its
-  lowest-lead party, so one pass over all rivals finds the fewest switches.
+  lowest-lead party, so one histogram of voters per (rival, lead) finds the
+  fewest switches for every rival at once: O(l·m + m·|D|) for the |D|
+  distinct entries of the rule's lead table, plus one O(l log l) sort of the
+  chosen rival's parties for the witness.
 * ``max_linear`` — MAX for any scoring vector and for Condorcet.  The leads
   fall linearly in the numbers of voters moved, so MAX is a maximum packing
   (``_max_pack``): as many voters as possible move while p's lead over each
@@ -57,7 +60,6 @@ from .parties import (
     infeasible,
 )
 from .rules import Condorcet, Scoring, WinnerModel
-from .search import _party_rows
 
 
 def _require(instance: ProblemInstance, rule_types: tuple, direction: Direction, solver: str):
@@ -68,26 +70,38 @@ def _require(instance: ProblemInstance, rule_types: tuple, direction: Direction,
         raise ValueError(f"{solver} solves {direction.value} instances only")
 
 
+def _lead_table(instance: ProblemInstance) -> np.ndarray:
+    """(m, m) table: a voter who ranks p at position i and c at position j
+    adds ``table[i, j]`` to p's lead over c, ``vector[i] - vector[j]`` for a
+    scoring rule and sign(j - i) for Condorcet.  Its diagonal is 0."""
+    if isinstance(instance.rule, Condorcet):
+        at = np.arange(instance.election.num_candidates, dtype=np.int64)
+        return np.sign(at - at[:, None])
+    vector = np.asarray(instance.rule.vector, dtype=np.int64)
+    return vector[:, None] - vector
+
+
+def _position_pairs(instance: ProblemInstance) -> np.ndarray:
+    """(l, m) flat indices into the (m, m) lead table: the cell of party q's
+    positions of p and of c."""
+    ranks = instance.election.ranks
+    return ranks[:, [instance.p]] * ranks.shape[1] + ranks
+
+
 def _party_leads(instance: ProblemInstance) -> np.ndarray:
     """(l, m) array: what one voter of party q adds to p's score minus c's
     (scoring rules) or to the (p, c) margin (Condorcet).  ``sizes @ leads``
     is p's lead over each candidate; column p is 0."""
-    p = instance.p
-    if isinstance(instance.rule, Condorcet):
-        ranks = instance.election.ranks
-        return np.sign(ranks - ranks[:, [p]])
-    rows = _party_rows(instance)
-    return rows[:, [p]] - rows
+    return _lead_table(instance).take(_position_pairs(instance))
 
 
-def _win_budgets(instance: ProblemInstance):
-    """(leads, budget): ``_party_leads`` and how far each of p's leads may
-    fall while p still wins, ``sizes @ leads - s``.  s = 0 for a scoring
-    rule under the co-winner model and 1 otherwise (a Condorcet winner beats
-    every rival).  p wins initially, so every budget is >= 0."""
-    leads = _party_leads(instance)
+def _win_budgets(instance: ProblemInstance, leads: np.ndarray) -> np.ndarray:
+    """How far each of p's leads (``_party_leads``) may fall while p still
+    wins, ``sizes @ leads - s``.  s = 0 for a scoring rule under the
+    co-winner model and 1 otherwise (a Condorcet winner beats every rival).
+    p wins initially, so every budget is >= 0."""
     s = int(isinstance(instance.rule, Condorcet) or instance.model is WinnerModel.UNIQUE)
-    return leads, instance.election.sizes @ leads - s
+    return instance.election.sizes @ leads - s
 
 
 def _checked(instance: ProblemInstance, plan: SwitchPlan, value: int, solver: str) -> SolveResult:
@@ -129,36 +143,44 @@ def _min_greedy(instance: ProblemInstance, solver: str) -> SolveResult:
     more voters, so the new plan is valid, no larger, and closes the lead.
 
     The count for c is then the fewest voters whose gains into d_c reach
-    need[c], largest gains first; ``_kernels.min_switch_counts``
-    finds it for every rival from one stable column-wise sort.  Only the
-    returned plan is built and checked; a rejection raises ``RuntimeError``.
+    need[c], largest gains first.  ``_kernels.min_switch_counts`` finds it
+    for every rival from one histogram of voters per (rival, lead), its
+    leads indexed by rank among the distinct entries of the rule's lead
+    table (``_lead_table``): at most 2m - 1 of them for plurality, veto,
+    r-approval and Borda, 3 for Condorcet.  Only the chosen rival's parties
+    are sorted, by falling lead and ties by id, to build its plan.  Cost:
+    O(l·m + m·|D|) for the |D| distinct entries of the lead table, plus one
+    O(l log l) sort for the witness.  Only the returned plan is built and
+    checked; a rejection raises ``RuntimeError``.
     """
-    leads, budget = _win_budgets(instance)
-    leads = np.asfortranarray(leads)  # each column contiguous
+    table = _lead_table(instance)
+    levels, table_bins = np.unique(table, return_inverse=True)
+    pairs = _position_pairs(instance)
+    leads = table.take(pairs)
+    bins = table_bins.take(pairs)  # levels[bins] == leads
     sizes = instance.election.sizes
-    need = budget + 1
-    # Keys in the narrowest type: numpy sorts int8 and int16 stably by radix.
-    span = max(-int(leads.min()), int(leads.max()))
-    keys = np.negative(leads.T, dtype=np.min_scalar_type(-1 - span))
-    order = np.argsort(keys, axis=1, kind="stable").T
-    counts = _kernels.min_switch_counts(leads, sizes, order, need)
+    need = _win_budgets(instance, leads) + 1
+    counts = _kernels.min_switch_counts(leads, sizes, bins, need, levels)
     counts[instance.p] = -1  # p's own column is 0: nothing to close
     usable = counts >= 0
     if not usable.any():
         return infeasible(solver)
     rival = int(np.where(usable, counts, np.iinfo(np.int64).max).argmin())
     value = int(counts[rival])
-    dest = int(leads[:, rival].argmin())
-    return _checked(instance, _greedy_plan(sizes, order[:, rival], dest, value), value, solver)
+    column = leads[:, rival]
+    plan = _greedy_plan(sizes, np.argsort(-column, kind="stable"), int(column.argmin()), value)
+    return _checked(instance, plan, value, solver)
 
 
 def _greedy_plan(sizes, order, dest, value) -> SwitchPlan:
     """The greedy's moves into ``dest``: parties in ``order``, each in full
     until ``value`` voters move.  The count is reached while the gains are
     still positive, so every source has a higher lead than ``dest``."""
-    taken = np.diff(np.minimum(np.cumsum(sizes[order]), value), prepend=0)
-    if taken.sum() != value:
-        raise RuntimeError(f"greedy plan reconstruction placed {taken.sum()} of {value}")
+    reach = np.minimum(np.cumsum(sizes[order]), value)
+    if reach[-1] != value:
+        raise RuntimeError(f"greedy plan reconstruction placed {reach[-1]} of {value}")
+    taken = reach.copy()
+    taken[1:] -= reach[:-1]
     used = np.flatnonzero(taken)
     moves = zip(order[used].tolist(), [dest] * used.size, taken[used].tolist())
     return SwitchPlan(moves=tuple(moves))
@@ -206,7 +228,8 @@ def _max_into_pairs(instance: ProblemInstance, solver: str) -> SolveResult:
     zero counts fit and the packing always returns counts.  No plan moves
     more than the n voters, a bound that neither the knapsack prices nor the
     greedy fill prove, so the packing stops once a fill reaches it."""
-    leads, budget = _win_budgets(instance)
+    leads = _party_leads(instance)
+    budget = _win_budgets(instance, leads)
     sizes = instance.election.sizes
     src, dst = np.nonzero((sizes > 0)[:, None] & ~np.eye(len(sizes), dtype=bool))  # (q, d) order
     cost = leads[src] - leads[dst]
@@ -264,7 +287,8 @@ def _max_into_rows(instance: ProblemInstance, solver: str) -> SolveResult:
     halves, so each call visits fewer than 2 * prod(caps + 1) nodes of
     polynomial work each: polynomial for a fixed number of candidates.
     """
-    leads, budget = _win_budgets(instance)
+    leads = _party_leads(instance)
+    budget = _win_budgets(instance, leads)
     sizes = instance.election.sizes
     total = int(sizes.sum())
 

@@ -20,8 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels
 from .core import pairwise_matrix
+
+_BLOCK_CELLS = 1 << 15  # cells per block of party rows in scoring_scores: they stay in cache
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ def scoring_scores(e, vector: tuple[int, ...]) -> dict[int, int]:
         )
     points = np.asarray(vector, dtype=np.int64)
     ranks, sizes = e.ranks, e.sizes
-    rows = max(1, _kernels._BLOCK_CELLS // e.num_candidates)  # one cache-sized block at a time
+    rows = max(1, _BLOCK_CELLS // e.num_candidates)  # one cache-sized block at a time
     scores = np.zeros(e.num_candidates, dtype=np.int64)
     for lo in range(0, len(sizes), rows):
         scores += sizes[lo:lo + rows] @ points[ranks[lo:lo + rows]]

@@ -75,11 +75,29 @@ def _reference_min_switch(gain, sizes, party_gain, need):
     return out
 
 
-def test_min_switch_counts_matches_reference():
+def _binned(leads, extra=()):
+    """(bins, levels) of ``leads``: the rising distinct values, here with
+    any ``extra`` values that no lead takes, and each lead's index in them."""
+    levels = np.unique(np.concatenate([leads.ravel(), np.asarray(extra, dtype=np.int64)]))
+    return np.searchsorted(levels, leads), levels
+
+
+def _assert_matches_reference(leads, sizes, need, extra=()):
     # Per column, the kernel's count (into the column's lowest-lead party)
     # is the best count over every destination: the lemma in
-    # poly._min_greedy.  Small lead ranges make many parties share a lead;
-    # +-49 is Borda's range at m = 50.  Some columns are all zero, like p's.
+    # poly._min_greedy.
+    bins, levels = _binned(leads, extra)
+    counts = _kernels.min_switch_counts(leads, sizes, bins, need, levels)
+    for c in range(leads.shape[1]):
+        per_dest = _reference_min_switch(leads[:, c], sizes, leads[:, c], need[c])
+        usable = per_dest[per_dest >= 0]
+        assert counts[c] == (usable.min() if usable.size else -1), (leads, c)
+
+
+def test_min_switch_counts_matches_reference():
+    # Small lead ranges make many parties share a lead; +-49 is Borda's
+    # range at m = 50.  Some columns are all zero, like p's, and some levels
+    # hold no lead, as the rule's lead table may have more than the leads.
     rng = np.random.default_rng(23)
     for span in (1, 2, 4, 49):
         for _ in range(40):
@@ -88,36 +106,66 @@ def test_min_switch_counts_matches_reference():
             leads[:, rng.random(m) < 0.2] = 0
             sizes = rng.integers(0, 5, size=l).astype(np.int64)
             need = rng.integers(-2, 4 * span + 10, size=m).astype(np.int64)
-            order = np.argsort(-leads, axis=0, kind="stable")
-            counts = _kernels.min_switch_counts(leads, sizes, order, need)
-            for c in range(m):
-                per_dest = _reference_min_switch(leads[:, c], sizes, leads[:, c], need[c])
-                usable = per_dest[per_dest >= 0]
-                assert counts[c] == (usable.min() if usable.size else -1), (leads, c)
+            extra = rng.integers(-span - 2, span + 3, size=int(rng.integers(0, 4)))
+            _assert_matches_reference(leads, sizes, need, extra)
+
+
+def test_min_switch_counts_exact_near_the_voter_bound():
+    # Sizes near 2**55 with n * m < 2**62: every sum the greedy forms is
+    # exact in int64 (a float64 histogram would drop their low bits), and
+    # the reference computes in Python ints.
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        l, m = int(rng.integers(1, 9)), int(rng.integers(2, 6))
+        sizes = (1 << 55) + rng.integers(0, 1 << 40, size=l)
+        sizes[rng.random(l) < 0.2] = rng.integers(0, 3)
+        assert int(sizes.sum()) * m < 2**62
+        leads = rng.integers(-(m - 1), m, size=(l, m)).astype(np.int64)
+        need = rng.integers(-1, int(sizes.sum()) * (m - 1), size=m).astype(np.int64)
+        need[0] = 1 + int(sizes[0])  # within one voter of a party's edge
+        _assert_matches_reference(leads, sizes.astype(np.int64), need)
+
+
+def test_min_switch_counts_bins_leads_by_rank_not_magnitude():
+    # A library scoring vector with entries up to 10**15 at m = 50: the
+    # histogram has one bin per distinct entry of its (m, m) lead table, as
+    # poly._min_greedy builds it, not one per value of the leads.
+    rng = np.random.default_rng(37)
+    m = 50
+    for _ in range(4):
+        entries = [rng.choice([0, 1, 10**9, 10**15], size=m - 4), rng.integers(0, 10**15, size=4)]
+        vector = np.sort(np.concatenate(entries))[::-1].astype(np.int64)
+        table = vector[:, None] - vector
+        l = int(rng.integers(1, 25))
+        ranks = np.argsort(rng.random((l, m)), axis=1)
+        p = int(rng.integers(0, m))
+        leads = table.take(ranks[:, [p]] * m + ranks)
+        sizes = rng.integers(0, 6, size=l).astype(np.int64)
+        totals = sizes @ leads
+        need = np.where(rng.random(m) < 0.5, totals, rng.integers(-1, 10**15, size=m)) + 1
+        _assert_matches_reference(leads, sizes, need, extra=np.unique(table))
 
 
 def test_min_switch_counts_infeasible():
     leads = np.array([[1, 0], [0, 0]], dtype=np.int64)
     sizes = np.array([2, 2], dtype=np.int64)
-    order = np.argsort(-leads, axis=0, kind="stable")
     need = np.array([100, 1], dtype=np.int64)
-    counts = _kernels.min_switch_counts(leads, sizes, order, need)
+    bins, levels = _binned(leads)
+    counts = _kernels.min_switch_counts(leads, sizes, bins, need, levels)
     assert (counts == -1).all()
 
 
-def test_min_switch_counts_same_in_any_column_blocks_and_layout(monkeypatch):
-    # Blocks of one to a few columns, and column-major arrays (which the
-    # kernel reads without a copy), give the counts of one whole block.
+def test_min_switch_counts_same_in_either_layout():
+    # Column-major leads and bins give the counts of row-major ones.
     rng = np.random.default_rng(5)
     for _ in range(30):
         l, m = int(rng.integers(1, 30)), int(rng.integers(1, 9))
         leads = rng.integers(-6, 7, size=(l, m)).astype(np.int64)
         sizes = rng.integers(0, 4, size=l).astype(np.int64)
         need = rng.integers(-1, 30, size=m).astype(np.int64)
-        order = np.argsort(-leads, axis=0, kind="stable")
-        whole = _kernels.min_switch_counts(leads, sizes, order, need)
-        for cells in (1, 2 * l, 3 * l + 1):
-            monkeypatch.setattr(_kernels, "_BLOCK_CELLS", cells)
-            for a, o in ((leads, order), (np.asfortranarray(leads), np.asfortranarray(order))):
-                assert np.array_equal(_kernels.min_switch_counts(a, sizes, o, need), whole)
-        monkeypatch.undo()
+        bins, levels = _binned(leads)
+        counts = _kernels.min_switch_counts(leads, sizes, bins, need, levels)
+        fortran = np.asfortranarray(leads), np.asfortranarray(bins)
+        assert np.array_equal(
+            _kernels.min_switch_counts(fortran[0], sizes, fortran[1], need, levels), counts
+        )

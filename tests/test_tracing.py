@@ -3,6 +3,7 @@ boundary it patches, and puts each one back."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import partycred
@@ -79,6 +80,23 @@ def test_tracer_counts_one_borda_max_solve_on_the_poly_route():
     assert tracer.calls["search.exact_search"] == 0
 
 
+def _traced_pipeline(texts):
+    """A tracer that has seen each instance text go through the pipeline
+    as the traced benchmark runs a pool entry."""
+    tracer = _tracing_module().Tracer()
+    tracer.install(partycred)
+    try:
+        for text in texts:
+            parsed = partycred.instance_io.parse_instance(text)
+            result = partycred.solve.solve_instance(parsed.instance, "auto")
+            assert partycred.parties.check_witness(parsed.instance, result.witness,
+                                                   k=result.value).ok
+            partycred.instance_io.result_to_json(parsed, result, 0)
+    finally:
+        tracer.uninstall()
+    return tracer
+
+
 def test_poly_large_classes_record_every_required_boundary():
     """One small instance of each poly-large class, run as the traced
     benchmark runs a pool entry, records a call or count at every boundary
@@ -97,20 +115,28 @@ def test_poly_large_classes_record_every_required_boundary():
         ))
         for rule, direction, m, l in classes
     ]
-    tracer = _tracing_module().Tracer()
-    tracer.install(partycred)
-    try:
-        for text in texts:
-            parsed = partycred.instance_io.parse_instance(text)
-            result = partycred.solve.solve_instance(parsed.instance, "auto")
-            assert partycred.parties.check_witness(parsed.instance, result.witness,
-                                                   k=result.value).ok
-            partycred.instance_io.result_to_json(parsed, result, 0)
-    finally:
-        tracer.uninstall()
+    tracer = _traced_pipeline(texts)
     recorded = {
         name: tracer.calls[name.removesuffix(".calls")] if name.endswith(".calls")
         else tracer.counts[name]
         for name in required
     }
     assert all(recorded.values()), recorded
+
+
+def test_tracer_counts_the_poly_large_pools_min_switch_cells(monkeypatch):
+    """Traced as ``--trace 1`` runs them, poly-large's 10 pool entries make 6
+    ``min_switch_counts`` calls over 533,800 cells: the tracer reads the
+    kernel's leads and need at their fixed positions on the real pool."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_instances", TRACING.parent / "instances.py"
+    )
+    pools = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, pools)  # its dataclasses look it up
+    spec.loader.exec_module(pools)
+    size = pools.pool_size("poly-large")
+    assert size == 10
+    tracer = _traced_pipeline(pools.instance_text("poly-large", i) for i in range(size))
+    assert tracer.calls["kernels.min_switch_counts"] == 6
+    assert tracer.counts["kernels.min_switch_counts.cells"] == 533_800
+    assert tracer.counts["solve.route.poly"] == 10
