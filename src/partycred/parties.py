@@ -22,11 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import invalid_orders, ranks_from_orders, validate_preference
-from .rules import Rule, WinnerModel, winners
-
-# n * m stays below this for n voters over m candidates, so every score,
-# margin, lead sum and cumulative gain the solvers form fits in int64.
-VOTER_CELL_BOUND = 2**62
+from .rules import VOTER_CELL_BOUND, Rule, WinnerModel, winners
 
 
 class PartyElection:
@@ -76,8 +72,9 @@ class PartyElection:
     @classmethod
     def from_arrays(cls, ranks: np.ndarray, sizes: np.ndarray) -> PartyElection:
         """Election over (l >= 1, m) int64 ``ranks`` whose rows are
-        permutations of 0..m-1 and (l,) non-negative int64 ``sizes``.  Nothing
-        is re-validated; the arrays are made read-only, not copied."""
+        permutations of 0..m-1 and (l,) non-negative int64 ``sizes`` whose
+        total n keeps n * m below ``VOTER_CELL_BOUND``.  Nothing is
+        re-validated; the arrays are made read-only, not copied."""
         pe = object.__new__(cls)
         pe._set_arrays(ranks, sizes)
         return pe

@@ -23,6 +23,15 @@ import numpy as np
 from .core import pairwise_matrix
 
 _BLOCK_CELLS = 1 << 15  # cells per block of party rows in scoring_scores: they stay in cache
+# n * m stays below this for n voters over m candidates (every
+# ``parties.PartyElection``), so every margin, lead sum and cumulative gain
+# the solvers form fits in int64.
+VOTER_CELL_BOUND = 2**62
+# n * max(vector) stays below this for n voters, so the largest int64 sum a
+# scoring path forms, about 3 * n * max(vector) (a packing's slack in
+# ``poly._max_pack``: a budget of up to n * max(vector) less counts times
+# costs of up to 2 * max(vector)), fits.
+VOTER_POINT_BOUND = 2**63 // 3
 
 
 @dataclass(frozen=True)
@@ -85,12 +94,26 @@ def scoring_vector_for(name: str, m: int, r: int | None = None) -> tuple[int, ..
 
 
 def scoring_scores(e, vector: tuple[int, ...]) -> dict[int, int]:
+    """Positional scores; raises ``ValueError`` when n voters (at least 1)
+    times the vector's largest entry reaches ``VOTER_POINT_BOUND``, where
+    the solvers' int64 sums could wrap.  ``winners``, ``ProblemInstance``
+    and ``check_witness`` all score through here."""
     if len(vector) != e.num_candidates:
         raise ValueError(
             f"scoring vector length {len(vector)} != {e.num_candidates} candidates"
         )
-    points = np.asarray(vector, dtype=np.int64)
     ranks, sizes = e.ranks, e.sizes
+    top = max(vector)
+    # n * m < VOTER_CELL_BOUND, so n <= VOTER_CELL_BOUND // m: skip the sum
+    # when even that many voters keep n * top below the bound.
+    if top * (VOTER_CELL_BOUND // e.num_candidates) >= VOTER_POINT_BOUND:
+        n = max(int(sizes.sum()), 1)
+        if n * top >= VOTER_POINT_BOUND:
+            raise ValueError(
+                f"{n} voters times the scoring vector's top entry {top} "
+                f"must stay below 2**63 // 3"
+            )
+    points = np.asarray(vector, dtype=np.int64)
     rows = max(1, _BLOCK_CELLS // e.num_candidates)  # one cache-sized block at a time
     scores = np.zeros(e.num_candidates, dtype=np.int64)
     for lo in range(0, len(sizes), rows):

@@ -28,7 +28,7 @@ incumbent.  So they agree on the witness as well as the value (the lowest
 destination, then the smallest key for MIN and the largest for MAX), and
 the branch and bound prunes every subtree that can at best tie the
 incumbent.  ``_BranchAndBound``'s docstring has the proof, the one bound
-matrix per node, and why Maximin's bound is exact.
+matrix per node, and why its doubled units are exact.
 """
 
 from __future__ import annotations
@@ -73,23 +73,49 @@ def _party_margin_deltas(instance: ProblemInstance) -> np.ndarray:
 
 def _margin_scorer(rule: Copeland | Maximin, m: int, n_voters: int):
     """Exact integer Copeland or Maximin scores of a (..., m, m) margin
-    tensor with a zero diagonal, as a function built once per instance.
+    tensor with a zero diagonal, in doubled units, built once per instance.
 
-    Copeland scores are scaled by alpha's denominator: each margin's sign
-    picks 0, alpha's numerator or its denominator (loss, tie, win), and the
-    diagonal counts as one tie, which the last term takes back.  Maximin
-    reads N(c, d) = (margin + n) / 2, and margin + n is even (every voter
-    adds +1 or -1 to the margin), so the shift halves it exactly; the
-    diagonal pad, above every reachable support, keeps N(c, c) out of the
-    minimum.
+    Returns ``(pad, score)``: the caller adds the (m, m) ``pad`` to its
+    margins once, and ``score`` maps the padded tensor to one even integer
+    per row in the fewest numpy passes.
+
+    * Maximin reads the doubled support 2·N(c, d) = margin + n, so the pad
+      is n off the diagonal and a score is one row minimum, with no halving.
+      The diagonal pad, 2^62, sits above every reachable doubled support, so
+      N(c, c) never is the minimum; whatever the caller adds afterwards must
+      have a zero diagonal, so the diagonal stays exactly the pad.
+    * Copeland, with alpha = num/den, reads den·Σ sign + (den − 2·num)·Σ
+      |sign| over each row: a win adds 2·(den − num), a tie 0 and a loss
+      −2·num, and the diagonal's sign is 0.  That is 2·den times the
+      Copeland score less 2·num·(m − 1), a constant shared by every row.
+      The second term is 0 at alpha = 1/2.  The pad is 0.  A row's score
+      and each term lie within den·(m − 1) or 2·den·(m − 1) of 0, so
+      ``ValueError`` is raised once 2·den·(m − 1) reaches 2^63, where they
+      could wrap int64.
+
+    Scores of one tensor differ by even amounts, so one row beats another
+    exactly when it leads by at least 2.
     """
     if isinstance(rule, Copeland):
         num, den = rule.alpha.numerator, rule.alpha.denominator
-        table = np.array([0, num, den], dtype=np.int64)
-        return lambda margins: table[np.sign(margins) + 1].sum(axis=-1) - num
+        if 2 * den * (m - 1) >= 1 << 63:
+            raise ValueError(
+                f"Copeland alpha's denominator {den} times 2 * (m - 1) = {2 * (m - 1)} "
+                f"must stay below 2**63"
+            )
+        # Row sums as products with constant rows: one numpy pass each.
+        dens = np.full(m, den, dtype=np.int64)
+        tie_terms = np.full(m, den - 2 * num, dtype=np.int64)
+        if den == 2 * num:
+            score = lambda margins: np.sign(margins) @ dens
+        else:
+            def score(margins):
+                signs = np.sign(margins)
+                return signs @ dens + np.abs(signs) @ tie_terms
+        return np.zeros((m, m), dtype=np.int64), score
     pad = np.full((m, m), n_voters, dtype=np.int64)
     np.fill_diagonal(pad, 1 << 62)
-    return lambda margins: ((margins + pad) >> 1).min(axis=-1)
+    return pad, lambda supports: np.minimum.reduce(supports, axis=-1)
 
 
 def _p_wins_mask(instance: ProblemInstance):
@@ -105,8 +131,8 @@ def _p_wins_mask(instance: ProblemInstance):
         scores_of = lambda weights: weights @ rows
     else:
         deltas = _party_margin_deltas(instance)
-        score = _margin_scorer(rule, pe.num_candidates, pe.num_voters)
-        scores_of = lambda weights: score(np.tensordot(weights, deltas, axes=1))
+        pad, score = _margin_scorer(rule, pe.num_candidates, pe.num_voters)
+        scores_of = lambda weights: score(np.tensordot(weights, deltas, axes=1) + pad)
     unique = int(instance.model is WinnerModel.UNIQUE)
 
     def wins(weights: np.ndarray) -> np.ndarray:
@@ -224,30 +250,41 @@ class _BranchAndBound:
     for Copeland and Maximin.
 
     *State and bound.*  The search keeps the margin matrix of the plan so
-    far, and level i fixes the count of pair i.  A Copeland or Maximin score
-    is monotone in each margin of the candidate's own row, and the success
-    test reads one bound per candidate: the rivals' highest scores and p's
-    lowest for MIN, p's highest and the rivals' lowest for MAX.  So each
-    row has one helpful direction, up where the test reads the highest
-    score and down where it reads the lowest (``sign``).  ``slack[i]`` sums,
-    over pairs i.., each pair's full capacity times the part of its unit
-    change that moves each row in that direction.  A node scores the one
-    bound matrix ``state + slack[i]`` and is pruned when p cannot succeed
-    even with every score at its bound.  For MIN with an incumbent, the
-    plan may move at most b more voters, so each row's slack is first
-    capped at b times its extreme unit step in its direction
-    (``steps[i]``).  At level n the slack is zero and the bound is the
-    plan's exact state: the same test is then the plan's success test.
-    ``__init__`` builds that test once, as ``passes``: it scores the bound
-    with the instance's ``_margin_scorer`` and reads p's score off the list.
-    For MIN the best rival must lead p by 1 - unique, for MAX p must lead
-    the best rival by unique (1 under the unique model, 0 for co-winners).
+    far, plus the pad of the instance's ``_margin_scorer``, which
+    ``__init__`` adds to the base state once; level i fixes the count of
+    pair i.  A Copeland or Maximin score is monotone in each margin of the
+    candidate's own row, and the success test reads one bound per
+    candidate: the rivals' highest scores and p's lowest for MIN, p's
+    highest and the rivals' lowest for MAX.  So each row has one helpful
+    direction, up where the test reads the highest score and down where it
+    reads the lowest (``sign``).  ``slack[i]`` sums, over pairs i.., each
+    pair's full capacity times the part of its unit change that moves each
+    row in that direction.  A node scores the one bound matrix
+    ``state + slack[i]`` and is pruned when p cannot succeed even with every
+    score at its bound.  For MIN with an incumbent, the plan may move at
+    most b more voters, and one move shifts a margin by -2, 0 or 2, so each
+    slack entry is first clamped to [-2b, 2b]; a row's slack lies on its
+    helpful side, so the clamp caps it on that side.  At level n the slack
+    is zero and the bound is the plan's exact state: the same test is then
+    the plan's success test.  ``__init__`` builds that test once, as
+    ``passes``: it scores the bound with the scorer and reads p's score off
+    the list.
 
-    Maximin's bound is exact integer arithmetic.  A margin plus n is even
-    (every voter adds +1 or -1 to it) and every slack entry is even (one
-    move changes a margin by 0 or 2 in either direction, so a capped entry
-    is even too), so (margin + slack + n) / 2 is the support the
-    relaxation promises, without rounding.
+    *Doubled units.*  The scorer's units are exact integers, and every
+    score is even, so a strict lead is a lead of at least 2: for MIN the
+    best rival must lead p by 2 - 2·unique, for MAX p must lead the best
+    rival by 2·unique (unique is 1 under the unique model, 0 for
+    co-winners).  Copeland scores are 2·den times the Copeland score of the
+    bound's signs, less a constant.  Maximin's padded state holds doubled
+    supports, 2·N(c, d) = margin + n off the diagonal, so a node's score is
+    one row minimum of ``state + reach``.  Every off-diagonal bound entry is
+    even: margin + n is (every voter adds +1 or -1 to a margin), and so is
+    every slack entry and clamp.  So the minimum is exactly twice the
+    support the relaxation promises, without rounding.  *Pad invariant:*
+    units, slack and clamps are 0 on the diagonal, so the diagonal of the
+    state and of every bound stays exactly the pad, 2^62, above every
+    reachable doubled support (at most 2n plus twice the remaining
+    capacity, so at most 2n·l).
 
     *Witness and ties.*  The witness is the first optimal plan in the
     oracle's visit order: destinations in increasing rank, and within one,
@@ -278,27 +315,31 @@ class _BranchAndBound:
         self.nodes = 0
         self.sizes = instance.election.sizes.tolist()
         self.party_state = _party_margin_deltas(instance)
-        self.base = np.tensordot(instance.election.sizes, self.party_state, axes=1)
+        m = instance.election.num_candidates
+        pad, score = _margin_scorer(rule, m, instance.election.num_voters)
+        self.base = np.tensordot(instance.election.sizes, self.party_state, axes=1) + pad
         # Each row's helpful direction: +1 up, -1 down.
         p = instance.p
-        self.sign = np.full((len(self.base), 1), 1 if self.minimize else -1, dtype=np.int64)
+        self.sign = np.full((m, 1), 1 if self.minimize else -1, dtype=np.int64)
         self.sign[p] *= -1
-        score = _margin_scorer(rule, len(self.base), instance.election.num_voters)
-        # MIN: the best rival must lead p by 1 - unique; MAX: p must lead it by unique.
+        # In doubled units, MIN: the best rival must lead p by 2 - 2 unique;
+        # MAX: p must lead it by 2 unique.
         unique = int(instance.model is WinnerModel.UNIQUE)
-        lead, need = (1, 1 - unique) if self.minimize else (-1, unique)
+        lead, need = (1, 2 - 2 * unique) if self.minimize else (-1, 2 * unique)
+
+        floor = -(1 << 64)  # below every score: p's stand-in among the rivals
 
         def passes(bound: np.ndarray) -> bool:
             scores = score(bound).tolist()
-            mine = scores.pop(p)
-            return lead * (max(scores, default=-math.inf) - mine) >= need
+            mine, scores[p] = scores[p], floor
+            return lead * (max(scores) - mine) >= need
 
         self.passes = passes
         self.best_value: int | None = None
         self.best_moves = None
 
     def _variables(self, destination: int | None):
-        """Pairs with their unit changes, slack, steps and capacity.
+        """Pairs with their unit changes, slack and capacity.
 
         Sources without voters are left out: their count is always 0, and
         leaving a constant out of every key keeps the keys' order.  In the
@@ -314,11 +355,9 @@ class _BranchAndBound:
         push = np.maximum(self.sign * unit, 0)  # each unit change's helpful part
         caps = np.array([sizes[q] for q in sources], dtype=np.int64)
         slack = np.zeros((len(pairs) + 1,) + unit.shape[1:], dtype=np.int64)
-        steps = np.zeros_like(slack)
         slack[:-1] = self.sign * np.cumsum((caps[:, None, None] * push)[::-1], axis=0)[::-1]
-        steps[:-1] = self.sign * np.maximum.accumulate(push[::-1], axis=0)[::-1]
         remcap = np.append(np.cumsum(caps[::-1])[::-1], 0).tolist()
-        return pairs, list(unit), list(slack), list(steps), remcap
+        return pairs, list(unit), list(slack), remcap
 
     # -- search -----------------------------------------------------------
 
@@ -337,14 +376,13 @@ class _BranchAndBound:
         return feasible(self.best_value, SwitchPlan(moves=self.best_moves), self.solver, self.nodes)
 
     def _search_destination(self, destination: int | None):
-        pairs, units, slack, steps, remcap = self._variables(destination)
+        pairs, units, slack, remcap = self._variables(destination)
         n = len(pairs)
         voters = sum(self.sizes)
         state = self.base.copy()
         counts = [0] * n
         left = list(self.sizes)
         passes, minimize = self.passes, self.minimize
-        rises = self.sign > 0
 
         def dfs(i: int, total: int):
             nonlocal state
@@ -359,12 +397,10 @@ class _BranchAndBound:
                     if budget < 0:
                         return
                     if budget < remcap[i]:
-                        # Cap each row's slack on its own side.
-                        most = budget * steps[i]
-                        reach = np.where(
-                            rises, np.minimum(reach, most), np.maximum(reach, most)
-                        )
-                elif min(total + remcap[i], voters) <= best:
+                        # budget more moves shift an entry by at most 2 budget.
+                        most = 2 * budget
+                        reach = np.minimum(np.maximum(reach, -most), most)
+                elif total + remcap[i] <= best or voters <= best:
                     return
             if not passes(state + reach):
                 return

@@ -22,6 +22,7 @@ from partycred.instance_io import (
     rule_to_spec,
 )
 from partycred.parties import feasible, infeasible
+from partycred.rules import VOTER_POINT_BOUND
 
 MINIMAL = """\
 candidates: p a b
@@ -203,6 +204,23 @@ def test_voter_count_bound_counts_every_party():
     assert pc.parse_instance(big).instance.election.num_voters == 2**62 // 3  # n * 3 < 2**62
     with pytest.raises(ParseError, match="line 9: party P2 brings"):
         pc.parse_instance(big.replace("party P2 1", "party P2 2"))
+
+
+def test_borda_file_at_the_voter_point_bound():
+    """A named vector keeps n * m below 2**62 but not n * max(vector) below
+    ``rules.VOTER_POINT_BOUND``: Borda at m = 4 reaches it below the voter
+    bound, and the file is then refused."""
+    text = (
+        MINIMAL.replace("candidates: p a b", "candidates: p a b c")
+        .replace("rule: plurality", "rule: borda")
+        .split("party P1")[0]
+        + "party P1 {}: p > a > b > c\n"
+    )
+    last = -(-VOTER_POINT_BOUND // 3) - 1  # the largest n with n * 3 below the bound
+    assert (last + 1) * 4 < 2**62
+    assert pc.parse_instance(text.format(last)).instance.election.num_voters == last
+    with pytest.raises(ParseError, match="must stay below 2\\*\\*63 // 3"):
+        pc.parse_instance(text.format(last + 1))
 
 
 def _long_file(num_parties: int, bad: dict[int, str] | None = None) -> tuple[str, int]:

@@ -1,5 +1,6 @@
-"""One seeded fuzz over every solver route: all seven rules, both directions,
-both destination modes and both winner models, at most 10 voters."""
+"""One seeded fuzz over every solver route: all seven rules (Copeland at alpha
+1/2 and 1/3), both directions, both destination modes and both winner
+models, at most 10 voters."""
 
 import itertools
 import random
@@ -14,9 +15,9 @@ from conftest import collect_problems, exact_search, values_match
 
 RULES = (
     "plurality", "veto", "approval:2", "borda", "condorcet", "copeland:1/2",
-    "maximin",
+    "maximin", "copeland:1/3",
 )
-SEARCH_RULES = ("copeland:1/2", "maximin")
+SEARCH_RULES = ("copeland:1/2", "maximin", "copeland:1/3")
 
 
 def test_every_route_gives_the_same_answer():

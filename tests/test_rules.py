@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import partycred as pc
 from partycred import _kernels
 from partycred.rules import (
+    VOTER_POINT_BOUND,
     condorcet_winner,
     copeland_scores,
     maximin_scores,
@@ -49,6 +50,46 @@ def test_scoring_vector_length_mismatch():
     e = election(((0, 1), 1))
     with pytest.raises(ValueError):
         scoring_scores(e, (1, 0, 0))
+
+
+def test_scoring_refuses_sums_that_could_wrap_int64():
+    """n voters times the vector's top entry must stay below
+    ``VOTER_POINT_BOUND``.  At the largest top entry below it the scores are
+    exact and the MIN solve matches the oracle; one step on, ``winners`` and
+    ``ProblemInstance`` raise.  ``Scoring((4 * 10**18, 0))`` over parties of
+    3 and 2 once wrapped in int64 and elected candidate 1."""
+    e = pc.PartyElection([[0, 1, 2], [1, 0, 2]], [3, 2])
+    top = (VOTER_POINT_BOUND - 1) // 5
+    assert 5 * top < VOTER_POINT_BOUND <= 5 * (top + 1)
+    rule = pc.Scoring((top, top // 2, 0))
+    assert scoring_scores(e, rule.vector) == {
+        0: 3 * top + 2 * (top // 2), 1: 3 * (top // 2) + 2 * top, 2: 0
+    }
+    assert pc.winners(e, rule, pc.WinnerModel.UNIQUE) == {0}
+    inst = pc.ProblemInstance(
+        election=e, p=0, k=1, rule=rule, model=pc.WinnerModel.UNIQUE,
+        destination_mode=pc.DestinationMode.ONE, direction=pc.Direction.MIN,
+    )
+    result, ref = pc.solve_instance(inst), pc.oracle_min(inst)
+    assert (result.value, ref.value) == (1, 1)
+    assert pc.check_witness(inst, result.witness, k=result.value).ok
+
+    past = pc.Scoring((top + 1, (top + 1) // 2, 0))
+    with pytest.raises(ValueError, match="2\\*\\*63 // 3"):
+        pc.winners(e, past, pc.WinnerModel.UNIQUE)
+    with pytest.raises(ValueError, match="2\\*\\*63 // 3"):
+        pc.ProblemInstance(
+            election=e, p=0, k=1, rule=past, model=pc.WinnerModel.UNIQUE,
+            destination_mode=pc.DestinationMode.ONE, direction=pc.Direction.MIN,
+        )
+    with pytest.raises(ValueError, match="2\\*\\*63 // 3"):
+        pc.winners(
+            pc.PartyElection([[0, 1], [1, 0]], [3, 2]), pc.Scoring((4 * 10**18, 0)),
+            pc.WinnerModel.UNIQUE,
+        )
+    # An empty election counts as one voter, so no entry overflows int64.
+    with pytest.raises(ValueError, match="2\\*\\*63 // 3"):
+        scoring_scores(pc.PartyElection([[0, 1]], [0]), (2**63, 0))
 
 
 def test_copeland_single_ballot():

@@ -39,7 +39,7 @@ ALL_RULES = (
     "copeland:1/2",
 )
 # The rules the branch and bound serves: every other rule takes ``poly``.
-SEARCH_RULES = ("maximin", "copeland:1/2", "copeland:0", "copeland:1")
+SEARCH_RULES = ("maximin", "copeland:1/2", "copeland:0", "copeland:1", "copeland:1/3")
 
 
 def test_oracle_min_basic():
@@ -305,9 +305,11 @@ def test_party_leads_match_score_and_margin_gaps():
 
 
 def test_bound_slack_and_steps_match_a_per_pair_loop():
-    """Each level's slack and steps against a loop over the remaining pairs.
-    The rivals' rows move only up and p's row only down for MIN, and the
-    reverse for MAX; steps hold the extreme unit step in that direction."""
+    """Each level's slack against a loop over the remaining pairs.  The
+    rivals' rows move only up and p's row only down for MIN, and the reverse
+    for MAX.  The loop's extreme unit step in that direction is 2 wherever
+    the slack is not 0, with the slack's sign, so MIN's clamp of the slack
+    to [-2b, 2b] is the cap at b such steps."""
     for inst in _seeded_problems(80, 13, SEARCH_RULES):
         bb = _BranchAndBound(inst, inst.direction, node_budget=1)
         deltas, sizes = _party_margin_deltas(inst), bb.sizes
@@ -319,7 +321,7 @@ def test_bound_slack_and_steps_match_a_per_pair_loop():
         else:
             destinations = [None]
         for destination in destinations:
-            pairs, _, slack, steps, _ = bb._variables(destination)
+            pairs, _, slack, _ = bb._variables(destination)
             for i in range(len(pairs) + 1):
                 want_slack = np.zeros((m, m), dtype=np.int64)
                 want_steps = np.zeros((m, m), dtype=np.int64)
@@ -331,7 +333,9 @@ def test_bound_slack_and_steps_match_a_per_pair_loop():
                         up, np.maximum(want_steps, rise), np.minimum(want_steps, fall)
                     )
                 assert slack[i].tolist() == want_slack.tolist(), (inst, destination, i)
-                assert steps[i].tolist() == want_steps.tolist(), (inst, destination, i)
+                assert (2 * np.sign(slack[i])).tolist() == want_steps.tolist(), (
+                    inst, destination, i
+                )
 
 
 def test_multi_destination_max_bound_stops_at_n():
@@ -372,11 +376,12 @@ def _margins(election):
 
 
 def test_pairwise_score_helpers_match_rules():
-    """``_margin_scorer``'s Copeland (scaled by alpha's denominator) and
-    Maximin scores of one (m, m) margin matrix and of a (k, m, m) stack equal
-    the rules module's.  The k elections share their parties and n, as one
-    instance's plans do, and some of their parties are empty."""
-    alphas = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+    """``_margin_scorer``'s doubled units, on one padded (m, m) margin matrix
+    and on a (k, m, m) stack, are exactly the rules module's scores: Maximin
+    is 2·``maximin_scores``, and Copeland is 2·den·``copeland_scores`` less
+    2·num·(m − 1), for alpha = num/den.  The k elections share their parties
+    and n, as one instance's plans do, and some of their parties are empty."""
+    alphas = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 5), Fraction(1)]
     for seed in range(100):
         rng = random.Random(seed)
         m, l, n = rng.randint(2, 6), rng.randint(1, 6), rng.randint(1, 12)
@@ -388,18 +393,49 @@ def test_pairwise_score_helpers_match_rules():
             for _ in range(4)
         ]
         stack = np.array([_margins(e) for e in elections])
-        expected = [[maximin_scores(e)[c] for c in range(m)] for e in elections]
-        maximin = _margin_scorer(pc.Maximin(), m, n)
-        assert maximin(stack).tolist() == expected, seed
-        assert maximin(stack[0]).tolist() == expected[0], seed
+        expected = [[2 * maximin_scores(e)[c] for c in range(m)] for e in elections]
+        pad, maximin = _margin_scorer(pc.Maximin(), m, n)
+        assert maximin(stack + pad).tolist() == expected, seed
+        assert maximin(stack[0] + pad).tolist() == expected[0], seed
         for alpha in alphas:
+            num, den = alpha.numerator, alpha.denominator
             expected = [
-                [copeland_scores(e, alpha)[c] * alpha.denominator for c in range(m)]
+                [2 * den * copeland_scores(e, alpha)[c] - 2 * num * (m - 1) for c in range(m)]
                 for e in elections
             ]
-            copeland = _margin_scorer(pc.Copeland(alpha=alpha), m, n)
-            assert copeland(stack).tolist() == expected, (seed, alpha)
-            assert copeland(stack[0]).tolist() == expected[0]
+            pad, copeland = _margin_scorer(pc.Copeland(alpha=alpha), m, n)
+            assert copeland(stack + pad).tolist() == expected, (seed, alpha)
+            assert copeland(stack[0] + pad).tolist() == expected[0], (seed, alpha)
+
+
+def test_copeland_units_refuse_denominators_that_could_wrap_int64():
+    """At m = 4 a row's doubled Copeland score reaches 2·den·3 in size: at
+    the largest den that keeps it below 2^63 the units are still exact at
+    both extremes (all wins with alpha near 0, all losses with alpha near
+    1), and one step on the scorer, the search and the oracle raise."""
+    m, last = 4, ((1 << 63) - 1) // 6
+    # Candidate 0 beats every rival and candidate 3 loses to every one.
+    election = pc.PartyElection([(0, 1, 2, 3), (1, 2, 0, 3)], [2, 1])
+    margins = _margins(election)
+    for num in (1, last - 1):
+        alpha = Fraction(num, last)
+        pad, copeland = _margin_scorer(pc.Copeland(alpha=alpha), m, 3)
+        expected = [2 * last * copeland_scores(election, alpha)[c] - 2 * num * (m - 1)
+                    for c in range(m)]
+        assert copeland(margins + pad).tolist() == expected, num
+        assert max(map(abs, expected)) > 6 * last - 12, num
+    inst = pc.ProblemInstance(
+        election=election, p=0, k=1, rule=pc.Copeland(alpha=Fraction(1, last + 1)),
+        model=pc.WinnerModel.UNIQUE, destination_mode=pc.DestinationMode.ONE,
+        direction=pc.Direction.MIN,
+    )
+    for call in (
+        lambda: _margin_scorer(inst.rule, m, 3),
+        lambda: pc.exact_search_min(inst),
+        lambda: pc.oracle_min(inst),
+    ):
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            call()
 
 
 def _permuted(inst: pc.ProblemInstance, perm: list[int]) -> pc.ProblemInstance:
