@@ -7,12 +7,11 @@ errors carry the 1-based line number.
 
 ``parse_instance`` reads the party lines straight into the election's rank
 and size arrays; no per-party objects are built.  Party lines that end the
-file as a regular block of at least ``_BYTE_STEP_TOKENS`` order names are
-read in bulk (``_party_block``): every head in one split, every order from
-the block's bytes.  Any other file goes through the line loop
-(``_read_lines``, then ``_parse_parties``).  The block path declines a file
-on any line the line loop would read otherwise or reject, so every parse
-error keeps its message and line.
+file with at least ``_BYTE_STEP_TOKENS`` order names are read in bulk
+(``_party_block``): every head in one split, every order from the bytes.
+Smaller files, and those with a header among the party lines or a head the
+block cannot vouch for, go through the line loop (``_read_lines``, then
+``_parse_parties``), so every parse error keeps its message and line.
 """
 
 from __future__ import annotations
@@ -144,9 +143,7 @@ def parse_instance(text: str) -> ParsedInstance:
     lines = text[:at].splitlines()
     _read_lines(lines, 1, headers, party_lines)
     rest = text[at:]
-    block = None
-    if not party_lines:
-        block = _party_block(rest, len(lines) + 1, headers.get("candidates"))
+    block = None if party_lines else _party_block(rest, len(lines) + 1, headers.get("candidates"))
     if block is None:
         _read_lines(rest.splitlines(), len(lines) + 1, headers, party_lines)
 
@@ -253,15 +250,13 @@ def _read_lines(
 
 
 # Party lines per tokenizing step.  It bounds the temporaries held at once:
-# the token lists of the str step and the per-token arrays of the byte step.
+# the token lists of the str step and the per-token arrays of ``_NameTable.codes``.
 _PARTY_CHUNK = 512
-# Names (lines times candidates) from which a chunk is read from its bytes
-# (``_NameTable.codes``) instead of by ``str.split``, and from which a party
-# block is read in bulk (``_party_block``).  The byte step costs
+# Names (lines times candidates) from which party lines are read in bulk
+# (``_party_block``), not by the line loop's str step.  The bulk read costs
 # about 65 us per chunk plus 15-30 us per file for the name table (m <= 50),
-# against about 0.1-0.2 us per name for the str step; timed against it on
-# one chunk, it was faster from 900-1,200 names at m = 3-12 and from
-# 1,200-1,500 at m = 25-50.
+# against 0.1-0.2 us per name for the str step; timed on one chunk, it was
+# faster from 900-1,200 names at m = 3-12 and from 1,200-1,500 at m = 25-50.
 _BYTE_STEP_TOKENS = 1_500
 
 
@@ -271,25 +266,20 @@ def _parse_parties(party_lines: list[tuple[int, str, str]], index: dict[str, int
     before the line's first ``:``, stripped, and the text after it.
 
     Heads are read line by line by ``_party_heads``, which also refuses a
-    size that brings the voter count n to n * m >= ``VOTER_CELL_BOUND``.  Orders are
-    tokenized ``_PARTY_CHUNK`` lines at a time, on the canonical spelling
-    ``a > b > c``, straight into an (l, m) array, and every row is validated
-    at once.  A chunk of at least ``_BYTE_STEP_TOKENS`` names is joined by
-    newlines and read from its bytes through a table of the candidate names
-    built once per file (``_NameTable``), with no Python object per name; a
-    smaller chunk, or a file whose names get no table, is split with
-    ``str.split`` and looked up in ``index``.  A row that either step cannot
-    read, because it is malformed or only spelled differently (``a>b``), is
-    re-read by ``_party_order``, which returns its order or raises its
-    ParseError.  Rows are re-read in line order, and a head error is raised
-    only after the rows above it, so a file yields the same parties, or the
-    same first error, as a line-by-line reading.
+    size that brings the voter count n to n * m >= ``VOTER_CELL_BOUND``.
+    Orders are split on ``" > "``, ``_PARTY_CHUNK`` lines at a time, and
+    looked up in ``index`` straight into an (l, m) array, and every row is
+    validated at once.  A row that this cannot read, because it is
+    malformed or only spelled differently (``a>b``), is re-read by
+    ``_party_order``, which returns its order or raises its ParseError.
+    Rows are re-read in line order, and a head error is raised only after
+    the rows above it, so a file yields the same parties, or the same first
+    error, as a line-by-line reading.
 
-    Both steps are exact: candidate names contain neither whitespace
-    (they come from splitting the ``candidates:`` line) nor ``>`` (that
-    line rejects it), so a text that splits on ``" > "`` into m names, after
-    stripping (the str step) or past one leading space (the byte step),
-    splits on ``">"`` into the same names after stripping.
+    The split is exact: candidate names hold neither whitespace nor ``>``
+    (the ``candidates:`` line is split, and refuses ``>``), so a text that
+    splits on ``" > "`` into m names after stripping splits on ``">"`` into
+    the same names after stripping.
     """
     m = len(index)
     names, sizes, head_error = _party_heads(party_lines, m)
@@ -297,15 +287,8 @@ def _parse_parties(party_lines: list[tuple[int, str, str]], index: dict[str, int
 
     orders = np.empty((len(texts), m), dtype=np.int64)
     unread = ("",) * m  # no name is empty, so the row fails validation
-    table = None  # the first chunk is the largest
-    if min(len(texts), _PARTY_CHUNK) * m >= _BYTE_STEP_TOKENS:
-        table = _NameTable.build(index)
     for lo in range(0, len(texts), _PARTY_CHUNK):
-        chunk = texts[lo : lo + _PARTY_CHUNK]
-        if table is not None and len(chunk) * m >= _BYTE_STEP_TOKENS:
-            orders[lo : lo + len(chunk)] = table.codes(*_joined_rows(table, chunk))
-            continue
-        rows = [text.strip().split(" > ") for text in chunk]
+        rows = [text.strip().split(" > ") for text in texts[lo : lo + _PARTY_CHUNK]]
         tokens = chain.from_iterable(row if len(row) == m else unread for row in rows)
         codes = np.fromiter(
             map(index.get, tokens, repeat(-1)), dtype=np.int64, count=len(rows) * m
@@ -318,37 +301,36 @@ def _parse_parties(party_lines: list[tuple[int, str, str]], index: dict[str, int
     return names, ranks_from_orders(orders), np.array(sizes, dtype=np.int64)
 
 
-# Characters that make a block irregular: a comment, and the ASCII
-# whitespace on which ``str.split``, ``bytes.split`` and ``splitlines``
-# disagree, so that only spaces and newlines separate a block's tokens.
-_IRREGULAR = "#\t\r\x0b\x0c\x1c\x1d\x1e\x1f"
+# The line breaks of ``str.splitlines`` other than "\n" and "\r": ASCII, and all.
+_LINE_BREAKS = ("\x0b\x0c\x1c\x1d\x1e", "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+# The whitespace of ``str.split`` but a space or a line break, ASCII first.
+_HEAD_SPACES = "\t\x1f\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B))) + "\u202f\u205f\u3000"
 
 
 class _PartyBlock(NamedTuple):  # a frozen dataclass would add about 1 ms to every import
     """The party lines that end a file, with every head read and checked:
-    line ``first_line_no + q`` ends at data[ends[q]] and reads
-    ``party <names[q]> <sizes[q]>:`` up to its first ':', data[colons[q]]."""
+    row q is line ``line_nos[q]`` and reads ``party <names[q]> <sizes[q]>:``
+    up to its first ':'.  Its order text, but the space after that ':', is
+    buf[starts[q] : ends[q]]; buf[ends[q]] is a newline, and only spaces
+    lie between there and the next row."""
 
-    data: bytes  # ASCII, each line ending with a newline
-    buf: np.ndarray  # ``data`` as the name table's buffer
-    colons: np.ndarray
+    buf: np.ndarray  # the block's bytes as the name table's buffer
+    starts: np.ndarray
     ends: np.ndarray
     names: list[str]
     sizes: list[int]
-    first_line_no: int
+    line_nos: np.ndarray
     table: _NameTable
 
     def parties(self, index: dict[str, int]):
         """(party names, ranks, sizes), as ``_parse_parties`` gives them."""
-        starts = self.colons + 1
-        starts += self.buf.take(starts) == 32  # past the space after ':'
         orders = np.empty((len(self.names), len(index)), dtype=np.int64)
         for lo in range(0, len(orders), _PARTY_CHUNK):
             hi = lo + _PARTY_CHUNK
-            orders[lo:hi] = self.table.codes(self.buf, starts[lo:hi], self.ends[lo:hi])
+            orders[lo:hi] = self.table.codes(self.buf, self.starts[lo:hi], self.ends[lo:hi])
         for q in np.flatnonzero(invalid_orders(orders)).tolist():
-            text = self.data[self.colons[q] + 1 : self.ends[q]].decode("ascii")
-            orders[q] = _party_order(self.first_line_no + q, text, index)
+            text = str(self.buf[self.starts[q] : self.ends[q]], "utf-8", "surrogatepass")
+            orders[q] = _party_order(int(self.line_nos[q]), text, index)
         return self.names, ranks_from_orders(orders), np.array(self.sizes, dtype=np.int64)
 
 
@@ -358,54 +340,74 @@ def _party_block(
     """The lines of ``rest``, the text from line ``first_line_no`` on, as a
     block read in bulk, or None when the line loop must read them.
 
-    Each line must read ``party NAME SIZE: ORDER``, with a unique NAME, a
-    SIZE that ``int`` reads as non-negative and voters times candidates
-    below ``VOTER_CELL_BOUND``.  The text must be ASCII, hold no
-    ``_IRREGULAR`` character and at least ``_BYTE_STEP_TOKENS`` order names,
-    and its candidates must get a ``_NameTable``.  The line loop would then
-    read the same heads without an error, so only the orders can fail, and
+    As in the line loop, lines are those of ``str.splitlines``, ``#``
+    starts a comment and blank lines are skipped.  Every other line must
+    read ``party NAME SIZE: ORDER``, with a unique NAME, a SIZE that ``int``
+    reads as non-negative, voters times candidates below
+    ``VOTER_CELL_BOUND`` and no whitespace but spaces in the head.  The
+    lines must hold at least ``_BYTE_STEP_TOKENS`` order names, and the
+    candidates must get a ``_NameTable``.  The line loop would then read
+    the same heads without an error, so only the orders can fail, and
     ``_PartyBlock.parties`` raises their first error as ``_parse_parties``
-    does."""
-    if candidates is None or len(rest) < _BYTE_STEP_TOKENS:  # a name takes a character
-        return None
-    names = candidates[1].split()
+    does.  The block is read as UTF-8 (``surrogatepass``, as the name table
+    encodes names), where no byte of a non-ASCII character is ASCII."""
+    # A name takes a character, and fewer than two names are a header error.
+    names = candidates[1].split() if candidates and len(rest) >= _BYTE_STEP_TOKENS else ()
     m = len(names)
-    if m < 2:  # refused by the header checks
-        return None
-    if not rest.isascii() or any(char in rest for char in _IRREGULAR):
-        return None
-    table = _NameTable.build(dict.fromkeys(names))
+    table = _NameTable.build(dict.fromkeys(names)) if m > 1 else None
     if table is None:
         return None
-    data = rest.encode("ascii")
-    if not data.endswith(b"\n"):
-        data += b"\n"
+    if any(char in rest for char in _LINE_BREAKS[not rest.isascii()]):
+        rest = "\n".join(rest.splitlines())
+    data = (rest if rest.endswith("\n") else rest + "\n").encode("utf-8", "surrogatepass")
     buf = table.buffer(data)
     text = buf[: len(data)]
-    marks = np.flatnonzero((text == 10) | (text == 58))  # newlines and colons
-    newline = np.flatnonzero(text.take(marks) == 10)
-    if len(newline) * m < _BYTE_STEP_TOKENS:
-        return None
-    first = np.zeros_like(newline)  # each line's first mark
-    first[1:] = newline[:-1] + 1
-    if (text.take(marks.take(first)) == 10).any():  # a line with no ':', a blank line among them
-        return None
+    found = (text == 10) | (text == 58)  # newlines and colons
+    marked = [char for char in "\r#" if char in rest]
+    for char in marked:
+        found |= text == ord(char)
+    marks = np.flatnonzero(found)
+    kinds = text.take(marks)
+    if marked:  # "\r\n" is one line break, and a lone "\r" another
+        cr = np.flatnonzero(kinds == 13)
+        kinds[cr[text.take(marks.take(cr) + 1) != 10]] = 10
+    newline = np.flatnonzero(kinds == 10)
+    starts = np.concatenate(([0], marks.take(newline[:-1]) + 1))  # each line's first byte
+    first = np.concatenate(([0], newline[:-1] + 1))  # each line's first mark
     ends = marks.take(newline)
+    if marked:  # a line's text ends at its first '#', "\r" or newline
+        stops = np.flatnonzero(kinds != 58)
+        ends = marks.take(stops.take(np.searchsorted(stops, first)))
+    rows = kinds.take(first) == 58
+    if not rows.all():  # the other lines must be blank, and are skipped
+        for lo, hi in zip(starts[~rows].tolist(), ends[~rows].tolist()):
+            if lo < hi and not data[lo:hi].decode("utf-8", "surrogatepass").isspace():
+                return None
+        starts, ends, first = starts[rows], ends[rows], first[rows]
+    rows = np.flatnonzero(rows)
+    if len(rows) * m < _BYTE_STEP_TOKENS:
+        return None
     colons = marks.take(first)
-    starts = np.zeros_like(ends)
-    starts[1:] = ends[:-1] + 1
-    # Every head with its ':' in one array, the ':' read as a space.
-    lengths = colons - starts + 1
+    while (spaced := text.take(ends - 1) == 32).any():  # drop an order's last spaces, not its ':'
+        ends -= spaced
+    nexts = np.concatenate((starts[1:], ends[-1:] + 1))
+    if (nexts > ends + 1).any():  # blank what lies between an order text and the next row
+        text[_spans(ends + 1, nexts)] = 32
+    text[ends] = 10  # end each order text with a newline
+    lengths = colons + 1 - starts
     bounds = np.cumsum(lengths)
-    heads = text.take(np.arange(bounds[-1]) + np.repeat(starts - bounds + lengths, lengths))
-    heads[bounds - 1] = 32
+    heads = text.take(_spans(starts, colons + 1))  # every head in one array
+    heads[bounds - 1] = 32  # the ':' that ends each head, read as a space
     word_starts = heads != 32
     word_starts[1:] &= heads[:-1] == 32
     if (np.add.reduceat(word_starts, bounds - lengths, dtype=np.intp) != 3).any():
         return None
-    tokens = heads.tobytes().decode("ascii").split()
+    heads = str(heads, "utf-8", "surrogatepass")
+    if any(char in heads for char in _HEAD_SPACES[: 2 if heads.isascii() else None]):
+        return None
+    tokens = heads.split()
     party_names = tokens[1::3]
-    if tokens[::3].count("party") != len(ends) or len(set(party_names)) != len(ends):
+    if tokens[::3].count("party") != len(rows) or len(set(party_names)) != len(rows):
         return None
     try:
         sizes = list(map(int, tokens[2::3]))
@@ -413,7 +415,15 @@ def _party_block(
         return None
     if min(sizes) < 0 or sum(sizes) * m >= VOTER_CELL_BOUND:
         return None
-    return _PartyBlock(data, buf, colons, ends, party_names, sizes, first_line_no, table)
+    order_starts = colons + 1 + (text.take(colons + 1) == 32)  # past the space after ':'
+    return _PartyBlock(buf, order_starts, ends, party_names, sizes, rows + first_line_no, table)
+
+
+def _spans(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The indices of every range lo[i] .. hi[i] - 1, in order."""
+    lengths = hi - lo
+    bounds = np.cumsum(lengths)
+    return np.arange(bounds[-1]) + np.repeat(lo - bounds + lengths, lengths)
 
 
 _U64 = np.dtype("<u8")
@@ -438,7 +448,7 @@ class _NameTable:
     2 * K**2 slots and keeps the first that gives every name its own slot;
     a random multiplier fails with probability below 1/2.  When none
     succeeds, or the table would exceed 2**``_MAX_SLOT_BITS`` slots, there
-    is no table and the caller keeps the str step.
+    is no table and the file takes the line loop.
 
     A token gets the code of the name in its slot only when its length and
     its words equal that name's, so the lookup is exact: a token that is
@@ -470,15 +480,16 @@ class _NameTable:
         shift = np.uint64(64 - bits)
         for multiplier in _MULTIPLIERS:
             hashed = (keys * multiplier) >> shift
-            if np.unique(hashed).size == k:
+            if len(set(hashed.tolist())) == k:  # np.unique would import numpy.ma
                 slots = np.zeros(1 << bits, dtype=np.intp)
                 slots[hashed] = np.arange(k)
                 return cls(words, lengths, multiplier, shift, slots)
         return None
 
     def buffer(self, data: bytes) -> np.ndarray:
-        """``data`` as a uint8 array, padded for the word reads of ``codes``."""
-        return np.frombuffer(data + bytes(8 * self.words.shape[1]), dtype=np.uint8)
+        """``data`` as a writable uint8 array, padded for the word reads of ``codes``."""
+        pad = np.zeros(8 * self.words.shape[1], dtype=np.uint8)
+        return np.concatenate((np.frombuffer(data, dtype=np.uint8), pad))
 
     def codes(self, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         """(len(starts), m) int codes of order rows, m = K.  Row r is
@@ -516,18 +527,6 @@ class _NameTable:
         out = np.full((num_rows, m), -1, dtype=np.int64)
         out[whole] = found[np.repeat(whole, counts)].reshape(-1, m)
         return out
-
-
-def _joined_rows(table: _NameTable, texts: list[str]):
-    """(buffer, starts, ends) for ``_NameTable.codes`` of order texts, each
-    one line: the texts joined by newlines, each row's first token one byte
-    past its start when the text starts with a space."""
-    buf = table.buffer(("\n".join(texts) + "\n").encode("utf-8", "surrogatepass"))
-    ends = np.flatnonzero(buf == 10)
-    starts = np.zeros_like(ends)
-    starts[1:] = ends[:-1] + 1
-    starts += buf.take(starts) == 32
-    return buf, starts, ends
 
 
 def _token_keys(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -289,15 +289,21 @@ def test_first_bad_party_line_wins():
     with pytest.raises(ParseError, match="duplicate party name 'P1'") as err:
         pc.parse_instance(text)
     assert _line_of(err.value) == first + 2_000
+    # Skipped lines before a bad order, with "\n" or "\r\n" line ends, keep its line.
+    text, first = _long_file(3_000, {2_000: "party X 1: a > a > b"})
+    text = text.replace("party P10 1:", "# note\n\n  \nparty P10 1:")
+    for body in (text, text.replace("\n", "\r\n")):
+        with pytest.raises(ParseError, match="duplicate 1") as err:
+            pc.parse_instance(body)
+        assert _line_of(err.value) == first + 2_003
 
 
 def test_other_spellings_parse_like_canonical_orders(monkeypatch):
-    """Both tokenizing steps, and the re-read of the rows they cannot read,
-    give the same arrays.  1,500 parties without a tab are a block, read
-    from its bytes in chunks of 512, 512 and 476 rows.  With a tab they go
-    through the line loop: two chunks read from their bytes and one of 476
-    rows (1,428 names) read by the str step.  12 parties are read by the
-    str step alone, and with no name table all are."""
+    """The block read, the str step, and the re-read of the rows they cannot
+    read give the same arrays.  1,500 parties are a block, read from its
+    bytes in chunks of 512, 512 and 476 rows, also with tabs in their
+    orders.  With a tab in a head they go through the line loop's str step,
+    as 12 parties do, and with no name table all are."""
     byte_chunks = []
     read_bytes = instance_io._NameTable.codes
     monkeypatch.setattr(
@@ -315,26 +321,27 @@ def test_other_spellings_parse_like_canonical_orders(monkeypatch):
             .replace("b > p > a", "  b > p >a\u2003")
         )
         mixed = text.replace("party P7 1: b > p > a", "party P7 1: b>p >  a")
+        tabbed_head = text.replace("party P7 1:", "party P7\t1:")
         canonical = pc.parse_instance(text)
-        for body in (respelled, mixed):
+        for body in (respelled, mixed, tabbed_head):
             again = pc.parse_instance(body)
             assert again.instance == canonical.instance
             assert again.party_names == canonical.party_names
         parsed[num_parties] = canonical.instance.election.orders
-    block, tabbed = [512, 512, 476], [512, 512]
-    assert byte_chunks == block + tabbed + block  # canonical, respelled, mixed
+    block = [512, 512, 476]
+    assert byte_chunks == block * 3  # canonical, respelled, mixed
     assert np.array_equal(parsed[12][1:], parsed[1_500][1:12])
     monkeypatch.setattr(instance_io, "_MULTIPLIERS", instance_io._MULTIPLIERS[:0])  # no table
     text, _ = _long_file(1_500)
     assert np.array_equal(pc.parse_instance(text).instance.election.orders, parsed[1_500])
-    assert byte_chunks == block + tabbed + block
+    assert byte_chunks == block * 3
 
 
 _SPECIAL_NAMES = ("a", "a\x00", "abcdefgh1", "abcdefgh2", "\ud800", "é", "名前", "x" * 20)
 _NAMES = st.lists(
     st.one_of(
         st.sampled_from(_SPECIAL_NAMES),
-        st.text(st.characters(exclude_characters=">"), min_size=1, max_size=20),
+        st.text(st.characters(exclude_characters=">#"), min_size=1, max_size=20),
     ).filter(lambda x: x.split() == [x] and len(x.encode("utf-8", "surrogatepass")) <= 20),
     min_size=3, max_size=6, unique=True,
 )
@@ -374,51 +381,57 @@ def _order_texts(draw):
             text = " > ".join(order) + " >"
         else:
             text = " > ".join(order)
-        texts.append(draw(st.sampled_from(("", " ", "\t"))) + text)
+        lead = draw(st.sampled_from(("", " ", "\t")))
+        texts.append(lead + text + draw(st.sampled_from(("", " ", " \t"))))
     return names, texts
 
 
 @settings(max_examples=80, deadline=None)
 @given(_order_texts())
 def test_party_orders_match_a_row_by_row_reading(drawn):
-    """``_parse_parties`` against ``_party_order`` on every row, on a file
-    of one chunk (at most 504 rows) that is read from its bytes and ends
-    with the last drawn text.  The byte step reads exactly the rows that,
-    past one leading space, split on " > " into m names, and its match test
-    alone gives a name's code to exactly that name's tokens, whatever slot
-    the hash picks."""
+    """A block of one chunk (at most 504 rows) that repeats the drawn order
+    texts, each right after its line's ':', against ``_party_order`` on
+    every row.  The bulk read takes exactly the rows that, past one leading
+    space and without their last spaces, split on " > " into m names, and
+    its match test alone gives a name's code to exactly that name's tokens,
+    whatever slot the hash picks."""
     names, texts = drawn
     m = len(names)
     index = {x: i for i, x in enumerate(names)}
-    table = instance_io._NameTable.build(index)
-    assert table is not None
     rows = -(-instance_io._BYTE_STEP_TOKENS // m)
     rows = -(-rows // len(texts)) * len(texts)
-    lines = [(i + 1, f"party P{i} 1", texts[i % len(texts)]) for i in range(rows)]
+    lines = [(i + 1, texts[i % len(texts)]) for i in range(rows)]
+    rest = "".join(f"party P{n} 1:{text}\n" for n, text in lines)
+    block = instance_io._party_block(rest, 1, (0, " ".join(names)))
+    assert block is not None
 
-    joined = instance_io._joined_rows(table, texts)
-    read = table.codes(*joined)
-    split = [text.removeprefix(" ").split(" > ") for text in texts]
+    calls = []
+    read_bytes = instance_io._NameTable.codes
+    with mock.patch.object(
+        instance_io._NameTable, "codes",
+        lambda table, *args: calls.append((table, args)) or read_bytes(table, *args),
+    ):
+        try:
+            expected = [instance_io._party_order(n, text, index) for n, text in lines]
+        except ParseError as exc:
+            with pytest.raises(ParseError) as err:
+                block.parties(index)
+            assert (str(err.value), err.value.line_no) == (str(exc), exc.line_no)
+        else:
+            _, ranks, _ = block.parties(index)
+            assert np.argsort(ranks, axis=1).tolist() == [list(order) for order in expected]
+
+    [(table, args)] = calls
+    read = read_bytes(table, *args)
+    split = [text.removeprefix(" ").rstrip(" ").split(" > ") for _, text in lines]
     split = np.array([[index.get(x, -1) for x in row] if len(row) == m else [-1] * m
                       for row in split])
     valid = ~invalid_orders(read)
     assert np.array_equal(valid, ~invalid_orders(split))
     assert np.array_equal(read[valid], split[valid])
     for c in range(m):
-        forced = dataclasses.replace(table, slots=np.full_like(table.slots, c)).codes(*joined)
+        forced = dataclasses.replace(table, slots=np.full_like(table.slots, c)).codes(*args)
         assert np.array_equal(forced, np.where(read == c, c, -1))
-
-    try:
-        expected = [
-            instance_io._party_order(n, text, index) for n, _, text in lines
-        ]
-    except ParseError as exc:
-        with pytest.raises(ParseError) as err:
-            instance_io._parse_parties(lines, index)
-        assert (str(err.value), err.value.line_no) == (str(exc), exc.line_no)
-    else:
-        _, ranks, _ = instance_io._parse_parties(lines, index)
-        assert np.argsort(ranks, axis=1).tolist() == [list(order) for order in expected]
 
 
 def _outcome(text: str):
@@ -429,6 +442,19 @@ def _outcome(text: str):
         return str(err), err.line_no
 
 
+def _read_both(text: str) -> bool:
+    """Whether the block read ``text``, once its outcome, parse or error
+    and line, is the line loop's."""
+    took = []
+    block = instance_io._party_block
+    spy = lambda *args: took.append(block(*args)) or took[-1]  # noqa: E731
+    with mock.patch.object(instance_io, "_party_block", spy):
+        got = _outcome(text)
+    with mock.patch.object(instance_io, "_party_block", lambda *args: None):
+        assert got == _outcome(text)
+    return bool(took) and took[0] is not None
+
+
 def _set_size(size):
     return lambda line: re.sub(r"^party (\S+) \S+:", rf"party \1 {size}:", line)
 
@@ -437,7 +463,8 @@ def _in_order(old, new):
     return lambda line: line.replace(":", "\0", 1).replace(old, new, 1).replace("\0", ":", 1)
 
 
-# Mutations of one party line, by whether the file stays a block.
+# Mutations of one party line, by whether the file stays a block.  A
+# string joins the line to the next one with that line break.
 _REGULAR = {
     "double space in head": lambda line: line.replace(" ", "  ", 1),
     "trailing space": lambda line: line + " ",
@@ -450,13 +477,21 @@ _REGULAR = {
     "order a>b": _in_order(" > ", ">"),
     "unknown candidate": _in_order(" > ", " > q"),
     "repeated candidate": _in_order(" > p", " > p > p"),
+    "tab in an order": _in_order(" > ", " >\t"),
+    "CRLF": lambda line: line + "\r",
+    "comment": lambda line: line + " # note: a > b",
+    "comment-only line": lambda line: "  # note: a > b\n" + line,
+    "blank line": lambda line: "\n" + line,
+    "whitespace-only line": lambda line: " \t\u3000\n" + line,
+    "non-ASCII name": lambda line: line.replace("party P", "party Pé", 1),
+    "lone CR line end": "\r",
+    "NEL line break": "\x85",
+    "LS line break": "\u2028",
 }
 _IRREGULAR = {
     "tab in head": lambda line: line.replace(" ", "\t", 1),
-    "CRLF": lambda line: line + "\r",
-    "comment": lambda line: line + " # note",
-    "blank line": lambda line: "\n" + line,
-    "non-ASCII name": lambda line: line.replace("party P", "party Pé", 1),
+    "no-break space in head": lambda line: line.replace(" ", " \xa0", 1),
+    "\\x1f in head": lambda line: line.replace(" ", " \x1f", 1),
     "duplicate name": lambda line: re.sub(r"^party \S+ ", "party P0 ", line),
     "size -1": _set_size(-1),
     "size x": _set_size("x"),
@@ -472,8 +507,11 @@ _KINDS = sorted(_REGULAR) + sorted(_IRREGULAR) + [
 
 
 def _mutate(lines: list[str], kind: str, at: int) -> None:
-    if kind in _REGULAR or kind in _IRREGULAR:
-        lines[at] = {**_REGULAR, **_IRREGULAR}[kind](lines[at])
+    change = {**_REGULAR, **_IRREGULAR}.get(kind)
+    if isinstance(change, str):
+        lines[at] += change + lines.pop(at + 1)
+    elif change is not None:
+        lines[at] = change(lines[at])
     elif kind.startswith("size moved"):  # the two heads still hold six tokens
         head, colon, order = lines[at].partition(":")
         *words, size = head.split()
@@ -498,15 +536,25 @@ def test_party_block_parses_like_the_line_loop(kind, data):
     for each in kinds:
         _mutate(lines, each, data.draw(st.integers(first - 1, len(lines) - 2)))
     text = "\n".join(lines) + "\n" * ("no final newline" not in kinds)
-    took = []
-    block = instance_io._party_block
-    spy = lambda *args: took.append(block(*args)) or took[-1]  # noqa: E731
-    with mock.patch.object(instance_io, "_party_block", spy):
-        got = _outcome(text)
-    with mock.patch.object(instance_io, "_party_block", lambda *args: None):
-        assert got == _outcome(text)
+    read_as_block = _read_both(text)
     if set(kinds) <= set(_REGULAR) | {"no final newline"}:
-        assert took[0] is not None
+        assert read_as_block
+
+
+def test_block_reads_whitespace_as_the_str_methods_do():
+    """The block's line breaks are those of ``str.splitlines``, and a head
+    that holds any other whitespace but a space is left to the line loop,
+    even on the last line, where a misread head could not shift the next."""
+    spaces = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
+    breaks = {c for c in spaces if len(f"a{c}b".splitlines()) == 2}
+    assert breaks == set(instance_io._LINE_BREAKS[1] + "\r\n")
+    assert spaces == breaks | set(instance_io._HEAD_SPACES) | {" "}
+    ascii_breaks = "".join(c for c in instance_io._LINE_BREAKS[1] if c.isascii())
+    assert instance_io._LINE_BREAKS[0] == ascii_breaks
+    text, _ = _long_file(600)
+    for char in instance_io._HEAD_SPACES:
+        for head in (f"party P5{char}99 1:", f"party {char}P599 1:"):
+            assert not _read_both(text.replace("party P599 1:", head))
 
 
 @pytest.mark.parametrize("candidates, message", [
