@@ -11,7 +11,8 @@ file with at least ``_BYTE_STEP_TOKENS`` order names are read in bulk
 (``_party_block``): every head in one split, every order from the bytes.
 Smaller files, and those with a header among the party lines or a head the
 block cannot vouch for, go through the line loop (``_read_lines``, then
-``_parse_parties``), so every parse error keeps its message and line.
+``_parse_parties``), which reads one whole line at a time, so every parse
+error keeps its message and line.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -139,7 +139,9 @@ def parse_instance(text: str) -> ParsedInstance:
     headers: dict[str, tuple[int, str]] = {}
     party_lines: list[tuple[int, str, str]] = []  # (line number, head, order text)
     # The header lines end where the first line that starts with "party " does.
-    at = 0 if text.startswith("party ") else text.find("\nparty ") + 1 or len(text)
+    # A lone "\r" ends a line too; it is looked for only before the first "\n" one.
+    at = text.find("\nparty ") + 1 or len(text)
+    at = 0 if text.startswith("party ") else text.find("\rparty ", 0, at) + 1 or at
     lines = text[:at].splitlines()
     _read_lines(lines, 1, headers, party_lines)
     rest = text[at:]
@@ -249,15 +251,15 @@ def _read_lines(
         headers[key] = (line_no, value.strip())
 
 
-# Party lines per tokenizing step.  It bounds the temporaries held at once:
-# the token lists of the str step and the per-token arrays of ``_NameTable.codes``.
+# Block rows per ``_NameTable.codes`` call; it bounds the per-token arrays held at once.
 _PARTY_CHUNK = 512
 # Names (lines times candidates) from which party lines are read in bulk
-# (``_party_block``), not by the line loop's str step.  The bulk read costs
-# about 65 us per chunk plus 15-30 us per file for the name table (m <= 50),
-# against 0.1-0.2 us per name for the str step; timed on one chunk, it was
-# faster from 900-1,200 names at m = 3-12 and from 1,200-1,500 at m = 25-50.
-_BYTE_STEP_TOKENS = 1_500
+# (``_party_block``), not by the line loop.  The block costs 250-300 us up
+# to 1,500 names, the line loop 0.25-0.9 us per name.  Timed against each
+# other (best of 30-60), the block was faster from 300-450 names at m = 3,
+# 450-600 at m = 6, 700-750 at m = 12, 800-900 at m = 25 and 1,100-1,200
+# at m = 50.
+_BYTE_STEP_TOKENS = 1_200
 
 
 def _parse_parties(party_lines: list[tuple[int, str, str]], index: dict[str, int]):
@@ -265,40 +267,40 @@ def _parse_parties(party_lines: list[tuple[int, str, str]], index: dict[str, int
     collected, each given as (line number, head, order text): the text
     before the line's first ``:``, stripped, and the text after it.
 
-    Heads are read line by line by ``_party_heads``, which also refuses a
-    size that brings the voter count n to n * m >= ``VOTER_CELL_BOUND``.
-    Orders are split on ``" > "``, ``_PARTY_CHUNK`` lines at a time, and
-    looked up in ``index`` straight into an (l, m) array, and every row is
-    validated at once.  A row that this cannot read, because it is
-    malformed or only spelled differently (``a>b``), is re-read by
-    ``_party_order``, which returns its order or raises its ParseError.
-    Rows are re-read in line order, and a head error is raised only after
-    the rows above it, so a file yields the same parties, or the same first
-    error, as a line-by-line reading.
-
-    The split is exact: candidate names hold neither whitespace nor ``>``
-    (the ``candidates:`` line is split, and refuses ``>``), so a text that
-    splits on ``" > "`` into m names after stripping splits on ``">"`` into
-    the same names after stripping.
+    Each line is read whole before the next, so the first bad line raises
+    its own ParseError.  Its head must read ``party <name> <size>``, with a
+    new name and a size that ``int`` reads as non-negative and that keeps
+    the voter count n at n * m < ``VOTER_CELL_BOUND``; its order is read by
+    ``_party_order``.
     """
     m = len(index)
-    names, sizes, head_error = _party_heads(party_lines, m)
-    texts = [text for _, _, text in party_lines[: len(names)]]
-
-    orders = np.empty((len(texts), m), dtype=np.int64)
-    unread = ("",) * m  # no name is empty, so the row fails validation
-    for lo in range(0, len(texts), _PARTY_CHUNK):
-        rows = [text.strip().split(" > ") for text in texts[lo : lo + _PARTY_CHUNK]]
-        tokens = chain.from_iterable(row if len(row) == m else unread for row in rows)
-        codes = np.fromiter(
-            map(index.get, tokens, repeat(-1)), dtype=np.int64, count=len(rows) * m
-        )
-        orders[lo : lo + len(rows)] = codes.reshape(len(rows), m)
-    for q in np.flatnonzero(invalid_orders(orders)).tolist():
-        orders[q] = _party_order(party_lines[q][0], texts[q], index)
-    if head_error is not None:
-        raise head_error
-    return names, ranks_from_orders(orders), np.array(sizes, dtype=np.int64)
+    parties: dict[str, int] = {}  # each name's size, in line order
+    orders = []
+    total = 0
+    for line_no, head, text in party_lines:
+        fields = head.split()
+        if len(fields) != 3:
+            raise ParseError(line_no, "party line must read 'party <name> <size>: ...'")
+        _, name, size_text = fields
+        if name in parties:
+            raise ParseError(line_no, f"duplicate party name {name!r}")
+        try:
+            size = int(size_text)
+        except ValueError:
+            raise ParseError(line_no, f"party size must be an integer, got {size_text!r}")
+        if size < 0:
+            raise ParseError(line_no, f"party size must be non-negative, got {size}")
+        total += size
+        if total * m >= VOTER_CELL_BOUND:
+            raise ParseError(
+                line_no, f"party {name} brings the voter count to {total}: "
+                "voters times candidates must stay below 2**62",
+            )
+        parties[name] = size
+        orders.append(_party_order(line_no, text, index))
+    orders = np.array(orders, dtype=np.int64).reshape(-1, m)
+    sizes = np.array(list(parties.values()), dtype=np.int64)
+    return list(parties), ranks_from_orders(orders), sizes
 
 
 # The line breaks of ``str.splitlines`` other than "\n" and "\r": ASCII, and all.
@@ -537,55 +539,19 @@ def _token_keys(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _party_heads(party_lines: list[tuple[int, str, str]], m: int):
-    """(names, sizes, error) of the party heads ``party <name> <size>``:
-    the names and sizes of the lines above the first bad head, and that
-    head's ParseError, or None when every head is good.  The running
-    voter count n must keep n * m < ``VOTER_CELL_BOUND``."""
-    names: list[str] = []
-    sizes: list[int] = []
-    seen: set[str] = set()
-    total = 0
-    try:
-        for line_no, head, _ in party_lines:
-            fields = head.split()
-            if len(fields) != 3:
-                raise ParseError(line_no, "party line must read 'party <name> <size>: ...'")
-            _, name, size_text = fields
-            if name in seen:
-                raise ParseError(line_no, f"duplicate party name {name!r}")
-            try:
-                size = int(size_text)
-            except ValueError:
-                raise ParseError(line_no, f"party size must be an integer, got {size_text!r}")
-            if size < 0:
-                raise ParseError(line_no, f"party size must be non-negative, got {size}")
-            total += size
-            if total * m >= VOTER_CELL_BOUND:
-                raise ParseError(
-                    line_no, f"party {name} brings the voter count to {total}: "
-                    "voters times candidates must stay below 2**62",
-                )
-            names.append(name)
-            seen.add(name)
-            sizes.append(size)
-    except ParseError as exc:
-        return names, sizes, exc
-    return names, sizes, None
-
-
 def _party_order(line_no: int, order_text: str, index: dict[str, int]) -> tuple[int, ...]:
-    """The order of one party line, read name by name."""
-    order_names = [x.strip() for x in order_text.split(">")]
-    if order_names == [""]:
+    """The order of one party line, read name by name: its text split on
+    ``>``, each name stripped.  ``validate_preference`` is called only to
+    word the error of a tuple that is not m distinct codes."""
+    if not order_text.strip():
         raise ParseError(line_no, "empty preference order")
     try:
-        order = tuple(index[x] for x in order_names)
+        order = tuple(map(index.__getitem__, map(str.strip, order_text.split(">"))))
     except KeyError as exc:
         raise ParseError(line_no, f"unknown candidate {exc.args[0]!r} in preference")
-    problem = validate_preference(order, len(index))
-    if problem is not None:
-        raise ParseError(line_no, f"bad preference: {problem}")
+    m = len(index)
+    if len(order) != m or len(set(order)) != m:
+        raise ParseError(line_no, f"bad preference: {validate_preference(order, m)}")
     return order
 
 

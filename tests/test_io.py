@@ -258,7 +258,7 @@ def _long_file(num_parties: int, bad: dict[int, str] | None = None) -> tuple[str
 def test_bad_order_late_in_long_file(order, message):
     # 3,000 parties are a block, read from its bytes 512 rows at a time:
     # row 2,700 lies in the last chunk of 440 rows, and rows 511-513 on both
-    # sides of a chunk boundary.  A 12-party file is read by the str step only.
+    # sides of a chunk boundary.  A 12-party file is read by the line loop only.
     for num_parties, bad in ((3_000, 2_700), (3_000, 511), (3_000, 512), (3_000, 513), (12, 7)):
         text, first = _long_file(num_parties, {bad: f"party X 1: {order}".rstrip()})
         with pytest.raises(ParseError) as err:
@@ -268,42 +268,44 @@ def test_bad_order_late_in_long_file(order, message):
 
 
 def test_first_bad_party_line_wins():
-    order_then_head = {2_000: "party X 1: a > a > b", 2_500: "party Y -1: p > a > b"}
-    text, first = _long_file(3_000, order_then_head)
-    with pytest.raises(ParseError, match="duplicate 1") as err:
-        pc.parse_instance(text)
-    assert _line_of(err.value) == first + 2_000
-    head_then_order = {2_000: "party Y x: p > a > b", 2_500: "party X 1: a > a > b"}
-    text, first = _long_file(3_000, head_then_order)
-    with pytest.raises(ParseError, match="party size must be an integer") as err:
-        pc.parse_instance(text)
-    assert _line_of(err.value) == first + 2_000
+    # 3,000 parties are a block; 12 are read by the line loop alone.
+    for num_parties, early, late in ((3_000, 2_000, 2_500), (12, 7, 9)):
+        order_then_head = {early: "party X 1: a > a > b", late: "party Y -1: p > a > b"}
+        text, first = _long_file(num_parties, order_then_head)
+        with pytest.raises(ParseError, match="duplicate 1") as err:
+            pc.parse_instance(text)
+        assert _line_of(err.value) == first + early
+        head_then_order = {early: "party Y x: p > a > b", late: "party X 1: a > a > b"}
+        text, first = _long_file(num_parties, head_then_order)
+        with pytest.raises(ParseError, match="party size must be an integer") as err:
+            pc.parse_instance(text)
+        assert _line_of(err.value) == first + early
+        # A bad order on the same line as a bad head: the head is reported.
+        text, first = _long_file(num_parties, {early: "party P1 1: a > a > b"})
+        with pytest.raises(ParseError, match="duplicate party name 'P1'") as err:
+            pc.parse_instance(text)
+        assert _line_of(err.value) == first + early
+        # Skipped lines before a bad order, with "\n" or "\r\n" line ends, keep its line.
+        text, first = _long_file(num_parties, {early: "party X 1: a > a > b"})
+        text = text.replace("party P5 1:", "# note\n\n  \nparty P5 1:")
+        for body in (text, text.replace("\n", "\r\n")):
+            with pytest.raises(ParseError, match="duplicate 1") as err:
+                pc.parse_instance(body)
+            assert _line_of(err.value) == first + early + 3
     # Bad orders on both sides of a chunk boundary: the first is reported.
     across = {511: "party X 1: a > p\x00 > b", 513: "party Y 1: a > a > b"}
     text, first = _long_file(3_000, across)
     with pytest.raises(ParseError, match="unknown candidate 'p\\\\x00'") as err:
         pc.parse_instance(text)
     assert _line_of(err.value) == first + 511
-    # A bad order on the same line as a bad head: the head is reported.
-    text, first = _long_file(3_000, {2_000: "party P1 1: a > a > b"})
-    with pytest.raises(ParseError, match="duplicate party name 'P1'") as err:
-        pc.parse_instance(text)
-    assert _line_of(err.value) == first + 2_000
-    # Skipped lines before a bad order, with "\n" or "\r\n" line ends, keep its line.
-    text, first = _long_file(3_000, {2_000: "party X 1: a > a > b"})
-    text = text.replace("party P10 1:", "# note\n\n  \nparty P10 1:")
-    for body in (text, text.replace("\n", "\r\n")):
-        with pytest.raises(ParseError, match="duplicate 1") as err:
-            pc.parse_instance(body)
-        assert _line_of(err.value) == first + 2_003
 
 
 def test_other_spellings_parse_like_canonical_orders(monkeypatch):
-    """The block read, the str step, and the re-read of the rows they cannot
-    read give the same arrays.  1,500 parties are a block, read from its
-    bytes in chunks of 512, 512 and 476 rows, also with tabs in their
-    orders.  With a tab in a head they go through the line loop's str step,
-    as 12 parties do, and with no name table all are."""
+    """The block read, the line loop, and the block's re-read of the rows it
+    cannot read give the same arrays.  1,500 parties are a block, read from
+    its bytes in chunks of 512, 512 and 476 rows, also with tabs in their
+    orders.  With a tab in a head they go through the line loop, as 12
+    parties do, and with no name table all are."""
     byte_chunks = []
     read_bytes = instance_io._NameTable.codes
     monkeypatch.setattr(
@@ -555,6 +557,7 @@ def test_block_reads_whitespace_as_the_str_methods_do():
     for char in instance_io._HEAD_SPACES:
         for head in (f"party P5{char}99 1:", f"party {char}P599 1:"):
             assert not _read_both(text.replace("party P599 1:", head))
+    assert _read_both(text.replace("\n", "\r"))
 
 
 @pytest.mark.parametrize("candidates, message", [
