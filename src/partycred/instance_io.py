@@ -7,7 +7,7 @@ errors carry the 1-based line number.
 
 ``parse_instance`` reads the party lines straight into the election's rank
 and size arrays; no per-party objects are built.  Party lines that end the
-file with at least ``_BYTE_STEP_TOKENS`` order names are read in bulk
+file with at least ``_BLOCK_MIN_NAMES`` order names are read in bulk
 (``_party_block``): every head in one split, every order from the bytes.
 Smaller files, and those with a header among the party lines or a head the
 block cannot vouch for, go through the line loop (``_read_lines``, then
@@ -65,28 +65,30 @@ class ParsedInstance:
         return self.candidate_names[self.instance.p]
 
 
+# The rules that take no parameter, each built for m candidates.
+_PLAIN_RULES = {
+    "plurality": lambda m: Scoring(vector=scoring_vector_for("plurality", m)),
+    "veto": lambda m: Scoring(vector=scoring_vector_for("veto", m)),
+    "borda": lambda m: Scoring(vector=scoring_vector_for("borda", m)),
+    "condorcet": lambda m: Condorcet(),
+    "maximin": lambda m: Maximin(),
+}
+
+
 def parse_rule_spec(spec: str, num_candidates: int) -> Rule:
     """Parse a rule string like ``borda``, ``approval:2`` or ``copeland:1/2``."""
     spec = spec.strip()
     head, _, arg = spec.partition(":")
-    if head in ("plurality", "veto", "borda"):
+    if head in _PLAIN_RULES:
         if arg:
             raise ValueError(f"rule {head} takes no parameter")
-        return Scoring(vector=scoring_vector_for(head, num_candidates))
+        return _PLAIN_RULES[head](num_candidates)
     if head == "approval":
         try:
             r = int(arg)
         except ValueError:
             raise ValueError(f"approval needs an integer parameter, got {arg!r}")
         return Scoring(vector=scoring_vector_for("approval", num_candidates, r))
-    if head == "condorcet":
-        if arg:
-            raise ValueError("rule condorcet takes no parameter")
-        return Condorcet()
-    if head == "maximin":
-        if arg:
-            raise ValueError("rule maximin takes no parameter")
-        return Maximin()
     if head == "copeland":
         return Copeland(alpha=parse_alpha(arg))
     raise ValueError(f"unknown rule {spec!r}")
@@ -132,7 +134,60 @@ def rule_to_spec(rule: Rule) -> str:
     raise ValueError(f"scoring vector {vector} has no named spelling")
 
 
-_HEADER_KEYS = ("candidates", "rule", "model", "dest", "direction", "k", "distinguished")
+def _read_candidates(text: str, read: dict) -> dict[str, int]:
+    names = text.split()
+    if len(names) != len(set(names)):
+        raise ValueError("duplicate candidate name")
+    if len(names) < 2:
+        raise ValueError("need at least two candidates")
+    for name in names:
+        if ">" in name:
+            raise ValueError(f"candidate name {name!r} contains '>', the order separator")
+    return {name: i for i, name in enumerate(names)}
+
+
+def _read_k(text: str, read: dict) -> int:
+    try:
+        k = int(text)
+    except ValueError:
+        raise ValueError(f"k must be an integer, got {text!r}")
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    return k
+
+
+def _read_distinguished(text: str, read: dict) -> int:
+    if text not in read["candidates"]:
+        raise ValueError(f"unknown distinguished candidate {text!r}")
+    return read["candidates"][text]
+
+
+def _enum_header(key: str, enum, field: str):
+    """The reader and printer of a header that names one of ``enum``'s values."""
+    def read_enum(text: str, read: dict):
+        try:
+            return enum(text)
+        except ValueError:
+            raise ValueError(f"{key} must be {' or '.join(e.value for e in enum)}, got {text!r}")
+    return read_enum, lambda parsed: getattr(parsed.instance, field).value
+
+
+# The instance header, one line per key, in file order.  Each key has a
+# reader, given its value text and the values of the keys before it, that
+# raises ValueError with the message of the key's ParseError, and a
+# printer, given the ParsedInstance.
+_HEADERS = {
+    "candidates": (_read_candidates, lambda parsed: " ".join(parsed.candidate_names)),
+    "rule": (
+        lambda text, read: parse_rule_spec(text, len(read["candidates"])),
+        lambda parsed: rule_to_spec(parsed.instance.rule),
+    ),
+    "model": _enum_header("model", WinnerModel, "model"),
+    "dest": _enum_header("dest", DestinationMode, "destination_mode"),
+    "direction": _enum_header("direction", Direction, "direction"),
+    "k": (_read_k, lambda parsed: str(parsed.instance.k)),
+    "distinguished": (_read_distinguished, lambda parsed: parsed.p_name),
+}
 
 
 def parse_instance(text: str) -> ParsedInstance:
@@ -149,58 +204,17 @@ def parse_instance(text: str) -> ParsedInstance:
     if block is None:
         _read_lines(rest.splitlines(), len(lines) + 1, headers, party_lines)
 
-    for key in _HEADER_KEYS:
+    for key in _HEADERS:
         if key not in headers:
             raise ParseError(len(text.splitlines()) or 1, f"missing required key {key!r}")
-
-    line_no, value = headers["candidates"]
-    names = value.split()
-    if len(names) != len(set(names)):
-        raise ParseError(line_no, "duplicate candidate name")
-    if len(names) < 2:
-        raise ParseError(line_no, "need at least two candidates")
-    for name in names:
-        if ">" in name:
-            raise ParseError(line_no, f"candidate name {name!r} contains '>', the order separator")
-    index = {name: i for i, name in enumerate(names)}
-    m = len(names)
-
-    line_no, value = headers["rule"]
-    try:
-        rule = parse_rule_spec(value, m)
-    except ValueError as exc:
-        raise ParseError(line_no, str(exc))
-
-    line_no, value = headers["model"]
-    try:
-        model = WinnerModel(value)
-    except ValueError:
-        raise ParseError(line_no, f"model must be unique or cowinner, got {value!r}")
-
-    line_no, value = headers["dest"]
-    try:
-        dest_mode = DestinationMode(value)
-    except ValueError:
-        raise ParseError(line_no, f"dest must be one or multi, got {value!r}")
-
-    line_no, value = headers["direction"]
-    try:
-        direction = Direction(value)
-    except ValueError:
-        raise ParseError(line_no, f"direction must be min or max, got {value!r}")
-
-    line_no, value = headers["k"]
-    try:
-        k = int(value)
-    except ValueError:
-        raise ParseError(line_no, f"k must be an integer, got {value!r}")
-    if k < 1:
-        raise ParseError(line_no, f"k must be positive, got {k}")
-
-    line_no, value = headers["distinguished"]
-    if value not in index:
-        raise ParseError(line_no, f"unknown distinguished candidate {value!r}")
-    p = index[value]
+    read: dict[str, object] = {}
+    for key, (reader, _) in _HEADERS.items():
+        line_no, value = headers[key]
+        try:
+            read[key] = reader(value, read)
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc))
+    index = read["candidates"]
 
     if block is not None:
         party_names, ranks, sizes = block.parties(index)
@@ -212,14 +226,14 @@ def parse_instance(text: str) -> ParsedInstance:
     election = PartyElection.from_arrays(ranks, sizes)
     try:
         instance = ProblemInstance(
-            election=election, p=p, k=k, rule=rule, model=model,
-            destination_mode=dest_mode, direction=direction,
+            election=election, p=read["distinguished"], k=read["k"], rule=read["rule"],
+            model=read["model"], destination_mode=read["dest"], direction=read["direction"],
         )
     except ValueError as exc:
         raise ParseError(headers["distinguished"][0], str(exc))
     return ParsedInstance(
         instance=instance,
-        candidate_names=tuple(names),
+        candidate_names=tuple(index),
         party_names=tuple(party_names),
     )
 
@@ -244,7 +258,7 @@ def _read_lines(
         if key.startswith("party ") or key == "party":
             party_lines.append((line_no, key, value))
             continue
-        if key not in _HEADER_KEYS:
+        if key not in _HEADERS:
             raise ParseError(line_no, f"unknown key {key!r}")
         if key in headers:
             raise ParseError(line_no, f"duplicate key {key!r} (first on line {headers[key][0]})")
@@ -259,7 +273,7 @@ _PARTY_CHUNK = 512
 # other (best of 30-60), the block was faster from 300-450 names at m = 3,
 # 450-600 at m = 6, 700-750 at m = 12, 800-900 at m = 25 and 1,100-1,200
 # at m = 50.
-_BYTE_STEP_TOKENS = 1_200
+_BLOCK_MIN_NAMES = 1_200
 
 
 def _parse_parties(party_lines: list[tuple[int, str, str]], index: dict[str, int]):
@@ -347,14 +361,14 @@ def _party_block(
     read ``party NAME SIZE: ORDER``, with a unique NAME, a SIZE that ``int``
     reads as non-negative, voters times candidates below
     ``VOTER_CELL_BOUND`` and no whitespace but spaces in the head.  The
-    lines must hold at least ``_BYTE_STEP_TOKENS`` order names, and the
+    lines must hold at least ``_BLOCK_MIN_NAMES`` order names, and the
     candidates must get a ``_NameTable``.  The line loop would then read
     the same heads without an error, so only the orders can fail, and
     ``_PartyBlock.parties`` raises their first error as ``_parse_parties``
     does.  The block is read as UTF-8 (``surrogatepass``, as the name table
     encodes names), where no byte of a non-ASCII character is ASCII."""
     # A name takes a character, and fewer than two names are a header error.
-    names = candidates[1].split() if candidates and len(rest) >= _BYTE_STEP_TOKENS else ()
+    names = candidates[1].split() if candidates and len(rest) >= _BLOCK_MIN_NAMES else ()
     m = len(names)
     table = _NameTable.build(dict.fromkeys(names)) if m > 1 else None
     if table is None:
@@ -387,7 +401,7 @@ def _party_block(
                 return None
         starts, ends, first = starts[rows], ends[rows], first[rows]
     rows = np.flatnonzero(rows)
-    if len(rows) * m < _BYTE_STEP_TOKENS:
+    if len(rows) * m < _BLOCK_MIN_NAMES:
         return None
     colons = marks.take(first)
     while (spaced := text.take(ends - 1) == 32).any():  # drop an order's last spaces, not its ':'
@@ -556,19 +570,10 @@ def _party_order(line_no: int, order_text: str, index: dict[str, int]) -> tuple[
 
 
 def serialize_instance(parsed: ParsedInstance, comment: str | None = None) -> str:
-    inst = parsed.instance
     names = parsed.candidate_names
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(f"candidates: {' '.join(names)}")
-    lines.append(f"rule: {rule_to_spec(inst.rule)}")
-    lines.append(f"model: {inst.model.value}")
-    lines.append(f"dest: {inst.destination_mode.value}")
-    lines.append(f"direction: {inst.direction.value}")
-    lines.append(f"k: {inst.k}")
-    lines.append(f"distinguished: {names[inst.p]}")
-    election = inst.election
+    lines = [f"# {comment}"] if comment else []
+    lines += [f"{key}: {show(parsed)}" for key, (_, show) in _HEADERS.items()]
+    election = parsed.instance.election
     for pname, size, order in zip(
         parsed.party_names, election.sizes.tolist(), election.orders.tolist()
     ):
@@ -581,37 +586,14 @@ def serialize_instance(parsed: ParsedInstance, comment: str | None = None) -> st
 
 
 def parse_graph(text: str):
-    """``n <count>``, optional ``t <bound>``, ``e u v`` lines; 0-based vertices."""
-    n = None
-    t = None
-    edges = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if fields[0] == "n" and len(fields) == 2:
-            if n is not None:
-                raise ParseError(line_no, "duplicate n line")
-            n = _int_field(line_no, fields[1])
-        elif fields[0] == "t" and len(fields) == 2:
-            if t is not None:
-                raise ParseError(line_no, "duplicate t line")
-            t = _int_field(line_no, fields[1])
-        elif fields[0] == "e" and len(fields) == 3:
-            edges.append(
-                (line_no, _int_field(line_no, fields[1]), _int_field(line_no, fields[2]))
-            )
-        else:
-            raise ParseError(line_no, f"expected 'n', 't' or 'e' line, got {raw.strip()!r}")
-    if n is None:
-        raise ParseError(len(text.splitlines()) or 1, "missing 'n' line")
-    if t is None:
-        raise ParseError(len(text.splitlines()) or 1, "missing 't' line")
+    """``n <count>``, ``t <bound>`` and ``e u v`` lines; 0-based vertices.
+    ``n`` and ``t`` are required, once each."""
+    lines = _int_lines(text, {"n": 1, "t": 1, "e": 2}, once=("n", "t"))
+    [(_, (n,))], [(_, (t,))], edges = lines.values()
     from .reductions import GraphInstance, ItemError
 
     try:
-        return GraphInstance(num_vertices=n, edges=tuple((u, v) for _, u, v in edges), bound=t)
+        return GraphInstance(num_vertices=n, edges=tuple(e for _, e in edges), bound=t)
     except ItemError as exc:
         raise ParseError(edges[exc.index][0], str(exc))
 
@@ -620,23 +602,8 @@ def parse_x3c(text: str):
     """``m <universe size>`` plus ``s a b c`` lines; 0-based elements.  An
     error in one set names its line; one of the whole system (the universe
     size, or an element not in exactly three sets) names the ``m`` line."""
-    m = None
-    sets = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if fields[0] == "m" and len(fields) == 2:
-            if m is not None:
-                raise ParseError(line_no, "duplicate m line")
-            m, m_line = _int_field(line_no, fields[1]), line_no
-        elif fields[0] == "s" and len(fields) == 4:
-            sets.append((line_no, tuple(_int_field(line_no, x) for x in fields[1:])))
-        else:
-            raise ParseError(line_no, f"expected 'm' or 's' line, got {raw.strip()!r}")
-    if m is None:
-        raise ParseError(len(text.splitlines()) or 1, "missing 'm' line")
+    lines = _int_lines(text, {"m": 1, "s": 3}, once=("m",))
+    [(m_line, (m,))], sets = lines.values()
     from .reductions import ItemError, X3CInstance
 
     try:
@@ -645,6 +612,32 @@ def parse_x3c(text: str):
         raise ParseError(sets[exc.index][0], str(exc))
     except ValueError as exc:
         raise ParseError(m_line, str(exc))
+
+
+def _int_lines(text: str, arities: dict[str, int], once: tuple[str, ...]):
+    """The ``key int...`` lines of a graph or 3-set file: for each key of
+    ``arities``, in its order, the (line number, ints) of its lines.  ``#``
+    starts a comment and blank lines are skipped.  Every other line must be
+    a key and its arity of integers; each key of ``once`` must appear
+    exactly once."""
+    lines = text.splitlines()
+    found: dict[str, list[tuple[int, tuple[int, ...]]]] = {key: [] for key in arities}
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, *fields = line.split()
+        if arities.get(key) != len(fields):
+            *keys, last = map(repr, arities)
+            expected = f"{', '.join(keys)} or {last}"
+            raise ParseError(line_no, f"expected {expected} line, got {raw.strip()!r}")
+        if key in once and found[key]:
+            raise ParseError(line_no, f"duplicate {key} line")
+        found[key].append((line_no, tuple(_int_field(line_no, x) for x in fields)))
+    for key in once:
+        if not found[key]:
+            raise ParseError(len(lines) or 1, f"missing {key!r} line")
+    return found
 
 
 def _int_field(line_no: int, text: str) -> int:

@@ -400,7 +400,7 @@ def test_party_orders_match_a_row_by_row_reading(drawn):
     names, texts = drawn
     m = len(names)
     index = {x: i for i, x in enumerate(names)}
-    rows = -(-instance_io._BYTE_STEP_TOKENS // m)
+    rows = -(-instance_io._BLOCK_MIN_NAMES // m)
     rows = -(-rows // len(texts)) * len(texts)
     lines = [(i + 1, texts[i % len(texts)]) for i in range(rows)]
     rest = "".join(f"party P{n} 1:{text}\n" for n, text in lines)
@@ -599,9 +599,9 @@ def test_only_large_benchmark_files_take_the_block_path(monkeypatch):
         took.clear()
         parsed = pc.parse_instance(text)
         names = len(parsed.party_names) * len(parsed.candidate_names)
-        large += names >= instance_io._BYTE_STEP_TOKENS
-        assert [b is not None for b in took] == [names >= instance_io._BYTE_STEP_TOKENS]
-        assert names < instance_io._BYTE_STEP_TOKENS or workload == "poly-large"
+        large += names >= instance_io._BLOCK_MIN_NAMES
+        assert [b is not None for b in took] == [names >= instance_io._BLOCK_MIN_NAMES]
+        assert names < instance_io._BLOCK_MIN_NAMES or workload == "poly-large"
     assert large == 6
 
 

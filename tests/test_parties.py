@@ -100,6 +100,14 @@ def test_apply_switch_source_is_destination():
     assert "destination" in plan_violation(election, pc.SwitchPlan(moves=((1, 1, 1),)))
 
 
+def test_check_witness_rejects_negative_and_unknown_moves():
+    inst = build(PLUR3, [((P, A, B), 2), ((A, P, B), 1)], p=P, k=1, direction="min")
+    check = pc.check_witness(inst, pc.SwitchPlan(moves=((0, 1, -1),)))
+    assert not check.ok and check.reason == "negative move count -1"
+    check = pc.check_witness(inst, pc.SwitchPlan(moves=((0, 2, 1),)))
+    assert not check.ok and check.reason == "unknown party in move (0 -> 2)"
+
+
 def test_plan_accessors():
     plan = pc.SwitchPlan(moves=((0, 2, 1), (1, 2, 2), (0, 2, 1)))
     assert plan.total == 4

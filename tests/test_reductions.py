@@ -165,6 +165,17 @@ def test_x3c_borda_identities(x3c):
     assert reduced.instance.k == n - m // 3
 
 
+@pytest.mark.parametrize("reduce", [rd.reduce_x3c_to_borda_max, rd.reduce_x3c_to_condorcet_max])
+def test_x3c_max_cover_converts_to_a_witness(reduce):
+    """The cover of sets 0 and 3 as a plan: Borda moves the parties of the
+    other four sets (``complement_selection``), Condorcet those of the two."""
+    reduced = reduce(X3C_YES6)
+    plan = reduced.witness_plan([0, 3])
+    assert plan.total == reduced.instance.k
+    assert plan.destinations() == {reduced.destination_party}
+    assert pc.check_witness(reduced.instance, plan).ok
+
+
 @pytest.mark.parametrize("x3c", [X3C_YES6, X3C_NO6], ids=["yes6", "no6"])
 def test_x3c_condorcet_identities(x3c):
     reduced = rd.reduce_x3c_to_condorcet_max(x3c)

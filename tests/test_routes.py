@@ -50,3 +50,9 @@ def test_every_route_gives_the_same_answer():
                     assert pc.check_witness(inst, result.witness, k=result.value).ok
             solved += 1
     assert solved == len(RULES) * 2 * 2 * 2 * 3
+
+
+def test_unknown_solver_is_refused():
+    [inst] = collect_problems(1, 1, rule_spec="borda", direction="min", model="unique")
+    with pytest.raises(ValueError, match=r"^unknown solver 'nope'$"):
+        pc.solve_instance(inst, "nope")
