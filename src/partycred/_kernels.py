@@ -5,16 +5,18 @@ the module at call time (``_kernels.pairwise_tally(...)``), so the names are
 the boundary to keep when changing an implementation.  They also pass every
 argument positionally: ``perfbench/tracing.py`` counts each call's cells
 from arguments at fixed positions, ``pairwise_tally``'s (ballots, m) ranks
-at position 0, and ``min_switch_counts``' (l, m) leads at position 0 and
-(m,) need at position 3.  A tally call reads len(rows) x ballots x m cells:
-m rows for the whole tally, one for the Condorcet winner's check.  A
-``min_switch_counts`` call reads l x m: each cell of its leads and of its
-lead bins once.
+at position 0, and ``min_switch_counts``' (l, m) ranks at position 0 and
+(m,) win thresholds at position 3.  A tally call reads len(rows) x ballots
+x m cells: m rows for the whole tally, one for the Condorcet winner's check.
+A ``min_switch_counts`` call reads l x m: each cell of its ranks once, and
+through it one cell of the lead bins.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+_BLOCK_CELLS = 1 << 15  # ranks cells per block in min_switch_counts: they stay in cache
 
 
 def pairwise_tally(ranks: np.ndarray, weights: np.ndarray, rows=None) -> np.ndarray:
@@ -36,31 +38,48 @@ def pairwise_tally(ranks: np.ndarray, weights: np.ndarray, rows=None) -> np.ndar
 
 
 def min_switch_counts(
-    leads: np.ndarray, sizes: np.ndarray, bins: np.ndarray, need: np.ndarray, levels: np.ndarray
+    ranks: np.ndarray, sizes: np.ndarray, p: int, win: np.ndarray, bins: np.ndarray,
+    levels: np.ndarray,
 ) -> np.ndarray:
-    """Per column c of the (l, m) ``leads``: the fewest voters whose moves
-    into c's lowest-lead party close ``need[c]``, or -1 where none can.
+    """Per rival c: the fewest voters whose moves into c's lowest-lead party
+    bring p's lead over c below ``win[c]``, or -1 where none can.
 
-    ``levels`` holds the distinct values a lead may take, rising, and
-    ``bins[q, c]`` is the index of ``leads[q, c]`` in it.  A voter of party q
-    moved there gains ``leads[q, c] - min(leads[:, c])``.  One exact int64
-    histogram counts the voters per (column, level), so it has m x
-    len(levels) cells whatever the leads' magnitudes.  Down each column's
+    ``ranks[q, c]`` is c's position in party q's order.  ``levels`` holds the
+    distinct values a lead may take, rising, and ``bins[i, j]`` is the index
+    in it of what one voter with p at position i and c at position j adds to
+    p's lead over c, so party q's voters add ``levels[bins[ranks[q, p],
+    ranks[q, c]]]`` each.  A voter of party q moved into a party d gains
+    ``lead(q) - lead(d)``.
+
+    One exact int64 histogram counts the voters per (rival, level), so it
+    has m x len(levels) cells whatever the leads' magnitudes.  It is filled
+    from ``ranks`` one block of ``_BLOCK_CELLS`` cells at a time, which also
+    gives each rival's lowest level, that of its lowest-lead party (of any
+    size).  p's lead over c is ``voters[c] @ levels``.  Down each rival's
     levels from the highest the gains fall, and the greedy takes the largest
-    first: one cumulative sum of voters and of gain per column, and the first
-    level whose gain reaches ``need[c]`` fixes the count: the voters above it
-    plus the fewest of its own.  A count is never negative: where
-    ``need[c] <= 0`` it is 0.
+    first: one cumulative sum of voters and of gain per rival, and the first
+    level whose gain reaches the need fixes the count: the voters above it
+    plus the fewest of its own.  A count is never negative: where the lead
+    is already below ``win[c]`` it is 0.
     """
-    m = leads.shape[1]
+    m = ranks.shape[1]
     k = len(levels)
     voters = np.zeros(m * k, dtype=np.int64)
-    np.add.at(voters, (bins + k * np.arange(m)).ravel(), np.repeat(sizes, m))
-    voters = voters.reshape(m, k)[:, ::-1]  # row c: column c's voters by falling lead
-    gain = levels[::-1] - leads.min(axis=0)[:, None]  # < 0 only below the minimum, with no voter
+    lowest = np.full(m, k - 1)
+    offsets = np.arange(0, m * k, k)
+    rows = max(1, _BLOCK_CELLS // m)
+    for lo in range(0, len(sizes), rows):
+        block = ranks[lo:lo + rows]
+        at = bins.take(block[:, [p]] * m + block)  # (rows, m) level indices
+        np.add.at(voters, (at + offsets).ravel(), np.repeat(sizes[lo:lo + rows], m))
+        np.minimum(lowest, at.min(axis=0), out=lowest)
+    voters = voters.reshape(m, k)
+    need = voters @ levels - win + 1  # gain that brings p's lead below win
+    voters = voters[:, ::-1]  # row c: rival c's voters by falling lead
+    gain = levels[::-1] - levels.take(lowest)[:, None]  # < 0 only below the lowest, with no voter
     cum_g = np.cumsum(voters * gain, axis=1)  # never falls: no voter has a gain < 0
     reached = cum_g >= need[:, None]
-    at = np.arange(0, m * k, k) + reached.argmax(axis=1)  # flat: first level reaching need
+    at = offsets + reached.argmax(axis=1)  # flat: first level reaching need
     v, g = voters.take(at), gain.take(at)
     short = need - cum_g.take(at) + v * g  # gain still due on entering it
     step = np.maximum(g, 1)  # already >= 1 where need > 0 and a level reaches it

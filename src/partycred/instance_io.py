@@ -17,10 +17,10 @@ error keeps its message and line.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
 
 import numpy as np
@@ -656,8 +656,14 @@ def result_to_json(
 ) -> str:
     """Deterministic JSON rendering of a solve result.
 
-    ``wall_time_ms`` is quantized to 100 ms so repeated runs of the same
-    solve are byte-identical.
+    The document has nine keys in this order: ``direction``, ``rule``,
+    ``model``, ``dest_mode``, ``value`` (the count, or the status when there
+    is none), ``answer`` (true, false or null), ``witness`` (null, or its
+    ``destination`` party, null for several, and its ``moves``, each a
+    ``{from, to, count}`` object), ``solver`` and ``wall_time_ms``.  Its bytes
+    are exactly those of ``json.dumps(doc, indent=2) + "\n"``
+    (``_render_result``).  ``wall_time_ms`` is quantized to 100 ms so
+    repeated runs of the same solve are byte-identical.
     """
     inst = parsed.instance
     if result.status is SolveStatus.FEASIBLE:
@@ -675,7 +681,7 @@ def result_to_json(
                 if c > 0
             ],
         }
-    doc = {
+    return _render_result({
         "direction": inst.direction.value,
         "rule": rule_to_spec(inst.rule),
         "model": inst.model.value,
@@ -685,8 +691,51 @@ def result_to_json(
         "witness": witness,
         "solver": result.solver,
         "wall_time_ms": (wall_time_ms // 100) * 100,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    })
+
+
+_RESULT = (
+    '{\n  "direction": %s,\n  "rule": %s,\n  "model": %s,\n  "dest_mode": %s,\n'
+    '  "value": %s,\n  "answer": %s,\n  "witness": %s,\n  "solver": %s,\n'
+    '  "wall_time_ms": %s\n}\n'
+)
+_WITNESS = '{\n    "destination": %s,\n    "moves": %s\n  }'
+_MOVE = '      {\n        "from": %s,\n        "to": %s,\n        "count": %s\n      }'
+
+
+def _render_result(doc: dict) -> str:
+    """``json.dumps(doc, indent=2) + "\n"`` for a ``result_to_json``
+    document, written from its fixed schema.  ``json.dumps`` runs its
+    pure-Python encoder whenever ``indent`` is set; this renders the same
+    bytes, escaping strings with the C function it uses under
+    ``ensure_ascii``."""
+    witness = doc["witness"]
+    if witness is not None:
+        moves = [
+            _MOVE % (_json_str(m["from"]), _json_str(m["to"]), _json_scalar(m["count"]))
+            for m in witness["moves"]
+        ]
+        listed = "[\n" + ",\n".join(moves) + "\n    ]" if moves else "[]"
+        witness = _WITNESS % (_json_scalar(witness["destination"]), listed)
+    return _RESULT % (
+        _json_str(doc["direction"]), _json_str(doc["rule"]), _json_str(doc["model"]),
+        _json_str(doc["dest_mode"]), _json_scalar(doc["value"]), _json_scalar(doc["answer"]),
+        "null" if witness is None else witness, _json_str(doc["solver"]),
+        _json_scalar(doc["wall_time_ms"]),
+    )
+
+
+def _json_scalar(value) -> str:
+    """``json.dumps(value)`` for a str, int, bool or None."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return _json_str(value)
+    return int.__repr__(value)
 
 
 # ---------------------------------------------------------------------------

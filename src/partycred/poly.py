@@ -81,27 +81,27 @@ def _lead_table(instance: ProblemInstance) -> np.ndarray:
     return vector[:, None] - vector
 
 
-def _position_pairs(instance: ProblemInstance) -> np.ndarray:
-    """(l, m) flat indices into the (m, m) lead table: the cell of party q's
-    positions of p and of c."""
-    ranks = instance.election.ranks
-    return ranks[:, [instance.p]] * ranks.shape[1] + ranks
-
-
 def _party_leads(instance: ProblemInstance) -> np.ndarray:
     """(l, m) array: what one voter of party q adds to p's score minus c's
-    (scoring rules) or to the (p, c) margin (Condorcet).  ``sizes @ leads``
-    is p's lead over each candidate; column p is 0."""
-    return _lead_table(instance).take(_position_pairs(instance))
+    (scoring rules) or to the (p, c) margin (Condorcet), the lead table's
+    cell of party q's positions of p and of c.  ``sizes @ leads`` is p's
+    lead over each candidate; column p is 0."""
+    ranks = instance.election.ranks
+    return _lead_table(instance).take(ranks[:, [instance.p]] * ranks.shape[1] + ranks)
+
+
+def _win_floor(instance: ProblemInstance) -> int:
+    """The lead s that p needs over every rival to win: 0 for a scoring rule
+    under the co-winner model and 1 otherwise (a Condorcet winner beats
+    every rival)."""
+    return int(isinstance(instance.rule, Condorcet) or instance.model is WinnerModel.UNIQUE)
 
 
 def _win_budgets(instance: ProblemInstance, leads: np.ndarray) -> np.ndarray:
     """How far each of p's leads (``_party_leads``) may fall while p still
-    wins, ``sizes @ leads - s``.  s = 0 for a scoring rule under the
-    co-winner model and 1 otherwise (a Condorcet winner beats every rival).
-    p wins initially, so every budget is >= 0."""
-    s = int(isinstance(instance.rule, Condorcet) or instance.model is WinnerModel.UNIQUE)
-    return instance.election.sizes @ leads - s
+    wins, ``sizes @ leads - s`` (``_win_floor``).  p wins initially, so every
+    budget is >= 0."""
+    return instance.election.sizes @ leads - _win_floor(instance)
 
 
 def _checked(instance: ProblemInstance, plan: SwitchPlan, value: int, solver: str) -> SolveResult:
@@ -144,30 +144,31 @@ def _min_greedy(instance: ProblemInstance, solver: str) -> SolveResult:
 
     The count for c is then the fewest voters whose gains into d_c reach
     need[c], largest gains first.  ``_kernels.min_switch_counts`` finds it
-    for every rival from one histogram of voters per (rival, lead), its
-    leads indexed by rank among the distinct entries of the rule's lead
-    table (``_lead_table``): at most 2m - 1 of them for plurality, veto,
-    r-approval and Borda, 3 for Condorcet.  Only the chosen rival's parties
-    are sorted, by falling lead and ties by id, to build its plan.  Cost:
-    O(l·m + m·|D|) for the |D| distinct entries of the lead table, plus one
-    O(l log l) sort for the witness.  Only the returned plan is built and
-    checked; a rejection raises ``RuntimeError``.
+    for every rival from one histogram of voters per (rival, lead level),
+    which it fills straight from the election's ranks, one cache-sized block
+    of parties at a time, through the bins of the rule's lead table
+    (``_lead_table``): at most 2m - 1 distinct entries for plurality, veto,
+    r-approval and Borda, 3 for Condorcet.  The same histogram gives p's
+    lead over each rival, so no (l, m) lead array is built.  Only the chosen
+    rival's leads are formed, and its parties sorted by falling lead and ties
+    by id, to build its plan.  Cost: O(l·m + m·|D|) for the |D| distinct
+    entries of the lead table, plus one O(l log l) sort for the witness.
+    Only the returned plan is built and checked; a rejection raises
+    ``RuntimeError``.
     """
     table = _lead_table(instance)
-    levels, table_bins = np.unique(table, return_inverse=True)
-    pairs = _position_pairs(instance)
-    leads = table.take(pairs)
-    bins = table_bins.take(pairs)  # levels[bins] == leads
-    sizes = instance.election.sizes
-    need = _win_budgets(instance, leads) + 1
-    counts = _kernels.min_switch_counts(leads, sizes, bins, need, levels)
-    counts[instance.p] = -1  # p's own column is 0: nothing to close
+    levels, bins = np.unique(table, return_inverse=True)  # levels.take(bins) == table
+    ranks, sizes = instance.election.ranks, instance.election.sizes
+    p, m = instance.p, ranks.shape[1]
+    win = np.full(m, _win_floor(instance))
+    counts = _kernels.min_switch_counts(ranks, sizes, p, win, bins, levels)
+    counts[p] = -1  # p's own lead is 0: nothing to close
     usable = counts >= 0
     if not usable.any():
         return infeasible(solver)
     rival = int(np.where(usable, counts, np.iinfo(np.int64).max).argmin())
     value = int(counts[rival])
-    column = leads[:, rival]
+    column = table.take(ranks[:, p] * m + ranks[:, rival])
     plan = _greedy_plan(sizes, np.argsort(-column, kind="stable"), int(column.argmin()), value)
     return _checked(instance, plan, value, solver)
 

@@ -233,10 +233,18 @@ def reduce_vc_to_copeland_min(g: GraphInstance, alpha: Fraction) -> ReducedInsta
         raise ValueError("construction assumes an even number of vertices")
     if not (1 <= t) or not (t < (n - 5) / 2):
         raise ValueError(f"construction assumes 1 <= t < (n-5)/2, got t={t}, n={n}")
+    # v1 and v2 must not share their edge.  With the ends of an isolated
+    # edge the answer can be wrong: n = 10, the edge (0, 1) and a star from
+    # 2 to 3..9 have a cover of 2, but the built instance answers no.
     degree_one = [v for v in range(n) if g.degree(v) == 1]
-    if len(degree_one) < 2:
-        raise ValueError("construction assumes two degree-1 vertices")
-    v1, v2 = degree_one[:2]
+    edges = {frozenset(e) for e in g.edges}
+    v1, v2 = next(
+        ((u, v) for i, u in enumerate(degree_one) for v in degree_one[i + 1:]
+         if frozenset((u, v)) not in edges),
+        (None, None),
+    )
+    if v1 is None:
+        raise ValueError("construction assumes two non-adjacent degree-1 vertices")
 
     edge_names = [f"e{i + 1}" for i in range(len(g.edges))]
     a_block = ["a1", "a2"]

@@ -717,6 +717,55 @@ def test_result_json_deterministic():
     assert one == two
 
 
+# Strings with every kind of character that json.dumps escapes under
+# ensure_ascii: quotes, backslashes, control characters, non-ASCII and lone
+# surrogates.
+_JSON_TEXT = st.text(st.one_of(
+    st.characters(),
+    st.characters(categories=["Cc", "Cs"]),
+    st.sampled_from('"\\/\u2028'),
+))
+_RESULT_KEYS = (
+    "direction", "rule", "model", "dest_mode", "value", "answer", "witness", "solver",
+    "wall_time_ms",
+)
+_MOVES = st.lists(
+    st.tuples(_JSON_TEXT, _JSON_TEXT, st.integers(min_value=0)).map(
+        lambda t: {"from": t[0], "to": t[1], "count": t[2]}
+    ),
+    max_size=4,
+)
+_WITNESSES = st.one_of(
+    st.none(),
+    st.tuples(st.one_of(st.none(), _JSON_TEXT), _MOVES).map(
+        lambda t: {"destination": t[0], "moves": t[1]}
+    ),
+)
+
+
+@given(st.tuples(
+    _JSON_TEXT, _JSON_TEXT, _JSON_TEXT, _JSON_TEXT,
+    st.one_of(st.integers(), st.sampled_from(["infeasible", "budget_exhausted"]), _JSON_TEXT),
+    st.sampled_from([True, False, None]), _WITNESSES, _JSON_TEXT, st.integers(min_value=0),
+))
+@settings(max_examples=200, deadline=None)
+def test_result_json_bytes_are_those_of_json_dumps(fields):
+    doc = dict(zip(_RESULT_KEYS, fields))
+    assert instance_io._render_result(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_result_json_of_every_benchmark_pool_instance():
+    """The solved document of every pool entry of the three benchmark
+    workloads is what json.dumps(doc, indent=2) writes; json.loads gives
+    back the document, as it holds no floats."""
+    pools = _perfbench_module("instances")
+    for workload in ("poly-large", "search-one", "search-multi"):
+        for i in range(pools.pool_size(workload)):
+            parsed = pc.parse_instance(pools.instance_text(workload, i))
+            out = pc.result_to_json(parsed, pc.solve.solve_instance(parsed.instance, "auto"), 0)
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", (workload, i)
+
+
 def test_generate_random_deterministic():
     kwargs = dict(
         seed=1, num_candidates=3, num_parties=3, size_range=(1, 3),

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from partycred import _kernels
 
@@ -75,39 +76,66 @@ def _reference_min_switch(gain, sizes, party_gain, need):
     return out
 
 
-def _binned(leads, extra=()):
-    """(bins, levels) of ``leads``: the rising distinct values, here with
-    any ``extra`` values that no lead takes, and each lead's index in them."""
-    levels = np.unique(np.concatenate([leads.ravel(), np.asarray(extra, dtype=np.int64)]))
-    return np.searchsorted(levels, leads), levels
+def random_table(rng, m, span):
+    """A random (m, m) lead table; on some draws its diagonal is 0, as every
+    rule's is, and on some a row is 0."""
+    table = rng.integers(-span, span + 1, size=(m, m)).astype(np.int64)
+    if rng.random() < 0.5:
+        np.fill_diagonal(table, 0)
+    table[rng.random(m) < 0.1] = 0
+    return table
 
 
-def _assert_matches_reference(leads, sizes, need, extra=()):
-    # Per column, the kernel's count (into the column's lowest-lead party)
-    # is the best count over every destination: the lemma in
-    # poly._min_greedy.
-    bins, levels = _binned(leads, extra)
-    counts = _kernels.min_switch_counts(leads, sizes, bins, need, levels)
+def _kernel_counts(table, ranks, sizes, p, need, extra=()):
+    """The kernel's counts for party q's voters adding
+    ``table[ranks[q, p], ranks[q, c]]`` to p's lead over c, with win
+    thresholds that make each rival's need ``need[c]``; the bins are indexed
+    among the rising distinct entries of ``table``, here with any ``extra``
+    values that no lead takes.  Also returns the (l, m) leads."""
+    m = ranks.shape[1]
+    leads = table.take(ranks[:, [p]] * m + ranks)
+    levels = np.unique(np.concatenate([table.ravel(), np.asarray(extra, dtype=np.int64)]))
+    bins = np.searchsorted(levels, table)
+    win = sizes @ leads - need + 1  # need = lead - win + 1
+    return _kernels.min_switch_counts(ranks, sizes, p, win, bins, levels), leads
+
+
+def _assert_matches_reference(table, ranks, sizes, p, need, extra=()):
+    # Per rival, the kernel's count (into its lowest-lead party) is the best
+    # count over every destination: the lemma in poly._min_greedy.
+    counts, leads = _kernel_counts(table, ranks, sizes, p, need, extra)
     for c in range(leads.shape[1]):
         per_dest = _reference_min_switch(leads[:, c], sizes, leads[:, c], need[c])
         usable = per_dest[per_dest >= 0]
-        assert counts[c] == (usable.min() if usable.size else -1), (leads, c)
+        assert counts[c] == (usable.min() if usable.size else -1), (table, ranks, c)
 
 
-def test_min_switch_counts_matches_reference():
+def _assert_random_draws_match_reference(seed):
     # Small lead ranges make many parties share a lead; +-49 is Borda's
-    # range at m = 50.  Some columns are all zero, like p's, and some levels
-    # hold no lead, as the rule's lead table may have more than the leads.
-    rng = np.random.default_rng(23)
+    # range at m = 50.  Some tables hold levels that no lead takes, as the
+    # rule's lead table may have more entries than the leads.
+    rng = np.random.default_rng(seed)
     for span in (1, 2, 4, 49):
         for _ in range(40):
             l, m = int(rng.integers(1, 41)), int(rng.integers(1, 7))
-            leads = rng.integers(-span, span + 1, size=(l, m)).astype(np.int64)
-            leads[:, rng.random(m) < 0.2] = 0
+            table = random_table(rng, m, span)
+            ranks = random_ranks(rng, l, m)
             sizes = rng.integers(0, 5, size=l).astype(np.int64)
             need = rng.integers(-2, 4 * span + 10, size=m).astype(np.int64)
             extra = rng.integers(-span - 2, span + 3, size=int(rng.integers(0, 4)))
-            _assert_matches_reference(leads, sizes, need, extra)
+            _assert_matches_reference(table, ranks, sizes, int(rng.integers(0, m)), need, extra)
+
+
+def test_min_switch_counts_matches_reference():
+    _assert_random_draws_match_reference(23)
+
+
+@pytest.mark.parametrize("block_cells", [1, 9])
+def test_min_switch_counts_in_small_blocks(monkeypatch, block_cells):
+    # Blocks of one party, or of a few, spread the histogram and each
+    # rival's lowest level over many blocks.
+    monkeypatch.setattr(_kernels, "_BLOCK_CELLS", block_cells)
+    _assert_random_draws_match_reference(24)
 
 
 def test_min_switch_counts_exact_near_the_voter_bound():
@@ -120,10 +148,11 @@ def test_min_switch_counts_exact_near_the_voter_bound():
         sizes = (1 << 55) + rng.integers(0, 1 << 40, size=l)
         sizes[rng.random(l) < 0.2] = rng.integers(0, 3)
         assert int(sizes.sum()) * m < 2**62
-        leads = rng.integers(-(m - 1), m, size=(l, m)).astype(np.int64)
+        table = random_table(rng, m, m - 1)
+        ranks = random_ranks(rng, l, m)
         need = rng.integers(-1, int(sizes.sum()) * (m - 1), size=m).astype(np.int64)
         need[0] = 1 + int(sizes[0])  # within one voter of a party's edge
-        _assert_matches_reference(leads, sizes.astype(np.int64), need)
+        _assert_matches_reference(table, ranks, sizes.astype(np.int64), int(rng.integers(0, m)), need)
 
 
 def test_min_switch_counts_bins_leads_by_rank_not_magnitude():
@@ -139,33 +168,39 @@ def test_min_switch_counts_bins_leads_by_rank_not_magnitude():
         l = int(rng.integers(1, 25))
         ranks = np.argsort(rng.random((l, m)), axis=1)
         p = int(rng.integers(0, m))
-        leads = table.take(ranks[:, [p]] * m + ranks)
         sizes = rng.integers(0, 6, size=l).astype(np.int64)
-        totals = sizes @ leads
+        totals = sizes @ table.take(ranks[:, [p]] * m + ranks)
         need = np.where(rng.random(m) < 0.5, totals, rng.integers(-1, 10**15, size=m)) + 1
-        _assert_matches_reference(leads, sizes, need, extra=np.unique(table))
+        _assert_matches_reference(table, ranks, sizes, p, need)
 
 
 def test_min_switch_counts_infeasible():
-    leads = np.array([[1, 0], [0, 0]], dtype=np.int64)
+    # Party 0 ranks p first, party 1 ranks the rival first: under Borda at
+    # m = 2 the rival's leads are 1 and -1, so two voters close at most 4,
+    # and p's own column of zeros closes nothing.
+    table = np.array([[0, 1], [-1, 0]], dtype=np.int64)
+    ranks = np.array([[0, 1], [1, 0]], dtype=np.int64)
     sizes = np.array([2, 2], dtype=np.int64)
-    need = np.array([100, 1], dtype=np.int64)
-    bins, levels = _binned(leads)
-    counts = _kernels.min_switch_counts(leads, sizes, bins, need, levels)
+    counts, _ = _kernel_counts(table, ranks, sizes, 0, np.array([1, 5], dtype=np.int64))
     assert (counts == -1).all()
+    counts, _ = _kernel_counts(table, ranks, sizes, 0, np.array([1, 4], dtype=np.int64))
+    assert counts.tolist() == [-1, 2]
 
 
 def test_min_switch_counts_same_in_either_layout():
-    # Column-major leads and bins give the counts of row-major ones.
+    # Column-major ranks and bins give the counts of row-major ones.
     rng = np.random.default_rng(5)
     for _ in range(30):
         l, m = int(rng.integers(1, 30)), int(rng.integers(1, 9))
-        leads = rng.integers(-6, 7, size=(l, m)).astype(np.int64)
+        table = random_table(rng, m, 6)
+        ranks = random_ranks(rng, l, m)
         sizes = rng.integers(0, 4, size=l).astype(np.int64)
-        need = rng.integers(-1, 30, size=m).astype(np.int64)
-        bins, levels = _binned(leads)
-        counts = _kernels.min_switch_counts(leads, sizes, bins, need, levels)
-        fortran = np.asfortranarray(leads), np.asfortranarray(bins)
+        p = int(rng.integers(0, m))
+        win = rng.integers(-20, 20, size=m).astype(np.int64)
+        levels = np.unique(table)
+        bins = np.searchsorted(levels, table)
+        counts = _kernels.min_switch_counts(ranks, sizes, p, win, bins, levels)
+        fortran = np.asfortranarray(ranks), np.asfortranarray(bins)
         assert np.array_equal(
-            _kernels.min_switch_counts(fortran[0], sizes, fortran[1], need, levels), counts
+            _kernels.min_switch_counts(fortran[0], sizes, p, win, fortran[1], levels), counts
         )

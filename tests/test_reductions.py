@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,12 @@ def test_vc_copeland_assumptions():
     )
     with pytest.raises(ValueError, match="degree-1"):
         rd.reduce_vc_to_copeland_min(no_leaves, HALF)
+    # The only degree-1 vertices, 0 and 1, share their edge.
+    joined_leaves = rd.GraphInstance(
+        10, ((0, 1), (2, 3), (3, 4), (4, 2), (5, 6), (6, 7), (7, 5), (8, 9), (9, 2), (8, 5)), 1
+    )
+    with pytest.raises(ValueError, match="two non-adjacent degree-1 vertices"):
+        rd.reduce_vc_to_copeland_min(joined_leaves, HALF)
 
 
 def test_x3c_maximin_parity_assumption():
@@ -241,6 +248,42 @@ def test_vc_copeland_soundness():
         reduced = rd.reduce_vc_to_copeland_min(graph, HALF)
         answer = pc.exact_search_min(reduced.instance).answer(reduced.instance)
         assert answer == rd.solve_vc_naive(graph, graph.bound)
+
+
+def test_vc_copeland_skips_an_isolated_edge():
+    # Vertices 0 and 1 are the first degree-1 vertices, but they share the
+    # edge (0, 1); the construction reserves 0 and 3, a star leaf.
+    graph = rd.GraphInstance(10, ((0, 1),) + tuple((2, v) for v in range(3, 10)), 2)
+    reduced = rd.reduce_vc_to_copeland_min(graph, HALF)
+    assert reduced.source["degree_one_vertices"] == [0, 3]
+    answer = pc.exact_search_min(reduced.instance).answer(reduced.instance)
+    assert answer is rd.solve_vc_naive(graph, graph.bound) is True
+
+
+def test_vc_copeland_matches_naive_with_an_isolated_edge():
+    # Seeded random graphs at n = 8 and 10 whose edges include one isolated
+    # edge, the case where the first two degree-1 vertices can be adjacent.
+    # Graphs with no two non-adjacent degree-1 vertices are refused.
+    rng = random.Random(3)
+    checked = 0
+    for _ in range(300):
+        n = rng.choice([8, 10])
+        vertices = rng.sample(range(n), n)
+        edges = {tuple(sorted(vertices[:2]))}
+        rest = vertices[2:]
+        density = rng.choice([0.15, 0.3])
+        for i, u in enumerate(rest):
+            edges.update(tuple(sorted((u, v))) for v in rest[i + 1:] if rng.random() < density)
+        graph = rd.GraphInstance(n, tuple(sorted(edges)), rng.randint(1, 2 if n == 10 else 1))
+        try:
+            reduced = rd.reduce_vc_to_copeland_min(graph, HALF)
+        except ValueError as e:
+            assert "non-adjacent degree-1" in str(e)
+            continue
+        answer = pc.exact_search_min(reduced.instance).answer(reduced.instance)
+        assert answer == rd.solve_vc_naive(graph, graph.bound), graph
+        checked += 1
+    assert checked >= 250
 
 
 def test_vc_copeland_witness_from_cover():
