@@ -29,21 +29,27 @@ def validate_preference(order, m: int) -> str | None:
     return None
 
 
-def invalid_orders(orders: np.ndarray) -> np.ndarray:
-    """(l,) mask of the rows of an (l, m) integer array that are not
-    permutations of 0..m-1; one sort for all rows."""
-    return (np.sort(orders, axis=1) != np.arange(orders.shape[1])).any(axis=1)
+def validated_ranks(orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ranks, bad) of an (l, m) integer array of orders, each row listed
+    most-preferred first: ranks[q, orders[q, i]] = i for every row q that
+    is a permutation of 0..m-1, and ``bad``, the indices of the other rows
+    in increasing order, whose ranks rows are undefined.
 
-
-def ranks_from_orders(orders: np.ndarray) -> np.ndarray:
-    """Read-only (l, m) ranks of an (l, m) int64 array of orders, each row a
-    permutation of 0..m-1 listed most-preferred first:
-    ranks[q, orders[q, i]] = i."""
+    Each row's known codes (0 <= code < m) are scattered into a -1-filled
+    block at the flat indices row·m + code.  A row is a permutation exactly
+    when all its m codes are known and no slot stays -1: m known codes
+    that fill all m slots are distinct, and an unknown one leaves a slot
+    unwritten.  So one test, a -1 left in the row, finds every bad row."""
     num_rows, m = orders.shape
-    ranks = np.empty_like(orders)
-    ranks[np.arange(num_rows)[:, None], orders] = np.arange(m)
-    ranks.flags.writeable = False
-    return ranks
+    flat = orders + np.arange(0, num_rows * m, m)[:, None]
+    ranks = np.full(num_rows * m, -1, dtype=np.int64)
+    if num_rows and 0 <= orders.min() and orders.max() < m:  # every code known
+        ranks[flat.ravel()] = np.tile(np.arange(m), num_rows)
+    else:
+        known = (orders >= 0) & (orders < m)
+        ranks[flat[known]] = np.nonzero(known)[1]
+    ranks = ranks.reshape(num_rows, m)
+    return ranks, np.flatnonzero(ranks.min(axis=1) < 0)
 
 
 def pairwise_matrix(e, rows=None) -> np.ndarray:

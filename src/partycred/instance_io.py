@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import invalid_orders, ranks_from_orders, validate_preference
+from .core import validate_preference, validated_ranks
 from .parties import (
     VOTER_CELL_BOUND,
     Direction,
@@ -312,9 +312,9 @@ def _parse_parties(party_lines: list[tuple[int, str, str]], index: dict[str, int
             )
         parties[name] = size
         orders.append(_party_order(line_no, text, index))
-    orders = np.array(orders, dtype=np.int64).reshape(-1, m)
-    sizes = np.array(list(parties.values()), dtype=np.int64)
-    return list(parties), ranks_from_orders(orders), sizes
+    # Each order is a checked permutation, so its ranks are its argsort.
+    ranks = np.argsort(np.array(orders, dtype=np.int64).reshape(-1, m), axis=1)
+    return list(parties), ranks, np.array(list(parties.values()), dtype=np.int64)
 
 
 # The line breaks of ``str.splitlines`` other than "\n" and "\r": ASCII, and all.
@@ -339,15 +339,19 @@ class _PartyBlock(NamedTuple):  # a frozen dataclass would add about 1 ms to eve
     table: _NameTable
 
     def parties(self, index: dict[str, int]):
-        """(party names, ranks, sizes), as ``_parse_parties`` gives them."""
-        orders = np.empty((len(self.names), len(index)), dtype=np.int64)
-        for lo in range(0, len(orders), _PARTY_CHUNK):
+        """(party names, ranks, sizes), as ``_parse_parties`` gives them.
+        The rows that the name table cannot read whole are read again by
+        ``_party_order``, so the first bad line raises its own ParseError."""
+        m = len(index)
+        ranks = np.empty((len(self.names), m), dtype=np.int64)
+        for lo in range(0, len(ranks), _PARTY_CHUNK):
             hi = lo + _PARTY_CHUNK
-            orders[lo:hi] = self.table.codes(self.buf, self.starts[lo:hi], self.ends[lo:hi])
-        for q in np.flatnonzero(invalid_orders(orders)).tolist():
-            text = str(self.buf[self.starts[q] : self.ends[q]], "utf-8", "surrogatepass")
-            orders[q] = _party_order(int(self.line_nos[q]), text, index)
-        return self.names, ranks_from_orders(orders), np.array(self.sizes, dtype=np.int64)
+            codes = self.table.codes(self.buf, self.starts[lo:hi], self.ends[lo:hi])
+            ranks[lo:hi], bad = validated_ranks(codes)
+            for q in (bad + lo).tolist():
+                text = str(self.buf[self.starts[q] : self.ends[q]], "utf-8", "surrogatepass")
+                ranks[q, _party_order(int(self.line_nos[q]), text, index)] = np.arange(m)
+        return self.names, ranks, np.array(self.sizes, dtype=np.int64)
 
 
 def _party_block(

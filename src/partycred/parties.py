@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import invalid_orders, ranks_from_orders, validate_preference
+from .core import validate_preference, validated_ranks
 from .rules import VOTER_CELL_BOUND, Rule, WinnerModel, winners
 
 
@@ -48,9 +48,9 @@ class PartyElection:
         if len(sizes) != len(orders):
             raise ValueError(f"{len(sizes)} sizes for {len(orders)} parties")
         orders_in, sizes_in = _integer_rows(orders, "order"), _integer_rows(sizes, "size")
-        invalid = invalid_orders(orders_in)
-        if invalid.any():
-            q = int(invalid.argmax())
+        ranks, bad = validated_ranks(orders_in.astype(np.int64))
+        if len(bad):
+            q = int(bad[0])
             problem = validate_preference(orders_in[q].tolist(), m)
             raise ValueError(f"party {q} has a bad order: {problem}")
         negative = sizes_in < 0
@@ -65,9 +65,7 @@ class PartyElection:
                 f"party {q} brings the voter count to {cells[q] // m}: "
                 f"voters times candidates must stay below 2**62"
             )
-        self._set_arrays(
-            ranks_from_orders(orders_in.astype(np.int64)), sizes_in.astype(np.int64)
-        )
+        self._set_arrays(ranks, sizes_in.astype(np.int64))
 
     @classmethod
     def from_arrays(cls, ranks: np.ndarray, sizes: np.ndarray) -> PartyElection:

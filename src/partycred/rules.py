@@ -1,8 +1,10 @@
 """Score computation and winner determination for the seven rules.
 
-All arithmetic is exact: integer scores for positional rules and Maximin,
-``Fraction`` for Copeland so that a rational tie weight alpha never suffers
-rounding.  An empty winner set is legal output for the Condorcet rule.
+All arithmetic is exact: integer scores for positional rules and Maximin.
+Copeland's winners come from exact integer units, den·wins + num·ties for
+a tie weight alpha = num/den, in Python ints, so no denominator rounds or
+wraps; ``copeland_scores`` gives the same units over den as ``Fraction``s.
+An empty winner set is legal output for the Condorcet rule.
 
 Every function here takes a ``parties.PartyElection`` ``e`` and reads only
 its ``num_candidates`` and its ``ranks`` and ``sizes`` arrays (see ``core``).
@@ -121,12 +123,20 @@ def scoring_scores(e, vector: tuple[int, ...]) -> dict[int, int]:
     return dict(enumerate(scores.tolist()))
 
 
-def copeland_scores(e, alpha: Fraction) -> dict[int, Fraction]:
+def _copeland_units(e, alpha: Fraction) -> list[int]:
+    """Each candidate's Copeland score times alpha's denominator den, as
+    exact Python ints: den·wins + num·ties for alpha = num/den, at any den."""
     n = pairwise_matrix(e)
+    wins = (n > n.T).sum(axis=1).tolist()
+    ties = ((n == n.T).sum(axis=1) - 1).tolist()  # less the diagonal
+    num, den = alpha.numerator, alpha.denominator
+    return [den * w + num * t for w, t in zip(wins, ties)]
+
+
+def copeland_scores(e, alpha: Fraction) -> dict[int, Fraction]:
     alpha = Fraction(alpha)
-    wins = (n > n.T).sum(axis=1)
-    ties = (n == n.T).sum(axis=1) - 1  # the diagonal
-    return {c: w + alpha * t for c, (w, t) in enumerate(zip(wins.tolist(), ties.tolist()))}
+    units = _copeland_units(e, alpha)
+    return {c: Fraction(u, alpha.denominator) for c, u in enumerate(units)}
 
 
 def maximin_scores(e) -> dict[int, int]:
@@ -162,11 +172,12 @@ def condorcet_winner(e) -> int | None:
     return champion if (2 * row[others] > n).all() else None
 
 
-def _score_table(e, rule: Rule) -> dict[int, int | Fraction]:
+def _score_table(e, rule: Rule) -> dict[int, int]:
+    """Scores whose order is the rule's: Copeland's in units of 1/den."""
     if isinstance(rule, Scoring):
         return scoring_scores(e, rule.vector)
     if isinstance(rule, Copeland):
-        return copeland_scores(e, rule.alpha)
+        return dict(enumerate(_copeland_units(e, rule.alpha)))
     if isinstance(rule, Maximin):
         return maximin_scores(e)
     raise TypeError(f"no score table for rule {rule!r}")

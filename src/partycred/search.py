@@ -34,6 +34,7 @@ matrix per node, and why its doubled units are exact.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -52,7 +53,7 @@ from .rules import Condorcet, Copeland, Maximin, Scoring, WinnerModel
 ORACLE_VOTER_CAP = 16  # the oracle refuses larger elections
 ORACLE_PLAN_CAP = 5_000_000  # and destinations with more plans
 DEFAULT_NODE_BUDGET = 20_000_000
-_BLOCK_CELLS = 1 << 20  # array cells the oracle fills per numpy block
+_BLOCK_CELLS = 1 << 20  # array cells per oracle block and per batch of search tables
 
 
 class _BudgetExceeded(Exception):
@@ -89,20 +90,18 @@ def _margin_scorer(rule: Copeland | Maximin, m: int, n_voters: int):
       −2·num, and the diagonal's sign is 0.  That is 2·den times the
       Copeland score less 2·num·(m − 1), a constant shared by every row.
       The second term is 0 at alpha = 1/2.  The pad is 0.  A row's score
-      and each term lie within den·(m − 1) or 2·den·(m − 1) of 0, so
-      ``ValueError`` is raised once 2·den·(m − 1) reaches 2^63, where they
-      could wrap int64.
+      and each term lie within den·(m − 1) or 2·den·(m − 1) of 0, so once
+      2·den·(m − 1) reaches 2^63, where they could wrap int64, the units
+      are those of ``_equivalent_alpha``, which ranks every row alike.
 
     Scores of one tensor differ by even amounts, so one row beats another
     exactly when it leads by at least 2.
     """
     if isinstance(rule, Copeland):
-        num, den = rule.alpha.numerator, rule.alpha.denominator
-        if 2 * den * (m - 1) >= 1 << 63:
-            raise ValueError(
-                f"Copeland alpha's denominator {den} times 2 * (m - 1) = {2 * (m - 1)} "
-                f"must stay below 2**63"
-            )
+        alpha = rule.alpha
+        if 2 * alpha.denominator * (m - 1) >= 1 << 63:
+            alpha = _equivalent_alpha(alpha, m)
+        num, den = alpha.numerator, alpha.denominator
         # Row sums as products with constant rows: one numpy pass each.
         dens = np.full(m, den, dtype=np.int64)
         tie_terms = np.full(m, den - 2 * num, dtype=np.int64)
@@ -116,6 +115,23 @@ def _margin_scorer(rule: Copeland | Maximin, m: int, n_voters: int):
     pad = np.full((m, m), n_voters, dtype=np.int64)
     np.fill_diagonal(pad, 1 << 62)
     return pad, lambda supports: np.minimum.reduce(supports, axis=-1)
+
+
+def _equivalent_alpha(alpha: Fraction, m: int) -> Fraction:
+    """A tie weight with denominator at most 2·(m − 1) under which every
+    Copeland comparison at m >= 2 candidates comes out as under ``alpha``.
+
+    Two scores w + alpha·t and w' + alpha·t', with wins and ties in
+    0..m − 1, compare as alpha does with the fraction (w' − w)/(t − t'),
+    whose denominator is at most m − 1.  ``alpha`` equals such a fraction
+    only when its own denominator is at most m − 1, and is kept then.
+    Otherwise it lies strictly between the nearest such fractions below and
+    above it, and so does their mediant, which is returned."""
+    if alpha.denominator < m:
+        return alpha
+    below = max(Fraction(math.floor(alpha * b), b) for b in range(1, m))
+    above = min(Fraction(math.ceil(alpha * b), b) for b in range(1, m))
+    return Fraction(below.numerator + above.numerator, below.denominator + above.denominator)
 
 
 def _p_wins_mask(instance: ProblemInstance):
@@ -270,6 +286,11 @@ class _BranchAndBound:
     ``passes``: it scores the bound with the scorer and reads p's score off
     the list.
 
+    *Set-up.*  The pairs, unit changes, slack and capacity of the searches
+    are built by ``_variables`` for a batch of destinations at once, one
+    grid of pairs per batch, with at most ``_BLOCK_CELLS`` cells per batch
+    so that memory stays O(batch · l · m²) however many parties there are.
+
     *Doubled units.*  The scorer's units are exact integers, and every
     score is even, so a strict lead is a lead of at least 2: for MIN the
     best rival must lead p by 2 - 2·unique, for MAX p must lead the best
@@ -338,45 +359,73 @@ class _BranchAndBound:
         self.best_value: int | None = None
         self.best_moves = None
 
-    def _variables(self, destination: int | None):
-        """Pairs with their unit changes, slack and capacity.
+    def _variables(self):
+        """Each destination's ``(pairs, units, slack, remcap)``, in search
+        order: its pairs with their unit changes, slack and capacity.
 
         Sources without voters are left out: their count is always 0, and
         leaving a constant out of every key keeps the keys' order.  In the
-        multi-destination mode a source's capacity counts once per
-        destination, which only widens the bound (still admissible).
+        multi-destination mode there is one segment, every pair, and a
+        source's capacity counts once per destination, which only widens the
+        bound (still admissible).
+
+        The tables are built for a batch of segments in one pass, as a
+        (segments, width) grid of pairs: one fancy index of the party states
+        and one reverse ``cumsum`` along each row for slack and capacity.
+        A destination that has voters of its own has one pair fewer than the
+        grid's width, so its row ends in a pad, a pair from the destination
+        to itself with a zero unit change and capacity 0, which adds nothing
+        to either sum.  In the one-destination mode a batch holds at most
+        ``_BLOCK_CELLS`` table cells (and at least one destination), so the
+        tables take O(batch · l · m²) memory, never O(l² · m²).
         """
-        sizes = self.sizes
+        sizes = self.instance.election.sizes
         l = len(sizes)
-        dests = [destination] if destination is not None else range(l)
-        pairs = [(q, d) for q in range(l) for d in dests if d != q and sizes[q]]
-        sources = [q for q, _ in pairs]
-        unit = self.party_state[[d for _, d in pairs]] - self.party_state[sources]
-        push = np.maximum(self.sign * unit, 0)  # each unit change's helpful part
-        caps = np.array([sizes[q] for q in sources], dtype=np.int64)
-        slack = np.zeros((len(pairs) + 1,) + unit.shape[1:], dtype=np.int64)
-        slack[:-1] = self.sign * np.cumsum((caps[:, None, None] * push)[::-1], axis=0)[::-1]
-        remcap = np.append(np.cumsum(caps[::-1])[::-1], 0).tolist()
-        return pairs, list(unit), list(slack), remcap
+        sources = np.flatnonzero(sizes)
+        if self.instance.destination_mode is DestinationMode.MULTI:
+            others = np.arange(l - 1)
+            dst = (others + (others >= sources[:, None])).reshape(1, -1)  # each d != q
+            batches = [(np.repeat(sources, l - 1)[None], dst, [dst.size])]
+        else:
+            per = max(1, _BLOCK_CELLS // ((len(sources) + 1) * self.party_state[0].size))
+            batches = (
+                _destination_grid(sizes, sources, np.arange(lo, min(lo + per, l)))
+                for lo in range(0, l, per)
+            )
+        for src, dst, lengths in batches:
+            unit = self.party_state[dst]
+            unit -= self.party_state[src]
+            push = self.sign * unit  # each unit change's helpful part, times its cap
+            np.maximum(push, 0, out=push)
+            caps = np.where(src == dst, 0, sizes[src])  # a pad has no capacity
+            push *= caps[..., None, None]
+            slack = np.zeros((len(src), src.shape[1] + 1) + unit.shape[2:], dtype=np.int64)
+            np.cumsum(push[:, ::-1], axis=1, out=slack[:, -2::-1])
+            del push
+            slack *= self.sign
+            remcap = np.zeros((len(src), src.shape[1] + 1), dtype=np.int64)
+            np.cumsum(caps[:, ::-1], axis=1, out=remcap[:, -2::-1])
+            for row, n in enumerate(lengths):
+                yield (
+                    list(zip(src[row, :n].tolist(), dst[row, :n].tolist())),
+                    list(unit[row, :n]),
+                    list(slack[row, : n + 1]),
+                    remcap[row, : n + 1].tolist(),
+                )
 
     # -- search -----------------------------------------------------------
 
     def run(self) -> SolveResult:
-        if self.instance.destination_mode is DestinationMode.ONE:
-            destinations: list[int | None] = list(range(len(self.sizes)))
-        else:
-            destinations = [None]
         try:
-            for destination in destinations:
-                self._search_destination(destination)
+            for tables in self._variables():
+                self._search_destination(*tables)
         except _BudgetExceeded:
             return budget_exhausted(self.solver, self.nodes)
         if self.best_value is None:
             return infeasible(self.solver, self.nodes)
         return feasible(self.best_value, SwitchPlan(moves=self.best_moves), self.solver, self.nodes)
 
-    def _search_destination(self, destination: int | None):
-        pairs, units, slack, remcap = self._variables(destination)
+    def _search_destination(self, pairs, units, slack, remcap):
         n = len(pairs)
         voters = sum(self.sizes)
         state = self.base.copy()
@@ -437,6 +486,20 @@ class _BranchAndBound:
                         state -= unit
 
         dfs(0, 0)
+
+
+def _destination_grid(sizes: np.ndarray, sources: np.ndarray, dests: np.ndarray):
+    """The one-destination pair grid of ``dests``: (src, dst, lengths), row
+    j holding the pairs (q, dests[j]) of the voting ``sources`` q != dests[j]
+    in order, lengths[j] of them, then pads (dests[j], dests[j])."""
+    k = len(sources)
+    # A destination with voters skips its own column, at its rank among the sources.
+    own = np.where(sizes[dests] > 0, np.searchsorted(sources, dests), k)
+    column = np.arange(k)
+    index = column + (column >= own[:, None])
+    dst = np.broadcast_to(dests[:, None], index.shape)
+    src = np.where(index < k, np.append(sources, 0)[index], dst)
+    return src, dst, (k - (own < k)).tolist()
 
 
 def exact_search_min(

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 import partycred as pc
-from partycred.core import ranks_from_orders
+from partycred.core import validated_ranks
 from partycred.instance_io import RULE_CHOICES, parse_rule_spec
 from partycred.rules import condorcet_winner
 
@@ -228,9 +228,9 @@ def test_condorcet_knockout_matches_full_tally_at_m_50():
         else:
             orders = np.argsort(np.arange(50) + rng.normal(0, noise, (l, 50)), axis=1)
         sizes = rng.integers(0 if trial % 2 else 1, 10, size=l)
-        pe = pc.PartyElection.from_arrays(
-            ranks_from_orders(orders.astype(np.int64)), sizes.astype(np.int64)
-        )
+        ranks, bad = validated_ranks(orders.astype(np.int64))
+        assert len(bad) == 0
+        pe = pc.PartyElection.from_arrays(ranks, sizes.astype(np.int64))
         got = condorcet_winner(pe)
         assert got == _full_tally_winner(pe)
         found.add(got is None)

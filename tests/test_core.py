@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import partycred as pc
-from partycred.core import validate_preference
+from partycred.core import validate_preference, validated_ranks
 
 
 def test_validate_preference_identity():
@@ -21,6 +21,26 @@ def test_validate_preference_missing():
 
 def test_validate_preference_out_of_range():
     assert "out of range" in validate_preference((0, 5), 2)
+
+
+def test_validated_ranks_match_a_row_by_row_check():
+    """Rows with a duplicate, a missing or an out-of-range code (negative,
+    m, or far beyond) are exactly the bad rows, in order, and every other
+    row's ranks invert its order."""
+    rng = np.random.default_rng(7)
+    for m in (1, 2, 3, 5):
+        orders = np.argsort(rng.random((300, m)), axis=1)
+        spoiled = rng.random(300) < 0.4
+        slots = rng.integers(0, m, size=300)
+        values = rng.choice([-1, -(1 << 62), m, 1 << 62, 0, m - 1], size=300)
+        orders[spoiled, slots[spoiled]] = values[spoiled]
+        ranks, bad = validated_ranks(orders)
+        want = [q for q, row in enumerate(orders.tolist()) if validate_preference(row, m)]
+        assert bad.tolist() == want
+        good = np.setdiff1d(np.arange(300), bad)
+        assert (np.take_along_axis(ranks[good], orders[good], axis=1) == np.arange(m)).all()
+    ranks, bad = validated_ranks(np.zeros((0, 4), dtype=np.int64))
+    assert ranks.shape == (0, 4) and len(bad) == 0
 
 
 def test_preference_rejects_bad_order():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import partycred as pc
 from partycred import instance_io
-from partycred.core import invalid_orders
+from partycred.core import validated_ranks
 from partycred.instance_io import (
     ParseError,
     parse_alpha,
@@ -428,8 +428,10 @@ def test_party_orders_match_a_row_by_row_reading(drawn):
     split = [text.removeprefix(" ").rstrip(" ").split(" > ") for _, text in lines]
     split = np.array([[index.get(x, -1) for x in row] if len(row) == m else [-1] * m
                       for row in split])
-    valid = ~invalid_orders(read)
-    assert np.array_equal(valid, ~invalid_orders(split))
+    valid = np.ones(len(read), dtype=bool)
+    valid[validated_ranks(read)[1]] = False
+    split_valid = np.array([sorted(row) == list(range(m)) for row in split.tolist()])
+    assert np.array_equal(valid, split_valid)
     assert np.array_equal(read[valid], split[valid])
     for c in range(m):
         forced = dataclasses.replace(table, slots=np.full_like(table.slots, c)).codes(*args)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -176,6 +177,66 @@ def test_condorcet_consistency(e, alpha):
     assert cope[w] == max(cope.values())
     mm = maximin_scores(e)
     assert mm[w] == max(mm.values())
+
+
+def test_copeland_winners_are_the_argmax_of_the_fraction_scores():
+    """``winners`` reads Copeland's integer units, den·wins + num·ties; they
+    pick the argmax of the Fractions wins + alpha·ties, counted here from
+    the tally, at alpha 0, 1/3, 1/2, 2/3 and 1 under both models, and
+    ``copeland_scores`` gives those Fractions.  Every n is even, so pairwise
+    ties occur and alpha decides some draws."""
+    rng = random.Random(31)
+    alphas = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)]
+    ties = unique = 0
+    for _ in range(300):
+        m, l = rng.randint(2, 6), rng.randint(1, 6)
+        sizes = [rng.randint(0, 4) for _ in range(l)]
+        total = sum(sizes)
+        sizes[0] += 2 if total == 0 else total % 2  # an even n >= 2
+        e = pc.PartyElection([rng.sample(range(m), m) for _ in range(l)], sizes)
+        tally = pc.core.pairwise_matrix(e).tolist()
+        for alpha in alphas:
+            scores = {
+                c: sum(1 if tally[c][d] > tally[d][c] else alpha if tally[c][d] == tally[d][c] else 0
+                       for d in range(m) if d != c)
+                for c in range(m)
+            }
+            assert copeland_scores(e, alpha) == scores
+            best = max(scores.values())
+            argmax = frozenset(c for c, v in scores.items() if v == best)
+            for model in pc.WinnerModel:
+                want = argmax if model is pc.WinnerModel.COWINNER or len(argmax) == 1 else frozenset()
+                assert pc.winners(e, pc.Copeland(alpha), model) == want, (e, alpha, model)
+            unique += len(argmax) == 1
+        ties += any(tally[c][d] == tally[d][c] for c in range(m) for d in range(c))
+    assert ties >= 100 and unique >= 500
+
+
+def test_copeland_at_a_30_digit_denominator_parses_and_solves():
+    """alpha = 1/(10^30 + 1): an int64 den·wins would overflow, but the file
+    parses, its winners are those of the Fraction scores and of alpha = 1/6,
+    which orders every score at m = 4 alike, and the oracle and the search
+    solve it with the same value and witness."""
+    huge = "copeland:1/" + str(10**30 + 1)
+    for seed, direction in ((3, "min"), (4, "max")):
+        parsed = pc.instance_io.generate_random(
+            seed=seed, num_candidates=4, num_parties=4, size_range=(1, 3),
+            rule_spec="copeland:1/6", direction=direction,
+        )
+        text = pc.instance_io.serialize_instance(parsed).replace("copeland:1/6", huge)
+        inst = pc.instance_io.parse_instance(text).instance
+        alpha = Fraction(1, 10**30 + 1)
+        assert inst.rule == pc.Copeland(alpha)
+        scores = copeland_scores(inst.election, alpha)
+        best = max(scores.values())
+        assert pc.winners(inst.election, inst.rule, inst.model) == {
+            c for c, v in scores.items() if v == best
+        } == pc.winners(inst.election, parsed.instance.rule, inst.model) == {inst.p}
+        truth = pc.solve_instance(inst, solver="oracle")
+        assert truth.status is pc.SolveStatus.FEASIBLE
+        assert pc.check_witness(inst, truth.witness, k=truth.value).ok
+        searched = pc.solve_instance(inst)
+        assert (searched.value, searched.witness) == (truth.value, truth.witness)
 
 
 def test_condorcet_winner_reads_one_tally_row(monkeypatch):

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from partycred.rules import copeland_scores, maximin_scores, scoring_scores
 from partycred.search import (
     _BLOCK_CELLS,
     _BranchAndBound,
+    _equivalent_alpha,
     _margin_scorer,
     _p_wins_mask,
     _party_margin_deltas,
@@ -304,38 +306,72 @@ def test_party_leads_match_score_and_margin_gaps():
     assert empty >= 30
 
 
-def test_bound_slack_and_steps_match_a_per_pair_loop():
-    """Each level's slack against a loop over the remaining pairs.  The
-    rivals' rows move only up and p's row only down for MIN, and the reverse
-    for MAX.  The loop's extreme unit step in that direction is 2 wherever
-    the slack is not 0, with the slack's sign, so MIN's clamp of the slack
-    to [-2b, 2b] is the cap at b such steps."""
-    for inst in _seeded_problems(80, 13, SEARCH_RULES):
-        bb = _BranchAndBound(inst, inst.direction, node_budget=1)
-        deltas, sizes = _party_margin_deltas(inst), bb.sizes
-        m = len(deltas[0])
-        minimize = inst.direction is pc.Direction.MIN
-        up = ((np.arange(m) != inst.p) == minimize)[:, None]
-        if inst.destination_mode is pc.DestinationMode.ONE:
-            destinations = list(range(len(sizes)))
-        else:
-            destinations = [None]
-        for destination in destinations:
-            pairs, _, slack, _ = bb._variables(destination)
-            for i in range(len(pairs) + 1):
-                want_slack = np.zeros((m, m), dtype=np.int64)
-                want_steps = np.zeros((m, m), dtype=np.int64)
-                for q, d in pairs[i:]:
-                    unit = deltas[d] - deltas[q]
-                    rise, fall = np.maximum(unit, 0), np.minimum(unit, 0)
-                    want_slack += sizes[q] * np.where(up, rise, fall)
-                    want_steps = np.where(
-                        up, np.maximum(want_steps, rise), np.minimum(want_steps, fall)
-                    )
-                assert slack[i].tolist() == want_slack.tolist(), (inst, destination, i)
-                assert (2 * np.sign(slack[i])).tolist() == want_steps.tolist(), (
-                    inst, destination, i
-                )
+def test_bound_slack_and_steps_match_a_per_pair_loop(monkeypatch):
+    """Each destination's pairs, units, capacity and each level's slack
+    against a loop over the remaining pairs, in one batch and across batch
+    boundaries under lowered cell caps (130 cells: 2-3 destinations per
+    batch here; 1 cell: one each).  The rivals' rows move only up and p's
+    row only down for MIN, and the reverse for MAX.  The loop's extreme
+    unit step in that direction is 2 wherever the slack is not 0, with the
+    slack's sign, so MIN's clamp of the slack to [-2b, 2b] is the cap at b
+    such steps."""
+    for cells in (_BLOCK_CELLS, 130, 1):
+        monkeypatch.setattr(pc.search, "_BLOCK_CELLS", cells)
+        for inst in _seeded_problems(80, 13, SEARCH_RULES):
+            bb = _BranchAndBound(inst, inst.direction, node_budget=1)
+            deltas, sizes = _party_margin_deltas(inst), bb.sizes
+            l, m = len(sizes), len(deltas[0])
+            minimize = inst.direction is pc.Direction.MIN
+            up = ((np.arange(m) != inst.p) == minimize)[:, None]
+            if inst.destination_mode is pc.DestinationMode.ONE:
+                destinations = [[d] for d in range(l)]
+            else:
+                destinations = [range(l)]
+            tables = list(bb._variables())
+            assert len(tables) == len(destinations)
+            for dests, (pairs, units, slack, remcap) in zip(destinations, tables):
+                where = (inst, list(dests), cells)
+                assert pairs == [(q, d) for q in range(l) for d in dests if d != q and sizes[q]]
+                assert len(units) == len(pairs) and len(slack) == len(remcap) == len(pairs) + 1
+                for (q, d), unit in zip(pairs, units):
+                    assert unit.tolist() == (deltas[d] - deltas[q]).tolist(), where
+                for i in range(len(pairs) + 1):
+                    assert remcap[i] == sum(sizes[q] for q, _ in pairs[i:]), where
+                    want_slack = np.zeros((m, m), dtype=np.int64)
+                    want_steps = np.zeros((m, m), dtype=np.int64)
+                    for q, d in pairs[i:]:
+                        unit = deltas[d] - deltas[q]
+                        rise, fall = np.maximum(unit, 0), np.minimum(unit, 0)
+                        want_slack += sizes[q] * np.where(up, rise, fall)
+                        want_steps = np.where(
+                            up, np.maximum(want_steps, rise), np.minimum(want_steps, fall)
+                        )
+                    assert slack[i].tolist() == want_slack.tolist(), (where, i)
+                    assert (2 * np.sign(slack[i])).tolist() == want_steps.tolist(), (where, i)
+
+
+def test_search_tables_stay_within_the_cell_cap():
+    """A one-destination Copeland search over 2,000 parties at m = 4 builds
+    its tables one batch of destinations at a time: an unbatched build of
+    every destination's l·m² cells would take about 0.5 GB per array."""
+    rng = np.random.default_rng(4)
+    l, m = 2_000, 4
+    orders = np.argsort(rng.random((l, m)), axis=1)
+    orders[: l // 2] = [0, 1, 2, 3]  # candidate 0 wins outright
+    election = pc.PartyElection(orders, rng.integers(1, 4, size=l))
+    inst = pc.ProblemInstance(
+        election=election, p=0, k=1, rule=pc.Copeland(Fraction(1, 2)),
+        model=pc.WinnerModel.UNIQUE, destination_mode=pc.DestinationMode.ONE,
+        direction=pc.Direction.MAX,
+    )
+    tracemalloc.start()
+    try:
+        result = pc.exact_search_max(inst, node_budget=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.status is pc.SolveStatus.BUDGET_EXHAUSTED
+    assert peak < 64 << 20, peak
 
 
 def test_multi_destination_max_bound_stops_at_n():
@@ -408,11 +444,13 @@ def test_pairwise_score_helpers_match_rules():
             assert copeland(stack[0] + pad).tolist() == expected[0], (seed, alpha)
 
 
-def test_copeland_units_refuse_denominators_that_could_wrap_int64():
+def test_copeland_units_of_large_denominators_are_an_equivalent_alphas():
     """At m = 4 a row's doubled Copeland score reaches 2·den·3 in size: at
     the largest den that keeps it below 2^63 the units are still exact at
     both extremes (all wins with alpha near 0, all losses with alpha near
-    1), and one step on the scorer, the search and the oracle raise."""
+    1).  One step on, the scorer takes the units of alpha = 1/4, which
+    orders every Copeland score at m = 4 as 1/(den + 1) does, and the
+    search and the oracle solve alike."""
     m, last = 4, ((1 << 63) - 1) // 6
     # Candidate 0 beats every rival and candidate 3 loses to every one.
     election = pc.PartyElection([(0, 1, 2, 3), (1, 2, 0, 3)], [2, 1])
@@ -424,18 +462,45 @@ def test_copeland_units_refuse_denominators_that_could_wrap_int64():
                     for c in range(m)]
         assert copeland(margins + pad).tolist() == expected, num
         assert max(map(abs, expected)) > 6 * last - 12, num
-    inst = pc.ProblemInstance(
-        election=election, p=0, k=1, rule=pc.Copeland(alpha=Fraction(1, last + 1)),
-        model=pc.WinnerModel.UNIQUE, destination_mode=pc.DestinationMode.ONE,
-        direction=pc.Direction.MIN,
-    )
-    for call in (
-        lambda: _margin_scorer(inst.rule, m, 3),
-        lambda: pc.exact_search_min(inst),
-        lambda: pc.oracle_min(inst),
-    ):
-        with pytest.raises(ValueError, match="2\\*\\*63"):
-            call()
+    assert _equivalent_alpha(Fraction(1, last + 1), m) == Fraction(1, 4)
+    _, copeland = _margin_scorer(pc.Copeland(alpha=Fraction(1, last + 1)), m, 3)
+    _, quarter = _margin_scorer(pc.Copeland(alpha=Fraction(1, 4)), m, 3)
+    assert copeland(margins).tolist() == quarter(margins).tolist()
+    for direction in pc.Direction:
+        inst = pc.ProblemInstance(
+            election=election, p=0, k=1, rule=pc.Copeland(alpha=Fraction(1, last + 1)),
+            model=pc.WinnerModel.UNIQUE, destination_mode=pc.DestinationMode.ONE,
+            direction=direction,
+        )
+        result = exact_search(inst)
+        assert result.status is pc.SolveStatus.FEASIBLE
+        assert (result.value, result.witness) == (oracle(inst).value, oracle(inst).witness)
+
+
+def test_equivalent_alpha_keeps_every_copeland_comparison():
+    """For m = 2..7 and tie weights of every kind (small denominators, which
+    stay, and denominators up to 10^40, which are replaced), each difference
+    of wins dw plus alpha times a difference of ties dt, both within
+    m - 1 of 0, has the same sign under both weights."""
+    rng = random.Random(27)
+    alphas = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 3)]
+    for den in (7, 10**6 + 3, 10**18 + 9, 10**40 + 1):
+        alphas += [Fraction(rng.randint(0, den), den) for _ in range(40)]
+    for m in range(2, 8):
+        for alpha in alphas:
+            small = _equivalent_alpha(alpha, m)
+            assert small.denominator <= max(alpha.denominator, 2 * (m - 1)) and 0 <= small <= 1
+            if alpha.denominator < m:
+                assert small == alpha
+            for dw in range(1 - m, m):
+                for dt in range(1 - m, m):
+                    # The sign of dw + a·dt for a = num/den is that of den·dw + num·dt.
+                    signs = [
+                        (a.denominator * dw + a.numerator * dt > 0)
+                        - (a.denominator * dw + a.numerator * dt < 0)
+                        for a in (alpha, small)
+                    ]
+                    assert signs[0] == signs[1], (m, alpha, dw, dt)
 
 
 def _permuted(inst: pc.ProblemInstance, perm: list[int]) -> pc.ProblemInstance:
