@@ -17,6 +17,7 @@ error keeps its message and line.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -656,7 +657,7 @@ def _int_field(line_no: int, text: str) -> int:
 
 
 def result_to_json(
-    parsed: ParsedInstance, result: SolveResult, wall_time_ms: int
+    parsed: ParsedInstance, result: SolveResult, wall_time_ms: int | float
 ) -> str:
     """Deterministic JSON rendering of a solve result.
 
@@ -666,8 +667,9 @@ def result_to_json(
     ``destination`` party, null for several, and its ``moves``, each a
     ``{from, to, count}`` object), ``solver`` and ``wall_time_ms``.  Its bytes
     are exactly those of ``json.dumps(doc, indent=2) + "\n"``
-    (``_render_result``).  ``wall_time_ms`` is quantized to 100 ms so
-    repeated runs of the same solve are byte-identical.
+    (``_render_result``).  ``wall_time_ms`` is quantized down to a multiple
+    of 100 ms so repeated runs of the same solve are byte-identical; a float
+    stays a float (``1.0`` is written ``0.0``).
     """
     inst = parsed.instance
     if result.status is SolveStatus.FEASIBLE:
@@ -730,7 +732,7 @@ def _render_result(doc: dict) -> str:
 
 
 def _json_scalar(value) -> str:
-    """``json.dumps(value)`` for a str, int, bool or None."""
+    """``json.dumps(value)`` for a str, int, float, bool or None."""
     if value is None:
         return "null"
     if value is True:
@@ -739,6 +741,8 @@ def _json_scalar(value) -> str:
         return "false"
     if isinstance(value, str):
         return _json_str(value)
+    if isinstance(value, float):  # a library caller's wall time: rare, so json's own
+        return json.dumps(value)
     return int.__repr__(value)
 
 

@@ -8,21 +8,32 @@ survive.  Everything is immutable; ``apply_switch`` returns a new election.
 ``PartyElection`` is the one election type: a rank array and a size vector
 (see ``core``), built once when it is parsed or constructed; winners are
 computed from them.  A switch plan only moves voters between ballots that
-already exist, so ``apply_switch`` and ``check_witness`` apply a plan as a
-size delta: the switched election shares the rank array and gets a new size
-vector.
+already exist, so ``apply_switch`` applies a plan as a size delta: the
+switched election shares the rank array and gets a new size vector.
+``check_witness`` goes further: a ``ProblemInstance`` keeps the table that
+decided p's initial win (``rules.WinTable``), and a check adds only the
+moved parties' terms to it.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import validate_preference, validated_ranks
-from .rules import VOTER_CELL_BOUND, Rule, WinnerModel, winners
+from .rules import (
+    VOTER_CELL_BOUND,
+    Rule,
+    WinnerModel,
+    WinTable,
+    moved_table,
+    p_wins,
+    win_table,
+    winners,
+)
 
 
 class PartyElection:
@@ -170,8 +181,12 @@ def plan_violation(pe: PartyElection, plan: SwitchPlan) -> str | None:
     return None
 
 
-def _switched(pe: PartyElection, plan: SwitchPlan) -> PartyElection:
-    """``pe`` after a structurally valid plan: the same ranks, new sizes."""
+def apply_switch(pe: PartyElection, plan: SwitchPlan) -> PartyElection:
+    """``pe`` after a plan: the same ranks, new sizes; ValueError when the
+    plan is not structurally valid (``plan_violation``)."""
+    problem = plan_violation(pe, plan)
+    if problem is not None:
+        raise ValueError(problem)
     sizes = pe.sizes.copy()
     for source, dest, count in plan.moves:
         sizes[source] -= count
@@ -179,15 +194,15 @@ def _switched(pe: PartyElection, plan: SwitchPlan) -> PartyElection:
     return PartyElection.from_arrays(pe.ranks, sizes)
 
 
-def apply_switch(pe: PartyElection, plan: SwitchPlan) -> PartyElection:
-    problem = plan_violation(pe, plan)
-    if problem is not None:
-        raise ValueError(problem)
-    return _switched(pe, plan)
-
-
 @dataclass(frozen=True)
 class ProblemInstance:
+    """A MIN or MAX question about an election in which p wins initially.
+
+    Validation builds p's win table once (``rules.win_table``: the scores,
+    the pairwise tally, or p's tally row for Condorcet) and reads the winner
+    set from it through ``winners``.  The instance keeps it as ``table``
+    for ``check_witness``."""
+
     election: PartyElection
     p: int
     k: int
@@ -195,26 +210,21 @@ class ProblemInstance:
     model: WinnerModel
     destination_mode: DestinationMode
     direction: Direction
+    table: WinTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
         if not (0 <= self.p < self.election.num_candidates):
             raise ValueError(f"distinguished candidate {self.p} out of range")
-        won = winners(self.election, self.rule, self.model)
-        if not _p_wins(self, won):
+        table = win_table(self.election, self.rule, self.p)
+        won = winners(self.election, self.rule, self.model, table)
+        if self.p not in won:  # under UNIQUE a tie already gives no winner
             raise ValueError(
                 f"candidate {self.p} is not the initial winner "
                 f"(winner set: {sorted(won)})"
             )
-
-
-def _p_wins(instance: ProblemInstance, won: frozenset[int]) -> bool:
-    """p wins with winner set ``won``: as the sole winner (UNIQUE) or as one
-    of the winners (COWINNER).  ``winners`` already returns no winner for a
-    UNIQUE tie, so membership decides both models.  MIN succeeds when this
-    fails, MAX when it holds."""
-    return instance.p in won
+        object.__setattr__(self, "table", table)
 
 
 class WitnessCheck(NamedTuple):
@@ -227,7 +237,13 @@ def check_witness(
 ) -> WitnessCheck:
     """Full witness validation: structure, destination mode, bound, success.
 
-    The plan is applied as a size delta on the instance's arrays.
+    Success is decided on the instance's win table (``instance.table``)
+    moved by the plan: each party the plan touches adds its net size change
+    times what one of its voters adds to the table, read from its ``ranks``
+    row by the rule's definition (``rules.moved_table``).  So a check takes
+    O(k·m) for the k parties the plan touches, O(k·m²) under Copeland and
+    Maximin, and reads no (l, m) array.  It uses nothing of the solvers'
+    own arithmetic, so a solver's error cannot approve its own plan.
     """
     if k is None:
         k = instance.k
@@ -244,8 +260,16 @@ def check_witness(
         return WitnessCheck(False, f"moved {total} voters, bound is at most {k}")
     if instance.direction is Direction.MAX and total < k:
         return WitnessCheck(False, f"moved {total} voters, bound is at least {k}")
-    won = winners(_switched(instance.election, plan), instance.rule, instance.model)
-    if _p_wins(instance, won) == (instance.direction is Direction.MIN):
+    change: dict[int, int] = {}
+    for source, dest, count in plan.moves:
+        change[source] = change.get(source, 0) - count
+        change[dest] = change.get(dest, 0) + count
+    moved = [q for q, delta in change.items() if delta]
+    table = instance.table
+    if moved:
+        ranks = instance.election.ranks[moved]
+        table = moved_table(table, instance.rule, ranks, [change[q] for q in moved])
+    if p_wins(table, instance.rule, instance.model) == (instance.direction is Direction.MIN):
         return WitnessCheck(False, "success predicate fails on the switched election")
     return WitnessCheck(True, None)
 

@@ -281,11 +281,20 @@ def reduce_vc_to_copeland_min(g: GraphInstance, alpha: Fraction) -> ReducedInsta
 
 
 def reduce_x3c_to_maximin_min(x3c: X3CInstance) -> ReducedInstance:
-    """X3C -> Maximin MIN (candidates X plus p, z, alpha, beta)."""
+    """X3C -> Maximin MIN (candidates X plus p, z, alpha, beta).
+
+    Every element lies in three of the n sets, so n = m and the n - m/3
+    voters that Q1 and Q2 split are 2m/3, always even.  p's Maximin score is
+    min(N(p, x), N(p, z), N(p, alpha), N(p, beta)) = min(7m/3 - 3, 4m/3,
+    m + 1, 5m/3 + 1) = m + 1, and an element candidate x scores at most
+    N(x, p) = 4.  So p wins alone only for m >= 6; at m = 3 it ties the
+    elements at 4 and the source is refused.
+    """
     m, n = x3c.universe_size, x3c.num_sets
-    if (n - m // 3) % 2:
+    if m < 6:
         raise ValueError(
-            "construction splits n - m/3 voters in half; that count must be even"
+            f"construction needs a universe of at least 6 elements, got {m}: "
+            f"below that p does not win initially"
         )
     x_names = [f"x{i + 1}" for i in range(m)]
     names = x_names + ["p", "z", "alpha", "beta"]

@@ -12,6 +12,11 @@ Copeland and Maximin read every entry of the (m, m) pairwise tally.  The
 Condorcet winner needs one row of it: a knockout over the candidates finds
 the only one who can win, in O(l·m), and that candidate's row decides
 (``condorcet_winner``).
+
+Whether a given candidate p wins is decided by one table that is linear in
+the party sizes (``WinTable``): the scores, the tally, or p's tally row.
+``win_table`` builds it from an election and ``moved_table`` adds a size
+change of a few parties, reading only those parties' ``ranks`` rows.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,8 +104,13 @@ def scoring_vector_for(name: str, m: int, r: int | None = None) -> tuple[int, ..
 def scoring_scores(e, vector: tuple[int, ...]) -> dict[int, int]:
     """Positional scores; raises ``ValueError`` when n voters (at least 1)
     times the vector's largest entry reaches ``VOTER_POINT_BOUND``, where
-    the solvers' int64 sums could wrap.  ``winners``, ``ProblemInstance``
-    and ``check_witness`` all score through here."""
+    the solvers' int64 sums could wrap.  ``winners`` and ``win_table``
+    score through the same code (``_scores``)."""
+    return dict(enumerate(_scores(e, vector).tolist()))
+
+
+def _scores(e, vector: tuple[int, ...]) -> np.ndarray:
+    """(m,) int64 positional scores, with ``scoring_scores``' checks."""
     if len(vector) != e.num_candidates:
         raise ValueError(
             f"scoring vector length {len(vector)} != {e.num_candidates} candidates"
@@ -120,31 +131,35 @@ def scoring_scores(e, vector: tuple[int, ...]) -> dict[int, int]:
     scores = np.zeros(e.num_candidates, dtype=np.int64)
     for lo in range(0, len(sizes), rows):
         scores += sizes[lo:lo + rows] @ points[ranks[lo:lo + rows]]
-    return dict(enumerate(scores.tolist()))
+    return scores
 
 
-def _copeland_units(e, alpha: Fraction) -> list[int]:
+def _copeland_units(tally: np.ndarray, alpha: Fraction) -> list[int]:
     """Each candidate's Copeland score times alpha's denominator den, as
-    exact Python ints: den·wins + num·ties for alpha = num/den, at any den."""
-    n = pairwise_matrix(e)
-    wins = (n > n.T).sum(axis=1).tolist()
-    ties = ((n == n.T).sum(axis=1) - 1).tolist()  # less the diagonal
+    exact Python ints: den·wins + num·ties for alpha = num/den, at any den,
+    from the (m, m) pairwise tally."""
+    wins = (tally > tally.T).sum(axis=1).tolist()
+    ties = ((tally == tally.T).sum(axis=1) - 1).tolist()  # less the diagonal
     num, den = alpha.numerator, alpha.denominator
     return [den * w + num * t for w, t in zip(wins, ties)]
 
 
 def copeland_scores(e, alpha: Fraction) -> dict[int, Fraction]:
     alpha = Fraction(alpha)
-    units = _copeland_units(e, alpha)
+    units = _copeland_units(pairwise_matrix(e), alpha)
     return {c: Fraction(u, alpha.denominator) for c, u in enumerate(units)}
 
 
-def maximin_scores(e) -> dict[int, int]:
-    if e.num_candidates < 2:
+def _maximin_scores(tally: np.ndarray) -> list[int]:
+    """Each candidate's least entry off the diagonal of its tally row."""
+    m = len(tally)
+    if m < 2:
         raise ValueError("maximin needs at least two candidates")
-    n = pairwise_matrix(e)
-    off_diagonal = np.where(np.eye(e.num_candidates, dtype=bool), np.iinfo(np.int64).max, n)
-    return dict(enumerate(off_diagonal.min(axis=1).tolist()))
+    return np.where(np.eye(m, dtype=bool), np.iinfo(np.int64).max, tally).min(axis=1).tolist()
+
+
+def maximin_scores(e) -> dict[int, int]:
+    return dict(enumerate(_maximin_scores(pairwise_matrix(e))))
 
 
 def condorcet_winner(e) -> int | None:
@@ -172,25 +187,92 @@ def condorcet_winner(e) -> int | None:
     return champion if (2 * row[others] > n).all() else None
 
 
-def _score_table(e, rule: Rule) -> dict[int, int]:
-    """Scores whose order is the rule's: Copeland's in units of 1/den."""
+class WinTable(NamedTuple):
+    """What decides whether candidate ``p`` wins an election under a rule.
+
+    ``values`` is the (m,) scores for a scoring rule, the (m, m) pairwise
+    tally for Copeland and Maximin, and p's (m,) tally row for Condorcet.
+    Each is a sum over the parties of size times what one voter of the
+    party adds.  A plan that moves voters changes it by the moved parties'
+    terms alone (``moved_table``), and leaves ``n``, the number of voters,
+    as it is.
+    """
+
+    p: int
+    n: int
+    values: np.ndarray
+
+
+def win_table(e, rule: Rule, p: int) -> WinTable:
+    """The ``WinTable`` of candidate p in election ``e``, in O(l·m), or
+    O(l·m²) for Copeland and Maximin."""
     if isinstance(rule, Scoring):
-        return scoring_scores(e, rule.vector)
-    if isinstance(rule, Copeland):
-        return dict(enumerate(_copeland_units(e, rule.alpha)))
-    if isinstance(rule, Maximin):
-        return maximin_scores(e)
-    raise TypeError(f"no score table for rule {rule!r}")
+        values = _scores(e, rule.vector)
+    elif isinstance(rule, Condorcet):
+        values = pairwise_matrix(e, [p])[0]
+    else:
+        values = pairwise_matrix(e)
+    return WinTable(p, int(e.sizes.sum()), values)
 
 
-def winners(e, rule: Rule, model: WinnerModel) -> frozenset[int]:
-    """Winner set; under UNIQUE a non-singleton argmax set yields no winner."""
-    if isinstance(rule, Condorcet):
-        w = condorcet_winner(e)
-        return frozenset() if w is None else frozenset({w})
-    scores = _score_table(e, rule)
-    best = max(scores.values())
-    argmax = frozenset(c for c, s in scores.items() if s == best)
+def moved_table(table: WinTable, rule: Rule, ranks: np.ndarray, change) -> WinTable:
+    """``table`` after the parties with (k, m) ``ranks`` change size by the
+    k integers ``change``, in O(k·m), or O(k·m²) for Copeland and Maximin.
+
+    What one voter of party q adds is read from its ranks row by the rule's
+    definition: ``points[ranks[q]]`` for a scoring rule, the (m, m) mask
+    ``ranks[q, c] < ranks[q, d]`` for Copeland and Maximin, and that mask's
+    row p for Condorcet.  The voters only move, so ``n`` stays, and every
+    entry stays that of an election's table, as bounded as any."""
+    if isinstance(rule, Scoring):
+        terms = np.asarray(rule.vector, dtype=np.int64).take(ranks)
+    elif isinstance(rule, Condorcet):
+        terms = ranks[:, [table.p]] < ranks
+    else:
+        terms = ranks[:, :, None] < ranks[:, None, :]
+    delta = np.asarray(change, dtype=np.int64) @ terms.reshape(len(ranks), -1)
+    return table._replace(values=table.values + delta.reshape(table.values.shape))
+
+
+def p_wins(table: WinTable, rule: Rule, model: WinnerModel) -> bool:
+    """Whether p wins: as the sole winner (UNIQUE) or as one of the winners
+    (COWINNER).  A Condorcet winner is unique, so p's row decides both."""
+    if isinstance(rule, Condorcet):  # p beats every rival in a strict majority
+        return bool((2 * np.delete(table.values, table.p) > table.n).all())
+    return table.p in _table_winners(table.values, rule, model)
+
+
+def _table_winners(values: np.ndarray, rule: Rule, model: WinnerModel) -> frozenset[int]:
+    """Winner set of a scoring, Copeland or Maximin ``WinTable``'s values,
+    from scores whose order is the rule's: Copeland's in units of 1/den."""
+    if isinstance(rule, Scoring):
+        scores = values.tolist()
+    elif isinstance(rule, Copeland):
+        scores = _copeland_units(values, rule.alpha)
+    else:
+        scores = _maximin_scores(values)
+    best = max(scores)
+    argmax = frozenset(c for c, s in enumerate(scores) if s == best)
     if model is WinnerModel.UNIQUE and len(argmax) != 1:
         return frozenset()
     return argmax
+
+
+def winners(e, rule: Rule, model: WinnerModel, table: WinTable | None = None) -> frozenset[int]:
+    """Winner set; under UNIQUE a non-singleton argmax set yields no winner.
+
+    From scratch this reads the whole election: O(l·m), or O(l·m²) for
+    Copeland and Maximin.  ``table``, when given, is ``win_table(e, rule,
+    p)`` for some p, and is read instead of rescoring ``e``; under Condorcet
+    it names the winner when p's row shows that p wins, and otherwise the
+    knockout (``condorcet_winner``) runs.  ``check_witness`` calls neither:
+    it moves the instance's table by the plan and asks ``p_wins``, in
+    O(k·m) for a plan that touches k parties."""
+    if isinstance(rule, Condorcet):
+        if table is not None and p_wins(table, rule, model):
+            return frozenset({table.p})
+        w = condorcet_winner(e)
+        return frozenset() if w is None else frozenset({w})
+    if table is None:
+        table = win_table(e, rule, 0)  # p enters only a Condorcet table
+    return _table_winners(table.values, rule, model)

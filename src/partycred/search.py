@@ -135,7 +135,7 @@ def _equivalent_alpha(alpha: Fraction, m: int) -> Fraction:
 
 
 def _p_wins_mask(instance: ProblemInstance):
-    """``parties._p_wins`` for each row of a (K, l) block of party sizes, as
+    """``rules.p_wins`` for each row of a (K, l) block of party sizes, as
     a function built once per instance."""
     rule, p, pe = instance.rule, instance.p, instance.election
     if isinstance(rule, Condorcet):

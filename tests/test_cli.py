@@ -201,6 +201,16 @@ def test_reduce_reads_an_x3c_file(tmp_path, capsys):
     assert prov["source"] == {"problem": "x3c", "universe_size": 3, "sets": [[0, 1, 2]] * 3}
 
 
+def test_reduce_refuses_a_universe_below_the_maximin_range(tmp_path, capsys):
+    source = write(tmp_path, "x3c.txt", "m 3\ns 0 1 2\ns 0 1 2\ns 0 1 2\n")
+    out = tmp_path / "reduced.txt"
+    assert cli.main(["reduce", "x3c-maximin-min", source, "-o", str(out)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "error: construction needs a universe of at least 6 elements, got 3" in err
+    assert "initial winner" not in err
+    assert not out.exists()
+
+
 def test_reduce_alpha_flag(tmp_path, capsys):
     source = write(tmp_path, "graph.txt", GRAPH)
     out = tmp_path / "reduced.txt"

@@ -748,12 +748,26 @@ _WITNESSES = st.one_of(
 @given(st.tuples(
     _JSON_TEXT, _JSON_TEXT, _JSON_TEXT, _JSON_TEXT,
     st.one_of(st.integers(), st.sampled_from(["infeasible", "budget_exhausted"]), _JSON_TEXT),
-    st.sampled_from([True, False, None]), _WITNESSES, _JSON_TEXT, st.integers(min_value=0),
+    st.sampled_from([True, False, None]), _WITNESSES, _JSON_TEXT,
+    st.one_of(st.integers(min_value=0), st.floats()),
 ))
 @settings(max_examples=200, deadline=None)
 def test_result_json_bytes_are_those_of_json_dumps(fields):
     doc = dict(zip(_RESULT_KEYS, fields))
     assert instance_io._render_result(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_result_json_with_a_float_wall_time_is_that_of_json_dumps():
+    """A float wall time is quantized as a float and written as json.dumps
+    writes it; an int one stays an int."""
+    parsed = pc.parse_instance(MINIMAL.replace("k: 1", "k: 2"))
+    result = feasible(1, pc.SwitchPlan(moves=((0, 1, 1),)), "min_scoring")
+    for ms, shown in ((1.0, 0.0), (1234.5, 1200.0), (99.99, 0.0), (300.0, 300.0), (1234, 1200)):
+        out = pc.result_to_json(parsed, result, ms)
+        doc = json.loads(out)
+        assert doc["wall_time_ms"] == shown and type(doc["wall_time_ms"]) is type(shown)
+        assert out == json.dumps(doc, indent=2) + "\n", ms
+    assert '"wall_time_ms": 0.0\n' in pc.result_to_json(parsed, result, 1.0)
 
 
 def test_result_json_of_every_benchmark_pool_instance():

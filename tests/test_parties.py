@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import partycred as pc
+from partycred import core, rules
+from partycred.instance_io import generate_random, parse_rule_spec
 from partycred.parties import (
     EMPTY_PLAN,
     budget_exhausted,
@@ -190,3 +192,155 @@ def test_solve_result_contract():
     assert feasible(2, pc.SwitchPlan(moves=((0, 1, 2),)), "x").answer(inst) is False
     assert infeasible("x").answer(inst) is False
     assert budget_exhausted("x").answer(inst) is None
+
+
+# Every rule, with Copeland at a tie weight of nothing, 1/3 and a full win.
+_CHECK_RULES = (
+    "plurality", "veto", "approval:2", "borda", "condorcet", "maximin",
+    "copeland:0", "copeland:1/3", "copeland:1",
+)
+
+
+def _reference_check(instance, plan, k):
+    """check_witness from scratch: the structure, mode and bound rules, then
+    the winners of the switched election, rescored whole."""
+    election = instance.election
+    if plan_violation(election, plan) is not None:
+        return False
+    if instance.destination_mode is pc.DestinationMode.ONE and len(plan.destinations()) > 1:
+        return False
+    total = plan.total
+    if instance.direction is pc.Direction.MIN and total > k:
+        return False
+    if instance.direction is pc.Direction.MAX and total < k:
+        return False
+    won = pc.winners(pc.apply_switch(election, plan), instance.rule, instance.model)
+    return (instance.p in won) == (instance.direction is pc.Direction.MAX)
+
+
+def _check_plans(rng, sizes, one_destination):
+    """(kind, plan) pairs on parties of these sizes: valid plans with zero
+    counts and repeated pairs, every voter moving, and plans broken by an
+    overdraw or a self-move."""
+    l = len(sizes)
+    dests = [rng.randrange(l)]
+    if not one_destination and l > 1:
+        dests.append(rng.choice([d for d in range(l) if d != dests[0]]))
+    moves = [
+        (q, d, rng.randint(0, sizes[q]) // (1 + (not one_destination)))
+        for q in range(l) for d in dests if d != q and rng.random() < 0.7
+    ]
+    rng.shuffle(moves)
+    plans = [("random", moves)]
+    zero = [(q, d, 0) for q, d, _ in moves[:2]] + [(dests[0], dests[0], 0)]
+    plans.append(("zero counts", zero + moves))
+    if one_destination:
+        everyone = [(q, dests[0], sizes[q]) for q in range(l) if q != dests[0]]
+    else:  # every party empties into its neighbour
+        everyone = [(q, (q + 1) % l, sizes[q]) for q in range(l)] if l > 1 else []
+    plans.append(("everyone", everyone))
+    if moves:
+        q, d, c = moves[0]
+        plans.append(("split", [(q, d, c // 2), (q, d, c - c // 2)] + moves[1:]))
+    q = rng.randrange(l)
+    if l > 1:
+        plans.append(("overdraw", moves + [(q, (q + 1) % l, sizes[q] + 1)]))
+    plans.append(("self-move", moves + [(q, q, 1)]))
+    return [(kind, pc.SwitchPlan(moves=tuple(plan))) for kind, plan in plans]
+
+
+def test_check_witness_matches_a_from_scratch_rescore():
+    """Seeded differential: check_witness, which moves the instance's win
+    table by the plan, against winners() of the whole switched election, on
+    every rule, both models, both destination modes and both directions,
+    with k at the plan's total and one step outside the bound."""
+    seen: dict[tuple, set] = {}
+    kinds: set[str] = set()
+    for trial in range(1500):
+        rng = random.Random(trial)
+        spec = _CHECK_RULES[trial % len(_CHECK_RULES)]
+        model = ("unique", "cowinner")[trial // len(_CHECK_RULES) % 2]
+        dest = ("one", "multi")[trial // (2 * len(_CHECK_RULES)) % 2]
+        direction = ("min", "max")[trial // (4 * len(_CHECK_RULES)) % 2]
+        m = rng.randint(3 if spec == "approval:2" else 2, 5)
+        l = rng.randint(1, 6)
+        election = pc.PartyElection(
+            [rng.sample(range(m), m) for _ in range(l)], [rng.randint(0, 4) for _ in range(l)]
+        )
+        rule = parse_rule_spec(spec, m)
+        won = pc.winners(election, rule, pc.WinnerModel(model))
+        if not won:
+            continue
+        instance = pc.ProblemInstance(
+            election=election, p=min(won), k=rng.randint(1, 6), rule=rule,
+            model=pc.WinnerModel(model), destination_mode=pc.DestinationMode(dest),
+            direction=pc.Direction(direction),
+        )
+        sizes = instance.election.sizes.tolist()
+        for kind, plan in _check_plans(rng, sizes, dest == "one"):
+            step = 1 if direction == "min" else -1  # k just inside the bound, then just outside
+            for k in (None, plan.total, plan.total - step):
+                got = pc.check_witness(instance, plan, k=k)
+                want = _reference_check(instance, plan, instance.k if k is None else k)
+                assert got.ok == want, (spec, model, dest, direction, kind, k, instance, plan)
+                assert got.ok == (got.reason is None)
+                decided = got.ok or got.reason.startswith("success predicate")
+                seen.setdefault((spec, model, dest, direction), set()).add(
+                    got.ok if decided else "structure or bound"
+                )
+                kinds.add(kind)
+    # Each of the 72 classes sees the moved table decide both ways.
+    assert len(seen) == 4 * 2 * len(_CHECK_RULES)
+    assert all({True, False} <= outcomes for outcomes in seen.values()), seen
+    assert kinds == {"random", "zero counts", "everyone", "split", "overdraw", "self-move"}
+
+
+def test_check_witness_rescores_nothing(monkeypatch):
+    """A check on a validated 2,000-party, m = 50 instance reads the
+    instance's win table and the moved parties' ranks rows only: it calls
+    neither the scoring nor the tally nor the Condorcet knockout."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_witness rescored the election")
+
+    for rule in ("plurality", "borda", "condorcet"):
+        parsed = generate_random(
+            seed=1, num_candidates=50, num_parties=2000, size_range=(1, 9),
+            rule_spec=rule, direction="min",
+        )
+        instance = parsed.instance
+        result = pc.solve_instance(instance)
+        plan, value = result.witness, result.value
+        with monkeypatch.context() as patched:
+            for target in (
+                (rules, "scoring_scores"), (rules, "_scores"), (rules, "win_table"),
+                (rules, "pairwise_matrix"), (core, "pairwise_matrix"),
+                (core._kernels, "pairwise_tally"), (rules, "condorcet_winner"),
+            ):
+                patched.setattr(*target, refuse)
+            assert pc.check_witness(instance, plan, k=value).ok
+            assert not pc.check_witness(instance, plan, k=value - 1).ok
+            assert not pc.check_witness(instance, EMPTY_PLAN).ok
+        after = pc.apply_switch(instance.election, plan)
+        assert instance.p not in pc.winners(after, instance.rule, instance.model)
+
+
+def test_problem_instance_keeps_the_table_that_validated_it():
+    """The kept table is the from-scratch one: scores, the whole tally, or
+    p's tally row under Condorcet, whose knockout validation skips."""
+    rng = random.Random(11)
+    for spec in ("borda", "condorcet", "maximin", "copeland:1/3"):
+        parsed = generate_random(
+            seed=rng.randrange(10**6), num_candidates=5, num_parties=7, size_range=(0, 5),
+            rule_spec=spec, direction="min",
+        )
+        instance, election = parsed.instance, parsed.instance.election
+        table = instance.table
+        assert table.p == instance.p and table.n == election.num_voters
+        tally = core.pairwise_matrix(election)
+        if spec == "borda":
+            want = list(rules.scoring_scores(election, instance.rule.vector).values())
+        elif spec == "condorcet":
+            want = tally[instance.p].tolist()
+        else:
+            want = tally.tolist()
+        assert table.values.tolist() == want

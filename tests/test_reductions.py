@@ -96,15 +96,16 @@ def test_vc_copeland_assumptions():
         rd.reduce_vc_to_copeland_min(joined_leaves, HALF)
 
 
-def test_x3c_maximin_parity_assumption():
-    # Nine sets over a 9-element universe: n - m/3 = 6, even, accepted.
+def test_x3c_maximin_needs_six_elements():
+    # Nine sets over a 9-element universe: n - m/3 = 6 voters split evenly.
     ok = rd.X3CInstance(
         9, tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(3)) * 3
     )
     rd.reduce_x3c_to_maximin_min(ok)
-    # The m=3 triple-copy system has n - m/3 = 2 but p starts tied, which
-    # the instance invariant rejects loudly.
-    with pytest.raises(ValueError, match="not the initial winner"):
+    rd.reduce_x3c_to_maximin_min(X3C_YES6)
+    # At m = 3, p's Maximin score m + 1 = 4 ties the element candidates', so
+    # the source is refused before any election is built.
+    with pytest.raises(ValueError, match="universe of at least 6 elements, got 3"):
         rd.reduce_x3c_to_maximin_min(X3C_YES3)
 
 
