@@ -107,7 +107,9 @@ def _cmd_reduce(args) -> int:
     else:
         source = parse_graph(text)
     if "copeland" in args.reduction:
-        reduced = build(source, parse_alpha(args.alpha))
+        reduced = build(source, parse_alpha("1/2" if args.alpha is None else args.alpha))
+    elif args.alpha is not None:
+        raise ValueError(f"--alpha applies to the copeland reductions only, not {args.reduction}")
     else:
         reduced = build(source)
     parsed = ParsedInstance(
@@ -182,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce = sub.add_parser("reduce", help="build an instance from a graph or 3-set system")
     p_reduce.add_argument("reduction", choices=sorted(REDUCTIONS))
     p_reduce.add_argument("source", help="graph file (n/t/e lines) or 3-set file (m/s lines)")
-    p_reduce.add_argument("--alpha", default="1/2",
-                          help="Copeland tie weight as p/q (copeland reductions only)")
+    p_reduce.add_argument("--alpha",
+                          help="Copeland tie weight as p/q, default 1/2 (copeland reductions only)")
     p_reduce.add_argument("-o", "--output", required=True)
     p_reduce.set_defaults(fn=_cmd_reduce)
 

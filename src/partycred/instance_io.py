@@ -776,6 +776,8 @@ def generate_random(
     lo, hi = size_range
     if not (0 <= lo <= hi):
         raise ValueError(f"bad size range {lo}..{hi}")
+    if hi == 0:
+        raise ValueError(f"size range {lo}..{hi} gives every party 0 voters")
     for _ in range(GENERATE_MAX_TRIES):
         orders, sizes = [], []
         for _ in range(num_parties):

@@ -243,7 +243,8 @@ def check_witness(
     row by the rule's definition (``rules.moved_table``).  So a check takes
     O(k·m) for the k parties the plan touches, O(k·m²) under Copeland and
     Maximin, and reads no (l, m) array.  It uses nothing of the solvers'
-    own arithmetic, so a solver's error cannot approve its own plan.
+    own arithmetic, so a solver's error cannot approve its own plan; the
+    oracle asks the same ``rules.p_wins`` of each plan's moved table.
     """
     if k is None:
         k = instance.k
@@ -265,10 +266,8 @@ def check_witness(
         change[source] = change.get(source, 0) - count
         change[dest] = change.get(dest, 0) + count
     moved = [q for q, delta in change.items() if delta]
-    table = instance.table
-    if moved:
-        ranks = instance.election.ranks[moved]
-        table = moved_table(table, instance.rule, ranks, [change[q] for q in moved])
+    ranks = instance.election.ranks[moved]
+    table = moved_table(instance.table, instance.rule, ranks, [change[q] for q in moved])
     if p_wins(table, instance.rule, instance.model) == (instance.direction is Direction.MIN):
         return WitnessCheck(False, "success predicate fails on the switched election")
     return WitnessCheck(True, None)

@@ -1,10 +1,9 @@
 """Score computation and winner determination for the seven rules.
 
 All arithmetic is exact: integer scores for positional rules and Maximin.
-Copeland's winners come from exact integer units, den·wins + num·ties for
-a tie weight alpha = num/den, in Python ints, so no denominator rounds or
-wraps; ``copeland_scores`` gives the same units over den as ``Fraction``s.
-An empty winner set is legal output for the Condorcet rule.
+Copeland's winners come from int64 units, den·wins + num·ties for the tie
+weight num/den = ``equivalent_alpha(alpha, m)``, which orders every score
+as alpha does.  An empty winner set is legal output for the Condorcet rule.
 
 Every function here takes a ``parties.PartyElection`` ``e`` and reads only
 its ``num_candidates`` and its ``ranks`` and ``sizes`` arrays (see ``core``).
@@ -15,13 +14,17 @@ the only one who can win, in O(l·m), and that candidate's row decides
 
 Whether a given candidate p wins is decided by one table that is linear in
 the party sizes (``WinTable``): the scores, the tally, or p's tally row.
-``win_table`` builds it from an election and ``moved_table`` adds a size
-change of a few parties, reading only those parties' ``ranks`` rows.
+``win_table`` builds it from an election, ``voter_terms`` gives what one
+voter of a party adds to it, and ``moved_table`` adds a size change of a
+few parties.  ``p_wins`` decides from one table or a batch of them, for
+validation (through ``winners``), ``parties.check_witness`` and the oracle.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -40,6 +43,7 @@ VOTER_CELL_BOUND = 2**62
 # ``poly._max_pack``: a budget of up to n * max(vector) less counts times
 # costs of up to 2 * max(vector)), fits.
 VOTER_POINT_BOUND = 2**63 // 3
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -134,32 +138,37 @@ def _scores(e, vector: tuple[int, ...]) -> np.ndarray:
     return scores
 
 
-def _copeland_units(tally: np.ndarray, alpha: Fraction) -> list[int]:
-    """Each candidate's Copeland score times alpha's denominator den, as
-    exact Python ints: den·wins + num·ties for alpha = num/den, at any den,
-    from the (m, m) pairwise tally."""
-    wins = (tally > tally.T).sum(axis=1).tolist()
-    ties = ((tally == tally.T).sum(axis=1) - 1).tolist()  # less the diagonal
-    num, den = alpha.numerator, alpha.denominator
-    return [den * w + num * t for w, t in zip(wins, ties)]
+def equivalent_alpha(alpha: Fraction, m: int) -> Fraction:
+    """A tie weight with denominator below 2·m under which every Copeland
+    comparison at m candidates comes out as under ``alpha``.
+
+    Two scores w + alpha·t and w' + alpha·t', with wins and ties in
+    0..m − 1, compare as alpha does with the fraction (w' − w)/(t − t'),
+    whose denominator is at most m − 1.  ``alpha`` equals such a fraction
+    only when its own denominator is at most m − 1, and is kept then.
+    Otherwise it lies strictly between the nearest such fractions below and
+    above it, and so does their mediant, which is returned.  With one
+    candidate nothing is compared, and 0 is returned."""
+    if alpha.denominator < m:
+        return alpha
+    if m < 2:
+        return Fraction(0)
+    below = max(Fraction(math.floor(alpha * b), b) for b in range(1, m))
+    above = min(Fraction(math.ceil(alpha * b), b) for b in range(1, m))
+    return Fraction(below.numerator + above.numerator, below.denominator + above.denominator)
 
 
 def copeland_scores(e, alpha: Fraction) -> dict[int, Fraction]:
+    """Each candidate's wins + alpha·ties, as exact Fractions at any alpha."""
     alpha = Fraction(alpha)
-    units = _copeland_units(pairwise_matrix(e), alpha)
-    return {c: Fraction(u, alpha.denominator) for c, u in enumerate(units)}
-
-
-def _maximin_scores(tally: np.ndarray) -> list[int]:
-    """Each candidate's least entry off the diagonal of its tally row."""
-    m = len(tally)
-    if m < 2:
-        raise ValueError("maximin needs at least two candidates")
-    return np.where(np.eye(m, dtype=bool), np.iinfo(np.int64).max, tally).min(axis=1).tolist()
+    tally = pairwise_matrix(e)
+    wins = (tally > tally.T).sum(axis=1).tolist()
+    ties = ((tally == tally.T).sum(axis=1) - 1).tolist()  # less the diagonal
+    return {c: w + alpha * t for c, (w, t) in enumerate(zip(wins, ties))}
 
 
 def maximin_scores(e) -> dict[int, int]:
-    return dict(enumerate(_maximin_scores(pairwise_matrix(e))))
+    return dict(enumerate(table_scores(pairwise_matrix(e), Maximin()).tolist()))
 
 
 def condorcet_winner(e) -> int | None:
@@ -195,7 +204,7 @@ class WinTable(NamedTuple):
     Each is a sum over the parties of size times what one voter of the
     party adds.  A plan that moves voters changes it by the moved parties'
     terms alone (``moved_table``), and leaves ``n``, the number of voters,
-    as it is.
+    as it is.  Tables of one n stack on leading batch axes (``p_wins``).
     """
 
     p: int
@@ -215,47 +224,78 @@ def win_table(e, rule: Rule, p: int) -> WinTable:
     return WinTable(p, int(e.sizes.sum()), values)
 
 
-def moved_table(table: WinTable, rule: Rule, ranks: np.ndarray, change) -> WinTable:
-    """``table`` after the parties with (k, m) ``ranks`` change size by the
-    k integers ``change``, in O(k·m), or O(k·m²) for Copeland and Maximin.
-
-    What one voter of party q adds is read from its ranks row by the rule's
-    definition: ``points[ranks[q]]`` for a scoring rule, the (m, m) mask
-    ``ranks[q, c] < ranks[q, d]`` for Copeland and Maximin, and that mask's
-    row p for Condorcet.  The voters only move, so ``n`` stays, and every
-    entry stays that of an election's table, as bounded as any."""
+def voter_terms(rule: Rule, ranks: np.ndarray, p: int) -> np.ndarray:
+    """What one voter of each party with (k, m) ``ranks`` adds to p's
+    ``WinTable``, by the rule's definition: the (k, m) ``points[ranks[q]]``
+    for a scoring rule, the (k, m, m) mask ``ranks[q, c] < ranks[q, d]`` for
+    Copeland and Maximin, and that mask's row p for Condorcet."""
     if isinstance(rule, Scoring):
-        terms = np.asarray(rule.vector, dtype=np.int64).take(ranks)
-    elif isinstance(rule, Condorcet):
-        terms = ranks[:, [table.p]] < ranks
-    else:
-        terms = ranks[:, :, None] < ranks[:, None, :]
-    delta = np.asarray(change, dtype=np.int64) @ terms.reshape(len(ranks), -1)
+        return np.asarray(rule.vector, dtype=np.int64).take(ranks)
+    if isinstance(rule, Condorcet):
+        return ranks[:, [p]] < ranks
+    return ranks[:, :, None] < ranks[:, None, :]
+
+
+def moved_table(table: WinTable, rule: Rule, ranks: np.ndarray, change) -> WinTable:
+    """``table`` plus Σ change·``voter_terms`` of the parties with (k, m)
+    ``ranks``, in O(k·m), or O(k·m²) for Copeland and Maximin.  The voters
+    only move, so ``n`` stays, and every entry stays that of an election's
+    table, as bounded as any."""
+    terms = voter_terms(rule, ranks, table.p)
+    delta = np.asarray(change, dtype=np.int64) @ terms.reshape(len(ranks), table.values.size)
     return table._replace(values=table.values + delta.reshape(table.values.shape))
 
 
-def p_wins(table: WinTable, rule: Rule, model: WinnerModel) -> bool:
-    """Whether p wins: as the sole winner (UNIQUE) or as one of the winners
-    (COWINNER).  A Condorcet winner is unique, so p's row decides both."""
-    if isinstance(rule, Condorcet):  # p beats every rival in a strict majority
-        return bool((2 * np.delete(table.values, table.p) > table.n).all())
-    return table.p in _table_winners(table.values, rule, model)
-
-
-def _table_winners(values: np.ndarray, rule: Rule, model: WinnerModel) -> frozenset[int]:
-    """Winner set of a scoring, Copeland or Maximin ``WinTable``'s values,
-    from scores whose order is the rule's: Copeland's in units of 1/den."""
+def table_scores(values: np.ndarray, rule: Scoring | Copeland | Maximin) -> np.ndarray:
+    """(..., m) int64 scores, in the rule's order, of ``WinTable`` values
+    with any leading batch axes: a scoring rule's as they are, Copeland's
+    den·wins + num·ties for num/den = ``equivalent_alpha(alpha, m)``, and
+    Maximin's least entry off the diagonal of each tally row.  A tally's
+    diagonal N(c, c) is 0 and no entry is negative, so that is the row's
+    second-smallest entry."""
     if isinstance(rule, Scoring):
-        scores = values.tolist()
-    elif isinstance(rule, Copeland):
-        scores = _copeland_units(values, rule.alpha)
+        return values
+    m = values.shape[-1]
+    if isinstance(rule, Copeland):
+        points = _copeland_points(rule.alpha.numerator, rule.alpha.denominator, m)
+        signs = np.sign(values - np.swapaxes(values, -1, -2))
+        return points.take(signs).sum(axis=-1) - points[0]  # the diagonal is no tie
+    if m < 2:
+        raise ValueError("maximin needs at least two candidates")
+    return np.sort(values, axis=-1)[..., 1]
+
+
+@functools.lru_cache(maxsize=64)
+def _copeland_points(num: int, den: int, m: int) -> np.ndarray:
+    """Points of a tie, a win and a loss at m candidates for alpha = num/den,
+    in units of ``equivalent_alpha``: indexed by the sign of N(c, d) - N(d, c)."""
+    alpha = equivalent_alpha(Fraction(num, den), m)
+    points = np.array((alpha.numerator, alpha.denominator, 0), dtype=np.int64)
+    points.flags.writeable = False
+    return points
+
+
+def p_wins(table: WinTable, rule: Rule, model: WinnerModel):
+    """Whether p wins, as the sole winner (UNIQUE) or one of the winners
+    (COWINNER): a bool, or a bool array over the leading batch axes of
+    ``table.values``.  Under Condorcet, 2·N(p, d) > n for every rival d
+    decides both models.  Otherwise p's score (``table_scores``) must beat
+    every rival's (UNIQUE) or reach it (COWINNER): membership in ``winners``."""
+    p = table.p
+    if isinstance(rule, Condorcet):
+        beats = 2 * table.values > table.n
+        beats[..., p] = True  # p needs no majority over itself
+        won = beats.all(axis=-1)
+        return won if won.ndim else bool(won)
+    scores = table_scores(table.values, rule)
+    if scores.ndim == 1:  # one table: Python ints cost less than numpy's calls
+        scores = scores.tolist()
+        mine, best = scores.pop(p), max(scores, default=_INT64.min)
     else:
-        scores = _maximin_scores(values)
-    best = max(scores)
-    argmax = frozenset(c for c, s in enumerate(scores) if s == best)
-    if model is WinnerModel.UNIQUE and len(argmax) != 1:
-        return frozenset()
-    return argmax
+        mine, scores = scores[..., p], scores.copy()
+        scores[..., p] = _INT64.min
+        best = scores.max(axis=-1)
+    return mine > best if model is WinnerModel.UNIQUE else mine >= best
 
 
 def winners(e, rule: Rule, model: WinnerModel, table: WinTable | None = None) -> frozenset[int]:
@@ -275,4 +315,9 @@ def winners(e, rule: Rule, model: WinnerModel, table: WinTable | None = None) ->
         return frozenset() if w is None else frozenset({w})
     if table is None:
         table = win_table(e, rule, 0)  # p enters only a Condorcet table
-    return _table_winners(table.values, rule, model)
+    scores = table_scores(table.values, rule).tolist()
+    best = max(scores)
+    argmax = frozenset(c for c, s in enumerate(scores) if s == best)
+    if model is WinnerModel.UNIQUE and len(argmax) != 1:
+        return frozenset()
+    return argmax

@@ -14,9 +14,9 @@ Two independent routes:
   Condorcet has an exact polynomial route (``solve.poly_solver``), so the
   search raises ``ValueError`` on them.
 
-Each route builds its win test once per instance: the oracle's per-block
-mask (``_p_wins_mask``) and the search's node test both score margins with
-one ``_margin_scorer``, built for the instance's rule, m and n.
+The oracle asks ``rules.p_wins``, the win test of validation and
+``check_witness``, of each block of plans.  The branch and bound scores its
+nodes with its own ``_margin_scorer``, which the oracle never calls.
 
 Plans are canonicalized as counts per (source, destination) pair; voters of
 one party are interchangeable so this loses nothing.  A plan's key is its
@@ -34,7 +34,6 @@ matrix per node, and why its doubled units are exact.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -48,7 +47,7 @@ from .parties import (
     feasible,
     infeasible,
 )
-from .rules import Condorcet, Copeland, Maximin, Scoring, WinnerModel
+from .rules import Copeland, Maximin, WinnerModel, WinTable, equivalent_alpha, p_wins, voter_terms
 
 ORACLE_VOTER_CAP = 16  # the oracle refuses larger elections
 ORACLE_PLAN_CAP = 5_000_000  # and destinations with more plans
@@ -58,12 +57,6 @@ _BLOCK_CELLS = 1 << 20  # array cells per oracle block and per batch of search t
 
 class _BudgetExceeded(Exception):
     pass
-
-
-def _party_rows(instance: ProblemInstance) -> np.ndarray:
-    """(l, m) per-voter positional scores for each party (scoring rules)."""
-    vector = np.asarray(instance.rule.vector, dtype=np.int64)
-    return vector[instance.election.ranks]
 
 
 def _party_margin_deltas(instance: ProblemInstance) -> np.ndarray:
@@ -92,7 +85,7 @@ def _margin_scorer(rule: Copeland | Maximin, m: int, n_voters: int):
       The second term is 0 at alpha = 1/2.  The pad is 0.  A row's score
       and each term lie within den·(m − 1) or 2·den·(m − 1) of 0, so once
       2·den·(m − 1) reaches 2^63, where they could wrap int64, the units
-      are those of ``_equivalent_alpha``, which ranks every row alike.
+      are those of ``rules.equivalent_alpha``, which ranks every row alike.
 
     Scores of one tensor differ by even amounts, so one row beats another
     exactly when it leads by at least 2.
@@ -100,7 +93,7 @@ def _margin_scorer(rule: Copeland | Maximin, m: int, n_voters: int):
     if isinstance(rule, Copeland):
         alpha = rule.alpha
         if 2 * alpha.denominator * (m - 1) >= 1 << 63:
-            alpha = _equivalent_alpha(alpha, m)
+            alpha = equivalent_alpha(alpha, m)
         num, den = alpha.numerator, alpha.denominator
         # Row sums as products with constant rows: one numpy pass each.
         dens = np.full(m, den, dtype=np.int64)
@@ -115,49 +108,6 @@ def _margin_scorer(rule: Copeland | Maximin, m: int, n_voters: int):
     pad = np.full((m, m), n_voters, dtype=np.int64)
     np.fill_diagonal(pad, 1 << 62)
     return pad, lambda supports: np.minimum.reduce(supports, axis=-1)
-
-
-def _equivalent_alpha(alpha: Fraction, m: int) -> Fraction:
-    """A tie weight with denominator at most 2·(m − 1) under which every
-    Copeland comparison at m >= 2 candidates comes out as under ``alpha``.
-
-    Two scores w + alpha·t and w' + alpha·t', with wins and ties in
-    0..m − 1, compare as alpha does with the fraction (w' − w)/(t − t'),
-    whose denominator is at most m − 1.  ``alpha`` equals such a fraction
-    only when its own denominator is at most m − 1, and is kept then.
-    Otherwise it lies strictly between the nearest such fractions below and
-    above it, and so does their mediant, which is returned."""
-    if alpha.denominator < m:
-        return alpha
-    below = max(Fraction(math.floor(alpha * b), b) for b in range(1, m))
-    above = min(Fraction(math.ceil(alpha * b), b) for b in range(1, m))
-    return Fraction(below.numerator + above.numerator, below.denominator + above.denominator)
-
-
-def _p_wins_mask(instance: ProblemInstance):
-    """``rules.p_wins`` for each row of a (K, l) block of party sizes, as
-    a function built once per instance."""
-    rule, p, pe = instance.rule, instance.p, instance.election
-    if isinstance(rule, Condorcet):
-        # p's margins over its rivals decide, and both winner models coincide.
-        rivals = np.delete(_party_margin_deltas(instance)[:, p, :], p, axis=1)
-        return lambda weights: (weights @ rivals > 0).all(axis=1)
-    if isinstance(rule, Scoring):
-        rows = _party_rows(instance)
-        scores_of = lambda weights: weights @ rows
-    else:
-        deltas = _party_margin_deltas(instance)
-        pad, score = _margin_scorer(rule, pe.num_candidates, pe.num_voters)
-        scores_of = lambda weights: score(np.tensordot(weights, deltas, axes=1) + pad)
-    unique = int(instance.model is WinnerModel.UNIQUE)
-
-    def wins(weights: np.ndarray) -> np.ndarray:
-        scores = scores_of(weights)
-        p_score = scores[:, p].copy()
-        scores[:, p] = np.iinfo(np.int64).min
-        return p_score - unique >= scores.max(axis=1)  # p_score > best rival if unique
-
-    return wins
 
 
 def _compositions_upto(total: int, slots: int):
@@ -210,12 +160,11 @@ def _oracle(instance: ProblemInstance, direction: Direction) -> SolveResult:
         destinations = [None]
     minimize = direction is Direction.MIN
     sign = 1 if minimize else -1  # the argmin of sign * moved is the best plan
-    wins = _p_wins_mask(instance)
-    m = pe.num_candidates
-    # Each plan's block row holds its l sizes and its (m,) scores, or its
-    # (m, m) margins under Copeland and Maximin.
-    cells = len(sizes) + (m * m if isinstance(instance.rule, (Copeland, Maximin)) else m)
-    block = max(1, _BLOCK_CELLS // cells)
+    rule, model = instance.rule, instance.model
+    # Each plan's block row holds its l sizes and its table: (m,) scores or
+    # p's tally row, or the (m, m) tally under Copeland and Maximin.
+    terms = voter_terms(rule, pe.ranks, instance.p).astype(np.int64)
+    block = max(1, _BLOCK_CELLS // (len(sizes) + terms[0].size))
 
     best_value: int | None = None
     best_moves = None
@@ -231,7 +180,8 @@ def _oracle(instance: ProblemInstance, direction: Direction) -> SolveResult:
             plans = np.unravel_index(index if minimize else n_plans - 1 - index, shape)
             into = sum(table[i] for table, i in zip(tables, plans))
             out = np.stack([s[i] for s, i in zip(sent, plans)], axis=1)
-            ok = wins(pe.sizes + into - out) != minimize
+            values = np.tensordot(pe.sizes + into - out, terms, axes=1)
+            ok = p_wins(WinTable(instance.p, pe.num_voters, values), rule, model) != minimize
             if not ok.any():
                 continue
             moved = out.sum(axis=1)

@@ -221,6 +221,23 @@ def test_reduce_alpha_flag(tmp_path, capsys):
     assert "rule: copeland:1/3" in out.read_text()
 
 
+def test_reduce_refuses_alpha_on_a_reduction_without_copeland(tmp_path, capsys):
+    """``--alpha`` names Copeland's tie weight: any other reduction refuses
+    it, whatever its value, and writes nothing."""
+    source = write(tmp_path, "x3c.txt", "m 3\ns 0 1 2\ns 0 1 2\ns 0 1 2\n")
+    out = tmp_path / "reduced.txt"
+    for alpha in ("nonsense", "1/2"):
+        code = cli.main(["reduce", "x3c-borda-max", source, "--alpha", alpha, "-o", str(out)])
+        assert code == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: --alpha applies to the copeland reductions only"), err
+        assert "x3c-borda-max" in err
+        assert not out.exists()
+    graph = write(tmp_path, "graph.txt", GRAPH)
+    assert cli.main(["reduce", "is-copeland-max", graph, "-o", str(out)]) == cli.EXIT_OK
+    assert "rule: copeland:1/2" in out.read_text()
+
+
 def test_gen_roundtrip_and_determinism(tmp_path, capsys):
     args = [
         "gen", "--seed", "7", "--candidates", "3", "--parties", "3",
@@ -254,6 +271,20 @@ def test_gen_bad_sizes_names_the_flag_not_a_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: bad --sizes value 'x..3'"), err
     assert "line" not in err
+
+
+def test_gen_refuses_sizes_whose_top_is_zero(tmp_path, capsys):
+    out = tmp_path / "x.txt"
+    args = [
+        "gen", "--seed", "7", "--candidates", "3", "--parties", "3",
+        "--sizes", "0..0", "--rule", "plurality", "--direction", "min",
+        "-o", str(out),
+    ]
+    assert cli.main(args) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "error: size range 0..0 gives every party 0 voters" in err, err
+    assert "initial winner" not in err
+    assert not out.exists()
 
 
 def test_gen_one_candidate_is_an_input_error(tmp_path, capsys):

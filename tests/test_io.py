@@ -807,10 +807,11 @@ def test_generate_random_condorcet_postcondition():
 
 def test_generate_random_retry_limit():
     with pytest.raises(ValueError, match="no instance"):
-        # With no voter in any draw no candidate wins, so every try fails.
+        # Approval of both candidates ties them in every draw, so no draw
+        # has a unique winner and every try fails.
         pc.generate_random(
-            seed=1, num_candidates=2, num_parties=1, size_range=(0, 0),
-            rule_spec="condorcet", direction="min",
+            seed=1, num_candidates=2, num_parties=1, size_range=(1, 3),
+            rule_spec="approval:2", direction="min",
         )
 
 
@@ -828,6 +829,20 @@ def test_generate_random_rejects_a_bad_size_range(size_range):
     with pytest.raises(ValueError, match=f"bad size range {lo}..{hi}"):
         pc.generate_random(
             seed=1, num_candidates=3, num_parties=2, size_range=size_range,
+            rule_spec="plurality", direction="min",
+        )
+
+
+def test_generate_random_refuses_sizes_whose_top_is_zero(monkeypatch):
+    """A range whose top is 0 gives no voters at all: it is refused before
+    any election is drawn, with the cause, not after every try."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("an election was drawn")
+
+    monkeypatch.setattr("partycred.instance_io.PartyElection", no_draws)
+    with pytest.raises(ValueError, match="size range 0..0 gives every party 0 voters"):
+        pc.generate_random(
+            seed=1, num_candidates=3, num_parties=2, size_range=(0, 0),
             rule_spec="plurality", direction="min",
         )
 

@@ -10,10 +10,13 @@ import partycred as pc
 from partycred import _kernels
 from partycred.rules import (
     VOTER_POINT_BOUND,
+    WinTable,
     condorcet_winner,
     copeland_scores,
     maximin_scores,
+    p_wins,
     scoring_scores,
+    win_table,
 )
 
 P, A, B = 0, 1, 2
@@ -259,3 +262,52 @@ def test_condorcet_winner_reads_one_tally_row(monkeypatch):
             won.append(pc.winners(e, pc.Condorcet(), model))
     assert won[0] == {0} and won[2] == frozenset()  # around one order; uniform
     assert calls and max(calls) <= 1, calls
+
+
+def test_batched_p_wins_is_each_tables_answer():
+    """``p_wins`` on a (K, ...) block of win tables, one per election over
+    the same parties and n, and on the same block shaped (2, K/2, ...),
+    answers as K single calls do, and each is membership in ``winners``.
+    All seven rule kinds (Copeland at alpha 0, 1/3, 1/2, 1 and at a
+    30-digit denominator), both models, every p, at m = 1..6; Maximin,
+    which needs a rival, refuses m = 1 both ways."""
+    rng = random.Random(29)
+    alphas = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(1, 10**30 + 1))
+    seen = {}
+    for m in range(1, 7):
+        rules = [pc.Scoring(pc.scoring_vector_for(name, m, max(1, m // 2)))
+                 for name in ("plurality", "veto", "approval", "borda")]
+        rules += [pc.Condorcet(), pc.Maximin()] + [pc.Copeland(a) for a in alphas]
+        for _ in range(6):
+            l, n, k = rng.randint(1, 5), rng.randint(1, 12), 2 * rng.randint(1, 4)
+            ranks = np.array([rng.sample(range(m), m) for _ in range(l)], dtype=np.int64)
+            elections = [
+                pc.PartyElection.from_arrays(
+                    ranks, np.bincount(rng.choices(range(l), k=n), minlength=l)
+                )
+                for _ in range(k)
+            ]
+            for rule in rules:
+                for model in pc.WinnerModel:
+                    if m == 1 and isinstance(rule, pc.Maximin):
+                        with pytest.raises(ValueError, match="at least two candidates"):
+                            pc.winners(elections[0], rule, model)
+                        with pytest.raises(ValueError, match="at least two candidates"):
+                            p_wins(win_table(elections[0], rule, 0), rule, model)
+                        continue
+                    for p in range(m):
+                        tables = [win_table(e, rule, p) for e in elections]
+                        singles = [p_wins(t, rule, model) for t in tables]
+                        assert all(type(won) is bool for won in singles)
+                        want = [p in pc.winners(e, rule, model) for e in elections]
+                        assert singles == want, (m, rule, model, p)
+                        block = np.stack([t.values for t in tables])
+                        batched = p_wins(WinTable(p, n, block), rule, model)
+                        assert batched.dtype == bool and batched.tolist() == want
+                        square = block.reshape((2, k // 2) + block.shape[1:])
+                        assert p_wins(WinTable(p, n, square), rule, model).ravel().tolist() == want
+                        kind = type(rule).__name__
+                        seen.setdefault((kind, model, m > 1), set()).update(want)
+    # Every rule kind and model both wins and loses once there are rivals.
+    assert all(outcomes == {True, False} for (_, _, rivals), outcomes in seen.items() if rivals)
+    assert all(outcomes == {True} for (_, _, rivals), outcomes in seen.items() if not rivals)

@@ -14,13 +14,17 @@ import pytest
 import partycred as pc
 from partycred.core import pairwise_matrix
 from partycred.poly import _party_leads
-from partycred.rules import copeland_scores, maximin_scores, scoring_scores
+from partycred.rules import (
+    copeland_scores,
+    equivalent_alpha,
+    maximin_scores,
+    p_wins,
+    scoring_scores,
+)
 from partycred.search import (
     _BLOCK_CELLS,
     _BranchAndBound,
-    _equivalent_alpha,
     _margin_scorer,
-    _p_wins_mask,
     _party_margin_deltas,
 )
 
@@ -96,16 +100,11 @@ def test_oracle_blocks_stay_within_the_cell_budget(monkeypatch):
     the answer is the search's."""
     blocks = []
 
-    def recording_mask(instance):
-        wins = _p_wins_mask(instance)
+    def recorded(table, rule, model):
+        blocks.append(len(table.values))
+        return p_wins(table, rule, model)
 
-        def recorded(weights):
-            blocks.append(len(weights))
-            return wins(weights)
-
-        return recorded
-
-    monkeypatch.setattr("partycred.search._p_wins_mask", recording_mask)
+    monkeypatch.setattr("partycred.search.p_wins", recorded)
     rng, m, sizes = random.Random(3), 20, [3, 3, 2, 2]
     won = ()
     while len(won) != 1:
@@ -183,6 +182,31 @@ def test_search_witness_equals_oracle():
         assert (mine.status, mine.value, mine.witness) == (
             ref.status, ref.value, ref.witness
         ), (inst, mine, ref)
+
+
+def test_oracle_never_calls_the_branch_and_bound_scorer(monkeypatch):
+    """The oracle asks ``rules.p_wins``, so no error in the search's own
+    scorer reaches the ground truth: with ``_margin_scorer`` made to raise,
+    it solves two draws of each Copeland (alpha 0, 1/3, 1/2, 1) and Maximin
+    class, both directions, destination modes and winner models, and each
+    answer is the search's and passes ``check_witness``."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called _margin_scorer")
+
+    problems = _seeded_problems(80, 29, SEARCH_RULES)
+    with monkeypatch.context() as patched:
+        patched.setattr("partycred.search._margin_scorer", refuse)
+        answers = [oracle(inst) for inst in problems]
+        with pytest.raises(AssertionError, match="called _margin_scorer"):
+            exact_search(problems[0])
+    for inst, answer in zip(problems, answers):
+        ref = exact_search(inst)
+        assert (answer.status, answer.value, answer.witness) == (
+            ref.status, ref.value, ref.witness
+        ), (inst, answer, ref)
+        if answer.status is pc.SolveStatus.FEASIBLE:
+            assert pc.check_witness(inst, answer.witness, k=answer.value).ok
+    assert {pc.SolveStatus.FEASIBLE, pc.SolveStatus.INFEASIBLE} <= {a.status for a in answers}
 
 
 def _first_optimal_plan(inst):
@@ -462,7 +486,7 @@ def test_copeland_units_of_large_denominators_are_an_equivalent_alphas():
                     for c in range(m)]
         assert copeland(margins + pad).tolist() == expected, num
         assert max(map(abs, expected)) > 6 * last - 12, num
-    assert _equivalent_alpha(Fraction(1, last + 1), m) == Fraction(1, 4)
+    assert equivalent_alpha(Fraction(1, last + 1), m) == Fraction(1, 4)
     _, copeland = _margin_scorer(pc.Copeland(alpha=Fraction(1, last + 1)), m, 3)
     _, quarter = _margin_scorer(pc.Copeland(alpha=Fraction(1, 4)), m, 3)
     assert copeland(margins).tolist() == quarter(margins).tolist()
@@ -488,7 +512,7 @@ def test_equivalent_alpha_keeps_every_copeland_comparison():
         alphas += [Fraction(rng.randint(0, den), den) for _ in range(40)]
     for m in range(2, 8):
         for alpha in alphas:
-            small = _equivalent_alpha(alpha, m)
+            small = equivalent_alpha(alpha, m)
             assert small.denominator <= max(alpha.denominator, 2 * (m - 1)) and 0 <= small <= 1
             if alpha.denominator < m:
                 assert small == alpha
