@@ -23,15 +23,6 @@ from .parties import (
     check_witness,
 )
 from .poly import max_linear, max_r_approval, min_condorcet, min_scoring
-from .reductions import (
-    REDUCTIONS,
-    GraphInstance,
-    ReducedInstance,
-    X3CInstance,
-    solve_is_naive,
-    solve_vc_naive,
-    solve_x3c_naive,
-)
 from .rules import (
     Condorcet,
     Copeland,
@@ -46,6 +37,27 @@ from .search import exact_search_max, exact_search_min, oracle_max, oracle_min
 from .solve import poly_solver, solve_instance
 
 __version__ = "0.1.0"
+
+# Only ``partycred reduce`` and library callers use the reductions, so the
+# package imports that module on the first use of one of its names (PEP 562).
+_REDUCTION_NAMES = frozenset((
+    "REDUCTIONS",
+    "GraphInstance",
+    "ReducedInstance",
+    "X3CInstance",
+    "solve_is_naive",
+    "solve_vc_naive",
+    "solve_x3c_naive",
+))
+
+
+def __getattr__(name: str):
+    if name in _REDUCTION_NAMES:
+        from . import reductions
+
+        return getattr(reductions, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "pairwise_matrix",

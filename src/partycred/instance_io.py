@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import validate_preference, validated_ranks
+from .core import validate_preference
 from .parties import (
     VOTER_CELL_BOUND,
     Direction,
@@ -266,7 +266,8 @@ def _read_lines(
         headers[key] = (line_no, value.strip())
 
 
-# Block rows per ``_NameTable.codes`` call; it bounds the per-token arrays held at once.
+# Block rows per ``_NameTable.codes`` call; it bounds the per-token arrays and
+# the chunk's word copy (8 bytes per byte) held at once.
 _PARTY_CHUNK = 512
 # Names (lines times candidates) from which party lines are read in bulk
 # (``_party_block``), not by the line loop.  The block costs 250-300 us up
@@ -341,15 +342,28 @@ class _PartyBlock(NamedTuple):  # a frozen dataclass would add about 1 ms to eve
 
     def parties(self, index: dict[str, int]):
         """(party names, ranks, sizes), as ``_parse_parties`` gives them.
-        The rows that the name table cannot read whole are read again by
-        ``_party_order``, so the first bad line raises its own ParseError."""
+
+        Each chunk's codes are scattered straight into ``ranks``: the code
+        at position i of row q writes i to ranks[q, code].  A code is -1 or
+        a candidate, so the -1 tokens go to one spare slot past the ranks,
+        and a row is a permutation exactly when none of its slots is left
+        -1.  The rows left holding a -1 are read again by ``_party_order``,
+        so the first bad line raises its own ParseError."""
         m = len(index)
-        ranks = np.empty((len(self.names), m), dtype=np.int64)
-        for lo in range(0, len(ranks), _PARTY_CHUNK):
-            hi = lo + _PARTY_CHUNK
+        num_rows = len(self.names)
+        spare = num_rows * m
+        flat = np.full(spare + 1, -1, dtype=np.int64)
+        ranks = flat[:-1].reshape(num_rows, m)
+        for lo in range(0, num_rows, _PARTY_CHUNK):
+            hi = min(lo + _PARTY_CHUNK, num_rows)
             codes = self.table.codes(self.buf, self.starts[lo:hi], self.ends[lo:hi])
-            ranks[lo:hi], bad = validated_ranks(codes)
-            for q in (bad + lo).tolist():
+            unknown = codes < 0
+            codes += np.arange(lo * m, hi * m, m)[:, None]  # each code's flat index
+            codes[unknown] = spare
+            flat[codes.ravel()] = np.tile(np.arange(m), hi - lo)
+            if flat[lo * m : hi * m].min() >= 0:
+                continue
+            for q in (np.flatnonzero(ranks[lo:hi].min(axis=1) < 0) + lo).tolist():
                 text = str(self.buf[self.starts[q] : self.ends[q]], "utf-8", "surrogatepass")
                 ranks[q, _party_order(int(self.line_nos[q]), text, index)] = np.arange(m)
         return self.names, ranks, np.array(self.sizes, dtype=np.int64)
@@ -477,7 +491,8 @@ class _NameTable:
     from it only by trailing NULs.  An empty slot holds code 0, which that
     test refuses as well.  Names and texts are encoded alike (UTF-8 with
     ``surrogatepass``), so a lone surrogate reads the same here as it does
-    as a ``str``.
+    as a ``str``.  ``codes`` keeps one 1-D array per token quantity and
+    takes one loop step per word column, so W sets only the loop's length.
     """
 
     words: np.ndarray  # (K, W) the names' words
@@ -497,7 +512,7 @@ class _NameTable:
         padded = b"".join(name.ljust(width, b"\0") for name in encoded)
         words = np.frombuffer(padded, dtype=_U64).reshape(k, -1)
         lengths = np.array([len(name) for name in encoded], dtype=np.int64)
-        keys = _token_keys(words, lengths)
+        keys = _token_keys(words.T, lengths)
         shift = np.uint64(64 - bits)
         for multiplier in _MULTIPLIERS:
             hashed = (keys * multiplier) >> shift
@@ -516,45 +531,72 @@ class _NameTable:
         """(len(starts), m) int codes of order rows, m = K.  Row r is
         buf[starts[r] : ends[r]] of a ``buffer``; buf[ends[r]] is a newline,
         and no newline lies between one row's end and the next row's start
-        (a '>' there leaves the next row all -1).  A row holds the codes of
+        (a '>' there leaves a -1 in the next row).  A row holds the codes of
         a text that reads exactly ``n1 > n2 > ... > nm``, with a name's code
         where ``ni`` is a name and -1 where it is not; every other row is
-        all -1."""
+        all -1.
+
+        The per-token arrays are 1-D, one loop step per word column: word j
+        of each token is masked to the token's bytes, folded into its key
+        in place, and later compared with word j of the name in its slot,
+        into one running mask of the tokens that are not that name."""
         num_rows = len(starts)
         m, width = self.words.shape
         lo, hi = starts[0], ends[-1] + 1
-        span = buf[lo:hi]
-        stops = np.flatnonzero((span == 62) | (span == 10)) + lo  # a '>' or newline ends a token
-        after_gt = buf.take(stops) == 62
-        row_ends = np.flatnonzero(~after_gt)  # each row's last token
+        span = buf[lo:]  # offsets below are from lo; span[-1] is padding
+        gt = span[: hi - lo] == 62
+        stops = np.flatnonzero(gt | (span[: hi - lo] == 10))  # a '>' or newline ends a token
+        after_gt = gt.take(stops)
+        del gt  # with the word copy below, it would raise the parse's peak memory
+        # Each row ends at its one newline and none lies between rows, so
+        # every row holds m tokens exactly when there are num_rows * m tokens
+        # and tokens m - 1, 2m - 1, ... all end at a newline.
+        all_whole = len(stops) == num_rows * m and not after_gt[m - 1 :: m].any()
+        # Each later row's first token.
+        firsts = slice(m, None, m) if all_whole else np.flatnonzero(~after_gt)[:-1] + 1
         token_starts = np.empty_like(stops)
-        token_starts[0] = lo
-        token_starts[1:] = stops[:-1] + 2  # past " > "
-        token_starts[row_ends[:-1] + 1] = starts[1:]  # each later row's first token
-        lengths = stops - after_gt - token_starts  # up to " > " or the newline
-        spaced = (buf.take(stops - 1) == 32) & (buf.take(stops + 1) == 32)  # buf[-1] is padding
-        lengths[after_gt & ~spaced] = 0  # no name ends at a '>' not spelled " > "
+        token_starts[0] = 0
+        np.add(stops[:-1], 2, out=token_starts[1:])  # past " > "
+        token_starts[firsts] = starts[1:] - lo
+        lengths = stops - token_starts
+        lengths -= after_gt  # up to " > " or the newline
         # A token starts at most at hi, after a '>' that ends the last row.
-        view = np.ndarray((hi - lo + 1, width), dtype=_U64, buffer=buf[lo:], strides=(1, 8))
-        words = view.take(token_starts - lo, axis=0)  # each token's first 8 * W bytes
-        words &= _LOW_BYTES.take(np.clip(lengths[:, None] - 8 * np.arange(width), 0, 8))
-        found = self.slots.take((_token_keys(words, lengths) * self.multiplier) >> self.shift)
-        differs = self.words.take(found, axis=0) != words
-        found[(self.lengths.take(found) != lengths) | differs.any(axis=1)] = -1
-        counts = np.diff(row_ends, prepend=-1)  # tokens per row
-        whole = counts == m
-        if whole.all():
+        view = np.ndarray((hi - lo + 8 * width - 7,), dtype=_U64, buffer=span, strides=(1,))
+        columns = []
+        for j in range(width):
+            # take copies the strided view before it gathers, 8 bytes per
+            # byte of the chunk.  On a 512-row chunk at m = 50 (2-vCPU VM)
+            # it still took 98-107 us, against 131-150 us for fancy indexing
+            # on the view and 178 us for two aligned word reads with shifts.
+            word = view.take(token_starts + 8 * j if j else token_starts)  # bytes 8j .. 8j + 7
+            word &= _LOW_BYTES.take(lengths - 8 * j, mode="clip")
+            columns.append(word)
+        # No name ends at a '>' not spelled " > ".
+        mismatch = after_gt > ((span.take(stops - 1) == 32) & (span.take(stops + 1) == 32))
+        keys = _token_keys(columns, lengths)
+        keys *= self.multiplier
+        keys >>= self.shift
+        found = self.slots.take(keys)
+        mismatch |= self.lengths.take(found) != lengths
+        for name_words, word in zip(self.words.T, columns):
+            mismatch |= name_words.take(found) != word
+        found[mismatch] = -1
+        if all_whole:
             return found.reshape(num_rows, m)
+        counts = np.diff(firsts, prepend=0, append=len(stops))  # tokens per row
+        whole = counts == m
         out = np.full((num_rows, m), -1, dtype=np.int64)
         out[whole] = found[np.repeat(whole, counts)].reshape(-1, m)
         return out
 
 
-def _token_keys(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """One uint64 key per row of (n, W) words and its byte length."""
+def _token_keys(columns, lengths: np.ndarray) -> np.ndarray:
+    """One uint64 key per token, folded in place from its byte length and
+    its W word columns, each an (n,) uint64 array."""
     keys = lengths.astype(_U64)
-    for column in words.T:
-        keys = keys * _KEY_MIX + column
+    for column in columns:
+        keys *= _KEY_MIX
+        keys += column
     return keys
 
 

@@ -462,7 +462,7 @@ def test_max_pack_signed_costs_match_enumeration(monkeypatch):
     the fixed packings need that path.  In none of these draws, nor in
     33,000 further seeded ones with costs up to ±9, does the search halve an
     interval after an integral relaxation or meet ``_simplex``'s unbounded
-    edge: those two paths stay untested."""
+    edge; the two tests below drive those paths directly."""
     short_slack = []
 
     def watched(a, room, slack):
@@ -481,23 +481,61 @@ def test_max_pack_signed_costs_match_enumeration(monkeypatch):
                 rng.integers(0, cap + 1, size=rows),
                 rng.integers(lowest, 7, size=cols),
             ))
-    none = 0
-    for a, caps, budget in packings:
-        sums = [
-            sum(counts)
-            for counts in itertools.product(*(range(int(c) + 1) for c in caps))
-            if (np.array(counts) @ a <= budget).all()
-        ]
-        x = _max_pack(a, budget, caps)
-        if not sums:
-            assert x is None, (a, caps, budget, x)
-            none += 1
-            continue
-        assert (x >= 0).all() and (x <= caps).all()
-        assert (x @ a <= budget).all()
-        assert x.sum() == max(sums), (a, caps, budget, x)
+    none = sum(not _packs_like_enumeration(*packing) for packing in packings)
     assert none >= 30
     assert any(short_slack)
+
+
+def _packs_like_enumeration(a, caps, budget) -> bool:
+    """Assert that ``_max_pack`` finds the enumerated optimum, with counts
+    that fit every constraint and cap, or None exactly when no counts fit;
+    return whether any counts fit."""
+    sums = [
+        sum(counts)
+        for counts in itertools.product(*(range(int(c) + 1) for c in caps))
+        if (np.array(counts) @ a <= budget).all()
+    ]
+    x = _max_pack(a, budget, caps)
+    if not sums:
+        assert x is None, (a, caps, budget, x)
+        return False
+    assert (x >= 0).all() and (x <= caps).all()
+    assert (x @ a <= budget).all()
+    assert x.sum() == max(sums), (a, caps, budget, x)
+    return True
+
+
+def test_max_pack_halves_an_interval_after_an_integral_relaxation(monkeypatch):
+    """With a relaxation that claims every count at its room, integral and
+    priced 0, the rounded fill of a node that cannot take every voter does
+    not fit, so the search halves the widest interval.  Its bounds stay
+    valid, so the packings still equal the enumerated optimum."""
+    halved = []
+
+    def all_room(a, room, slack):
+        halved.append(bool((room @ a > slack).any()))
+        return room.astype(float), np.zeros(a.shape[1])
+
+    monkeypatch.setattr("partycred.poly._lp_relaxation", all_room)
+    packings = [tuple(map(np.array, packing)) for packing in SIGNED_PACKINGS]
+    packings += [packing for packing in _small_packings(200, seed=13) if (packing[2] >= 0).all()]
+    for packing in packings:
+        _packs_like_enumeration(*packing)
+    assert sum(halved) >= 20
+
+
+def test_simplex_stops_on_an_unbounded_edge():
+    """An entering column that no row limits and whose upper bound is
+    infinite: ``_simplex`` returns and leaves the tableau as it was."""
+    tab = np.array([[-1.0, 1.0]])  # x0 only adds slack to the one row
+    cost = np.array([1.0, 0.0])
+    upper = np.array([np.inf, np.inf])
+    at_upper = np.zeros(2, dtype=bool)
+    basis = np.array([1])
+    value = np.array([2.0])
+    poly._simplex(tab, cost, upper, at_upper, basis, value)
+    assert tab.tolist() == [[-1.0, 1.0]] and cost.tolist() == [1.0, 0.0]
+    assert basis.tolist() == [1] and value.tolist() == [2.0] and not at_upper.any()
 
 
 def test_knapsack_prices_keep_the_bound_of_every_weight():

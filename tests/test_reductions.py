@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -302,6 +306,76 @@ def test_is_reductions_soundness():
         ):
             answer = pc.exact_search_max(reduced.instance).answer(reduced.instance)
             assert answer == expected, reduced.reduction
+
+
+def test_is_reductions_match_naive_on_random_graphs():
+    """Both independent-set MAX constructions against ``solve_is_naive`` on
+    80 seeded random graphs of 3-6 vertices with at least one edge, every
+    bound t from 1 to n drawn; Copeland cycles through alpha 0, 1/3, 1/2
+    and 1."""
+    rng = random.Random(6)
+    alphas = (Fraction(0), Fraction(1, 3), HALF, Fraction(1))
+    answers = set()
+    for draw in range(80):
+        n = rng.randint(3, 6)
+        density = rng.choice([0.3, 0.5, 0.7])
+        edges = ()
+        while not edges:  # the Copeland construction needs an edge
+            edges = tuple(
+                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
+            )
+        graph = rd.GraphInstance(n, edges, rng.randint(1, n))
+        expected = rd.solve_is_naive(graph, graph.bound)
+        for reduced in (
+            rd.reduce_is_to_maximin_max(graph),
+            rd.reduce_is_to_copeland_max(graph, alphas[draw % len(alphas)]),
+        ):
+            answer = pc.solve_instance(reduced.instance).answer(reduced.instance)
+            assert answer == expected, (reduced.reduction, graph)
+        answers.add(expected)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("reduce", [
+    pytest.param(rd.reduce_x3c_to_borda_max, id="borda", marks=pytest.mark.xfail(
+        strict=True,
+        reason="x3c-borda-max is not sound on the no-instance X3C_NO6: MAX is 4 = k, "
+        "reached by moving voters into party 6, not into the construction's P (party 7)",
+    )),
+    pytest.param(rd.reduce_x3c_to_condorcet_max, id="condorcet", marks=pytest.mark.xfail(
+        strict=True,
+        reason="x3c-condorcet-max is not sound on the no-instance X3C_NO6: MAX is 3 >= k = 2, "
+        "reached by moving voters into party 1, not into the construction's P (party 16)",
+    )),
+])
+def test_x3c_max_answers_no_on_no6(reduce):
+    reduced = reduce(X3C_NO6)
+    result = pc.solve_instance(reduced.instance)
+    assert result.answer(reduced.instance) is rd.solve_x3c_naive(X3C_NO6), (
+        f"MAX {result.value}, k = {reduced.instance.k}, into parties "
+        f"{result.witness.destinations()}, P = {reduced.destination_party}"
+    )
+
+
+def test_import_loads_the_reductions_on_first_use():
+    """A fresh ``import partycred`` leaves ``partycred.reductions``
+    unloaded; every name in ``__all__`` still resolves, and a reduction
+    name loads the module."""
+    script = (
+        "import sys\n"
+        "import partycred\n"
+        "assert 'partycred.reductions' not in sys.modules\n"
+        "missing = [name for name in partycred.__all__ if not hasattr(partycred, name)]\n"
+        "assert not missing, missing\n"
+        "assert 'partycred.reductions' in sys.modules\n"
+        "assert partycred.REDUCTIONS is sys.modules['partycred.reductions'].REDUCTIONS\n"
+    )
+    src = str(Path(pc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    subprocess.run([sys.executable, "-c", script], check=True, env=env)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        pc.no_such_name
 
 
 def test_is_witness_from_independent_set():
