@@ -1,10 +1,6 @@
 """Exact polynomial solvers for the linear rules: every scoring rule and
 Condorcet, MIN and MAX, in either destination mode.
 
-Both rules are linear in the party sizes: one voter of party q puts p ahead
-of rival c by ``leads[q, c]`` (``_party_leads``), the score gap for a
-scoring rule and +-1 for Condorcet.
-
 * ``min_scoring`` and ``min_condorcet`` — two MIN entry points over one
   greedy (``_min_greedy``).  Each rival's best destination is its
   lowest-lead party, so one histogram of voters per (rival, lead) finds the
@@ -59,7 +55,7 @@ from .parties import (
     feasible,
     infeasible,
 )
-from .rules import Condorcet, Scoring, WinnerModel
+from .rules import Condorcet, Scoring, margin_table, voter_margins, win_floor
 
 
 def _require(instance: ProblemInstance, rule_types: tuple, direction: Direction, solver: str):
@@ -70,38 +66,13 @@ def _require(instance: ProblemInstance, rule_types: tuple, direction: Direction,
         raise ValueError(f"{solver} solves {direction.value} instances only")
 
 
-def _lead_table(instance: ProblemInstance) -> np.ndarray:
-    """(m, m) table: a voter who ranks p at position i and c at position j
-    adds ``table[i, j]`` to p's lead over c, ``vector[i] - vector[j]`` for a
-    scoring rule and sign(j - i) for Condorcet.  Its diagonal is 0."""
-    if isinstance(instance.rule, Condorcet):
-        at = np.arange(instance.election.num_candidates, dtype=np.int64)
-        return np.sign(at - at[:, None])
-    vector = np.asarray(instance.rule.vector, dtype=np.int64)
-    return vector[:, None] - vector
-
-
-def _party_leads(instance: ProblemInstance) -> np.ndarray:
-    """(l, m) array: what one voter of party q adds to p's score minus c's
-    (scoring rules) or to the (p, c) margin (Condorcet), the lead table's
-    cell of party q's positions of p and of c.  ``sizes @ leads`` is p's
-    lead over each candidate; column p is 0."""
-    ranks = instance.election.ranks
-    return _lead_table(instance).take(ranks[:, [instance.p]] * ranks.shape[1] + ranks)
-
-
-def _win_floor(instance: ProblemInstance) -> int:
-    """The lead s that p needs over every rival to win: 0 for a scoring rule
-    under the co-winner model and 1 otherwise (a Condorcet winner beats
-    every rival)."""
-    return int(isinstance(instance.rule, Condorcet) or instance.model is WinnerModel.UNIQUE)
-
-
-def _win_budgets(instance: ProblemInstance, leads: np.ndarray) -> np.ndarray:
-    """How far each of p's leads (``_party_leads``) may fall while p still
-    wins, ``sizes @ leads - s`` (``_win_floor``).  p wins initially, so every
-    budget is >= 0."""
-    return instance.election.sizes @ leads - _win_floor(instance)
+def _leads(instance: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
+    """p's (l, m) per-voter leads (``rules.voter_margins``) and how far each
+    lead may fall while p still wins, ``sizes @ leads - rules.win_floor``:
+    >= 0, as p wins initially."""
+    rule, election = instance.rule, instance.election
+    leads = voter_margins(rule, election.ranks, instance.p)
+    return leads, election.sizes @ leads - win_floor(rule, instance.model)
 
 
 def _checked(instance: ProblemInstance, plan: SwitchPlan, value: int, solver: str) -> SolveResult:
@@ -131,7 +102,7 @@ def min_condorcet(instance: ProblemInstance) -> SolveResult:
 
 def _min_greedy(instance: ProblemInstance, solver: str) -> SolveResult:
     """Fewest switches that end p's win: p's lead over some rival c falls
-    below s, by at least ``need = budget + 1`` (``_win_budgets``).
+    below s, by at least ``need = budget + 1`` (``_leads``).
 
     Lemma.  Moving a voter from party q into party d closes p's lead over c,
     ``sizes @ leads[:, c]``, by ``leads[q, c] - leads[d, c]``.  So for each
@@ -147,8 +118,8 @@ def _min_greedy(instance: ProblemInstance, solver: str) -> SolveResult:
     for every rival from one histogram of voters per (rival, lead level),
     which it fills straight from the election's ranks, one cache-sized block
     of parties at a time, through the bins of the rule's lead table
-    (``_lead_table``): at most 2m - 1 distinct entries for plurality, veto,
-    r-approval and Borda, 3 for Condorcet.  The same histogram gives p's
+    (``rules.margin_table``): at most 2m - 1 distinct entries for plurality,
+    veto, r-approval and Borda, 3 for Condorcet.  The same histogram gives p's
     lead over each rival, so no (l, m) lead array is built.  Only the chosen
     rival's leads are formed, and its parties sorted by falling lead and ties
     by id, to build its plan.  Cost: O(l·m + m·|D|) for the |D| distinct
@@ -156,11 +127,11 @@ def _min_greedy(instance: ProblemInstance, solver: str) -> SolveResult:
     Only the returned plan is built and checked; a rejection raises
     ``RuntimeError``.
     """
-    table = _lead_table(instance)
-    levels, bins = np.unique(table, return_inverse=True)  # levels.take(bins) == table
     ranks, sizes = instance.election.ranks, instance.election.sizes
     p, m = instance.p, ranks.shape[1]
-    win = np.full(m, _win_floor(instance))
+    table = margin_table(instance.rule, m)
+    levels, bins = np.unique(table, return_inverse=True)  # levels.take(bins) == table
+    win = np.full(m, win_floor(instance.rule, instance.model))
     counts = _kernels.min_switch_counts(ranks, sizes, p, win, bins, levels)
     counts[p] = -1  # p's own lead is 0: nothing to close
     usable = counts >= 0
@@ -192,8 +163,8 @@ def max_linear(instance: ProblemInstance) -> SolveResult:
     destination mode.
 
     Both rules are linear in the party sizes: one voter of party q adds
-    ``leads[q, c]`` to p's lead over c (``_party_leads``).  p still wins
-    while every lead is at least s (``_win_budgets``).  Moving one voter
+    ``leads[q, c]`` to p's lead over c (``_leads``).  p still wins while
+    every lead is at least s (``rules.win_floor``).  Moving one voter
     from q into d lowers the leads by cost = leads[q] - leads[d], which may
     take either sign.  So MAX is the largest number of moves whose summed
     costs stay within the budgets ``sizes @ leads - s``: a maximum packing
@@ -229,8 +200,7 @@ def _max_into_pairs(instance: ProblemInstance, solver: str) -> SolveResult:
     zero counts fit and the packing always returns counts.  No plan moves
     more than the n voters, a bound that neither the knapsack prices nor the
     greedy fill prove, so the packing stops once a fill reaches it."""
-    leads = _party_leads(instance)
-    budget = _win_budgets(instance, leads)
+    leads, budget = _leads(instance)
     sizes = instance.election.sizes
     src, dst = np.nonzero((sizes > 0)[:, None] & ~np.eye(len(sizes), dtype=bool))  # (q, d) order
     cost = leads[src] - leads[dst]
@@ -276,7 +246,7 @@ def _max_into_rows(instance: ProblemInstance, solver: str) -> SolveResult:
     leads[j] - leads[d], and the most switches are the other voters of d's
     row plus the largest packing.  A row whose costs are all <= 0 moves in
     full: moving it never lowers a lead.  So the budgets left after those
-    rows move are at least ``_win_budgets``'s, which are >= 0, and zero
+    rows move are at least ``_leads``', which are >= 0, and zero
     counts always fit the packing.
 
     Complexity: at most one ``_max_pack`` call per distinct row, over K <=
@@ -288,8 +258,7 @@ def _max_into_rows(instance: ProblemInstance, solver: str) -> SolveResult:
     halves, so each call visits fewer than 2 * prod(caps + 1) nodes of
     polynomial work each: polynomial for a fixed number of candidates.
     """
-    leads = _party_leads(instance)
-    budget = _win_budgets(instance, leads)
+    leads, budget = _leads(instance)
     sizes = instance.election.sizes
     total = int(sizes.sum())
 

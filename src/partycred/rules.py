@@ -18,6 +18,9 @@ the party sizes (``WinTable``): the scores, the tally, or p's tally row.
 voter of a party adds to it, and ``moved_table`` adds a size change of a
 few parties.  ``p_wins`` decides from one table or a batch of them, for
 validation (through ``winners``), ``parties.check_witness`` and the oracle.
+
+The solvers read them as margins: ``voter_margins`` is what one voter of
+each party adds to the margins that decide p's win (``margin_table``).
 """
 
 from __future__ import annotations
@@ -234,6 +237,34 @@ def voter_terms(rule: Rule, ranks: np.ndarray, p: int) -> np.ndarray:
     if isinstance(rule, Condorcet):
         return ranks[:, [p]] < ranks
     return ranks[:, :, None] < ranks[:, None, :]
+
+
+def margin_table(rule: Rule, m: int) -> np.ndarray:
+    """(m, m) int64: what one voter adds to the margin of the candidate it
+    ranks at position i over the one at position j, ``vector[i] -
+    vector[j]`` for a scoring rule and sign(j - i) for the pairwise rules."""
+    if isinstance(rule, Scoring):
+        vector = np.asarray(rule.vector, dtype=np.int64)
+        return vector[:, None] - vector
+    at = np.arange(m, dtype=np.int64)
+    return np.sign(at - at[:, None])
+
+
+def voter_margins(rule: Rule, ranks: np.ndarray, p: int) -> np.ndarray:
+    """``margin_table`` at the positions of each party with (k, m) ``ranks``:
+    (k, m) margins of p over each c for a scoring rule and Condorcet (column
+    p is 0), (k, m, m) margins of c over d for Copeland and Maximin."""
+    m = ranks.shape[1]
+    table = margin_table(rule, m)
+    if isinstance(rule, (Scoring, Condorcet)):
+        return table.take(ranks[:, [p]] * m + ranks)
+    return table.take(ranks[:, :, None] * m + ranks[:, None, :])
+
+
+def win_floor(rule: Rule, model: WinnerModel) -> int:
+    """The margin p needs over every rival under a scoring rule or Condorcet:
+    0 for a scoring rule under the co-winner model, 1 otherwise."""
+    return int(isinstance(rule, Condorcet) or model is WinnerModel.UNIQUE)
 
 
 def moved_table(table: WinTable, rule: Rule, ranks: np.ndarray, change) -> WinTable:

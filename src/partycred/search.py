@@ -47,7 +47,8 @@ from .parties import (
     feasible,
     infeasible,
 )
-from .rules import Copeland, Maximin, WinnerModel, WinTable, equivalent_alpha, p_wins, voter_terms
+from .rules import Copeland, Maximin, WinnerModel, WinTable, equivalent_alpha, p_wins
+from .rules import voter_margins, voter_terms
 
 ORACLE_VOTER_CAP = 16  # the oracle refuses larger elections
 ORACLE_PLAN_CAP = 5_000_000  # and destinations with more plans
@@ -57,12 +58,6 @@ _BLOCK_CELLS = 1 << 20  # array cells per oracle block and per batch of search t
 
 class _BudgetExceeded(Exception):
     pass
-
-
-def _party_margin_deltas(instance: ProblemInstance) -> np.ndarray:
-    """(l, m, m) per-voter margin contribution B_q - B_q^T for each party."""
-    r = instance.election.ranks
-    return np.sign(r[:, None, :] - r[:, :, None])
 
 
 def _margin_scorer(rule: Copeland | Maximin, m: int, n_voters: int):
@@ -234,7 +229,8 @@ class _BranchAndBound:
     is zero and the bound is the plan's exact state: the same test is then
     the plan's success test.  ``__init__`` builds that test once, as
     ``passes``: it scores the bound with the scorer and reads p's score off
-    the list.
+    the list.  ``party_state``, what one voter of each party adds to the
+    margins, is ``rules.voter_margins``.
 
     *Set-up.*  The pairs, unit changes, slack and capacity of the searches
     are built by ``_variables`` for a batch of destinations at once, one
@@ -285,7 +281,7 @@ class _BranchAndBound:
         self.node_budget = node_budget
         self.nodes = 0
         self.sizes = instance.election.sizes.tolist()
-        self.party_state = _party_margin_deltas(instance)
+        self.party_state = voter_margins(rule, instance.election.ranks, instance.p)
         m = instance.election.num_candidates
         pad, score = _margin_scorer(rule, m, instance.election.num_voters)
         self.base = np.tensordot(instance.election.sizes, self.party_state, axes=1) + pad

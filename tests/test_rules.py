@@ -14,8 +14,11 @@ from partycred.rules import (
     condorcet_winner,
     copeland_scores,
     maximin_scores,
+    margin_table,
     p_wins,
     scoring_scores,
+    voter_margins,
+    voter_terms,
     win_table,
 )
 
@@ -311,3 +314,58 @@ def test_batched_p_wins_is_each_tables_answer():
     # Every rule kind and model both wins and loses once there are rivals.
     assert all(outcomes == {True, False} for (_, _, rivals), outcomes in seen.items() if rivals)
     assert all(outcomes == {True} for (_, _, rivals), outcomes in seen.items() if not rivals)
+
+
+def test_voter_margins_sum_to_the_win_table_margins():
+    """``sizes @ voter_margins`` is what the win table says decides p's win:
+    scores[p] - scores for a scoring rule, 2·row - n off column p (0 on it)
+    for Condorcet, N - Nᵀ for Copeland and Maximin.  All seven rule kinds
+    (Copeland at alpha 0, 1/3, 1/2 and 1), every p, empty parties included.
+    ``margin_table`` at a voter's positions is the difference of its
+    ``voter_terms``, and both tables are int64."""
+    rng = random.Random(31)
+    alphas = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1))
+    empty = 0
+    for m in range(1, 7):
+        rules = [pc.Scoring(pc.scoring_vector_for(name, m, min(2, m)))
+                 for name in ("plurality", "veto", "approval", "borda")]
+        rules += [pc.Condorcet(), pc.Maximin()] + [pc.Copeland(a) for a in alphas]
+        for _ in range(8):
+            l = rng.randint(1, 6)
+            ranks = np.array([rng.sample(range(m), m) for _ in range(l)], dtype=np.int64)
+            sizes = [rng.randint(0, 3) for _ in range(l)]
+            sizes[rng.randrange(l)] += 1  # at least one voter
+            empty += sizes.count(0)
+            e = pc.PartyElection.from_arrays(ranks, np.array(sizes, dtype=np.int64))
+            pairs = (ranks[:, :, None] < ranks[:, None, :]).astype(np.int64)  # c over d
+            pair_margins = pairs - pairs.transpose(0, 2, 1)
+            for rule in rules:
+                table = margin_table(rule, m)
+                assert table.dtype == np.int64 and table.shape == (m, m)
+                at = table[ranks[:, :, None], ranks[:, None, :]]  # (l, m, m): c's position, d's
+                for p in range(m):
+                    margins = voter_margins(rule, ranks, p)
+                    assert margins.dtype == np.int64
+                    values = win_table(e, rule, p).values
+                    terms = voter_terms(rule, ranks, p).astype(np.int64)
+                    where = (m, rule, p, sizes)
+                    if margins.ndim == 2:
+                        assert not margins[:, p].any(), where
+                    if isinstance(rule, pc.Scoring):
+                        assert (e.sizes @ margins).tolist() == (values[p] - values).tolist(), where
+                        assert (at == terms[:, :, None] - terms[:, None, :]).all(), where
+                        assert (margins == at[:, p]).all(), where
+                    elif isinstance(rule, pc.Condorcet):
+                        want = 2 * values - e.num_voters
+                        want[p] = 0
+                        assert (e.sizes @ margins).tolist() == want.tolist(), where
+                        assert (terms == pairs[:, p]).all(), where
+                        assert (at == pair_margins).all(), where
+                        assert (margins == at[:, p]).all(), where
+                    else:
+                        want = (values - values.T).ravel().tolist()
+                        assert (e.sizes @ margins.reshape(l, -1)).tolist() == want, where
+                        assert (terms == pairs).all(), where
+                        assert (at == pair_margins).all(), where
+                        assert (margins == at).all(), where
+    assert empty >= 15, empty

@@ -13,20 +13,15 @@ import pytest
 
 import partycred as pc
 from partycred.core import pairwise_matrix
-from partycred.poly import _party_leads
 from partycred.rules import (
     copeland_scores,
     equivalent_alpha,
     maximin_scores,
     p_wins,
     scoring_scores,
+    voter_margins,
 )
-from partycred.search import (
-    _BLOCK_CELLS,
-    _BranchAndBound,
-    _margin_scorer,
-    _party_margin_deltas,
-)
+from partycred.search import _BLOCK_CELLS, _BranchAndBound, _margin_scorer
 
 from conftest import (
     build,
@@ -316,7 +311,7 @@ def test_party_leads_match_score_and_margin_gaps():
             model="unique", max_candidates=5, max_parties=6, max_voters=14,
         ):
             pe, p = inst.election, inst.p
-            leads = _party_leads(inst)
+            leads = voter_margins(inst.rule, pe.ranks, p)
             assert leads.shape == (len(pe.sizes), pe.num_candidates)
             assert not leads[:, p].any()
             if isinstance(inst.rule, pc.Condorcet):
@@ -343,7 +338,7 @@ def test_bound_slack_and_steps_match_a_per_pair_loop(monkeypatch):
         monkeypatch.setattr(pc.search, "_BLOCK_CELLS", cells)
         for inst in _seeded_problems(80, 13, SEARCH_RULES):
             bb = _BranchAndBound(inst, inst.direction, node_budget=1)
-            deltas, sizes = _party_margin_deltas(inst), bb.sizes
+            deltas, sizes = voter_margins(inst.rule, inst.election.ranks, inst.p), bb.sizes
             l, m = len(sizes), len(deltas[0])
             minimize = inst.direction is pc.Direction.MIN
             up = ((np.arange(m) != inst.p) == minimize)[:, None]
@@ -584,9 +579,30 @@ def test_party_margin_deltas_match_pairwise_loop():
             ]
             for order in orders
         ]
-        deltas = _party_margin_deltas(inst)
+        deltas = voter_margins(pc.Maximin(), inst.election.ranks, inst.p)
         assert deltas.dtype == "int64"
         assert deltas.tolist() == expected, seed
+
+
+@pytest.mark.xfail(
+    strict=True, raises=RecursionError,
+    reason="the branch and bound recurses one Python frame per (source, destination) "
+    "pair and raises RecursionError at about 990 pairs",
+)
+@pytest.mark.parametrize("rule_spec, direction, dest, parties", [
+    ("copeland:1/2", "max", "multi", 32),  # 992 pairs; 31 parties (930) solve
+    ("maximin", "min", "multi", 33),
+    ("maximin", "max", "one", 1001),  # 900 parties solve
+])
+def test_branch_and_bound_survives_many_pairs(rule_spec, direction, dest, parties):
+    """A solve at about a thousand (source, destination) pairs returns a
+    checked value or BUDGET_EXHAUSTED, never an exception."""
+    inst = pc.generate_random(
+        seed=1, num_candidates=5, num_parties=parties, size_range=(1, 5),
+        rule_spec=rule_spec, direction=direction, dest=dest,
+    ).instance
+    result = pc.solve_instance(inst, node_budget=200_000)
+    assert result.status in (pc.SolveStatus.FEASIBLE, pc.SolveStatus.BUDGET_EXHAUSTED)
 
 
 def _reject_all(*args, **kwargs):
