@@ -5,12 +5,13 @@ Two independent routes:
 * ``oracle_min`` / ``oracle_max`` enumerate every plan outright, in numpy
   blocks with no pruning, and are the ground truth for everything else.
   Each source party has one table of the counts it can send to each party;
-  a plan picks one row per source.  The plan count is checked against the
-  cap before any table is built, and each block holds a fixed number of
-  array cells, so its rows shrink as m grows.
+  a plan picks one row per source.  Before any table is built, the plans of
+  every destination times the l + (table width) cells of a block row must
+  stay within ``ORACLE_CELL_CAP``, one bound on time and memory.  Each
+  block holds a fixed number of cells, so its rows shrink as m grows.
 * ``exact_search_min`` / ``exact_search_max`` run a branch-and-bound over
   per-(source, destination) move counts with admissible pruning, for the
-  NP-hard Copeland and Maximin rules at desk scale.  Every scoring rule and
+  NP-hard Copeland and Maximin rules.  Every scoring rule and
   Condorcet has an exact polynomial route (``solve.poly_solver``), so the
   search raises ``ValueError`` on them.
 
@@ -34,6 +35,7 @@ matrix per node, and why its doubled units are exact.
 from __future__ import annotations
 
 import math
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -50,8 +52,7 @@ from .parties import (
 from .rules import Copeland, Maximin, WinnerModel, WinTable, equivalent_alpha, p_wins
 from .rules import voter_margins, voter_terms
 
-ORACLE_VOTER_CAP = 16  # the oracle refuses larger elections
-ORACLE_PLAN_CAP = 5_000_000  # and destinations with more plans
+ORACLE_CELL_CAP = 1 << 26  # block cells of every plan the oracle may enumerate
 DEFAULT_NODE_BUDGET = 20_000_000
 _BLOCK_CELLS = 1 << 20  # array cells per oracle block and per batch of search tables
 
@@ -105,34 +106,26 @@ def _margin_scorer(rule: Copeland | Maximin, m: int, n_voters: int):
     return pad, lambda supports: np.minimum.reduce(supports, axis=-1)
 
 
-def _compositions_upto(total: int, slots: int):
-    """All vectors of ``slots`` non-negative ints summing to at most ``total``,
-    in lexicographic order."""
-    if slots == 0:
-        yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions_upto(total - first, slots - 1):
-            yield (first,) + rest
+def _compositions_upto(total: int, slots: int) -> np.ndarray:
+    """Every vector of ``slots`` non-negative ints summing to at most ``total``,
+    one row each in lexicographic order: the gaps before ``slots`` bars set
+    among ``total + slots`` places, with the bar places in that order."""
+    rows = math.comb(total + slots, slots)
+    bars = chain.from_iterable(combinations(range(total + slots), slots))
+    bars = np.fromiter(bars, np.int64, count=rows * slots).reshape(rows, slots)
+    bars[:, 1:] -= bars[:, :-1] + 1  # the gap before each bar
+    return bars
 
 
 def _send_tables(sizes: list[int], destination: int | None) -> list[np.ndarray]:
     """Per source party, the (options, l) table of the counts it sends to
     each party, rows in key order.  ``destination=None`` means the
-    multiple-destination mode.
-
-    A source of s voters with d destinations has C(s + d, d) rows, so the
-    plan count is checked against ``ORACLE_PLAN_CAP`` before any table is
-    built.
-    """
+    multiple-destination mode."""
     l = len(sizes)
-    dests = [[d for d in range(l) if d != q and destination in (None, d)] for q in range(l)]
-    n_plans = math.prod(math.comb(size + len(ds), len(ds)) for size, ds in zip(sizes, dests))
-    if n_plans > ORACLE_PLAN_CAP:
-        raise ValueError(f"size cap exceeded: {n_plans} plans > cap {ORACLE_PLAN_CAP}")
     tables = []
-    for size, ds in zip(sizes, dests):
-        options = list(_compositions_upto(size, len(ds)))
+    for q, size in enumerate(sizes):
+        ds = [d for d in range(l) if d != q and destination in (None, d)]
+        options = _compositions_upto(size, len(ds))
         table = np.zeros((len(options), l), dtype=np.int64)
         table[:, ds] = options
         tables.append(table)
@@ -144,22 +137,28 @@ def _oracle(instance: ProblemInstance, direction: Direction) -> SolveResult:
     if instance.direction is not direction:
         raise ValueError(f"{solver} solves {direction.value} instances only")
     pe = instance.election
-    if pe.num_voters > ORACLE_VOTER_CAP:
-        raise ValueError(
-            f"size cap exceeded: {pe.num_voters} voters > cap {ORACLE_VOTER_CAP}"
-        )
     sizes = pe.sizes.tolist()
+    l = len(sizes)
     if instance.destination_mode is DestinationMode.ONE:
-        destinations: list[int | None] = list(range(len(sizes)))
+        # Into d, each other source sends 0..s_q voters.
+        destinations: list[int | None] = list(range(l))
+        every = math.prod(s + 1 for s in sizes)
+        all_plans = sum(every // (s + 1) for s in sizes)
     else:
         destinations = [None]
+        all_plans = math.prod(math.comb(s + l - 1, l - 1) for s in sizes)
     minimize = direction is Direction.MIN
     sign = 1 if minimize else -1  # the argmin of sign * moved is the best plan
     rule, model = instance.rule, instance.model
     # Each plan's block row holds its l sizes and its table: (m,) scores or
     # p's tally row, or the (m, m) tally under Copeland and Maximin.
     terms = voter_terms(rule, pe.ranks, instance.p).astype(np.int64)
-    block = max(1, _BLOCK_CELLS // (len(sizes) + terms[0].size))
+    width = l + terms[0].size
+    if all_plans * width > ORACLE_CELL_CAP:
+        raise ValueError(
+            f"size cap exceeded: {all_plans} plans of {width} cells > cap {ORACLE_CELL_CAP} cells"
+        )
+    block = max(1, _BLOCK_CELLS // width)
 
     best_value: int | None = None
     best_moves = None
@@ -197,12 +196,12 @@ def _oracle(instance: ProblemInstance, direction: Direction) -> SolveResult:
 
 
 def oracle_min(instance: ProblemInstance) -> SolveResult:
-    """Exact MIN by full plan enumeration (desk-scale ground truth)."""
+    """Exact MIN by full plan enumeration: the ground truth."""
     return _oracle(instance, Direction.MIN)
 
 
 def oracle_max(instance: ProblemInstance) -> SolveResult:
-    """Exact MAX by full plan enumeration (desk-scale ground truth)."""
+    """Exact MAX by full plan enumeration: the ground truth."""
     return _oracle(instance, Direction.MAX)
 
 

@@ -1,6 +1,6 @@
 """Solver routing: each instance has one exact route, a polynomial solver or
 (for Copeland and Maximin) the branch and bound; the oracle enumerates the
-plans of any instance within its caps."""
+plans of any instance within its cell cap."""
 
 from __future__ import annotations
 
@@ -62,7 +62,7 @@ def solve_instance(
     ``auto`` takes the instance's one exact route: ``poly_solver``'s solver,
     and the branch and bound (``exact_search_*``) for Copeland and Maximin,
     where there is none.  ``oracle`` enumerates every plan of any instance
-    within its size caps.  Any other name raises ``ValueError``.
+    within its cell cap.  Any other name raises ``ValueError``.
 
     Every FEASIBLE result has passed ``check_witness``: the polynomial
     solvers check their own plan, and a search or oracle plan is checked

@@ -336,6 +336,40 @@ def test_is_reductions_match_naive_on_random_graphs():
     assert answers == {True, False}
 
 
+def random_x3c(rng: random.Random, m: int) -> rd.X3CInstance:
+    """A 3-regular set system of m sets by the configuration model: three
+    copies of each element shuffled into triples, redrawn until no triple
+    repeats an element."""
+    while True:
+        copies = [x for x in range(m) for _ in range(3)]
+        rng.shuffle(copies)
+        sets = [tuple(copies[i:i + 3]) for i in range(0, 3 * m, 3)]
+        if all(len(set(s)) == 3 for s in sets):
+            return rd.X3CInstance(m, tuple(sets))
+
+
+def test_x3c_max_reductions_match_naive_on_random_sources():
+    """Seeded random 3-regular sources: at 12 elements ``x3c-borda-max``
+    answers as ``solve_x3c_naive`` on every draw, and at 6, 9 and 12
+    elements both X3C MAX constructions answer yes on every yes-instance.
+    Their no-instances below 12 elements (Borda) and at every size tried
+    (Condorcet) can answer yes; the strict xfails below keep one visible."""
+    rng = random.Random(12)
+    answers = {6: set(), 9: set(), 12: set()}
+    for m, draws in ((6, 8), (9, 8), (12, 12)):
+        for _ in range(draws):
+            x3c = random_x3c(rng, m)
+            expected = rd.solve_x3c_naive(x3c)
+            for reduce in (rd.reduce_x3c_to_borda_max, rd.reduce_x3c_to_condorcet_max):
+                reduced = reduce(x3c)
+                answer = pc.solve_instance(reduced.instance).answer(reduced.instance)
+                if expected or (m == 12 and reduce is rd.reduce_x3c_to_borda_max):
+                    assert answer is expected, (reduced.reduction, x3c)
+            answers[m].add(expected)
+    assert all(True in seen for seen in answers.values()), answers
+    assert answers[12] == {True, False}
+
+
 @pytest.mark.parametrize("reduce", [
     pytest.param(rd.reduce_x3c_to_borda_max, id="borda", marks=pytest.mark.xfail(
         strict=True,

@@ -1,6 +1,6 @@
-"""One seeded fuzz over every solver route: all seven rules (Copeland at alpha
-1/2 and 1/3), both directions, both destination modes and both winner
-models, at most 10 voters."""
+"""Seeded fuzzes over every solver route against the oracle: all seven rules
+(Copeland at alpha 1/2 and 1/3), both directions, both destination modes and
+both winner models, at most 10 voters, and again at tens of voters."""
 
 import itertools
 import random
@@ -8,6 +8,7 @@ import random
 import pytest
 
 import partycred as pc
+from partycred.instance_io import RULE_CHOICES, generate_random
 from partycred.poly import max_linear, max_r_approval, min_condorcet, min_scoring
 from partycred.solve import SOLVERS, poly_solver
 
@@ -50,6 +51,32 @@ def test_every_route_gives_the_same_answer():
                     assert pc.check_witness(inst, result.witness, k=result.value).ok
             solved += 1
     assert solved == len(RULES) * 2 * 2 * 2 * 3
+
+
+def test_every_route_matches_the_oracle_at_tens_of_voters():
+    """``auto`` against the oracle past the few voters of the fuzz above:
+    3-4 parties of 10-40 voters (one destination) and 3 parties of 3-9
+    (multi-destination), 4-5 candidates, every rule of ``RULE_CHOICES`` in
+    both directions and both models.  The branch and bound must also give
+    the oracle's witness."""
+    rng = random.Random(32)
+    draws = list(itertools.product(
+        RULE_CHOICES, ("min", "max"), ("unique", "cowinner"), ("one", "multi")
+    ))
+    searched = 0
+    for rule, direction, model, dest in draws:
+        parties, sizes = (rng.randint(3, 4), (10, 40)) if dest == "one" else (3, (3, 9))
+        # Under veto, a candidate wins alone only if the others are all vetoed.
+        m = rng.randint(4, parties + 1 if rule == "veto" else 5)
+        inst = generate_random(
+            rng.randint(0, 10**6), m, parties, sizes, rule, direction, model=model, dest=dest,
+        ).instance
+        result, ref = pc.solve_instance(inst), pc.solve_instance(inst, solver="oracle")
+        assert (result.status, result.value) == (ref.status, ref.value), (inst, result, ref)
+        if result.solver.startswith("exact_search_"):
+            assert result.witness == ref.witness, (inst, result, ref)
+            searched += 1
+    assert searched == 16
 
 
 def test_unknown_solver_is_refused():

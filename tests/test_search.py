@@ -21,7 +21,13 @@ from partycred.rules import (
     scoring_scores,
     voter_margins,
 )
-from partycred.search import _BLOCK_CELLS, _BranchAndBound, _margin_scorer
+from partycred.search import (
+    _BLOCK_CELLS,
+    ORACLE_CELL_CAP,
+    _BranchAndBound,
+    _compositions_upto,
+    _margin_scorer,
+)
 
 from conftest import (
     build,
@@ -70,10 +76,27 @@ def test_oracle_max_all_p_top():
     assert pc.oracle_max(inst).value == 4
 
 
-def test_oracle_voter_cap():
+def test_oracle_solves_past_sixteen_voters():
+    """The oracle has no voter cap: a 17-voter election is 19 plans, and
+    its MIN is the greedy's."""
     inst = build(PLUR3, [((P, A, B), 16), ((A, P, B), 1)], p=P, direction="min")
-    with pytest.raises(ValueError, match="size cap"):
-        pc.oracle_min(inst)
+    result, ref = pc.oracle_min(inst), pc.min_scoring(inst)
+    assert (result.status, result.value) == (ref.status, ref.value)
+    assert result.status is pc.SolveStatus.FEASIBLE
+
+
+def test_send_table_rows_are_every_composition_in_key_order():
+    """Stars and bars gives every vector of ``slots`` counts summing to at
+    most ``total``, in the lexicographic order of a brute-force loop, down
+    to the one empty row of 0 slots."""
+    for total, slots in itertools.product(range(7), range(5)):
+        rows = _compositions_upto(total, slots)
+        expected = [
+            list(v) for v in itertools.product(range(total + 1), repeat=slots) if sum(v) <= total
+        ]
+        assert rows.dtype == np.int64
+        assert rows.shape == (math.comb(total + slots, slots), slots), (total, slots)
+        assert rows.tolist() == expected, (total, slots)
 
 
 def test_oracle_counts_plans_before_building_tables(monkeypatch):
@@ -86,6 +109,28 @@ def test_oracle_counts_plans_before_building_tables(monkeypatch):
     parties = [((P, A, B), 16)] + [((A, B, P), 0)] * 12
     inst = build(PLUR3, parties, p=P, direction="min", dest="multi")
     with pytest.raises(ValueError, match="size cap exceeded: 30421755 plans"):
+        pc.oracle_min(inst)
+
+
+@pytest.mark.parametrize("parties, dest, plans, width", [
+    # C(103, 4) plans of the 4 voters into 99 other parties: under 5 million
+    # plans, but each is a block row of 100 sizes and 3 scores.
+    ([((P, A, B), 4)] + [((A, B, P), 0)] * 99, "multi", 4_421_275, 103),
+    # 6,561 plans or fewer per destination, but 800 destinations sum to
+    # 8 * 2,187 + 792 * 6,561.
+    ([((P, A, B), 2)] * 5 + [((A, B, P), 2)] * 3 + [((A, B, P), 0)] * 792, "one",
+     5_213_808, 803),
+], ids=["multi-4-voters-100-parties", "one-16-voters-800-parties"])
+def test_oracle_cell_cap_sums_every_destination(monkeypatch, parties, dest, plans, width):
+    """The one cap counts plans over every destination times the cells of a
+    block row, and refuses before any send table is built."""
+    def no_tables(total, slots):
+        raise AssertionError("a send table was built")
+
+    monkeypatch.setattr("partycred.search._compositions_upto", no_tables)
+    inst = build(PLUR3, parties, p=P, direction="min", dest=dest)
+    assert plans * width > ORACLE_CELL_CAP
+    with pytest.raises(ValueError, match=f"size cap exceeded: {plans} plans of {width} cells"):
         pc.oracle_min(inst)
 
 
