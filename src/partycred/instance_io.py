@@ -397,7 +397,9 @@ def _party_block(
     data = (rest if rest.endswith("\n") else rest + "\n").encode("utf-8", "surrogatepass")
     buf = table.buffer(data)
     text = buf[: len(data)]
-    found = (text == 10) | (text == 58)  # newlines and colons
+    del data  # buf holds a copy; the block-sized masks below need the room
+    found = text == 10  # newlines and colons, or-ed in place
+    found |= text == 58
     marked = [char for char in "\r#" if char in rest]
     for char in marked:
         found |= text == ord(char)
@@ -416,7 +418,7 @@ def _party_block(
     rows = kinds.take(first) == 58
     if not rows.all():  # the other lines must be blank, and are skipped
         for lo, hi in zip(starts[~rows].tolist(), ends[~rows].tolist()):
-            if lo < hi and not data[lo:hi].decode("utf-8", "surrogatepass").isspace():
+            if lo < hi and not str(text[lo:hi], "utf-8", "surrogatepass").isspace():
                 return None
         starts, ends, first = starts[rows], ends[rows], first[rows]
     rows = np.flatnonzero(rows)
@@ -820,6 +822,16 @@ def generate_random(
         raise ValueError(f"bad size range {lo}..{hi}")
     if hi == 0:
         raise ValueError(f"size range {lo}..{hi} gives every party 0 voters")
+    vector = rule.vector if isinstance(rule, Scoring) else ()
+    if (
+        model_e is WinnerModel.UNIQUE and m > num_parties + 1
+        and len(set(vector[:-1])) == 1 and vector[-2] > vector[-1]
+    ):
+        raise ValueError(
+            f"a veto vector has no unique winner with {m} candidates and {num_parties} "
+            f"parties: each party vetoes one candidate, so at least two are never vetoed "
+            f"and tie; it needs candidates <= parties + 1 = {num_parties + 1}"
+        )
     for _ in range(GENERATE_MAX_TRIES):
         orders, sizes = [], []
         for _ in range(num_parties):

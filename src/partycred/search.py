@@ -11,9 +11,9 @@ Two independent routes:
   block holds a fixed number of cells, so its rows shrink as m grows.
 * ``exact_search_min`` / ``exact_search_max`` run a branch-and-bound over
   per-(source, destination) move counts with admissible pruning, for the
-  NP-hard Copeland and Maximin rules.  Every scoring rule and
-  Condorcet has an exact polynomial route (``solve.poly_solver``), so the
-  search raises ``ValueError`` on them.
+  NP-hard Copeland and Maximin rules, in one loop without recursion.
+  Every scoring rule and Condorcet has an exact polynomial route
+  (``solve.poly_solver``), so the search raises ``ValueError`` on them.
 
 The oracle asks ``rules.p_wins``, the win test of validation and
 ``check_witness``, of each block of plans.  The branch and bound scores its
@@ -55,10 +55,6 @@ from .rules import voter_margins, voter_terms
 ORACLE_CELL_CAP = 1 << 26  # block cells of every plan the oracle may enumerate
 DEFAULT_NODE_BUDGET = 20_000_000
 _BLOCK_CELLS = 1 << 20  # array cells per oracle block and per batch of search tables
-
-
-class _BudgetExceeded(Exception):
-    pass
 
 
 def _margin_scorer(rule: Copeland | Maximin, m: int, n_voters: int):
@@ -206,8 +202,15 @@ def oracle_max(instance: ProblemInstance) -> SolveResult:
 
 
 class _BranchAndBound:
-    """Exact DFS over per-(source, destination) counts with admissible pruning,
-    for Copeland and Maximin.
+    """Exact depth-first search over per-(source, destination) counts with
+    admissible pruning, for Copeland and Maximin.
+
+    *Walk.*  ``_search_destination`` is one loop, with no recursion, so no
+    number of pairs exhausts Python's stack.  Level i steps ``counts[i]``
+    one voter at a time to ``last[i]``, up from 0 to its cap for MIN and
+    down from the cap to 0 for MAX; the cap is the voters its source has
+    left, and for MIN at most the remaining budget.  A pruned node or a
+    leaf backs up to the deepest level with a count left and steps it.
 
     *State and bound.*  The search keeps the margin matrix of the plan so
     far, plus the pad of the instance's ``_margin_scorer``, which
@@ -255,7 +258,7 @@ class _BranchAndBound:
     *Witness and ties.*  The witness is the first optimal plan in the
     oracle's visit order: destinations in increasing rank, and within one,
     counts in increasing order for MIN and decreasing order for MAX, which
-    is the order this DFS meets its leaves.  A leaf replaces the incumbent
+    is the order this walk meets its leaves.  A leaf replaces the incumbent
     only when it is strictly better, so every subtree that can at best tie
     is pruned: MIN's remaining budget is best - total - 1, and MAX drops a
     subtree unless it can move more than best voters (at most n, since no
@@ -361,76 +364,68 @@ class _BranchAndBound:
     # -- search -----------------------------------------------------------
 
     def run(self) -> SolveResult:
-        try:
-            for tables in self._variables():
-                self._search_destination(*tables)
-        except _BudgetExceeded:
-            return budget_exhausted(self.solver, self.nodes)
+        for tables in self._variables():
+            if not self._search_destination(*tables):
+                return budget_exhausted(self.solver, self.nodes)
         if self.best_value is None:
             return infeasible(self.solver, self.nodes)
         return feasible(self.best_value, SwitchPlan(moves=self.best_moves), self.solver, self.nodes)
 
-    def _search_destination(self, pairs, units, slack, remcap):
+    def _search_destination(self, pairs, units, slack, remcap) -> bool:
+        """One destination's *Walk*; False when the node budget runs out."""
         n = len(pairs)
         voters = sum(self.sizes)
         state = self.base.copy()
-        counts = [0] * n
+        counts, last = [0] * n, [0] * n
         left = list(self.sizes)
         passes, minimize = self.passes, self.minimize
-
-        def dfs(i: int, total: int):
-            nonlocal state
+        step, move = (1, np.add) if minimize else (-1, np.subtract)
+        i = total = 0
+        while True:
             self.nodes += 1
             if self.nodes > self.node_budget:
-                raise _BudgetExceeded
-            reach = slack[i]
-            best = self.best_value
-            if best is not None:
-                if minimize:
-                    budget = best - total - 1
-                    if budget < 0:
-                        return
-                    if budget < remcap[i]:
-                        # budget more moves shift an entry by at most 2 budget.
-                        most = 2 * budget
-                        reach = np.minimum(np.maximum(reach, -most), most)
-                elif total + remcap[i] <= best or voters <= best:
-                    return
-            if not passes(state + reach):
-                return
-            if i == n:
-                self.best_value = total
-                self.best_moves = tuple(
-                    (q, d, c) for (q, d), c in zip(pairs, counts) if c
-                )
-                return
-            q = pairs[i][0]
-            unit = units[i]
-            cap = left[q]
-            if minimize:
-                if best is not None:
-                    cap = min(cap, budget)
-                for count in range(cap + 1):
-                    if count:
-                        state += unit
-                    counts[i] = count
-                    left[q] -= count
-                    dfs(i + 1, total + count)
-                    left[q] += count
-                if cap:
-                    state -= cap * unit
+                return False
+            reach, best, budget = slack[i], self.best_value, None
+            if best is None:
+                grow = True
+            elif minimize:
+                budget = best - total - 1
+                grow = budget >= 0
+                if grow and budget < remcap[i]:
+                    # budget more moves shift an entry by at most 2 budget.
+                    most = 2 * budget
+                    reach = np.minimum(np.maximum(reach, -most), most)
             else:
-                if cap:
-                    state += cap * unit
-                for count in range(cap, -1, -1):
-                    counts[i] = count
-                    left[q] -= count
-                    dfs(i + 1, total + count)
-                    left[q] += count
-                    if count:
-                        state -= unit
-
-        dfs(0, 0)
+                grow = total + remcap[i] > best and voters > best
+            if grow and passes(state + reach):
+                if i < n:
+                    q = pairs[i][0]
+                    cap = left[q] if budget is None else min(left[q], budget)
+                    first, last[i] = (0, cap) if minimize else (cap, 0)
+                    counts[i] = first
+                    if first:
+                        state += first * units[i]
+                        left[q] -= first
+                        total += first
+                    i += 1
+                    continue
+                self.best_value = total
+                self.best_moves = tuple((q, d, c) for (q, d), c in zip(pairs, counts) if c)
+            i -= 1
+            while i >= 0 and counts[i] == last[i]:
+                count = counts[i]
+                if count:
+                    state -= count * units[i]
+                    left[pairs[i][0]] += count
+                    total -= count
+                i -= 1
+            if i < 0:
+                return True
+            counts[i] += step
+            move(state, units[i], out=state)
+            left[pairs[i][0]] -= step
+            total += step
+            i += 1
 
 
 def _destination_grid(sizes: np.ndarray, sources: np.ndarray, dests: np.ndarray):

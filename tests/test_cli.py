@@ -287,6 +287,20 @@ def test_gen_refuses_sizes_whose_top_is_zero(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_refuses_veto_with_too_few_parties(tmp_path, capsys):
+    out = tmp_path / "x.txt"
+    args = [
+        "gen", "--seed", "1", "--candidates", "5", "--parties", "3",
+        "--sizes", "10..40", "--rule", "veto", "--direction", "min",
+        "-o", str(out),
+    ]
+    assert cli.main(args) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "candidates <= parties + 1 = 4" in err, err
+    assert "tries" not in err
+    assert not out.exists()
+
+
 def test_gen_one_candidate_is_an_input_error(tmp_path, capsys):
     out = tmp_path / "x.txt"
     args = [

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -562,6 +563,29 @@ def test_block_reads_whitespace_as_the_str_methods_do():
     assert _read_both(text.replace("\n", "\r"))
 
 
+def test_party_block_peak_memory_stays_near_three_block_sizes():
+    """``_party_block`` holds the padded buffer and at most two block-sized
+    masks at once, not the block's encoded bytes as well: on an 850 KB
+    block, its traced peak above its entry stays below 3.5 block sizes (the
+    bytes, the buffer and two masks together are over 4)."""
+    parsed = pc.generate_random(
+        seed=1, num_candidates=50, num_parties=2800, size_range=(1, 9),
+        rule_spec="borda", direction="min",
+    )
+    text = pc.serialize_instance(parsed)
+    rest = text[text.find("\nparty ") + 1:]
+    assert 800_000 < len(rest) < 900_000
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        block = instance_io._party_block(rest, 1, (0, " ".join(parsed.candidate_names)))
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert block is not None
+    assert peak < 3.5 * len(rest), peak
+
+
 @pytest.mark.parametrize("candidates, message", [
     ("candidates:", "line 1: need at least two candidates"),
     ("candidates: p", "line 1: need at least two candidates"),
@@ -845,6 +869,32 @@ def test_generate_random_refuses_sizes_whose_top_is_zero(monkeypatch):
             seed=1, num_candidates=3, num_parties=2, size_range=(0, 0),
             rule_spec="plurality", direction="min",
         )
+
+
+@pytest.mark.parametrize("rule_spec", ["veto", "approval:4"])
+def test_generate_random_refuses_veto_with_too_few_parties(monkeypatch, rule_spec):
+    """Under a veto vector each party vetoes one candidate, so with m >
+    parties + 1 at least two candidates are never vetoed and tie: a unique
+    winner cannot be drawn, and the request is refused before any draw."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("an election was drawn")
+
+    monkeypatch.setattr("partycred.instance_io.PartyElection", no_draws)
+    with pytest.raises(ValueError, match=r"candidates <= parties \+ 1 = 4"):
+        pc.generate_random(
+            seed=1, num_candidates=5, num_parties=3, size_range=(10, 40),
+            rule_spec=rule_spec, direction="min",
+        )
+
+
+@pytest.mark.parametrize("num_parties, model", [(4, "unique"), (3, "cowinner")])
+def test_generate_random_draws_veto_within_the_bound(num_parties, model):
+    parsed = pc.generate_random(
+        seed=1, num_candidates=5, num_parties=num_parties, size_range=(10, 40),
+        rule_spec="veto", direction="min", model=model,
+    )
+    inst = parsed.instance
+    assert inst.p in pc.winners(inst.election, inst.rule, inst.model)
 
 
 def test_generate_random_cowinner_takes_the_lowest_winner():

@@ -629,25 +629,52 @@ def test_party_margin_deltas_match_pairwise_loop():
         assert deltas.tolist() == expected, seed
 
 
-@pytest.mark.xfail(
-    strict=True, raises=RecursionError,
-    reason="the branch and bound recurses one Python frame per (source, destination) "
-    "pair and raises RecursionError at about 990 pairs",
-)
-@pytest.mark.parametrize("rule_spec, direction, dest, parties", [
-    ("copeland:1/2", "max", "multi", 32),  # 992 pairs; 31 parties (930) solve
-    ("maximin", "min", "multi", 33),
-    ("maximin", "max", "one", 1001),  # 900 parties solve
-])
-def test_branch_and_bound_survives_many_pairs(rule_spec, direction, dest, parties):
-    """A solve at about a thousand (source, destination) pairs returns a
-    checked value or BUDGET_EXHAUSTED, never an exception."""
-    inst = pc.generate_random(
+def _many_parties(rule_spec, direction, dest, parties):
+    return pc.generate_random(
         seed=1, num_candidates=5, num_parties=parties, size_range=(1, 5),
         rule_spec=rule_spec, direction=direction, dest=dest,
     ).instance
-    result = pc.solve_instance(inst, node_budget=200_000)
-    assert result.status in (pc.SolveStatus.FEASIBLE, pc.SolveStatus.BUDGET_EXHAUSTED)
+
+
+@pytest.mark.parametrize("rule_spec, direction, dest, parties, status", [
+    ("copeland:1/2", "max", "multi", 32, "feasible"),  # 992 pairs
+    ("maximin", "min", "multi", 33, "feasible"),
+    ("maximin", "max", "one", 1001, "feasible"),
+    ("copeland:1/2", "max", "multi", 40, "budget_exhausted"),  # 1,560 pairs
+    ("maximin", "max", "one", 1100, "feasible"),
+])
+def test_branch_and_bound_survives_many_pairs(rule_spec, direction, dest, parties, status):
+    """At a thousand (source, destination) pairs and more, the search walks
+    its counts in a loop, not by recursion: it returns a checked value, or
+    BUDGET_EXHAUSTED one node past the budget, never an exception."""
+    inst = _many_parties(rule_spec, direction, dest, parties)
+    budget = 200_000
+    result = pc.solve_instance(inst, node_budget=budget)
+    assert result.status is pc.SolveStatus(status)
+    if result.status is pc.SolveStatus.BUDGET_EXHAUSTED:
+        assert result.nodes == budget + 1
+    else:
+        assert result.nodes <= budget
+        assert pc.check_witness(inst, result.witness, k=result.value).ok
+
+
+@pytest.mark.parametrize("rule_spec, direction, dest, parties, value, nodes", [
+    ("copeland:1/2", "max", "multi", 31, 107, 1_038),
+    ("maximin", "min", "multi", 31, 1, 4_141),
+    ("maximin", "max", "one", 900, 2_769, 8_448),
+    ("copeland:1/2", "min", "one", 900, 5, 4_567),
+])
+def test_branch_and_bound_keeps_its_counts_at_depth(
+    rule_spec, direction, dest, parties, value, nodes
+):
+    """The deepest draws that a search recursing one frame per pair still
+    solved: their values and node counts, as that search found them."""
+    inst = _many_parties(rule_spec, direction, dest, parties)
+    result = pc.solve_instance(inst)
+    assert (result.status, result.value, result.nodes) == (
+        pc.SolveStatus.FEASIBLE, value, nodes
+    )
+    assert pc.check_witness(inst, result.witness, k=result.value).ok
 
 
 def _reject_all(*args, **kwargs):
