@@ -823,6 +823,11 @@ def generate_random(
     if hi == 0:
         raise ValueError(f"size range {lo}..{hi} gives every party 0 voters")
     vector = rule.vector if isinstance(rule, Scoring) else ()
+    if model_e is WinnerModel.UNIQUE and len(set(vector)) == 1:
+        raise ValueError(
+            f"scoring vector {list(vector)} has no unique winner: its entries are all equal, "
+            f"so every candidate scores the same and no candidate ever wins alone"
+        )
     if (
         model_e is WinnerModel.UNIQUE and m > num_parties + 1
         and len(set(vector[:-1])) == 1 and vector[-2] > vector[-1]

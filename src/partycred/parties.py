@@ -305,7 +305,15 @@ class SolveResult:
         return self.value >= instance.k
 
 
-def feasible(value: int, witness: SwitchPlan, solver: str, nodes: int = 0) -> SolveResult:
+def feasible(
+    instance: ProblemInstance, value: int, witness: SwitchPlan, solver: str, nodes: int = 0
+) -> SolveResult:
+    """The FEASIBLE result of ``witness``, once ``check_witness`` accepts it
+    at k = ``value``: every solver builds its FEASIBLE results here.  A
+    rejected plan is a solver bug and raises ``RuntimeError``."""
+    check = check_witness(instance, witness, k=value)
+    if not check.ok:
+        raise RuntimeError(f"{solver} built a rejected plan of {value} switches: {check.reason}")
     return SolveResult(SolveStatus.FEASIBLE, value, witness, solver, nodes)
 
 

@@ -31,8 +31,8 @@ negative for the MAX solvers, as p wins before anyone moves.
 Ties resolve reproducibly.  MIN takes the lowest rival among those that need
 the fewest switches, then that rival's lowest-id party of lowest lead;
 one-destination MAX takes the lowest-id destination among the best.
-Each solver checks the plan it returns with ``check_witness`` and raises
-``RuntimeError`` on a rejection, which would be a solver bug.
+Each solver builds its FEASIBLE result with ``parties.feasible``, which
+checks the plan and raises ``RuntimeError`` on a rejection.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .parties import (
     ProblemInstance,
     SolveResult,
     SwitchPlan,
-    check_witness,
     feasible,
     infeasible,
 )
@@ -73,15 +72,6 @@ def _leads(instance: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
     rule, election = instance.rule, instance.election
     leads = voter_margins(rule, election.ranks, instance.p)
     return leads, election.sizes @ leads - win_floor(rule, instance.model)
-
-
-def _checked(instance: ProblemInstance, plan: SwitchPlan, value: int, solver: str) -> SolveResult:
-    """The FEASIBLE result of ``plan``; a plan that ``check_witness``
-    rejects is a solver bug and raises ``RuntimeError``."""
-    check = check_witness(instance, plan, k=value)
-    if not check.ok:
-        raise RuntimeError(f"{solver} built a rejected plan of {value} switches: {check.reason}")
-    return feasible(value, plan, solver)
 
 
 def min_scoring(instance: ProblemInstance) -> SolveResult:
@@ -124,8 +114,7 @@ def _min_greedy(instance: ProblemInstance, solver: str) -> SolveResult:
     rival's leads are formed, and its parties sorted by falling lead and ties
     by id, to build its plan.  Cost: O(l·m + m·|D|) for the |D| distinct
     entries of the lead table, plus one O(l log l) sort for the witness.
-    Only the returned plan is built and checked; a rejection raises
-    ``RuntimeError``.
+    Only the returned plan is built and checked.
     """
     ranks, sizes = instance.election.ranks, instance.election.sizes
     p, m = instance.p, ranks.shape[1]
@@ -141,7 +130,7 @@ def _min_greedy(instance: ProblemInstance, solver: str) -> SolveResult:
     value = int(counts[rival])
     column = table.take(ranks[:, p] * m + ranks[:, rival])
     plan = _greedy_plan(sizes, np.argsort(-column, kind="stable"), int(column.argmin()), value)
-    return _checked(instance, plan, value, solver)
+    return feasible(instance, value, plan, solver)
 
 
 def _greedy_plan(sizes, order, dest, value) -> SwitchPlan:
@@ -182,9 +171,7 @@ def max_linear(instance: ProblemInstance) -> SolveResult:
     (``_max_into_rows``): polynomial for a fixed number of candidates in
     the one-destination mode and for a fixed number of parties in the
     multi-destination mode, and exponential in the number of counts in the
-    worst case, as the NP-hardness of Borda MAX requires.  The returned plan
-    is checked with ``check_witness`` before it leaves the solver; a
-    rejection is a solver bug and raises ``RuntimeError``.
+    worst case, as the NP-hardness of Borda MAX requires.
     """
     _require(instance, (Scoring, Condorcet), Direction.MAX, "max_linear")
     if instance.destination_mode is DestinationMode.ONE:
@@ -214,7 +201,7 @@ def _max_into_pairs(instance: ProblemInstance, solver: str) -> SolveResult:
     )
     used = np.flatnonzero(moved)
     moves = zip(src[used].tolist(), dst[used].tolist(), moved[used].tolist())
-    return _checked(instance, SwitchPlan(moves=tuple(moves)), int(moved.sum()), solver)
+    return feasible(instance, int(moved.sum()), SwitchPlan(moves=tuple(moves)), solver)
 
 
 def max_r_approval(instance: ProblemInstance) -> SolveResult:
@@ -223,9 +210,6 @@ def max_r_approval(instance: ProblemInstance) -> SolveResult:
     (``_max_into_rows``).  A voter's lead row is fixed by the r candidates
     its party approves, so there are K <= min(l, C(m, r)) merged rows and at
     most one ``_max_pack`` call per row: polynomial for fixed m.
-
-    The returned plan is checked with ``check_witness`` before it leaves the
-    solver; a rejection is a solver bug and raises ``RuntimeError``.
     """
     _require(instance, (Scoring,), Direction.MAX, "max_r_approval")
     if instance.destination_mode is not DestinationMode.ONE:
@@ -293,7 +277,7 @@ def _max_into_rows(instance: ProblemInstance, solver: str) -> SolveResult:
         sources = [ids for ids, keep in zip(members, packed) if keep]
         retained = (caps[packed] - moved).tolist()
         best_plan = SwitchPlan(moves=_moves_into(best_dest, sizes_l, sources, retained))
-    return _checked(instance, best_plan, best_value, solver)
+    return feasible(instance, best_value, best_plan, solver)
 
 
 def _moves_into(dest, sizes, members, retained):

@@ -262,8 +262,10 @@ def voter_margins(rule: Rule, ranks: np.ndarray, p: int) -> np.ndarray:
 
 
 def win_floor(rule: Rule, model: WinnerModel) -> int:
-    """The margin p needs over every rival under a scoring rule or Condorcet:
-    0 for a scoring rule under the co-winner model, 1 otherwise."""
+    """The margin p needs over every rival: 1 under the unique model and 0
+    under the co-winner model, in the scores of a scoring rule, Copeland or
+    Maximin (``poly``'s leads, the branch and bound's scores in half its
+    doubled units), and 1 under Condorcet, whose majority is strict."""
     return int(isinstance(rule, Condorcet) or model is WinnerModel.UNIQUE)
 
 

@@ -17,7 +17,10 @@ Two independent routes:
 
 The oracle asks ``rules.p_wins``, the win test of validation and
 ``check_witness``, of each block of plans.  The branch and bound scores its
-nodes with its own ``_margin_scorer``, which the oracle never calls.
+nodes with its own ``_margin_scorer``, which the oracle never calls; it
+takes its Copeland tie weight (``equivalent_alpha``) and the margin p needs
+(``win_floor``) from ``rules``.  Both routes build their FEASIBLE results
+with ``parties.feasible``, which checks the plan.
 
 Plans are canonicalized as counts per (source, destination) pair; voters of
 one party are interchangeable so this loses nothing.  A plan's key is its
@@ -49,8 +52,8 @@ from .parties import (
     feasible,
     infeasible,
 )
-from .rules import Copeland, Maximin, WinnerModel, WinTable, equivalent_alpha, p_wins
-from .rules import voter_margins, voter_terms
+from .rules import Copeland, Maximin, WinTable, equivalent_alpha, p_wins
+from .rules import voter_margins, voter_terms, win_floor
 
 ORACLE_CELL_CAP = 1 << 26  # block cells of every plan the oracle may enumerate
 DEFAULT_NODE_BUDGET = 20_000_000
@@ -70,22 +73,20 @@ def _margin_scorer(rule: Copeland | Maximin, m: int, n_voters: int):
       The diagonal pad, 2^62, sits above every reachable doubled support, so
       N(c, c) never is the minimum; whatever the caller adds afterwards must
       have a zero diagonal, so the diagonal stays exactly the pad.
-    * Copeland, with alpha = num/den, reads den·Σ sign + (den − 2·num)·Σ
+    * Copeland, with num/den = ``rules.equivalent_alpha(alpha, m)``, which
+      ranks every row as alpha does, reads den·Σ sign + (den − 2·num)·Σ
       |sign| over each row: a win adds 2·(den − num), a tie 0 and a loss
       −2·num, and the diagonal's sign is 0.  That is 2·den times the
-      Copeland score less 2·num·(m − 1), a constant shared by every row.
-      The second term is 0 at alpha = 1/2.  The pad is 0.  A row's score
-      and each term lie within den·(m − 1) or 2·den·(m − 1) of 0, so once
-      2·den·(m − 1) reaches 2^63, where they could wrap int64, the units
-      are those of ``rules.equivalent_alpha``, which ranks every row alike.
+      Copeland score at that weight less 2·num·(m − 1), a constant shared
+      by every row.  The second term is 0 at alpha = 1/2.  The pad is 0.
+      den is below 2m, so a row's score and each term, within
+      2·den·(m − 1) of 0, never wrap int64.
 
     Scores of one tensor differ by even amounts, so one row beats another
     exactly when it leads by at least 2.
     """
     if isinstance(rule, Copeland):
-        alpha = rule.alpha
-        if 2 * alpha.denominator * (m - 1) >= 1 << 63:
-            alpha = equivalent_alpha(alpha, m)
+        alpha = equivalent_alpha(rule.alpha, m)
         num, den = alpha.numerator, alpha.denominator
         # Row sums as products with constant rows: one numpy pass each.
         dens = np.full(m, den, dtype=np.int64)
@@ -188,7 +189,7 @@ def _oracle(instance: ProblemInstance, direction: Direction) -> SolveResult:
                 )
     if best_value is None:
         return infeasible(solver)
-    return feasible(best_value, SwitchPlan(moves=best_moves), solver)
+    return feasible(instance, best_value, SwitchPlan(moves=best_moves), solver)
 
 
 def oracle_min(instance: ProblemInstance) -> SolveResult:
@@ -240,10 +241,10 @@ class _BranchAndBound:
     so that memory stays O(batch · l · m²) however many parties there are.
 
     *Doubled units.*  The scorer's units are exact integers, and every
-    score is even, so a strict lead is a lead of at least 2: for MIN the
-    best rival must lead p by 2 - 2·unique, for MAX p must lead the best
-    rival by 2·unique (unique is 1 under the unique model, 0 for
-    co-winners).  Copeland scores are 2·den times the Copeland score of the
+    score is even, so a strict lead is a lead of at least 2: p must lead
+    the best rival by 2·s for MAX, and for MIN the best rival must lead p by
+    2 - 2·s, where s = ``rules.win_floor`` is 1 under the unique model and 0
+    for co-winners.  Copeland scores are 2·den times the Copeland score of the
     bound's signs, less a constant.  Maximin's padded state holds doubled
     supports, 2·N(c, d) = margin + n off the diagonal, so a node's score is
     one row minimum of ``state + reach``.  Every off-diagonal bound entry is
@@ -291,16 +292,16 @@ class _BranchAndBound:
         p = instance.p
         self.sign = np.full((m, 1), 1 if self.minimize else -1, dtype=np.int64)
         self.sign[p] *= -1
-        # In doubled units, MIN: the best rival must lead p by 2 - 2 unique;
-        # MAX: p must lead it by 2 unique.
-        unique = int(instance.model is WinnerModel.UNIQUE)
-        lead, need = (1, 2 - 2 * unique) if self.minimize else (-1, 2 * unique)
+        # In doubled units, MIN: the best rival must lead p by 2 - 2s;
+        # MAX: p must lead it by 2s.
+        s = win_floor(rule, instance.model)
+        lead, need = (1, 2 - 2 * s) if self.minimize else (-1, 2 * s)
 
-        floor = -(1 << 64)  # below every score: p's stand-in among the rivals
+        bottom = -(1 << 64)  # below every score: p's stand-in among the rivals
 
         def passes(bound: np.ndarray) -> bool:
             scores = score(bound).tolist()
-            mine, scores[p] = scores[p], floor
+            mine, scores[p] = scores[p], bottom
             return lead * (max(scores) - mine) >= need
 
         self.passes = passes
@@ -369,7 +370,8 @@ class _BranchAndBound:
                 return budget_exhausted(self.solver, self.nodes)
         if self.best_value is None:
             return infeasible(self.solver, self.nodes)
-        return feasible(self.best_value, SwitchPlan(moves=self.best_moves), self.solver, self.nodes)
+        plan = SwitchPlan(moves=self.best_moves)
+        return feasible(self.instance, self.best_value, plan, self.solver, self.nodes)
 
     def _search_destination(self, pairs, units, slack, remcap) -> bool:
         """One destination's *Walk*; False when the node budget runs out."""

@@ -1,17 +1,12 @@
 """Solver routing: each instance has one exact route, a polynomial solver or
 (for Copeland and Maximin) the branch and bound; the oracle enumerates the
-plans of any instance within its cell cap."""
+plans of any instance within its cell cap.  Routing is all this module
+does: every solver checks each FEASIBLE result as it builds it
+(``parties.feasible``)."""
 
 from __future__ import annotations
 
-from .parties import (
-    Direction,
-    DestinationMode,
-    ProblemInstance,
-    SolveResult,
-    SolveStatus,
-    check_witness,
-)
+from .parties import Direction, DestinationMode, ProblemInstance, SolveResult
 from .poly import max_linear, max_r_approval, min_condorcet, min_scoring
 from .rules import Condorcet, Scoring
 from .search import (
@@ -64,28 +59,16 @@ def solve_instance(
     where there is none.  ``oracle`` enumerates every plan of any instance
     within its cell cap.  Any other name raises ``ValueError``.
 
-    Every FEASIBLE result has passed ``check_witness``: the polynomial
-    solvers check their own plan, and a search or oracle plan is checked
-    here.  A rejected plan is a solver bug and raises ``RuntimeError``.
+    Each solver has checked its FEASIBLE result with ``check_witness``
+    (``parties.feasible``); a rejected plan raises ``RuntimeError``.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
     minimise = instance.direction is Direction.MIN
     if solver == "oracle":
-        result = oracle_min(instance) if minimise else oracle_max(instance)
-    else:
-        fn = poly_solver(instance)
-        if fn is not None:
-            return fn(instance)
-        if minimise:
-            result = exact_search_min(instance, node_budget=node_budget)
-        else:
-            result = exact_search_max(instance, node_budget=node_budget)
-    if result.status is SolveStatus.FEASIBLE:
-        check = check_witness(instance, result.witness, k=result.value)
-        if not check.ok:
-            raise RuntimeError(
-                f"{result.solver} returned a rejected plan of {result.value} switches: "
-                f"{check.reason}"
-            )
-    return result
+        return oracle_min(instance) if minimise else oracle_max(instance)
+    fn = poly_solver(instance)
+    if fn is not None:
+        return fn(instance)
+    search = exact_search_min if minimise else exact_search_max
+    return search(instance, node_budget=node_budget)

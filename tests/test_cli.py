@@ -288,17 +288,24 @@ def test_gen_refuses_sizes_whose_top_is_zero(tmp_path, capsys):
 
 
 def test_gen_refuses_veto_with_too_few_parties(tmp_path, capsys):
-    out = tmp_path / "x.txt"
-    args = [
-        "gen", "--seed", "1", "--candidates", "5", "--parties", "3",
-        "--sizes", "10..40", "--rule", "veto", "--direction", "min",
-        "-o", str(out),
+    cases = [
+        ("veto", "5", "candidates <= parties + 1 = 4"),
+        ("approval:4", "4", "its entries are all equal"),
+        ("approval:3", "3", "its entries are all equal"),
+        ("approval:2", "2", "its entries are all equal"),
     ]
-    assert cli.main(args) == cli.EXIT_INPUT
-    err = capsys.readouterr().err
-    assert "candidates <= parties + 1 = 4" in err, err
-    assert "tries" not in err
-    assert not out.exists()
+    for rule, m, reason in cases:
+        out = tmp_path / f"{rule}.txt"
+        args = [
+            "gen", "--seed", "1", "--candidates", m, "--parties", "3",
+            "--sizes", "10..40", "--rule", rule, "--direction", "min",
+            "-o", str(out),
+        ]
+        assert cli.main(args) == cli.EXIT_INPUT, rule
+        err = capsys.readouterr().err
+        assert reason in err, err
+        assert "no instance with an initial winner" not in err  # "entries" has "tries"
+        assert not out.exists()
 
 
 def test_gen_one_candidate_is_an_input_error(tmp_path, capsys):

@@ -724,7 +724,7 @@ def test_result_json_infeasible():
 
 def test_result_json_feasible_fields():
     parsed = pc.parse_instance(MINIMAL.replace("k: 1", "k: 2"))
-    result = feasible(1, pc.SwitchPlan(moves=((0, 1, 1),)), "min_scoring")
+    result = feasible(parsed.instance, 1, pc.SwitchPlan(moves=((0, 1, 1),)), "min_scoring")
     doc = _result_json(parsed, result, ms=1234)
     assert doc["value"] == 1 and doc["answer"] is True
     assert doc["witness"] == {
@@ -785,7 +785,7 @@ def test_result_json_with_a_float_wall_time_is_that_of_json_dumps():
     """A float wall time is quantized as a float and written as json.dumps
     writes it; an int one stays an int."""
     parsed = pc.parse_instance(MINIMAL.replace("k: 1", "k: 2"))
-    result = feasible(1, pc.SwitchPlan(moves=((0, 1, 1),)), "min_scoring")
+    result = feasible(parsed.instance, 1, pc.SwitchPlan(moves=((0, 1, 1),)), "min_scoring")
     for ms, shown in ((1.0, 0.0), (1234.5, 1200.0), (99.99, 0.0), (300.0, 300.0), (1234, 1200)):
         out = pc.result_to_json(parsed, result, ms)
         doc = json.loads(out)
@@ -829,13 +829,13 @@ def test_generate_random_condorcet_postcondition():
     assert condorcet_winner(parsed.instance.election) == parsed.instance.p
 
 
-def test_generate_random_retry_limit():
-    with pytest.raises(ValueError, match="no instance"):
-        # Approval of both candidates ties them in every draw, so no draw
-        # has a unique winner and every try fails.
+def test_generate_random_retry_limit(monkeypatch):
+    # No draw has a winner, so every try fails.
+    monkeypatch.setattr("partycred.instance_io.winners", lambda *args: frozenset())
+    with pytest.raises(ValueError, match="no instance with an initial winner found in 10000"):
         pc.generate_random(
-            seed=1, num_candidates=2, num_parties=1, size_range=(1, 3),
-            rule_spec="approval:2", direction="min",
+            seed=1, num_candidates=3, num_parties=2, size_range=(1, 3),
+            rule_spec="plurality", direction="min",
         )
 
 
@@ -871,27 +871,43 @@ def test_generate_random_refuses_sizes_whose_top_is_zero(monkeypatch):
         )
 
 
-@pytest.mark.parametrize("rule_spec", ["veto", "approval:4"])
-def test_generate_random_refuses_veto_with_too_few_parties(monkeypatch, rule_spec):
+_EQUAL_ENTRIES = "its entries are all equal, so every candidate scores the same"
+
+
+@pytest.mark.parametrize("rule_spec, m, parties, reason", [
+    pytest.param("veto", 5, 3, r"candidates <= parties \+ 1 = 4", id="veto"),
+    pytest.param("approval:4", 5, 3, r"candidates <= parties \+ 1 = 4", id="approval:4"),
+    pytest.param("approval:4", 4, 3, _EQUAL_ENTRIES, id="approval:4-at-m-4"),
+    pytest.param("approval:3", 3, 3, _EQUAL_ENTRIES, id="approval:3-at-m-3"),
+    pytest.param("approval:2", 2, 1, _EQUAL_ENTRIES, id="approval:2-at-m-2"),
+])
+def test_generate_random_refuses_veto_with_too_few_parties(
+    monkeypatch, rule_spec, m, parties, reason
+):
     """Under a veto vector each party vetoes one candidate, so with m >
-    parties + 1 at least two candidates are never vetoed and tie: a unique
+    parties + 1 at least two candidates are never vetoed and tie; under a
+    vector whose entries are all equal every candidate ties.  A unique
     winner cannot be drawn, and the request is refused before any draw."""
     def no_draws(*args, **kwargs):
         raise AssertionError("an election was drawn")
 
     monkeypatch.setattr("partycred.instance_io.PartyElection", no_draws)
-    with pytest.raises(ValueError, match=r"candidates <= parties \+ 1 = 4"):
+    with pytest.raises(ValueError, match=reason):
         pc.generate_random(
-            seed=1, num_candidates=5, num_parties=3, size_range=(10, 40),
+            seed=1, num_candidates=m, num_parties=parties, size_range=(10, 40),
             rule_spec=rule_spec, direction="min",
         )
 
 
-@pytest.mark.parametrize("num_parties, model", [(4, "unique"), (3, "cowinner")])
-def test_generate_random_draws_veto_within_the_bound(num_parties, model):
+@pytest.mark.parametrize("rule_spec, m, num_parties, model", [
+    pytest.param("veto", 5, 4, "unique", id="4-unique"),
+    pytest.param("veto", 5, 3, "cowinner", id="3-cowinner"),
+    pytest.param("approval:4", 4, 3, "cowinner", id="approval:4-cowinner"),
+])
+def test_generate_random_draws_veto_within_the_bound(rule_spec, m, num_parties, model):
     parsed = pc.generate_random(
-        seed=1, num_candidates=5, num_parties=num_parties, size_range=(10, 40),
-        rule_spec="veto", direction="min", model=model,
+        seed=1, num_candidates=m, num_parties=num_parties, size_range=(10, 40),
+        rule_spec=rule_spec, direction="min", model=model,
     )
     inst = parsed.instance
     assert inst.p in pc.winners(inst.election, inst.rule, inst.model)

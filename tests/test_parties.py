@@ -187,9 +187,9 @@ def test_solve_result_contract():
     with pytest.raises(ValueError):
         pc.SolveResult(pc.SolveStatus.FEASIBLE, 1, None, "x")
     inst = build(PLUR3, [((P, A, B), 2), ((A, P, B), 1)], p=P, k=1, direction="min")
-    ok = feasible(1, pc.SwitchPlan(moves=((0, 1, 1),)), "x")
+    ok = feasible(inst, 1, pc.SwitchPlan(moves=((0, 1, 1),)), "x")
     assert ok.answer(inst) is True
-    assert feasible(2, pc.SwitchPlan(moves=((0, 1, 2),)), "x").answer(inst) is False
+    assert feasible(inst, 2, pc.SwitchPlan(moves=((0, 1, 2),)), "x").answer(inst) is False
     assert infeasible("x").answer(inst) is False
     assert budget_exhausted("x").answer(inst) is None
 

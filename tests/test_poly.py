@@ -79,27 +79,15 @@ def test_min_condorcet_no_destination():
     assert min_condorcet(inst).status is pc.SolveStatus.INFEASIBLE
 
 
-def test_min_condorcet_raises_on_rejected_plan(monkeypatch):
-    inst = build(
-        pc.Condorcet(), [((P, A, B), 3), ((A, P, B), 1)], p=P, k=1, direction="min"
-    )
-    monkeypatch.setattr(
-        "partycred.poly.check_witness",
-        lambda *args, **kwargs: pc.parties.WitnessCheck(False, "forced rejection"),
-    )
-    with pytest.raises(RuntimeError, match="forced rejection"):
-        min_condorcet(inst)
-
-
 def test_min_condorcet_checks_only_the_returned_plan(monkeypatch):
     calls = []
-    real_check = pc.poly.check_witness
+    real_check = pc.parties.check_witness
 
     def counting_check(*args, **kwargs):
         calls.append(args)
         return real_check(*args, **kwargs)
 
-    monkeypatch.setattr("partycred.poly.check_witness", counting_check)
+    monkeypatch.setattr("partycred.parties.check_witness", counting_check)
     # Rivals A and B both need one switch.  A has the lower index, and of
     # its destinations (parties 2 and 3) the lower id wins.
     tie = build(
@@ -108,9 +96,9 @@ def test_min_condorcet_checks_only_the_returned_plan(monkeypatch):
         p=P, k=1, direction="min",
     )
     result = min_condorcet(tie)
+    assert len(calls) == 1  # before the oracle, which checks its own plan
     assert result.value == 1 == pc.oracle_min(tie).value
     assert result.witness.moves == ((0, 2, 1),)
-    assert len(calls) == 1
 
     problems = [tie] + [
         inst
@@ -198,24 +186,35 @@ def test_max_nonapproving_destination_gap():
     assert pc.check_witness(inst, full.witness, k=full.value).ok
 
 
-def test_max_r_approval_raises_on_rejected_plan(monkeypatch):
-    inst = build(PLUR3, [((P, A, B), 3), ((A, B, P), 2)], p=P, k=1, direction="max")
-    monkeypatch.setattr(
-        "partycred.poly.check_witness",
-        lambda *args, **kwargs: pc.parties.WitnessCheck(False, "forced rejection"),
-    )
-    with pytest.raises(RuntimeError, match="forced rejection"):
-        max_r_approval(inst)
+_MAXIMIN_PARTIES = [((P, A, B), 3), ((A, P, B), 1), ((B, A, P), 1)]
 
 
-def test_min_scoring_raises_on_rejected_plan(monkeypatch):
-    inst = build(PLUR3, [((P, A, B), 3), ((A, P, B), 1)], p=P, k=1, direction="min")
+@pytest.mark.parametrize("solver, rule, parties, direction", [
+    (min_scoring, PLUR3, [((P, A, B), 3), ((A, P, B), 1)], "min"),
+    (min_condorcet, pc.Condorcet(), [((P, A, B), 3), ((A, P, B), 1)], "min"),
+    (max_linear, pc.Scoring(vector=(2, 1, 0)), [((P, A, B), 3), ((A, B, P), 1)], "max"),
+    (max_r_approval, PLUR3, [((P, A, B), 3), ((A, B, P), 2)], "max"),
+    (pc.exact_search_min, pc.Maximin(), _MAXIMIN_PARTIES, "min"),
+    (pc.exact_search_max, pc.Maximin(), _MAXIMIN_PARTIES, "max"),
+    (pc.oracle_min, pc.Maximin(), _MAXIMIN_PARTIES, "min"),
+    (pc.oracle_max, pc.Maximin(), _MAXIMIN_PARTIES, "max"),
+], ids=[
+    "min_scoring", "min_condorcet", "max_linear", "max_r_approval",
+    "exact_search_min", "exact_search_max", "oracle_min", "oracle_max",
+])
+def test_raises_on_rejected_plan(monkeypatch, solver, rule, parties, direction):
+    """Every public solver checks the FEASIBLE result it builds
+    (``parties.feasible``), so a plan that ``check_witness`` rejects raises,
+    naming the reason, even when the solver is called directly."""
+    inst = build(rule, parties, p=P, k=1, direction=direction)
+    assert solver(inst).status is pc.SolveStatus.FEASIBLE
     monkeypatch.setattr(
-        "partycred.poly.check_witness",
+        "partycred.parties.check_witness",
         lambda *args, **kwargs: pc.parties.WitnessCheck(False, "forced rejection"),
     )
-    with pytest.raises(RuntimeError, match="forced rejection"):
-        min_scoring(inst)
+    with pytest.raises(RuntimeError, match=f"{solver.__name__} built a rejected plan .*: "
+                                           "forced rejection"):
+        solver(inst)
 
 
 def test_nonapproving_destination_case_b():
@@ -581,19 +580,6 @@ def test_max_linear_rejects_other_shapes():
         inst = build(rule, orders, p=P, k=1, direction=direction, dest=dest)
         with pytest.raises(ValueError):
             max_linear(inst)
-
-
-def test_max_linear_raises_on_rejected_plan(monkeypatch):
-    inst = build(
-        pc.Scoring(vector=(2, 1, 0)), [((P, A, B), 3), ((A, B, P), 1)], p=P, k=1,
-        direction="max",
-    )
-    monkeypatch.setattr(
-        "partycred.poly.check_witness",
-        lambda *args, **kwargs: pc.parties.WitnessCheck(False, "forced rejection"),
-    )
-    with pytest.raises(RuntimeError, match="forced rejection"):
-        max_linear(inst)
 
 
 def _partition_x3c(universe, seed):

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -348,22 +349,43 @@ def random_x3c(rng: random.Random, m: int) -> rd.X3CInstance:
             return rd.X3CInstance(m, tuple(sets))
 
 
+def exact_covers(x3c: rd.X3CInstance) -> list[tuple[int, ...]]:
+    """Every exact cover of ``x3c``, as the indices of its m/3 sets."""
+    return [
+        picks for picks in itertools.combinations(range(x3c.num_sets), x3c.universe_size // 3)
+        if len({x for t in picks for x in x3c.sets[t]}) == x3c.universe_size
+    ]
+
+
 def test_x3c_max_reductions_match_naive_on_random_sources():
     """Seeded random 3-regular sources: at 12 elements ``x3c-borda-max``
     answers as ``solve_x3c_naive`` on every draw, and at 6, 9 and 12
     elements both X3C MAX constructions answer yes on every yes-instance.
     Their no-instances below 12 elements (Borda) and at every size tried
-    (Condorcet) can answer yes; the strict xfails below keep one visible."""
+    (Condorcet) can answer yes; the strict xfails below keep one visible.
+    The sound direction of every X3C construction, ``x3c-maximin-min``'s
+    too: each exact cover maps through ``witness_plan`` to a plan that
+    ``check_witness`` accepts at the instance's k."""
     rng = random.Random(12)
     answers = {6: set(), 9: set(), 12: set()}
     for m, draws in ((6, 8), (9, 8), (12, 12)):
         for _ in range(draws):
             x3c = random_x3c(rng, m)
             expected = rd.solve_x3c_naive(x3c)
-            for reduce in (rd.reduce_x3c_to_borda_max, rd.reduce_x3c_to_condorcet_max):
+            covers = exact_covers(x3c)
+            assert bool(covers) is expected, x3c
+            answered = {
+                rd.reduce_x3c_to_borda_max: expected or m == 12,
+                rd.reduce_x3c_to_condorcet_max: expected,
+            }
+            for reduce in (rd.reduce_x3c_to_maximin_min, *answered):
                 reduced = reduce(x3c)
-                answer = pc.solve_instance(reduced.instance).answer(reduced.instance)
-                if expected or (m == 12 and reduce is rd.reduce_x3c_to_borda_max):
+                for cover in covers:
+                    plan = reduced.witness_plan(cover)
+                    check = pc.check_witness(reduced.instance, plan)
+                    assert check.ok, (reduced.reduction, x3c, cover, check.reason)
+                if answered.get(reduce):
+                    answer = pc.solve_instance(reduced.instance).answer(reduced.instance)
                     assert answer is expected, (reduced.reduction, x3c)
             answers[m].add(expected)
     assert all(True in seen for seen in answers.values()), answers

@@ -479,7 +479,7 @@ def test_pairwise_score_helpers_match_rules():
     """``_margin_scorer``'s doubled units, on one padded (m, m) margin matrix
     and on a (k, m, m) stack, are exactly the rules module's scores: Maximin
     is 2·``maximin_scores``, and Copeland is 2·den·``copeland_scores`` less
-    2·num·(m − 1), for alpha = num/den.  The k elections share their parties
+    2·num·(m − 1), for num/den = ``equivalent_alpha(alpha, m)``.  The k elections share their parties
     and n, as one instance's plans do, and some of their parties are empty."""
     alphas = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 5), Fraction(1)]
     for seed in range(100):
@@ -498,9 +498,10 @@ def test_pairwise_score_helpers_match_rules():
         assert maximin(stack + pad).tolist() == expected, seed
         assert maximin(stack[0] + pad).tolist() == expected[0], seed
         for alpha in alphas:
-            num, den = alpha.numerator, alpha.denominator
+            small = equivalent_alpha(alpha, m)
+            num, den = small.numerator, small.denominator
             expected = [
-                [2 * den * copeland_scores(e, alpha)[c] - 2 * num * (m - 1) for c in range(m)]
+                [2 * den * copeland_scores(e, small)[c] - 2 * num * (m - 1) for c in range(m)]
                 for e in elections
             ]
             pad, copeland = _margin_scorer(pc.Copeland(alpha=alpha), m, n)
@@ -509,27 +510,27 @@ def test_pairwise_score_helpers_match_rules():
 
 
 def test_copeland_units_of_large_denominators_are_an_equivalent_alphas():
-    """At m = 4 a row's doubled Copeland score reaches 2·den·3 in size: at
-    the largest den that keeps it below 2^63 the units are still exact at
-    both extremes (all wins with alpha near 0, all losses with alpha near
-    1).  One step on, the scorer takes the units of alpha = 1/4, which
-    orders every Copeland score at m = 4 as 1/(den + 1) does, and the
-    search and the oracle solve alike."""
+    """At m = 4 a row's doubled Copeland score in raw units would reach
+    2·den·3 in size, past 2^63 for den beyond ``last``.  The scorer always
+    takes the units of ``equivalent_alpha``, whose denominator is below 2m,
+    at the extremes (alpha near 0 and near 1) and one step past ``last``,
+    where the weight is 1/4, which orders every Copeland score at m = 4 as
+    1/(last + 1) does; the search and the oracle solve alike."""
     m, last = 4, ((1 << 63) - 1) // 6
     # Candidate 0 beats every rival and candidate 3 loses to every one.
     election = pc.PartyElection([(0, 1, 2, 3), (1, 2, 0, 3)], [2, 1])
     margins = _margins(election)
-    for num in (1, last - 1):
-        alpha = Fraction(num, last)
+    for alpha in (Fraction(1, last), Fraction(last - 1, last), Fraction(1, last + 1)):
+        small = equivalent_alpha(alpha, m)
+        assert small.denominator < 2 * m, alpha
         pad, copeland = _margin_scorer(pc.Copeland(alpha=alpha), m, 3)
-        expected = [2 * last * copeland_scores(election, alpha)[c] - 2 * num * (m - 1)
-                    for c in range(m)]
-        assert copeland(margins + pad).tolist() == expected, num
-        assert max(map(abs, expected)) > 6 * last - 12, num
+        expected = [
+            2 * small.denominator * copeland_scores(election, small)[c]
+            - 2 * small.numerator * (m - 1)
+            for c in range(m)
+        ]
+        assert copeland(margins + pad).tolist() == expected, alpha
     assert equivalent_alpha(Fraction(1, last + 1), m) == Fraction(1, 4)
-    _, copeland = _margin_scorer(pc.Copeland(alpha=Fraction(1, last + 1)), m, 3)
-    _, quarter = _margin_scorer(pc.Copeland(alpha=Fraction(1, 4)), m, 3)
-    assert copeland(margins).tolist() == quarter(margins).tolist()
     for direction in pc.Direction:
         inst = pc.ProblemInstance(
             election=election, p=0, k=1, rule=pc.Copeland(alpha=Fraction(1, last + 1)),
@@ -689,7 +690,7 @@ def test_solve_instance_raises_on_rejected_plan(monkeypatch, solver):
         direction="min",
     )
     assert pc.solve_instance(inst, solver).status is pc.SolveStatus.FEASIBLE
-    monkeypatch.setattr("partycred.solve.check_witness", _reject_all)
+    monkeypatch.setattr("partycred.parties.check_witness", _reject_all)
     with pytest.raises(RuntimeError, match="forced rejection"):
         pc.solve_instance(inst, solver)
 
@@ -702,8 +703,7 @@ def test_solve_instance_checks_each_feasible_result_once(monkeypatch):
         calls.append(args)
         return real_check(*args, **kwargs)
 
-    monkeypatch.setattr("partycred.solve.check_witness", counting_check)
-    monkeypatch.setattr("partycred.poly.check_witness", counting_check)
+    monkeypatch.setattr("partycred.parties.check_witness", counting_check)
     parties = [((P, A, B), 3), ((A, P, B), 1), ((B, A, P), 1)]
     for rule in (PLUR3, pc.Maximin()):  # auto: min_scoring, then the search
         inst = build(rule, parties, p=P, k=1, direction="min")
