@@ -22,7 +22,7 @@ from .parties import (
     apply_switch,
     check_witness,
 )
-from .poly import max_linear, max_r_approval, min_condorcet, min_scoring
+from .poly import max_linear, max_r_approval, max_shift, min_condorcet, min_scoring
 from .rules import (
     Condorcet,
     Copeland,
@@ -80,6 +80,7 @@ __all__ = [
     "check_witness",
     "max_linear",
     "max_r_approval",
+    "max_shift",
     "min_condorcet",
     "min_scoring",
     "REDUCTIONS",

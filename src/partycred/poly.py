@@ -1,5 +1,6 @@
 """Exact polynomial solvers for the linear rules: every scoring rule and
-Condorcet, MIN and MAX, in either destination mode.
+Condorcet, MIN and MAX, in either destination mode; and multi-destination
+MAX under any rule when no party holds a majority.
 
 * ``min_scoring`` and ``min_condorcet`` — two MIN entry points over one
   greedy (``_min_greedy``).  Each rival's best destination is its
@@ -20,6 +21,10 @@ Condorcet, MIN and MAX, in either destination mode.
 * ``max_r_approval`` — the same one-destination packings, under the name
   that routes 0/1 scoring vectors (plurality, veto, any r-approval).  Their
   lead rows are approval rows, so there are at most C(m, r) distinct rows.
+* ``max_shift`` — multi-destination MAX under any rule, Copeland and Maximin
+  included, when no party holds more than half of the n voters: a cyclic
+  shift of the voters moves all n and leaves every party's size as it was,
+  so the value is n, built in O(l).
 
 ``_max_pack`` is a branch and bound over count intervals.  Its linear
 relaxation (``_lp_relaxation``) is a two-phase bounded-variable simplex
@@ -186,7 +191,9 @@ def _max_into_pairs(instance: ProblemInstance, solver: str) -> SolveResult:
     through one more constraint column.  p wins before anyone moves, so
     zero counts fit and the packing always returns counts.  No plan moves
     more than the n voters, a bound that neither the knapsack prices nor the
-    greedy fill prove, so the packing stops once a fill reaches it."""
+    greedy fill prove, so the packing stops once a fill reaches it.
+    ``solve_instance`` sends only files with a majority party here; the
+    others move all n voters (``max_shift``)."""
     leads, budget = _leads(instance)
     sizes = instance.election.sizes
     src, dst = np.nonzero((sizes > 0)[:, None] & ~np.eye(len(sizes), dtype=bool))  # (q, d) order
@@ -291,6 +298,62 @@ def _moves_into(dest, sizes, members, retained):
             moved[q] -= keep
             stay -= keep
     return tuple((q, dest, n) for q, n in sorted(moved.items()) if n > 0)
+
+
+def max_shift(instance: ProblemInstance) -> SolveResult:
+    """Exact multi-destination MAX under any rule when no party holds more
+    than half of the n voters: every voter moves, so the value is n.
+
+    No plan moves more than the n voters, so n is an upper bound, and this
+    plan reaches it.  List the voters party by party in id order at
+    positions 0..n - 1, a circle, and let M be the largest party size, so
+    2M <= n.  The voter at position i moves to the party that owns position
+    (i + M) mod n.
+    * No voter lands in its own party.  A party's block of positions is at
+      most M long, and each voter is shifted M forward, or n - M >= M back.
+    * Every position is hit exactly once, so every party ends with its own
+      size: the election is unchanged and p still wins, under any rule and
+      either winner model.
+
+    The moves are the runs of positions with one (source, destination).
+    Their boundaries are the party starts S and the starts shifted back, S -
+    M, so one merged walk over the block boundaries builds them in O(l),
+    and parties of size 0 take no part.  The largest party's start b is in
+    both, as b + M starts the next nonempty party around the circle, so
+    there are at most 2l - 1 moves, each of a positive count.  Any shift h
+    with M <= h <= n - M gives such a plan, in up to 2l moves; h = M always
+    shares that boundary.
+    """
+    multi = instance.destination_mode is DestinationMode.MULTI
+    if instance.direction is not Direction.MAX or not multi:
+        raise ValueError("max_shift solves multi-destination max instances only")
+    sizes = instance.election.sizes.tolist()
+    n, shift = sum(sizes), max(sizes)
+    if 2 * shift > n:
+        raise ValueError(f"max_shift needs every party at most half the voters: {shift} of {n}")
+    if not n:
+        return feasible(instance, 0, EMPTY_PLAN, "max_shift")
+    ring = [q for q, size in enumerate(sizes) if size]
+    at, into = 0, shift  # position `shift` is voter `into` (from 0) of party ring[at]
+    while into >= sizes[ring[at]]:
+        into -= sizes[ring[at]]
+        at += 1
+    # The destinations of positions 0..n - 1 as runs: ring[at] from voter
+    # `into` on, the parties after it around the circle, then ring[at]'s
+    # first `into` voters.
+    after = [(d, sizes[d]) for d in ring[at + 1 :] + ring[:at]]
+    runs = iter([(ring[at], sizes[ring[at]] - into), *after, (ring[at], into)])
+    moves, room = [], 0
+    for source in ring:
+        left = sizes[source]
+        while left:
+            if not room:
+                dest, room = next(runs)
+            count = min(left, room)
+            moves.append((source, dest, count))
+            left -= count
+            room -= count
+    return feasible(instance, n, SwitchPlan(moves=tuple(moves)), "max_shift")
 
 
 def _max_pack(a, budget, caps, floor=-1, limit=None):

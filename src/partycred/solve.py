@@ -1,13 +1,13 @@
 """Solver routing: each instance has one exact route, a polynomial solver or
-(for Copeland and Maximin) the branch and bound; the oracle enumerates the
-plans of any instance within its cell cap.  Routing is all this module
-does: every solver checks each FEASIBLE result as it builds it
-(``parties.feasible``)."""
+(for Copeland and Maximin, outside ``max_shift``'s case) the branch and
+bound; the oracle enumerates the plans of any instance within its cell cap.
+Routing is all this module does: every solver checks each FEASIBLE result
+as it builds it (``parties.feasible``)."""
 
 from __future__ import annotations
 
 from .parties import Direction, DestinationMode, ProblemInstance, SolveResult
-from .poly import max_linear, max_r_approval, min_condorcet, min_scoring
+from .poly import max_linear, max_r_approval, max_shift, min_condorcet, min_scoring
 from .rules import Condorcet, Scoring
 from .search import (
     DEFAULT_NODE_BUDGET,
@@ -21,10 +21,14 @@ SOLVERS = ("auto", "oracle")  # the names solve_instance and --solver accept
 
 
 def poly_solver(instance: ProblemInstance):
-    """The polynomial solver this instance admits, or None exactly for
-    Copeland and Maximin, which are NP-hard in both directions.
+    """The polynomial solver this instance admits, or None exactly for the
+    Copeland and Maximin instances that ``max_shift`` does not take: both
+    rules are NP-hard in both directions.
 
-    Scoring and Condorcet MIN take ``min_scoring`` and ``min_condorcet``
+    Multi-destination MAX with no party above half of the n voters takes
+    ``max_shift`` under every rule: a plan moves all n voters and leaves
+    every party's size as it was, built in O(l).  Otherwise scoring and
+    Condorcet MIN take ``min_scoring`` and ``min_condorcet``
     (``poly._min_greedy``), in either destination mode.  Their MAX takes
     ``max_linear``, in either destination mode, except one-destination MAX
     for a 0/1 scoring vector, which takes ``max_r_approval``: the same
@@ -33,7 +37,13 @@ def poly_solver(instance: ProblemInstance):
     candidates; ``max_linear`` is exponential in the number of its
     packing's counts in the worst case, as Borda MAX is NP-hard.
     """
-    rule = instance.rule
+    rule, sizes = instance.rule, instance.election.sizes
+    if (
+        instance.destination_mode is DestinationMode.MULTI
+        and instance.direction is Direction.MAX
+        and 2 * int(sizes.max()) <= int(sizes.sum())
+    ):
+        return max_shift
     if not isinstance(rule, (Scoring, Condorcet)):
         return None
     if instance.direction is Direction.MIN:
@@ -54,10 +64,12 @@ def solve_instance(
 ) -> SolveResult:
     """Solve with one of ``SOLVERS``.
 
-    ``auto`` takes the instance's one exact route: ``poly_solver``'s solver,
-    and the branch and bound (``exact_search_*``) for Copeland and Maximin,
-    where there is none.  ``oracle`` enumerates every plan of any instance
-    within its cell cap.  Any other name raises ``ValueError``.
+    ``auto`` takes the instance's one exact route: ``poly_solver``'s solver
+    (``max_shift`` for a multi-destination MAX with no majority party, under
+    any rule), and the branch and bound (``exact_search_*``) for the other
+    Copeland and Maximin instances, where there is none.  ``oracle``
+    enumerates every plan of any instance within its cell cap.  Any other
+    name raises ``ValueError``.
 
     Each solver has checked its FEASIBLE result with ``check_witness``
     (``parties.feasible``); a rejected plan raises ``RuntimeError``.

@@ -174,6 +174,28 @@ def test_verify_budget_exhausted_exits_before_the_oracle(tmp_path, capsys, monke
     assert oracle_calls == []
 
 
+@pytest.mark.parametrize("direction, code", [("max", cli.EXIT_OK), ("min", cli.EXIT_INPUT)])
+def test_verify_proves_a_max_of_n_past_the_oracles_cap(tmp_path, capsys, direction, code):
+    """A 300-party multi-destination file is far past the oracle's cell cap.
+    Its MAX is n, the upper bound on any plan, so the checked witness proves
+    it and verify exits 0 with that verdict, kept apart from the oracle's.
+    Its MIN has no such proof and exits 1 on the oracle's refusal."""
+    path = tmp_path / f"borda-{direction}.txt"
+    assert cli.main([
+        "gen", "--seed", "1", "--candidates", "5", "--parties", "300", "--sizes", "1..5",
+        "--rule", "borda", "--direction", direction, "--dest", "multi", "-o", str(path),
+    ]) == cli.EXIT_OK
+    n = pc.parse_instance(path.read_text(encoding="utf-8")).instance.election.num_voters
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == code
+    err = capsys.readouterr().err
+    verdict = f"optimal: max_shift's value {n} = n is the upper bound; witness checked\n"
+    if direction == "max":
+        assert err == verdict + "oracle: not run, the file's plans are past its size cap\n"
+    else:
+        assert "optimal" not in err and "error: size cap exceeded" in err
+
+
 def test_reduce_writes_instance_and_provenance(tmp_path, capsys):
     source = write(tmp_path, "graph.txt", GRAPH)
     out = tmp_path / "reduced.txt"

@@ -9,7 +9,14 @@ import pytest
 import partycred as pc
 from partycred import poly
 from partycred import reductions as rd
-from partycred.poly import _max_pack, max_linear, max_r_approval, min_condorcet, min_scoring
+from partycred.poly import (
+    _max_pack,
+    max_linear,
+    max_r_approval,
+    max_shift,
+    min_condorcet,
+    min_scoring,
+)
 from partycred.solve import poly_solver
 
 from conftest import X3C_NO6, X3C_NO12, build, collect_problems, oracle, values_match
@@ -700,3 +707,104 @@ def test_max_solvers_pick_the_oracles_destination(rule_spec):
             expected = pc.oracle_max(inst).witness.destinations()
             for solver in solvers:
                 assert solver(inst).witness.destinations() == expected, (solver, inst)
+
+
+SHIFT_RULES = (
+    "plurality", "veto", "approval:2", "borda", "condorcet",
+    "copeland:0", "copeland:1/3", "copeland:1/2", "copeland:1", "maximin",
+)
+
+
+def _assert_shift_plan(inst, result):
+    """``max_shift``'s result: value n, a checked plan of at most 2l' - 1
+    moves over the l' nonempty parties, each of a positive count between
+    two different parties."""
+    sizes = inst.election.sizes
+    assert (result.status, result.value, result.solver) == (
+        pc.SolveStatus.FEASIBLE, inst.election.num_voters, "max_shift"
+    )
+    assert pc.check_witness(inst, result.witness, k=result.value).ok
+    assert len(result.witness.moves) <= max(0, 2 * np.count_nonzero(sizes) - 1)
+    assert all(count > 0 and source != dest for source, dest, count in result.witness.moves)
+
+
+def test_max_shift_matches_the_oracle():
+    """1,000 seeded multi-destination MAX draws over ten rule specs and both
+    winner models.  Every draw with no majority party routes to
+    ``max_shift``, whose value n is the oracle's; every other draw keeps its
+    old solver and the oracle's value."""
+    routes = {"max_shift": 0, "max_linear": 0, "exact_search_max": 0}
+    for index, (rule_spec, model) in enumerate(
+        itertools.product(SHIFT_RULES, ("unique", "cowinner"))
+    ):
+        for inst in collect_problems(
+            7_000 * (index + 1), 50, rule_spec=rule_spec, direction="max", model=model,
+            dest="multi",
+        ):
+            sizes = inst.election.sizes
+            result, ref = pc.solve_instance(inst), pc.oracle_max(inst)
+            assert (result.status, result.value) == (ref.status, ref.value), (inst, result, ref)
+            if 2 * sizes.max() <= sizes.sum():
+                assert poly_solver(inst) is max_shift
+                _assert_shift_plan(inst, result)
+            else:
+                linear = isinstance(inst.rule, (pc.Scoring, pc.Condorcet))
+                assert result.solver == ("max_linear" if linear else "exact_search_max")
+            routes[result.solver] += 1
+    assert sum(routes.values()) == 1_000
+    assert min(routes.values()) >= 100, routes
+
+
+@pytest.mark.parametrize("sizes, model", [
+    ((2, 1, 1), "unique"),  # even n, one party of exactly n / 2
+    ((2, 2), "unique"),  # two halves: each moves whole into the other
+    ((2, 2, 1), "cowinner"),  # odd n
+    ((0, 2, 0, 1, 1, 0), "unique"),  # parties of size 0 take no part
+    ((0, 0, 0), "cowinner"),  # no voters: the empty plan moves all of them
+], ids=["even-n-half", "two-halves", "odd-n", "empty-parties", "no-voters"])
+@pytest.mark.parametrize(
+    "rule", [pc.Maximin(), pc.Scoring(vector=(2, 1, 0))], ids=["maximin", "borda"]
+)
+def test_max_shift_edge_cases(sizes, model, rule):
+    orders = [(P, A, B), (P, B, A), (A, P, B), (B, P, A), (P, A, B), (A, B, P)]
+    inst = build(rule, list(zip(orders, sizes)), p=P, k=1, direction="max", model=model,
+                 dest="multi")
+    result = pc.solve_instance(inst)
+    _assert_shift_plan(inst, result)
+    assert result.value == pc.oracle_max(inst).value
+
+
+def test_max_shift_refuses_other_instances(monkeypatch):
+    """A majority party, MIN or one destination raise ValueError, and a
+    plan that ``check_witness`` rejects raises RuntimeError."""
+    parties = [((P, A, B), 3), ((A, P, B), 1), ((B, A, P), 1)]
+    for direction, dest in (("max", "multi"), ("min", "multi"), ("max", "one")):
+        inst = build(pc.Maximin(), parties, p=P, direction=direction, dest=dest)
+        assert poly_solver(inst) is None
+        with pytest.raises(ValueError, match="max_shift"):
+            max_shift(inst)
+    inst = build(pc.Maximin(), parties[:1] + parties, p=P, direction="max", dest="multi")
+    _assert_shift_plan(inst, max_shift(inst))
+    monkeypatch.setattr(
+        "partycred.parties.check_witness",
+        lambda *args, **kwargs: pc.parties.WitnessCheck(False, "forced rejection"),
+    )
+    with pytest.raises(RuntimeError, match="max_shift built a rejected plan .*: forced rejection"):
+        max_shift(inst)
+
+
+@pytest.mark.parametrize("rule_spec", ["borda", "copeland:1/2"])
+def test_max_shift_scaling_gate(rule_spec):
+    """600 parties of 1..5 voters, 5 candidates: multi-destination MAX
+    through ``solve_instance`` in under 1 s, with value n.  The packing over
+    600 * 599 pair counts took 39.6 s for Borda, and the branch and bound
+    ran out of any budget for Copeland."""
+    inst = pc.generate_random(
+        seed=1, num_candidates=5, num_parties=600, size_range=(1, 5),
+        rule_spec=rule_spec, direction="max", dest="multi",
+    ).instance
+    start = time.perf_counter()
+    result = pc.solve_instance(inst)
+    elapsed = time.perf_counter() - start
+    _assert_shift_plan(inst, result)
+    assert elapsed < 1.0, f"{rule_spec}: {elapsed:.2f}s"

@@ -9,7 +9,7 @@ import pytest
 
 import partycred as pc
 from partycred.instance_io import RULE_CHOICES, generate_random
-from partycred.poly import max_linear, max_r_approval, min_condorcet, min_scoring
+from partycred.poly import max_linear, max_r_approval, max_shift, min_condorcet, min_scoring
 from partycred.solve import SOLVERS, poly_solver
 
 from conftest import collect_problems, exact_search, values_match
@@ -23,10 +23,12 @@ SEARCH_RULES = ("copeland:1/2", "maximin", "copeland:1/3")
 
 def test_every_route_gives_the_same_answer():
     """``auto`` (the instance's one exact route) and the oracle agree on
-    every instance, and ``poly_solver`` is None exactly for Copeland and
-    Maximin.  Each route refuses the other's rules: ``exact_search_*``
-    raise a ValueError naming ``poly_solver`` on the linear rules, and every
-    polynomial solver raises on Copeland and Maximin."""
+    every instance.  ``poly_solver`` is ``max_shift`` for every
+    multi-destination MAX with no majority party, and outside that case None
+    exactly for Copeland and Maximin.  Each route refuses the other's rules:
+    ``exact_search_*`` raise a ValueError naming ``poly_solver`` on the
+    linear rules, and every polynomial solver but ``max_shift``, which takes
+    any rule, raises on Copeland and Maximin."""
     rng = random.Random(2026)
     solved = 0
     for rule, direction, dest, model in itertools.product(
@@ -37,7 +39,11 @@ def test_every_route_gives_the_same_answer():
             model=model, dest=dest, max_voters=10,
         ):
             results = {route: pc.solve_instance(inst, solver=route) for route in SOLVERS}
-            assert (poly_solver(inst) is None) == (rule in SEARCH_RULES)
+            sizes = inst.election.sizes
+            if direction == "max" and dest == "multi" and 2 * sizes.max() <= sizes.sum():
+                assert poly_solver(inst) is max_shift
+            else:
+                assert (poly_solver(inst) is None) == (rule in SEARCH_RULES)
             if rule in SEARCH_RULES:
                 for solver in (min_scoring, min_condorcet, max_linear, max_r_approval):
                     with pytest.raises(ValueError):
@@ -58,12 +64,14 @@ def test_every_route_matches_the_oracle_at_tens_of_voters():
     3-4 parties of 10-40 voters (one destination) and 3 parties of 3-9
     (multi-destination), 4-5 candidates, every rule of ``RULE_CHOICES`` in
     both directions and both models.  The branch and bound must also give
-    the oracle's witness."""
+    the oracle's witness.  All but one multi-destination MAX draw have no
+    majority party and take ``max_shift``, the Copeland and Maximin ones
+    included, so 12 draws reach the branch and bound."""
     rng = random.Random(32)
     draws = list(itertools.product(
         RULE_CHOICES, ("min", "max"), ("unique", "cowinner"), ("one", "multi")
     ))
-    searched = 0
+    searched = shifted = 0
     for rule, direction, model, dest in draws:
         parties, sizes = (rng.randint(3, 4), (10, 40)) if dest == "one" else (3, (3, 9))
         # Under veto, a candidate wins alone only if the others are all vetoed.
@@ -76,7 +84,8 @@ def test_every_route_matches_the_oracle_at_tens_of_voters():
         if result.solver.startswith("exact_search_"):
             assert result.witness == ref.witness, (inst, result, ref)
             searched += 1
-    assert searched == 16
+        shifted += result.solver == "max_shift"
+    assert (searched, shifted) == (12, 13)
 
 
 def test_unknown_solver_is_refused():
