@@ -9,33 +9,39 @@ MAX under any rule when no party holds a majority.
   distinct entries of the rule's lead table, plus one O(l log l) sort of the
   chosen rival's parties for the witness.
 * ``max_linear`` — MAX for any scoring vector and for Condorcet.  The leads
-  fall linearly in the numbers of voters moved, so MAX is a maximum packing
-  (``_max_pack``): as many voters as possible move while p's lead over each
-  rival stays a win.  One-destination MAX solves one packing per distinct
-  lead row (``_max_into_rows``); multi-destination MAX one packing over the
-  counts of every (source, destination) pair (``_max_into_pairs``).  Costs
-  may be negative (a Borda or Condorcet switcher can raise p's lead over
-  some rival), so the packing is an integer program that is NP-hard in
-  general: the search is exponential only in the number of its counts, at
-  most min(l, m!) merged rows into one destination, or l(l - 1) pairs.
+  fall linearly in the numbers of voters moved.  One-destination MAX is a
+  maximum packing (``_max_pack``) per distinct lead row
+  (``_max_into_rows``): as many voters as possible move while p's lead over
+  each rival stays a win.  Costs may be negative (a Borda or Condorcet
+  switcher can raise p's lead over some rival), so the packing is an
+  integer program that is NP-hard in general: the search is exponential
+  only in the number of its counts, at most min(l, m!) merged rows.
+  Multi-destination MAX is read from the parties' final sizes
+  (``_max_final_sizes``): one packing over the merged rows' final totals
+  per size bound, bisected.
 * ``max_r_approval`` — the same one-destination packings, under the name
   that routes 0/1 scoring vectors (plurality, veto, any r-approval).  Their
   lead rows are approval rows, so there are at most C(m, r) distinct rows.
 * ``max_shift`` — multi-destination MAX under any rule, Copeland and Maximin
-  included, when no party holds more than half of the n voters: a cyclic
-  shift of the voters moves all n and leaves every party's size as it was,
-  so the value is n, built in O(l).
+  included, when no party holds more than half of the n voters: the final
+  sizes s' = s need no packing, so the value is n, built in O(l).
+
+Every multi-destination MAX plan is a cyclic shift of the leaving voters
+onto the places they fill (``_shift_moves``), and so is every
+one-destination plan, whose places all lie in one party.
 
 ``_max_pack`` is a branch and bound over count intervals.  Its linear
 relaxation (``_lp_relaxation``) is a two-phase bounded-variable simplex
 with one row per constraint that can bind and one column per count and
 per slack.  Phase 1 runs only at a node whose slack is negative, which
-raising a count of positive cost can cause; the root's slack is never
-negative for the MAX solvers, as p wins before anyone moves.
+raising a count of positive cost can cause.  The one-destination root's
+slack is never negative, as p wins before anyone moves; the final-size
+packing's is, as p wins at no zero totals.
 
 Ties resolve reproducibly.  MIN takes the lowest rival among those that need
 the fewest switches, then that rival's lowest-id party of lowest lead;
-one-destination MAX takes the lowest-id destination among the best.
+one-destination MAX takes the lowest-id destination among the best, and
+multi-destination MAX fills each row's lowest-id parties first.
 Each solver builds its FEASIBLE result with ``parties.feasible``, which
 checks the plan and raises ``RuntimeError`` on a rejection.
 """
@@ -43,6 +49,7 @@ checks the plan and raises ``RuntimeError`` on a rejection.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -50,7 +57,6 @@ from . import _kernels
 # Unused here, but perfbench/tracing.py patches poly.pairwise_matrix.
 from .core import pairwise_matrix  # noqa: F401
 from .parties import (
-    EMPTY_PLAN,
     Direction,
     DestinationMode,
     ProblemInstance,
@@ -158,57 +164,28 @@ def max_linear(instance: ProblemInstance) -> SolveResult:
 
     Both rules are linear in the party sizes: one voter of party q adds
     ``leads[q, c]`` to p's lead over c (``_leads``).  p still wins while
-    every lead is at least s (``rules.win_floor``).  Moving one voter
-    from q into d lowers the leads by cost = leads[q] - leads[d], which may
-    take either sign.  So MAX is the largest number of moves whose summed
-    costs stay within the budgets ``sizes @ leads - s``: a maximum packing
-    with signed costs (``_max_pack``).  A rival binds only if some cost on
-    it is positive; the others' leads never fall, and their budgets are
-    >= 0 as p wins initially.
+    every lead is at least s (``rules.win_floor``).
 
-    * One destination (``_max_into_rows``): one packing per distinct lead
-      row, over the counts moved from each other row into it.
-    * Multiple destinations (``_max_into_pairs``): one packing over the
-      counts x[q, d] of every source q with voters and every other party d,
-      plus one constraint per source, sum_d x[q, d] <= sizes[q].
+    * One destination (``_max_into_rows``): moving one voter from q into d
+      lowers the leads by cost = leads[q] - leads[d], which may take either
+      sign.  So MAX is the largest number of moves whose summed costs stay
+      within the budgets ``sizes @ leads - s``: a maximum packing with
+      signed costs (``_max_pack``), one per distinct lead row.  A rival
+      binds only if some cost on it is positive; the others' leads never
+      fall, and their budgets are >= 0 as p wins initially.
+    * Multiple destinations (``_max_final_sizes``): a plan matters only
+      through the parties' final sizes, so MAX is one packing over the
+      final totals of the distinct lead rows per size bound, bisected.
 
     Each packing visits fewer than 2 * prod(caps + 1) nodes
-    (``_max_into_rows``): polynomial for a fixed number of candidates in
-    the one-destination mode and for a fixed number of parties in the
-    multi-destination mode, and exponential in the number of counts in the
-    worst case, as the NP-hardness of Borda MAX requires.
+    (``_max_into_rows``): polynomial for a fixed number of candidates, in
+    the voter counts written out in unary, and exponential in the number of
+    counts in the worst case, as the NP-hardness of Borda MAX requires.
     """
     _require(instance, (Scoring, Condorcet), Direction.MAX, "max_linear")
     if instance.destination_mode is DestinationMode.ONE:
         return _max_into_rows(instance, "max_linear")
-    return _max_into_pairs(instance, "max_linear")
-
-
-def _max_into_pairs(instance: ProblemInstance, solver: str) -> SolveResult:
-    """Multi-destination MAX for a linear rule: one packing over the counts
-    of every (source, destination) pair (``max_linear``).  A pair's count
-    may reach its source's size, and each source's counts share that size
-    through one more constraint column.  p wins before anyone moves, so
-    zero counts fit and the packing always returns counts.  No plan moves
-    more than the n voters, a bound that neither the knapsack prices nor the
-    greedy fill prove, so the packing stops once a fill reaches it.
-    ``solve_instance`` sends only files with a majority party here; the
-    others move all n voters (``max_shift``)."""
-    leads, budget = _leads(instance)
-    sizes = instance.election.sizes
-    src, dst = np.nonzero((sizes > 0)[:, None] & ~np.eye(len(sizes), dtype=bool))  # (q, d) order
-    cost = leads[src] - leads[dst]
-    binding = (cost > 0).any(axis=0)  # column p is 0
-    sources = np.flatnonzero(sizes)
-    moved = _max_pack(
-        np.hstack([cost[:, binding], src[:, None] == sources]),
-        np.concatenate([budget[binding], sizes[sources]]),
-        sizes[src],
-        limit=int(sizes.sum()),
-    )
-    used = np.flatnonzero(moved)
-    moves = zip(src[used].tolist(), dst[used].tolist(), moved[used].tolist())
-    return feasible(instance, int(moved.sum()), SwitchPlan(moves=tuple(moves)), solver)
+    return _max_final_sizes(instance, "max_linear")
 
 
 def max_r_approval(instance: ProblemInstance) -> SolveResult:
@@ -252,17 +229,12 @@ def _max_into_rows(instance: ProblemInstance, solver: str) -> SolveResult:
     leads, budget = _leads(instance)
     sizes = instance.election.sizes
     total = int(sizes.sum())
-
-    merged: dict[bytes, list[int]] = {}
-    for q, row in enumerate(leads):
-        merged.setdefault(row.tobytes(), []).append(q)
-    members = list(merged.values())  # party ids per merged row
+    members, row_leads = _ballot_rows(leads)
     sizes_l = sizes.tolist()
     dest_of = [min(ids, key=sizes_l.__getitem__) for ids in members]  # smallest, then lowest id
-    row_leads = leads[[ids[0] for ids in members]]
     caps = np.array([sum(sizes_l[q] for q in ids) for ids in members], dtype=np.int64)
 
-    best_value, best_dest, best = 0, -1, None  # best: (packed rows, moved counts) into best_dest
+    best_value, best_dest, best = 0, -1, None  # best: (row, packed rows, moved counts)
     for j in sorted(range(len(members)), key=lambda j: (sizes_l[dest_of[j]], dest_of[j])):
         dest = dest_of[j]
         tie = int(dest < best_dest)  # a tie with a later id must not replace the incumbent
@@ -277,93 +249,168 @@ def _max_into_rows(instance: ProblemInstance, solver: str) -> SolveResult:
         moved = _max_pack(cost[packed][:, binding], rest[binding], caps[packed], floor)
         value = base + int(moved.sum())
         if value + tie > best_value:
-            best_value, best_dest, best = value, dest, (packed, moved)
-    best_plan = EMPTY_PLAN
+            best_value, best_dest, best = value, dest, (j, packed, moved)
+    out = [0] * len(sizes_l)
     if best is not None:
-        packed, moved = best
-        sources = [ids for ids, keep in zip(members, packed) if keep]
-        retained = (caps[packed] - moved).tolist()
-        best_plan = SwitchPlan(moves=_moves_into(best_dest, sizes_l, sources, retained))
-    return feasible(instance, best_value, best_plan, solver)
+        j, packed, moved = best
+        totals = caps.copy()  # moved per row: every voter outside the packed rows and dest
+        totals[packed] = moved
+        totals[j] -= sizes_l[best_dest]
+        room = [(q != best_dest) * size for q, size in enumerate(sizes_l)]
+        out = _fill(members, totals.tolist(), room)
+    into = [0] * len(out)
+    into[best_dest] = sum(out)  # all 0 when nobody moves
+    return feasible(instance, best_value, SwitchPlan(moves=_shift_moves(out, into)), solver)
 
 
-def _moves_into(dest, sizes, members, retained):
-    """Moves of every voter into ``dest`` except the ``retained`` count of
-    each merged row, whose party ids ``members`` lists; the lowest party ids
-    move first."""
-    moved = {q: sizes[q] for q in range(len(sizes)) if q != dest}
-    for ids, stay in zip(members, retained):
-        for q in reversed(ids):
-            keep = min(sizes[q], stay)
-            moved[q] -= keep
-            stay -= keep
-    return tuple((q, dest, n) for q, n in sorted(moved.items()) if n > 0)
+def _ballot_rows(leads):
+    """The distinct rows of ``leads`` in order of first appearance: the
+    party ids of each, and the (K, m) rows.  Parties of one row are
+    interchangeable under a linear rule."""
+    merged: dict[bytes, list[int]] = {}
+    for q, row in enumerate(leads):
+        merged.setdefault(row.tobytes(), []).append(q)
+    members = list(merged.values())
+    return members, leads[[ids[0] for ids in members]]
 
 
 def max_shift(instance: ProblemInstance) -> SolveResult:
     """Exact multi-destination MAX under any rule when no party holds more
     than half of the n voters: every voter moves, so the value is n.
 
-    No plan moves more than the n voters, so n is an upper bound, and this
-    plan reaches it.  List the voters party by party in id order at
-    positions 0..n - 1, a circle, and let M be the largest party size, so
-    2M <= n.  The voter at position i moves to the party that owns position
-    (i + M) mod n.
-    * No voter lands in its own party.  A party's block of positions is at
-      most M long, and each voter is shifted M forward, or n - M >= M back.
-    * Every position is hit exactly once, so every party ends with its own
-      size: the election is unchanged and p still wins, under any rule and
-      either winner model.
-
-    The moves are the runs of positions with one (source, destination).
-    Their boundaries are the party starts S and the starts shifted back, S -
-    M, so one merged walk over the block boundaries builds them in O(l),
-    and parties of size 0 take no part.  The largest party's start b is in
-    both, as b + M starts the next nonempty party around the circle, so
-    there are at most 2l - 1 moves, each of a positive count.  Any shift h
-    with M <= h <= n - M gives such a plan, in up to 2l moves; h = M always
-    shares that boundary.
+    No plan moves more than the n voters, so n is an upper bound.  The
+    final sizes s' = s keep p's win under any rule and either winner model,
+    and every party's s_q + s'_q = 2 s_q is at most n, so
+    ``_max_final_sizes`` moves all n voters: a cyclic shift by the largest
+    party size (``_shift_moves``), in at most 2l - 1 moves built in O(l).
     """
     multi = instance.destination_mode is DestinationMode.MULTI
     if instance.direction is not Direction.MAX or not multi:
         raise ValueError("max_shift solves multi-destination max instances only")
     sizes = instance.election.sizes.tolist()
-    n, shift = sum(sizes), max(sizes)
-    if 2 * shift > n:
-        raise ValueError(f"max_shift needs every party at most half the voters: {shift} of {n}")
-    if not n:
-        return feasible(instance, 0, EMPTY_PLAN, "max_shift")
-    ring = [q for q, size in enumerate(sizes) if size]
-    at, into = 0, shift  # position `shift` is voter `into` (from 0) of party ring[at]
-    while into >= sizes[ring[at]]:
-        into -= sizes[ring[at]]
-        at += 1
-    # The destinations of positions 0..n - 1 as runs: ring[at] from voter
-    # `into` on, the parties after it around the circle, then ring[at]'s
-    # first `into` voters.
-    after = [(d, sizes[d]) for d in ring[at + 1 :] + ring[:at]]
-    runs = iter([(ring[at], sizes[ring[at]] - into), *after, (ring[at], into)])
+    top, n = max(sizes), sum(sizes)
+    if 2 * top > n:
+        raise ValueError(f"max_shift needs every party at most half the voters: {top} of {n}")
+    return _max_final_sizes(instance, "max_shift")
+
+
+def _max_final_sizes(instance: ProblemInstance, solver: str) -> SolveResult:
+    """Multi-destination MAX from the parties' final sizes s' (``max_shift``,
+    ``max_linear``).  A plan changes the election only through s'.
+
+    Lemma (bound).  At given s', let t = max_q (s_q + s'_q); the most voters
+    that can move is n - max(0, t - n).  Only one party z can have s_z +
+    s'_z > n, because the sums over all parties total 2n.  z's leavers fit
+    only into the n - s'_z places of the other parties, so z keeps at least
+    t - n voters.  Keeping exactly r_z = max(0, t - n) there and moving
+    every other voter is possible: out = s - r and into = s' - r each count
+    N = n - r_z voters, and out_q + into_q <= N for every q (2n - t for z;
+    any other party's s_q + s'_q is at most what z's t leaves of the 2n),
+    so ``_shift_moves`` places them.
+
+    So MAX is n - max(0, t* - n), t* the least t over the s' under which p
+    wins.
+    * If 2M <= n for the largest size M, s' = s gives t <= n: the value is
+      n under any rule, with no packing.
+    * Otherwise (a linear rule: ``max_shift`` refuses these files) parties
+      with equal lead rows merge into K <= min(l, m!) rows
+      (``_ballot_rows``).  p wins at s' exactly when the row totals y meet
+      y @ rows >= ``win_floor`` over every rival, and s' fits t exactly when
+      y_j <= sum over row j's parties of (t - s_q).  One ``_max_pack`` call
+      asks whether some y with sum n fits: a sum row y.sum() <= n and the
+      floor n - 1.  It is asked first at t = n, where the value is n, then
+      by bisection over (n, 2M], as the caps grow with t and today's totals
+      fit at t = 2M.  Each row's y_j fills its parties, lowest id first,
+      each up to t - s_q.
+
+    Complexity: at most 1 + log2(2M - n) packings over K counts and m
+    constraints, and O(l) for the plan.
+    """
+    sizes = instance.election.sizes.tolist()
+    n, top = sum(sizes), max(sizes)
+    if 2 * top <= n:  # s' = s
+        return feasible(instance, n, SwitchPlan(moves=_shift_moves(sizes, sizes)), solver)
+    members, rows = _ballot_rows(voter_margins(instance.rule, instance.election.ranks, instance.p))
+    rivals = np.arange(rows.shape[1]) != instance.p
+    a = np.hstack([-rows[:, rivals], np.ones((len(members), 1), dtype=rows.dtype)])
+    budget = np.append(np.full(rivals.sum(), -win_floor(instance.rule, instance.model)), n)
+    width = np.array([len(ids) for ids in members])
+    today = np.array([sum(sizes[q] for q in ids) for ids in members])
+    # No fit below t = n, which is asked first; today's totals fit at t.
+    low, t, totals, mid = n - 1, 2 * top, today, n
+    while t - low > 1:
+        y = _max_pack(a, budget, mid * width - today, n - 1)
+        low, t, totals = (mid, t, totals) if y is None or y.sum() < n else (low, mid, y)
+        mid = (low + t) // 2
+    final = _fill(members, totals.tolist(), [t - size for size in sizes])
+    kept = [max(0, size + f - n) for size, f in zip(sizes, final)]
+    out = [size - r for size, r in zip(sizes, kept)]
+    into = [f - r for f, r in zip(final, kept)]
+    return feasible(instance, n - sum(kept), SwitchPlan(moves=_shift_moves(out, into)), solver)
+
+
+def _fill(members, totals, room):
+    """Each row's total spread over its party ids ``members``, lowest id
+    first, each party up to its ``room``."""
+    out = [0] * len(room)
+    for ids, total in zip(members, totals):
+        for q in ids:
+            out[q] = min(total, room[q])
+            total -= out[q]
+    return out
+
+
+def _shift_moves(out, into):
+    """Moves that send ``out[q]`` voters from and ``into[q]`` voters into
+    each party q, none within a party.
+
+    Lemma (shift).  Suppose out[q] + into[q] <= N for every q, where N =
+    sum(out) = sum(into).  List the leaving voters party by party at
+    positions 0..N - 1, and the places they fill likewise, and send
+    position i to place (i + h) mod N, where h = max_q (B[q+1] - A[q]) for
+    the prefix sums A of out and B of into.  Party q's voters, positions
+    A[q]..A[q+1] - 1, are clear of its own places exactly when
+    B[q+1] - A[q] <= h <= B[q] + N - A[q+1].  This h meets every lower end
+    by its choice.  It meets every upper end, as B[r+1] - A[r] <= B[q] +
+    N - A[q+1] for all r and q: at r = q the two sides differ by
+    N - out[q] - into[q] >= 0, and at r != q by at most N of the counts.
+    When out = into, h is the largest count.
+
+    The moves are the runs of positions with one (source, destination).
+    Their boundaries are the party starts A and the place starts shifted
+    back, B - h, so one merged walk over the place runs, twice around the
+    circle, builds them in O(l), source by source.  The party q that sets h
+    has a boundary of both at A[q], so there are at most nnz(out) +
+    nnz(into) - 1 moves, each of a positive count.
+    """
+    shift = max(b - a for a, b in zip(accumulate(out, initial=0), accumulate(into)))
+    runs = iter([(d, places) for d, places in enumerate(into) if places] * 2)  # twice around
     moves, room = [], 0
-    for source in ring:
-        left = sizes[source]
+    # Source -1 takes the first h places, so position i fills place (i + h) mod N.
+    for source, left in [(-1, shift), *enumerate(out)]:
         while left:
             if not room:
                 dest, room = next(runs)
-            count = min(left, room)
-            moves.append((source, dest, count))
+            count = left if left < room else room
+            if source >= 0:
+                moves.append((source, dest, count))
             left -= count
             room -= count
-    return feasible(instance, n, SwitchPlan(moves=tuple(moves)), "max_shift")
+    return tuple(moves)
 
 
-def _max_pack(a, budget, caps, floor=-1, limit=None):
+def _max_pack(a, budget, caps, floor=-1):
     """Counts 0 <= x <= caps of largest sum with a.T @ x <= budget, for
     signed costs a (one row per count); None exactly when no counts fit.
     Only a sum above ``floor`` counts as found.  When none exists, the
     result is counts that fit with a sum of at most ``floor``, or None: zero
-    counts whenever every budget is >= 0.  ``limit``, if given, is a sum no
-    counts can exceed: the first counts found that reach it are returned,
-    as no later node could replace them.
+    counts whenever every budget is >= 0.
+
+    Each constraint is first divided by the gcd of its costs, its budget
+    rounded down: exact for integer counts, and it closes the gap that,
+    say, Condorcet's costs of 0 and +-2 against an odd budget leave between
+    the relaxation and the integer optimum, which the search would
+    otherwise exhaust count by count.
 
     Branch and bound over per-row count intervals against an incumbent.  A
     node's slack is the budget left with every count at its interval's low
@@ -378,8 +425,12 @@ def _max_pack(a, budget, caps, floor=-1, limit=None):
     fractional count, or halves the widest interval when the relaxation is
     integral.  Both halves are non-empty, so the search is exhaustive and
     exact: a one-point interval whose slack is >= 0 is filled, and any other
-    is pruned.
+    is pruned.  The first counts found of sum caps.sum() are returned, as no
+    later node could replace them.
     """
+    scale = np.gcd.reduce(a, axis=0)
+    scale[scale == 0] = 1
+    a, budget = a // scale, budget // scale
     negative = np.minimum(a, 0)
     if (budget < caps @ negative).any():  # no counts fit
         return None
@@ -390,7 +441,7 @@ def _max_pack(a, budget, caps, floor=-1, limit=None):
     knapsack = _knapsack_prices(a)
     best = np.zeros_like(caps) if (budget >= 0).all() else None
     best_sum = floor
-    limit = caps.sum() if limit is None else limit
+    limit = caps.sum()
     stack = [(np.zeros_like(caps), caps)]
     while stack and best_sum < limit:
         low, high = stack.pop()

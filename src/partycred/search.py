@@ -152,8 +152,10 @@ def _oracle(instance: ProblemInstance, direction: Direction) -> SolveResult:
     terms = voter_terms(rule, pe.ranks, instance.p).astype(np.int64)
     width = l + terms[0].size
     if all_plans * width > ORACLE_CELL_CAP:
+        # Counts run to thousands of digits, past Python's int-to-str limit.
+        plans = all_plans if all_plans < 10**20 else f"about 10^{round(math.log10(all_plans))}"
         raise ValueError(
-            f"size cap exceeded: {all_plans} plans of {width} cells > cap {ORACLE_CELL_CAP} cells"
+            f"size cap exceeded: {plans} plans of {width} cells > cap {ORACLE_CELL_CAP} cells"
         )
     block = max(1, _BLOCK_CELLS // width)
 

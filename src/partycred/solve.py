@@ -1,6 +1,9 @@
 """Solver routing: each instance has one exact route, a polynomial solver or
 (for Copeland and Maximin, outside ``max_shift``'s case) the branch and
 bound; the oracle enumerates the plans of any instance within its cell cap.
+A multi-destination MAX plan matters only through the parties' final
+sizes, so both of its polynomial routes, ``max_shift`` and
+``max_linear``, build it from them (``poly._max_final_sizes``).
 Routing is all this module does: every solver checks each FEASIBLE result
 as it builds it (``parties.feasible``)."""
 
@@ -26,16 +29,18 @@ def poly_solver(instance: ProblemInstance):
     rules are NP-hard in both directions.
 
     Multi-destination MAX with no party above half of the n voters takes
-    ``max_shift`` under every rule: a plan moves all n voters and leaves
-    every party's size as it was, built in O(l).  Otherwise scoring and
-    Condorcet MIN take ``min_scoring`` and ``min_condorcet``
+    ``max_shift`` under every rule: the final sizes can stay as they are,
+    and a cyclic shift moves all n voters, built in O(l).  Otherwise scoring
+    and Condorcet MIN take ``min_scoring`` and ``min_condorcet``
     (``poly._min_greedy``), in either destination mode.  Their MAX takes
-    ``max_linear``, in either destination mode, except one-destination MAX
-    for a 0/1 scoring vector, which takes ``max_r_approval``: the same
-    packings into each lead row (``poly._max_into_rows``) under their own
-    solver label.  One-destination MAX is polynomial for a fixed number of
-    candidates; ``max_linear`` is exponential in the number of its
-    packing's counts in the worst case, as Borda MAX is NP-hard.
+    ``max_linear``: with multiple destinations and a majority party, the
+    value n - max(0, t - n) for the least bound t on s_q + s'_q over final
+    sizes s' under which p wins, bisected; with one destination, the
+    packings into each lead row (``poly._max_into_rows``), which a 0/1
+    scoring vector takes under the label ``max_r_approval``.  These are
+    polynomial for a fixed number of candidates; ``max_linear`` is
+    exponential in the number of its packing's counts in the worst case,
+    as Borda MAX is NP-hard.
     """
     rule, sizes = instance.rule, instance.election.sizes
     if (

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -194,6 +195,52 @@ def test_verify_proves_a_max_of_n_past_the_oracles_cap(tmp_path, capsys, directi
         assert err == verdict + "oracle: not run, the file's plans are past its size cap\n"
     else:
         assert "optimal" not in err and "error: size cap exceeded" in err
+
+
+@pytest.mark.parametrize("parties, exponent", [(300, 2063), (1500, 13240)])
+def test_verify_refusal_is_one_short_line(tmp_path, capsys, parties, exponent):
+    """Multi-destination Borda MIN files of 300 and 1,500 parties have
+    about 10^2063 and 10^13240 plans.  verify's refusal gives that order of
+    magnitude on one short line.  The count in full took 2,129 characters
+    at 300 parties, and at 1,500 its 13,241 digits passed Python's limit on
+    converting an int to a string, so the error named that limit instead."""
+    path = tmp_path / "borda-min.txt"
+    assert cli.main([
+        "gen", "--seed", "1", "--candidates", "5", "--parties", str(parties), "--sizes", "1..5",
+        "--rule", "borda", "--direction", "min", "--dest", "multi", "-o", str(path),
+    ]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == cli.EXIT_INPUT
+    lines = capsys.readouterr().err.splitlines()
+    cells = f"{parties + 5} cells > cap 67108864 cells"
+    assert f"error: size cap exceeded: about 10^{exponent} plans of {cells}" in lines
+    assert max(map(len, lines)) <= 100, lines
+
+
+def test_recheck_witness_script(tmp_path, capsys):
+    """``scripts/recheck_witness.py``, which CI runs on large solved files,
+    accepts a MAX witness with --win and rejects it with --lose, and
+    rejects a document whose value the plan does not move."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "recheck_witness.py"
+    spec = importlib.util.spec_from_file_location("recheck_witness", script)
+    recheck = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recheck)
+    path, result = tmp_path / "borda-max.txt", tmp_path / "borda-max.json"
+    assert cli.main([
+        "gen", "--seed", "2", "--candidates", "4", "--parties", "6", "--sizes", "1..4",
+        "--rule", "borda", "--direction", "max", "--dest", "one", "-o", str(path),
+    ]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["solve", str(path), "--json"]) == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    result.write_text(json.dumps(doc), encoding="utf-8")
+    assert recheck.main([str(path), str(result), "--win", "--one-destination"]) == 0
+    assert "voters re-checked" in capsys.readouterr().out
+    assert recheck.main([str(path), str(result), "--lose"]) == 1
+    assert "witness rejected: p still wins" in capsys.readouterr().err
+    result.write_text(json.dumps({**doc, "value": doc["value"] + 1}), encoding="utf-8")
+    assert recheck.main([str(path), str(result), "--win"]) == 1
+    assert f"moves {doc['value']} voters, not {doc['value'] + 1}" in capsys.readouterr().err
 
 
 def test_reduce_writes_instance_and_provenance(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -11,6 +12,7 @@ from partycred import poly
 from partycred import reductions as rd
 from partycred.poly import (
     _max_pack,
+    _shift_moves,
     max_linear,
     max_r_approval,
     max_shift,
@@ -19,7 +21,9 @@ from partycred.poly import (
 )
 from partycred.solve import poly_solver
 
-from conftest import X3C_NO6, X3C_NO12, build, collect_problems, oracle, values_match
+from conftest import (
+    X3C_NO6, X3C_NO12, build, collect_problems, oracle, random_problem, values_match,
+)
 
 P, A, B = 0, 1, 2
 PLUR2 = pc.Scoring(vector=(1, 0))
@@ -677,9 +681,11 @@ MULTI_GATE_INSTANCES = {
 
 @pytest.mark.parametrize("case", list(MULTI_GATE_INSTANCES))
 def test_max_linear_multi_destination_gate(case):
-    """One packing over 32 * 31 (source, destination) counts, best of 3
-    under 1 s.  In the dominant plurality case the voters leaving p's party
-    reach only two rivals, so not everyone can move."""
+    """32 parties, best of 3 under 1 s.  With no majority party the final
+    sizes stay as they are and every voter moves, with no packing.  In the
+    dominant plurality case party 0 holds three quarters of the voters, so
+    the final-size packings run over the merged lead rows: the voters
+    leaving p's party reach only two rivals, so not everyone can move."""
     build_instance, expected = MULTI_GATE_INSTANCES[case]
     inst = build_instance()
     best = float("inf")
@@ -691,6 +697,132 @@ def test_max_linear_multi_destination_gate(case):
     n = inst.election.num_voters
     assert result.value == (n if expected is None else expected)
     assert best < 1.0, f"{case}: {best:.2f}s"
+
+
+MAJORITY_RULES = ("plurality", "veto", "approval:2", "borda", "condorcet")
+
+
+def test_max_linear_majority_multi_destination_matches_the_oracle():
+    """1,000 seeded multi-destination MAX draws with a majority party, 100
+    per rule spec and winner model: ``solve_instance`` routes each to
+    ``max_linear``'s final-size packings, whose value is the oracle's and
+    whose checked plan moves exactly that many voters."""
+    drawn = 0
+    for index, (rule_spec, model) in enumerate(
+        itertools.product(MAJORITY_RULES, ("unique", "cowinner"))
+    ):
+        seed, count = 11_000 * (index + 1), 0
+        while count < 100:
+            inst = random_problem(random.Random(seed), rule_spec, "max", model, dest="multi")
+            seed += 1
+            if inst is None or 2 * inst.election.sizes.max() <= inst.election.num_voters:
+                continue
+            result, ref = pc.solve_instance(inst), pc.oracle_max(inst)
+            assert result.solver == "max_linear"
+            assert (result.status, result.value) == (ref.status, ref.value), (inst, result, ref)
+            assert result.witness.total == result.value
+            count += 1
+        drawn += count
+    assert drawn == 1_000
+
+
+def test_shift_moves_places_every_voter_outside_its_party():
+    """Random (out, into) with equal sums N and out[q] + into[q] <= N,
+    zeros included: the moves leave no party into itself, every count is
+    positive, each party sends out[q] and receives into[q], and there are
+    at most nnz(out) + nnz(into) - 1 moves."""
+    rng = np.random.default_rng(36)
+    checked = 0
+    while checked < 2_000:
+        l = int(rng.integers(1, 9))
+        out = rng.integers(0, 6, size=l) * (rng.random(l) < 0.8)
+        into = rng.multinomial(out.sum(), rng.dirichlet(np.ones(l))) if rng.random() < 0.8 else out
+        total = int(out.sum())
+        if (out + into > total).any():
+            continue
+        moves = _shift_moves(out.tolist(), into.tolist())
+        sent, received = np.zeros(l, dtype=np.int64), np.zeros(l, dtype=np.int64)
+        for source, dest, count in moves:
+            assert source != dest and count > 0, (out, into, moves)
+            sent[source] += count
+            received[dest] += count
+        assert (sent == out).all() and (received == into).all(), (out, into, moves)
+        assert len(moves) <= max(0, np.count_nonzero(out) + np.count_nonzero(into) - 1)
+        checked += 1
+    assert _shift_moves([0, 0], [0, 0]) == ()
+    assert _shift_moves([3, 0, 2], [0, 5, 0]) == ((0, 1, 3), (2, 1, 2))  # one destination
+    assert _shift_moves([2, 1, 1], [2, 1, 1]) == ((0, 1, 1), (0, 2, 1), (1, 0, 1), (2, 0, 1))
+
+
+def _majority_instance(rule_spec, seed, parties=200, m=6):
+    """Multi-destination MAX over 6 candidates: party 0 ranks p = 0 first
+    and holds the other parties' total plus 1-3 voters; the others hold
+    1..10 voters each and rank p last or second to last."""
+    rng = random.Random(seed)
+    orders, sizes = [list(range(m))], [0]
+    for _ in range(parties - 1):
+        rest = rng.sample(range(1, m), m - 1)
+        at = rng.choice((m - 2, m - 1))
+        orders.append(rest[:at] + [0] + rest[at:])
+        sizes.append(rng.randint(1, 10))
+    sizes[0] = sum(sizes) + rng.randint(1, 3)
+    return pc.ProblemInstance(
+        election=pc.PartyElection(orders, sizes), p=0, k=1,
+        rule=pc.instance_io.parse_rule_spec(rule_spec, m), model=pc.WinnerModel.UNIQUE,
+        destination_mode=pc.DestinationMode.MULTI, direction=pc.Direction.MAX,
+    )
+
+
+@pytest.mark.parametrize("rule_spec", ["condorcet", "plurality"])
+def test_max_linear_majority_scaling_gate(rule_spec):
+    """200 parties with a majority party: multi-destination MAX through
+    ``solve_instance`` in under 1 s, best of 3.  p keeps its win when party
+    0 shrinks to the others' total, so every voter moves.  The packing over
+    200 * 199 pair counts took 8-19 s."""
+    inst = _majority_instance(rule_spec, 1)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        result = pc.solve_instance(inst)
+        best = min(best, time.perf_counter() - start)
+    assert (result.solver, result.value) == ("max_linear", inst.election.num_voters)
+    assert result.witness.total == result.value
+    assert best < 1.0, f"{rule_spec}: {best:.2f}s"
+
+
+DUAL_BOUND_GATE = 40  # dual bounds per max_linear solve; the worst draw needs 19
+
+
+def test_max_pack_dual_bound_count_gate(monkeypatch):
+    """README's "polynomial for a fixed number of candidates" in counts:
+    200 seeded one-destination Condorcet MAX files of 6 candidates, 30-39
+    parties and 10^3-10^4 voters per party, then the same files with every
+    size times 10^6, each solve within ``DUAL_BOUND_GATE`` dual bounds.  A
+    Condorcet cost is 0 or +-2 and the budgets can be odd, so without the
+    gcd division of ``_max_pack`` a quarter of these files ran for longer
+    than 10 s.  The counter raises past the gate, so a stall fails fast.
+    The scaled MAX is at least 10^6 times the unscaled one."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        if len(calls) > DUAL_BOUND_GATE:
+            raise AssertionError(f"more than {DUAL_BOUND_GATE} dual bounds")
+        return real(*args)
+
+    real = poly._dual_bound
+    monkeypatch.setattr(poly, "_dual_bound", counted)
+    for seed in range(200):
+        inst = pc.generate_random(
+            seed, 6, 30 + seed % 10, (1000, 10000), "condorcet", "max", dest="one"
+        ).instance
+        values = []
+        for scale in (1, 10**6):
+            election = pc.PartyElection(inst.election.orders, inst.election.sizes * scale)
+            scaled = dataclasses.replace(inst, election=election, k=1)
+            calls.clear()
+            values.append(max_linear(scaled).value)
+        assert values[1] >= 10**6 * values[0], (seed, values)
 
 
 @pytest.mark.parametrize("rule_spec", ["borda", "condorcet", "plurality", "approval:2"])

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -131,6 +132,19 @@ def test_oracle_cell_cap_sums_every_destination(monkeypatch, parties, dest, plan
     inst = build(PLUR3, parties, p=P, direction="min", dest=dest)
     assert plans * width > ORACLE_CELL_CAP
     with pytest.raises(ValueError, match=f"size cap exceeded: {plans} plans of {width} cells"):
+        pc.oracle_min(inst)
+
+
+@pytest.mark.parametrize("size, plans", [
+    (10**7 - 1, "299999960000001"),  # 15 digits: printed in full
+    (10**10 - 1, "about 10^20"),  # 3 * 10^20 - 4 * 10^10 + 1: 21 digits
+], ids=["in-full", "order-of-magnitude"])
+def test_oracle_refusal_prints_a_short_plan_count(size, plans):
+    """One-destination plurality with parties of s, s - 1 and s - 1 voters:
+    3s^2 + 2s plans.  Up to 20 digits the count is printed in full, and
+    beyond that as its order of magnitude."""
+    inst = build(PLUR3, [((P, A, B), size), ((A, B, P), size - 1), ((B, A, P), size - 1)], p=P)
+    with pytest.raises(ValueError, match=re.escape(f"size cap exceeded: {plans} plans of 6 cells")):
         pc.oracle_min(inst)
 
 
