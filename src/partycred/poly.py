@@ -31,12 +31,13 @@ onto the places they fill (``_shift_moves``), and so is every
 one-destination plan, whose places all lie in one party.
 
 ``_max_pack`` is a branch and bound over count intervals.  Its linear
-relaxation (``_lp_relaxation``) is a two-phase bounded-variable simplex
-with one row per constraint that can bind and one column per count and
-per slack.  Phase 1 runs only at a node whose slack is negative, which
-raising a count of positive cost can cause.  The one-destination root's
-slack is never negative, as p wins before anyone moves; the final-size
-packing's is, as p wins at no zero totals.
+relaxation (``_lp_relaxation``) is a bounded-variable dual simplex with one
+row per constraint that can bind and one column per count and per slack.
+It starts with every count at its room, which is dual feasible whatever
+the signs of the slack, so one phase serves every node: the one-destination
+root, whose slack is never negative as p wins before anyone moves; a node
+whose slack a count of positive cost has made negative; and the final-size
+packing's root, whose slack is negative as p wins at no zero totals.
 
 Ties resolve reproducibly.  MIN takes the lowest rival among those that need
 the fewest switches, then that rival's lowest-id party of lowest lead;
@@ -420,12 +421,14 @@ def _max_pack(a, budget, caps, floor=-1):
     fills every interval.  Next it prunes when a single-constraint
     (fractional knapsack) bound, then the dual bound of its linear
     relaxation (``_lp_relaxation``, ``_dual_bound``), shows it cannot beat
-    the incumbent, or when the relaxation is infeasible.  Then it rounds the
-    relaxation down, refills greedily from there if that fits, and splits a
-    fractional count, or halves the widest interval when the relaxation is
-    integral.  Both halves are non-empty, so the search is exhaustive and
-    exact: a one-point interval whose slack is >= 0 is filled, and any other
-    is pruned.  The first counts found of sum caps.sum() are returned, as no
+    the incumbent, or when the relaxation is infeasible.  The relaxation
+    solves each node from its own dual start, every count at its room, so a
+    negative slack needs no separate phase.  Then it rounds the relaxation
+    down, refills greedily from there if that fits, and splits a fractional
+    count, or halves the widest interval when the relaxation is integral.
+    Both halves are non-empty, so the search is exhaustive and exact: a
+    one-point interval whose slack is >= 0 is filled, and any other is
+    pruned.  The first counts found of sum caps.sum() are returned, as no
     later node could replace them.
     """
     scale = np.gcd.reduce(a, axis=0)
@@ -517,72 +520,65 @@ def _lp_relaxation(a, room, slack):
     """Linear relaxation of the packing: (fractional counts, prices), or
     None when it is infeasible.
 
-    A two-phase bounded-variable primal simplex solves max sum(x) subject
-    to a.T @ x <= slack and 0 <= x <= room.  Its tableau has one row per
-    constraint and one column per count and per slack variable; a count at
-    its room stays nonbasic at that bound.  Where slack >= 0 the slack
-    variable starts basic.  A row with slack < 0 is negated and gets an
-    artificial variable instead, and phase 1 drives the artificials to 0
-    (or finds the relaxation infeasible); phase 2 holds them at 0 with an
-    upper bound of 0.  Bland's
-    rule picks both the entering and the leaving variable.  The prices are
-    the optimal duals, clipped at 0; only ``_dual_bound`` turns them into a
-    bound, so rounding in the simplex cannot make a bound invalid.
+    A bounded-variable dual simplex (``_dual_simplex``) solves max sum(x)
+    subject to a.T @ x <= slack and 0 <= x <= room.  Its tableau has one row
+    per constraint and one column per count and per slack variable.  It
+    starts with every count nonbasic at its room and every slack variable
+    basic, at ``slack - room @ a``.  Each count's reduced cost is then 1, the
+    sign a count at its upper bound needs, so the start is dual feasible
+    whatever the signs of the slack, and one phase serves every node.  The
+    prices are the optimal duals, clipped at 0; only ``_dual_bound`` turns
+    them into a bound, so rounding in the simplex cannot make a bound
+    invalid.
     """
     n_counts, n_rows = a.shape
-    n_real = n_counts + n_rows
-    short = slack < 0
-    tab = np.hstack([a.T, np.eye(n_rows), np.eye(n_rows)[:, short]])
-    width = tab.shape[1]
-    upper = np.concatenate([room, np.full(width - n_counts, np.inf)])
-    at_upper = np.zeros(width, dtype=bool)
-    basis = np.arange(n_counts, n_real)
-    value = np.abs(slack).astype(float)  # of the basic variables
-    cost = np.concatenate([np.ones(n_counts), np.zeros(width - n_counts)])  # reduced costs
-    if width > n_real:  # phase 1: maximise minus the sum of the artificials
-        tab[short, :n_real] *= -1.0
-        basis[short] = np.arange(n_real, width)
-        first = np.zeros(width)
-        first[n_real:] = -1.0
-        _simplex(tab, first - first[basis] @ tab, upper, at_upper, basis, value)
-        if value[basis >= n_real].sum() > 1e-7:
-            return None
-        upper[n_real:] = 0.0  # pins the artificials at 0 from here on
-        cost -= cost[basis] @ tab
-    _simplex(tab, cost, upper, at_upper, basis, value)
+    tab = np.hstack([a.T, np.eye(n_rows)])
+    upper = np.concatenate([room, np.full(n_rows, np.inf)])
+    at_upper = np.arange(n_counts + n_rows) < n_counts
+    basis = np.arange(n_counts, n_counts + n_rows)
+    value = (slack - room @ a).astype(float)  # of the basic variables
+    cost = at_upper.astype(float)  # reduced costs: 1 for each count, 0 for each slack
+    if not _dual_simplex(tab, cost, upper, at_upper, basis, value):
+        return None
     x = np.where(at_upper[:n_counts], room, 0.0)
     counted = basis < n_counts
     x[basis[counted]] = value[counted]
-    return x, np.maximum(0.0, -cost[n_counts:n_real])
+    return x, np.maximum(0.0, -cost[n_counts:])
 
 
-def _simplex(tab, cost, upper, at_upper, basis, value):
-    """Bounded-variable primal simplex iterations, in place, until no column
-    improves the reduced ``cost``."""
-    n_rows = tab.shape[0]
+def _dual_simplex(tab, cost, upper, at_upper, basis, value):
+    """Bounded-variable dual simplex iterations, in place, from a dual
+    feasible basis: a nonbasic variable's reduced cost is >= 0 at its upper
+    bound and <= 0 at 0.  False when the relaxation is infeasible.
+
+    Bland's rule: the leaving variable is the lowest basic index among the
+    rows outside their bounds, and it leaves at the bound it breaks.  The
+    entering variable is the lowest index among the nonbasic columns that
+    move the row toward that bound at the least ratio |reduced cost| /
+    |pivot|, which keeps every reduced cost's sign.  A row that no column
+    can move toward its bound cannot meet it for any counts in the box.
+    Counts of room 0 never enter: any reduced cost suits them.
+    """
     eps = 1e-9
     while True:
-        entering = np.flatnonzero(np.where(at_upper, cost < -eps, cost > eps))
-        if not entering.size:
-            return
-        col = int(entering[0])
-        step = -tab[:, col] if at_upper[col] else tab[:, col]  # basics fall by theta * step
-        ratio = np.full(n_rows, np.inf)
-        falls, rises = step > eps, step < -eps
-        ratio[falls] = value[falls] / step[falls]
-        ratio[rises] = (upper[basis[rises]] - value[rises]) / -step[rises]
-        theta = min(ratio.min(), upper[col])
-        if theta == np.inf:  # only rounding can leave an edge unbounded
-            return
-        ties = basis[ratio <= theta + eps].tolist()
-        leaving = min(ties + [col] if upper[col] <= theta + eps else ties)
-        value -= theta * step
-        if leaving == col:  # the count moves to its other bound
-            at_upper[col] = not at_upper[col]
-            continue
-        row = int(np.flatnonzero(basis == leaving)[0])
-        at_upper[leaving] = step[row] < 0  # a variable that rose to its upper bound
-        value[row] = upper[col] - theta if at_upper[col] else theta
+        below, above = value < -eps, value > upper[basis] + eps
+        rows = np.flatnonzero(below | above)
+        if not rows.size:
+            return True
+        row = int(rows[basis[rows].argmin()])
+        step = tab[row] if below[row] else -tab[row]  # per unit x_j falls, toward the bound
+        movable = np.where(at_upper, step > eps, step < -eps) & (upper > 0)
+        movable[basis] = False
+        cols = np.flatnonzero(movable)
+        if not cols.size:
+            return False
+        ratio = np.abs(cost[cols] / step[cols])
+        col = int(cols[ratio <= ratio.min() + eps][0])
+        target = 0.0 if below[row] else upper[basis[row]]
+        delta = (value[row] - target) / tab[row, col]  # the entering variable's change
+        value -= delta * tab[:, col]
+        value[row] = (upper[col] if at_upper[col] else 0.0) + delta
+        at_upper[basis[row]] = not below[row]
         at_upper[col] = False
         tab[row] /= tab[row, col]
         factors = tab[:, col].copy()

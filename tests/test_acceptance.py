@@ -387,6 +387,29 @@ def test_criterion_6_performance():
         )
 
 
+def test_criterion_6_counts_twice_the_cells_at_twice_the_parties(monkeypatch):
+    """Criterion 6's doubling in counted work, which no machine load can
+    change: its plurality and Borda instances read exactly twice the
+    ``_kernels.min_switch_counts`` cells at 20k parties as at 10k, counted
+    as ``perfbench/tracing.py`` counts them, l x m per call."""
+    cells = []
+
+    def counted(ranks, *args):
+        cells.append(ranks.shape[0] * ranks.shape[1])
+        return real(ranks, *args)
+
+    real = pc._kernels.min_switch_counts
+    monkeypatch.setattr(pc._kernels, "min_switch_counts", counted)
+    for rule in ("plurality", "borda"):
+        read = []
+        for num_parties, seed in ((10_000, 1), (20_000, 2)):
+            inst = _performance_instance(num_parties, seed=seed, rule=rule)
+            cells.clear()
+            min_scoring(inst)
+            read.append(sum(cells))
+        assert read[1] == 2 * read[0] > 0, (rule, read)
+
+
 @criterion(7, "byte-identical CLI output")
 def test_criterion_7_determinism(tmp_path, capsys):
     gen_args = [

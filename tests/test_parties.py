@@ -324,6 +324,30 @@ def test_check_witness_rescores_nothing(monkeypatch):
         assert instance.p not in pc.winners(after, instance.rule, instance.model)
 
 
+@pytest.mark.parametrize("rule_spec", ["borda", "maximin"])
+def test_check_witness_reads_the_moved_parties_rows_only(monkeypatch, rule_spec):
+    """``check_witness``'s O(moved parties · m) in counted rows: a plan that
+    moves voters of 3 parties passes ``rules.voter_terms`` those 3 rows of
+    ``ranks``, at l = 1k and at l = 8k alike."""
+    shapes = []
+
+    def counted(rule, ranks, p):
+        shapes.append(ranks.shape)
+        return real(rule, ranks, p)
+
+    real = rules.voter_terms
+    monkeypatch.setattr(rules, "voter_terms", counted)
+    plan = pc.SwitchPlan(moves=((1, 0, 1), (2, 0, 1)))
+    for num_parties in (1_000, 8_000):
+        instance = generate_random(
+            seed=1, num_candidates=5, num_parties=num_parties, size_range=(1, 9),
+            rule_spec=rule_spec, direction="max",
+        ).instance
+        shapes.clear()
+        pc.check_witness(instance, plan, k=2)
+        assert shapes == [(3, 5)], (num_parties, shapes)
+
+
 def test_problem_instance_keeps_the_table_that_validated_it():
     """The kept table is the from-scratch one: scores, the whole tally, or
     p's tally row under Condorcet, whose knockout validation skips."""

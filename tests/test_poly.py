@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -468,11 +469,11 @@ def test_max_pack_signed_costs_match_enumeration(monkeypatch):
     caps <= 4 and budgets from -4, each of at most 4 counts.  The optimum is
     the enumerated one, the counts fit every constraint and cap, and None
     comes exactly when no counts fit.  Raising a count of positive cost can
-    leave a node's slack negative; the relaxation then runs its phase 1, and
-    the fixed packings need that path.  In none of these draws, nor in
-    33,000 further seeded ones with costs up to ±9, does the search halve an
-    interval after an integral relaxation or meet ``_simplex``'s unbounded
-    edge; the two tests below drive those paths directly."""
+    leave a node's slack negative, so the relaxation starts with some basic
+    slack variable below 0, and the fixed packings need such nodes.  In none
+    of these draws, nor in 33,000 further seeded ones with costs up to ±9,
+    does the search halve an interval after an integral relaxation; the test
+    below drives that path directly."""
     short_slack = []
 
     def watched(a, room, slack):
@@ -534,18 +535,32 @@ def test_max_pack_halves_an_interval_after_an_integral_relaxation(monkeypatch):
     assert sum(halved) >= 20
 
 
-def test_simplex_stops_on_an_unbounded_edge():
-    """An entering column that no row limits and whose upper bound is
-    infinite: ``_simplex`` returns and leaves the tableau as it was."""
-    tab = np.array([[-1.0, 1.0]])  # x0 only adds slack to the one row
-    cost = np.array([1.0, 0.0])
-    upper = np.array([np.inf, np.inf])
-    at_upper = np.zeros(2, dtype=bool)
-    basis = np.array([1])
-    value = np.array([2.0])
-    poly._simplex(tab, cost, upper, at_upper, basis, value)
-    assert tab.tolist() == [[-1.0, 1.0]] and cost.tolist() == [1.0, 0.0]
-    assert basis.tolist() == [1] and value.tolist() == [2.0] and not at_upper.any()
+def test_lp_relaxation_meets_its_dual_bound():
+    """2,000 seeded signed relaxations (costs -4..4, rooms 0..6, slack
+    -20..60): a returned x lies in its box and fits every constraint, and
+    its sum rounds down to the dual bound of its own prices, which is strong
+    duality checked with no outside solver.  None comes only when no integer
+    counts fit.  Both outcomes occur."""
+    rng = np.random.default_rng(31)
+    solved = infeasible = 0
+    for _ in range(2_000):
+        rows, cols = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        a = rng.integers(-4, 5, size=(rows, cols))
+        room = rng.integers(0, 7, size=rows)
+        slack = rng.integers(-20, 61, size=cols)
+        relaxed = poly._lp_relaxation(a, room, slack)
+        if relaxed is None:
+            infeasible += 1
+            boxes = itertools.product(*(range(int(r) + 1) for r in room))
+            assert not any((np.array(x) @ a <= slack).all() for x in boxes), (a, room, slack)
+            continue
+        solved += 1
+        x, prices = relaxed
+        assert (x >= -1e-7).all() and (x <= room + 1e-7).all(), (a, room, slack, x)
+        assert (x @ a <= slack + 1e-7).all(), (a, room, slack, x)
+        bound = poly._dual_bound(a, room, slack, prices[None])
+        assert math.floor(x.sum() + 1e-6) == bound, (a, room, slack, x, prices)
+    assert solved and infeasible
 
 
 def test_knapsack_prices_keep_the_bound_of_every_weight():

@@ -1,7 +1,9 @@
 """Seeded fuzzes over every solver route against the oracle: all seven rules
 (Copeland at alpha 1/2 and 1/3), both directions, both destination modes and
-both winner models, at most 10 voters, and again at tens of voters."""
+both winner models, at most 10 voters, and again at tens of voters.  Past the
+oracle's cap, metamorphic relations check the MAX routes' values."""
 
+import dataclasses
 import itertools
 import random
 
@@ -92,3 +94,41 @@ def test_unknown_solver_is_refused():
     [inst] = collect_problems(1, 1, rule_spec="borda", direction="min", model="unique")
     with pytest.raises(ValueError, match=r"^unknown solver 'nope'$"):
         pc.solve_instance(inst, "nope")
+
+
+def _relabelled(inst, rng):
+    """``inst`` with its candidates renamed, p included, and its parties
+    shuffled."""
+    election = inst.election
+    names = list(range(len(election.orders[0])))
+    rng.shuffle(names)
+    order = list(range(len(election.sizes)))
+    rng.shuffle(order)
+    orders = [[names[c] for c in election.orders[q]] for q in order]
+    sizes = [int(election.sizes[q]) for q in order]
+    return dataclasses.replace(inst, election=pc.PartyElection(orders, sizes), p=names[inst.p])
+
+
+def test_max_routes_keep_metamorphic_relations_past_the_oracles_cap():
+    """Seeded Borda, Condorcet, plurality and approval:2 MAX files of 30-40
+    parties of 1-9 voters, in both destination modes, far past the oracle's
+    cap.  Renaming the candidates (p included) and shuffling the parties
+    leave MAX unchanged; every size times k in {2, 3, 1000} gives MAX(k s) >=
+    k MAX(s), as the plan scaled by k keeps p's win; and MAX(multi) >=
+    MAX(one).  Every FEASIBLE result's witness is checked by its solver."""
+    rng = random.Random(37)
+    for rule in ("borda", "condorcet", "plurality", "approval:2"):
+        for seed in range(15):
+            one = generate_random(
+                seed, rng.randint(4, 6), rng.randint(30, 40), (1, 9), rule, "max", dest="one"
+            ).instance
+            values = []
+            for inst in (one, dataclasses.replace(one, destination_mode=pc.DestinationMode.MULTI)):
+                value = pc.solve_instance(inst).value
+                assert pc.solve_instance(_relabelled(inst, rng)).value == value, (rule, seed)
+                for k in (2, 3, 1000):
+                    election = pc.PartyElection(inst.election.orders, inst.election.sizes * k)
+                    scaled = dataclasses.replace(inst, election=election)
+                    assert pc.solve_instance(scaled).value >= k * value, (rule, seed, k)
+                values.append(value)
+            assert values[1] >= values[0], (rule, seed, values)
