@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-_BLOCK_CELLS = 1 << 15  # ranks cells per block in min_switch_counts: they stay in cache
+# Ranks cells per block of party rows in min_switch_counts and in
+# ``rules._scores``, which reads it here at call time: they stay in cache.
+_BLOCK_CELLS = 1 << 15
 
 
 def pairwise_tally(ranks: np.ndarray, weights: np.ndarray, rows=None) -> np.ndarray:

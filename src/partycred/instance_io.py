@@ -6,13 +6,17 @@ are skipped, and every other line is either a ``key: value`` header or a
 errors carry the 1-based line number.
 
 ``parse_instance`` reads the party lines straight into the election's rank
-and size arrays; no per-party objects are built.  Party lines that end the
-file with at least ``_BLOCK_MIN_NAMES`` order names are read in bulk
-(``_party_block``): every head in one split, every order from the bytes.
-Smaller files, and those with a header among the party lines or a head the
-block cannot vouch for, go through the line loop (``_read_lines``, then
-``_parse_parties``), which reads one whole line at a time, so every parse
-error keeps its message and line.
+and size arrays; no per-party objects are built.  A party section that ends
+the file with at least ``_BLOCK_MIN_NAMES`` order names is read in bulk when
+it is a plain block (``_party_block``): UTF-8 with LF or CRLF line ends, no
+``#``, no blank line, every head ``party <name> <size>`` with spaces alone,
+and every order exactly m distinct candidate names joined by ``" > "``.
+Every head is read in one split and every order from the bytes.  The bulk
+path reads such a block whole, or declines it, and then the line loop
+(``_read_lines``, then ``_parse_parties``) reads the whole party section, as
+it does every smaller file and every file with a header among its party
+lines.  It reads one whole line at a time, so every parse error keeps its
+message and line.
 """
 
 from __future__ import annotations
@@ -195,13 +199,11 @@ def parse_instance(text: str) -> ParsedInstance:
     headers: dict[str, tuple[int, str]] = {}
     party_lines: list[tuple[int, str, str]] = []  # (line number, head, order text)
     # The header lines end where the first line that starts with "party " does.
-    # A lone "\r" ends a line too; it is looked for only before the first "\n" one.
-    at = text.find("\nparty ") + 1 or len(text)
-    at = 0 if text.startswith("party ") else text.find("\rparty ", 0, at) + 1 or at
+    at = 0 if text.startswith("party ") else text.find("\nparty ") + 1 or len(text)
     lines = text[:at].splitlines()
     _read_lines(lines, 1, headers, party_lines)
     rest = text[at:]
-    block = None if party_lines else _party_block(rest, len(lines) + 1, headers.get("candidates"))
+    block = None if party_lines else _party_block(rest, headers.get("candidates"))
     if block is None:
         _read_lines(rest.splitlines(), len(lines) + 1, headers, party_lines)
 
@@ -217,10 +219,12 @@ def parse_instance(text: str) -> ParsedInstance:
             raise ParseError(line_no, str(exc))
     index = read["candidates"]
 
-    if block is not None:
-        party_names, ranks, sizes = block.parties(index)
-    else:
-        party_names, ranks, sizes = _parse_parties(party_lines, index)
+    parties = None if block is None else block.parties(index)
+    if parties is None:
+        if block is not None:  # an order the block cannot read: the line loop reads them all
+            _read_lines(rest.splitlines(), len(lines) + 1, headers, party_lines)
+        parties = _parse_parties(party_lines, index)
+    party_names, ranks, sizes = parties
     if not party_names:
         raise ParseError(len(text.splitlines()) or 1, "no party lines")
 
@@ -326,111 +330,79 @@ _HEAD_SPACES = "\t\x1f\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B))) + "
 
 
 class _PartyBlock(NamedTuple):  # a frozen dataclass would add about 1 ms to every import
-    """The party lines that end a file, with every head read and checked:
-    row q is line ``line_nos[q]`` and reads ``party <names[q]> <sizes[q]>:``
-    up to its first ':'.  Its order text, but the space after that ':', is
-    buf[starts[q] : ends[q]]; buf[ends[q]] is a newline, and only spaces
-    lie between there and the next row."""
+    """The party lines of a plain block, with every head read and checked:
+    row q reads ``party <names[q]> <sizes[q]>:`` up to its first ':'.  Its
+    order text, but one space after that ':', is buf[starts[q] : ends[q]],
+    and buf[ends[q]] is its line's newline."""
 
     buf: np.ndarray  # the block's bytes as the name table's buffer
     starts: np.ndarray
     ends: np.ndarray
     names: list[str]
     sizes: list[int]
-    line_nos: np.ndarray
     table: _NameTable
 
     def parties(self, index: dict[str, int]):
-        """(party names, ranks, sizes), as ``_parse_parties`` gives them.
+        """(party names, ranks, sizes), as ``_parse_parties`` gives them, or
+        None unless every order is m distinct names.
 
         Each chunk's codes are scattered straight into ``ranks``: the code
-        at position i of row q writes i to ranks[q, code].  A code is -1 or
-        a candidate, so the -1 tokens go to one spare slot past the ranks,
-        and a row is a permutation exactly when none of its slots is left
-        -1.  The rows left holding a -1 are read again by ``_party_order``,
-        so the first bad line raises its own ParseError."""
+        at position i of row q writes i to ranks[q, code], so a row is a
+        permutation exactly when none of its slots is left -1."""
         m = len(index)
         num_rows = len(self.names)
-        spare = num_rows * m
-        flat = np.full(spare + 1, -1, dtype=np.int64)
-        ranks = flat[:-1].reshape(num_rows, m)
+        flat = np.full(num_rows * m, -1, dtype=np.int64)
         for lo in range(0, num_rows, _PARTY_CHUNK):
             hi = min(lo + _PARTY_CHUNK, num_rows)
             codes = self.table.codes(self.buf, self.starts[lo:hi], self.ends[lo:hi])
-            unknown = codes < 0
+            if codes is None:
+                return None
             codes += np.arange(lo * m, hi * m, m)[:, None]  # each code's flat index
-            codes[unknown] = spare
             flat[codes.ravel()] = np.tile(np.arange(m), hi - lo)
-            if flat[lo * m : hi * m].min() >= 0:
-                continue
-            for q in (np.flatnonzero(ranks[lo:hi].min(axis=1) < 0) + lo).tolist():
-                text = str(self.buf[self.starts[q] : self.ends[q]], "utf-8", "surrogatepass")
-                ranks[q, _party_order(int(self.line_nos[q]), text, index)] = np.arange(m)
-        return self.names, ranks, np.array(self.sizes, dtype=np.int64)
+        if flat.min() < 0:  # a repeated name
+            return None
+        return self.names, flat.reshape(num_rows, m), np.array(self.sizes, dtype=np.int64)
 
 
-def _party_block(
-    rest: str, first_line_no: int, candidates: tuple[int, str] | None
-) -> _PartyBlock | None:
-    """The lines of ``rest``, the text from line ``first_line_no`` on, as a
-    block read in bulk, or None when the line loop must read them.
+def _party_block(rest: str, candidates: tuple[int, str] | None) -> _PartyBlock | None:
+    """``rest``, the party section, as a plain block, or None when the line
+    loop must read it.
 
-    As in the line loop, lines are those of ``str.splitlines``, ``#``
-    starts a comment and blank lines are skipped.  Every other line must
-    read ``party NAME SIZE: ORDER``, with a unique NAME, a SIZE that ``int``
-    reads as non-negative, voters times candidates below
-    ``VOTER_CELL_BOUND`` and no whitespace but spaces in the head.  The
-    lines must hold at least ``_BLOCK_MIN_NAMES`` order names, and the
-    candidates must get a ``_NameTable``.  The line loop would then read
-    the same heads without an error, so only the orders can fail, and
-    ``_PartyBlock.parties`` raises their first error as ``_parse_parties``
-    does.  The block is read as UTF-8 (``surrogatepass``, as the name table
-    encodes names), where no byte of a non-ASCII character is ASCII."""
+    A plain block is UTF-8 whose lines end in LF or CRLF, and holds no
+    ``#``, no lone CR, no other line break of ``str.splitlines`` and no
+    blank line.  Every line must read ``party NAME SIZE: ORDER``, with a
+    unique NAME, a SIZE that ``int`` reads as non-negative, voters times
+    candidates below ``VOTER_CELL_BOUND`` and no whitespace but spaces in
+    the head.  The lines must hold at least ``_BLOCK_MIN_NAMES`` order
+    names, and the candidates must get a ``_NameTable``.  The line loop
+    would then read the same heads without an error; ``_PartyBlock.parties``
+    reads the orders.  The block is read as UTF-8 (``surrogatepass``, as the
+    name table encodes names), where no byte of a non-ASCII character is
+    ASCII."""
     # A name takes a character, and fewer than two names are a header error.
     names = candidates[1].split() if candidates and len(rest) >= _BLOCK_MIN_NAMES else ()
     m = len(names)
     table = _NameTable.build(dict.fromkeys(names)) if m > 1 else None
     if table is None:
         return None
-    if any(char in rest for char in _LINE_BREAKS[not rest.isascii()]):
-        rest = "\n".join(rest.splitlines())
+    if "\r" in rest:  # 12 us on an 850 KB block, 980 us for "\r\n" in rest (2-vCPU VM)
+        rest = rest.replace("\r\n", "\n")
+    if any(char in rest for char in "#\r" + _LINE_BREAKS[not rest.isascii()]):
+        return None
     data = (rest if rest.endswith("\n") else rest + "\n").encode("utf-8", "surrogatepass")
     buf = table.buffer(data)
     text = buf[: len(data)]
     del data  # buf holds a copy; the block-sized masks below need the room
     found = text == 10  # newlines and colons, or-ed in place
     found |= text == 58
-    marked = [char for char in "\r#" if char in rest]
-    for char in marked:
-        found |= text == ord(char)
     marks = np.flatnonzero(found)
     kinds = text.take(marks)
-    if marked:  # "\r\n" is one line break, and a lone "\r" another
-        cr = np.flatnonzero(kinds == 13)
-        kinds[cr[text.take(marks.take(cr) + 1) != 10]] = 10
     newline = np.flatnonzero(kinds == 10)
-    starts = np.concatenate(([0], marks.take(newline[:-1]) + 1))  # each line's first byte
     first = np.concatenate(([0], newline[:-1] + 1))  # each line's first mark
-    ends = marks.take(newline)
-    if marked:  # a line's text ends at its first '#', "\r" or newline
-        stops = np.flatnonzero(kinds != 58)
-        ends = marks.take(stops.take(np.searchsorted(stops, first)))
-    rows = kinds.take(first) == 58
-    if not rows.all():  # the other lines must be blank, and are skipped
-        for lo, hi in zip(starts[~rows].tolist(), ends[~rows].tolist()):
-            if lo < hi and not str(text[lo:hi], "utf-8", "surrogatepass").isspace():
-                return None
-        starts, ends, first = starts[rows], ends[rows], first[rows]
-    rows = np.flatnonzero(rows)
-    if len(rows) * m < _BLOCK_MIN_NAMES:
-        return None
+    if (kinds.take(first) != 58).any() or len(first) * m < _BLOCK_MIN_NAMES:
+        return None  # a line with no ':', a blank one among them, or too few names
+    starts = np.concatenate(([0], marks.take(newline[:-1]) + 1))  # each line's first byte
     colons = marks.take(first)
-    while (spaced := text.take(ends - 1) == 32).any():  # drop an order's last spaces, not its ':'
-        ends -= spaced
-    nexts = np.concatenate((starts[1:], ends[-1:] + 1))
-    if (nexts > ends + 1).any():  # blank what lies between an order text and the next row
-        text[_spans(ends + 1, nexts)] = 32
-    text[ends] = 10  # end each order text with a newline
     lengths = colons + 1 - starts
     bounds = np.cumsum(lengths)
     heads = text.take(_spans(starts, colons + 1))  # every head in one array
@@ -439,12 +411,14 @@ def _party_block(
     word_starts[1:] &= heads[:-1] == 32
     if (np.add.reduceat(word_starts, bounds - lengths, dtype=np.intp) != 3).any():
         return None
+    if (gt := heads == 62).any():  # a '>' in a party name: hidden from the order reader
+        text[_spans(starts, colons + 1)[gt]] = 32
     heads = str(heads, "utf-8", "surrogatepass")
     if any(char in heads for char in _HEAD_SPACES[: 2 if heads.isascii() else None]):
         return None
     tokens = heads.split()
     party_names = tokens[1::3]
-    if tokens[::3].count("party") != len(rows) or len(set(party_names)) != len(rows):
+    if tokens[::3].count("party") != len(first) or len(set(party_names)) != len(first):
         return None
     try:
         sizes = list(map(int, tokens[2::3]))
@@ -453,7 +427,7 @@ def _party_block(
     if min(sizes) < 0 or sum(sizes) * m >= VOTER_CELL_BOUND:
         return None
     order_starts = colons + 1 + (text.take(colons + 1) == 32)  # past the space after ':'
-    return _PartyBlock(buf, order_starts, ends, party_names, sizes, rows + first_line_no, table)
+    return _PartyBlock(buf, order_starts, marks.take(newline), party_names, sizes, table)
 
 
 def _spans(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -489,11 +463,11 @@ class _NameTable:
 
     A token gets the code of the name in its slot only when its length and
     its words equal that name's, so the lookup is exact: a token that is
-    not a name gets -1, even when it shares a name's first bytes or differs
-    from it only by trailing NULs.  An empty slot holds code 0, which that
-    test refuses as well.  Names and texts are encoded alike (UTF-8 with
-    ``surrogatepass``), so a lone surrogate reads the same here as it does
-    as a ``str``.  ``codes`` keeps one 1-D array per token quantity and
+    not a name declines the block, even when it shares a name's first bytes
+    or differs from it only by trailing NULs.  An empty slot holds code 0,
+    which that test refuses as well.  Names and texts are encoded alike
+    (UTF-8 with ``surrogatepass``), so a lone surrogate reads the same here
+    as it does as a ``str``.  ``codes`` keeps one 1-D array per token quantity and
     takes one loop step per word column, so W sets only the loop's length.
     """
 
@@ -529,14 +503,12 @@ class _NameTable:
         pad = np.zeros(8 * self.words.shape[1], dtype=np.uint8)
         return np.concatenate((np.frombuffer(data, dtype=np.uint8), pad))
 
-    def codes(self, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        """(len(starts), m) int codes of order rows, m = K.  Row r is
-        buf[starts[r] : ends[r]] of a ``buffer``; buf[ends[r]] is a newline,
-        and no newline lies between one row's end and the next row's start
-        (a '>' there leaves a -1 in the next row).  A row holds the codes of
-        a text that reads exactly ``n1 > n2 > ... > nm``, with a name's code
-        where ``ni`` is a name and -1 where it is not; every other row is
-        all -1.
+    def codes(self, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+        """(len(starts), m) int codes of order rows, m = K, or None unless
+        every row reads exactly ``n1 > n2 > ... > nm`` with every ``ni`` a
+        name.  Row r is buf[starts[r] : ends[r]] of a ``buffer``, buf[ends[r]]
+        is a newline, and no '>' or newline lies between one row's end and
+        the next row's start.
 
         The per-token arrays are 1-D, one loop step per word column: word j
         of each token is masked to the token's bytes, folded into its key
@@ -553,13 +525,12 @@ class _NameTable:
         # Each row ends at its one newline and none lies between rows, so
         # every row holds m tokens exactly when there are num_rows * m tokens
         # and tokens m - 1, 2m - 1, ... all end at a newline.
-        all_whole = len(stops) == num_rows * m and not after_gt[m - 1 :: m].any()
-        # Each later row's first token.
-        firsts = slice(m, None, m) if all_whole else np.flatnonzero(~after_gt)[:-1] + 1
+        if len(stops) != num_rows * m or after_gt[m - 1 :: m].any():
+            return None
         token_starts = np.empty_like(stops)
         token_starts[0] = 0
         np.add(stops[:-1], 2, out=token_starts[1:])  # past " > "
-        token_starts[firsts] = starts[1:] - lo
+        token_starts[m::m] = starts[1:] - lo  # each later row's first token
         lengths = stops - token_starts
         lengths -= after_gt  # up to " > " or the newline
         # A token starts at most at hi, after a '>' that ends the last row.
@@ -582,14 +553,7 @@ class _NameTable:
         mismatch |= self.lengths.take(found) != lengths
         for name_words, word in zip(self.words.T, columns):
             mismatch |= name_words.take(found) != word
-        found[mismatch] = -1
-        if all_whole:
-            return found.reshape(num_rows, m)
-        counts = np.diff(firsts, prepend=0, append=len(stops))  # tokens per row
-        whole = counts == m
-        out = np.full((num_rows, m), -1, dtype=np.int64)
-        out[whole] = found[np.repeat(whole, counts)].reshape(-1, m)
-        return out
+        return None if mismatch.any() else found.reshape(num_rows, m)
 
 
 def _token_keys(columns, lengths: np.ndarray) -> np.ndarray:

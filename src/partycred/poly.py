@@ -50,6 +50,7 @@ checks the plan and raises ``RuntimeError`` on a rejection.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import accumulate
 
 import numpy as np
@@ -592,7 +593,32 @@ def _dual_bound(a, room, slack, prices):
     """Upper bound on the largest packing within ``slack`` and ``room``.
     For any prices y >= 0, weak LP duality gives slack . y + sum_j room_j *
     max(0, 1 - (a y)_j), whatever the signs of a and slack; this is the
-    least over the rows of ``prices``, rounded down, so floating-point error
-    can only weaken it."""
+    least over the rows of ``prices``, rounded down.
+
+    Each row is summed in floats, and its error is at most (k + 4) * 2^-52
+    times the magnitude of its terms, k the length of its longest sum
+    (Higham's gamma_k, doubled).  Where every row's error is within the
+    1e-6 added before rounding down, the floats give the bound.  Otherwise
+    (at about 10^8 voters and more) the rows that may be least are summed
+    again in integers (``_exact_floor``), so floating-point error can never
+    make the bound invalid: at 10^15 voters per party the float sums fell
+    one below the exact floor."""
     bounds = prices @ slack + np.maximum(0.0, 1.0 - a @ prices.T).T @ room
-    return math.floor(bounds.min() + 1e-6)
+    size = np.abs(slack) @ prices.T + 2.0 * (1.0 + np.abs(a) @ prices.T).T @ room
+    error = size * ((max(a.shape) + 4) * 2.0**-52)
+    if error.max() <= 1e-6:
+        return math.floor(bounds.min() + 1e-6)
+    top = (bounds + error).min()
+    return min(_exact_floor(a, room, slack, y) for y in prices[bounds - error <= top])
+
+
+def _exact_floor(a, room, slack, y):
+    """floor(slack . y + sum_j room_j * max(0, 1 - (a y)_j)) in Python
+    integers: every float price is an integer over a power of two."""
+    ratios = [price.as_integer_ratio() for price in y.tolist()]
+    den = max(d for _, d in ratios)
+    y = [n * (den // d) for n, d in ratios]
+    total = sum(map(operator.mul, slack.tolist(), y))
+    for row, r in zip(a.tolist(), room.tolist()):
+        total += r * max(0, den - sum(map(operator.mul, row, y)))
+    return total // den

@@ -34,9 +34,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _kernels
 from .core import pairwise_matrix
 
-_BLOCK_CELLS = 1 << 15  # cells per block of party rows in scoring_scores: they stay in cache
 # n * m stays below this for n voters over m candidates (every
 # ``parties.PartyElection``), so every margin, lead sum and cumulative gain
 # the solvers form fits in int64.
@@ -134,7 +134,7 @@ def _scores(e, vector: tuple[int, ...]) -> np.ndarray:
                 f"must stay below 2**63 // 3"
             )
     points = np.asarray(vector, dtype=np.int64)
-    rows = max(1, _BLOCK_CELLS // e.num_candidates)  # one cache-sized block at a time
+    rows = max(1, _kernels._BLOCK_CELLS // e.num_candidates)  # one cache-sized block at a time
     scores = np.zeros(e.num_candidates, dtype=np.int64)
     for lo in range(0, len(sizes), rows):
         scores += sizes[lo:lo + rows] @ points[ranks[lo:lo + rows]]

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import partycred as pc
 from partycred import instance_io
-from partycred.core import validated_ranks
 from partycred.instance_io import (
     ParseError,
     parse_alpha,
@@ -257,9 +256,10 @@ def _long_file(num_parties: int, bad: dict[int, str] | None = None) -> tuple[str
     ],
 )
 def test_bad_order_late_in_long_file(order, message):
-    # 3,000 parties are a block, read from its bytes 512 rows at a time:
-    # row 2,700 lies in the last chunk of 440 rows, and rows 511-513 on both
-    # sides of a chunk boundary.  A 12-party file is read by the line loop only.
+    # 3,000 parties are a block, read from its bytes 512 rows at a time
+    # until a chunk holds the bad order, and then by the line loop: row 2,700
+    # lies in the last chunk of 440 rows, and rows 511-513 on both sides of a
+    # chunk boundary.  A 12-party file is read by the line loop only.
     for num_parties, bad in ((3_000, 2_700), (3_000, 511), (3_000, 512), (3_000, 513), (12, 7)):
         text, first = _long_file(num_parties, {bad: f"party X 1: {order}".rstrip()})
         with pytest.raises(ParseError) as err:
@@ -269,7 +269,8 @@ def test_bad_order_late_in_long_file(order, message):
 
 
 def test_first_bad_party_line_wins():
-    # 3,000 parties are a block; 12 are read by the line loop alone.
+    # 3,000 parties are a block until the bulk path declines it; 12 are read
+    # by the line loop alone.
     for num_parties, early, late in ((3_000, 2_000, 2_500), (12, 7, 9)):
         order_then_head = {early: "party X 1: a > a > b", late: "party Y -1: p > a > b"}
         text, first = _long_file(num_parties, order_then_head)
@@ -302,11 +303,12 @@ def test_first_bad_party_line_wins():
 
 
 def test_other_spellings_parse_like_canonical_orders(monkeypatch):
-    """The block read, the line loop, and the block's re-read of the rows it
-    cannot read give the same arrays.  1,500 parties are a block, read from
-    its bytes in chunks of 512, 512 and 476 rows, also with tabs in their
-    orders.  With a tab in a head they go through the line loop, as 12
-    parties do, and with no name table all are."""
+    """Other spellings of the orders parse, through ``parse_instance``, as
+    the canonical orders do.  1,500 canonical parties are a plain block,
+    read from its bytes in chunks of 512, 512 and 476 rows.  The bulk path
+    declines the respelled and the mixed copy at their first chunk, and a
+    tab in a head before it reads any, so the line loop reads all three, as
+    it reads 12 parties, and as it reads every file with no name table."""
     byte_chunks = []
     read_bytes = instance_io._NameTable.codes
     monkeypatch.setattr(
@@ -323,7 +325,7 @@ def test_other_spellings_parse_like_canonical_orders(monkeypatch):
             .replace("a > b > p", "a  >\tb > p")
             .replace("b > p > a", "  b > p >a\u2003")
         )
-        mixed = text.replace("party P7 1: b > p > a", "party P7 1: b>p >  a")
+        mixed = text.replace("party P8 1: b > p > a", "party P8 1: b>p >  a")
         tabbed_head = text.replace("party P7 1:", "party P7\t1:")
         canonical = pc.parse_instance(text)
         for body in (respelled, mixed, tabbed_head):
@@ -331,13 +333,13 @@ def test_other_spellings_parse_like_canonical_orders(monkeypatch):
             assert again.instance == canonical.instance
             assert again.party_names == canonical.party_names
         parsed[num_parties] = canonical.instance.election.orders
-    block = [512, 512, 476]
-    assert byte_chunks == block * 3  # canonical, respelled, mixed
+    read = [512, 512, 476, 512, 512]  # canonical whole; respelled and mixed at chunk 0
+    assert byte_chunks == read
     assert np.array_equal(parsed[12][1:], parsed[1_500][1:12])
     monkeypatch.setattr(instance_io, "_MULTIPLIERS", instance_io._MULTIPLIERS[:0])  # no table
     text, _ = _long_file(1_500)
     assert np.array_equal(pc.parse_instance(text).instance.election.orders, parsed[1_500])
-    assert byte_chunks == block * 3
+    assert byte_chunks == read
 
 
 _SPECIAL_NAMES = ("a", "a\x00", "abcdefgh1", "abcdefgh2", "\ud800", "é", "名前", "x" * 20)
@@ -350,13 +352,18 @@ _NAMES = st.lists(
 )
 
 
+def _unknown_names(names):
+    """Tokens that are no name of ``names`` but may share a name's bytes."""
+    tokens = ("?", "a\x00\x00", "abcdefgh", "abcdefgh3", "\udfff", names[0] + "\x00")
+    return [x for x in tokens if x not in names]
+
+
 @st.composite
 def _order_texts(draw):
     """(names, order texts): canonical rows, other spellings of orders and
     malformed rows."""
     names = draw(_NAMES)
-    unknown = [x for x in ("?", "a\x00\x00", "abcdefgh", "abcdefgh3", "\udfff", names[0] + "\x00")
-               if x not in names]
+    unknown = _unknown_names(names)
     texts = []
     for _ in range(draw(st.integers(1, 8))):
         order = draw(st.permutations(names))
@@ -392,51 +399,38 @@ def _order_texts(draw):
 @settings(max_examples=80, deadline=None)
 @given(_order_texts())
 def test_party_orders_match_a_row_by_row_reading(drawn):
-    """A block of one chunk (at most 504 rows) that repeats the drawn order
-    texts, each right after its line's ':', against ``_party_order`` on
-    every row.  The bulk read takes exactly the rows that, past one leading
-    space and without their last spaces, split on " > " into m names, and
-    its match test alone gives a name's code to exactly that name's tokens,
-    whatever slot the hash picks."""
+    """A file whose party lines (at least 1,200 order names) repeat the
+    drawn order texts, each right after its line's ':', parses through
+    ``parse_instance`` as the line loop reads it.  The bulk path reads it
+    exactly when every text, past one leading space, splits on " > " into m
+    distinct names.  And whatever slot the hash picks, the name table's
+    match test alone gives a name's code to exactly that name's tokens."""
     names, texts = drawn
     m = len(names)
     index = {x: i for i, x in enumerate(names)}
     rows = -(-instance_io._BLOCK_MIN_NAMES // m)
     rows = -(-rows // len(texts)) * len(texts)
-    lines = [(i + 1, texts[i % len(texts)]) for i in range(rows)]
-    rest = "".join(f"party P{n} 1:{text}\n" for n, text in lines)
-    block = instance_io._party_block(rest, 1, (0, " ".join(names)))
-    assert block is not None
+    header = (
+        f"candidates: {' '.join(names)}\nrule: plurality\nmodel: cowinner\ndest: one\n"
+        f"direction: min\nk: 1\ndistinguished: {names[0]}\n"
+    )
+    text = header + "".join(f"party P{i} 1:{texts[i % len(texts)]}\n" for i in range(rows))
+    split = [t.removeprefix(" ").split(" > ") for t in texts]
+    plain = all(sorted(index.get(x, -1) for x in row) == list(range(m)) for row in split)
+    assert _read_both(text) == plain
 
-    calls = []
-    read_bytes = instance_io._NameTable.codes
-    with mock.patch.object(
-        instance_io._NameTable, "codes",
-        lambda table, *args: calls.append((table, args)) or read_bytes(table, *args),
-    ):
-        try:
-            expected = [instance_io._party_order(n, text, index) for n, text in lines]
-        except ParseError as exc:
-            with pytest.raises(ParseError) as err:
-                block.parties(index)
-            assert (str(err.value), err.value.line_no) == (str(exc), exc.line_no)
-        else:
-            _, ranks, _ = block.parties(index)
-            assert np.argsort(ranks, axis=1).tolist() == [list(order) for order in expected]
-
-    [(table, args)] = calls
-    read = read_bytes(table, *args)
-    split = [text.removeprefix(" ").rstrip(" ").split(" > ") for _, text in lines]
-    split = np.array([[index.get(x, -1) for x in row] if len(row) == m else [-1] * m
-                      for row in split])
-    valid = np.ones(len(read), dtype=bool)
-    valid[validated_ranks(read)[1]] = False
-    split_valid = np.array([sorted(row) == list(range(m)) for row in split.tolist()])
-    assert np.array_equal(valid, split_valid)
-    assert np.array_equal(read[valid], split[valid])
-    for c in range(m):
-        forced = dataclasses.replace(table, slots=np.full_like(table.slots, c)).codes(*args)
-        assert np.array_equal(forced, np.where(read == c, c, -1))
+    table = instance_io._NameTable.build(index)
+    for c, name in enumerate(names):
+        forced = dataclasses.replace(table, slots=np.full_like(table.slots, c))
+        for token in names + _unknown_names(names):
+            for at in (0, m - 1):  # a token that ends at " > ", and one at the newline
+                row = [name] * m
+                row[at] = token
+                data = (" > ".join(row) + "\n").encode("utf-8", "surrogatepass")
+                ends = np.array([len(data) - 1])
+                codes = forced.codes(forced.buffer(data), np.array([0]), ends)
+                assert (codes is not None) == (token == name), (name, token, at)
+                assert codes is None or (codes == c).all()
 
 
 def _outcome(text: str):
@@ -448,12 +442,12 @@ def _outcome(text: str):
 
 
 def _read_both(text: str) -> bool:
-    """Whether the block read ``text``, once its outcome, parse or error
-    and line, is the line loop's."""
+    """Whether the bulk path read ``text``'s party lines whole, once its
+    outcome, parse or error and line, is the line loop's."""
     took = []
-    block = instance_io._party_block
-    spy = lambda *args: took.append(block(*args)) or took[-1]  # noqa: E731
-    with mock.patch.object(instance_io, "_party_block", spy):
+    parties = instance_io._PartyBlock.parties
+    spy = lambda block, index: took.append(parties(block, index)) or took[-1]  # noqa: E731
+    with mock.patch.object(instance_io._PartyBlock, "parties", spy):
         got = _outcome(text)
     with mock.patch.object(instance_io, "_party_block", lambda *args: None):
         assert got == _outcome(text)
@@ -468,31 +462,19 @@ def _in_order(old, new):
     return lambda line: line.replace(":", "\0", 1).replace(old, new, 1).replace("\0", ":", 1)
 
 
-# Mutations of one party line, by whether the file stays a block.  A
+# Mutations of one party line, by whether the file stays a plain block.  A
 # string joins the line to the next one with that line break.
 _REGULAR = {
     "double space in head": lambda line: line.replace(" ", "  ", 1),
-    "trailing space": lambda line: line + " ",
     "size +3": _set_size("+3"),
     "size 1_000": _set_size("1_000"),
     "'>' in a party name": lambda line: line.replace("party P", "party P>", 1),
     "no space after ':'": lambda line: line.replace(": ", ":", 1),
-    "no space after ':', unknown name": lambda line: line.replace(": ", ":", 1) + " > q",
-    "empty order": lambda line: line.partition(":")[0] + ":",
-    "order a>b": _in_order(" > ", ">"),
-    "unknown candidate": _in_order(" > ", " > q"),
-    "repeated candidate": _in_order(" > p", " > p > p"),
-    "tab in an order": _in_order(" > ", " >\t"),
     "CRLF": lambda line: line + "\r",
-    "comment": lambda line: line + " # note: a > b",
-    "comment-only line": lambda line: "  # note: a > b\n" + line,
-    "blank line": lambda line: "\n" + line,
-    "whitespace-only line": lambda line: " \t\u3000\n" + line,
     "non-ASCII name": lambda line: line.replace("party P", "party Pé", 1),
-    "lone CR line end": "\r",
-    "NEL line break": "\x85",
-    "LS line break": "\u2028",
 }
+# The line loop reads these files: the bulk path declines them, by their
+# heads or line breaks or, once the heads are read, by an order.
 _IRREGULAR = {
     "tab in head": lambda line: line.replace(" ", "\t", 1),
     "no-break space in head": lambda line: line.replace(" ", " \xa0", 1),
@@ -504,6 +486,20 @@ _IRREGULAR = {
     "missing colon": lambda line: line.replace(":", "", 1),
     "head alone": lambda line: line.partition(":")[0],
     "other key": lambda line: line.replace("party ", "parties ", 1),
+    "trailing space": lambda line: line + " ",
+    "no space after ':', unknown name": lambda line: line.replace(": ", ":", 1) + " > q",
+    "empty order": lambda line: line.partition(":")[0] + ":",
+    "order a>b": _in_order(" > ", ">"),
+    "unknown candidate": _in_order(" > ", " > q"),
+    "repeated candidate": _in_order(" > p", " > p > p"),
+    "tab in an order": _in_order(" > ", " >\t"),
+    "comment": lambda line: line + " # note: a > b",
+    "comment-only line": lambda line: "  # note: a > b\n" + line,
+    "blank line": lambda line: "\n" + line,
+    "whitespace-only line": lambda line: " \t\u3000\n" + line,
+    "lone CR line end": "\r",
+    "NEL line break": "\x85",
+    "LS line break": "\u2028",
 }
 _KINDS = sorted(_REGULAR) + sorted(_IRREGULAR) + [
     "size moved to the next head", "size moved past a tab", "header after the parties",
@@ -534,7 +530,7 @@ def test_party_block_parses_like_the_line_loop(kind, data):
     """A file of at least 1,500 order names (600 parties) with one party line
     mutated, and perhaps a second, parses to the same instance, or the same
     error and line, with its party lines read as a block or line by line.
-    Regular mutations keep it a block."""
+    Regular mutations keep it a plain block, read whole."""
     text, first = _long_file(600)
     lines = text.splitlines()
     kinds = [kind] + data.draw(st.lists(st.sampled_from(_KINDS), max_size=1))
@@ -560,7 +556,8 @@ def test_block_reads_whitespace_as_the_str_methods_do():
     for char in instance_io._HEAD_SPACES:
         for head in (f"party P5{char}99 1:", f"party {char}P599 1:"):
             assert not _read_both(text.replace("party P599 1:", head))
-    assert _read_both(text.replace("\n", "\r"))
+    assert _read_both(text.replace("\n", "\r\n"))
+    assert not _read_both(text.replace("\n", "\r"))
 
 
 def test_party_block_peak_memory_stays_near_three_block_sizes():
@@ -578,7 +575,7 @@ def test_party_block_peak_memory_stays_near_three_block_sizes():
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        block = instance_io._party_block(rest, 1, (0, " ".join(parsed.candidate_names)))
+        block = instance_io._party_block(rest, (0, " ".join(parsed.candidate_names)))
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from partycred import _kernels
+from partycred import _kernels, rules
+from partycred.parties import PartyElection
 
 
 def random_ranks(rng, n_ballots, m):
@@ -133,9 +134,16 @@ def test_min_switch_counts_matches_reference():
 @pytest.mark.parametrize("block_cells", [1, 9])
 def test_min_switch_counts_in_small_blocks(monkeypatch, block_cells):
     # Blocks of one party, or of a few, spread the histogram and each
-    # rival's lowest level over many blocks.
+    # rival's lowest level over many blocks.  ``rules._scores`` reads the
+    # same block size, and its blocked sums must equal one product.
     monkeypatch.setattr(_kernels, "_BLOCK_CELLS", block_cells)
     _assert_random_draws_match_reference(24)
+    rng = np.random.default_rng(25)
+    for l, m in [(1, 2), (7, 3), (40, 5), (300, 9)]:
+        election = PartyElection([rng.permutation(m) for _ in range(l)], rng.integers(0, 9, l))
+        vector = tuple(sorted(rng.integers(0, 20, m).tolist(), reverse=True))
+        expected = election.sizes @ np.asarray(vector)[election.ranks]
+        assert np.array_equal(rules._scores(election, vector), expected)
 
 
 def test_min_switch_counts_exact_near_the_voter_bound():

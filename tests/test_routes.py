@@ -104,7 +104,8 @@ def _relabelled(inst, rng):
     rng.shuffle(names)
     order = list(range(len(election.sizes)))
     rng.shuffle(order)
-    orders = [[names[c] for c in election.orders[q]] for q in order]
+    orders = election.orders.tolist()  # one argsort of the ranks, not one per party
+    orders = [[names[c] for c in orders[q]] for q in order]
     sizes = [int(election.sizes[q]) for q in order]
     return dataclasses.replace(inst, election=pc.PartyElection(orders, sizes), p=names[inst.p])
 
@@ -132,3 +133,51 @@ def test_max_routes_keep_metamorphic_relations_past_the_oracles_cap():
                     assert pc.solve_instance(scaled).value >= k * value, (rule, seed, k)
                 values.append(value)
             assert values[1] >= values[0], (rule, seed, values)
+
+
+def _split_party(inst, q):
+    """``inst`` with party q split in two parties of its ballot, sizes
+    ceil(s/2) and floor(s/2), the second one last."""
+    election = inst.election
+    orders = election.orders.tolist()
+    sizes = election.sizes.tolist()
+    orders.append(orders[q])
+    sizes.append(sizes[q] // 2)
+    sizes[q] -= sizes[-1]
+    return dataclasses.replace(inst, election=pc.PartyElection(orders, sizes))
+
+
+def _min_value(inst):
+    """MIN through ``solve_instance``, which must find a plan, with its
+    witness checked again here."""
+    result = pc.solve_instance(inst)
+    assert result.status is pc.SolveStatus.FEASIBLE, result
+    assert pc.check_witness(inst, result.witness, k=result.value).ok, result
+    return result.value
+
+
+@pytest.mark.parametrize("rule", ["plurality", "veto", "borda", "condorcet"])
+def test_min_routes_keep_metamorphic_relations_at_thousands_of_parties(rule):
+    """Seeded MIN files of 1k-10k parties of 1-9 voters, in both destination
+    modes, far past the oracle's cap.  Renaming the candidates (p included)
+    and shuffling the parties leave MIN unchanged, and so does splitting a
+    party into two with its ballot; every size times k in {2, 3, 1000}
+    gives MIN(k s) <= k MIN(s), as the plan scaled by k still defeats p;
+    and MIN(multi) <= MIN(one).  Every file here has a plan, and every
+    witness is checked."""
+    rng = random.Random(39)
+    for num_parties in (1_000, 3_000, 10_000):
+        one = generate_random(
+            rng.randint(0, 10**6), rng.randint(3, 5), num_parties, (1, 9), rule, "min"
+        ).instance
+        values = []
+        for inst in (one, dataclasses.replace(one, destination_mode=pc.DestinationMode.MULTI)):
+            value = _min_value(inst)
+            assert _min_value(_relabelled(inst, rng)) == value, (rule, num_parties)
+            assert _min_value(_split_party(inst, rng.randrange(num_parties))) == value
+            for k in (2, 3, 1000):
+                election = pc.PartyElection(inst.election.orders, inst.election.sizes * k)
+                scaled = _min_value(dataclasses.replace(inst, election=election))
+                assert scaled <= k * value, (rule, num_parties, k)
+            values.append(value)
+        assert values[1] <= values[0], (rule, num_parties, values)
