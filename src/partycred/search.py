@@ -12,6 +12,8 @@ Two independent routes:
 * ``exact_search_min`` / ``exact_search_max`` run a branch-and-bound over
   per-(source, destination) move counts with admissible pruning, for the
   NP-hard Copeland and Maximin rules, in one loop without recursion.
+  It builds one destination's tables at a time, when the walk reaches it,
+  and lists them only for a destination whose root bound passes.
   Every scoring rule and Condorcet has an exact polynomial route
   (``solve.poly_solver``), so the search raises ``ValueError`` on them.
 
@@ -57,7 +59,7 @@ from .rules import voter_margins, voter_terms, win_floor
 
 ORACLE_CELL_CAP = 1 << 26  # block cells of every plan the oracle may enumerate
 DEFAULT_NODE_BUDGET = 20_000_000
-_BLOCK_CELLS = 1 << 20  # array cells per oracle block and per batch of search tables
+_BLOCK_CELLS = 1 << 20  # array cells per oracle block
 
 
 def _margin_scorer(rule: Copeland | Maximin, m: int, n_voters: int):
@@ -208,7 +210,7 @@ class _BranchAndBound:
     """Exact depth-first search over per-(source, destination) counts with
     admissible pruning, for Copeland and Maximin.
 
-    *Walk.*  ``_search_destination`` is one loop, with no recursion, so no
+    *Walk.*  ``_search_segment`` is one loop, with no recursion, so no
     number of pairs exhausts Python's stack.  Level i steps ``counts[i]``
     one voter at a time to ``last[i]``, up from 0 to its cap for MIN and
     down from the cap to 0 for MAX; the cap is the voters its source has
@@ -237,10 +239,14 @@ class _BranchAndBound:
     the list.  ``party_state``, what one voter of each party adds to the
     margins, is ``rules.voter_margins``.
 
-    *Set-up.*  The pairs, unit changes, slack and capacity of the searches
-    are built by ``_variables`` for a batch of destinations at once, one
-    grid of pairs per batch, with at most ``_BLOCK_CELLS`` cells per batch
-    so that memory stays O(batch · l · m²) however many parties there are.
+    *Set-up.*  ``_segments`` builds one segment's pairs, unit changes,
+    slack and capacity only when the walk reaches it: one destination, or
+    every pair in the multi-destination mode.  They are numpy arrays of
+    O(pairs · m²) cells, for the one segment being walked, so a
+    one-destination search holds O(l · m²) however many parties there are.
+    The root node reads them as arrays and its first descent lists them
+    (``_listed``), so a segment pruned at its root costs one counted node
+    and no Python list.
 
     *Doubled units.*  The scorer's units are exact integers, and every
     score is even, so a strict lead is a lead of at least 2: p must lead
@@ -310,74 +316,60 @@ class _BranchAndBound:
         self.best_value: int | None = None
         self.best_moves = None
 
-    def _variables(self):
-        """Each destination's ``(pairs, units, slack, remcap)``, in search
-        order: its pairs with their unit changes, slack and capacity.
+    def _segments(self):
+        """Each segment's ``(src, dst, units, slack, remcap)`` arrays, in
+        search order, built only when the walk reaches that segment: its
+        pairs with their unit changes, the slack of each level and the
+        capacity left from it.
 
+        A segment is one destination, or every pair in the
+        multi-destination mode, where a source's capacity counts once per
+        destination, which only widens the bound (still admissible).
         Sources without voters are left out: their count is always 0, and
-        leaving a constant out of every key keeps the keys' order.  In the
-        multi-destination mode there is one segment, every pair, and a
-        source's capacity counts once per destination, which only widens the
-        bound (still admissible).
-
-        The tables are built for a batch of segments in one pass, as a
-        (segments, width) grid of pairs: one fancy index of the party states
-        and one reverse ``cumsum`` along each row for slack and capacity.
-        A destination that has voters of its own has one pair fewer than the
-        grid's width, so its row ends in a pad, a pair from the destination
-        to itself with a zero unit change and capacity 0, which adds nothing
-        to either sum.  In the one-destination mode a batch holds at most
-        ``_BLOCK_CELLS`` table cells (and at least one destination), so the
-        tables take O(batch · l · m²) memory, never O(l² · m²).
+        leaving a constant out of every key keeps the keys' order.  Each
+        table is one fancy index of the party states and one reverse
+        cumulative sum, O(pairs · m²) memory.
         """
         sizes = self.instance.election.sizes
         l = len(sizes)
         sources = np.flatnonzero(sizes)
         if self.instance.destination_mode is DestinationMode.MULTI:
             others = np.arange(l - 1)
-            dst = (others + (others >= sources[:, None])).reshape(1, -1)  # each d != q
-            batches = [(np.repeat(sources, l - 1)[None], dst, [dst.size])]
+            dst = (others + (others >= sources[:, None])).ravel()  # each d != q
+            segments = [(np.repeat(sources, l - 1), dst)]
         else:
-            per = max(1, _BLOCK_CELLS // ((len(sources) + 1) * self.party_state[0].size))
-            batches = (
-                _destination_grid(sizes, sources, np.arange(lo, min(lo + per, l)))
-                for lo in range(0, l, per)
-            )
-        for src, dst, lengths in batches:
+            segments = ((sources[sources != d], d) for d in range(l))
+        caps = sizes[:, None, None]
+        for src, dst in segments:
+            dst = np.full(len(src), dst)  # contiguous, so the subtraction is one flat pass
             unit = self.party_state[dst]
             unit -= self.party_state[src]
             push = self.sign * unit  # each unit change's helpful part, times its cap
             np.maximum(push, 0, out=push)
-            caps = np.where(src == dst, 0, sizes[src])  # a pad has no capacity
-            push *= caps[..., None, None]
-            slack = np.zeros((len(src), src.shape[1] + 1) + unit.shape[2:], dtype=np.int64)
-            np.cumsum(push[:, ::-1], axis=1, out=slack[:, -2::-1])
+            push *= caps[src]
+            slack = np.zeros((len(src) + 1,) + unit.shape[1:], dtype=np.int64)
+            np.add.accumulate(push[::-1], out=slack[-2::-1])
             del push
             slack *= self.sign
-            remcap = np.zeros((len(src), src.shape[1] + 1), dtype=np.int64)
-            np.cumsum(caps[:, ::-1], axis=1, out=remcap[:, -2::-1])
-            for row, n in enumerate(lengths):
-                yield (
-                    list(zip(src[row, :n].tolist(), dst[row, :n].tolist())),
-                    list(unit[row, :n]),
-                    list(slack[row, : n + 1]),
-                    remcap[row, : n + 1].tolist(),
-                )
+            remcap = np.zeros(len(src) + 1, dtype=np.int64)
+            np.add.accumulate(sizes[src[::-1]], out=remcap[-2::-1])
+            yield src, dst, unit, slack, remcap
 
     # -- search -----------------------------------------------------------
 
     def run(self) -> SolveResult:
-        for tables in self._variables():
-            if not self._search_destination(*tables):
+        for tables in self._segments():
+            if not self._search_segment(*tables):
                 return budget_exhausted(self.solver, self.nodes)
         if self.best_value is None:
             return infeasible(self.solver, self.nodes)
         plan = SwitchPlan(moves=self.best_moves)
         return feasible(self.instance, self.best_value, plan, self.solver, self.nodes)
 
-    def _search_destination(self, pairs, units, slack, remcap) -> bool:
-        """One destination's *Walk*; False when the node budget runs out."""
-        n = len(pairs)
+    def _search_segment(self, src, dst, units, slack, remcap) -> bool:
+        """One segment's *Walk*; False when the node budget runs out.  The
+        root reads the tables as arrays; its first descent lists them."""
+        n = len(src)
         voters = sum(self.sizes)
         state = self.base.copy()
         counts, last = [0] * n, [0] * n
@@ -403,7 +395,9 @@ class _BranchAndBound:
                 grow = total + remcap[i] > best and voters > best
             if grow and passes(state + reach):
                 if i < n:
-                    q = pairs[i][0]
+                    if not i:
+                        src, dst, units, slack, remcap = _listed(src, dst, units, slack, remcap)
+                    q = src[i]
                     cap = left[q] if budget is None else min(left[q], budget)
                     first, last[i] = (0, cap) if minimize else (cap, 0)
                     counts[i] = first
@@ -414,36 +408,27 @@ class _BranchAndBound:
                     i += 1
                     continue
                 self.best_value = total
-                self.best_moves = tuple((q, d, c) for (q, d), c in zip(pairs, counts) if c)
+                self.best_moves = tuple((q, d, c) for q, d, c in zip(src, dst, counts) if c)
             i -= 1
             while i >= 0 and counts[i] == last[i]:
                 count = counts[i]
                 if count:
                     state -= count * units[i]
-                    left[pairs[i][0]] += count
+                    left[src[i]] += count
                     total -= count
                 i -= 1
             if i < 0:
                 return True
             counts[i] += step
             move(state, units[i], out=state)
-            left[pairs[i][0]] -= step
+            left[src[i]] -= step
             total += step
             i += 1
 
 
-def _destination_grid(sizes: np.ndarray, sources: np.ndarray, dests: np.ndarray):
-    """The one-destination pair grid of ``dests``: (src, dst, lengths), row
-    j holding the pairs (q, dests[j]) of the voting ``sources`` q != dests[j]
-    in order, lengths[j] of them, then pads (dests[j], dests[j])."""
-    k = len(sources)
-    # A destination with voters skips its own column, at its rank among the sources.
-    own = np.where(sizes[dests] > 0, np.searchsorted(sources, dests), k)
-    column = np.arange(k)
-    index = column + (column >= own[:, None])
-    dst = np.broadcast_to(dests[:, None], index.shape)
-    src = np.where(index < k, np.append(sources, 0)[index], dst)
-    return src, dst, (k - (own < k)).tolist()
+def _listed(src, dst, units, slack, remcap):
+    """One segment's tables as the Python lists the walk indexes per level."""
+    return src.tolist(), dst.tolist(), list(units), list(slack), remcap.tolist()
 
 
 def exact_search_min(

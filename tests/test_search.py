@@ -27,6 +27,7 @@ from partycred.search import (
     ORACLE_CELL_CAP,
     _BranchAndBound,
     _compositions_upto,
+    _listed,
     _margin_scorer,
 )
 
@@ -384,54 +385,52 @@ def test_party_leads_match_score_and_margin_gaps():
     assert empty >= 30
 
 
-def test_bound_slack_and_steps_match_a_per_pair_loop(monkeypatch):
-    """Each destination's pairs, units, capacity and each level's slack
-    against a loop over the remaining pairs, in one batch and across batch
-    boundaries under lowered cell caps (130 cells: 2-3 destinations per
-    batch here; 1 cell: one each).  The rivals' rows move only up and p's
-    row only down for MIN, and the reverse for MAX.  The loop's extreme
-    unit step in that direction is 2 wherever the slack is not 0, with the
-    slack's sign, so MIN's clamp of the slack to [-2b, 2b] is the cap at b
-    such steps."""
-    for cells in (_BLOCK_CELLS, 130, 1):
-        monkeypatch.setattr(pc.search, "_BLOCK_CELLS", cells)
-        for inst in _seeded_problems(80, 13, SEARCH_RULES):
-            bb = _BranchAndBound(inst, inst.direction, node_budget=1)
-            deltas, sizes = voter_margins(inst.rule, inst.election.ranks, inst.p), bb.sizes
-            l, m = len(sizes), len(deltas[0])
-            minimize = inst.direction is pc.Direction.MIN
-            up = ((np.arange(m) != inst.p) == minimize)[:, None]
-            if inst.destination_mode is pc.DestinationMode.ONE:
-                destinations = [[d] for d in range(l)]
-            else:
-                destinations = [range(l)]
-            tables = list(bb._variables())
-            assert len(tables) == len(destinations)
-            for dests, (pairs, units, slack, remcap) in zip(destinations, tables):
-                where = (inst, list(dests), cells)
-                assert pairs == [(q, d) for q in range(l) for d in dests if d != q and sizes[q]]
-                assert len(units) == len(pairs) and len(slack) == len(remcap) == len(pairs) + 1
-                for (q, d), unit in zip(pairs, units):
-                    assert unit.tolist() == (deltas[d] - deltas[q]).tolist(), where
-                for i in range(len(pairs) + 1):
-                    assert remcap[i] == sum(sizes[q] for q, _ in pairs[i:]), where
-                    want_slack = np.zeros((m, m), dtype=np.int64)
-                    want_steps = np.zeros((m, m), dtype=np.int64)
-                    for q, d in pairs[i:]:
-                        unit = deltas[d] - deltas[q]
-                        rise, fall = np.maximum(unit, 0), np.minimum(unit, 0)
-                        want_slack += sizes[q] * np.where(up, rise, fall)
-                        want_steps = np.where(
-                            up, np.maximum(want_steps, rise), np.minimum(want_steps, fall)
-                        )
-                    assert slack[i].tolist() == want_slack.tolist(), (where, i)
-                    assert (2 * np.sign(slack[i])).tolist() == want_steps.tolist(), (where, i)
+def test_bound_slack_and_steps_match_a_per_pair_loop():
+    """Each segment's pairs, units, capacity and each level's slack, as the
+    walk lists them, against a loop over the remaining pairs.  The rivals'
+    rows move only up and p's row only down for MIN, and the reverse for
+    MAX.  The loop's extreme unit step in that direction is 2 wherever the
+    slack is not 0, with the slack's sign, so MIN's clamp of the slack to
+    [-2b, 2b] is the cap at b such steps."""
+    for inst in _seeded_problems(80, 13, SEARCH_RULES):
+        bb = _BranchAndBound(inst, inst.direction, node_budget=1)
+        deltas, sizes = voter_margins(inst.rule, inst.election.ranks, inst.p), bb.sizes
+        l, m = len(sizes), len(deltas[0])
+        minimize = inst.direction is pc.Direction.MIN
+        up = ((np.arange(m) != inst.p) == minimize)[:, None]
+        if inst.destination_mode is pc.DestinationMode.ONE:
+            destinations = [[d] for d in range(l)]
+        else:
+            destinations = [range(l)]
+        segments = list(bb._segments())
+        assert len(segments) == len(destinations)
+        for dests, segment in zip(destinations, segments):
+            src, dst, units, slack, remcap = _listed(*segment)
+            pairs = list(zip(src, dst))
+            where = (inst, list(dests))
+            assert pairs == [(q, d) for q in range(l) for d in dests if d != q and sizes[q]]
+            assert len(units) == len(pairs) and len(slack) == len(remcap) == len(pairs) + 1
+            for (q, d), unit in zip(pairs, units):
+                assert unit.tolist() == (deltas[d] - deltas[q]).tolist(), where
+            for i in range(len(pairs) + 1):
+                assert remcap[i] == sum(sizes[q] for q, _ in pairs[i:]), where
+                want_slack = np.zeros((m, m), dtype=np.int64)
+                want_steps = np.zeros((m, m), dtype=np.int64)
+                for q, d in pairs[i:]:
+                    unit = deltas[d] - deltas[q]
+                    rise, fall = np.maximum(unit, 0), np.minimum(unit, 0)
+                    want_slack += sizes[q] * np.where(up, rise, fall)
+                    want_steps = np.where(
+                        up, np.maximum(want_steps, rise), np.minimum(want_steps, fall)
+                    )
+                assert slack[i].tolist() == want_slack.tolist(), (where, i)
+                assert (2 * np.sign(slack[i])).tolist() == want_steps.tolist(), (where, i)
 
 
 def test_search_tables_stay_within_the_cell_cap():
     """A one-destination Copeland search over 2,000 parties at m = 4 builds
-    its tables one batch of destinations at a time: an unbatched build of
-    every destination's l·m² cells would take about 0.5 GB per array."""
+    its tables one destination at a time: a build of every destination's
+    l·m² cells at once would take about 0.5 GB per array."""
     rng = np.random.default_rng(4)
     l, m = 2_000, 4
     orders = np.argsort(rng.random((l, m)), axis=1)
@@ -450,6 +449,42 @@ def test_search_tables_stay_within_the_cell_cap():
         tracemalloc.stop()
     assert result.status is pc.SolveStatus.BUDGET_EXHAUSTED
     assert peak < 64 << 20, peak
+
+
+@pytest.mark.parametrize(
+    "rule, direction, parties, value, nodes",
+    [
+        ("maximin", "max", 300, 953, 2_866),
+        ("maximin", "max", 600, 1_867, 6_066),
+        ("maximin", "max", 900, 2_769, 8_448),
+        ("maximin", "max", 1_200, 3_682, 12_024),
+        ("copeland:1/2", "min", 600, 15, 3_065),
+        ("copeland:1/2", "min", 900, 5, 4_567),
+    ],
+)
+def test_search_lists_only_the_destinations_it_descends_into(
+    monkeypatch, rule, direction, parties, value, nodes
+):
+    """Count gate on large one-destination files: a destination pruned at
+    its root costs one node and no Python list, so at most 4·l pairs are
+    listed per solve, where listing every destination's pairs takes
+    l(l - 1).  Copeland MIN at 300 parties takes 230,716 nodes and is left
+    out."""
+    inst = pc.instance_io.generate_random(
+        seed=1, num_candidates=5, num_parties=parties, size_range=(1, 5),
+        rule_spec=rule, direction=direction, dest="one",
+    ).instance
+    listed = []
+
+    def counting(src, *tables):
+        listed.append(len(src))
+        return _listed(src, *tables)
+
+    monkeypatch.setattr(pc.search, "_listed", counting)
+    solve = pc.exact_search_max if direction == "max" else pc.exact_search_min
+    result = solve(inst)
+    assert (result.value, result.nodes) == (value, nodes)
+    assert sum(listed) <= 4 * parties, listed
 
 
 def test_multi_destination_max_bound_stops_at_n():
