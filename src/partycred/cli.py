@@ -123,14 +123,9 @@ def _cmd_reduce(args) -> int:
         raise ValueError(f"--alpha applies to the copeland reductions only, not {args.reduction}")
     else:
         reduced = build(source)
-    parsed = ParsedInstance(
-        instance=reduced.instance,
-        candidate_names=reduced.candidate_names,
-        party_names=reduced.party_names,
-    )
     out = Path(args.output)
     out.write_text(
-        serialize_instance(parsed, comment=f"reduction: {reduced.reduction}"), encoding="utf-8"
+        serialize_instance(reduced, comment=f"reduction: {reduced.reduction}"), encoding="utf-8"
     )
     provenance = {
         "reduction": reduced.reduction,

@@ -600,15 +600,18 @@ def serialize_instance(parsed: ParsedInstance, comment: str | None = None) -> st
 
 def parse_graph(text: str):
     """``n <count>``, ``t <bound>`` and ``e u v`` lines; 0-based vertices.
-    ``n`` and ``t`` are required, once each."""
+    ``n`` and ``t`` are required, once each.  An error in one edge names its
+    line; a negative vertex count names the ``n`` line."""
     lines = _int_lines(text, {"n": 1, "t": 1, "e": 2}, once=("n", "t"))
-    [(_, (n,))], [(_, (t,))], edges = lines.values()
+    [(n_line, (n,))], [(_, (t,))], edges = lines.values()
     from .reductions import GraphInstance, ItemError
 
     try:
         return GraphInstance(num_vertices=n, edges=tuple(e for _, e in edges), bound=t)
     except ItemError as exc:
         raise ParseError(edges[exc.index][0], str(exc))
+    except ValueError as exc:
+        raise ParseError(n_line, str(exc))
 
 
 def parse_x3c(text: str):

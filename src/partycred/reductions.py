@@ -4,6 +4,14 @@ Each ``reduce_*`` function builds the full party election of the
 corresponding construction, validates the construction's side assumptions
 loudly, and records the source-element/party correspondence so that a
 source-problem witness converts into a checkable switch plan.
+
+A construction lists every party once, in file order, as ``(name, order,
+size, source element or None)``: the order is a list of candidate names,
+and the source element is the vertex or set index the party stands for.
+``_build`` derives the rest.  The destination is the one party named
+``P``, a source element's party is the one declared with it, and the
+distinguished candidate is the one named ``p``.  A gadget party is one
+such line.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .instance_io import ParsedInstance
 from .parties import (
     Direction,
     DestinationMode,
@@ -78,6 +87,8 @@ class GraphInstance:
     bound: int
 
     def __post_init__(self):
+        if self.num_vertices < 0:
+            raise ValueError(f"vertex count must be at least 0, got {self.num_vertices}")
         seen = set()
         normalized = []
         for i, (u, v) in enumerate(self.edges):
@@ -150,28 +161,11 @@ def _without(order, excluded):
     return [x for x in order if x not in excluded]
 
 
-def _replaced(order, mapping):
-    return [mapping.get(x, x) for x in order]
-
-
-def _flatten(*parts):
-    out = []
-    for part in parts:
-        if isinstance(part, (list, tuple)):
-            out.extend(part)
-        else:
-            out.append(part)
-    return out
-
-
 @dataclass(frozen=True)
-class ReducedInstance:
-    """A constructed MIN/MAX instance plus its provenance."""
+class ReducedInstance(ParsedInstance):
+    """A constructed MIN/MAX instance, its names, and its provenance."""
 
-    instance: ProblemInstance
     reduction: str
-    candidate_names: tuple[str, ...]
-    party_names: tuple[str, ...]
     source: dict
     destination_party: int
     source_parties: dict[int, int]  # source element (vertex / set index) -> party id
@@ -194,16 +188,15 @@ class ReducedInstance:
         return SwitchPlan(moves=moves)
 
 
-def _build(reduction, names, parties, p_name, k, rule, direction, source,
-           destination_party, source_parties, complement_selection=False):
+def _build(reduction, names, parties, k, rule, direction, source, complement_selection=False):
+    """The one-destination, unique-winner instance of ``parties``, party
+    specs as in the module docstring."""
     index = {name: i for i, name in enumerate(names)}
-    election = PartyElection(
-        [[index[x] for x in order] for _, order, _ in parties],
-        [size for _, _, size in parties],
-    )
+    party_names, orders, sizes, elements = zip(*parties)
+    election = PartyElection([[index[x] for x in order] for order in orders], list(sizes))
     instance = ProblemInstance(
         election=election,
-        p=index[p_name],
+        p=index["p"],
         k=k,
         rule=rule,
         model=WinnerModel.UNIQUE,
@@ -212,12 +205,12 @@ def _build(reduction, names, parties, p_name, k, rule, direction, source,
     )
     return ReducedInstance(
         instance=instance,
-        reduction=reduction,
         candidate_names=tuple(names),
-        party_names=tuple(pname for pname, _, _ in parties),
+        party_names=party_names,
+        reduction=reduction,
         source=source,
-        destination_party=destination_party,
-        source_parties=source_parties,
+        destination_party=party_names.index("P"),
+        source_parties={e: i for i, e in enumerate(elements) if e is not None},
         complement_selection=complement_selection,
     )
 
@@ -251,32 +244,22 @@ def reduce_vc_to_copeland_min(g: GraphInstance, alpha: Fraction) -> ReducedInsta
     b_block = ["b1", "b2", "b3"]
     names = edge_names + ["p"] + a_block + b_block
 
-    def edges_of(v):
-        return [edge_names[i] for i in g.incident_edge_indices(v)]
-
     parties = []
-    source_parties = {}
     for v in range(n):
-        ev = edges_of(v)
-        rest = _without(edge_names, ev)
-        if v in (v1, v2):
-            order = _flatten(ev, a_block, "p", b_block, rest)
-        else:
-            order = _flatten(ev, "p", b_block, a_block, rest)
-        source_parties[v] = len(parties)
-        parties.append((f"P_v{v}", order, 1))
-    destination = len(parties)
-    parties.append(("P", _flatten(b_block, edge_names, "p", a_block), 1))
+        ev = [edge_names[i] for i in g.incident_edge_indices(v)]
+        middle = [*a_block, "p", *b_block] if v in (v1, v2) else ["p", *b_block, *a_block]
+        parties.append((f"P_v{v}", [*ev, *middle, *_without(edge_names, ev)], 1, v))
     half = (n - 2) // 2
-    parties.append(("P1", _flatten("a1", "p", "a2", edge_names, b_block), half))
-    parties.append(("P2", _flatten(edge_names, b_block, "a1", "p", "a2"), half))
+    parties += [
+        ("P", [*b_block, *edge_names, "p", *a_block], 1, None),
+        ("P1", ["a1", "p", "a2", *edge_names, *b_block], half, None),
+        ("P2", [*edge_names, *b_block, "a1", "p", "a2"], half, None),
+    ]
 
     return _build(
-        "vc-copeland-min", names, parties, "p", t, Copeland(alpha=Fraction(alpha)),
-        Direction.MIN,
+        "vc-copeland-min", names, parties, t, Copeland(alpha=Fraction(alpha)), Direction.MIN,
         {"problem": "vertex-cover", "num_vertices": n, "edges": list(g.edges), "t": t,
          "degree_one_vertices": [v1, v2]},
-        destination, source_parties,
     )
 
 
@@ -300,27 +283,23 @@ def reduce_x3c_to_maximin_min(x3c: X3CInstance) -> ReducedInstance:
     names = x_names + ["p", "z", "alpha", "beta"]
 
     parties = []
-    source_parties = {}
-    for idx, (i, j, k) in enumerate(x3c.sets):
-        triple = [x_names[i], x_names[j], x_names[k]]
-        order = _flatten(triple, "z", "p", _without(x_names, triple), "beta", "alpha")
-        source_parties[idx] = len(parties)
-        parties.append((f"P_S{idx + 1}", order, 1))
+    for idx, s in enumerate(x3c.sets):
+        triple = [x_names[x] for x in s]
+        order = [*triple, "z", "p", *_without(x_names, triple), "beta", "alpha"]
+        parties.append((f"P_S{idx + 1}", order, 1, idx))
     half = (n - m // 3) // 2
-    parties.append(("Q1", _flatten("beta", "alpha", "p", x_names, "z"), half))
-    parties.append(("Q2", _flatten("alpha", "p", x_names, "z", "beta"), half))
+    parties.append(("Q1", ["beta", "alpha", "p", *x_names, "z"], half, None))
+    parties.append(("Q2", ["alpha", "p", *x_names, "z", "beta"], half, None))
     for i in range(m // 3):
         block = x_names[3 * i : 3 * i + 3]
         rest = _without(x_names, block)
-        parties.append((f"B{i + 1}a", _flatten("beta", "alpha", "p", rest, "z", block), 1))
-        parties.append((f"B{i + 1}b", _flatten("alpha", "p", rest, "z", block, "beta"), 1))
-    destination = len(parties)
-    parties.append(("P", _flatten("z", x_names, "p", "alpha", "beta"), 1))
+        parties.append((f"B{i + 1}a", ["beta", "alpha", "p", *rest, "z", *block], 1, None))
+        parties.append((f"B{i + 1}b", ["alpha", "p", *rest, "z", *block, "beta"], 1, None))
+    parties.append(("P", ["z", *x_names, "p", "alpha", "beta"], 1, None))
 
     return _build(
-        "x3c-maximin-min", names, parties, "p", m // 3, Maximin(), Direction.MIN,
+        "x3c-maximin-min", names, parties, m // 3, Maximin(), Direction.MIN,
         {"problem": "x3c", "universe_size": m, "sets": [list(s) for s in x3c.sets]},
-        destination, source_parties,
     )
 
 
@@ -332,31 +311,30 @@ def reduce_x3c_to_borda_max(x3c: X3CInstance) -> ReducedInstance:
     names = x_names + ["p"] + d_block + ["y", "z"]
 
     parties = []
-    source_parties = {}
-    for idx, (i, j, k) in enumerate(x3c.sets):
-        spliced = _replaced(
-            x_names,
-            {x_names[i]: "d1", x_names[j]: "d2", x_names[k]: "d3"},
-        )
-        order = _flatten("z", spliced, "p", x_names[i], x_names[j], x_names[k], "y")
-        source_parties[idx] = len(parties)
-        parties.append((f"P_S{idx + 1}", order, 1))
-    parties.append(
-        ("P'", _flatten("y", "p", list(reversed(x_names)), "z", d_block), n)
-    )
-    destination = len(parties)
-    parties.append(("P", _flatten(x_names, "p", d_block, "y", "z"), 1))
+    for idx, s in enumerate(x3c.sets):
+        spliced = dict(zip(s, d_block))
+        order = [
+            "z", *[spliced.get(c, x) for c, x in enumerate(x_names)], "p",
+            *[x_names[x] for x in s], "y",
+        ]
+        parties.append((f"P_S{idx + 1}", order, 1, idx))
+    parties.append(("P'", ["y", "p", *reversed(x_names), "z", *d_block], n, None))
+    parties.append(("P", [*x_names, "p", *d_block, "y", "z"], 1, None))
 
     rule = Scoring(vector=scoring_vector_for("borda", len(names)))
     return _build(
-        "x3c-borda-max", names, parties, "p", n - m // 3, rule, Direction.MAX,
+        "x3c-borda-max", names, parties, n - m // 3, rule, Direction.MAX,
         {"problem": "x3c", "universe_size": m, "sets": [list(s) for s in x3c.sets]},
-        destination, source_parties, complement_selection=True,
+        complement_selection=True,
     )
 
 
 def reduce_x3c_to_condorcet_max(x3c: X3CInstance) -> ReducedInstance:
-    """X3C -> Condorcet MAX (2n + m + 9 candidates, 2n + 5 voters)."""
+    """X3C -> Condorcet MAX (2n + m + 9 candidates, 2n + 5 voters).
+
+    The n parties P_t come first and are never part of a witness; the
+    source's set t - 1 is the party P_t'.
+    """
     m, n = x3c.universe_size, x3c.num_sets
     x_names = [f"x{i + 1}" for i in range(m)]
     a_block = [f"a{i}" for i in range(1, 5)]
@@ -365,48 +343,36 @@ def reduce_x3c_to_condorcet_max(x3c: X3CInstance) -> ReducedInstance:
     d_block = [f"d{i + 1}" for i in range(n)]
     names = x_names + a_block + b_block + c_block + d_block + ["p"]
 
-    parties = []
-    set_parties = []  # the P_t parties (never part of a witness)
-    source_parties = {}  # the P_t' parties
-    for idx, (i, j, k) in enumerate(x3c.sets):
+    set_parties, primed = [], []
+    for idx, s in enumerate(x3c.sets):
         t = idx + 1
-        triple = [x_names[i], x_names[j], x_names[k]]
+        triple = [x_names[x] for x in s]
         rest = _without(x_names, triple)
-        order_a = _flatten(
-            d_block[t:], c_block[:t], a_block, triple, "p", rest,
-            list(reversed(b_block)), c_block[t:], d_block[:t],
-        )
-        set_parties.append(len(parties))
-        parties.append((f"P{t}", order_a, 1))
-    for idx, (i, j, k) in enumerate(x3c.sets):
-        t = idx + 1
-        triple = [x_names[i], x_names[j], x_names[k]]
-        rest = _without(x_names, triple)
-        order_b = _flatten(
-            d_block[:t], c_block[t:], b_block, list(reversed(rest)), "p",
-            x_names[k], x_names[j], x_names[i], list(reversed(a_block)),
-            c_block[:t], d_block[t:],
-        )
-        source_parties[idx] = len(parties)
-        parties.append((f"P{t}'", order_b, 1))
+        order_a = [
+            *d_block[t:], *c_block[:t], *a_block, *triple, "p", *rest,
+            *reversed(b_block), *c_block[t:], *d_block[:t],
+        ]
+        order_b = [
+            *d_block[:t], *c_block[t:], *b_block, *reversed(rest), "p",
+            *reversed(triple), *reversed(a_block), *c_block[:t], *d_block[t:],
+        ]
+        set_parties.append((f"P{t}", order_a, 1, None))
+        primed.append((f"P{t}'", order_b, 1, idx))
+    parties = set_parties + primed
     for i in range(1, 5):
-        x_dir = x_names if i % 2 else list(reversed(x_names))
-        cd_c = c_block if i % 2 else list(reversed(c_block))
-        cd_d = d_block if i % 2 else list(reversed(d_block))
-        order = _flatten(
-            f"a{i}", f"b{i}", "p", x_dir,
-            _without(a_block, [f"a{i}"]), _without(b_block, [f"b{i}"]),
-            cd_c, cd_d,
-        )
-        parties.append((f"Pbar{i}", order, 1))
-    destination = len(parties)
-    parties.append(("P", _flatten(x_names, "p", a_block, b_block, c_block, d_block), 1))
+        step = 1 if i % 2 else -1
+        order = [
+            f"a{i}", f"b{i}", "p", *x_names[::step],
+            *_without(a_block, [f"a{i}"]), *_without(b_block, [f"b{i}"]),
+            *c_block[::step], *d_block[::step],
+        ]
+        parties.append((f"Pbar{i}", order, 1, None))
+    parties.append(("P", [*x_names, "p", *a_block, *b_block, *c_block, *d_block], 1, None))
 
     return _build(
-        "x3c-condorcet-max", names, parties, "p", m // 3, Condorcet(), Direction.MAX,
+        "x3c-condorcet-max", names, parties, m // 3, Condorcet(), Direction.MAX,
         {"problem": "x3c", "universe_size": m, "sets": [list(s) for s in x3c.sets],
-         "set_parties": set_parties},
-        destination, source_parties,
+         "set_parties": list(range(n))},
     )
 
 
@@ -419,20 +385,15 @@ def reduce_is_to_maximin_max(g: GraphInstance) -> ReducedInstance:
     names = ["a", "b", "p"] + edge_names
 
     parties = []
-    source_parties = {}
     for v in range(n):
         ev = [edge_names[i] for i in g.incident_edge_indices(v)]
-        rest = _without(edge_names, ev)
-        source_parties[v] = len(parties)
-        parties.append((f"P_v{v}", _flatten("a", rest, "p", ev, "b"), 1))
-    parties.append(("P'", _flatten("b", "p", list(reversed(edge_names)), "a"), n))
-    destination = len(parties)
-    parties.append(("P", _flatten(edge_names, "p", "b", "a"), 1))
+        parties.append((f"P_v{v}", ["a", *_without(edge_names, ev), "p", *ev, "b"], 1, v))
+    parties.append(("P'", ["b", "p", *reversed(edge_names), "a"], n, None))
+    parties.append(("P", [*edge_names, "p", "b", "a"], 1, None))
 
     return _build(
-        "is-maximin-max", names, parties, "p", t, Maximin(), Direction.MAX,
+        "is-maximin-max", names, parties, t, Maximin(), Direction.MAX,
         {"problem": "independent-set", "num_vertices": n, "edges": list(g.edges), "t": t},
-        destination, source_parties,
     )
 
 
@@ -451,21 +412,16 @@ def reduce_is_to_copeland_max(g: GraphInstance, alpha: Fraction) -> ReducedInsta
     names = a_block + b_block + c_block + ["p"] + edge_names
 
     parties = []
-    source_parties = {}
     for v in range(n):
         ev = [edge_names[i] for i in g.incident_edge_indices(v)]
-        rest = _without(edge_names, ev)
-        source_parties[v] = len(parties)
-        parties.append((f"P_v{v}", _flatten(a_block, rest, c_block, "p", ev, b_block), 1))
-    parties.append(("P'", _flatten(b_block, c_block, "p", edge_names, a_block), n))
-    destination = len(parties)
-    parties.append(("P", _flatten(edge_names, "p", a_block, b_block, c_block), 1))
+        order = [*a_block, *_without(edge_names, ev), *c_block, "p", *ev, *b_block]
+        parties.append((f"P_v{v}", order, 1, v))
+    parties.append(("P'", [*b_block, *c_block, "p", *edge_names, *a_block], n, None))
+    parties.append(("P", [*edge_names, "p", *a_block, *b_block, *c_block], 1, None))
 
     return _build(
-        "is-copeland-max", names, parties, "p", t, Copeland(alpha=Fraction(alpha)),
-        Direction.MAX,
+        "is-copeland-max", names, parties, t, Copeland(alpha=Fraction(alpha)), Direction.MAX,
         {"problem": "independent-set", "num_vertices": n, "edges": list(g.edges), "t": t},
-        destination, source_parties,
     )
 
 

@@ -687,6 +687,8 @@ def test_parse_x3c_reports_the_offending_set_line():
 @pytest.mark.parametrize("parse, text, message", [
     (pc.parse_graph, "n 3\nt 1\nt 2\n", "line 3: duplicate t line"),
     (pc.parse_graph, "n 3\nt x\n", "line 2: expected an integer, got 'x'"),
+    (pc.parse_graph, "n -3\nt 1\n", "line 1: vertex count must be at least 0, got -3"),
+    (pc.parse_graph, "t 1\n# star\nn -1\ne 0 1\n", "line 3: vertex count must be at least 0, got -1"),
     (pc.parse_x3c, "m 3\nm 3\n", "line 2: duplicate m line"),
     (pc.parse_x3c, "m 3\nt 1\n", "line 2: expected 'm' or 's' line, got 't 1'"),
     (pc.parse_x3c, "m 3\ns 0 1 two\n", "line 2: expected an integer, got 'two'"),

@@ -24,8 +24,10 @@ from conftest import (
     VC_NO,
     VC_YES,
     X3C_NO6,
+    X3C_NO12,
     X3C_YES3,
     X3C_YES6,
+    X3C_YES12,
 )
 
 HALF = Fraction(1, 2)
@@ -51,6 +53,9 @@ def test_graph_validation():
         rd.GraphInstance(2, ((0, 1), (1, 0)), 1)
     with pytest.raises(ValueError, match="out of range"):
         rd.GraphInstance(2, ((0, 5),), 1)
+    with pytest.raises(ValueError, match="vertex count must be at least 0, got -3"):
+        rd.GraphInstance(-3, (), 1)
+    assert rd.GraphInstance(0, (), 1).num_vertices == 0
 
 
 def test_naive_solvers():
@@ -447,8 +452,33 @@ def test_x3c_maximin_yes_witness():
 
 
 def test_provenance_fields():
-    reduced = rd.reduce_is_to_maximin_max(IS_YES)
-    assert reduced.reduction in rd.REDUCTIONS
-    assert reduced.source["problem"] == "independent-set"
-    assert reduced.party_names[reduced.destination_party] == "P"
-    assert set(reduced.source_parties) == set(range(IS_YES.num_vertices))
+    """Every construction on every conftest source it accepts: the
+    destination is the one party named ``P``, each source element's party is
+    the one declared for it, and the distinguished candidate is ``p``."""
+    graphs = (VC_YES, VC_NO, IS_NO, IS_YES)
+    x3cs = (X3C_YES6, X3C_NO6, X3C_YES12, X3C_NO12)
+    problems = {"vc": "vertex-cover", "is": "independent-set", "x3c": "x3c"}
+    cases = [
+        ("vc-copeland-min", (VC_YES, VC_NO), lambda v: f"P_v{v}"),
+        ("is-maximin-max", graphs, lambda v: f"P_v{v}"),
+        ("is-copeland-max", graphs, lambda v: f"P_v{v}"),
+        ("x3c-maximin-min", x3cs, lambda i: f"P_S{i + 1}"),  # refuses X3C_YES3
+        ("x3c-borda-max", (X3C_YES3, *x3cs), lambda i: f"P_S{i + 1}"),
+        ("x3c-condorcet-max", (X3C_YES3, *x3cs), lambda i: f"P{i + 1}'"),
+    ]
+    for name, sources, party_of in cases:
+        problem = problems[name.split("-")[0]]
+        for source in sources:
+            args = (HALF,) if "copeland" in name else ()
+            reduced = rd.REDUCTIONS[name](source, *args)
+            assert isinstance(reduced, pc.ParsedInstance)
+            assert (reduced.reduction, reduced.source["problem"]) == (name, problem)
+            assert reduced.p_name == "p"
+            assert reduced.party_names.count("P") == 1
+            assert reduced.party_names[reduced.destination_party] == "P"
+            elements = source.num_sets if problem == "x3c" else source.num_vertices
+            assert set(reduced.source_parties) == set(range(elements)), name
+            for element, party in reduced.source_parties.items():
+                assert reduced.party_names[party] == party_of(element), (name, element)
+            for t, party in enumerate(reduced.source.get("set_parties", ()), start=1):
+                assert reduced.party_names[party] == f"P{t}", (name, t)
